@@ -5,9 +5,9 @@ consume their lists monotonically; right vertices keep a threshold rank and
 never accept a proposal along an edge worse than one they have already seen.
 A proposal along a forbidden edge is rejected, and that rejection also
 deletes every worse edge at the receiving vertex, including a currently held
-one.  The same machinery therefore serves plain stable matching, stable
-matching that must avoid a forbidden edge set, and truncated runs used for
-stable-pair queries.
+one.  The same machinery therefore serves plain stable matching and stable
+matching that must avoid a forbidden edge set.  Every stable pair comes from
+one rotation walk between the two extreme stable matchings.
 
 Re-forbidding edges after a run and resuming is equivalent to a fresh run
 with the enlarged forbidden set, and total work over any forbid/resume
@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .instance import Instance, InstanceError, Matching
+from .instance import Instance, Matching
 
 INFINITE_RANK = 1 << 60
 
@@ -52,9 +52,9 @@ class ProposalSystem:
     Edges are dense ids.  ``left_lists[u]`` orders u's edges from best to
     worst; ``edge_right[e]`` is the receiving right vertex, or -1 for a
     private always-accepting sink (the "stay alone" option).  ``right_rank``
-    orders each right vertex's incident edges (lower is better).  Initial
-    right cutoffs implement list truncation: a right vertex never accepts an
-    edge ranked at or beyond its cutoff.
+    orders each right vertex's incident edges (lower is better).  A right
+    vertex's cutoff is the best rank it has seen; it never accepts an edge
+    ranked at or beyond it.
     """
 
     def __init__(
@@ -66,7 +66,6 @@ class ProposalSystem:
         edge_right: list[int],
         right_rank: list[int],
         forbidden=(),
-        right_cut_init: dict[int, int] | None = None,
     ):
         self.num_left = num_left
         self.num_right = num_right
@@ -76,111 +75,18 @@ class ProposalSystem:
         self.right_rank = right_rank
         num_edges = len(edge_left)
         self.forbidden = [False] * num_edges
-        self.has_forbidden = False
         for e in forbidden:
             self.forbidden[e] = True
-            self.has_forbidden = True
         self.total_list_length = sum(len(row) for row in left_lists)
-        self._reset(right_cut_init)
-
-    def _reset(self, right_cut_init: dict[int, int] | None = None) -> None:
-        self.next_i = [0] * self.num_left
-        self.left_match = [-1] * self.num_left
-        self.right_match = [-1] * self.num_right
-        self.right_cut = [INFINITE_RANK] * self.num_right
-        if right_cut_init:
-            for r, cut in right_cut_init.items():
-                self.right_cut[r] = cut
+        self.next_i = [0] * num_left
+        self.left_match = [-1] * num_left
+        self.right_match = [-1] * num_right
+        self.right_cut = [INFINITE_RANK] * num_right
         self.starved: set[int] = set()
         self.queue: deque[int] = deque(range(self.num_left))
         self.proposals = 0
         self.rejections = 0
         self.exhausted_left: int | None = None
-
-    def clone_fresh(
-        self, right_cut_init: dict[int, int] | None = None
-    ) -> "ProposalSystem":
-        """Unrun copy sharing this system's topology and forbidden marks.
-
-        Cheap relative to rebuilding: ranked lists and edge tables are
-        shared, only the per-run state is allocated.
-        """
-        clone = ProposalSystem.__new__(ProposalSystem)
-        clone.num_left = self.num_left
-        clone.num_right = self.num_right
-        clone.left_lists = self.left_lists
-        clone.edge_left = self.edge_left
-        clone.edge_right = self.edge_right
-        clone.right_rank = self.right_rank
-        clone.forbidden = list(self.forbidden)
-        clone.has_forbidden = self.has_forbidden
-        clone.total_list_length = self.total_list_length
-        clone._reset(right_cut_init)
-        return clone
-
-    def probe_truncation(self, r: int, cut: int) -> int:
-        """Matched edge at right vertex r once its cutoff tightens to ``cut``.
-
-        Runs the rejection cascade directly on the settled state and rolls
-        every mutation back before returning, so a probe costs only its
-        cascade, not a fresh run.  Tightening a cutoff after the fact is
-        equivalent to having started with it: both ways the same edges get
-        deleted.  Only valid on quiescent systems without forbidden edges.
-        """
-        if self.queue or self.exhausted_left is not None:
-            raise ValueError("probe requires a settled feasible system")
-        if self.has_forbidden:
-            raise ValueError("probe does not support forbidden edges")
-        next_i = self.next_i
-        left_match = self.left_match
-        right_match = self.right_match
-        right_cut = self.right_cut
-        log: list[tuple[list, int, int]] = []
-
-        def put(arr: list, idx: int, value: int) -> None:
-            log.append((arr, idx, arr[idx]))
-            arr[idx] = value
-
-        queue = []
-        put(right_cut, r, cut)
-        cur = right_match[r]
-        if cur != -1 and self.right_rank[cur] >= cut:
-            put(right_match, r, -1)
-            u = self.edge_left[cur]
-            put(left_match, u, -1)
-            put(next_i, u, next_i[u] + 1)
-            queue.append(u)
-        while queue:
-            u = queue.pop()
-            while True:
-                i = next_i[u]
-                if i >= len(self.left_lists[u]):
-                    raise AssertionError(
-                        "left vertex ran dry during a truncation probe"
-                    )
-                e = self.left_lists[u][i]
-                rr = self.edge_right[e]
-                if rr == -1:
-                    put(left_match, u, e)
-                    break
-                rank = self.right_rank[e]
-                if rank >= right_cut[rr]:
-                    put(next_i, u, i + 1)
-                    continue
-                cur = right_match[rr]
-                if cur != -1:
-                    u2 = self.edge_left[cur]
-                    put(left_match, u2, -1)
-                    put(next_i, u2, next_i[u2] + 1)
-                    queue.append(u2)
-                put(right_match, rr, e)
-                put(right_cut, rr, rank)
-                put(left_match, u, e)
-                break
-        answer = right_match[r]
-        for arr, idx, old in reversed(log):
-            arr[idx] = old
-        return answer
 
     def _divorce(self, edge: int, touched_left: dict) -> None:
         u = self.edge_left[edge]
@@ -261,7 +167,6 @@ class ProposalSystem:
             if self.forbidden[e]:
                 continue
             self.forbidden[e] = True
-            self.has_forbidden = True
             u = self.edge_left[e]
             if self.left_match[u] != e:
                 continue
@@ -340,14 +245,12 @@ def build_system(
     inst: Instance,
     proposers: str = "agents",
     forbidden_pairs=(),
-    right_cut_init: dict[int, int] | None = None,
 ) -> SystemHandle:
     """Plain one-sided proposal system over an instance.
 
     Left vertices carry their preference lists plus a trailing private sink
     (the stay-alone option); right ranks come from the other side's lists.
-    ``forbidden_pairs`` are (left vertex, right vertex) instance-id pairs;
-    ``right_cut_init`` maps right indexes to initial acceptance cutoffs.
+    ``forbidden_pairs`` are (left vertex, right vertex) instance-id pairs.
     """
     if proposers == "agents":
         left_ids = tuple(inst.agent_ids())
@@ -389,7 +292,6 @@ def build_system(
         edge_right=edge_right,
         right_rank=right_rank,
         forbidden=[edge_of[pair] for pair in forbidden_pairs],
-        right_cut_init=right_cut_init,
     )
     return SystemHandle(inst, system, left_ids, right_ids, edge_of)
 
@@ -400,6 +302,59 @@ def stable_matching(inst: Instance, proposers: str = "agents") -> Matching:
     return handle.to_matching(handle.system.run())
 
 
+def rotation_walk(inst: Instance) -> tuple[Matching, frozenset[tuple[int, int]]]:
+    """Agent-optimal stable matching and every stable pair, in O(m) time.
+
+    Walks from the agent-optimal matching to the job-optimal one by
+    eliminating exposed rotations (Gusfield, "Three fast algorithms for four
+    problems in stable marriage", 1987).  In the current matching, agent a's
+    successor is the partner of the first job after a's own that prefers a to
+    its partner; following successors from an agent that has not reached its
+    job-optimal partner closes a cycle, the rotation, and eliminating it
+    hands each agent on it that job.  A pair is stable exactly when it lies
+    in the agent-optimal matching or some rotation creates it.
+
+    Agents whose two extreme partners agree, the unmatched included, take no
+    part in any rotation.  Every other agent's scan pointer only moves
+    forward and never passes its job-optimal partner, because a job it skips
+    already holds someone it prefers and its holders only improve.
+    """
+    best = stable_matching(inst, "agents")
+    last = stable_matching(inst, "jobs").partner
+    pref, rank_tbl = inst.pref, inst.rank_tbl
+    holder = list(best.partner)
+    scan = [inst.rank_of(a, holder[a]) + 1 for a in inst.agent_ids()]
+    depth = [-1] * inst.num_agents
+    pairs = set(best.pairs(inst))
+    for start in inst.agent_ids():
+        while holder[start] != last[start]:
+            stack = [start]
+            depth[start] = 0
+            while stack:
+                a = stack[-1]
+                row, i = pref[a], scan[a]
+                b = row[i]
+                while rank_tbl[b][a] > rank_tbl[b][holder[b]]:
+                    i += 1
+                    b = row[i]
+                scan[a] = i
+                succ = holder[b]
+                if depth[succ] < 0:
+                    depth[succ] = len(stack)
+                    stack.append(succ)
+                    continue
+                rotation = stack[depth[succ]:]
+                del stack[depth[succ]:]
+                for x in rotation:
+                    b = pref[x][scan[x]]
+                    holder[x] = b
+                    holder[b] = x
+                    scan[x] += 1
+                    depth[x] = -1
+                    pairs.add((x, b))
+    return best, frozenset(pairs)
+
+
 def stable_vertices(inst: Instance) -> frozenset[int]:
     """Vertices matched to genuine partners in every stable matching.
 
@@ -408,37 +363,6 @@ def stable_vertices(inst: Instance) -> frozenset[int]:
     """
     mat = stable_matching(inst)
     return frozenset(u for u in range(inst.n) if not mat.is_self(u))
-
-
-def is_stable_pair(
-    inst: Instance, edge: tuple[int, int], handle: SystemHandle | None = None
-) -> bool:
-    """Whether some stable matching contains the edge.
-
-    Truncates the job's acceptance just below the given agent and checks
-    whether the agent-proposing run then matches the two together.  Passing
-    a prebuilt agent-proposing ``handle`` lets batch callers amortize the
-    system construction; each query runs on a fresh clone.
-    """
-    a, b = edge
-    if not inst.has_edge(a, b):
-        raise InstanceError(
-            f"({inst.names[a]}, {inst.names[b]}) is not an edge"
-        )
-    if handle is None:
-        handle = build_system(inst, "agents")
-    r = b - inst.num_agents
-    cut = inst.rank_of(b, a) + 1
-    system = handle.system
-    if system.has_forbidden:
-        fresh = system.clone_fresh(right_cut_init={r: cut})
-        outcome = fresh.run()
-        e = outcome.right_edge[r]
-        return e != -1 and handle.left_ids[fresh.edge_left[e]] == a
-    if system.queue:
-        system.run()
-    e = system.probe_truncation(r, cut)
-    return e != -1 and handle.left_ids[system.edge_left[e]] == a
 
 
 def blocking_edges(inst: Instance, mat: Matching) -> frozenset[tuple[int, int]]:

@@ -91,7 +91,7 @@ class Instance:
         pref: list[tuple[int, ...]] = []
         for u, name in enumerate(names):
             row = pref_by_name.get(name, [])
-            ids = []
+            ids: dict[int, None] = {}
             for v_name in row:
                 if v_name not in idx:
                     raise InstanceError(
@@ -106,7 +106,7 @@ class Instance:
                     raise InstanceError(
                         f"{name!r} lists {v_name!r} more than once"
                     )
-                ids.append(v)
+                ids[v] = None
             pref.append(tuple(ids))
 
         for a in range(num_agents):
@@ -115,15 +115,15 @@ class Instance:
                     f"agent {names[a]!r} has an empty preference list"
                 )
 
+        rank_tbl = tuple({v: i for i, v in enumerate(row)} for row in pref)
         for u in range(len(names)):
             for v in pref[u]:
-                if u not in pref[v]:
+                if u not in rank_tbl[v]:
                     raise InstanceError(
                         f"adjacency is not mutual: {names[u]!r} lists "
                         f"{names[v]!r} but not conversely"
                     )
 
-        rank_tbl = tuple({v: i for i, v in enumerate(row)} for row in pref)
         edges = tuple(
             (a, b) for a in range(num_agents) for b in pref[a]
         )

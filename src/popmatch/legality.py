@@ -11,19 +11,16 @@ Dominant pairs are reduced to stable pairs of a two-level auxiliary
 instance: each agent splits into a high and a low copy, jobs prefer any
 high copy to any low copy, and a private last-resort job arbitrates which
 copy is active.  The reduction is validated exhaustively against the
-election oracle in the test suite.
+election oracle in the test suite.  One rotation walk on each of the two
+instances yields all their stable pairs, so classification takes time linear
+in the number of edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import (
-    build_system,
-    is_stable_pair,
-    stable_matching,
-    stable_vertices,
-)
+from .engine import rotation_walk
 from .instance import Instance, compute_posts
 
 EdgeKey = tuple[int, int]
@@ -76,97 +73,60 @@ def two_level_instance(inst: Instance) -> tuple[Instance, int]:
     genuine job or the agent is effectively unmatched, so projecting genuine
     pairs back recovers a dominant matching.
 
+    Job b keeps its name and becomes id num_agents + b; a's last resort is
+    id n + num_agents + a.  The lists are built on ids directly: they are
+    valid by construction, so nothing goes back through names.
+
     Returns the instance and the number of original agents (which is also
     the id offset of the low copies).
     """
-    na = inst.num_agents
-    agent_names = [f"{inst.names[a]}^hi" for a in inst.agent_ids()] + [
-        f"{inst.names[a]}^lo" for a in inst.agent_ids()
-    ]
-    job_names = [inst.names[b] for b in inst.job_ids()] + [
-        f"{inst.names[a]}^rest" for a in inst.agent_ids()
-    ]
-    pref: dict[str, list[str]] = {}
-    for a in inst.agent_ids():
-        jobs = [inst.names[b] for b in inst.pref[a]]
-        rest = f"{inst.names[a]}^rest"
-        pref[f"{inst.names[a]}^hi"] = [rest] + jobs
-        pref[f"{inst.names[a]}^lo"] = jobs + [rest]
-        pref[rest] = [f"{inst.names[a]}^lo", f"{inst.names[a]}^hi"]
-    for b in inst.job_ids():
-        order = [inst.names[a] for a in inst.pref[b]]
-        pref[inst.names[b]] = [f"{x}^hi" for x in order] + [
-            f"{x}^lo" for x in order
+    na, names = inst.num_agents, inst.names
+    agents = inst.agent_ids()
+    rest = inst.n + na
+    jobs_of = [tuple(b + na for b in inst.pref[a]) for a in agents]
+    pref = (
+        [(rest + a,) + jobs_of[a] for a in agents]
+        + [jobs_of[a] + (rest + a,) for a in agents]
+        + [
+            inst.pref[b] + tuple(na + a for a in inst.pref[b])
+            for b in inst.job_ids()
         ]
-    return Instance.build(agent_names, job_names, pref), na
-
-
-def _stable_pair_windows(inst: Instance) -> tuple:
-    """Rank windows that every stable pair must fall inside.
-
-    The proposer-optimal and proposer-pessimal stable matchings bound each
-    matched vertex's possible stable partners; any edge outside both bounds
-    cannot be a stable pair, and the two boundary matchings are stable
-    themselves.  This prunes almost every edge in practice, so that the
-    exact per-edge test only runs on a short shortlist.
-    """
-    m_best = stable_matching(inst, "agents")
-    m_worst = stable_matching(inst, "jobs")
-    return m_best, m_worst
+        + [(na + a, a) for a in agents]
+    )
+    aux_names = (
+        tuple(f"{names[a]}^hi" for a in agents)
+        + tuple(f"{names[a]}^lo" for a in agents)
+        + names[na:]
+        + tuple(f"{names[a]}^rest" for a in agents)
+    )
+    rank_tbl = tuple({v: i for i, v in enumerate(row)} for row in pref)
+    edges = tuple((a, b) for a in range(2 * na) for b in pref[a])
+    return Instance(aux_names, 2 * na, tuple(pref), rank_tbl, edges), na
 
 
 def stable_pairs(
     inst: Instance, candidates=None
 ) -> frozenset[EdgeKey]:
     """All edges (or the given subset) lying in some stable matching."""
-    m_best, m_worst = _stable_pair_windows(inst)
-    out = set()
-    pool = inst.edges if candidates is None else candidates
-    handle = None
-    for a, b in pool:
-        if m_best.partner[a] == b or m_worst.partner[a] == b:
-            out.add((a, b))
-            continue
-        if m_best.is_self(a) or m_best.is_self(b):
-            continue
-        ra = inst.rank_of(a, b)
-        if not (
-            inst.rank_of(a, m_best.partner[a])
-            <= ra
-            <= inst.rank_of(a, m_worst.partner[a])
-        ):
-            continue
-        rb = inst.rank_of(b, a)
-        if not (
-            inst.rank_of(b, m_worst.partner[b])
-            <= rb
-            <= inst.rank_of(b, m_best.partner[b])
-        ):
-            continue
-        if handle is None:
-            handle = build_system(inst, "agents")
-        if is_stable_pair(inst, (a, b), handle=handle):
-            out.add((a, b))
-    return frozenset(out)
+    _, pairs = rotation_walk(inst)
+    return pairs if candidates is None else pairs.intersection(candidates)
 
 
 def dominant_pairs(
     inst: Instance, candidates=None
 ) -> frozenset[EdgeKey]:
-    """All edges (or the given subset) lying in some dominant matching."""
+    """All edges (or the given subset) lying in some dominant matching.
+
+    These are the stable pairs of the two-level instance on genuine jobs,
+    with either copy of the agent projected back to the agent.
+    """
     aux, na = two_level_instance(inst)
-    aux_pairs = []
-    pool = inst.edges if candidates is None else candidates
-    for a, b in pool:
-        bx = b - inst.num_agents + 2 * na
-        aux_pairs.append((a, bx))          # high copy
-        aux_pairs.append((na + a, bx))     # low copy
-    found = stable_pairs(aux, aux_pairs)
-    out = set()
-    for ax, bx in found:
-        a = ax if ax < na else ax - na
-        out.add((a, bx - 2 * na + inst.num_agents))
-    return frozenset(out)
+    pairs = frozenset(
+        (ax % na, bx - na)
+        for ax, bx in stable_pairs(aux)
+        if bx < inst.n + na
+    )
+    return pairs if candidates is None else pairs.intersection(candidates)
 
 
 def popular_edges(
@@ -174,9 +134,11 @@ def popular_edges(
 ) -> frozenset[EdgeKey]:
     """Edges and self-loops that some popular matching uses.
 
-    The ``fast`` backend combines the stable-pair and dominant-pair tests
-    with the unstable-vertex rule for self-loops; ``oracle`` enumerates all
-    popular matchings instead and takes the union (small instances only).
+    The ``fast`` backend combines the stable pairs and dominant pairs with
+    the unstable-vertex rule for self-loops, reading the unstable vertices
+    off the agent-optimal matching that the stable-pair walk starts from;
+    ``oracle`` enumerates all popular matchings instead and takes the union
+    (small instances only).
     """
     if backend == "oracle":
         from .oracle import ground_truth
@@ -187,12 +149,9 @@ def popular_edges(
         )
     if backend != "fast":
         raise ValueError(f"unknown backend {backend!r}")
-    out = set(stable_pairs(inst)) | set(dominant_pairs(inst))
-    stable = stable_vertices(inst)
-    for u in range(inst.n):
-        if u not in stable:
-            out.add((u, u))
-    return frozenset(out)
+    optimal, stable = rotation_walk(inst)
+    out = stable | dominant_pairs(inst)
+    return out | frozenset((u, u) for u in range(inst.n) if optimal.is_self(u))
 
 
 def legal_edge_set(inst: Instance, backend: str = "fast") -> EdgeClassification:

@@ -128,3 +128,14 @@ def random_instance(seed: int, max_side: int = 4):
     nb = 1 + (seed // max_side) % max_side
     density = (0.3, 0.6, 1.0)[seed % 3]
     return parse_instance(generate(na, nb, density, seed))
+
+
+def ring_instance(n: int):
+    """Rotation chain: agent ai lists bi, b(i+1); job bj lists a(j-1), aj."""
+    lines = [
+        "agents: " + " ".join(f"a{i}" for i in range(n)),
+        "jobs: " + " ".join(f"b{i}" for i in range(n)),
+    ]
+    lines += [f"a{i} > b{i} b{(i + 1) % n}" for i in range(n)]
+    lines += [f"b{j} > a{(j - 1) % n} a{j}" for j in range(n)]
+    return parse_instance("\n".join(lines) + "\n")

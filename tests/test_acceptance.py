@@ -6,6 +6,7 @@ PASS/FAIL line per criterion.
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -28,7 +29,7 @@ from popmatch.mirror import build_mirror
 from popmatch.oracle import enumerate_matchings, ground_truth, witness_search
 from popmatch.solver import SolverDefect
 
-from conftest import random_instance, showcase_full, size_gap_max
+from conftest import random_instance, ring_instance, showcase_full, size_gap_max
 
 SWEEP_SIZE = 1000
 
@@ -240,13 +241,27 @@ def composed_instance(blocks: int):
     )
 
 
+def complete_instance(side: int, seed: int):
+    """Complete bipartite lists, each a seeded random permutation."""
+    rng = random.Random(seed)
+    agents = [f"a{i}" for i in range(side)]
+    jobs = [f"b{j}" for j in range(side)]
+    lines = []
+    for name, others in [(a, jobs) for a in agents] + [(b, agents) for b in jobs]:
+        lines.append(f"{name} > " + " ".join(rng.sample(others, side)))
+    return parse_instance(
+        "agents: " + " ".join(agents) + "\njobs: " + " ".join(jobs) + "\n"
+        + "\n".join(lines) + "\n"
+    )
+
+
 def test_criterion_7_scaling():
     from popmatch.generator import generate
 
     sizes = (10_000, 20_000, 40_000, 80_000)
     worst = 0.0
     lines = []
-    for family in ("random", "composed"):
+    for family in ("random", "composed", "ring", "complete"):
         previous = None
         for m_target in sizes:
             if family == "random":
@@ -254,8 +269,12 @@ def test_criterion_7_scaling():
                 inst = parse_instance(
                     generate(side, side, m_target / (side * side), seed=m_target)
                 )
-            else:
+            elif family == "composed":
                 inst = composed_instance(m_target // 6)
+            elif family == "ring":
+                inst = ring_instance(m_target // 2)
+            else:
+                inst = complete_instance(round(m_target**0.5), seed=m_target)
             start = time.perf_counter()
             solved = solve(inst)
             elapsed = time.perf_counter() - start

@@ -7,7 +7,6 @@ import pytest
 from popmatch import (
     Matching,
     blocking_edges,
-    is_stable_pair,
     parse_instance,
     propose_dispose,
     resume_after_forbid,
@@ -15,11 +14,17 @@ from popmatch import (
     stable_vertices,
 )
 from popmatch.engine import ProposalSystem, build_system
-from popmatch.legality import legal_edge_set
+from popmatch.legality import legal_edge_set, stable_pairs
 from popmatch.mirror import build_mirror, mirror_system
 from popmatch.oracle import enumerate_matchings
 
-from conftest import ids, pairs_by_name, random_instance, showcase_stable
+from conftest import (
+    ids,
+    pairs_by_name,
+    random_instance,
+    ring_instance,
+    showcase_stable,
+)
 
 
 class TestProposeDispose:
@@ -178,16 +183,17 @@ class TestStableQueries:
 
     def test_size_gap_stable_pairs(self, size_gap):
         a0, a1, b0, b1 = ids(size_gap, "a0", "a1", "b0", "b1")
-        assert is_stable_pair(size_gap, (a1, b1))
-        assert not is_stable_pair(size_gap, (a0, b1))
-        assert not is_stable_pair(size_gap, (a1, b0))
+        pairs = stable_pairs(size_gap)
+        assert (a1, b1) in pairs
+        assert (a0, b1) not in pairs
+        assert (a1, b0) not in pairs
 
     def test_single_pair_edge_stable(self):
         inst = parse_instance("agents: a\njobs: b\na > b\nb > a\n")
-        assert is_stable_pair(inst, (0, 1))
+        assert stable_pairs(inst) == frozenset({(0, 1)})
 
     def test_stable_pairs_match_enumeration(self):
-        # Exhaustive cross-check of the truncation test on small instances.
+        # Exhaustive cross-check of the rotation walk on small instances.
         for seed in range(1000):
             inst = random_instance(seed)
             stable_sets = [
@@ -196,11 +202,17 @@ class TestStableQueries:
                 if not blocking_edges(inst, m)
             ]
             truth = frozenset().union(*stable_sets) if stable_sets else frozenset()
+            pairs = stable_pairs(inst)
             for edge in inst.edges:
-                assert is_stable_pair(inst, edge) == (edge in truth), (
-                    seed,
-                    edge,
-                )
+                assert (edge in pairs) == (edge in truth), (seed, edge)
+
+    def test_ring_has_two_stable_pairs_per_agent(self):
+        # Agent i lists jobs i, i+1 and job j lists agents j-1, j: both
+        # perfect matchings of the ring are stable and nothing else is.
+        for n in range(2, 9):
+            inst = ring_instance(n)
+            pairs = stable_pairs(inst)
+            assert len(pairs) == 2 * n and pairs == frozenset(inst.edges), n
 
 
 class TestBlockingEdges:

@@ -1,6 +1,8 @@
 """Valid/popular/legal classification and the popular subgraph."""
 
 from popmatch import (
+    Instance,
+    blocking_edges,
     compute_posts,
     legal_edge_set,
     parse_instance,
@@ -8,7 +10,7 @@ from popmatch import (
     valid_edges,
 )
 from popmatch.legality import dominant_pairs, stable_pairs, two_level_instance
-from popmatch.oracle import ground_truth
+from popmatch.oracle import enumerate_matchings, ground_truth
 
 from conftest import ids, random_instance
 
@@ -101,6 +103,57 @@ class TestPairFamilies:
         hi0 = aux.pref[0]
         lo0 = aux.pref[na]
         assert hi0[0] == lo0[-1]
+
+    def test_two_level_instance_equals_named_build(self, showcase):
+        # Reference: the two-level instance spelled out by name and passed
+        # through the validating constructor.
+        for inst in [showcase] + [random_instance(seed) for seed in range(60)]:
+            name = inst.names
+            pref = {}
+            for a in inst.agent_ids():
+                jobs = [name[b] for b in inst.pref[a]]
+                rest = f"{name[a]}^rest"
+                pref[f"{name[a]}^hi"] = [rest] + jobs
+                pref[f"{name[a]}^lo"] = jobs + [rest]
+                pref[rest] = [f"{name[a]}^lo", f"{name[a]}^hi"]
+            for b in inst.job_ids():
+                order = [name[a] for a in inst.pref[b]]
+                pref[name[b]] = [f"{x}^hi" for x in order] + [
+                    f"{x}^lo" for x in order
+                ]
+            agents = list(inst.agent_ids())
+            want = Instance.build(
+                [f"{name[a]}^hi" for a in agents]
+                + [f"{name[a]}^lo" for a in agents],
+                [name[b] for b in inst.job_ids()]
+                + [f"{name[a]}^rest" for a in agents],
+                pref,
+            )
+            aux, na = two_level_instance(inst)
+            assert na == inst.num_agents
+            assert aux.names == want.names
+            assert aux.num_agents == want.num_agents
+            assert aux.pref == want.pref
+            assert aux.rank_tbl == want.rank_tbl
+            assert aux.edges == want.edges
+
+    def test_dominant_pairs_are_two_level_stable_pairs(self):
+        # Reference: the union of the two-level instance's stable matchings,
+        # found by enumeration, projected back onto genuine edges.
+        for seed in range(300):
+            inst = random_instance(seed, max_side=3)
+            aux, na = two_level_instance(inst)
+            assert aux.n <= 16
+            truth = set()
+            for mat in enumerate_matchings(aux):
+                if blocking_edges(aux, mat):
+                    continue
+                for ax, bx in mat.pairs(aux):
+                    if bx < inst.n + na:
+                        truth.add((ax % na, bx - na))
+            dominant = dominant_pairs(inst)
+            for edge in inst.edges:
+                assert (edge in dominant) == (edge in truth), (seed, edge)
 
     def test_dominant_pairs_cover_max_size_popular(self, size_gap):
         a0, a1, b0, b1 = ids(size_gap, "a0", "a1", "b0", "b1")

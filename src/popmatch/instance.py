@@ -255,6 +255,7 @@ def serialize_instance(inst: Instance) -> str:
 
 def parse_matching(text: str, inst: Instance) -> Matching:
     """Parse an ``agent job`` pair-per-line file; omitted vertices are self-matched."""
+    ids = {name: u for u, name in enumerate(inst.names)}
     pairs = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -263,7 +264,10 @@ def parse_matching(text: str, inst: Instance) -> Matching:
         parts = line.split()
         if len(parts) != 2:
             raise InstanceError(f"line {line_no}: expected 'agent job'")
-        a, b = (inst.id_of(p) for p in parts)
+        for name in parts:
+            if name not in ids:
+                raise InstanceError(f"unknown vertex name {name!r}")
+        a, b = ids[parts[0]], ids[parts[1]]
         if not inst.is_agent(a) or inst.is_agent(b):
             raise InstanceError(f"line {line_no}: expected an agent then a job")
         pairs.append((a, b))

@@ -10,9 +10,8 @@ certifies popularity in linear time without re-running any election.
 
 from __future__ import annotations
 
-import itertools
-import warnings
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .instance import Instance, InstanceError, Matching, Posts
 
@@ -131,27 +130,43 @@ def check_a_popular(inst: Instance, posts: Posts, mat: Matching) -> bool:
 def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:
     """Decide popularity, producing a witness or a defeating matching.
 
-    Solves the max-weight perfect-matching relaxation with an augmenting
-    path assignment method over small integer weights; the column/row
-    potentials collapse to the integral witness when the optimum is zero.
+    Folds each self-loop weight into the genuine edges, so that leaving both
+    endpoints alone is the zero baseline, and solves the resulting
+    max-weight assignment with :func:`_assignment_max`, warm-started from
+    ``mat`` itself.  The margin is the optimum plus the loop constant.  When
+    it is zero, ``mat`` is an optimal assignment, so complementary slackness
+    pins the integral duals, shifted back by the loop weights, into
+    {0, +-1}: they are the witness, checked with :func:`check_witness`
+    before it is returned.  Otherwise the optimal assignment is the
+    counterexample.  The weights come from ``rank_tbl`` and ``mat.partner``
+    directly; each equals :func:`edge_weight` less the two loop weights.
     """
-    loop_wt = [edge_weight(inst, mat, (u, u)) for u in range(inst.n)]
-    const = sum(loop_wt)
-
     p = inst.num_agents
     q = inst.num_jobs
-    # Self-loop weights folded into the genuine edges so that leaving both
-    # endpoints alone is the zero baseline; folded weights are >= 0.
+    pref, rank_tbl, partner = inst.pref, inst.rank_tbl, mat.partner
+    loop_wt = [0 if partner[u] == u else -1 for u in range(inst.n)]
+    own = [inst.rank_of(u, partner[u]) for u in range(inst.n)]
+    const = sum(loop_wt)
+
+    # Folded weights are >= 0: a vertex's vote for a neighbor against its
+    # partner, plus one if it is matched (its loop weight, taken out).
     adj: list[list[tuple[int, int]]] = []
     for a in inst.agent_ids():
+        own_a, loop_a = own[a], loop_wt[a]
         row = []
-        for b in inst.pref[a]:
-            wprime = edge_weight(inst, mat, (a, b)) - loop_wt[a] - loop_wt[b]
+        for i, b in enumerate(pref[a]):
+            j, own_b = rank_tbl[b][a], own[b]
+            wprime = (
+                (i < own_a) - (i > own_a) + (j < own_b) - (j > own_b)
+                - loop_a - loop_wt[b]
+            )
             row.append((b - p, wprime))
         row.append((q + a, 0))
         adj.append(row)
 
-    value, match_row, y_row, y_col = _assignment_max(p, q, adj)
+    # The rank of an agent's partner is the index of that option in its row;
+    # an unmatched agent's own rank is its list length, the index of its sink.
+    value, match_row, y_row, y_col = _assignment_max(p, q, adj, own[:p])
     margin = value + const
 
     if margin > 0:
@@ -168,37 +183,33 @@ def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:
         witness[b] = y_col[b - p] + loop_wt[b]
     alpha = tuple(witness)
     if not check_witness(inst, mat, alpha):
-        alpha = _witness_fallback(inst, mat)
+        raise AssertionError("dual potentials fail certificate validation")
     return PopularityVerdict(True, 0, alpha, None)
 
 
-def _witness_fallback(inst: Instance, mat: Matching) -> tuple[int, ...]:
-    """Exhaustive certificate search, used only if dual extraction misfires."""
-    warnings.warn(
-        "dual potentials failed certificate validation; "
-        "falling back to exhaustive search",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    if inst.n > 16:
-        raise AssertionError("witness extraction failed on a large instance")
-    for alpha in itertools.product((0, -1, 1), repeat=inst.n):
-        if check_witness(inst, mat, alpha):
-            return alpha
-    raise AssertionError("popular matching without any witness")
-
-
 def _assignment_max(
-    p: int, q: int, adj: list[list[tuple[int, int]]]
+    p: int, q: int, adj: list[list[tuple[int, int]]], start: list[int]
 ) -> tuple[int, list[int], list[int], list[int]]:
     """Max-weight assignment of rows to columns with per-row private sinks.
 
-    ``adj[a]`` lists ``(col, weight)`` options where cols ``0..q-1`` are
-    shared and col ``q+a`` is row a's zero-weight sink.  Every row ends
-    assigned.  Returns the total weight over shared columns, the row
-    assignment, and nonnegative integral dual potentials ``y_row``/``y_col``
-    satisfying ``y_row[a] + y_col[c] >= weight(a, c)`` with equality on
-    assigned pairs and zero on unassigned shared columns.
+    ``adj[a]`` lists ``(col, weight)`` options, weights >= 0, where cols
+    ``0..q-1`` are shared and col ``q+a`` is row a's zero-weight sink.
+    ``start[a]`` indexes a hinted option of row a in ``adj[a]``; the hints
+    only speed the search up.  Every row ends assigned.  Returns the total
+    weight over shared columns, the row assignment, and nonnegative
+    integral dual potentials ``y_row``/``y_col`` satisfying
+    ``y_row[a] + y_col[c] >= weight(a, c)`` with equality on assigned pairs
+    and zero on unassigned shared columns.
+
+    Successive shortest paths over column potentials ``v = -y_col``: every
+    row left unassigned by the warm start runs Dijkstra on reduced costs
+    over the columns its alternating paths reach, popping a heap keyed
+    ``(distance, column is matched, column)`` with lazy deletion, and
+    augments along the path to the first free column it settles.  Its own
+    sink is free at reduced distance 0, so a search settles only columns at
+    negative distance and touches only their rows' lists; at equal distance
+    a free column comes first and ends the search.  A sink stays at price 0:
+    only its own row reaches it.
     """
     num_cols = q + p
     v = [0] * num_cols
@@ -208,48 +219,82 @@ def _assignment_max(
 
     cost_adj = [[(c, -w) for c, w in row] for row in adj]
 
+    # Per-search state over all columns; a search resets what it touched.
+    d = [_INF] * num_cols
+    reach_row = [-1] * num_cols
+    reach_cost = [0] * num_cols
+    prev_col = [-1] * num_cols
+    done_mark = [False] * num_cols
+
+    # Warm start: each row takes its hinted option and the column half of
+    # its weight as price.  A row whose option is then not one of its
+    # cheapest drops out; the column it frees goes back to price 0, which
+    # can make the column cheapest for its other rows, so they are rechecked.
+    for a, i in enumerate(start):
+        c, w = cost_adj[a][i]
+        if match_col[c] == -1:
+            match_col[c] = a
+            match_row[a] = c
+            mcost[a] = w
+            v[c] = -(-w // 2)
+    col_rows: list[list[int]] = [[] for _ in range(num_cols)]
+    for a, row in enumerate(cost_adj):
+        for c, _ in row:
+            col_rows[c].append(a)
+    work = list(range(p))
+    while work:
+        a = work.pop()
+        c = match_row[a]
+        if c == -1:
+            continue
+        u = mcost[a] - v[c]
+        if all(w - v[c2] >= u for c2, w in cost_adj[a]):
+            continue
+        match_row[a] = match_col[c] = -1
+        if v[c]:
+            v[c] = 0
+            work.extend(col_rows[c])
+
     for a0 in range(p):
-        d = [_INF] * num_cols
-        reach_row = [-1] * num_cols
-        reach_cost = [0] * num_cols
-        prev_col = [-1] * num_cols
+        if match_row[a0] != -1:
+            continue
+        touched = [c for c, _ in cost_adj[a0]]
         done: list[int] = []
-        done_mark = [False] * num_cols
+        heap: list[tuple[int, bool, int]] = []
         for c, w in cost_adj[a0]:
-            rc = w - v[c]
-            if rc < d[c]:
-                d[c] = rc
-                reach_row[c] = a0
-                reach_cost[c] = w
-                prev_col[c] = -1
-        end = -1
+            d[c] = w - v[c]
+            reach_row[c] = a0
+            reach_cost[c] = w
+            prev_col[c] = -1
+            heappush(heap, (d[c], match_col[c] != -1, c))
         while True:
-            best, bc = _INF, -1
-            for c in range(num_cols):
-                if not done_mark[c] and d[c] < best:
-                    best, bc = d[c], c
-            if bc == -1:
+            if not heap:
                 raise AssertionError("assignment search ran out of columns")
+            dist, matched, bc = heappop(heap)
+            if dist != d[bc]:
+                continue  # stale: the column was reached more cheaply
             done_mark[bc] = True
             done.append(bc)
-            if match_col[bc] == -1:
-                end = bc
+            if not matched:
                 break
             a1 = match_col[bc]
-            u1 = mcost[a1] - v[bc]
+            base = dist - mcost[a1] + v[bc]
             for c, w in cost_adj[a1]:
                 if done_mark[c]:
                     continue
-                nd = d[bc] + (w - u1 - v[c])
+                nd = base + w - v[c]
                 if nd < d[c]:
+                    if d[c] == _INF:
+                        touched.append(c)
                     d[c] = nd
                     reach_row[c] = a1
                     reach_cost[c] = w
                     prev_col[c] = bc
-        mu = d[end]
+                    heappush(heap, (nd, match_col[c] != -1, c))
+        mu = dist
         for c in done:
             v[c] += d[c] - mu
-        c = end
+        c = bc
         while True:
             a = reach_row[c]
             match_col[c] = a
@@ -258,6 +303,9 @@ def _assignment_max(
             if a == a0:
                 break
             c = prev_col[c]
+        for c in touched:
+            d[c] = _INF
+            done_mark[c] = False
 
     value = -sum(mcost[a] for a in range(p) if match_row[a] < q)
     y_col = [-v[c] for c in range(q)]

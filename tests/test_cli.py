@@ -64,6 +64,33 @@ def test_verify_a_popular_mode(files):
     assert main(["verify", inst_path, "--matching", mat_path, "--mode", "a-popular"]) == 3
 
 
+def test_verify_json_payload(files, capsys):
+    inst_path = files("show.txt", SHOWCASE_TEXT)
+    mat_path = files("s4.txt", "a b\np q\npp qp\nx y\n")
+    assert main(["verify", inst_path, "--matching", mat_path, "--json"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"ok": False, "checks": {"popular": True, "a-popular": False}}
+
+
+@pytest.mark.parametrize(
+    "matching, message",
+    [
+        ("a0 b1\na1 zz\n", "unknown vertex name 'zz'"),
+        ("a0 b0\n", "not an edge"),
+        ("b1 a0\n", "expected an agent then a job"),
+        ("a0 b1\na1 b1\n", "matched twice"),
+    ],
+    ids=["unknown-name", "non-edge", "job-first", "matched-twice"],
+)
+def test_verify_bad_matching_exit_one(files, capsys, matching, message):
+    inst_path = files("gap.txt", SIZE_GAP_TEXT)
+    mat_path = files("bad.txt", matching)
+    assert main(["verify", inst_path, "--matching", mat_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
 def test_edges_kinds(files, capsys):
     path = files("gap.txt", SIZE_GAP_TEXT)
     for kind in ("valid", "popular", "legal"):

@@ -1,16 +1,21 @@
 """Vote weights, popularity verification, certificates, one-sided checks."""
 
 import itertools
+import random
 
 import pytest
 
 from popmatch import (
     InstanceError,
+    Matching,
     check_a_popular,
     check_witness,
     compute_posts,
     edge_weight,
+    generate,
+    parse_instance,
     run_election,
+    stable_matching,
     verify_popular,
     wt_total,
 )
@@ -124,6 +129,38 @@ class TestVerifyPopular:
                 for u in range(inst.n):
                     if mat.is_self(u):
                         assert alpha[u] == 0
+
+
+class TestAgainstNetworkx:
+    """Margins beyond the oracle's size cap, against an independent solver."""
+
+    def test_margin_is_max_weight_matching(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2024)
+        for seed in range(30):
+            side = 40 + seed
+            text = generate(side, side + seed % 3, (2 + seed % 4) / side, seed)
+            inst = parse_instance(text)
+            edges = list(inst.edges)
+            rng.shuffle(edges)
+            taken: set[int] = set()
+            pairs = []
+            for a, b in edges:
+                if a not in taken and b not in taken and rng.random() < 0.7:
+                    taken.update((a, b))
+                    pairs.append((a, b))
+            for mat in (stable_matching(inst), Matching.from_pairs(inst, pairs)):
+                loop = [edge_weight(inst, mat, (u, u)) for u in range(inst.n)]
+                graph = nx.Graph()
+                for a, b in inst.edges:
+                    w = edge_weight(inst, mat, (a, b)) - loop[a] - loop[b]
+                    if w > 0:
+                        graph.add_edge(a, b, weight=w)
+                best = nx.max_weight_matching(graph)
+                value = sum(graph[a][b]["weight"] for a, b in best)
+                verdict = verify_popular(inst, mat)
+                assert verdict.margin == value + sum(loop), (seed, verdict)
+                assert verdict.popular == (verdict.margin == 0)
 
 
 class TestCheckWitness:

@@ -14,11 +14,7 @@ from .instance import (
     vote,
 )
 from .engine import (
-    EngineOutcome,
-    ProposalSystem,
     blocking_edges,
-    propose_dispose,
-    resume_after_forbid,
     stable_matching,
     stable_vertices,
 )
@@ -37,9 +33,6 @@ from .legality import (
     valid_edges,
 )
 from .mirror import (
-    MirrorGraph,
-    MirrorMatching,
-    PartitionRecord,
     build_mirror,
     classify_partition,
     embed_stable,
@@ -47,7 +40,7 @@ from .mirror import (
     project,
     realize_witnessed,
 )
-from .solver import SolveReport, SolverDefect, extract_witness, find_unmarked, solve
+from .solver import SolveReport, SolverDefect, solve
 from .oracle import (
     OracleCapError,
     OracleReport,
@@ -59,18 +52,13 @@ from .generator import generate
 
 __all__ = [
     "EdgeClassification",
-    "EngineOutcome",
     "Instance",
     "InstanceError",
     "Matching",
-    "MirrorGraph",
-    "MirrorMatching",
     "OracleCapError",
     "OracleReport",
-    "PartitionRecord",
     "PopularityVerdict",
     "Posts",
-    "ProposalSystem",
     "SolveReport",
     "SolverDefect",
     "blocking_edges",
@@ -82,8 +70,6 @@ __all__ = [
     "edge_weight",
     "embed_stable",
     "enumerate_matchings",
-    "extract_witness",
-    "find_unmarked",
     "format_matching",
     "generate",
     "ground_truth",
@@ -93,9 +79,7 @@ __all__ = [
     "parse_matching",
     "popular_edges",
     "project",
-    "propose_dispose",
     "realize_witnessed",
-    "resume_after_forbid",
     "run_election",
     "serialize_instance",
     "solve",

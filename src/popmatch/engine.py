@@ -17,33 +17,11 @@ sequence stays linear in the summed list lengths.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 from .instance import Instance, Matching
 
 INFINITE_RANK = 1 << 60
-
-
-@dataclass(frozen=True)
-class EngineOutcome:
-    """Snapshot of an engine run.
-
-    ``feasible`` is False when some left vertex exhausted its list or some
-    right vertex ended unmatched after rejecting a forbidden proposal it
-    would otherwise have taken; either way no stable matching avoiding the
-    forbidden edges exists.  ``left_edge[u]`` / ``right_edge[r]`` hold the
-    matched edge id or -1.
-    """
-
-    feasible: bool
-    offender_left: int | None
-    offender_right: int | None
-    left_edge: tuple[int, ...]
-    right_edge: tuple[int, ...]
-    proposals: int
-    rejections: int
-    touched_left: tuple[int, ...]
-    touched_right: tuple[int, ...]
 
 
 class ProposalSystem:
@@ -55,13 +33,18 @@ class ProposalSystem:
     orders each right vertex's incident edges (lower is better).  A right
     vertex's cutoff is the best rank it has seen; it never accepts an edge
     ranked at or beyond it.
+
+    The state is live: ``left_match[u]`` / ``right_match[r]`` hold the
+    matched edge id or -1, and ``matched`` collects every vertex, left or
+    right, that took a new edge, for callers to drain.  Sinks only appear in
+    systems that are never forbidden anything.
     """
 
     def __init__(
         self,
         num_left: int,
         num_right: int,
-        left_lists: list[tuple[int, ...]],
+        left_lists: Sequence[Sequence[int]],
         edge_left: list[int],
         edge_right: list[int],
         right_rank: list[int],
@@ -84,31 +67,28 @@ class ProposalSystem:
         self.right_cut = [INFINITE_RANK] * num_right
         self.starved: set[int] = set()
         self.queue: deque[int] = deque(range(self.num_left))
+        self.matched: list[int] = []
         self.proposals = 0
         self.rejections = 0
         self.exhausted_left: int | None = None
 
-    def _divorce(self, edge: int, touched_left: dict) -> None:
+    def _divorce(self, edge: int) -> None:
         u = self.edge_left[edge]
         self.left_match[u] = -1
         self.next_i[u] += 1
         self.queue.append(u)
         self.rejections += 1
-        touched_left[u] = None
 
-    def run(self, snapshot: bool = True) -> EngineOutcome:
-        """Drain the proposal queue and report the resulting state.
+    def run(self) -> bool:
+        """Drain the proposal queue; True when the result is feasible.
 
-        ``snapshot=False`` skips materializing the full per-vertex match
-        arrays in the outcome (they come back empty); repeated resumes over
-        large systems stay linear that way, and callers read the live state
-        or take one snapshot at the end.
+        Infeasible means some left vertex exhausted its list or some right
+        vertex ended unmatched after rejecting a forbidden proposal it would
+        otherwise have taken; either way no stable matching avoiding the
+        forbidden edges exists.
         """
-        touched_left: dict[int, None] = {}
-        touched_right: dict[int, None] = {}
         if self.exhausted_left is not None:
-            return self._outcome(touched_left, touched_right, snapshot)
-
+            return False
         while self.queue:
             u = self.queue.popleft()
             if self.left_match[u] != -1:
@@ -117,18 +97,13 @@ class ProposalSystem:
                 i = self.next_i[u]
                 if i >= len(self.left_lists[u]):
                     self.exhausted_left = u
-                    touched_left[u] = None
-                    return self._outcome(touched_left, touched_right, snapshot)
+                    return False
                 e = self.left_lists[u][i]
                 self.proposals += 1
                 r = self.edge_right[e]
                 if r == -1:
-                    if self.forbidden[e]:
-                        self.next_i[u] += 1
-                        self.rejections += 1
-                        continue
                     self.left_match[u] = e
-                    touched_left[u] = None
+                    self.matched.append(u)
                     break
                 rank = self.right_rank[e]
                 if rank >= self.right_cut[r]:
@@ -142,27 +117,29 @@ class ProposalSystem:
                     cur = self.right_match[r]
                     if cur != -1:
                         self.right_match[r] = -1
-                        self._divorce(cur, touched_left)
-                        touched_right[r] = None
+                        self._divorce(cur)
                     self.starved.add(r)
                     self.next_i[u] += 1
                     self.rejections += 1
                     continue
                 cur = self.right_match[r]
                 if cur != -1:
-                    self._divorce(cur, touched_left)
+                    self._divorce(cur)
                 self.right_match[r] = e
                 self.right_cut[r] = rank
                 self.starved.discard(r)
                 self.left_match[u] = e
-                touched_left[u] = None
-                touched_right[r] = None
+                self.matched.append(u)
+                self.matched.append(r)
                 break
-        return self._outcome(touched_left, touched_right, snapshot)
+        return not self.starved
 
     def forbid(self, edges) -> None:
-        """Mark edges forbidden, divorcing any that are currently matched."""
-        touched: dict[int, None] = {}
+        """Mark edges forbidden, divorcing any that are currently matched.
+
+        Running again afterwards is equivalent to a fresh run with the
+        enlarged forbidden set.
+        """
         for e in edges:
             if self.forbidden[e]:
                 continue
@@ -170,136 +147,73 @@ class ProposalSystem:
             u = self.edge_left[e]
             if self.left_match[u] != e:
                 continue
+            # From scratch this proposal would have been an in-range
+            # forbidden rejection, so replicate that state exactly.
             r = self.edge_right[e]
-            if r != -1:
-                # From scratch this proposal would have been an in-range
-                # forbidden rejection, so replicate that state exactly.
-                self.right_match[r] = -1
-                self.starved.add(r)
-            self._divorce(e, touched)
+            self.right_match[r] = -1
+            self.starved.add(r)
+            self._divorce(e)
 
-    def _outcome(
-        self, touched_left, touched_right, snapshot: bool = True
-    ) -> EngineOutcome:
-        feasible = self.exhausted_left is None and not self.starved
-        offender_right = (
-            min(self.starved)
-            if self.exhausted_left is None and self.starved
-            else None
-        )
-        return EngineOutcome(
-            feasible=feasible,
-            offender_left=self.exhausted_left,
-            offender_right=offender_right,
-            left_edge=tuple(self.left_match) if snapshot else (),
-            right_edge=tuple(self.right_match) if snapshot else (),
-            proposals=self.proposals,
-            rejections=self.rejections,
-            touched_left=tuple(touched_left),
-            touched_right=tuple(touched_right),
-        )
+    def offender(self) -> int:
+        """Vertex to blame after an infeasible run.
+
+        That is the left vertex that exhausted its list, or else the least
+        starved right vertex.
+        """
+        if self.exhausted_left is not None:
+            return self.exhausted_left
+        return min(self.starved)
 
 
-def propose_dispose(system: ProposalSystem) -> EngineOutcome:
-    """Run the engine to quiescence from its current state."""
-    return system.run()
+def _sides(inst: Instance, proposers: str) -> tuple[range, range]:
+    if proposers == "agents":
+        return inst.agent_ids(), inst.job_ids()
+    if proposers == "jobs":
+        return inst.job_ids(), inst.agent_ids()
+    raise ValueError(f"unknown proposer side {proposers!r}")
 
 
-def resume_after_forbid(
-    system: ProposalSystem,
-    outcome: EngineOutcome,
-    newly_forbidden,
-    snapshot: bool = True,
-) -> EngineOutcome:
-    """Forbid more edges and continue; equivalent to a fresh run with them all.
-
-    ``outcome`` must be the system's most recent result.
-    """
-    if outcome.proposals != system.proposals:
-        raise ValueError("outcome does not match the system's current state")
-    system.forbid(newly_forbidden)
-    return system.run(snapshot)
-
-
-@dataclass(frozen=True)
-class SystemHandle:
-    """A proposal system over an instance plus the id bookkeeping around it."""
-
-    inst: Instance
-    system: ProposalSystem
-    left_ids: tuple[int, ...]
-    right_ids: tuple[int, ...]
-    edge_of: dict[tuple[int, int], int]
-
-    def to_matching(self, outcome: EngineOutcome) -> Matching:
-        pairs = []
-        for ri, e in enumerate(outcome.right_edge):
-            if e != -1:
-                li = self.system.edge_left[e]
-                u, v = self.left_ids[li], self.right_ids[ri]
-                pairs.append((u, v) if self.inst.is_agent(u) else (v, u))
-        return Matching.from_pairs(self.inst, pairs)
-
-
-def build_system(
-    inst: Instance,
-    proposers: str = "agents",
-    forbidden_pairs=(),
-) -> SystemHandle:
+def build_system(inst: Instance, proposers: str = "agents") -> ProposalSystem:
     """Plain one-sided proposal system over an instance.
 
-    Left vertices carry their preference lists plus a trailing private sink
-    (the stay-alone option); right ranks come from the other side's lists.
-    ``forbidden_pairs`` are (left vertex, right vertex) instance-id pairs.
+    Left vertex i is the i-th proposer; its list is one contiguous range of
+    edge ids, its preference list followed by a private sink (the stay-alone
+    option).  Right vertex j is the j-th vertex of the other side, and right
+    ranks come from its own list.
     """
-    if proposers == "agents":
-        left_ids = tuple(inst.agent_ids())
-        right_ids = tuple(inst.job_ids())
-    elif proposers == "jobs":
-        left_ids = tuple(inst.job_ids())
-        right_ids = tuple(inst.agent_ids())
-    else:
-        raise ValueError(f"unknown proposer side {proposers!r}")
-    right_index = {v: i for i, v in enumerate(right_ids)}
-
-    left_lists: list[tuple[int, ...]] = []
+    left_ids, right_ids = _sides(inst, proposers)
+    pref, rank_tbl = inst.pref, inst.rank_tbl
+    shift = right_ids.start
+    left_lists: list[range] = []
     edge_left: list[int] = []
     edge_right: list[int] = []
     right_rank: list[int] = []
-    edge_of: dict[tuple[int, int], int] = {}
     for li, u in enumerate(left_ids):
-        row = []
-        for v in inst.pref[u]:
-            e = len(edge_left)
-            edge_of[(u, v)] = e
-            edge_left.append(li)
-            edge_right.append(right_index[v])
-            right_rank.append(inst.rank_of(v, u))
-            row.append(e)
-        sink = len(edge_left)
-        edge_of[(u, u)] = sink
-        edge_left.append(li)
+        row = pref[u]
+        start = len(edge_left)
+        left_lists.append(range(start, start + len(row) + 1))
+        edge_left.extend([li] * (len(row) + 1))
+        edge_right.extend([v - shift for v in row])
         edge_right.append(-1)
+        right_rank.extend([rank_tbl[v][u] for v in row])
         right_rank.append(0)
-        row.append(sink)
-        left_lists.append(tuple(row))
-
-    system = ProposalSystem(
-        num_left=len(left_ids),
-        num_right=len(right_ids),
-        left_lists=left_lists,
-        edge_left=edge_left,
-        edge_right=edge_right,
-        right_rank=right_rank,
-        forbidden=[edge_of[pair] for pair in forbidden_pairs],
+    return ProposalSystem(
+        len(left_ids), len(right_ids), left_lists, edge_left, edge_right, right_rank
     )
-    return SystemHandle(inst, system, left_ids, right_ids, edge_of)
 
 
 def stable_matching(inst: Instance, proposers: str = "agents") -> Matching:
     """Proposer-optimal stable matching of the instance."""
-    handle = build_system(inst, proposers)
-    return handle.to_matching(handle.system.run())
+    left_ids, right_ids = _sides(inst, proposers)
+    system = build_system(inst, proposers)
+    system.run()
+    partner = list(range(inst.n))
+    for i, e in enumerate(system.left_match):
+        j = system.edge_right[e]
+        if j != -1:
+            partner[left_ids[i]] = right_ids[j]
+            partner[right_ids[j]] = left_ids[i]
+    return Matching(tuple(partner))
 
 
 def rotation_walk(inst: Instance) -> tuple[Matching, frozenset[tuple[int, int]]]:

@@ -130,6 +130,20 @@ class Instance:
         return Instance(tuple(names), num_agents, tuple(pref), rank_tbl, edges)
 
 
+def edge_starts(inst: Instance) -> list[int]:
+    """Index of each agent's first edge in ``inst.edges``.
+
+    The edges run agent by agent in list order, so edge (a, b) has index
+    ``edge_starts(inst)[a] + inst.rank_tbl[a][b]``.
+    """
+    starts = []
+    total = 0
+    for a in inst.agent_ids():
+        starts.append(total)
+        total += len(inst.pref[a])
+    return starts
+
+
 @dataclass(frozen=True)
 class Matching:
     """A perfect matching over the self-augmented vertex set.

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import ProposalSystem, blocking_edges
-from .instance import Instance, Matching
+from .instance import Instance, Matching, edge_starts
 from .legality import EdgeClassification
 
 
@@ -52,15 +52,11 @@ class MirrorGraph:
     def num_edges(self) -> int:
         return len(self.edge_left)
 
-    @property
-    def twin_base(self) -> int:
-        return 4 * self.inst.m
-
     def twin(self, u: int) -> int:
-        return self.twin_base + u
+        return 4 * self.inst.m + u
 
     def is_twin(self, e: int) -> bool:
-        return e >= self.twin_base
+        return self.g_edge[e] < 0
 
     def describe(self, e: int) -> str:
         names = self.inst.names
@@ -90,74 +86,46 @@ class MirrorMatching:
 
 def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGraph:
     """Construct the mirror graph with its forbidden set from a classification."""
-    m = inst.m
-    num_edges = 4 * m + inst.n
-    edge_left = [0] * num_edges
-    edge_right = [0] * num_edges
-    left_tag = [0] * num_edges
-    right_tag = [0] * num_edges
-    g_edge = [-1] * num_edges
-
-    edge_index: dict[tuple[int, int], int] = {}
+    m, n = inst.m, inst.n
+    edge_left = [0] * (4 * m) + list(range(n))
+    edge_right = [0] * (4 * m) + list(range(n))
     for k, (a, b) in enumerate(inst.edges):
-        edge_index[(a, b)] = k
-        for off, (lv, rv, lt, rt) in enumerate(
-            (
-                (a, b, 1, -1),   # upper, a proposes toward b's minus slot
-                (a, b, -1, 1),   # upper, parallel twin-signed copy
-                (b, a, 1, -1),   # lower
-                (b, a, -1, 1),   # lower
-            )
-        ):
-            e = 4 * k + off
-            edge_left[e] = lv
-            edge_right[e] = rv
-            left_tag[e] = lt
-            right_tag[e] = rt
-            g_edge[e] = k
-    for u in range(inst.n):
-        e = 4 * m + u
-        edge_left[e] = u
-        edge_right[e] = u
-        left_tag[e] = -1
-        right_tag[e] = 1
+        # Upper copies join a's left copy to b's right copy, lower copies
+        # b's left copy to a's right copy; the first of each pair carries
+        # the plus tag at its left end.
+        edge_left[4 * k:4 * k + 4] = (a, a, b, b)
+        edge_right[4 * k:4 * k + 4] = (b, b, a, a)
+    left_tag = [1, -1, 1, -1] * m + [-1] * n
+    right_tag = [-1, 1, -1, 1] * m + [1] * n
+    g_edge = [k for k in range(m) for _ in range(4)] + [-1] * n
 
-    def upper_plus(a: int, b: int) -> int:
-        return 4 * edge_index[(a, b)]
-
-    def upper_minus(a: int, b: int) -> int:
-        return 4 * edge_index[(a, b)] + 1
-
-    def lower_plus(a: int, b: int) -> int:
-        return 4 * edge_index[(a, b)] + 2
-
-    def lower_minus(a: int, b: int) -> int:
-        return 4 * edge_index[(a, b)] + 3
-
-    def signed(u: int, v: int, u_tag: int) -> int:
-        # Edge incident to u's copy carrying tag u_tag, toward neighbor v.
-        if inst.is_agent(u):
-            return (
-                upper_plus(u, v) if u_tag > 0 else upper_minus(u, v)
-            )
-        return lower_plus(v, u) if u_tag > 0 else lower_minus(v, u)
-
-    lrank = [0] * num_edges
-    rrank = [0] * num_edges
+    starts = edge_starts(inst)
+    pref, rank_tbl = inst.pref, inst.rank_tbl
+    lrank = [0] * (4 * m + n)
+    rrank = [0] * (4 * m + n)
     left_lists = []
-    for u in range(inst.n):
+    for u in range(n):
+        # ks[i] indexes the genuine edge between u and its i-th choice; the
+        # offsets pick the signed copy carrying the named tag at u's left
+        # copy (l_*) or right copy (r_*).
+        if inst.is_agent(u):
+            ks = range(starts[u], starts[u] + len(pref[u]))
+            l_plus, l_minus, r_minus, r_plus = 0, 1, 3, 2
+        else:
+            ks = [starts[v] + rank_tbl[v][u] for v in pref[u]]
+            l_plus, l_minus, r_minus, r_plus = 2, 3, 1, 0
+        twin = 4 * m + u
         # Left copy: minus-tagged partners first, then plus-tagged partners,
         # twin last.  A proposal toward v's minus slot runs along u's plus tag.
-        row = [signed(u, v, +1) for v in inst.pref[u]]
-        row += [signed(u, v, -1) for v in inst.pref[u]]
-        row.append(4 * m + u)
+        row = [4 * k + l_plus for k in ks] + [4 * k + l_minus for k in ks]
+        row.append(twin)
         for pos, e in enumerate(row):
             lrank[e] = pos
         left_lists.append(tuple(row))
         # Right copy: minus-tagged partners, twin, plus-tagged partners.
-        order = [signed(v, u, -1) for v in inst.pref[u]]
-        order.append(4 * m + u)
-        order += [signed(v, u, +1) for v in inst.pref[u]]
+        order = [4 * k + r_minus for k in ks]
+        order.append(twin)
+        order += [4 * k + r_plus for k in ks]
         for pos, e in enumerate(order):
             rrank[e] = pos
 
@@ -165,7 +133,7 @@ def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGr
     for k, (a, b) in enumerate(inst.edges):
         if (a, b) not in classification.legal:
             forbidden.update((4 * k, 4 * k + 1, 4 * k + 2, 4 * k + 3))
-    for u in range(inst.n):
+    for u in range(n):
         if (u, u) not in classification.legal:
             forbidden.add(4 * m + u)
 
@@ -208,9 +176,9 @@ def embed_stable(mirror: MirrorGraph, stable: Matching) -> MirrorMatching:
         raise ValueError("matching is not stable")
     left = [-1] * inst.n
     right = [-1] * inst.n
-    edge_index = {pair: k for k, pair in enumerate(inst.edges)}
+    starts = edge_starts(inst)
     for a, b in stable.pairs(inst):
-        k = edge_index[(a, b)]
+        k = starts[a] + inst.rank_tbl[a][b]
         left[a] = 4 * k + 1
         right[b] = 4 * k + 1
         left[b] = 4 * k + 3
@@ -234,14 +202,14 @@ def realize_witnessed(
     inst = mirror.inst
     left = [-1] * inst.n
     right = [-1] * inst.n
-    edge_index = {pair: k for k, pair in enumerate(inst.edges)}
+    starts = edge_starts(inst)
     for a, b in mat.pairs(inst):
         if alpha[a] + alpha[b] != 0:
             raise ValueError(
                 f"matched pair ({inst.names[a]}, {inst.names[b]}) has "
                 "non-cancelling certificate entries"
             )
-        k = edge_index[(a, b)]
+        k = starts[a] + inst.rank_tbl[a][b]
         if alpha[a] < 0:
             left[a] = 4 * k + 1   # upper minus at a
             right[b] = 4 * k + 1
@@ -373,16 +341,11 @@ def format_mirror(mirror: MirrorGraph) -> str:
             for e in mirror.left_lists[u]
         )
         lines.append(f"{inst.names[u]}_l > {row}")
+    incoming: list[list[int]] = [[] for _ in range(inst.n)]
+    for e in range(mirror.num_edges):
+        incoming[mirror.edge_right[e]].append(e)
     for u in range(inst.n):
-        order = sorted(
-            (
-                e
-                for e in range(mirror.num_edges)
-                if mirror.edge_right[e] == u
-                and (mirror.is_twin(e) or mirror.edge_left[e] != u)
-            ),
-            key=lambda e: mirror.rrank[e],
-        )
+        order = sorted(incoming[u], key=mirror.rrank.__getitem__)
         row = " ".join(
             mirror.describe(e) + ("!" if e in mirror.forbidden else "")
             for e in order

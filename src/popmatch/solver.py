@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import EngineOutcome, ProposalSystem, resume_after_forbid
-from .instance import Instance, Matching, Posts, compute_posts
+from .engine import ProposalSystem
+from .instance import Instance, Matching, compute_posts, edge_starts
 from .legality import EdgeClassification, legal_edge_set
 from .mirror import (
     MirrorGraph,
@@ -52,12 +52,10 @@ class SolverState:
     """Mutable working state of one solve run."""
 
     inst: Instance
-    posts: Posts
     classification: EdgeClassification
     mirror: MirrorGraph
     system: ProposalSystem
-    outcome: EngineOutcome | None = None
-    edge_offsets: tuple[int, ...] = ()
+    edge_starts: list[int] = field(default_factory=list)
     marks: list[bool] = field(default_factory=list)
     candidates: list[int] = field(default_factory=list)
     in_list: list[bool] = field(default_factory=list)
@@ -104,9 +102,14 @@ def _is_candidate(state: SolverState, u: int) -> bool:
     return mirror.left_tag[le] < 0 and mirror.right_tag[re] > 0
 
 
-def _absorb_candidates(state: SolverState, outcome: EngineOutcome) -> None:
-    """Append vertices that now straddle the two halves, in id order per batch."""
-    for u in sorted(set(outcome.touched_left) | set(outcome.touched_right)):
+def _absorb_candidates(state: SolverState) -> None:
+    """Append vertices that now straddle the two halves, in id order per batch.
+
+    Only a vertex that took a new edge since the last batch can have started
+    to straddle; the engine lists those in ``matched``, which this drains.
+    """
+    matched = state.system.matched
+    for u in sorted(set(matched)):
         if (
             not state.in_list[u]
             and not state.marks[u]
@@ -114,6 +117,7 @@ def _absorb_candidates(state: SolverState, outcome: EngineOutcome) -> None:
         ):
             state.in_list[u] = True
             state.candidates.append(u)
+    matched.clear()
 
 
 def find_unmarked(state: SolverState) -> int | None:
@@ -134,26 +138,16 @@ def find_unmarked(state: SolverState) -> int | None:
 def _agent_plus_edges(state: SolverState, agents) -> list[int]:
     """All not-yet-forbidden plus-tagged edges at the given agents' copies."""
     inst = state.inst
-    offsets = state.edge_offsets
+    starts = state.edge_starts
     forbidden = state.system.forbidden
     out = []
     for a in agents:
-        start = offsets[a]
+        start = starts[a]
         for k in range(start, start + len(inst.pref[a])):
             for e in (4 * k, 4 * k + 2):
                 if not forbidden[e]:
                     out.append(e)
     return out
-
-
-def _edge_offsets(inst: Instance) -> tuple[int, ...]:
-    """Start index of each agent's contiguous block in the edge list."""
-    offsets = []
-    total = 0
-    for a in inst.agent_ids():
-        offsets.append(total)
-        total += len(inst.pref[a])
-    return tuple(offsets)
 
 
 def extract_witness(state: SolverState) -> tuple[int, ...]:
@@ -193,27 +187,23 @@ def solve(
     partial symmetry, the per-half certificates, and the mirror realization
     of the result); violations raise :class:`SolverDefect`.
     """
-    posts = compute_posts(inst)
     classification = legal_edge_set(inst, backend=backend)
     mirror = build_mirror(inst, classification)
     system = mirror_system(mirror)
     state = SolverState(
         inst=inst,
-        posts=posts,
         classification=classification,
         mirror=mirror,
         system=system,
-        edge_offsets=_edge_offsets(inst),
+        edge_starts=edge_starts(inst),
         marks=[False] * inst.n,
         in_list=[False] * inst.n,
     )
     trace: list[TraceRow] = []
 
-    outcome = system.run(snapshot=False)
-    state.outcome = outcome
-    if not outcome.feasible:
-        return _none_report(state, trace, 0, outcome)
-    _absorb_candidates(state, outcome)
+    if not system.run():
+        return _none_report(state, trace, 0)
+    _absorb_candidates(state)
 
     while (trigger := find_unmarked(state)) is not None:
         state.iteration += 1
@@ -221,22 +211,22 @@ def solve(
         component = state.classification.components[cid]
         comp_agents = [u for u in component if inst.is_agent(u)]
         newly = _agent_plus_edges(state, comp_agents)
-        outcome = resume_after_forbid(system, outcome, newly, snapshot=False)
-        state.outcome = outcome
+        system.forbid(newly)
+        feasible = system.run()
         trace.append(
             TraceRow(
                 iteration=state.iteration,
                 trigger=trigger,
                 component=component,
                 edges_forbidden=len(newly),
-                proposals_total=outcome.proposals,
+                proposals_total=system.proposals,
             )
         )
-        if not outcome.feasible:
-            return _none_report(state, trace, state.iteration, outcome)
+        if not feasible:
+            return _none_report(state, trace, state.iteration)
         for u in component:
             state.marks[u] = True
-        _absorb_candidates(state, outcome)
+        _absorb_candidates(state)
 
     mh = MirrorMatching(
         mirror, tuple(system.left_match), tuple(system.right_match)
@@ -266,16 +256,8 @@ def solve(
 
 
 def _none_report(
-    state: SolverState,
-    trace: list[TraceRow],
-    iteration: int,
-    outcome: EngineOutcome,
+    state: SolverState, trace: list[TraceRow], iteration: int
 ) -> SolveReport:
-    vertex = (
-        outcome.offender_left
-        if outcome.offender_left is not None
-        else outcome.offender_right
-    )
     return SolveReport(
         outcome="none",
         matching=None,
@@ -284,7 +266,7 @@ def _none_report(
         iterations=state.iteration,
         trace=tuple(trace),
         fail_iteration=iteration,
-        infeasible_vertex=vertex,
+        infeasible_vertex=state.system.offender(),
         state=state,
     )
 
@@ -302,7 +284,7 @@ def _validate(state: SolverState, witness: tuple[int, ...]) -> None:
             raise SolverDefect(message)
 
     ensure(
-        check_a_popular(inst, state.posts, mat),
+        check_a_popular(inst, compute_posts(inst), mat),
         "result is not one-sided popular",
     )
 

@@ -44,6 +44,34 @@ def test_solve_json_schema(files, capsys):
     assert payload["trace"] == []
 
 
+def test_solve_trace_rows(files, capsys):
+    # The showcase forbids one component before it finds its matching.
+    path = files("show.txt", SHOWCASE_TEXT)
+    assert main(["solve", path, "--json", "--trace"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["trace"] == [
+        {
+            "iteration": 1,
+            "trigger": "a",
+            "component": ["a", "ap", "b", "bp"],
+            "edges_forbidden": 4,
+            "proposals_total": 33,
+        }
+    ]
+    assert main(["solve", path, "--trace"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "iteration 1: trigger a, marked 4 vertices, forbade 4 edges" in lines
+
+
+def test_solve_json_none(files, capsys):
+    # b3's left copy runs out of options while a1's right copy starves; the
+    # exhausted left copy is the one reported.
+    path = files("ident.txt", IDENTICAL_PREFS_TEXT)
+    assert main(["solve", path, "--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"outcome": "none", "fail_iteration": 0, "vertex": "b3"}
+
+
 def test_verify_fully_popular_exit_zero(files, capsys):
     inst_path = files("show.txt", SHOWCASE_TEXT)
     mat_path = files("m5.txt", "a b\np q\npp qp\nx yp\nxp y\n")

@@ -2,14 +2,10 @@
 
 import random
 
-import pytest
-
 from popmatch import (
     Matching,
     blocking_edges,
     parse_instance,
-    propose_dispose,
-    resume_after_forbid,
     stable_matching,
     stable_vertices,
 )
@@ -35,15 +31,17 @@ class TestProposeDispose:
 
     def test_empty_left_side(self):
         system = ProposalSystem(0, 0, [], [], [], [])
-        outcome = propose_dispose(system)
-        assert outcome.feasible
-        assert outcome.left_edge == ()
+        assert system.run()
+        assert system.left_match == []
 
     def test_forbidding_only_stable_edge_is_infeasible(self, size_gap):
         a1, b1 = ids(size_gap, "a1", "b1")
-        handle = build_system(size_gap, forbidden_pairs=[(a1, b1)])
-        outcome = propose_dispose(handle.system)
-        assert not outcome.feasible
+        system = build_system(size_gap)
+        system.forbid([system.left_lists[a1][size_gap.rank_of(a1, b1)]])
+        assert not system.run()
+        # Every agent has its sink, so b1 starving is what the run blames.
+        assert system.exhausted_left is None
+        assert system.offender() == b1 - size_gap.num_agents
         # No matching is free of blocking edges while avoiding (a1, b1).
         family = [
             m
@@ -61,36 +59,29 @@ class TestProposeDispose:
     def test_determinism(self, showcase):
         runs = []
         for _ in range(3):
-            handle = build_system(showcase)
-            outcome = propose_dispose(handle.system)
+            system = build_system(showcase)
+            system.run()
             runs.append(
-                (outcome.left_edge, outcome.proposals, outcome.rejections)
+                (system.left_match, system.proposals, system.rejections)
             )
         assert runs[0] == runs[1] == runs[2]
 
     def test_proposals_bounded_by_total_list_length(self):
         for seed in range(40):
             inst = random_instance(seed)
-            handle = build_system(inst)
-            outcome = propose_dispose(handle.system)
-            assert outcome.proposals <= handle.system.total_list_length
+            system = build_system(inst)
+            system.run()
+            assert system.proposals <= system.total_list_length
 
 
 class TestResume:
     def test_empty_resume_is_identity(self, size_gap):
-        handle = build_system(size_gap)
-        first = propose_dispose(handle.system)
-        second = resume_after_forbid(handle.system, first, [])
-        assert second.left_edge == first.left_edge
-        assert second.feasible == first.feasible
-
-    def test_stale_outcome_rejected(self, size_gap):
-        a1, b1 = ids(size_gap, "a1", "b1")
-        handle = build_system(size_gap)
-        first = propose_dispose(handle.system)
-        resume_after_forbid(handle.system, first, [handle.edge_of[(a1, b1)]])
-        with pytest.raises(ValueError, match="current state"):
-            resume_after_forbid(handle.system, first, [])
+        system = build_system(size_gap)
+        first_feasible = system.run()
+        first = list(system.left_match)
+        system.forbid([])
+        assert system.run() == first_feasible
+        assert system.left_match == first
 
     def test_exhausting_a_left_vertex_without_sink(self, size_gap):
         # Mirror systems have no private sinks; forbidding one left copy's
@@ -99,9 +90,9 @@ class TestResume:
         mirror = build_mirror(size_gap, classification)
         system = mirror_system(mirror)
         system.forbid(list(mirror.left_lists[0]))
-        outcome = system.run()
-        assert not outcome.feasible
-        assert outcome.offender_left == 0
+        assert not system.run()
+        assert system.exhausted_left == 0
+        assert system.offender() == 0
 
     def test_feasible_forbidden_runs_are_fully_stable(self):
         # A feasible outcome avoids every forbidden edge and has no blocking
@@ -122,11 +113,12 @@ class TestResume:
             ]
             system = mirror_system(mirror)
             system.forbid(extra)
-            outcome = system.run()
-            if not outcome.feasible:
+            if not system.run():
                 continue
             hits += 1
-            mh = MirrorMatching(mirror, outcome.left_edge, outcome.right_edge)
+            mh = MirrorMatching(
+                mirror, tuple(system.left_match), tuple(system.right_match)
+            )
             assert mirror_blocking_edges(mh) == (), seed
             assert not any(
                 e in mirror.forbidden or e in extra for e in mh.left_edge
@@ -149,20 +141,20 @@ class TestResume:
             batches.append(candidates[len(candidates) // 3 : len(candidates) // 2])
 
             incremental = mirror_system(mirror)
-            outcome = incremental.run()
+            feasible = incremental.run()
             for batch in batches:
-                if not outcome.feasible:
+                if not feasible:
                     break
-                outcome = resume_after_forbid(incremental, outcome, batch)
+                incremental.forbid(batch)
+                feasible = incremental.run()
 
             scratch = mirror_system(mirror)
             scratch.forbid([e for batch in batches for e in batch])
-            reference = scratch.run()
 
-            assert outcome.feasible == reference.feasible
-            if outcome.feasible:
-                assert outcome.left_edge == reference.left_edge
-                assert outcome.right_edge == reference.right_edge
+            assert feasible == scratch.run()
+            if feasible:
+                assert incremental.left_match == scratch.left_match
+                assert incremental.right_match == scratch.right_match
 
 
 class TestStableQueries:

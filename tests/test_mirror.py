@@ -32,6 +32,20 @@ b0 > a0 a1
 b1 > a0 a1 a2
 """
 
+# What ``popmatch edges --dump-mirror`` prints for SIZE_GAP_TEXT: each copy's
+# edges in rank order, "!" marking forbidden ones.
+SIZE_GAP_DUMP = """\
+mirror graph: 8 vertices, 16 edges
+a0_l > (a0_l^+, b1_r^-) (a0_l^-, b1_r^+) (a0_l^-, a0_r^+)
+a1_l > (a1_l^+, b1_r^-) (a1_l^+, b0_r^-) (a1_l^-, b1_r^+) (a1_l^-, b0_r^+) (a1_l^-, a1_r^+)!
+b0_l > (b0_l^+, a1_r^-) (b0_l^-, a1_r^+) (b0_l^-, b0_r^+)
+b1_l > (b1_l^+, a1_r^-) (b1_l^+, a0_r^-) (b1_l^-, a1_r^+) (b1_l^-, a0_r^+) (b1_l^-, b1_r^+)!
+a0_r > (b1_l^-, a0_r^+) (a0_l^-, a0_r^+) (b1_l^+, a0_r^-)
+a1_r > (b1_l^-, a1_r^+) (b0_l^-, a1_r^+) (a1_l^-, a1_r^+)! (b1_l^+, a1_r^-) (b0_l^+, a1_r^-)
+b0_r > (a1_l^-, b0_r^+) (b0_l^-, b0_r^+) (a1_l^+, b0_r^-)
+b1_r > (a1_l^-, b1_r^+) (a0_l^-, b1_r^+) (b1_l^-, b1_r^+)! (a1_l^+, b1_r^-) (a0_l^+, b1_r^-)
+"""
+
 
 def make_mirror(inst, backend="fast"):
     return build_mirror(inst, legal_edge_set(inst, backend=backend))
@@ -85,6 +99,7 @@ class TestBuild:
         for name in size_gap.names:
             assert f"{name}_l >" in text
             assert f"{name}_r >" in text
+        assert text == SIZE_GAP_DUMP
 
 
 class TestEmbed:
@@ -203,10 +218,9 @@ class TestProject:
     def test_engine_matching_can_differ_between_halves(self):
         inst = parse_instance(ASYMMETRIC_TEXT)
         system = mirror_system(make_mirror(inst))
-        outcome = system.run()
-        assert outcome.feasible
+        assert system.run()
         mh = MirrorMatching(
-            make_mirror(inst), outcome.left_edge, outcome.right_edge
+            make_mirror(inst), tuple(system.left_match), tuple(system.right_match)
         )
         assert project(mh, "upper").partner != project(mh, "lower").partner
 
@@ -253,11 +267,10 @@ class TestPartition:
         for seed in range(40):
             inst = random_instance(seed)
             system = mirror_system(make_mirror(inst))
-            outcome = system.run()
-            if not outcome.feasible:
+            if not system.run():
                 continue
             mh = MirrorMatching(
-                make_mirror(inst), outcome.left_edge, outcome.right_edge
+                make_mirror(inst), tuple(system.left_match), tuple(system.right_match)
             )
             part = classify_partition(mh)
             agents = frozenset(inst.agent_ids())

@@ -83,26 +83,37 @@ def check_witness(
     (``alpha_a + alpha_b >= wt``), and every vertex covering its own
     self-loop weight.  ``vertices`` restricts the check to an induced
     subgraph; the matching must not pair a vertex in scope with one outside.
+    The weights are folded from ``pref``, ``rank_tbl`` and ``mat.partner``
+    as in :func:`verify_popular`; each equals :func:`edge_weight`.
     """
+    partner = mat.partner
     scope = range(inst.n) if vertices is None else sorted(vertices)
     in_scope = [False] * inst.n
     for u in scope:
         in_scope[u] = True
     for u in scope:
-        p = mat.partner[u]
+        p = partner[u]
         if p != u and not in_scope[p]:
             raise ValueError("matching leaves the induced subgraph")
     if any(alpha[u] not in (-1, 0, 1) for u in scope):
         return False
     if sum(alpha[u] for u in scope) != 0:
         return False
-    for u in scope:
-        if alpha[u] < edge_weight(inst, mat, (u, u)):
-            return False
-    for a, b in inst.edges:
-        if in_scope[a] and in_scope[b]:
-            if alpha[a] + alpha[b] < edge_weight(inst, mat, (a, b)):
-                return False
+    # A self-loop weighs -1 unless its vertex is alone, then 0.
+    if any(partner[u] == u and alpha[u] < 0 for u in scope):
+        return False
+    own = [inst.rank_of(u, partner[u]) for u in range(inst.n)]
+    pref, rank_tbl = inst.pref, inst.rank_tbl
+    for a in scope:
+        if not inst.is_agent(a):
+            break
+        own_a, alpha_a = own[a], alpha[a]
+        for i, b in enumerate(pref[a]):
+            if in_scope[b]:
+                j, own_b = rank_tbl[b][a], own[b]
+                wt = (i < own_a) - (i > own_a) + (j < own_b) - (j > own_b)
+                if alpha_a + alpha[b] < wt:
+                    return False
     return True
 
 
@@ -125,6 +136,52 @@ def check_a_popular(inst: Instance, posts: Posts, mat: Matching) -> bool:
         if p == b or posts.f[p] != b:
             return False
     return True
+
+
+def a_popular_obstruction(inst: Instance, posts: Posts) -> int | None:
+    """First agent that rules out every agent-popular matching, or ``None``.
+
+    Abraham, Irving, Kavitha and Mehlhorn ("Popular matchings", SIAM J.
+    Comput. 2007) show, with every agent given its own last resort, that a
+    one-sided popular matching exists exactly when some matching puts every
+    agent on f(a) or s(a): moving an agent from s(a) to an unmatched f(a)
+    then fills every top-choice job, which :func:`check_a_popular` also
+    asks.  Here the last resort is the agent's own self-loop, so an agent
+    with ``s(a) == a`` can always stay alone and takes no job.  Every other
+    agent is one edge f(a)-s(a) between two jobs, and the agents can each
+    take a distinct endpoint of their own edge exactly when no connected
+    component of this job graph has more edges than vertices.  A fully
+    popular matching is agent-popular, so an obstruction also rules it out.
+
+    One union-find over jobs (union by size, path halving) tracks each
+    component's slack (jobs minus agents); the agents join in id order, and
+    the first whose edge drives its component's slack below zero is
+    returned.
+    """
+    parent = list(range(inst.n))
+    size = [1] * inst.n
+    slack = [1] * inst.n
+
+    def root(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for a in inst.agent_ids():
+        if posts.s[a] == a:
+            continue
+        ru, rv = root(posts.f[a]), root(posts.s[a])
+        if ru != rv:
+            if size[ru] < size[rv]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            size[ru] += size[rv]
+            slack[ru] += slack[rv]
+        slack[ru] -= 1
+        if slack[ru] < 0:
+            return a
+    return None
 
 
 def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:

@@ -1,6 +1,9 @@
 """Max-size fully popular matching via iterated forbidding in the mirror graph.
 
-The driver computes a legal stable matching of the mirror graph (one that
+A fully popular matching is agent-popular, so the solver first runs the
+linear post-graph test :func:`popmatch.popularity.a_popular_obstruction`
+and returns ``none`` at once when no agent-popular matching exists.
+Otherwise it computes a legal stable matching of the mirror graph (one that
 avoids every signed copy of a non-legal edge), then repeatedly looks for a
 vertex whose left copy carries a minus tag while its right copy carries a
 plus tag.  Any such vertex must have certificate entry zero in every fully
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import ProposalSystem
-from .instance import Instance, Matching, compute_posts, edge_starts
+from .instance import Instance, Matching, Posts, compute_posts, edge_starts
 from .legality import EdgeClassification, legal_edge_set
 from .mirror import (
     MirrorGraph,
@@ -31,7 +34,7 @@ from .mirror import (
     project,
     realize_witnessed,
 )
-from .popularity import check_a_popular, check_witness
+from .popularity import a_popular_obstruction, check_a_popular, check_witness
 
 
 class SolverDefect(AssertionError):
@@ -75,9 +78,14 @@ class SolveReport:
 
     ``outcome`` is ``"found"`` or ``"none"``.  A found matching comes with
     its popularity certificate and is max-size among fully popular
-    matchings.  A nonexistence verdict records the iteration at which the
-    engine ran dry and the vertex that exhausted its options; rerunning
-    reproduces it deterministically.
+    matchings.  A nonexistence verdict records the iteration at which it
+    was reached and a vertex to blame; rerunning reproduces it
+    deterministically.  When no agent-popular matching exists, the verdict
+    comes before any engine work: ``fail_iteration`` is 0,
+    ``infeasible_vertex`` is the first agent that overflows its component
+    of the post graph, and ``state`` is ``None``.  Otherwise the verdict
+    comes when the engine runs dry, and ``infeasible_vertex`` is the vertex
+    whose mirror copy ran out of options.
     """
 
     outcome: str
@@ -181,12 +189,28 @@ def solve(
 ) -> SolveReport:
     """Decide whether a fully popular matching exists and return a max-size one.
 
-    ``backend`` selects how popular edges are classified (see
-    :func:`popmatch.legality.popular_edges`).  With ``validate`` the run
-    additionally re-checks every structural guarantee (restricted stability,
-    partial symmetry, the per-half certificates, and the mirror realization
-    of the result); violations raise :class:`SolverDefect`.
+    Inputs without an agent-popular matching end at the post-graph test,
+    before any classification.  ``backend`` selects how popular edges are
+    classified (see :func:`popmatch.legality.popular_edges`).  With
+    ``validate`` the run additionally re-checks every structural guarantee
+    (restricted stability, partial symmetry, the per-half certificates, and
+    the mirror realization of the result); violations raise
+    :class:`SolverDefect`.
     """
+    posts = compute_posts(inst)
+    blocker = a_popular_obstruction(inst, posts)
+    if blocker is not None:
+        return SolveReport(
+            outcome="none",
+            matching=None,
+            witness=None,
+            size=None,
+            iterations=0,
+            trace=(),
+            fail_iteration=0,
+            infeasible_vertex=blocker,
+            state=None,
+        )
     classification = legal_edge_set(inst, backend=backend)
     mirror = build_mirror(inst, classification)
     system = mirror_system(mirror)
@@ -241,7 +265,7 @@ def solve(
     )
     witness = extract_witness(state)
     if validate:
-        _validate(state, witness)
+        _validate(state, witness, posts)
     return SolveReport(
         outcome="found",
         matching=state.matching,
@@ -271,7 +295,9 @@ def _none_report(
     )
 
 
-def _validate(state: SolverState, witness: tuple[int, ...]) -> None:
+def _validate(
+    state: SolverState, witness: tuple[int, ...], posts: Posts
+) -> None:
     """Re-check every structural guarantee of a successful solve."""
     inst = state.inst
     part = state.partition
@@ -284,7 +310,7 @@ def _validate(state: SolverState, witness: tuple[int, ...]) -> None:
             raise SolverDefect(message)
 
     ensure(
-        check_a_popular(inst, compute_posts(inst), mat),
+        check_a_popular(inst, posts, mat),
         "result is not one-sided popular",
     )
 

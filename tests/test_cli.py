@@ -63,13 +63,39 @@ def test_solve_trace_rows(files, capsys):
     assert "iteration 1: trigger a, marked 4 vertices, forbade 4 edges" in lines
 
 
+# random_instance(502): an agent-popular matching exists ({a0 b0, a1 b1},
+# with a2 alone), so the mirror engine decides, and it runs dry.
+ENGINE_NONE_TEXT = """\
+agents: a0 a1 a2
+jobs: b0 b1
+a0 > b1 b0
+a1 > b1
+a2 > b0
+b0 > a0 a2
+b1 > a1 a0
+"""
+
+
 def test_solve_json_none(files, capsys):
-    # b3's left copy runs out of options while a1's right copy starves; the
+    # a0's left copy runs out of options while right copies starve; the
     # exhausted left copy is the one reported.
+    path = files("engine_none.txt", ENGINE_NONE_TEXT)
+    assert main(["solve", path, "--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"outcome": "none", "fail_iteration": 0, "vertex": "a0"}
+    assert main(["solve", path]) == 2
+    assert capsys.readouterr().out == (
+        "no fully popular matching (iteration 0, vertex a0 ran out of options)\n"
+    )
+
+
+def test_solve_json_none_precheck(files, capsys):
+    # Every agent's posts are b1 and b2: a1 and a2 fill them, and a3 is the
+    # agent that overflows them, before any engine work.
     path = files("ident.txt", IDENTICAL_PREFS_TEXT)
     assert main(["solve", path, "--json"]) == 2
     payload = json.loads(capsys.readouterr().out)
-    assert payload == {"outcome": "none", "fail_iteration": 0, "vertex": "b3"}
+    assert payload == {"outcome": "none", "fail_iteration": 0, "vertex": "a3"}
 
 
 def test_verify_fully_popular_exit_zero(files, capsys):

@@ -147,11 +147,10 @@ def _cmd_verify(config: RunConfig) -> int:
 
 def _cmd_edges(config: RunConfig) -> int:
     inst = _load_instance(config.instance)
+    classification = legal_edge_set(inst, backend=config.backend)
     if config.dump_mirror:
-        classification = legal_edge_set(inst, backend=config.backend)
         print(format_mirror(build_mirror(inst, classification)), end="")
         return EXIT_OK
-    classification = legal_edge_set(inst, backend=config.backend)
     chosen = {
         "valid": classification.valid,
         "popular": classification.popular,

@@ -6,8 +6,9 @@ never accept a proposal along an edge worse than one they have already seen.
 A proposal along a forbidden edge is rejected, and that rejection also
 deletes every worse edge at the receiving vertex, including a currently held
 one.  The same machinery therefore serves plain stable matching and stable
-matching that must avoid a forbidden edge set.  Every stable pair comes from
-one rotation walk between the two extreme stable matchings.
+matching that must avoid a forbidden edge set.  Plain systems run on the
+instance's flat edge layout, and every stable edge comes from one rotation
+walk between the two extreme stable matchings.
 
 Re-forbidding edges after a run and resuming is equivalent to a fresh run
 with the enlarged forbidden set, and total work over any forbid/resume
@@ -28,16 +29,19 @@ class ProposalSystem:
     """Ranked proposal lists on the left, threshold acceptance on the right.
 
     Edges are dense ids.  ``left_lists[u]`` orders u's edges from best to
-    worst; ``edge_right[e]`` is the receiving right vertex, or -1 for a
-    private always-accepting sink (the "stay alone" option).  ``right_rank``
-    orders each right vertex's incident edges (lower is better).  A right
-    vertex's cutoff is the best rank it has seen; it never accepts an edge
-    ranked at or beyond it.
+    worst; ``edge_right[e]`` is the receiving right vertex and
+    ``right_rank`` orders each right vertex's incident edges (lower is
+    better).  A right vertex's cutoff is the best rank it has seen; it never
+    accepts an edge ranked at or beyond it.  With ``alone_ok`` a left vertex
+    that runs out of its list stays alone; otherwise that makes the run
+    infeasible.  Only systems without ``alone_ok`` are forbidden anything in
+    a solve.
 
-    The state is live: ``left_match[u]`` / ``right_match[r]`` hold the
-    matched edge id or -1, and ``matched`` collects every vertex, left or
-    right, that took a new edge, for callers to drain.  Sinks only appear in
-    systems that are never forbidden anything.
+    The lists are read, never written, so callers may share them.  The
+    state is live: ``left_match[u]`` / ``right_match[r]`` hold the
+    matched edge id or -1, ``next_i[u]`` is the position in u's list of its
+    matched edge (past the end when u is alone), and ``matched`` collects
+    every vertex, left or right, that took a new edge, for callers to drain.
     """
 
     def __init__(
@@ -45,10 +49,11 @@ class ProposalSystem:
         num_left: int,
         num_right: int,
         left_lists: Sequence[Sequence[int]],
-        edge_left: list[int],
-        edge_right: list[int],
-        right_rank: list[int],
+        edge_left: Sequence[int],
+        edge_right: Sequence[int],
+        right_rank: Sequence[int],
         forbidden=(),
+        alone_ok: bool = False,
     ):
         self.num_left = num_left
         self.num_right = num_right
@@ -56,11 +61,12 @@ class ProposalSystem:
         self.edge_left = edge_left
         self.edge_right = edge_right
         self.right_rank = right_rank
+        self.alone_ok = alone_ok
         num_edges = len(edge_left)
         self.forbidden = [False] * num_edges
         for e in forbidden:
             self.forbidden[e] = True
-        self.total_list_length = sum(len(row) for row in left_lists)
+        self.total_list_length = sum(map(len, left_lists))
         self.next_i = [0] * num_left
         self.left_match = [-1] * num_left
         self.right_match = [-1] * num_right
@@ -82,57 +88,75 @@ class ProposalSystem:
     def run(self) -> bool:
         """Drain the proposal queue; True when the result is feasible.
 
-        Infeasible means some left vertex exhausted its list or some right
-        vertex ended unmatched after rejecting a forbidden proposal it would
-        otherwise have taken; either way no stable matching avoiding the
-        forbidden edges exists.
+        Infeasible means some left vertex exhausted its list without
+        ``alone_ok``, or some right vertex ended unmatched after rejecting a
+        forbidden proposal it would otherwise have taken; either way no
+        stable matching avoiding the forbidden edges exists.
         """
         if self.exhausted_left is not None:
             return False
-        while self.queue:
-            u = self.queue.popleft()
-            if self.left_match[u] != -1:
-                continue
-            while True:
-                i = self.next_i[u]
-                if i >= len(self.left_lists[u]):
-                    self.exhausted_left = u
-                    return False
-                e = self.left_lists[u][i]
-                self.proposals += 1
-                r = self.edge_right[e]
-                if r == -1:
-                    self.left_match[u] = e
-                    self.matched.append(u)
-                    break
-                rank = self.right_rank[e]
-                if rank >= self.right_cut[r]:
-                    self.next_i[u] += 1
-                    self.rejections += 1
+        # The loop reads the live state through locals; the counters are
+        # written back on every exit.
+        left_lists, edge_left = self.left_lists, self.edge_left
+        edge_right, right_rank = self.edge_right, self.right_rank
+        forbidden, next_i = self.forbidden, self.next_i
+        left_match, right_match = self.left_match, self.right_match
+        right_cut, starved = self.right_cut, self.starved
+        queue, matched = self.queue, self.matched
+        proposals = rejections = 0
+        try:
+            while queue:
+                u = queue.popleft()
+                if left_match[u] != -1:
                     continue
-                if self.forbidden[e]:
-                    # An in-range forbidden proposal deletes every worse
-                    # edge here, including the currently held one.
-                    self.right_cut[r] = rank
-                    cur = self.right_match[r]
+                row, i = left_lists[u], next_i[u]
+                while True:
+                    if i >= len(row):
+                        next_i[u] = i
+                        if self.alone_ok:
+                            break
+                        self.exhausted_left = u
+                        return False
+                    e = row[i]
+                    proposals += 1
+                    r = edge_right[e]
+                    rank = right_rank[e]
+                    if rank >= right_cut[r]:
+                        i += 1
+                        rejections += 1
+                        continue
+                    if forbidden[e]:
+                        # An in-range forbidden proposal deletes every worse
+                        # edge here, including the currently held one.
+                        right_cut[r] = rank
+                        cur = right_match[r]
+                        if cur != -1:
+                            right_match[r] = -1
+                            self._divorce(cur)
+                        starved.add(r)
+                        i += 1
+                        rejections += 1
+                        continue
+                    cur = right_match[r]
                     if cur != -1:
-                        self.right_match[r] = -1
-                        self._divorce(cur)
-                    self.starved.add(r)
-                    self.next_i[u] += 1
-                    self.rejections += 1
-                    continue
-                cur = self.right_match[r]
-                if cur != -1:
-                    self._divorce(cur)
-                self.right_match[r] = e
-                self.right_cut[r] = rank
-                self.starved.discard(r)
-                self.left_match[u] = e
-                self.matched.append(u)
-                self.matched.append(r)
-                break
-        return not self.starved
+                        # Inlined _divorce: the holder moves to its next edge.
+                        v = edge_left[cur]
+                        left_match[v] = -1
+                        next_i[v] += 1
+                        queue.append(v)
+                        rejections += 1
+                    right_match[r] = e
+                    right_cut[r] = rank
+                    starved.discard(r)
+                    left_match[u] = e
+                    next_i[u] = i
+                    matched.append(u)
+                    matched.append(r)
+                    break
+            return not starved
+        finally:
+            self.proposals += proposals
+            self.rejections += rejections
 
     def forbid(self, edges) -> None:
         """Mark edges forbidden, divorcing any that are currently matched.
@@ -174,32 +198,27 @@ def _sides(inst: Instance, proposers: str) -> tuple[range, range]:
 
 
 def build_system(inst: Instance, proposers: str = "agents") -> ProposalSystem:
-    """Plain one-sided proposal system over an instance.
+    """Plain one-sided proposal system over an instance's edge layout.
 
-    Left vertex i is the i-th proposer; its list is one contiguous range of
-    edge ids, its preference list followed by a private sink (the stay-alone
-    option).  Right vertex j is the j-th vertex of the other side, and right
-    ranks come from its own list.
+    Left vertex i is the i-th proposer and right vertex j the j-th vertex
+    of the other side.  Edge ids are the instance's own edge indexes, so
+    both sides' systems share them, and every list and rank is one of the
+    layout's lists.  A proposer that runs out of its list stays alone.
     """
-    left_ids, right_ids = _sides(inst, proposers)
-    pref, rank_tbl = inst.pref, inst.rank_tbl
-    shift = right_ids.start
-    left_lists: list[range] = []
-    edge_left: list[int] = []
-    edge_right: list[int] = []
-    right_rank: list[int] = []
-    for li, u in enumerate(left_ids):
-        row = pref[u]
-        start = len(edge_left)
-        left_lists.append(range(start, start + len(row) + 1))
-        edge_left.extend([li] * (len(row) + 1))
-        edge_right.extend([v - shift for v in row])
-        edge_right.append(-1)
-        right_rank.extend([rank_tbl[v][u] for v in row])
-        right_rank.append(0)
-    return ProposalSystem(
-        len(left_ids), len(right_ids), left_lists, edge_left, edge_right, right_rank
-    )
+    lay = inst.layout
+    if proposers == "agents":
+        starts = lay.starts
+        lists = [range(starts[a], starts[a + 1]) for a in inst.agent_ids()]
+        return ProposalSystem(
+            inst.num_agents, inst.num_jobs, lists,
+            lay.agent_of, lay.job_of, lay.job_rank, alone_ok=True,
+        )
+    if proposers == "jobs":
+        return ProposalSystem(
+            inst.num_jobs, inst.num_agents, lay.incoming,
+            lay.job_of, lay.agent_of, lay.agent_rank, alone_ok=True,
+        )
+    raise ValueError(f"unknown proposer side {proposers!r}")
 
 
 def stable_matching(inst: Instance, proposers: str = "agents") -> Matching:
@@ -209,50 +228,63 @@ def stable_matching(inst: Instance, proposers: str = "agents") -> Matching:
     system.run()
     partner = list(range(inst.n))
     for i, e in enumerate(system.left_match):
-        j = system.edge_right[e]
-        if j != -1:
+        if e != -1:
+            j = system.edge_right[e]
             partner[left_ids[i]] = right_ids[j]
             partner[right_ids[j]] = left_ids[i]
     return Matching(tuple(partner))
 
 
-def rotation_walk(inst: Instance) -> tuple[Matching, frozenset[tuple[int, int]]]:
-    """Agent-optimal stable matching and every stable pair, in O(m) time.
+def rotation_walk(agents: ProposalSystem, jobs: ProposalSystem) -> set[int]:
+    """Every stable edge of a plain instance, in O(m) time.
 
-    Walks from the agent-optimal matching to the job-optimal one by
-    eliminating exposed rotations (Gusfield, "Three fast algorithms for four
-    problems in stable marriage", 1987).  In the current matching, agent a's
-    successor is the partner of the first job after a's own that prefers a to
-    its partner; following successors from an agent that has not reached its
-    job-optimal partner closes a cycle, the rotation, and eliminating it
-    hands each agent on it that job.  A pair is stable exactly when it lies
-    in the agent-optimal matching or some rotation creates it.
+    ``agents`` and ``jobs`` are the instance's two fresh plain systems over
+    shared edge ids, agents proposing in the first and jobs in the second;
+    the walk runs both.
 
-    Agents whose two extreme partners agree, the unmatched included, take no
+    The walk goes from the agent-optimal to the job-optimal stable matching
+    by eliminating exposed rotations (Gusfield, "Three fast algorithms for
+    four problems in stable marriage", 1987).  In the current matching,
+    agent a's successor is the holder of the first job after a's own that
+    ranks a's edge above its held one; following successors from an agent
+    that has not reached its job-optimal edge closes a cycle, the rotation,
+    and eliminating it moves each agent on it to that edge.  An edge is
+    stable exactly when it lies in the agent-optimal matching or some
+    rotation creates it.
+
+    Agents whose two extreme edges agree, the unmatched included, take no
     part in any rotation.  Every other agent's scan pointer only moves
-    forward and never passes its job-optimal partner, because a job it skips
-    already holds someone it prefers and its holders only improve.
+    forward and never passes its job-optimal edge, because a job it skips
+    already holds an edge it ranks higher and its holders only improve.
     """
-    best = stable_matching(inst, "agents")
-    last = stable_matching(inst, "jobs").partner
-    pref, rank_tbl = inst.pref, inst.rank_tbl
-    holder = list(best.partner)
-    scan = [inst.rank_of(a, holder[a]) + 1 for a in inst.agent_ids()]
-    depth = [-1] * inst.num_agents
-    pairs = set(best.pairs(inst))
-    for start in inst.agent_ids():
-        while holder[start] != last[start]:
+    agents.run()
+    jobs.run()
+    lists, agent_of = agents.left_lists, agents.edge_left
+    job_of, rank = agents.edge_right, agents.right_rank
+    hold = list(agents.left_match)
+    job_hold = list(agents.right_match)
+    last = [-1] * agents.num_left
+    for e in jobs.left_match:
+        if e != -1:
+            last[agent_of[e]] = e
+    scan = [i + 1 for i in agents.next_i]
+    depth = [-1] * agents.num_left
+    stable = {e for e in hold if e != -1}
+    for start in range(agents.num_left):
+        while hold[start] != last[start]:
             stack = [start]
             depth[start] = 0
             while stack:
                 a = stack[-1]
-                row, i = pref[a], scan[a]
-                b = row[i]
-                while rank_tbl[b][a] > rank_tbl[b][holder[b]]:
+                row, i = lists[a], scan[a]
+                e = row[i]
+                held = job_hold[job_of[e]]
+                while rank[e] > rank[held]:
                     i += 1
-                    b = row[i]
+                    e = row[i]
+                    held = job_hold[job_of[e]]
                 scan[a] = i
-                succ = holder[b]
+                succ = agent_of[held]
                 if depth[succ] < 0:
                     depth[succ] = len(stack)
                     stack.append(succ)
@@ -260,13 +292,13 @@ def rotation_walk(inst: Instance) -> tuple[Matching, frozenset[tuple[int, int]]]
                 rotation = stack[depth[succ]:]
                 del stack[depth[succ]:]
                 for x in rotation:
-                    b = pref[x][scan[x]]
-                    holder[x] = b
-                    holder[b] = x
+                    e = lists[x][scan[x]]
+                    hold[x] = e
+                    job_hold[job_of[e]] = e
                     scan[x] += 1
                     depth[x] = -1
-                    pairs.add((x, b))
-    return best, frozenset(pairs)
+                    stable.add(e)
+    return stable
 
 
 def stable_vertices(inst: Instance) -> frozenset[int]:

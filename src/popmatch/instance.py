@@ -9,6 +9,7 @@ as a perfect matching once each uncovered vertex is paired with itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class InstanceError(ValueError):
@@ -26,7 +27,8 @@ class Instance:
     one worse than every genuine neighbor.
 
     Instances are immutable after construction and safe to share across
-    threads; all operations on them are pure.
+    threads; all operations on them are pure.  ``layout`` is computed on
+    first use and then kept.
     """
 
     names: tuple[str, ...]
@@ -73,6 +75,37 @@ class Instance:
 
     def has_edge(self, a: int, b: int) -> bool:
         return b in self.rank_tbl[a]
+
+    @cached_property
+    def layout(self) -> EdgeLayout:
+        """Flat per-edge arrays of the instance, built once in O(m)."""
+        na, pref, rank_tbl = self.num_agents, self.pref, self.rank_tbl
+        starts = [0]
+        agent_of: list[int] = []
+        job_of: list[int] = []
+        agent_rank: list[int] = []
+        for a in range(na):
+            row = pref[a]
+            agent_of += [a] * len(row)
+            job_of += [b - na for b in row]
+            agent_rank += range(len(row))
+            starts.append(len(agent_of))
+        incoming = tuple(
+            tuple([starts[a] + rank_tbl[a][b] for a in pref[b]])
+            for b in range(na, self.n)
+        )
+        job_rank = [0] * len(agent_of)
+        for row in incoming:
+            for r, k in enumerate(row):
+                job_rank[k] = r
+        return EdgeLayout(
+            tuple(starts),
+            tuple(agent_of),
+            tuple(job_of),
+            tuple(agent_rank),
+            tuple(job_rank),
+            incoming,
+        )
 
     @staticmethod
     def build(
@@ -130,18 +163,25 @@ class Instance:
         return Instance(tuple(names), num_agents, tuple(pref), rank_tbl, edges)
 
 
-def edge_starts(inst: Instance) -> list[int]:
-    """Index of each agent's first edge in ``inst.edges``.
+@dataclass(frozen=True)
+class EdgeLayout:
+    """An instance's edges as parallel lists indexed by edge id.
 
-    The edges run agent by agent in list order, so edge (a, b) has index
-    ``edge_starts(inst)[a] + inst.rank_tbl[a][b]``.
+    Edge k is ``inst.edges[k]``: agent a's edges run from ``starts[a]`` to
+    ``starts[a + 1] - 1`` in a's preference order, so edge (a, b) has id
+    ``starts[a] + rank_tbl[a][b]``.  Jobs are numbered by index, job j being
+    vertex ``num_agents + j``.  ``agent_of[k]`` and ``job_of[k]`` are the
+    endpoints of edge k; ``agent_rank[k]`` is the job's position in the
+    agent's list and ``job_rank[k]`` the agent's position in the job's list.
+    ``incoming[j]`` lists job j's edge ids in the job's preference order.
     """
-    starts = []
-    total = 0
-    for a in inst.agent_ids():
-        starts.append(total)
-        total += len(inst.pref[a])
-    return starts
+
+    starts: tuple[int, ...]
+    agent_of: tuple[int, ...]
+    job_of: tuple[int, ...]
+    agent_rank: tuple[int, ...]
+    job_rank: tuple[int, ...]
+    incoming: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)

@@ -7,20 +7,23 @@ is popular exactly when it is a stable pair or a dominant pair, and a
 self-loop is popular exactly when its vertex is unstable.  *Legal* edges are
 those that are both, and only they may appear in a fully popular matching.
 
-Dominant pairs are reduced to stable pairs of a two-level auxiliary
-instance: each agent splits into a high and a low copy, jobs prefer any
-high copy to any low copy, and a private last-resort job arbitrates which
-copy is active.  The reduction is validated exhaustively against the
-election oracle in the test suite.  One rotation walk on each of the two
-instances yields all their stable pairs, so classification takes time linear
-in the number of edges.
+Dominant pairs are reduced to stable pairs of a two-level instance: each
+agent splits into a high and a low copy, jobs prefer any high copy to any
+low copy, and a private last-resort job arbitrates which copy is active.
+That instance is never built.  Its proposal systems run on virtual edge ids
+over the instance's own edge layout (see :func:`two_level_systems`), and the
+test suite checks the reduction exhaustively against the election oracle
+and against a materialized reference.  One rotation walk on the instance
+and one on its two-level form yield all their stable edges, so
+classification takes time linear in the number of edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .engine import rotation_walk
+from .engine import ProposalSystem, build_system, rotation_walk
 from .instance import Instance, compute_posts
 
 EdgeKey = tuple[int, int]
@@ -61,72 +64,76 @@ def valid_edges(inst: Instance, posts) -> frozenset[EdgeKey]:
     return frozenset(keys)
 
 
-def two_level_instance(inst: Instance) -> tuple[Instance, int]:
-    """Auxiliary instance whose stable matchings are the dominant matchings.
+def two_level_systems(inst: Instance) -> tuple[ProposalSystem, ProposalSystem]:
+    """Plain systems of the two-level instance, on virtual edge ids.
 
-    Agent a becomes a high copy (id a) and a low copy (id num_agents + a).
-    The high copy ranks a private last-resort job first and a's jobs after;
-    the low copy ranks a's jobs first and the last resort last.  Jobs rank
-    all high copies above all low copies, preserving a's order inside each
-    level, and each last-resort job accepts only its own two copies, low
-    copy first.  In any stable matching exactly one copy of a holds a
-    genuine job or the agent is effectively unmatched, so projecting genuine
-    pairs back recovers a dominant matching.
+    Agent a has a high copy (left vertex a) and a low copy (left vertex
+    num_agents + a); jobs keep their index j, and a's private last-resort
+    job is index num_jobs + a.  High edge k joins the high copy of the
+    agent of the instance's edge k (see ``EdgeLayout``) to that edge's
+    job, and low edge m + k joins its low copy; edges 2m + a and
+    2m + num_agents + a join a's high and low copy to its last resort.
+    The high copy ranks its last resort first and a's jobs after; the low
+    copy ranks a's jobs first and the last resort last.  A job ranks all
+    high edges above all low edges, keeping its own order inside each
+    level, and a last resort prefers the low copy.  In any stable matching
+    exactly one copy of a holds a genuine job or a is effectively alone, so
+    projecting genuine edges back recovers a dominant matching.
 
-    Job b keeps its name and becomes id num_agents + b; a's last resort is
-    id n + num_agents + a.  The lists are built on ids directly: they are
-    valid by construction, so nothing goes back through names.
-
-    Returns the instance and the number of original agents (which is also
-    the id offset of the low copies).
+    Every list and rank is arithmetic on the instance's edge layout:
+    nothing is looked up by name or rank dict.  Returns the agent-proposing
+    system and the job-proposing one.
     """
-    na, names = inst.num_agents, inst.names
-    agents = inst.agent_ids()
-    rest = inst.n + na
-    jobs_of = [tuple(b + na for b in inst.pref[a]) for a in agents]
-    pref = (
-        [(rest + a,) + jobs_of[a] for a in agents]
-        + [jobs_of[a] + (rest + a,) for a in agents]
-        + [
-            inst.pref[b] + tuple(na + a for a in inst.pref[b])
-            for b in inst.job_ids()
-        ]
-        + [(na + a, a) for a in agents]
+    lay = inst.layout
+    na, nj, m = inst.num_agents, inst.num_jobs, inst.m
+    starts, rest = lay.starts, 2 * m
+    agents = range(na)
+    agent_lists = [[rest + a, *range(starts[a], starts[a + 1])] for a in agents]
+    agent_lists += [
+        [*range(m + starts[a], m + starts[a + 1]), rest + na + a] for a in agents
+    ]
+    job_lists = [[*row, *[m + k for k in row]] for row in lay.incoming]
+    job_lists += [[rest + na + a, rest + a] for a in agents]
+    owner = [*lay.agent_of, *[na + a for a in lay.agent_of], *range(2 * na)]
+    post = [*lay.job_of, *lay.job_of, *range(nj, nj + na), *range(nj, nj + na)]
+    degree = [len(row) for row in lay.incoming]
+    job_rank = [
+        *lay.job_rank,
+        *[degree[j] + r for j, r in zip(lay.job_of, lay.job_rank)],
+        *[1] * na,
+        *[0] * na,
+    ]
+    agent_rank = [
+        *[r + 1 for r in lay.agent_rank],
+        *lay.agent_rank,
+        *[0] * na,
+        *[starts[a + 1] - starts[a] for a in agents],
+    ]
+    return (
+        ProposalSystem(
+            2 * na, nj + na, agent_lists, owner, post, job_rank, alone_ok=True
+        ),
+        ProposalSystem(
+            nj + na, 2 * na, job_lists, post, owner, agent_rank, alone_ok=True
+        ),
     )
-    aux_names = (
-        tuple(f"{names[a]}^hi" for a in agents)
-        + tuple(f"{names[a]}^lo" for a in agents)
-        + names[na:]
-        + tuple(f"{names[a]}^rest" for a in agents)
-    )
-    rank_tbl = tuple({v: i for i, v in enumerate(row)} for row in pref)
-    edges = tuple((a, b) for a in range(2 * na) for b in pref[a])
-    return Instance(aux_names, 2 * na, tuple(pref), rank_tbl, edges), na
 
 
-def stable_pairs(
-    inst: Instance, candidates=None
-) -> frozenset[EdgeKey]:
-    """All edges (or the given subset) lying in some stable matching."""
-    _, pairs = rotation_walk(inst)
-    return pairs if candidates is None else pairs.intersection(candidates)
+def stable_pairs(inst: Instance) -> frozenset[EdgeKey]:
+    """All edges lying in some stable matching."""
+    agents, jobs = build_system(inst, "agents"), build_system(inst, "jobs")
+    return frozenset(map(inst.edges.__getitem__, rotation_walk(agents, jobs)))
 
 
-def dominant_pairs(
-    inst: Instance, candidates=None
-) -> frozenset[EdgeKey]:
-    """All edges (or the given subset) lying in some dominant matching.
+def dominant_pairs(inst: Instance) -> frozenset[EdgeKey]:
+    """All edges lying in some dominant matching.
 
-    These are the stable pairs of the two-level instance on genuine jobs,
-    with either copy of the agent projected back to the agent.
+    These are the two-level instance's stable high and low edges, each
+    taken back to the instance's edge it copies.
     """
-    aux, na = two_level_instance(inst)
-    pairs = frozenset(
-        (ax % na, bx - na)
-        for ax, bx in stable_pairs(aux)
-        if bx < inst.n + na
-    )
-    return pairs if candidates is None else pairs.intersection(candidates)
+    m, edges = inst.m, inst.edges
+    stable = rotation_walk(*two_level_systems(inst))
+    return frozenset(edges[e % m] for e in stable if e < 2 * m)
 
 
 def popular_edges(
@@ -135,10 +142,10 @@ def popular_edges(
     """Edges and self-loops that some popular matching uses.
 
     The ``fast`` backend combines the stable pairs and dominant pairs with
-    the unstable-vertex rule for self-loops, reading the unstable vertices
-    off the agent-optimal matching that the stable-pair walk starts from;
-    ``oracle`` enumerates all popular matchings instead and takes the union
-    (small instances only).
+    the unstable-vertex rule for self-loops.  Every stable matching covers
+    the same vertices, so the unstable ones are those no stable pair
+    covers.  ``oracle`` enumerates all popular matchings instead and takes
+    the union (small instances only).
     """
     if backend == "oracle":
         from .oracle import ground_truth
@@ -149,9 +156,10 @@ def popular_edges(
         )
     if backend != "fast":
         raise ValueError(f"unknown backend {backend!r}")
-    optimal, stable = rotation_walk(inst)
-    out = stable | dominant_pairs(inst)
-    return out | frozenset((u, u) for u in range(inst.n) if optimal.is_self(u))
+    stable = stable_pairs(inst)
+    covered = set(chain.from_iterable(stable))
+    loops = [(u, u) for u in range(inst.n) if u not in covered]
+    return stable.union(dominant_pairs(inst), loops)
 
 
 def legal_edge_set(inst: Instance, backend: str = "fast") -> EdgeClassification:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import ProposalSystem, blocking_edges
-from .instance import Instance, Matching, edge_starts
+from .instance import Instance, Matching
 from .legality import EdgeClassification
 
 
@@ -86,56 +86,59 @@ class MirrorMatching:
 
 def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGraph:
     """Construct the mirror graph with its forbidden set from a classification."""
-    m, n = inst.m, inst.n
+    m, n, na = inst.m, inst.n, inst.num_agents
+    lay = inst.layout
+    starts, incoming = lay.starts, lay.incoming
+    agent_of, job_of = lay.agent_of, [na + j for j in lay.job_of]
+    # Upper copies (4k, 4k + 1) join a's left copy to b's right copy, lower
+    # copies (4k + 2, 4k + 3) b's left copy to a's right copy; the first of
+    # each pair carries the plus tag at its left end.
     edge_left = [0] * (4 * m) + list(range(n))
     edge_right = [0] * (4 * m) + list(range(n))
-    for k, (a, b) in enumerate(inst.edges):
-        # Upper copies join a's left copy to b's right copy, lower copies
-        # b's left copy to a's right copy; the first of each pair carries
-        # the plus tag at its left end.
-        edge_left[4 * k:4 * k + 4] = (a, a, b, b)
-        edge_right[4 * k:4 * k + 4] = (b, b, a, a)
+    for t in (0, 1):
+        edge_left[t:4 * m:4] = edge_right[t + 2:4 * m:4] = agent_of
+        edge_left[t + 2:4 * m:4] = edge_right[t:4 * m:4] = job_of
     left_tag = [1, -1, 1, -1] * m + [-1] * n
     right_tag = [-1, 1, -1, 1] * m + [1] * n
     g_edge = [k for k in range(m) for _ in range(4)] + [-1] * n
 
-    starts = edge_starts(inst)
-    pref, rank_tbl = inst.pref, inst.rank_tbl
-    lrank = [0] * (4 * m + n)
-    rrank = [0] * (4 * m + n)
-    left_lists = []
-    for u in range(n):
-        # ks[i] indexes the genuine edge between u and its i-th choice; the
-        # offsets pick the signed copy carrying the named tag at u's left
-        # copy (l_*) or right copy (r_*).
-        if inst.is_agent(u):
-            ks = range(starts[u], starts[u] + len(pref[u]))
-            l_plus, l_minus, r_minus, r_plus = 0, 1, 3, 2
-        else:
-            ks = [starts[v] + rank_tbl[v][u] for v in pref[u]]
-            l_plus, l_minus, r_minus, r_plus = 2, 3, 1, 0
-        twin = 4 * m + u
-        # Left copy: minus-tagged partners first, then plus-tagged partners,
-        # twin last.  A proposal toward v's minus slot runs along u's plus tag.
-        row = [4 * k + l_plus for k in ks] + [4 * k + l_minus for k in ks]
-        row.append(twin)
-        for pos, e in enumerate(row):
-            lrank[e] = pos
-        left_lists.append(tuple(row))
-        # Right copy: minus-tagged partners, twin, plus-tagged partners.
-        order = [4 * k + r_minus for k in ks]
-        order.append(twin)
-        order += [4 * k + r_plus for k in ks]
-        for pos, e in enumerate(order):
-            rrank[e] = pos
+    # A copy with d neighbors ranks its edges in three blocks.  Its left
+    # list holds the minus-tagged partners (reached along its own plus
+    # tag), the plus-tagged partners, then the twin; its right order holds
+    # the minus-tagged partners, the twin, then the plus-tagged partners.
+    # So an edge at position r of u's list sits at r or d + r on the left
+    # and at r or d + 1 + r on the right, and the twin at 2d and d.
+    degree = [starts[a + 1] - starts[a] for a in range(na)]
+    degree += [len(row) for row in incoming]
+    a_deg = [degree[a] for a in agent_of]
+    b_deg = [degree[b] for b in job_of]
+    lrank = [0] * (4 * m) + [2 * d for d in degree]
+    rrank = [0] * (4 * m) + degree
+    lrank[0:4 * m:4] = lay.agent_rank
+    lrank[1:4 * m:4] = [d + r for d, r in zip(a_deg, lay.agent_rank)]
+    lrank[2:4 * m:4] = lay.job_rank
+    lrank[3:4 * m:4] = [d + r for d, r in zip(b_deg, lay.job_rank)]
+    rrank[0:4 * m:4] = [d + 1 + r for d, r in zip(b_deg, lay.job_rank)]
+    rrank[1:4 * m:4] = lay.job_rank
+    rrank[2:4 * m:4] = [d + 1 + r for d, r in zip(a_deg, lay.agent_rank)]
+    rrank[3:4 * m:4] = lay.agent_rank
+    left_lists = [
+        (*range(4 * s, 4 * e, 4), *range(4 * s + 1, 4 * e, 4), 4 * m + a)
+        for a, (s, e) in enumerate(zip(starts, starts[1:]))
+    ]
+    left_lists += [
+        (*[4 * k + 2 for k in row], *[4 * k + 3 for k in row], 4 * m + na + j)
+        for j, row in enumerate(incoming)
+    ]
 
-    forbidden = set()
-    for k, (a, b) in enumerate(inst.edges):
-        if (a, b) not in classification.legal:
-            forbidden.update((4 * k, 4 * k + 1, 4 * k + 2, 4 * k + 3))
-    for u in range(n):
-        if (u, u) not in classification.legal:
-            forbidden.add(4 * m + u)
+    # Keep flags per genuine edge k and, at m + u, per self-loop of u.
+    keep = [False] * (m + n)
+    for a, b in classification.legal:
+        keep[m + a if a == b else starts[a] + inst.rank_tbl[a][b]] = True
+    forbidden = [
+        e for k in range(m) if not keep[k] for e in range(4 * k, 4 * k + 4)
+    ]
+    forbidden += [4 * m + u for u in range(n) if not keep[m + u]]
 
     return MirrorGraph(
         inst=inst,
@@ -156,10 +159,10 @@ def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
     return ProposalSystem(
         num_left=mirror.inst.n,
         num_right=mirror.inst.n,
-        left_lists=list(mirror.left_lists),
-        edge_left=list(mirror.edge_left),
-        edge_right=list(mirror.edge_right),
-        right_rank=list(mirror.rrank),
+        left_lists=mirror.left_lists,
+        edge_left=mirror.edge_left,
+        edge_right=mirror.edge_right,
+        right_rank=mirror.rrank,
         forbidden=mirror.forbidden,
     )
 
@@ -176,7 +179,7 @@ def embed_stable(mirror: MirrorGraph, stable: Matching) -> MirrorMatching:
         raise ValueError("matching is not stable")
     left = [-1] * inst.n
     right = [-1] * inst.n
-    starts = edge_starts(inst)
+    starts = inst.layout.starts
     for a, b in stable.pairs(inst):
         k = starts[a] + inst.rank_tbl[a][b]
         left[a] = 4 * k + 1
@@ -202,7 +205,7 @@ def realize_witnessed(
     inst = mirror.inst
     left = [-1] * inst.n
     right = [-1] * inst.n
-    starts = edge_starts(inst)
+    starts = inst.layout.starts
     for a, b in mat.pairs(inst):
         if alpha[a] + alpha[b] != 0:
             raise ValueError(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import stable_vertices
 from .instance import Instance, Matching
 from .popularity import edge_weight
 
@@ -83,7 +82,8 @@ def ground_truth(
     Popularity and agent-side popularity come straight from the vote counts;
     the fully popular set is their intersection.  The popular edge union is
     cross-checked against the rule that a self-loop is popular exactly when
-    its vertex is unstable, an independently computed fact.
+    its vertex is unstable, with the stable vertices read off the same
+    enumeration: those matched in some matching without a blocking edge.
     """
     mats = list(enumerate_matchings(inst, cap))
     k = len(mats)
@@ -122,8 +122,18 @@ def ground_truth(
     pop_loops = frozenset(
         u for m in popular for u in range(n) if m.is_self(u)
     )
-    stable = stable_vertices(inst)
-    rule_loops = frozenset(u for u in range(n) if u not in stable)
+    # Edge (a, b) blocks matching i when a and b both rank each other above
+    # their partners there.
+    blocked = np.zeros(k, dtype=bool)
+    for a, b in inst.edges:
+        blocked |= (inst.rank_of(a, b) < ranks[:, a]) & (
+            inst.rank_of(b, a) < ranks[:, b]
+        )
+    alone_rank = np.array([len(inst.pref[u]) for u in range(n)])
+    matched_when_stable = (ranks[~blocked] < alone_rank).any(axis=0)
+    rule_loops = frozenset(
+        u for u in range(n) if not matched_when_stable[u]
+    )
     if pop_loops != rule_loops:
         raise AssertionError(
             "self-loop popularity disagrees with the unstable-vertex rule"

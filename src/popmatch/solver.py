@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import ProposalSystem
-from .instance import Instance, Matching, Posts, compute_posts, edge_starts
+from .instance import Instance, Matching, Posts, compute_posts
 from .legality import EdgeClassification, legal_edge_set
 from .mirror import (
     MirrorGraph,
@@ -58,7 +58,6 @@ class SolverState:
     classification: EdgeClassification
     mirror: MirrorGraph
     system: ProposalSystem
-    edge_starts: list[int] = field(default_factory=list)
     marks: list[bool] = field(default_factory=list)
     candidates: list[int] = field(default_factory=list)
     in_list: list[bool] = field(default_factory=list)
@@ -145,13 +144,11 @@ def find_unmarked(state: SolverState) -> int | None:
 
 def _agent_plus_edges(state: SolverState, agents) -> list[int]:
     """All not-yet-forbidden plus-tagged edges at the given agents' copies."""
-    inst = state.inst
-    starts = state.edge_starts
+    starts = state.inst.layout.starts
     forbidden = state.system.forbidden
     out = []
     for a in agents:
-        start = starts[a]
-        for k in range(start, start + len(inst.pref[a])):
+        for k in range(starts[a], starts[a + 1]):
             for e in (4 * k, 4 * k + 2):
                 if not forbidden[e]:
                     out.append(e)
@@ -219,7 +216,6 @@ def solve(
         classification=classification,
         mirror=mirror,
         system=system,
-        edge_starts=edge_starts(inst),
         marks=[False] * inst.n,
         in_list=[False] * inst.n,
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from popmatch import Matching, parse_instance
+from popmatch import Instance, Matching, parse_instance
 from popmatch.generator import generate
 
 SIZE_GAP_TEXT = """\
@@ -139,3 +139,49 @@ def ring_instance(n: int):
     lines += [f"a{i} > b{i} b{(i + 1) % n}" for i in range(n)]
     lines += [f"b{j} > a{(j - 1) % n} a{j}" for j in range(n)]
     return parse_instance("\n".join(lines) + "\n")
+
+
+def two_level_reference(inst):
+    """The two-level instance materialized, as a reference for dominant pairs.
+
+    Agent a becomes a high copy (id a) and a low copy (id num_agents + a).
+    The high copy ranks a private last-resort job first and a's jobs after;
+    the low copy ranks a's jobs first and the last resort last.  Jobs rank
+    all high copies above all low copies, preserving a's order inside each
+    level, and each last-resort job accepts only its own two copies, low
+    copy first.  Its stable pairs on genuine jobs, projected back to the
+    agents, are the dominant pairs.
+
+    Job b keeps its name and becomes id num_agents + b; a's last resort is
+    id n + num_agents + a.  Returns the instance and the number of original
+    agents (which is also the id offset of the low copies).
+    """
+    na, names = inst.num_agents, inst.names
+    agents = inst.agent_ids()
+    rest = inst.n + na
+    jobs_of = [tuple(b + na for b in inst.pref[a]) for a in agents]
+    pref = (
+        [(rest + a,) + jobs_of[a] for a in agents]
+        + [jobs_of[a] + (rest + a,) for a in agents]
+        + [
+            inst.pref[b] + tuple(na + a for a in inst.pref[b])
+            for b in inst.job_ids()
+        ]
+        + [(na + a, a) for a in agents]
+    )
+    aux_names = (
+        tuple(f"{names[a]}^hi" for a in agents)
+        + tuple(f"{names[a]}^lo" for a in agents)
+        + names[na:]
+        + tuple(f"{names[a]}^rest" for a in agents)
+    )
+    rank_tbl = tuple({v: i for i, v in enumerate(row)} for row in pref)
+    edges = tuple((a, b) for a in range(2 * na) for b in pref[a])
+    return Instance(aux_names, 2 * na, tuple(pref), rank_tbl, edges), na
+
+
+def project_two_level(inst, aux_pairs, na):
+    """Genuine-job pairs of the two-level instance, taken back to ``inst``."""
+    return frozenset(
+        (ax % na, bx - na) for ax, bx in aux_pairs if bx < inst.n + na
+    )

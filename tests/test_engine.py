@@ -39,7 +39,7 @@ class TestProposeDispose:
         system = build_system(size_gap)
         system.forbid([system.left_lists[a1][size_gap.rank_of(a1, b1)]])
         assert not system.run()
-        # Every agent has its sink, so b1 starving is what the run blames.
+        # Every agent may stay alone, so b1 starving is what the run blames.
         assert system.exhausted_left is None
         assert system.offender() == b1 - size_gap.num_agents
         # No matching is free of blocking edges while avoiding (a1, b1).
@@ -84,8 +84,8 @@ class TestResume:
         assert system.left_match == first
 
     def test_exhausting_a_left_vertex_without_sink(self, size_gap):
-        # Mirror systems have no private sinks; forbidding one left copy's
-        # whole list leaves it nowhere to go.
+        # A mirror system's left copies may not stay alone; forbidding one
+        # left copy's whole list leaves it nowhere to go.
         classification = legal_edge_set(size_gap)
         mirror = build_mirror(size_gap, classification)
         system = mirror_system(mirror)

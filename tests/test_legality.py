@@ -9,10 +9,18 @@ from popmatch import (
     popular_edges,
     valid_edges,
 )
-from popmatch.legality import dominant_pairs, stable_pairs, two_level_instance
+from popmatch.engine import build_system
+from popmatch.generator import generate
+from popmatch.legality import dominant_pairs, stable_pairs, two_level_systems
 from popmatch.oracle import enumerate_matchings, ground_truth
 
-from conftest import ids, random_instance
+from conftest import (
+    ids,
+    project_two_level,
+    random_instance,
+    ring_instance,
+    two_level_reference,
+)
 
 
 def keyset(inst, classification_set):
@@ -95,7 +103,7 @@ class TestPairFamilies:
             assert stable_pairs(inst) <= popular_edges(inst)
 
     def test_two_level_instance_shape(self, size_gap):
-        aux, na = two_level_instance(size_gap)
+        aux, na = two_level_reference(size_gap)
         assert na == size_gap.num_agents
         assert aux.num_agents == 2 * na
         assert aux.m == 2 * size_gap.m + 2 * na
@@ -129,7 +137,7 @@ class TestPairFamilies:
                 + [f"{name[a]}^rest" for a in agents],
                 pref,
             )
-            aux, na = two_level_instance(inst)
+            aux, na = two_level_reference(inst)
             assert na == inst.num_agents
             assert aux.names == want.names
             assert aux.num_agents == want.num_agents
@@ -142,18 +150,52 @@ class TestPairFamilies:
         # found by enumeration, projected back onto genuine edges.
         for seed in range(300):
             inst = random_instance(seed, max_side=3)
-            aux, na = two_level_instance(inst)
+            aux, na = two_level_reference(inst)
             assert aux.n <= 16
             truth = set()
             for mat in enumerate_matchings(aux):
-                if blocking_edges(aux, mat):
-                    continue
-                for ax, bx in mat.pairs(aux):
-                    if bx < inst.n + na:
-                        truth.add((ax % na, bx - na))
+                if not blocking_edges(aux, mat):
+                    truth |= project_two_level(inst, mat.pairs(aux), na)
             dominant = dominant_pairs(inst)
             for edge in inst.edges:
                 assert (edge in dominant) == (edge in truth), (seed, edge)
+
+    def test_two_level_systems_equal_reference_systems(self, showcase):
+        # The virtual systems run on G's edge layout; the reference systems
+        # run on the materialized instance.  Edge ids differ, but every left
+        # vertex must see the same right vertices at the same ranks.
+        for inst in [showcase] + [random_instance(seed) for seed in range(60)]:
+            aux, _ = two_level_reference(inst)
+            for virtual, proposers in zip(
+                two_level_systems(inst), ("agents", "jobs")
+            ):
+                ref = build_system(aux, proposers)
+                assert virtual.num_left == ref.num_left
+                assert virtual.num_right == ref.num_right
+                for u in range(ref.num_left):
+                    assert [
+                        (virtual.edge_right[e], virtual.right_rank[e])
+                        for e in virtual.left_lists[u]
+                    ] == [
+                        (ref.edge_right[e], ref.right_rank[e])
+                        for e in ref.left_lists[u]
+                    ]
+
+    def test_dominant_pairs_beyond_enumeration(self):
+        # The virtual walk against the stable pairs of the materialized
+        # two-level instance, on instances far past the oracle's reach.
+        insts = [random_instance(seed, max_side=8) for seed in range(300)]
+        insts.append(ring_instance(50))
+        # 50 to 399 vertices, two to four neighbors per agent on average.
+        for seed, side in enumerate(range(25, 201, 25)):
+            for degree in (2.0, 4.0):
+                insts.append(parse_instance(generate(
+                    side, side - seed % 3, degree / side, seed=seed
+                )))
+        for inst in insts:
+            aux, na = two_level_reference(inst)
+            want = project_two_level(inst, stable_pairs(aux), na)
+            assert dominant_pairs(inst) == want, inst.names
 
     def test_dominant_pairs_cover_max_size_popular(self, size_gap):
         a0, a1, b0, b1 = ids(size_gap, "a0", "a1", "b0", "b1")

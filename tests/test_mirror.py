@@ -94,6 +94,14 @@ class TestBuild:
         assert [mirror.left_tag[e] for e in incident] == [-1, -1, -1, 1, 1]
         assert mirror.is_twin(incident[2])
 
+    def test_left_ranks_are_list_positions(self, showcase):
+        # Blocking-edge checks read lrank, which no dump prints.
+        for inst in [showcase] + [random_instance(seed) for seed in range(60)]:
+            mirror = make_mirror(inst)
+            for u, row in enumerate(mirror.left_lists):
+                assert [mirror.lrank[e] for e in row] == list(range(len(row)))
+                assert all(mirror.edge_left[e] == u for e in row)
+
     def test_dump_lists_every_copy(self, size_gap):
         text = format_mirror(make_mirror(size_gap))
         for name in size_gap.names:

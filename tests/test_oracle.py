@@ -8,6 +8,7 @@ from popmatch import (
     check_witness,
     parse_instance,
     stable_matching,
+    stable_vertices,
 )
 from popmatch.legality import legal_edge_set
 from popmatch.mirror import build_mirror, mirror_system
@@ -110,6 +111,15 @@ class TestGroundTruth:
             for mat in enumerate_matchings(inst):
                 if not blocking_edges(inst, mat):
                     assert mat.partner in popular
+
+    def test_popular_loops_are_engine_unstable_vertices(self):
+        # The oracle derives stable vertices from its own enumeration, so
+        # this checks the engine against it.
+        for seed in range(200):
+            inst = random_instance(seed)
+            report = ground_truth(inst)
+            unstable = frozenset(range(inst.n)) - stable_vertices(inst)
+            assert report.popular_loops == unstable, seed
 
 
 class TestWitnessSearch:

@@ -8,8 +8,16 @@ as a perfect matching once each uncovered vertex is paired with itself.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from typing import NoReturn
+
+import numpy as np
+
+
+_HEADERS = ("agents:", "jobs:")
 
 
 class InstanceError(ValueError):
@@ -27,15 +35,15 @@ class Instance:
     one worse than every genuine neighbor.
 
     Instances are immutable after construction and safe to share across
-    threads; all operations on them are pure.  ``layout`` is computed on
-    first use and then kept.
+    threads; all operations on them are pure.  ``layout`` is built with the
+    instance; ``rank_tbl`` and ``edges`` are derived on first use and then
+    kept.
     """
 
     names: tuple[str, ...]
     num_agents: int
     pref: tuple[tuple[int, ...], ...]
-    rank_tbl: tuple[dict[int, int], ...]
-    edges: tuple[tuple[int, int], ...]
+    layout: EdgeLayout
 
     @property
     def n(self) -> int:
@@ -43,11 +51,21 @@ class Instance:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.layout.agent_of)
 
     @property
     def num_jobs(self) -> int:
         return self.n - self.num_agents
+
+    @cached_property
+    def rank_tbl(self) -> tuple[dict[int, int], ...]:
+        return tuple(dict(zip(row, range(len(row)))) for row in self.pref)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge as ``(agent, job)``; edge k is ``edges[k]``."""
+        lay, na = self.layout, self.num_agents
+        return tuple(zip(lay.agent_of, [na + j for j in lay.job_of]))
 
     def is_agent(self, u: int) -> bool:
         return u < self.num_agents
@@ -76,104 +94,60 @@ class Instance:
     def has_edge(self, a: int, b: int) -> bool:
         return b in self.rank_tbl[a]
 
-    @cached_property
-    def layout(self) -> EdgeLayout:
-        """Flat per-edge arrays of the instance, built once in O(m)."""
-        na, pref, rank_tbl = self.num_agents, self.pref, self.rank_tbl
-        starts = [0]
-        agent_of: list[int] = []
-        job_of: list[int] = []
-        agent_rank: list[int] = []
-        for a in range(na):
-            row = pref[a]
-            agent_of += [a] * len(row)
-            job_of += [b - na for b in row]
-            agent_rank += range(len(row))
-            starts.append(len(agent_of))
-        incoming = tuple(
-            tuple([starts[a] + rank_tbl[a][b] for a in pref[b]])
-            for b in range(na, self.n)
-        )
-        job_rank = [0] * len(agent_of)
-        for row in incoming:
-            for r, k in enumerate(row):
-                job_rank[k] = r
-        return EdgeLayout(
-            tuple(starts),
-            tuple(agent_of),
-            tuple(job_of),
-            tuple(agent_rank),
-            tuple(job_rank),
-            incoming,
-        )
-
     @staticmethod
     def build(
         agent_names: list[str],
         job_names: list[str],
         pref_by_name: dict[str, list[str]],
     ) -> "Instance":
-        """Intern names to ids and validate every structural invariant."""
+        """Intern names to ids, validate every structural invariant, lay out edges.
+
+        Lists under undeclared names are ignored.  All list entries map to
+        ids in one pass and the rules are checked on flat arrays; only when
+        a rule fails does a name-by-name scan look for the message.
+        """
         names = list(agent_names) + list(job_names)
-        if len(set(names)) != len(names):
-            dup = next(x for x in names if names.count(x) > 1)
+        n, na = len(names), len(agent_names)
+        idx = dict(zip(names, range(n)))
+        if len(idx) != n:
+            counts = Counter(names)
+            dup = next(x for x in names if counts[x] > 1)
             raise InstanceError(f"duplicate vertex name {dup!r}")
-        idx = {name: i for i, name in enumerate(names)}
-        num_agents = len(agent_names)
-
-        pref: list[tuple[int, ...]] = []
-        for u, name in enumerate(names):
-            row = pref_by_name.get(name, [])
-            ids: dict[int, None] = {}
-            for v_name in row:
-                if v_name not in idx:
-                    raise InstanceError(
-                        f"{name!r} lists unknown vertex {v_name!r}"
-                    )
-                v = idx[v_name]
-                if (v < num_agents) == (u < num_agents):
-                    raise InstanceError(
-                        f"{name!r} lists same-side vertex {v_name!r}"
-                    )
-                if v in ids:
-                    raise InstanceError(
-                        f"{name!r} lists {v_name!r} more than once"
-                    )
-                ids[v] = None
-            pref.append(tuple(ids))
-
-        for a in range(num_agents):
-            if not pref[a]:
-                raise InstanceError(
-                    f"agent {names[a]!r} has an empty preference list"
-                )
-
-        rank_tbl = tuple({v: i for i, v in enumerate(row)} for row in pref)
-        for u in range(len(names)):
-            for v in pref[u]:
-                if u not in rank_tbl[v]:
-                    raise InstanceError(
-                        f"adjacency is not mutual: {names[u]!r} lists "
-                        f"{names[v]!r} but not conversely"
-                    )
-
-        edges = tuple(
-            (a, b) for a in range(num_agents) for b in pref[a]
+        get = idx.get
+        owner = list(map(get, pref_by_name, repeat(-1)))
+        rows = list(pref_by_name.values())
+        if -1 in owner:
+            rows = [row for u, row in zip(owner, rows) if u >= 0]
+            owner = [u for u in owner if u >= 0]
+        lens = list(map(len, rows))
+        src = np.repeat(np.array(owner, np.intp), lens)
+        dst = np.fromiter(
+            map(get, chain.from_iterable(rows), repeat(-1)), np.intp, len(src)
         )
-        return Instance(tuple(names), num_agents, tuple(pref), rank_tbl, edges)
+        order = np.argsort(src, kind="stable")
+        src, dst = src[order], dst[order]
+        deg = np.bincount(src, minlength=n)
+        layout = _bulk_layout(src, dst, deg, na)
+        if layout is None:
+            _raise_list_error(names, na, pref_by_name)
+        bounds = [0, *np.cumsum(deg).tolist()]
+        pref = _split(tuple(dst.tolist()), bounds)
+        return Instance(tuple(names), na, pref, layout)
 
 
 @dataclass(frozen=True)
 class EdgeLayout:
     """An instance's edges as parallel lists indexed by edge id.
 
-    Edge k is ``inst.edges[k]``: agent a's edges run from ``starts[a]`` to
-    ``starts[a + 1] - 1`` in a's preference order, so edge (a, b) has id
-    ``starts[a] + rank_tbl[a][b]``.  Jobs are numbered by index, job j being
-    vertex ``num_agents + j``.  ``agent_of[k]`` and ``job_of[k]`` are the
-    endpoints of edge k; ``agent_rank[k]`` is the job's position in the
-    agent's list and ``job_rank[k]`` the agent's position in the job's list.
-    ``incoming[j]`` lists job j's edge ids in the job's preference order.
+    Built with the instance, from the same flat arrays that validate its
+    lists.  Edge k is ``inst.edges[k]``: agent a's edges run from
+    ``starts[a]`` to ``starts[a + 1] - 1`` in a's preference order, so edge
+    (a, b) has id ``starts[a] + rank_tbl[a][b]``.  Jobs are numbered by
+    index, job j being vertex ``num_agents + j``.  ``agent_of[k]`` and
+    ``job_of[k]`` are the endpoints of edge k; ``agent_rank[k]`` is the
+    job's position in the agent's list and ``job_rank[k]`` the agent's
+    position in the job's list.  ``incoming[j]`` lists job j's edge ids in
+    the job's preference order.
     """
 
     starts: tuple[int, ...]
@@ -182,6 +156,96 @@ class EdgeLayout:
     agent_rank: tuple[int, ...]
     job_rank: tuple[int, ...]
     incoming: tuple[tuple[int, ...], ...]
+
+
+def _bulk_layout(src, dst, deg, na: int) -> EdgeLayout | None:
+    """The edge layout of valid lists, or ``None`` if any rule fails.
+
+    ``src[i]`` lists ``dst[i]``, grouped by ``src`` in id order with each
+    list in preference order; ``dst`` is -1 for an undeclared name, and
+    ``deg`` counts the entries per vertex.  Past the two checks for
+    undeclared names and empty agent lists, one test covers the rest: the
+    ``(agent, job)`` keys of the agents' lists, sorted, equal those of the
+    jobs' lists with no key twice.  That makes adjacency mutual and rules
+    out repeated entries.  It also rules out same-side entries: agent a
+    listing c gives the key (a, c), and every job-side key ends in a job,
+    so no key matches it when c is an agent; likewise for a job listing a
+    job, since every agent-side key starts with an agent.  The two
+    argsorts pair each job-side entry with its edge id.
+    """
+    n = len(deg)
+    m = int(deg[:na].sum())
+    if (dst < 0).any() or (deg[:na] == 0).any():
+        return None
+    key_a = src[:m] * n + dst[:m]
+    key_j = dst[m:] * n + src[m:]
+    by_a, by_j = np.argsort(key_a), np.argsort(key_j)
+    sorted_a = key_a[by_a]
+    if not np.array_equal(sorted_a, key_j[by_j]) or (
+        sorted_a[1:] == sorted_a[:-1]
+    ).any():
+        return None
+    starts = np.zeros(na + 1, np.intp)
+    np.cumsum(deg[:na], out=starts[1:])
+    job_starts = np.zeros(n - na + 1, np.intp)
+    np.cumsum(deg[na:], out=job_starts[1:])
+    edge_at = np.empty(m, np.intp)  # edge id of each job-side entry
+    edge_at[by_j] = by_a
+    job_rank = np.empty(m, np.intp)
+    job_rank[edge_at] = np.arange(m) - np.repeat(job_starts[:-1], deg[na:])
+    agent_rank = np.arange(m) - np.repeat(starts[:-1], deg[:na])
+    return EdgeLayout(
+        tuple(starts.tolist()),
+        tuple(src[:m].tolist()),
+        tuple((dst[:m] - na).tolist()),
+        tuple(agent_rank.tolist()),
+        tuple(job_rank.tolist()),
+        _split(tuple(edge_at.tolist()), job_starts.tolist()),
+    )
+
+
+def _split(flat: tuple[int, ...], bounds: list[int]) -> tuple[tuple[int, ...], ...]:
+    """``flat`` cut into the runs between consecutive ``bounds``."""
+    return tuple([flat[s:e] for s, e in zip(bounds, bounds[1:])])
+
+
+def _raise_list_error(
+    names: list[str], num_agents: int, pref_by_name: dict[str, list[str]]
+) -> NoReturn:
+    """Raise the first broken list rule, scanning name by name.
+
+    Vertices go in id order and each list in its own order: an unknown,
+    same-side or repeated entry first, then an agent with an empty list,
+    then the first entry that is not listed back.
+    """
+    idx = {name: i for i, name in enumerate(names)}
+    pref: list[tuple[int, ...]] = []
+    for u, name in enumerate(names):
+        ids: dict[int, None] = {}
+        for v_name in pref_by_name.get(name, []):
+            if v_name not in idx:
+                raise InstanceError(f"{name!r} lists unknown vertex {v_name!r}")
+            v = idx[v_name]
+            if (v < num_agents) == (u < num_agents):
+                raise InstanceError(
+                    f"{name!r} lists same-side vertex {v_name!r}"
+                )
+            if v in ids:
+                raise InstanceError(f"{name!r} lists {v_name!r} more than once")
+            ids[v] = None
+        pref.append(tuple(ids))
+    for a in range(num_agents):
+        if not pref[a]:
+            raise InstanceError(f"agent {names[a]!r} has an empty preference list")
+    listed = [set(row) for row in pref]
+    for u, row in enumerate(pref):
+        for v in row:
+            if u not in listed[v]:
+                raise InstanceError(
+                    f"adjacency is not mutual: {names[u]!r} lists "
+                    f"{names[v]!r} but not conversely"
+                )
+    raise AssertionError("bulk validation rejected lists that pass every rule")
 
 
 @dataclass(frozen=True)
@@ -262,6 +326,19 @@ def parse_instance(text: str) -> Instance:
     pref_by_name: dict[str, list[str]] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        # The common line, ``name > ...``, first; any other line, and any
+        # error, goes through the full sequence of tests below.
+        head, sep, tail = raw.partition(">")
+        name = head.strip()
+        if (
+            sep
+            and name
+            and name not in pref_by_name
+            and name[0] != "#"
+            and not name.startswith(_HEADERS)
+        ):
+            pref_by_name[name] = tail.split()
+            continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -277,20 +354,16 @@ def parse_instance(text: str) -> Instance:
             continue
         if ">" not in line:
             raise InstanceError(f"line {line_no}: expected 'name > neighbors...'")
-        head, _, tail = line.partition(">")
-        name = head.strip()
         if not name:
             raise InstanceError(f"line {line_no}: missing vertex name")
-        if name in pref_by_name:
-            raise InstanceError(f"line {line_no}: repeated list for {name!r}")
-        pref_by_name[name] = tail.split()
+        raise InstanceError(f"line {line_no}: repeated list for {name!r}")
 
     if agent_names is None or job_names is None:
         raise InstanceError("missing 'agents:' or 'jobs:' line")
-    known = set(agent_names) | set(job_names)
-    for name in pref_by_name:
-        if name not in known:
-            raise InstanceError(f"preference line for undeclared vertex {name!r}")
+    known = set(agent_names).union(job_names)
+    if not known.issuperset(pref_by_name):
+        name = next(name for name in pref_by_name if name not in known)
+        raise InstanceError(f"preference line for undeclared vertex {name!r}")
     return Instance.build(agent_names, job_names, pref_by_name)
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import pytest
 
-from popmatch import Instance, Matching, parse_instance
+from popmatch import Instance, InstanceError, Matching, parse_instance
+from popmatch.instance import EdgeLayout
 from popmatch.generator import generate
 
 SIZE_GAP_TEXT = """\
@@ -59,6 +60,79 @@ qp > a p pp xp
 y > x xp
 yp > x
 """
+
+
+# Every InstanceError of ``parse_instance``, with its full message.  The
+# first thirteen rows give each message once.  The rows after them pin
+# inputs that bulk validation could miss, and inputs with two errors,
+# whose message names the one reported first.
+PARSE_ERRORS = [
+    ("agents: a\njobs: b\nagents: c\n", "line 3: repeated agents line"),
+    ("agents: a\njobs: b\n\njobs: c\n", "line 4: repeated jobs line"),
+    (
+        "agents: a\njobs: b\na b\n",
+        "line 3: expected 'name > neighbors...'",
+    ),
+    ("agents: a\njobs: b\n# note\n  > b\n", "line 4: missing vertex name"),
+    (
+        "agents: a\njobs: b\na > b\nb > a\na > b\n",
+        "line 5: repeated list for 'a'",
+    ),
+    ("agents: a\na > b\nb > a\n", "missing 'agents:' or 'jobs:' line"),
+    (
+        "agents: a\njobs: b\na > b\nz > a\nb > a\n",
+        "preference line for undeclared vertex 'z'",
+    ),
+    ("agents: a b a\njobs: b\na > b\nb > a\n", "duplicate vertex name 'a'"),
+    ("agents: a\njobs: b\na > b z\nb > a\n", "'a' lists unknown vertex 'z'"),
+    (
+        "agents: a c\njobs: b\na > b c\nb > a\nc > b\n",
+        "'a' lists same-side vertex 'c'",
+    ),
+    ("agents: a\njobs: b\na > b b\nb > a\n", "'a' lists 'b' more than once"),
+    ("agents: a\njobs: b\nb >\n", "agent 'a' has an empty preference list"),
+    (
+        "agents: a\njobs: b c\na > b c\nb > a\nc >\n",
+        "adjacency is not mutual: 'a' lists 'c' but not conversely",
+    ),
+    # An undeclared name in y's list, whose flat key y*n - 1 equals that
+    # of the edge (x, c), which only c lists: the keys of both sides agree.
+    (
+        "agents: x y\njobs: b c\nx > b\ny > b zz\nb > x y\nc > x\n",
+        "'y' lists unknown vertex 'zz'",
+    ),
+    # A pair listed twice on both sides: the keys of both sides agree.
+    (
+        "agents: a\njobs: b\na > b b\nb > a a\n",
+        "'a' lists 'b' more than once",
+    ),
+    # A header is a header even with a '>' in it.
+    (
+        "agents: a >\njobs: b\na > b\nb > a\n",
+        "agent '>' has an empty preference list",
+    ),
+    # A bad list line, then a malformed line: lines are read first.
+    (
+        "agents: a\njobs: b\na > b z\nb > a\nnonsense\n",
+        "line 5: expected 'name > neighbors...'",
+    ),
+    # A repeated name in the headers, then an undeclared list.
+    (
+        "agents: a a\njobs: b\nz > b\n",
+        "preference line for undeclared vertex 'z'",
+    ),
+    # An empty agent list, then a later vertex listing an unknown name:
+    # every list is checked before any agent's list is found empty.
+    (
+        "agents: a c\njobs: b\nc > b\nb > c z\n",
+        "'b' lists unknown vertex 'z'",
+    ),
+    # A one-way edge, then a later repeated entry: entries come first.
+    (
+        "agents: a c\njobs: b d\na > b d\nc > b\nb > a c\nd > c c\n",
+        "'d' lists 'c' more than once",
+    ),
+]
 
 
 @pytest.fixture(scope="session")
@@ -130,7 +204,7 @@ def random_instance(seed: int, max_side: int = 4):
     return parse_instance(generate(na, nb, density, seed))
 
 
-def ring_instance(n: int):
+def ring_text(n: int) -> str:
     """Rotation chain: agent ai lists bi, b(i+1); job bj lists a(j-1), aj."""
     lines = [
         "agents: " + " ".join(f"a{i}" for i in range(n)),
@@ -138,7 +212,40 @@ def ring_instance(n: int):
     ]
     lines += [f"a{i} > b{i} b{(i + 1) % n}" for i in range(n)]
     lines += [f"b{j} > a{(j - 1) % n} a{j}" for j in range(n)]
-    return parse_instance("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def ring_instance(n: int):
+    return parse_instance(ring_text(n))
+
+
+BLOCK = [
+    ("a0", ["b0", "b1"]),
+    ("a1", ["b1", "b2"]),
+    ("a2", ["b0", "b1"]),
+    ("b0", ["a2", "a0"]),
+    ("b1", ["a2", "a1", "a0"]),
+    ("b2", ["a1"]),
+]
+
+
+def composed_text(blocks: int) -> str:
+    """Disjoint copies of a 6-vertex block; block i's names end in ``_i``."""
+    agents, jobs, lines = [], [], []
+    for i in range(blocks):
+        for name, row in BLOCK:
+            tag = f"{name}_{i}"
+            (agents if name.startswith("a") else jobs).append(tag)
+            lines.append(f"{tag} > " + " ".join(f"{v}_{i}" for v in row))
+    return (
+        "agents: "
+        + " ".join(agents)
+        + "\njobs: "
+        + " ".join(jobs)
+        + "\n"
+        + "\n".join(lines)
+        + "\n"
+    )
 
 
 def two_level_reference(inst):
@@ -175,9 +282,12 @@ def two_level_reference(inst):
         + names[na:]
         + tuple(f"{names[a]}^rest" for a in agents)
     )
-    rank_tbl = tuple({v: i for i, v in enumerate(row)} for row in pref)
-    edges = tuple((a, b) for a in range(2 * na) for b in pref[a])
-    return Instance(aux_names, 2 * na, tuple(pref), rank_tbl, edges), na
+    aux = Instance.build(
+        list(aux_names[: 2 * na]),
+        list(aux_names[2 * na:]),
+        {aux_names[u]: [aux_names[v] for v in row] for u, row in enumerate(pref)},
+    )
+    return aux, na
 
 
 def project_two_level(inst, aux_pairs, na):
@@ -185,3 +295,106 @@ def project_two_level(inst, aux_pairs, na):
     return frozenset(
         (ax % na, bx - na) for ax, bx in aux_pairs if bx < inst.n + na
     )
+
+
+def layout_reference(inst) -> EdgeLayout:
+    """The edge layout built edge by edge from ``pref``, in O(m)."""
+    na, pref = inst.num_agents, inst.pref
+    rank_tbl = [{v: i for i, v in enumerate(row)} for row in pref]
+    starts = [0]
+    agent_of: list[int] = []
+    job_of: list[int] = []
+    agent_rank: list[int] = []
+    for a in range(na):
+        row = pref[a]
+        agent_of += [a] * len(row)
+        job_of += [b - na for b in row]
+        agent_rank += range(len(row))
+        starts.append(len(agent_of))
+    incoming = tuple(
+        tuple([starts[a] + rank_tbl[a][b] for a in pref[b]])
+        for b in range(na, inst.n)
+    )
+    job_rank = [0] * len(agent_of)
+    for row in incoming:
+        for r, k in enumerate(row):
+            job_rank[k] = r
+    return EdgeLayout(
+        tuple(starts),
+        tuple(agent_of),
+        tuple(job_of),
+        tuple(agent_rank),
+        tuple(job_rank),
+        incoming,
+    )
+
+
+def parse_reference(text: str):
+    """The per-name parser: returns ``(names, num_agents, pref)``.
+
+    Reads line by line, then checks each vertex's list name by name in id
+    order, raising :class:`InstanceError` at the first broken rule.  It is
+    the reference that bulk validation must agree with, message for message.
+    """
+    agent_names = job_names = None
+    pref_by_name: dict[str, list[str]] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("agents:"):
+            if agent_names is not None:
+                raise InstanceError(f"line {line_no}: repeated agents line")
+            agent_names = line[len("agents:"):].split()
+            continue
+        if line.startswith("jobs:"):
+            if job_names is not None:
+                raise InstanceError(f"line {line_no}: repeated jobs line")
+            job_names = line[len("jobs:"):].split()
+            continue
+        if ">" not in line:
+            raise InstanceError(f"line {line_no}: expected 'name > neighbors...'")
+        head, _, tail = line.partition(">")
+        name = head.strip()
+        if not name:
+            raise InstanceError(f"line {line_no}: missing vertex name")
+        if name in pref_by_name:
+            raise InstanceError(f"line {line_no}: repeated list for {name!r}")
+        pref_by_name[name] = tail.split()
+    if agent_names is None or job_names is None:
+        raise InstanceError("missing 'agents:' or 'jobs:' line")
+    known = set(agent_names) | set(job_names)
+    for name in pref_by_name:
+        if name not in known:
+            raise InstanceError(f"preference line for undeclared vertex {name!r}")
+
+    names = agent_names + job_names
+    if len(set(names)) != len(names):
+        dup = next(x for x in names if names.count(x) > 1)
+        raise InstanceError(f"duplicate vertex name {dup!r}")
+    idx = {name: i for i, name in enumerate(names)}
+    na = len(agent_names)
+    pref: list[tuple[int, ...]] = []
+    for u, name in enumerate(names):
+        ids: dict[int, None] = {}
+        for v_name in pref_by_name.get(name, []):
+            if v_name not in idx:
+                raise InstanceError(f"{name!r} lists unknown vertex {v_name!r}")
+            v = idx[v_name]
+            if (v < na) == (u < na):
+                raise InstanceError(f"{name!r} lists same-side vertex {v_name!r}")
+            if v in ids:
+                raise InstanceError(f"{name!r} lists {v_name!r} more than once")
+            ids[v] = None
+        pref.append(tuple(ids))
+    for a in range(na):
+        if not pref[a]:
+            raise InstanceError(f"agent {names[a]!r} has an empty preference list")
+    for u in range(len(names)):
+        for v in pref[u]:
+            if u not in pref[v]:
+                raise InstanceError(
+                    f"adjacency is not mutual: {names[u]!r} lists "
+                    f"{names[v]!r} but not conversely"
+                )
+    return tuple(names), na, tuple(pref)

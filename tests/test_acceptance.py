@@ -31,7 +31,13 @@ from popmatch.mirror import build_mirror
 from popmatch.oracle import enumerate_matchings, ground_truth, witness_search
 from popmatch.solver import SolverDefect
 
-from conftest import random_instance, ring_instance, showcase_full, size_gap_max
+from conftest import (
+    composed_text,
+    random_instance,
+    ring_text,
+    showcase_full,
+    size_gap_max,
+)
 
 SWEEP_SIZE = 1000
 
@@ -215,35 +221,7 @@ def test_criterion_6_structural_invariants(sweep):
     )
 
 
-BLOCK = [
-    ("a0", ["b0", "b1"]),
-    ("a1", ["b1", "b2"]),
-    ("a2", ["b0", "b1"]),
-    ("b0", ["a2", "a0"]),
-    ("b1", ["a2", "a1", "a0"]),
-    ("b2", ["a1"]),
-]
-
-
-def composed_instance(blocks: int):
-    agents, jobs, lines = [], [], []
-    for i in range(blocks):
-        for name, row in BLOCK:
-            tag = f"{name}_{i}"
-            (agents if name.startswith("a") else jobs).append(tag)
-            lines.append(f"{tag} > " + " ".join(f"{v}_{i}" for v in row))
-    return parse_instance(
-        "agents: "
-        + " ".join(agents)
-        + "\njobs: "
-        + " ".join(jobs)
-        + "\n"
-        + "\n".join(lines)
-        + "\n"
-    )
-
-
-def complete_instance(side: int, seed: int):
+def complete_text(side: int, seed: int) -> str:
     """Complete bipartite lists, each a seeded random permutation."""
     rng = random.Random(seed)
     agents = [f"a{i}" for i in range(side)]
@@ -251,19 +229,22 @@ def complete_instance(side: int, seed: int):
     lines = []
     for name, others in [(a, jobs) for a in agents] + [(b, agents) for b in jobs]:
         lines.append(f"{name} > " + " ".join(rng.sample(others, side)))
-    return parse_instance(
+    return (
         "agents: " + " ".join(agents) + "\njobs: " + " ".join(jobs) + "\n"
         + "\n".join(lines) + "\n"
     )
 
 
-def fastest_of_three(calls) -> list[float]:
+def fastest_of_three(calls, yardstick=None) -> list[float]:
     """CPU time of each call, fastest of three runs.
 
     Each run follows a collection and has GC off, as in ``timeit``.  The
     clock is the process's CPU time, which time the host spends on other
     work does not inflate.  The calls take turns, so a slow spell of the
-    host slows every size alike rather than one size alone.
+    host slows every size alike rather than one size alone.  With a
+    ``yardstick``, each time is divided by the mean CPU time of
+    ``yardstick()`` run just before and just after the call, which cancels
+    most of the host's speed swings within a run.
     """
     best = [float("inf")] * len(calls)
     for _ in range(3):
@@ -271,13 +252,31 @@ def fastest_of_three(calls) -> list[float]:
             gc.collect()
             gc.disable()
             try:
-                start = time.process_time()
-                call()
-                elapsed = time.process_time() - start
+                unit = cpu_time(yardstick) if yardstick else 1.0
+                elapsed = cpu_time(call)
+                if yardstick:
+                    unit = (unit + cpu_time(yardstick)) / 2
             finally:
                 gc.enable()
-            best[i] = min(best[i], elapsed)
+            best[i] = min(best[i], elapsed / unit)
     return best
+
+
+def cpu_time(call) -> float:
+    start = time.process_time()
+    call()
+    return time.process_time() - start
+
+
+def reference_work() -> None:
+    """Fixed dict, tuple and sort work that no change to popmatch moves."""
+    table = {i: (i * 7919 % 20011, i) for i in range(20_000)}
+    sorted(table.values())
+
+
+def parse_times(text: str, times: int) -> None:
+    for _ in range(times):
+        parse_instance(text)
 
 
 def checked_solve(inst) -> None:
@@ -290,19 +289,17 @@ def checked_solve(inst) -> None:
         assert system.proposals <= system.total_list_length
 
 
-def scaling_instance(family: str, m_target: int):
+def scaling_text(family: str, m_target: int) -> str:
     from popmatch.generator import generate
 
     if family == "random":
         side = m_target // 5
-        return parse_instance(
-            generate(side, side, m_target / (side * side), seed=m_target)
-        )
+        return generate(side, side, m_target / (side * side), seed=m_target)
     if family == "composed":
-        return composed_instance(m_target // 6)
+        return composed_text(m_target // 6)
     if family == "ring":
-        return ring_instance(m_target // 2)
-    return complete_instance(round(m_target**0.5), seed=m_target)
+        return ring_text(m_target // 2)
+    return complete_text(round(m_target**0.5), seed=m_target)
 
 
 def test_criterion_7_scaling():
@@ -310,7 +307,24 @@ def test_criterion_7_scaling():
     worst = 0.0
     lines = []
     for family in ("random", "composed", "ring", "complete"):
-        insts = [scaling_instance(family, m_target) for m_target in sizes]
+        texts = [scaling_text(family, m_target) for m_target in sizes]
+        # Parsing is timed for every family: it is nearly all of a solve
+        # that ends at the precheck.  One parse takes 5-300 ms, so each
+        # timed call parses a smaller text as often as it takes to match
+        # the largest; the fastest of a few short calls would otherwise
+        # catch a fast spell of the host that a long call averages out.
+        # Times are in units of ``reference_work``.
+        repeats = [sizes[-1] // m_target for m_target in sizes]
+        parsed = fastest_of_three(
+            [partial(parse_times, t, r) for t, r in zip(texts, repeats)],
+            yardstick=reference_work,
+        )
+        parsed = [cost / r for cost, r in zip(parsed, repeats)]
+        insts = [parse_instance(text) for text in texts]
+        for inst, cost in zip(insts, parsed):
+            lines.append(f"{family} m={inst.m} parse {cost:.2f} units")
+        for smaller, larger in zip(parsed, parsed[1:]):
+            worst = max(worst, larger / smaller)
         # Random and complete lists end at the agent-popularity precheck
         # in milliseconds, too fast to gate a ratio, so their
         # classification is timed instead.

@@ -8,7 +8,12 @@ from popmatch.cli import main
 from popmatch.generator import generate
 from popmatch.instance import parse_instance, serialize_instance
 
-from conftest import IDENTICAL_PREFS_TEXT, SHOWCASE_TEXT, SIZE_GAP_TEXT
+from conftest import (
+    IDENTICAL_PREFS_TEXT,
+    PARSE_ERRORS,
+    SHOWCASE_TEXT,
+    SIZE_GAP_TEXT,
+)
 
 
 @pytest.fixture
@@ -200,9 +205,12 @@ def test_generate_rejects_bad_density():
 
 
 def test_input_error_exit_one(files, capsys):
-    path = files("broken.txt", "agents: a\njobs: b\na > b unknown\nb > a\n")
-    assert main(["solve", path]) == 1
-    assert "error:" in capsys.readouterr().err
+    for i, (text, message) in enumerate(PARSE_ERRORS):
+        path = files(f"broken{i}.txt", text)
+        assert main(["solve", path]) == 1, message
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 def test_missing_file_exit_one():

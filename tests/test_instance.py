@@ -1,10 +1,16 @@
 """Parsing, posts, votes, and elections."""
 
+import random
+import re
+import time
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popmatch import (
+    Instance,
     InstanceError,
     compute_posts,
     format_matching,
@@ -14,14 +20,23 @@ from popmatch import (
     serialize_instance,
     vote,
 )
+from popmatch import instance as instance_module
+from popmatch.generator import generate
 from popmatch.oracle import enumerate_matchings
 
 from conftest import (
+    PARSE_ERRORS,
+    SHOWCASE_TEXT,
+    composed_text,
     ids,
+    layout_reference,
     match_of,
+    parse_reference,
     random_instance,
+    ring_text,
     size_gap_max,
     size_gap_stable,
+    two_level_reference,
 )
 
 
@@ -82,6 +97,240 @@ class TestParsing:
         inst = parse_instance("agents:\njobs: b0 b1\n")
         assert inst.num_agents == 0
         assert inst.m == 0
+
+
+MUTATIONS = (
+    "drop",
+    "repeat",
+    "unknown",
+    "same_side",
+    "empty",
+    "repeat_line",
+    "dup_name",
+    "malformed",
+    "shuffle",
+    "respace",
+)
+
+MALFORMED = (
+    "junk",
+    "a0 b0",
+    "> b0",
+    "  >",
+    "agents: zz",
+    "jobs: zz > a0",
+    "jobs:",
+    "zz > a0",
+    "# a0 > b0",
+    "",
+    "\t",
+)
+
+
+def mutate(kind: str, lines: list[str], rng: random.Random) -> None:
+    """Apply one mutation of ``kind`` to the lines of a ``generate`` text."""
+    if kind == "shuffle":
+        rng.shuffle(lines)
+        return
+    headers = [
+        i for i, line in enumerate(lines) if line.startswith(("agents:", "jobs:"))
+    ]
+    if kind == "malformed":
+        if headers and rng.random() < 0.1:
+            del lines[rng.choice(headers)]
+        else:
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(MALFORMED))
+        return
+    names = [x for i in headers for x in lines[i].partition(":")[2].split()]
+    if kind == "dup_name":
+        if headers and names:
+            lines[rng.choice(headers)] += " " + rng.choice(names)
+        return
+    rows = [
+        i
+        for i, line in enumerate(lines)
+        if ">" in line and i not in headers and not line.startswith("#")
+    ]
+    if kind == "drop":
+        rows = [i for i in rows if lines[i].lstrip().startswith("b")] or rows
+    if not rows:
+        return
+    i = rng.choice(rows)
+    head, _, tail = lines[i].partition(">")
+    name, entries = head.strip(), tail.split()
+    if kind == "repeat_line":
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        return
+    spot = rng.randrange(len(entries) + 1)
+    if kind == "empty":
+        entries = []
+    elif kind == "drop" and entries:
+        del entries[rng.randrange(len(entries))]
+    elif kind == "repeat" and entries:
+        entries.insert(spot, rng.choice(entries))
+    elif kind == "unknown":
+        entries.insert(spot, "zz")
+    elif kind == "same_side":
+        same = [x for x in names if x[:1] == name[:1]]
+        if same:
+            entries.insert(spot, rng.choice(same))
+    elif kind == "respace":
+        pad = ("", " ", "\t", "  ")
+        lines[i] = (
+            rng.choice(pad) + name + rng.choice(pad) + ">" + rng.choice(pad)
+            + rng.choice((" ", "\t ", "  ")).join(entries) + rng.choice(pad)
+        )
+        return
+    lines[i] = f"{name} > " + " ".join(entries)
+
+
+def mutated_text(seed: int) -> str:
+    """A small ``generate`` instance with zero to two random mutations."""
+    rng = random.Random(seed)
+    lines = generate(
+        1 + rng.randrange(5),
+        1 + rng.randrange(5),
+        rng.choice((0.3, 0.6, 1.0)),
+        seed,
+    ).splitlines()
+    for _ in range(rng.randrange(3)):
+        mutate(rng.choice(MUTATIONS), lines, rng)
+    return "\n".join(lines) + "\n"
+
+
+def shuffled(text: str, rng: random.Random) -> str:
+    """The same instance with its declarations and list lines shuffled."""
+    lines = text.splitlines()
+    head, rows = lines[:2], lines[2:]
+    for k, prefix in enumerate(("agents:", "jobs:")):
+        names = head[k][len(prefix):].split()
+        rng.shuffle(names)
+        head[k] = prefix + " " + " ".join(names)
+    rng.shuffle(rows)
+    return "\n".join(head + rows) + "\n"
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("text, message", PARSE_ERRORS)
+    def test_message_verbatim(self, text, message):
+        with pytest.raises(InstanceError) as err:
+            parse_instance(text)
+        assert str(err.value) == message
+
+    def test_reference_agrees_on_table(self):
+        for text, message in PARSE_ERRORS:
+            with pytest.raises(InstanceError) as err:
+                parse_reference(text)
+            assert str(err.value) == message
+
+    def test_duplicate_name_is_linear(self):
+        # The repeated name is the last agent's, so a scan that counts
+        # each name's occurrences separately is quadratic here.
+        side = 25_000
+        agents = [f"a{i}" for i in range(side)]
+        jobs = [f"b{j}" for j in range(side - 1)] + [agents[-1]]
+        text = "agents: " + " ".join(agents) + "\njobs: " + " ".join(jobs) + "\n"
+        start = time.perf_counter()
+        with pytest.raises(InstanceError) as err:
+            parse_instance(text)
+        assert time.perf_counter() - start < 5.0
+        assert str(err.value) == f"duplicate vertex name {agents[-1]!r}"
+
+    def test_bulk_validation_matches_per_name_rules(self):
+        outcomes = Counter()
+        for seed in range(1500):
+            text = mutated_text(seed)
+            try:
+                want = parse_reference(text)
+            except InstanceError as err:
+                with pytest.raises(InstanceError) as got:
+                    parse_instance(text)
+                assert str(got.value) == str(err), text
+                kind = re.sub(r"'[^']*'", "X", re.sub(r"line \d+", "line N", str(err)))
+                outcomes[kind] += 1
+                continue
+            inst = parse_instance(text)
+            assert (inst.names, inst.num_agents, inst.pref) == want, text
+            assert inst.layout == layout_reference(inst), text
+            outcomes["valid"] += 1
+        # Both outcomes are common, and every message of the table occurs.
+        assert outcomes["valid"] >= 300
+        assert sum(outcomes.values()) - outcomes["valid"] >= 300
+        assert len(outcomes) == 14, outcomes
+
+    def test_valid_input_never_scans(self, monkeypatch):
+        def scan(*args):
+            raise AssertionError("the per-name scan ran on valid input")
+
+        monkeypatch.setattr(instance_module, "_raise_list_error", scan)
+        for seed in range(200):
+            random_instance(seed, max_side=6)
+        parse_instance(SHOWCASE_TEXT)
+
+    def test_build_ignores_lists_of_undeclared_names(self):
+        lists = {"a": ["b"], "b": ["a"]}
+        want = Instance.build(["a"], ["b"], lists)
+        assert Instance.build(["a"], ["b"], {"zz": ["qq", "a"], **lists}) == want
+
+    def test_scan_that_finds_nothing_is_a_defect(self):
+        with pytest.raises(AssertionError, match="bulk validation"):
+            instance_module._raise_list_error(
+                ["a", "b"], 1, {"a": ["b"], "b": ["a"]}
+            )
+
+
+def layout_cases(showcase):
+    yield showcase
+    for seed in range(100):
+        rng = random.Random(seed)
+        yield parse_instance(
+            generate(
+                1 + rng.randrange(30),
+                1 + rng.randrange(30),
+                rng.choice((0.1, 0.3, 1.0)),
+                seed,
+            )
+        )
+    for n in (2, 3, 17, 50):
+        yield parse_instance(ring_text(n))
+        yield parse_instance(shuffled(ring_text(n), random.Random(n)))
+    for blocks in (1, 4, 30):
+        yield parse_instance(shuffled(composed_text(blocks), random.Random(blocks)))
+    yield parse_instance("agents:\njobs: b0 b1\n")
+    for seed in range(20):
+        yield two_level_reference(random_instance(seed, max_side=6))[0]
+    yield two_level_reference(showcase)[0]
+
+
+class TestLayout:
+    def test_layout_equals_reference(self, showcase):
+        for inst in layout_cases(showcase):
+            want = layout_reference(inst)
+            got = inst.layout
+            for field in (
+                "starts", "agent_of", "job_of", "agent_rank", "job_rank",
+                "incoming",
+            ):
+                assert getattr(got, field) == getattr(want, field), field
+            assert inst.m == len(want.agent_of)
+
+    def test_derived_tables_equal_constructions(self, showcase):
+        for inst in layout_cases(showcase):
+            assert inst.rank_tbl == tuple(
+                {v: i for i, v in enumerate(row)} for row in inst.pref
+            )
+            assert inst.edges == tuple(
+                (a, b) for a in inst.agent_ids() for b in inst.pref[a]
+            )
+
+    def test_shuffled_declarations_keep_lists(self):
+        text = composed_text(5)
+        inst = parse_instance(text)
+        again = parse_instance(shuffled(text, random.Random(3)))
+        named = lambda x: {
+            x.names[u]: [x.names[v] for v in x.pref[u]] for u in range(x.n)
+        }
+        assert named(again) == named(inst)
 
 
 class TestMatchingIO:

@@ -30,14 +30,16 @@ class Instance:
 
     Agents occupy ids ``0 .. num_agents-1`` and jobs occupy
     ``num_agents .. n-1``.  ``pref[u]`` lists u's genuine neighbors in
-    strictly decreasing preference.  ``rank_tbl[u]`` maps each neighbor to
-    its position in ``pref[u]``; u itself always gets rank ``len(pref[u])``,
-    one worse than every genuine neighbor.
+    strictly decreasing preference; u itself always ranks
+    ``len(pref[u])``, one worse than every genuine neighbor.
 
     Instances are immutable after construction and safe to share across
     threads; all operations on them are pure.  ``layout`` is built with the
-    instance; ``rank_tbl`` and ``edges`` are derived on first use and then
-    kept.
+    instance, and solving and verification read only it and ``pref``.
+    ``rank_tbl[u]``, which maps each neighbor to its position in
+    ``pref[u]``, and ``edges`` serve the per-pair accessors (``rank_of``,
+    ``has_edge``) of the oracle and elections; they are derived on first use
+    and then kept.
     """
 
     names: tuple[str, ...]
@@ -94,6 +96,10 @@ class Instance:
     def has_edge(self, a: int, b: int) -> bool:
         return b in self.rank_tbl[a]
 
+    def edge_id(self, a: int, b: int) -> int:
+        """Layout id of the genuine edge joining agent a to job b."""
+        return self.layout.starts[a] + self.pref[a].index(b)
+
     @staticmethod
     def build(
         agent_names: list[str],
@@ -140,9 +146,9 @@ class EdgeLayout:
     """An instance's edges as parallel lists indexed by edge id.
 
     Built with the instance, from the same flat arrays that validate its
-    lists.  Edge k is ``inst.edges[k]``: agent a's edges run from
-    ``starts[a]`` to ``starts[a + 1] - 1`` in a's preference order, so edge
-    (a, b) has id ``starts[a] + rank_tbl[a][b]``.  Jobs are numbered by
+    lists.  Agent a's edges run from ``starts[a]`` to ``starts[a + 1] - 1``
+    in a's preference order, so edge (a, b) has id
+    ``starts[a] + pref[a].index(b)``.  Jobs are numbered by
     index, job j being vertex ``num_agents + j``.  ``agent_of[k]`` and
     ``job_of[k]`` are the endpoints of edge k; ``agent_rank[k]`` is the
     job's position in the agent's list and ``job_rank[k]`` the agent's
@@ -262,7 +268,7 @@ class Matching:
     def from_pairs(inst: Instance, pairs) -> "Matching":
         partner = list(range(inst.n))
         for a, b in pairs:
-            if not inst.has_edge(a, b) and not inst.has_edge(b, a):
+            if b not in inst.pref[a]:
                 raise InstanceError(
                     f"({inst.names[a]}, {inst.names[b]}) is not an edge"
                 )
@@ -273,6 +279,22 @@ class Matching:
             partner[a] = b
             partner[b] = a
         return Matching(tuple(partner))
+
+    def partner_ranks(self, inst: Instance) -> list[int]:
+        """Each vertex's rank of its partner; its list length when alone.
+
+        Reads ``pref`` and the edge layout: O(m), no rank dict.
+        """
+        pref, starts = inst.pref, inst.layout.starts
+        job_rank, partner = inst.layout.job_rank, self.partner
+        own = list(map(len, pref))
+        for a in range(inst.num_agents):
+            b = partner[a]
+            if b != a:
+                i = pref[a].index(b)
+                own[a] = i
+                own[b] = job_rank[starts[a] + i]
+        return own
 
     def pairs(self, inst: Instance) -> tuple[tuple[int, int], ...]:
         """Genuine matched pairs as (agent, job), sorted by agent id."""

@@ -15,53 +15,96 @@ over the instance's own edge layout (see :func:`two_level_systems`), and the
 test suite checks the reduction exhaustively against the election oracle
 and against a materialized reference.  One rotation walk on the instance
 and one on its two-level form yield all their stable edges, so
-classification takes time linear in the number of edges.
+classification takes time linear in the number of edges.  It works on edge
+ids throughout: ``(agent, job)`` keys are made only when a caller asks for
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress, count
+from operator import and_
 
 from .engine import ProposalSystem, build_system, rotation_walk
-from .instance import Instance, compute_posts
+from .instance import Instance, Posts, compute_posts
 
 EdgeKey = tuple[int, int]
 
 
 @dataclass(frozen=True)
 class EdgeClassification:
-    """Valid/popular/legal sets plus the popular-subgraph components.
+    """Valid/popular/legal edges plus the popular-subgraph components.
 
-    Edge keys are ``(agent, job)`` pairs; self-loops appear as ``(u, u)``.
+    The flags are indexed like the edge layout: ``legal_flags[k]`` for
+    genuine edge k, and ``legal_flags[m + u]`` for the self-loop of u.
+    ``valid``, ``popular`` and ``legal`` give the same sets as ``(agent,
+    job)`` keys, self-loops as ``(u, u)``; they are derived on first use.
     ``component_id[u]`` indexes the connected component of u in the graph of
     genuine popular edges (self-loops connect nothing); every vertex belongs
     to exactly one component.
     """
 
-    valid: frozenset[EdgeKey]
-    popular: frozenset[EdgeKey]
-    legal: frozenset[EdgeKey]
+    inst: Instance = field(repr=False, compare=False)
+    valid_flags: tuple[bool, ...]
+    popular_flags: tuple[bool, ...]
+    legal_flags: tuple[bool, ...]
     component_id: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def valid(self) -> frozenset[EdgeKey]:
+        return _keys(self.inst, self.valid_flags)
 
-def valid_edges(inst: Instance, posts) -> frozenset[EdgeKey]:
+    @cached_property
+    def popular(self) -> frozenset[EdgeKey]:
+        return _keys(self.inst, self.popular_flags)
+
+    @cached_property
+    def legal(self) -> frozenset[EdgeKey]:
+        return _keys(self.inst, self.legal_flags)
+
+
+def _keys(inst: Instance, flags) -> frozenset[EdgeKey]:
+    """The ``(agent, job)`` keys of flagged edge ids, ``(u, u)`` for m + u."""
+    lay, m, na = inst.layout, inst.m, inst.num_agents
+    agent_of, job_of = lay.agent_of, lay.job_of
+    return frozenset(
+        (agent_of[k], na + job_of[k]) if k < m else (k - m, k - m)
+        for k in compress(count(), flags)
+    )
+
+
+def _flags(inst: Instance, ids) -> list[bool]:
+    """Flags of length m + n, set at ``ids``."""
+    flags = [False] * (inst.m + inst.n)
+    for k in ids:
+        flags[k] = True
+    return flags
+
+
+def _valid_flags(inst: Instance, posts: Posts) -> list[bool]:
+    """:func:`valid_edges` as flags: f(a) is edge ``starts[a]``."""
+    m, starts = inst.m, inst.layout.starts
+    flags = _flags(inst, starts[:-1])
+    for a, s in enumerate(posts.s):
+        flags[m + a if s == a else inst.edge_id(a, s)] = True
+    f_image = posts.f_image()
+    for b in inst.job_ids():
+        if b not in f_image:
+            flags[m + b] = True
+    return flags
+
+
+def valid_edges(inst: Instance, posts: Posts) -> frozenset[EdgeKey]:
     """Edges permitted by the one-sided characterization.
 
     Each agent contributes its top edge and its fallback slot (possibly its
     own self-loop); each job that is nobody's top choice contributes its
     self-loop.
     """
-    keys = set()
-    for a in inst.agent_ids():
-        keys.add((a, posts.f[a]))
-        keys.add((a, posts.s[a]) if posts.s[a] != a else (a, a))
-    f_image = posts.f_image()
-    for b in inst.job_ids():
-        if b not in f_image:
-            keys.add((b, b))
-    return frozenset(keys)
+    return _keys(inst, _valid_flags(inst, posts))
 
 
 def two_level_systems(inst: Instance) -> tuple[ProposalSystem, ProposalSystem]:
@@ -119,21 +162,50 @@ def two_level_systems(inst: Instance) -> tuple[ProposalSystem, ProposalSystem]:
     )
 
 
-def stable_pairs(inst: Instance) -> frozenset[EdgeKey]:
-    """All edges lying in some stable matching."""
-    agents, jobs = build_system(inst, "agents"), build_system(inst, "jobs")
-    return frozenset(map(inst.edges.__getitem__, rotation_walk(agents, jobs)))
+def _stable_ids(inst: Instance) -> set[int]:
+    """Ids of all edges lying in some stable matching."""
+    return rotation_walk(build_system(inst, "agents"), build_system(inst, "jobs"))
 
 
-def dominant_pairs(inst: Instance) -> frozenset[EdgeKey]:
-    """All edges lying in some dominant matching.
+def _dominant_ids(inst: Instance) -> set[int]:
+    """Ids of all edges lying in some dominant matching.
 
     These are the two-level instance's stable high and low edges, each
     taken back to the instance's edge it copies.
     """
-    m, edges = inst.m, inst.edges
-    stable = rotation_walk(*two_level_systems(inst))
-    return frozenset(edges[e % m] for e in stable if e < 2 * m)
+    m = inst.m
+    return {e % m for e in rotation_walk(*two_level_systems(inst)) if e < 2 * m}
+
+
+def stable_pairs(inst: Instance) -> frozenset[EdgeKey]:
+    """All edges lying in some stable matching."""
+    return _keys(inst, _flags(inst, _stable_ids(inst)))
+
+
+def dominant_pairs(inst: Instance) -> frozenset[EdgeKey]:
+    """All edges lying in some dominant matching."""
+    return _keys(inst, _flags(inst, _dominant_ids(inst)))
+
+
+def _popular_flags(inst: Instance, backend: str = "fast") -> list[bool]:
+    """:func:`popular_edges` as flags, from the ids of both rotation walks."""
+    if backend != "fast":
+        return _flags(inst, [
+            inst.m + a if a == b else inst.edge_id(a, b)
+            for a, b in popular_edges(inst, backend)
+        ])
+    lay, m, na = inst.layout, inst.m, inst.num_agents
+    stable = _stable_ids(inst)
+    flags = _flags(inst, stable)
+    for k in _dominant_ids(inst):
+        flags[k] = True
+    covered = [False] * inst.n
+    for k in stable:
+        covered[lay.agent_of[k]] = covered[na + lay.job_of[k]] = True
+    for u in range(inst.n):
+        if not covered[u]:
+            flags[m + u] = True
+    return flags
 
 
 def popular_edges(
@@ -156,19 +228,26 @@ def popular_edges(
         )
     if backend != "fast":
         raise ValueError(f"unknown backend {backend!r}")
-    stable = stable_pairs(inst)
-    covered = set(chain.from_iterable(stable))
-    loops = [(u, u) for u in range(inst.n) if u not in covered]
-    return stable.union(dominant_pairs(inst), loops)
+    return _keys(inst, _popular_flags(inst))
 
 
-def legal_edge_set(inst: Instance, backend: str = "fast") -> EdgeClassification:
-    """Classify every edge and self-loop and build the popular-subgraph components."""
-    posts = compute_posts(inst)
-    valid = valid_edges(inst, posts)
-    popular = popular_edges(inst, backend=backend)
-    legal = valid & popular
+def legal_edge_set(
+    inst: Instance, backend: str = "fast", posts: Posts | None = None
+) -> EdgeClassification:
+    """Classify every edge and self-loop and build the popular-subgraph components.
 
+    ``posts`` are computed when not given.  Legal means valid and popular;
+    the components come from one union-find over the popular edges in
+    layout order.
+    """
+    if posts is None:
+        posts = compute_posts(inst)
+    valid = _valid_flags(inst, posts)
+    popular = _popular_flags(inst, backend)
+    legal = list(map(and_, valid, popular))
+
+    lay, m, na = inst.layout, inst.m, inst.num_agents
+    agent_of, job_of = lay.agent_of, lay.job_of
     parent = list(range(inst.n))
 
     def find(x: int) -> int:
@@ -177,11 +256,10 @@ def legal_edge_set(inst: Instance, backend: str = "fast") -> EdgeClassification:
             x = parent[x]
         return x
 
-    for a, b in popular:
-        if a != b:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+    for k in compress(range(m), popular):
+        ra, rb = find(agent_of[k]), find(na + job_of[k])
+        if ra != rb:
+            parent[ra] = rb
 
     roots: dict[int, int] = {}
     component_id = []
@@ -195,9 +273,10 @@ def legal_edge_set(inst: Instance, backend: str = "fast") -> EdgeClassification:
         component_id.append(cid)
         members[cid].append(u)
     return EdgeClassification(
-        valid=valid,
-        popular=popular,
-        legal=legal,
+        inst=inst,
+        valid_flags=tuple(valid),
+        popular_flags=tuple(popular),
+        legal_flags=tuple(legal),
         component_id=tuple(component_id),
         components=tuple(tuple(ms) for ms in members),
     )

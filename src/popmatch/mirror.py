@@ -131,14 +131,12 @@ def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGr
         for j, row in enumerate(incoming)
     ]
 
-    # Keep flags per genuine edge k and, at m + u, per self-loop of u.
-    keep = [False] * (m + n)
-    for a, b in classification.legal:
-        keep[m + a if a == b else starts[a] + inst.rank_tbl[a][b]] = True
+    # Legal flags per genuine edge k and, at m + u, per self-loop of u.
+    legal = classification.legal_flags
     forbidden = [
-        e for k in range(m) if not keep[k] for e in range(4 * k, 4 * k + 4)
+        e for k in range(m) if not legal[k] for e in range(4 * k, 4 * k + 4)
     ]
-    forbidden += [4 * m + u for u in range(n) if not keep[m + u]]
+    forbidden += [4 * m + u for u in range(n) if not legal[m + u]]
 
     return MirrorGraph(
         inst=inst,
@@ -179,9 +177,8 @@ def embed_stable(mirror: MirrorGraph, stable: Matching) -> MirrorMatching:
         raise ValueError("matching is not stable")
     left = [-1] * inst.n
     right = [-1] * inst.n
-    starts = inst.layout.starts
     for a, b in stable.pairs(inst):
-        k = starts[a] + inst.rank_tbl[a][b]
+        k = inst.edge_id(a, b)
         left[a] = 4 * k + 1
         right[b] = 4 * k + 1
         left[b] = 4 * k + 3
@@ -205,14 +202,13 @@ def realize_witnessed(
     inst = mirror.inst
     left = [-1] * inst.n
     right = [-1] * inst.n
-    starts = inst.layout.starts
     for a, b in mat.pairs(inst):
         if alpha[a] + alpha[b] != 0:
             raise ValueError(
                 f"matched pair ({inst.names[a]}, {inst.names[b]}) has "
                 "non-cancelling certificate entries"
             )
-        k = starts[a] + inst.rank_tbl[a][b]
+        k = inst.edge_id(a, b)
         if alpha[a] < 0:
             left[a] = 4 * k + 1   # upper minus at a
             right[b] = 4 * k + 1

@@ -83,8 +83,9 @@ def check_witness(
     (``alpha_a + alpha_b >= wt``), and every vertex covering its own
     self-loop weight.  ``vertices`` restricts the check to an induced
     subgraph; the matching must not pair a vertex in scope with one outside.
-    The weights are folded from ``pref``, ``rank_tbl`` and ``mat.partner``
-    as in :func:`verify_popular`; each equals :func:`edge_weight`.
+    The weights are folded from the edge layout and
+    :meth:`Matching.partner_ranks` as in :func:`verify_popular`; each equals
+    :func:`edge_weight`.
     """
     partner = mat.partner
     scope = range(inst.n) if vertices is None else sorted(vertices)
@@ -102,15 +103,15 @@ def check_witness(
     # A self-loop weighs -1 unless its vertex is alone, then 0.
     if any(partner[u] == u and alpha[u] < 0 for u in scope):
         return False
-    own = [inst.rank_of(u, partner[u]) for u in range(inst.n)]
-    pref, rank_tbl = inst.pref, inst.rank_tbl
+    own = mat.partner_ranks(inst)
+    pref, starts, job_rank = inst.pref, inst.layout.starts, inst.layout.job_rank
     for a in scope:
         if not inst.is_agent(a):
             break
-        own_a, alpha_a = own[a], alpha[a]
+        own_a, alpha_a, s = own[a], alpha[a], starts[a]
         for i, b in enumerate(pref[a]):
             if in_scope[b]:
-                j, own_b = rank_tbl[b][a], own[b]
+                j, own_b = job_rank[s + i], own[b]
                 wt = (i < own_a) - (i > own_a) + (j < own_b) - (j > own_b)
                 if alpha_a + alpha[b] < wt:
                     return False
@@ -195,24 +196,26 @@ def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:
     pins the integral duals, shifted back by the loop weights, into
     {0, +-1}: they are the witness, checked with :func:`check_witness`
     before it is returned.  Otherwise the optimal assignment is the
-    counterexample.  The weights come from ``rank_tbl`` and ``mat.partner``
-    directly; each equals :func:`edge_weight` less the two loop weights.
+    counterexample.  The weights come from the edge layout and
+    :meth:`Matching.partner_ranks` directly; each equals :func:`edge_weight`
+    less the two loop weights.
     """
     p = inst.num_agents
     q = inst.num_jobs
-    pref, rank_tbl, partner = inst.pref, inst.rank_tbl, mat.partner
+    pref, partner = inst.pref, mat.partner
+    starts, job_rank = inst.layout.starts, inst.layout.job_rank
     loop_wt = [0 if partner[u] == u else -1 for u in range(inst.n)]
-    own = [inst.rank_of(u, partner[u]) for u in range(inst.n)]
+    own = mat.partner_ranks(inst)
     const = sum(loop_wt)
 
     # Folded weights are >= 0: a vertex's vote for a neighbor against its
     # partner, plus one if it is matched (its loop weight, taken out).
     adj: list[list[tuple[int, int]]] = []
     for a in inst.agent_ids():
-        own_a, loop_a = own[a], loop_wt[a]
+        own_a, loop_a, s = own[a], loop_wt[a], starts[a]
         row = []
         for i, b in enumerate(pref[a]):
-            j, own_b = rank_tbl[b][a], own[b]
+            j, own_b = job_rank[s + i], own[b]
             wprime = (
                 (i < own_a) - (i > own_a) + (j < own_b) - (j > own_b)
                 - loop_a - loop_wt[b]

@@ -208,7 +208,7 @@ def solve(
             infeasible_vertex=blocker,
             state=None,
         )
-    classification = legal_edge_set(inst, backend=backend)
+    classification = legal_edge_set(inst, backend=backend, posts=posts)
     mirror = build_mirror(inst, classification)
     system = mirror_system(mirror)
     state = SolverState(
@@ -333,21 +333,24 @@ def _validate(
         )
 
     # Restricted stability on marked and twin-matched vertices.
+    lay, na = inst.layout, inst.num_agents
+    own_m, own_l = mat.partner_ranks(inst), low.partner_ranks(inst)
     restricted = z | part.u_agents | part.u_jobs
-    for a, b in inst.edges:
-        if a in restricted and b in restricted:
-            for proj in (mat, low):
-                blocked = inst.rank_of(a, b) < inst.rank_of(
-                    a, proj.partner[a]
-                ) and inst.rank_of(b, a) < inst.rank_of(b, proj.partner[b])
-                ensure(not blocked, "blocking edge inside the marked region")
+    for a in restricted:
+        if a >= na:
+            continue
+        for k in range(lay.starts[a], lay.starts[a + 1]):
+            b = na + lay.job_of[k]
+            if b in restricted:
+                for own in (own_m, own_l):
+                    blocked = (
+                        lay.agent_rank[k] < own[a] and lay.job_rank[k] < own[b]
+                    )
+                    ensure(not blocked, "blocking edge inside the marked region")
 
     # Agents settled on their minus tags weakly prefer the upper projection.
     for a in (part.a_minus - z) | (part.a_plus & part.ap_plus):
-        ensure(
-            inst.rank_of(a, mat.partner[a]) <= inst.rank_of(a, low.partner[a]),
-            "agent prefers the lower projection",
-        )
+        ensure(own_m[a] <= own_l[a], "agent prefers the lower projection")
 
     # Upper projection stays inside the sign structure.
     for a, b in mat.pairs(inst):

@@ -15,11 +15,22 @@ suite.
 
 from __future__ import annotations
 
+import random
+from itertools import chain
+
 import pytest
 
-from popmatch import Instance, InstanceError, Matching, parse_instance
+from popmatch import (
+    Instance,
+    InstanceError,
+    Matching,
+    compute_posts,
+    parse_instance,
+)
+from popmatch.engine import build_system, rotation_walk
 from popmatch.instance import EdgeLayout
 from popmatch.generator import generate
+from popmatch.legality import two_level_systems
 
 SIZE_GAP_TEXT = """\
 # stable matching has size 1, the popular maximum has size 2
@@ -229,14 +240,22 @@ BLOCK = [
 ]
 
 
-def composed_text(blocks: int) -> str:
-    """Disjoint copies of a 6-vertex block; block i's names end in ``_i``."""
+def composed_text(blocks: int, seed: int | None = None) -> str:
+    """Disjoint copies of a 6-vertex block; block i's names end in ``_i``.
+
+    With a ``seed`` the vertex declarations and list lines are shuffled, so
+    ids and edge ids no longer follow the blocks.
+    """
     agents, jobs, lines = [], [], []
     for i in range(blocks):
         for name, row in BLOCK:
             tag = f"{name}_{i}"
             (agents if name.startswith("a") else jobs).append(tag)
             lines.append(f"{tag} > " + " ".join(f"{v}_{i}" for v in row))
+    if seed is not None:
+        rng = random.Random(seed)
+        for seq in (agents, jobs, lines):
+            rng.shuffle(seq)
     return (
         "agents: "
         + " ".join(agents)
@@ -288,6 +307,73 @@ def two_level_reference(inst):
         {aux_names[u]: [aux_names[v] for v in row] for u, row in enumerate(pref)},
     )
     return aux, na
+
+
+def classification_reference(inst):
+    """Edge classification on ``(agent, job)`` keys and edge tuples.
+
+    Returns ``(valid, popular, legal, component_id, components)`` as
+    ``legal_edge_set`` gives them: the valid slots read off the posts, the
+    popular edges as stable pairs, dominant pairs and the loops of vertices
+    no stable pair covers, and the components from a union-find over the
+    popular key set.
+    """
+    posts = compute_posts(inst)
+    valid = set()
+    for a in inst.agent_ids():
+        valid.add((a, posts.f[a]))
+        valid.add((a, posts.s[a]) if posts.s[a] != a else (a, a))
+    f_image = posts.f_image()
+    valid = frozenset(valid).union((b, b) for b in inst.job_ids() if b not in f_image)
+    edges = inst.edges
+    walk = rotation_walk(build_system(inst, "agents"), build_system(inst, "jobs"))
+    stable = frozenset(map(edges.__getitem__, walk))
+    dominant = {
+        edges[e % inst.m]
+        for e in rotation_walk(*two_level_systems(inst))
+        if e < 2 * inst.m
+    }
+    covered = set(chain.from_iterable(stable))
+    loops = [(u, u) for u in range(inst.n) if u not in covered]
+    popular = stable.union(dominant, loops)
+
+    parent = list(range(inst.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in popular:
+        if a != b:
+            parent[find(a)] = find(b)
+    roots: dict[int, int] = {}
+    component_id = []
+    members: list[list[int]] = []
+    for u in range(inst.n):
+        cid = roots.setdefault(find(u), len(members))
+        if cid == len(members):
+            members.append([])
+        component_id.append(cid)
+        members[cid].append(u)
+    return (
+        valid,
+        popular,
+        valid & popular,
+        tuple(component_id),
+        tuple(map(tuple, members)),
+    )
+
+
+def forbidden_reference(inst, legal) -> frozenset[int]:
+    """The mirror graph's forbidden ids for a legal key set, via ``rank_tbl``."""
+    m, starts = inst.m, inst.layout.starts
+    keep = [False] * (m + inst.n)
+    for a, b in legal:
+        keep[m + a if a == b else starts[a] + inst.rank_tbl[a][b]] = True
+    forbidden = [e for k in range(m) if not keep[k] for e in range(4 * k, 4 * k + 4)]
+    forbidden += [4 * m + u for u in range(inst.n) if not keep[m + u]]
+    return frozenset(forbidden)
 
 
 def project_two_level(inst, aux_pairs, na):

@@ -274,9 +274,9 @@ def reference_work() -> None:
     sorted(table.values())
 
 
-def parse_times(text: str, times: int) -> None:
-    for _ in range(times):
-        parse_instance(text)
+def repeated(call, arg, count: int) -> None:
+    for _ in range(count):
+        call(arg)
 
 
 def checked_solve(inst) -> None:
@@ -309,14 +309,18 @@ def test_criterion_7_scaling():
     for family in ("random", "composed", "ring", "complete"):
         texts = [scaling_text(family, m_target) for m_target in sizes]
         # Parsing is timed for every family: it is nearly all of a solve
-        # that ends at the precheck.  One parse takes 5-300 ms, so each
-        # timed call parses a smaller text as often as it takes to match
-        # the largest; the fastest of a few short calls would otherwise
-        # catch a fast spell of the host that a long call averages out.
-        # Times are in units of ``reference_work``.
+        # that ends at the precheck.  One call takes 5 ms to 1.6 s, so
+        # each timed call, here and below, repeats a smaller size as often
+        # as it takes to match the largest; the fastest of a few short
+        # calls would otherwise catch a fast spell of the host that a long
+        # call averages out.  Parse times are in units of
+        # ``reference_work``.
         repeats = [sizes[-1] // m_target for m_target in sizes]
         parsed = fastest_of_three(
-            [partial(parse_times, t, r) for t, r in zip(texts, repeats)],
+            [
+                partial(repeated, parse_instance, t, r)
+                for t, r in zip(texts, repeats)
+            ],
             yardstick=reference_work,
         )
         parsed = [cost / r for cost, r in zip(parsed, repeats)]
@@ -334,10 +338,13 @@ def test_criterion_7_scaling():
             timed, layer = legal_edge_set, "classify"
         else:
             timed, layer = checked_solve, "solve"
-        times = fastest_of_three([partial(timed, inst) for inst in insts])
-        for inst, elapsed in zip(insts, times):
-            lines.append(f"{family} m={inst.m} {layer} {elapsed:.2f}s")
-        for smaller, larger in zip(times, times[1:]):
+        elapsed = fastest_of_three(
+            [partial(repeated, timed, i, r) for i, r in zip(insts, repeats)]
+        )
+        elapsed = [cost / r for cost, r in zip(elapsed, repeats)]
+        for inst, cost in zip(insts, elapsed):
+            lines.append(f"{family} m={inst.m} {layer} {cost:.3f}s")
+        for smaller, larger in zip(elapsed, elapsed[1:]):
             worst = max(worst, larger / smaller)
     report(
         7,

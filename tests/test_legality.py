@@ -11,10 +11,15 @@ from popmatch import (
 )
 from popmatch.engine import build_system
 from popmatch.generator import generate
+from popmatch.instance import Posts
 from popmatch.legality import dominant_pairs, stable_pairs, two_level_systems
+from popmatch.mirror import build_mirror
 from popmatch.oracle import enumerate_matchings, ground_truth
 
 from conftest import (
+    classification_reference,
+    composed_text,
+    forbidden_reference,
     ids,
     project_two_level,
     random_instance,
@@ -255,3 +260,35 @@ class TestLegalEdgeSet:
                 for u in range(inst.n):
                     if mat.is_self(u):
                         assert (u, u) in legal, seed
+
+    def test_equals_key_set_reference(self):
+        # The classification on edge ids against the same rules on
+        # (agent, job) keys and rank dicts, with the mirror's forbidden ids.
+        insts = [random_instance(seed, max_side=6) for seed in range(400)]
+        for seed in range(50):
+            side = 10 + 5 * seed
+            insts.append(parse_instance(
+                generate(side, side + seed % 7 - 3, 3.0 / side, seed=seed)
+            ))
+        insts += [ring_instance(n) for n in range(2, 40)]
+        insts += [parse_instance(composed_text(k, seed=k)) for k in range(1, 30)]
+        for inst in insts:
+            got = legal_edge_set(inst)
+            valid, popular, legal, component_id, components = (
+                classification_reference(inst)
+            )
+            assert got.valid == valid, inst.names
+            assert got.popular == popular, inst.names
+            assert got.legal == legal, inst.names
+            assert got.component_id == component_id, inst.names
+            assert got.components == components, inst.names
+            assert build_mirror(inst, got).forbidden == forbidden_reference(
+                inst, legal
+            ), inst.names
+
+    def test_given_posts_are_read(self, size_gap):
+        posts = compute_posts(size_gap)
+        assert legal_edge_set(size_gap, posts=posts) == legal_edge_set(size_gap)
+        alone = Posts(posts.f, tuple(size_gap.agent_ids()))
+        valid = legal_edge_set(size_gap, posts=alone).valid
+        assert {(a, a) for a in size_gap.agent_ids()} <= valid

@@ -23,9 +23,11 @@ from popmatch.oracle import enumerate_matchings, ground_truth
 from popmatch.popularity import a_popular_obstruction
 
 from conftest import (
+    composed_text,
     ids,
     match_of,
     random_instance,
+    ring_instance,
     showcase_full,
     size_gap_max,
     size_gap_stable,
@@ -198,14 +200,20 @@ class TestCheckWitness:
     def test_matches_edge_weight_reference(self):
         # Random (instance, matching, alpha) triples: verify_popular's
         # witnesses, their perturbations and random zero-sum vectors, on whole vertex sets and
-        # on partner-closed scopes.
+        # on partner-closed scopes.  Rings and shuffled blocks give jobs
+        # whose list order differs from the agents' edge order.
         rng = random.Random(11)
         verdicts = {True: 0, False: 0}
         edge_decided = 0
-        for seed in range(300):
-            inst = parse_instance(
+        insts = [
+            parse_instance(
                 generate(2 + seed % 7, 2 + seed // 7 % 7, 0.3 + seed % 5 / 8, seed)
             )
+            for seed in range(300)
+        ]
+        insts += [ring_instance(n) for n in range(2, 30)]
+        insts += [parse_instance(composed_text(k, seed=k)) for k in range(1, 12)]
+        for seed, inst in enumerate(insts):
             mat = _random_matching(rng, inst)
             popular = verify_popular(inst, mat)
             for trial in range(8):

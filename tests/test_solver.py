@@ -6,14 +6,17 @@ from popmatch import (
     check_a_popular,
     check_witness,
     compute_posts,
+    format_matching,
+    generate,
     parse_instance,
+    parse_matching,
     solve,
     verify_popular,
 )
 from popmatch.oracle import ground_truth
 from popmatch.solver import find_unmarked
 
-from conftest import pairs_by_name, random_instance
+from conftest import composed_text, pairs_by_name, random_instance, ring_text
 
 # Solve needs one forbidding round here; frozen from the seeded sweep.
 ONE_ROUND_TEXT = """\
@@ -231,3 +234,41 @@ class TestOrderInvariance:
                         )
                         in by_name
                     ), seed
+
+
+class TestHotPath:
+    """Solving and verifying read the edge layout, never the rank dicts."""
+
+    DERIVED = ("rank_tbl", "edges")
+    KEY_SETS = ("valid", "popular", "legal")
+
+    def assert_lean(self, inst, classification=None):
+        assert not set(self.DERIVED) & set(vars(inst))
+        if classification is not None:
+            assert not set(self.KEY_SETS) & set(vars(classification))
+
+    def test_solve_builds_no_rank_dicts(self):
+        texts = [
+            composed_text(40, seed=3),
+            ring_text(50),
+            generate(12, 12, 0.25, seed=6),
+        ]
+        for text in texts:
+            inst = parse_instance(text)
+            report = solve(inst, validate=True)
+            assert report.outcome == "found"
+            self.assert_lean(inst, report.state.classification)
+
+    def test_verify_builds_no_rank_dicts(self):
+        text = composed_text(40, seed=5)
+        answer = solve(parse_instance(text)).matching
+        inst = parse_instance(text)
+        # Block 7 keeps only a0-b0, which a2-b1 and a1-b2 defeat.
+        lines = [
+            line for line in format_matching(inst, answer).splitlines()
+            if not line.endswith("_7")
+        ]
+        mat = parse_matching("\n".join(lines + ["a0_7 b0_7"]), inst)
+        verdict = verify_popular(inst, mat)
+        assert not verdict.popular and verdict.margin > 0
+        self.assert_lean(inst)

@@ -1,4 +1,4 @@
-"""Command-line surface: solve, verify, classify edges, oracle checks, benchmarks.
+"""Command-line surface: solve, verify, classify edges, oracle checks, generation.
 
 Exit codes: 0 success, 1 input or I/O error, 2 no fully popular matching
 exists (``solve``), 3 verification failed (``verify``).
@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,8 +53,6 @@ class RunConfig:
     density: float = 0.5
     seed: int = 0
     output: str | None = None
-    sizes: tuple[int, ...] = (10_000, 20_000, 40_000, 80_000)
-    degree: int = 5
 
 
 def _load_instance(path: str) -> Instance:
@@ -230,27 +227,6 @@ def _cmd_generate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(config: RunConfig) -> int:
-    print(f"{'edges':>8} {'vertices':>9} {'seconds':>9} {'sec/(m+n)':>12}")
-    previous = None
-    for m in config.sizes:
-        side = max(2, m // config.degree)
-        density = m / (side * side)
-        text = generate(side, side, min(1.0, density), seed=m)
-        inst = parse_instance(text)
-        start = time.perf_counter()
-        report = solve(inst, backend=config.backend)
-        elapsed = time.perf_counter() - start
-        total = inst.m + inst.n
-        ratio = "" if previous is None else f"x{elapsed / previous:.2f}"
-        print(
-            f"{inst.m:>8} {inst.n:>9} {elapsed:>9.3f} "
-            f"{elapsed / total:>12.2e} {ratio} [{report.outcome}]"
-        )
-        previous = elapsed
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="popmatch",
@@ -296,17 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
 
-    p = sub.add_parser("bench", help="solve wall time at growing sizes")
-    p.add_argument(
-        "--sizes",
-        type=int,
-        nargs="+",
-        default=[10_000, 20_000, 40_000, 80_000],
-    )
-    p.add_argument("--degree", type=int, default=5)
-    p.add_argument(
-        "--backend", choices=("fast", "oracle"), default="fast"
-    )
     return parser
 
 
@@ -316,8 +281,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         for key, value in vars(args).items()
         if key in RunConfig.__dataclass_fields__ and value is not None
     }
-    if "sizes" in fields:
-        fields["sizes"] = tuple(fields["sizes"])
     return RunConfig(**fields)
 
 
@@ -329,7 +292,6 @@ def run(config: RunConfig) -> int:
         "edges": _cmd_edges,
         "oracle": _cmd_oracle,
         "generate": _cmd_generate,
-        "bench": _cmd_bench,
     }
     try:
         return handlers[config.command](config)

@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
+from operator import sub
 from typing import NoReturn
 
 import numpy as np
@@ -34,17 +35,17 @@ class Instance:
     ``len(pref[u])``, one worse than every genuine neighbor.
 
     Instances are immutable after construction and safe to share across
-    threads; all operations on them are pure.  ``layout`` is built with the
-    instance, and solving and verification read only it and ``pref``.
-    ``rank_tbl[u]``, which maps each neighbor to its position in
-    ``pref[u]``, and ``edges`` serve the per-pair accessors (``rank_of``,
-    ``has_edge``) of the oracle and elections; they are derived on first use
-    and then kept.
+    threads; all operations on them are pure.  ``layout`` is the only
+    per-edge data built with the instance, and solving and verification
+    read only it.  ``pref``, ``rank_tbl[u]`` (each neighbor's position in
+    ``pref[u]``) and ``edges`` serve the per-vertex and per-pair accessors
+    (``neighbors``, ``rank_of``, ``has_edge``) of the oracle, elections and
+    serialization; they are derived from the layout on first use and then
+    kept.  Equality and hashing read the fields alone.
     """
 
     names: tuple[str, ...]
     num_agents: int
-    pref: tuple[tuple[int, ...], ...]
     layout: EdgeLayout
 
     @property
@@ -58,6 +59,16 @@ class Instance:
     @property
     def num_jobs(self) -> int:
         return self.n - self.num_agents
+
+    @cached_property
+    def pref(self) -> tuple[tuple[int, ...], ...]:
+        """Agents' rows from their edge ranges, jobs' from ``job_edges``."""
+        lay, na = self.layout, self.num_agents
+        agent_rows = _split(tuple(map(na.__add__, lay.job_of)), lay.starts)
+        job_rows = _split(
+            tuple(map(lay.agent_of.__getitem__, lay.job_edges)), lay.job_starts
+        )
+        return agent_rows + job_rows
 
     @cached_property
     def rank_tbl(self) -> tuple[dict[int, int], ...]:
@@ -97,8 +108,15 @@ class Instance:
         return b in self.rank_tbl[a]
 
     def edge_id(self, a: int, b: int) -> int:
-        """Layout id of the genuine edge joining agent a to job b."""
-        return self.layout.starts[a] + self.pref[a].index(b)
+        """Layout id of the genuine edge joining agent a to job b.
+
+        Searches a's edge range only; raises ``ValueError`` when a does not
+        list b.
+        """
+        starts = self.layout.starts
+        return self.layout.job_of.index(
+            b - self.num_agents, starts[a], starts[a + 1]
+        )
 
     @staticmethod
     def build(
@@ -136,14 +154,12 @@ class Instance:
         layout = _bulk_layout(src, dst, deg, na)
         if layout is None:
             _raise_list_error(names, na, pref_by_name)
-        bounds = [0, *np.cumsum(deg).tolist()]
-        pref = _split(tuple(dst.tolist()), bounds)
-        return Instance(tuple(names), na, pref, layout)
+        return Instance(tuple(names), na, layout)
 
 
 @dataclass(frozen=True)
 class EdgeLayout:
-    """An instance's edges as parallel lists indexed by edge id.
+    """An instance's edges as flat tuples indexed by edge id.
 
     Built with the instance, from the same flat arrays that validate its
     lists.  Agent a's edges run from ``starts[a]`` to ``starts[a + 1] - 1``
@@ -152,8 +168,12 @@ class EdgeLayout:
     index, job j being vertex ``num_agents + j``.  ``agent_of[k]`` and
     ``job_of[k]`` are the endpoints of edge k; ``agent_rank[k]`` is the
     job's position in the agent's list and ``job_rank[k]`` the agent's
-    position in the job's list.  ``incoming[j]`` lists job j's edge ids in
-    the job's preference order.
+    position in the job's list.  ``job_edges`` holds every edge id in job
+    order: job j's edges, in j's preference order, run from
+    ``job_starts[j]`` to ``job_starts[j + 1] - 1``.  ``incoming[j]``, the
+    same run as a tuple of its own, is derived on first use and kept; only
+    the proposal systems and the mirror graph of a solve past the
+    agent-popularity precheck ask for it.
     """
 
     starts: tuple[int, ...]
@@ -161,7 +181,12 @@ class EdgeLayout:
     job_of: tuple[int, ...]
     agent_rank: tuple[int, ...]
     job_rank: tuple[int, ...]
-    incoming: tuple[tuple[int, ...], ...]
+    job_starts: tuple[int, ...]
+    job_edges: tuple[int, ...]
+
+    @cached_property
+    def incoming(self) -> tuple[tuple[int, ...], ...]:
+        return _split(self.job_edges, self.job_starts)
 
 
 def _bulk_layout(src, dst, deg, na: int) -> EdgeLayout | None:
@@ -206,13 +231,36 @@ def _bulk_layout(src, dst, deg, na: int) -> EdgeLayout | None:
         tuple((dst[:m] - na).tolist()),
         tuple(agent_rank.tolist()),
         tuple(job_rank.tolist()),
-        _split(tuple(edge_at.tolist()), job_starts.tolist()),
+        tuple(job_starts.tolist()),
+        tuple(edge_at.tolist()),
     )
 
 
-def _split(flat: tuple[int, ...], bounds: list[int]) -> tuple[tuple[int, ...], ...]:
+def _split(
+    flat: tuple[int, ...], bounds: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
     """``flat`` cut into the runs between consecutive ``bounds``."""
     return tuple([flat[s:e] for s, e in zip(bounds, bounds[1:])])
+
+
+def _match_pair(inst: Instance, partner: list[int], a: int, b: int) -> None:
+    """Pair a with b in ``partner``; raise unless they are a free edge.
+
+    Either may be the agent; the edge is looked up in the agent's range.
+    """
+    u, v = (a, b) if a < b else (b, a)
+    lay, na = inst.layout, inst.num_agents
+    if not (
+        0 <= u < na <= v < inst.n
+        and v - na in lay.job_of[lay.starts[u]:lay.starts[u + 1]]
+    ):
+        raise InstanceError(f"({inst.names[a]}, {inst.names[b]}) is not an edge")
+    if partner[a] != a or partner[b] != b:
+        raise InstanceError(
+            f"vertex matched twice near ({inst.names[a]}, {inst.names[b]})"
+        )
+    partner[a] = b
+    partner[b] = a
 
 
 def _raise_list_error(
@@ -268,32 +316,25 @@ class Matching:
     def from_pairs(inst: Instance, pairs) -> "Matching":
         partner = list(range(inst.n))
         for a, b in pairs:
-            if b not in inst.pref[a]:
-                raise InstanceError(
-                    f"({inst.names[a]}, {inst.names[b]}) is not an edge"
-                )
-            if partner[a] != a or partner[b] != b:
-                raise InstanceError(
-                    f"vertex matched twice near ({inst.names[a]}, {inst.names[b]})"
-                )
-            partner[a] = b
-            partner[b] = a
+            _match_pair(inst, partner, a, b)
         return Matching(tuple(partner))
 
     def partner_ranks(self, inst: Instance) -> list[int]:
         """Each vertex's rank of its partner; its list length when alone.
 
-        Reads ``pref`` and the edge layout: O(m), no rank dict.
+        Reads the edge layout only: O(m), no rank dict and no ``pref``.
         """
-        pref, starts = inst.pref, inst.layout.starts
-        job_rank, partner = inst.layout.job_rank, self.partner
-        own = list(map(len, pref))
-        for a in range(inst.num_agents):
+        lay, na, partner = inst.layout, inst.num_agents, self.partner
+        starts, job_of, job_rank = lay.starts, lay.job_of, lay.job_rank
+        js = lay.job_starts
+        own = [*map(sub, starts[1:], starts), *map(sub, js[1:], js)]
+        for a in range(na):
             b = partner[a]
             if b != a:
-                i = pref[a].index(b)
-                own[a] = i
-                own[b] = job_rank[starts[a] + i]
+                s = starts[a]
+                k = job_of.index(b - na, s, starts[a + 1])
+                own[a] = k - s
+                own[b] = job_rank[k]
         return own
 
     def pairs(self, inst: Instance) -> tuple[tuple[int, int], ...]:
@@ -403,9 +444,14 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def parse_matching(text: str, inst: Instance) -> Matching:
-    """Parse an ``agent job`` pair-per-line file; omitted vertices are self-matched."""
-    ids = {name: u for u, name in enumerate(inst.names)}
-    pairs = []
+    """Parse an ``agent job`` pair-per-line file; omitted vertices are self-matched.
+
+    Each line is checked as it is read, on the edge layout, so every error
+    names its line.
+    """
+    na = inst.num_agents
+    ids = dict(zip(inst.names, range(inst.n)))
+    partner = list(range(inst.n))
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -415,12 +461,15 @@ def parse_matching(text: str, inst: Instance) -> Matching:
             raise InstanceError(f"line {line_no}: expected 'agent job'")
         for name in parts:
             if name not in ids:
-                raise InstanceError(f"unknown vertex name {name!r}")
+                raise InstanceError(f"line {line_no}: unknown vertex name {name!r}")
         a, b = ids[parts[0]], ids[parts[1]]
-        if not inst.is_agent(a) or inst.is_agent(b):
+        if a >= na or b < na:
             raise InstanceError(f"line {line_no}: expected an agent then a job")
-        pairs.append((a, b))
-    return Matching.from_pairs(inst, pairs)
+        try:
+            _match_pair(inst, partner, a, b)
+        except InstanceError as exc:
+            raise InstanceError(f"line {line_no}: {exc}") from None
+    return Matching(tuple(partner))
 
 
 def format_matching(inst: Instance, mat: Matching) -> str:
@@ -430,18 +479,27 @@ def format_matching(inst: Instance, mat: Matching) -> str:
 
 
 def compute_posts(inst: Instance) -> Posts:
-    """Derive each agent's top choice f(a) and fallback post s(a)."""
-    f = tuple(inst.pref[a][0] for a in inst.agent_ids())
-    f_image = set(f)
+    """Derive each agent's top choice f(a) and fallback post s(a).
+
+    Reads the edge layout: f(a) is the job of edge ``starts[a]``, and s(a)
+    the first job in a's edge range that is nobody's top.
+    """
+    na, lay = inst.num_agents, inst.layout
+    starts, job_of = lay.starts, lay.job_of
+    top = [job_of[k] for k in starts[:-1]]
+    is_top = [False] * inst.num_jobs
+    for j in top:
+        is_top[j] = True
     s = []
-    for a in inst.agent_ids():
+    for a in range(na):
         fallback = a
-        for b in inst.pref[a]:
-            if b not in f_image:
-                fallback = b
+        # The range's first job is a's own top, so the search skips it.
+        for j in job_of[starts[a] + 1:starts[a + 1]]:
+            if not is_top[j]:
+                fallback = na + j
                 break
         s.append(fallback)
-    return Posts(f, tuple(s))
+    return Posts(tuple(map(na.__add__, top)), tuple(s))
 
 
 def vote(inst: Instance, u: int, v: int, w: int) -> int:

@@ -104,16 +104,19 @@ def check_witness(
     if any(partner[u] == u and alpha[u] < 0 for u in scope):
         return False
     own = mat.partner_ranks(inst)
-    pref, starts, job_rank = inst.pref, inst.layout.starts, inst.layout.job_rank
+    na, lay = inst.num_agents, inst.layout
+    starts, job_of, job_rank = lay.starts, lay.job_of, lay.job_rank
+    # The same per-vertex values, indexed by job: job c is vertex na + c.
+    in_job, own_job, alpha_job = in_scope[na:], own[na:], alpha[na:]
     for a in scope:
-        if not inst.is_agent(a):
+        if a >= na:
             break
         own_a, alpha_a, s = own[a], alpha[a], starts[a]
-        for i, b in enumerate(pref[a]):
-            if in_scope[b]:
-                j, own_b = job_rank[s + i], own[b]
+        for i, c in enumerate(job_of[s:starts[a + 1]]):
+            if in_job[c]:
+                j, own_b = job_rank[s + i], own_job[c]
                 wt = (i < own_a) - (i > own_a) + (j < own_b) - (j > own_b)
-                if alpha_a + alpha[b] < wt:
+                if alpha_a + alpha_job[c] < wt:
                     return False
     return True
 
@@ -202,25 +205,26 @@ def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:
     """
     p = inst.num_agents
     q = inst.num_jobs
-    pref, partner = inst.pref, mat.partner
-    starts, job_rank = inst.layout.starts, inst.layout.job_rank
+    partner, lay = mat.partner, inst.layout
+    starts, job_of, job_rank = lay.starts, lay.job_of, lay.job_rank
     loop_wt = [0 if partner[u] == u else -1 for u in range(inst.n)]
     own = mat.partner_ranks(inst)
     const = sum(loop_wt)
 
     # Folded weights are >= 0: a vertex's vote for a neighbor against its
     # partner, plus one if it is matched (its loop weight, taken out).
+    own_job, loop_job = own[p:], loop_wt[p:]  # job c is vertex p + c
     adj: list[list[tuple[int, int]]] = []
-    for a in inst.agent_ids():
+    for a in range(p):
         own_a, loop_a, s = own[a], loop_wt[a], starts[a]
         row = []
-        for i, b in enumerate(pref[a]):
-            j, own_b = job_rank[s + i], own[b]
+        for i, c in enumerate(job_of[s:starts[a + 1]]):
+            j, own_b = job_rank[s + i], own_job[c]
             wprime = (
                 (i < own_a) - (i > own_a) + (j < own_b) - (j > own_b)
-                - loop_a - loop_wt[b]
+                - loop_a - loop_job[c]
             )
-            row.append((b - p, wprime))
+            row.append((c, wprime))
         row.append((q + a, 0))
         adj.append(row)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from itertools import chain
 
+import numpy as np
 import pytest
 
 from popmatch import (
@@ -207,12 +208,16 @@ def showcase_max(inst) -> Matching:
     )
 
 
-def random_instance(seed: int, max_side: int = 4):
-    """Deterministic small random instance for sweep tests."""
+def random_text(seed: int, max_side: int = 4) -> str:
+    """Deterministic small random instance text for sweep tests."""
     na = 1 + seed % max_side
     nb = 1 + (seed // max_side) % max_side
     density = (0.3, 0.6, 1.0)[seed % 3]
-    return parse_instance(generate(na, nb, density, seed))
+    return generate(na, nb, density, seed)
+
+
+def random_instance(seed: int, max_side: int = 4):
+    return parse_instance(random_text(seed, max_side))
 
 
 def ring_text(n: int) -> str:
@@ -384,7 +389,11 @@ def project_two_level(inst, aux_pairs, na):
 
 
 def layout_reference(inst) -> EdgeLayout:
-    """The edge layout built edge by edge from ``pref``, in O(m)."""
+    """The edge layout built edge by edge from ``pref``, in O(m).
+
+    ``pref`` is derived from the layout itself, so callers check it against
+    :func:`eager_views` (or the per-name parser) too.
+    """
     na, pref = inst.num_agents, inst.pref
     rank_tbl = [{v: i for i, v in enumerate(row)} for row in pref]
     starts = [0]
@@ -405,14 +414,69 @@ def layout_reference(inst) -> EdgeLayout:
     for row in incoming:
         for r, k in enumerate(row):
             job_rank[k] = r
+    job_starts = [0]
+    for row in incoming:
+        job_starts.append(job_starts[-1] + len(row))
     return EdgeLayout(
         tuple(starts),
         tuple(agent_of),
         tuple(job_of),
         tuple(agent_rank),
         tuple(job_rank),
-        incoming,
+        tuple(job_starts),
+        tuple(chain.from_iterable(incoming)),
     )
+
+
+def eager_views(text: str):
+    """``(pref, incoming)`` of a valid instance text, built eagerly.
+
+    This is how the bulk parser once built both views with the instance:
+    the flat arrays of the parse, sorted by owner and cut into per-vertex
+    tuples, and job-side entries paired with edge ids through the argsorts
+    of the ``(agent, job)`` keys of both sides.  It is the reference for
+    the views that are now derived from the edge layout on first use.
+    """
+    agent_names: list[str] = []
+    job_names: list[str] = []
+    pref_by_name: dict[str, list[str]] = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("agents:"):
+            agent_names = line[len("agents:"):].split()
+        elif line.startswith("jobs:"):
+            job_names = line[len("jobs:"):].split()
+        else:
+            head, _, tail = line.partition(">")
+            pref_by_name[head.strip()] = tail.split()
+    names = agent_names + job_names
+    n, na = len(names), len(agent_names)
+    idx = {name: i for i, name in enumerate(names)}
+    rows = list(pref_by_name.values())
+    src = np.repeat(
+        np.array([idx[u] for u in pref_by_name], np.intp),
+        [len(row) for row in rows],
+    )
+    dst = np.array([idx[v] for row in rows for v in row], np.intp)
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    deg = np.bincount(src, minlength=n)
+    bounds = [0, *np.cumsum(deg).tolist()]
+    flat = tuple(dst.tolist())
+    pref = tuple([flat[s:e] for s, e in zip(bounds, bounds[1:])])
+    m = bounds[na]
+    by_a = np.argsort(src[:m] * n + dst[:m])
+    by_j = np.argsort(dst[m:] * n + src[m:])
+    edge_at = np.empty(m, np.intp)
+    edge_at[by_j] = by_a
+    flat = tuple(edge_at.tolist())
+    job_bounds = [b - m for b in bounds[na:]]
+    incoming = tuple(
+        [flat[s:e] for s, e in zip(job_bounds, job_bounds[1:])]
+    )
+    return pref, incoming
 
 
 def parse_reference(text: str):

@@ -1,5 +1,6 @@
 """Parsing, posts, votes, and elections."""
 
+import pickle
 import random
 import re
 import time
@@ -28,11 +29,13 @@ from conftest import (
     PARSE_ERRORS,
     SHOWCASE_TEXT,
     composed_text,
+    eager_views,
     ids,
     layout_reference,
     match_of,
     parse_reference,
     random_instance,
+    random_text,
     ring_text,
     size_gap_max,
     size_gap_stable,
@@ -252,6 +255,7 @@ class TestParseErrors:
             inst = parse_instance(text)
             assert (inst.names, inst.num_agents, inst.pref) == want, text
             assert inst.layout == layout_reference(inst), text
+            assert (inst.pref, inst.layout.incoming) == eager_views(text), text
             outcomes["valid"] += 1
         # Both outcomes are common, and every message of the table occurs.
         assert outcomes["valid"] >= 300
@@ -309,7 +313,7 @@ class TestLayout:
             got = inst.layout
             for field in (
                 "starts", "agent_of", "job_of", "agent_rank", "job_rank",
-                "incoming",
+                "job_starts", "job_edges", "incoming",
             ):
                 assert getattr(got, field) == getattr(want, field), field
             assert inst.m == len(want.agent_of)
@@ -331,6 +335,66 @@ class TestLayout:
             x.names[u]: [x.names[v] for v in x.pref[u]] for u in range(x.n)
         }
         assert named(again) == named(inst)
+
+
+def view_texts():
+    """Valid texts whose ids and job list orders vary, for the derived views."""
+    for seed in range(400):
+        yield random_text(seed, max_side=6)
+    for seed in range(0, 600, 7):
+        rng = random.Random(seed)
+        yield generate(
+            1 + rng.randrange(30),
+            1 + rng.randrange(30),
+            rng.choice((0.1, 0.3, 1.0)),
+            seed,
+        )
+    for blocks in (1, 2, 7, 30):
+        yield composed_text(blocks, seed=blocks)
+    for n in (2, 3, 17, 50):
+        yield shuffled(ring_text(n), random.Random(n))
+    # Jobs without a list line, first, in the middle and last; no agents.
+    yield (
+        "agents: a0 a1\njobs: c0 b0 c1 b1 c2\n"
+        "a0 > b1 b0\na1 > b1\nb0 > a0\nb1 > a1 a0\n"
+    )
+    yield "agents:\njobs: b0 b1\n"
+
+
+class TestDerivedViews:
+    """``pref`` and ``incoming`` come from the flat layout on first use."""
+
+    def test_equal_eager_reference(self):
+        for text in view_texts():
+            inst = parse_instance(text)
+            assert "pref" not in vars(inst), text
+            assert "incoming" not in vars(inst.layout), text
+            pref, incoming = eager_views(text)
+            assert inst.layout.incoming == incoming, text
+            assert inst.pref == pref, text
+            assert inst.layout == layout_reference(inst), text
+
+    def test_equality_hash_and_pickle_read_fields_only(self):
+        text = composed_text(6, seed=1)
+        head, rows = text.splitlines()[:2], text.splitlines()[2:]
+        random.Random(2).shuffle(rows)
+        same_ids = "\n".join(head + rows) + "\n"
+        inst, again = parse_instance(text), parse_instance(same_ids)
+        again.pref, again.layout.incoming, again.rank_tbl  # derive on one only
+        assert inst == again and hash(inst) == hash(again)
+        for x in (inst, again):
+            back = pickle.loads(pickle.dumps(x))
+            assert back == inst and hash(back) == hash(inst)
+            assert back.pref == inst.pref
+            assert back.layout.incoming == inst.layout.incoming
+        relabelled = parse_instance(shuffled(text, random.Random(5)))
+        assert relabelled != inst
+        # Only job b0_3's order differs, so only the job side tells them apart.
+        swapped = parse_instance(
+            text.replace("b0_3 > a2_3 a0_3", "b0_3 > a0_3 a2_3")
+        )
+        na = inst.num_agents
+        assert swapped != inst and swapped.pref[:na] == inst.pref[:na]
 
 
 class TestMatchingIO:

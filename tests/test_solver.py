@@ -237,9 +237,9 @@ class TestOrderInvariance:
 
 
 class TestHotPath:
-    """Solving and verifying read the edge layout, never the rank dicts."""
+    """Solving and verifying read the edge layout, never the per-vertex views."""
 
-    DERIVED = ("rank_tbl", "edges")
+    DERIVED = ("pref", "rank_tbl", "edges")
     KEY_SETS = ("valid", "popular", "legal")
 
     def assert_lean(self, inst, classification=None):
@@ -259,6 +259,14 @@ class TestHotPath:
             assert report.outcome == "found"
             self.assert_lean(inst, report.state.classification)
 
+    def test_precheck_verdict_builds_no_views(self):
+        inst = parse_instance(generate(400, 400, 5 / 400, seed=0))
+        report = solve(inst)
+        assert report.outcome == "none" and report.fail_iteration == 0
+        assert report.state is None  # decided by the precheck
+        self.assert_lean(inst)
+        assert "incoming" not in vars(inst.layout)
+
     def test_verify_builds_no_rank_dicts(self):
         text = composed_text(40, seed=5)
         answer = solve(parse_instance(text)).matching
@@ -272,3 +280,9 @@ class TestHotPath:
         verdict = verify_popular(inst, mat)
         assert not verdict.popular and verdict.margin > 0
         self.assert_lean(inst)
+        assert "incoming" not in vars(inst.layout)
+        # The answer is popular, so its check ends in the witness path.
+        found = parse_matching(format_matching(inst, answer), inst)
+        assert verify_popular(inst, found).popular
+        self.assert_lean(inst)
+        assert "incoming" not in vars(inst.layout)

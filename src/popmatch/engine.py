@@ -1,14 +1,18 @@
 """Generic proposer/disposer engine with forbidden edges and resumable state.
 
-The engine runs one-sided proposals over ranked edge lists.  Left vertices
-consume their lists monotonically; right vertices keep a threshold rank and
-never accept a proposal along an edge worse than one they have already seen.
-A proposal along a forbidden edge is rejected, and that rejection also
-deletes every worse edge at the receiving vertex, including a currently held
-one.  The same machinery therefore serves plain stable matching and stable
-matching that must avoid a forbidden edge set.  Plain systems run on the
-instance's flat edge layout, and every stable edge comes from one rotation
-walk between the two extreme stable matchings.
+The engine runs one-sided proposals over ranked edge lists.  The lists are
+stored as compressed sparse rows: one flat edge sequence ``list_edges``,
+cut at per-vertex bounds ``list_starts``, so a system holds no list object
+per vertex and a left vertex's position is an index into the flat
+sequence.  Left vertices consume their lists monotonically; right vertices
+keep a threshold rank and never accept a proposal along an edge worse than
+one they have already seen.  A proposal along a forbidden edge is
+rejected, and that rejection also deletes every worse edge at the receiving
+vertex, including a currently held one.  The same machinery therefore
+serves plain stable matching and stable matching that must avoid a
+forbidden edge set.  Plain systems run on the instance's flat edge layout
+as it is, and every stable edge comes from one rotation walk between the
+two extreme stable matchings.
 
 Re-forbidding edges after a run and resuming is equivalent to a fresh run
 with the enlarged forbidden set, and total work over any forbid/resume
@@ -25,39 +29,53 @@ from .instance import Instance, Matching
 INFINITE_RANK = 1 << 60
 
 
+def packed_ints(values) -> memoryview:
+    """A numpy integer array's values, copied out as read-only 8-byte ints.
+
+    Builders hand the engine their flat lists and bounds this way.  The
+    view keeps 8 bytes per entry, where a list or tuple would also keep an
+    int object for every entry that is not a small cached int, and it
+    holds no numpy object.
+    """
+    return memoryview(values.astype("q", copy=False).tobytes()).cast("q")
+
+
 class ProposalSystem:
     """Ranked proposal lists on the left, threshold acceptance on the right.
 
-    Edges are dense ids.  ``left_lists[u]`` orders u's edges from best to
-    worst; ``edge_right[e]`` is the receiving right vertex and
-    ``right_rank`` orders each right vertex's incident edges (lower is
-    better).  A right vertex's cutoff is the best rank it has seen; it never
-    accepts an edge ranked at or beyond it.  With ``alone_ok`` a left vertex
-    that runs out of its list stays alone; otherwise that makes the run
-    infeasible.  Only systems without ``alone_ok`` are forbidden anything in
-    a solve.
+    Edges are dense ids.  The left lists are slices of one flat sequence:
+    u's list is ``list_edges[list_starts[u]:list_starts[u + 1]]``, ordered
+    from best to worst, so there are ``len(list_starts) - 1`` left vertices.
+    ``edge_right[e]`` is the receiving right vertex and ``right_rank`` orders
+    each right vertex's incident edges (lower is better).  A right vertex's
+    cutoff is the best rank it has seen; it never accepts an edge ranked at
+    or beyond it.  With ``alone_ok`` a left vertex that runs out of its list
+    stays alone; otherwise that makes the run infeasible.  Only systems
+    without ``alone_ok`` are forbidden anything in a solve.
 
     The lists are read, never written, so callers may share them.  The
     state is live: ``left_match[u]`` / ``right_match[r]`` hold the
-    matched edge id or -1, ``next_i[u]`` is the position in u's list of its
-    matched edge (past the end when u is alone), and ``matched`` collects
-    every vertex, left or right, that took a new edge, for callers to drain.
+    matched edge id or -1, ``next_i[u]`` is the position in ``list_edges``
+    of u's matched edge (``list_starts[u + 1]`` when u is alone), and
+    ``matched`` collects every vertex, left or right, that took a new edge,
+    for callers to drain.
     """
 
     def __init__(
         self,
-        num_left: int,
         num_right: int,
-        left_lists: Sequence[Sequence[int]],
+        list_edges: Sequence[int],
+        list_starts: Sequence[int],
         edge_left: Sequence[int],
         edge_right: Sequence[int],
         right_rank: Sequence[int],
         forbidden=(),
         alone_ok: bool = False,
     ):
-        self.num_left = num_left
+        self.num_left = len(list_starts) - 1
         self.num_right = num_right
-        self.left_lists = left_lists
+        self.list_edges = list_edges
+        self.list_starts = list_starts
         self.edge_left = edge_left
         self.edge_right = edge_right
         self.right_rank = right_rank
@@ -66,9 +84,9 @@ class ProposalSystem:
         self.forbidden = [False] * num_edges
         for e in forbidden:
             self.forbidden[e] = True
-        self.total_list_length = sum(map(len, left_lists))
-        self.next_i = [0] * num_left
-        self.left_match = [-1] * num_left
+        self.total_list_length = len(list_edges)
+        self.next_i = list(list_starts[:-1])
+        self.left_match = [-1] * self.num_left
         self.right_match = [-1] * num_right
         self.right_cut = [INFINITE_RANK] * num_right
         self.starved: set[int] = set()
@@ -97,27 +115,27 @@ class ProposalSystem:
             return False
         # The loop reads the live state through locals; the counters are
         # written back on every exit.
-        left_lists, edge_left = self.left_lists, self.edge_left
-        edge_right, right_rank = self.edge_right, self.right_rank
-        forbidden, next_i = self.forbidden, self.next_i
-        left_match, right_match = self.left_match, self.right_match
-        right_cut, starved = self.right_cut, self.starved
-        queue, matched = self.queue, self.matched
+        list_edges, list_starts = self.list_edges, self.list_starts
+        edge_left, edge_right = self.edge_left, self.edge_right
+        right_rank, forbidden = self.right_rank, self.forbidden
+        next_i, left_match = self.next_i, self.left_match
+        right_match, right_cut = self.right_match, self.right_cut
+        starved, queue, matched = self.starved, self.queue, self.matched
         proposals = rejections = 0
         try:
             while queue:
                 u = queue.popleft()
                 if left_match[u] != -1:
                     continue
-                row, i = left_lists[u], next_i[u]
+                i, end = next_i[u], list_starts[u + 1]
                 while True:
-                    if i >= len(row):
+                    if i >= end:
                         next_i[u] = i
                         if self.alone_ok:
                             break
                         self.exhausted_left = u
                         return False
-                    e = row[i]
+                    e = list_edges[i]
                     proposals += 1
                     r = edge_right[e]
                     rank = right_rank[e]
@@ -203,19 +221,19 @@ def build_system(inst: Instance, proposers: str = "agents") -> ProposalSystem:
     Left vertex i is the i-th proposer and right vertex j the j-th vertex
     of the other side.  Edge ids are the instance's own edge indexes, so
     both sides' systems share them, and every list and rank is one of the
-    layout's lists.  A proposer that runs out of its list stays alone.
+    layout's tuples: agents propose along ``range(m)`` cut at ``starts``,
+    jobs along ``job_edges`` cut at ``job_starts``.  A proposer that runs
+    out of its list stays alone.
     """
     lay = inst.layout
     if proposers == "agents":
-        starts = lay.starts
-        lists = [range(starts[a], starts[a + 1]) for a in inst.agent_ids()]
         return ProposalSystem(
-            inst.num_agents, inst.num_jobs, lists,
+            inst.num_jobs, range(inst.m), lay.starts,
             lay.agent_of, lay.job_of, lay.job_rank, alone_ok=True,
         )
     if proposers == "jobs":
         return ProposalSystem(
-            inst.num_jobs, inst.num_agents, lay.incoming,
+            inst.num_agents, lay.job_edges, lay.job_starts,
             lay.job_of, lay.agent_of, lay.agent_rank, alone_ok=True,
         )
     raise ValueError(f"unknown proposer side {proposers!r}")
@@ -259,7 +277,7 @@ def rotation_walk(agents: ProposalSystem, jobs: ProposalSystem) -> set[int]:
     """
     agents.run()
     jobs.run()
-    lists, agent_of = agents.left_lists, agents.edge_left
+    flat, agent_of = agents.list_edges, agents.edge_left
     job_of, rank = agents.edge_right, agents.right_rank
     hold = list(agents.left_match)
     job_hold = list(agents.right_match)
@@ -276,12 +294,12 @@ def rotation_walk(agents: ProposalSystem, jobs: ProposalSystem) -> set[int]:
             depth[start] = 0
             while stack:
                 a = stack[-1]
-                row, i = lists[a], scan[a]
-                e = row[i]
+                i = scan[a]
+                e = flat[i]
                 held = job_hold[job_of[e]]
                 while rank[e] > rank[held]:
                     i += 1
-                    e = row[i]
+                    e = flat[i]
                     held = job_hold[job_of[e]]
                 scan[a] = i
                 succ = agent_of[held]
@@ -292,7 +310,7 @@ def rotation_walk(agents: ProposalSystem, jobs: ProposalSystem) -> set[int]:
                 rotation = stack[depth[succ]:]
                 del stack[depth[succ]:]
                 for x in rotation:
-                    e = lists[x][scan[x]]
+                    e = flat[scan[x]]
                     hold[x] = e
                     job_hold[job_of[e]] = e
                     scan[x] += 1

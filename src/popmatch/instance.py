@@ -171,9 +171,9 @@ class EdgeLayout:
     position in the job's list.  ``job_edges`` holds every edge id in job
     order: job j's edges, in j's preference order, run from
     ``job_starts[j]`` to ``job_starts[j + 1] - 1``.  ``incoming[j]``, the
-    same run as a tuple of its own, is derived on first use and kept; only
-    the proposal systems and the mirror graph of a solve past the
-    agent-popularity precheck ask for it.
+    same run as a tuple of its own, is derived on first use and kept; no
+    solve or verification path reads it, since the proposal systems and
+    the mirror graph read ``job_edges`` and ``job_starts`` directly.
     """
 
     starts: tuple[int, ...]

@@ -25,9 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count
-from operator import and_
+from operator import and_, sub
 
-from .engine import ProposalSystem, build_system, rotation_walk
+import numpy as np
+
+from .engine import ProposalSystem, build_system, packed_ints, rotation_walk
 from .instance import Instance, Posts, compute_posts
 
 EdgeKey = tuple[int, int]
@@ -124,22 +126,42 @@ def two_level_systems(inst: Instance) -> tuple[ProposalSystem, ProposalSystem]:
     projecting genuine edges back recovers a dominant matching.
 
     Every list and rank is arithmetic on the instance's edge layout:
-    nothing is looked up by name or rank dict.  Returns the agent-proposing
-    system and the job-proposing one.
+    nothing is looked up by name or rank dict.  Each system's lists are one
+    flat int array with bounds, scattered in a few numpy passes, not a list
+    object per vertex.  Returns the agent-proposing system and the
+    job-proposing one.
     """
     lay = inst.layout
     na, nj, m = inst.num_agents, inst.num_jobs, inst.m
-    starts, rest = lay.starts, 2 * m
-    agents = range(na)
-    agent_lists = [[rest + a, *range(starts[a], starts[a + 1])] for a in agents]
-    agent_lists += [
-        [*range(m + starts[a], m + starts[a + 1]), rest + na + a] for a in agents
-    ]
-    job_lists = [[*row, *[m + k for k in row]] for row in lay.incoming]
-    job_lists += [[rest + na + a, rest + a] for a in agents]
+    starts, job_starts, rest = lay.starts, lay.job_starts, 2 * m
+    # The flat lists are scattered by index arithmetic on the layout.  A
+    # high list is a's last resort, then a's edges, and a low list a's low
+    # edges, then its last resort: each is a's edge range with one entry
+    # inserted, so a's lists start a places after a's range does.
+    edges, agents = np.arange(m), np.arange(na)
+    runs = np.array(starts, np.intp)
+    firsts = runs[:-1] + agents
+    agent_lists = np.concatenate((
+        np.insert(edges, runs[:-1], rest + agents),
+        np.insert(m + edges, runs[1:], rest + na + agents),
+    ))
+    agent_starts = np.concatenate((firsts, m + na + firsts, [2 * (m + na)]))
+    # Job j's list is its high edges, then its low edges: twice its run of
+    # job_edges, from twice the run's start.  Each last resort's list is the
+    # low copy of its agent, then the high copy.
+    runs = np.array(job_starts, np.intp)
+    job_of = np.array(lay.job_of, np.intp)
+    at = 2 * runs[job_of] + np.array(lay.job_rank, np.intp)
+    job_lists = np.empty(2 * (m + na), np.intp)
+    job_lists[at] = edges
+    job_lists[at + np.diff(runs)[job_of]] = m + edges
+    job_lists[rest::2] = rest + na + agents
+    job_lists[rest + 1::2] = rest + agents
+    job_list_starts = np.concatenate((2 * runs, rest + 2 * agents + 2))
+
     owner = [*lay.agent_of, *[na + a for a in lay.agent_of], *range(2 * na)]
     post = [*lay.job_of, *lay.job_of, *range(nj, nj + na), *range(nj, nj + na)]
-    degree = [len(row) for row in lay.incoming]
+    degree = [*map(sub, job_starts[1:], job_starts)]
     job_rank = [
         *lay.job_rank,
         *[degree[j] + r for j, r in zip(lay.job_of, lay.job_rank)],
@@ -150,14 +172,16 @@ def two_level_systems(inst: Instance) -> tuple[ProposalSystem, ProposalSystem]:
         *[r + 1 for r in lay.agent_rank],
         *lay.agent_rank,
         *[0] * na,
-        *[starts[a + 1] - starts[a] for a in agents],
+        *map(sub, starts[1:], starts),
     ]
     return (
         ProposalSystem(
-            2 * na, nj + na, agent_lists, owner, post, job_rank, alone_ok=True
+            nj + na, packed_ints(agent_lists), packed_ints(agent_starts),
+            owner, post, job_rank, alone_ok=True,
         ),
         ProposalSystem(
-            nj + na, 2 * na, job_lists, post, owner, agent_rank, alone_ok=True
+            2 * na, packed_ints(job_lists), packed_ints(job_list_starts),
+            post, owner, agent_rank, alone_ok=True,
         ),
     )
 

@@ -17,9 +17,12 @@ sums recover popularity certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import sub
 
-from .engine import ProposalSystem, blocking_edges
+import numpy as np
+
+from .engine import ProposalSystem, blocking_edges, packed_ints
 from .instance import Instance, Matching
 from .legality import EdgeClassification
 
@@ -35,6 +38,12 @@ class MirrorGraph:
     left/right endpoint's preference order; ``forbidden`` marks every signed
     copy of a non-legal edge and the twin of every vertex whose self-loop is
     not legal.
+
+    The left copies' ranked lists are stored flat, as the engine reads
+    them: u's list is ``list_edges[list_starts[u]:list_starts[u + 1]]``, in
+    ``lrank`` order.  Both are read-only views of packed ints, left out of
+    equality and hashing (they follow from ``inst`` like every other
+    field).
     """
 
     inst: Instance
@@ -43,7 +52,8 @@ class MirrorGraph:
     left_tag: tuple[int, ...]
     right_tag: tuple[int, ...]
     g_edge: tuple[int, ...]
-    left_lists: tuple[tuple[int, ...], ...]
+    list_edges: memoryview = field(compare=False)
+    list_starts: memoryview = field(compare=False)
     lrank: tuple[int, ...]
     rrank: tuple[int, ...]
     forbidden: frozenset[int]
@@ -88,7 +98,7 @@ def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGr
     """Construct the mirror graph with its forbidden set from a classification."""
     m, n, na = inst.m, inst.n, inst.num_agents
     lay = inst.layout
-    starts, incoming = lay.starts, lay.incoming
+    starts, job_starts = lay.starts, lay.job_starts
     agent_of, job_of = lay.agent_of, [na + j for j in lay.job_of]
     # Upper copies (4k, 4k + 1) join a's left copy to b's right copy, lower
     # copies (4k + 2, 4k + 3) b's left copy to a's right copy; the first of
@@ -108,8 +118,9 @@ def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGr
     # the minus-tagged partners, the twin, then the plus-tagged partners.
     # So an edge at position r of u's list sits at r or d + r on the left
     # and at r or d + 1 + r on the right, and the twin at 2d and d.
-    degree = [starts[a + 1] - starts[a] for a in range(na)]
-    degree += [len(row) for row in incoming]
+    degree = [
+        *map(sub, starts[1:], starts), *map(sub, job_starts[1:], job_starts)
+    ]
     a_deg = [degree[a] for a in agent_of]
     b_deg = [degree[b] for b in job_of]
     lrank = [0] * (4 * m) + [2 * d for d in degree]
@@ -122,14 +133,7 @@ def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGr
     rrank[1:4 * m:4] = lay.job_rank
     rrank[2:4 * m:4] = [d + 1 + r for d, r in zip(a_deg, lay.agent_rank)]
     rrank[3:4 * m:4] = lay.agent_rank
-    left_lists = [
-        (*range(4 * s, 4 * e, 4), *range(4 * s + 1, 4 * e, 4), 4 * m + a)
-        for a, (s, e) in enumerate(zip(starts, starts[1:]))
-    ]
-    left_lists += [
-        (*[4 * k + 2 for k in row], *[4 * k + 3 for k in row], 4 * m + na + j)
-        for j, row in enumerate(incoming)
-    ]
+    list_edges, list_starts = _left_lists(lay, agent_of, job_of, degree)
 
     # Legal flags per genuine edge k and, at m + u, per self-loop of u.
     legal = classification.legal_flags
@@ -145,19 +149,45 @@ def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGr
         left_tag=tuple(left_tag),
         right_tag=tuple(right_tag),
         g_edge=tuple(g_edge),
-        left_lists=tuple(left_lists),
+        list_edges=list_edges,
+        list_starts=list_starts,
         lrank=tuple(lrank),
         rrank=tuple(rrank),
         forbidden=frozenset(forbidden),
     )
 
 
+def _left_lists(lay, agent_of, job_of, degree):
+    """``(list_edges, list_starts)`` of the mirror's left copies.
+
+    Left copy u lists its 2d + 1 edges in lrank order from
+    ``list_starts[u]`` on.  So genuine edge k, at rank r of an endpoint u's
+    list, puts its copy that reaches the partner's minus tag at
+    ``list_starts[u] + r`` and the one that reaches its plus tag d places
+    later, and u's twin ends the list.  A function of its own so that its
+    numpy temporaries are freed before ``build_mirror`` copies the per-edge
+    lists into tuples.
+    """
+    m, n = len(agent_of), len(degree)
+    deg = np.array(degree, np.intp)
+    list_starts = np.zeros(n + 1, np.intp)
+    np.cumsum(2 * deg + 1, out=list_starts[1:])
+    ends = np.array([*agent_of, *job_of], np.intp)
+    at = list_starts[ends] + np.array([*lay.agent_rank, *lay.job_rank], np.intp)
+    copies = np.arange(4 * m).reshape(m, 4).T
+    list_edges = np.empty(4 * m + n, np.intp)
+    list_edges[at] = np.concatenate((copies[0], copies[2]))
+    list_edges[at + deg[ends]] = np.concatenate((copies[1], copies[3]))
+    list_edges[list_starts[1:] - 1] = np.arange(4 * m, 4 * m + n)
+    return packed_ints(list_edges), packed_ints(list_starts)
+
+
 def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
     """Proposal system over the mirror graph: left copies propose, right dispose."""
     return ProposalSystem(
-        num_left=mirror.inst.n,
         num_right=mirror.inst.n,
-        left_lists=mirror.left_lists,
+        list_edges=mirror.list_edges,
+        list_starts=mirror.list_starts,
         edge_left=mirror.edge_left,
         edge_right=mirror.edge_right,
         right_rank=mirror.rrank,
@@ -199,7 +229,20 @@ def realize_witnessed(
     and is rejected.  At every vertex the two incident sign tags sum to
     twice its certificate entry.
     """
+    return _realize_witnessed(
+        mirror, mat, mat.partner_ranks(mirror.inst), alpha
+    )
+
+
+def _realize_witnessed(
+    mirror: MirrorGraph, mat: Matching, own: list[int], alpha
+) -> MirrorMatching:
+    """:func:`realize_witnessed` with ``own = mat.partner_ranks(inst)`` given.
+
+    Agent a's matched edge is ``starts[a] + own[a]``.
+    """
     inst = mirror.inst
+    starts = inst.layout.starts
     left = [-1] * inst.n
     right = [-1] * inst.n
     for a, b in mat.pairs(inst):
@@ -208,7 +251,7 @@ def realize_witnessed(
                 f"matched pair ({inst.names[a]}, {inst.names[b]}) has "
                 "non-cancelling certificate entries"
             )
-        k = inst.edge_id(a, b)
+        k = starts[a] + own[a]
         if alpha[a] < 0:
             left[a] = 4 * k + 1   # upper minus at a
             right[b] = 4 * k + 1
@@ -313,20 +356,25 @@ def classify_partition(mh: MirrorMatching) -> PartitionRecord:
 
 
 def mirror_blocking_edges(mh: MirrorMatching) -> tuple[int, ...]:
-    """Every mirror edge both of whose endpoints prefer it to their matches."""
+    """Every mirror edge both of whose endpoints prefer it to their matches.
+
+    A left copy's list is in ``lrank`` order, so the edges it prefers to its
+    match are the list's prefix before the matched edge, or the whole list
+    when the copy is unmatched.  Only those are tested at the right end.
+    Returns the blocking edges sorted by id.
+    """
     mirror = mh.mirror
+    flat, starts = mirror.list_edges, mirror.list_starts
+    edge_right, lrank, rrank = mirror.edge_right, mirror.lrank, mirror.rrank
+    right_edge = mh.right_edge
     blockers = []
-    for e in range(mirror.num_edges):
-        lu = mirror.edge_left[e]
-        rv = mirror.edge_right[e]
-        le = mh.left_edge[lu]
-        re = mh.right_edge[rv]
-        if e in (le, re):
-            continue
-        if (le == -1 or mirror.lrank[e] < mirror.lrank[le]) and (
-            re == -1 or mirror.rrank[e] < mirror.rrank[re]
-        ):
-            blockers.append(e)
+    for u, le in enumerate(mh.left_edge):
+        end = starts[u + 1] if le == -1 else starts[u] + lrank[le]
+        for e in flat[starts[u]:end]:
+            re = right_edge[edge_right[e]]
+            if re == -1 or rrank[e] < rrank[re]:
+                blockers.append(e)
+    blockers.sort()
     return tuple(blockers)
 
 
@@ -334,10 +382,11 @@ def format_mirror(mirror: MirrorGraph) -> str:
     """Line-oriented debug dump: each copy's ranked edges with forbidden flags."""
     inst = mirror.inst
     lines = [f"mirror graph: {inst.n * 2} vertices, {mirror.num_edges} edges"]
+    starts = mirror.list_starts
     for u in range(inst.n):
         row = " ".join(
             mirror.describe(e) + ("!" if e in mirror.forbidden else "")
-            for e in mirror.left_lists[u]
+            for e in mirror.list_edges[starts[u]:starts[u + 1]]
         )
         lines.append(f"{inst.names[u]}_l > {row}")
     incoming: list[list[int]] = [[] for _ in range(inst.n)]

@@ -87,6 +87,13 @@ def check_witness(
     :meth:`Matching.partner_ranks` as in :func:`verify_popular`; each equals
     :func:`edge_weight`.
     """
+    return _check_witness(inst, mat, mat.partner_ranks(inst), alpha, vertices)
+
+
+def _check_witness(
+    inst: Instance, mat: Matching, own: list[int], alpha, vertices=None
+) -> bool:
+    """:func:`check_witness` with ``own = mat.partner_ranks(inst)`` given."""
     partner = mat.partner
     scope = range(inst.n) if vertices is None else sorted(vertices)
     in_scope = [False] * inst.n
@@ -103,7 +110,6 @@ def check_witness(
     # A self-loop weighs -1 unless its vertex is alone, then 0.
     if any(partner[u] == u and alpha[u] < 0 for u in scope):
         return False
-    own = mat.partner_ranks(inst)
     na, lay = inst.num_agents, inst.layout
     starts, job_of, job_rank = lay.starts, lay.job_of, lay.job_rank
     # The same per-vertex values, indexed by job: job c is vertex na + c.

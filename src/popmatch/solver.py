@@ -27,14 +27,14 @@ from .mirror import (
     MirrorGraph,
     MirrorMatching,
     PartitionRecord,
+    _realize_witnessed,
     build_mirror,
     classify_partition,
     mirror_blocking_edges,
     mirror_system,
     project,
-    realize_witnessed,
 )
-from .popularity import a_popular_obstruction, check_a_popular, check_witness
+from .popularity import _check_witness, a_popular_obstruction, check_a_popular
 
 
 class SolverDefect(AssertionError):
@@ -155,12 +155,14 @@ def _agent_plus_edges(state: SolverState, agents) -> list[int]:
     return out
 
 
-def extract_witness(state: SolverState) -> tuple[int, ...]:
+def extract_witness(state: SolverState, own: list[int]) -> tuple[int, ...]:
     """Popularity certificate of the returned matching from the final partitions.
 
     Marked genuine-matched vertices and twin-matched vertices get zero;
-    everything else takes the sign of its upper-half tag.  The result must
-    validate; a failure here would mean the solver itself is broken.
+    everything else takes the sign of its upper-half tag.  ``own`` holds the
+    matching's :meth:`~popmatch.instance.Matching.partner_ranks`.  The
+    result must validate; a failure here would mean the solver itself is
+    broken.
     """
     part = state.partition
     if part is None:
@@ -176,7 +178,7 @@ def extract_witness(state: SolverState) -> tuple[int, ...]:
     for b in part.b_minus:
         alpha[b] = -1
     witness = tuple(alpha)
-    if not check_witness(state.inst, state.matching, witness):
+    if not _check_witness(state.inst, state.matching, own, witness):
         raise SolverDefect("final partitions produced an invalid certificate")
     return witness
 
@@ -259,9 +261,10 @@ def solve(
     state.z_set = frozenset(
         u for u in range(inst.n) if state.marks[u] and u not in unmatched
     )
-    witness = extract_witness(state)
+    own = state.matching.partner_ranks(inst)
+    witness = extract_witness(state, own)
     if validate:
-        _validate(state, witness, posts)
+        _validate(state, witness, posts, own)
     return SolveReport(
         outcome="found",
         matching=state.matching,
@@ -292,9 +295,16 @@ def _none_report(
 
 
 def _validate(
-    state: SolverState, witness: tuple[int, ...], posts: Posts
+    state: SolverState,
+    witness: tuple[int, ...],
+    posts: Posts,
+    own_m: list[int],
 ) -> None:
-    """Re-check every structural guarantee of a successful solve."""
+    """Re-check every structural guarantee of a successful solve.
+
+    ``own_m`` holds the upper projection's partner ranks; the lower one's
+    are computed here, once.
+    """
     inst = state.inst
     part = state.partition
     mat = state.matching
@@ -334,7 +344,7 @@ def _validate(
 
     # Restricted stability on marked and twin-matched vertices.
     lay, na = inst.layout, inst.num_agents
-    own_m, own_l = mat.partner_ranks(inst), low.partner_ranks(inst)
+    own_l = low.partner_ranks(inst)
     restricted = z | part.u_agents | part.u_jobs
     for a in restricted:
         if a >= na:
@@ -371,7 +381,7 @@ def _validate(
         b for b in inst.job_ids() if b not in part.u_jobs
     ]
     ensure(
-        check_witness(inst, mat, gamma, vertices=scope_m),
+        _check_witness(inst, mat, own_m, gamma, vertices=scope_m),
         "upper-half certificate failed off the twin-matched jobs",
     )
     beta = [0] * inst.n
@@ -383,12 +393,12 @@ def _validate(
         inst.job_ids()
     )
     ensure(
-        check_witness(inst, low, beta, vertices=scope_l),
+        _check_witness(inst, low, own_l, beta, vertices=scope_l),
         "lower-half certificate failed off the twin-matched agents",
     )
 
     # The full certificate must also realize to a legal stable mirror matching.
-    realization = realize_witnessed(state.mirror, mat, witness)
+    realization = _realize_witnessed(state.mirror, mat, own_m, witness)
     ensure(
         not mirror_blocking_edges(realization),
         "realization of the result is unstable in the mirror graph",

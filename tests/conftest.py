@@ -166,6 +166,12 @@ def ids(inst, *names):
     return tuple(inst.id_of(name) for name in names)
 
 
+def left_list(system, u: int) -> list[int]:
+    """Left vertex u's ranked edges in a proposal system or mirror graph."""
+    starts = system.list_starts
+    return list(system.list_edges[starts[u]:starts[u + 1]])
+
+
 def pairs_by_name(inst, mat: Matching):
     return sorted(
         (inst.names[a], inst.names[b]) for a, b in mat.pairs(inst)

@@ -5,22 +5,162 @@ import random
 from popmatch import (
     Matching,
     blocking_edges,
+    generate,
     parse_instance,
     stable_matching,
     stable_vertices,
 )
 from popmatch.engine import ProposalSystem, build_system
-from popmatch.legality import legal_edge_set, stable_pairs
+from popmatch.legality import legal_edge_set, stable_pairs, two_level_systems
 from popmatch.mirror import build_mirror, mirror_system
 from popmatch.oracle import enumerate_matchings
 
 from conftest import (
     ids,
+    left_list,
     pairs_by_name,
     random_instance,
     ring_instance,
     showcase_stable,
 )
+
+
+def reference_lists(inst, kind):
+    """Each left vertex's ranked edge ids as a list of its own, from ``pref``.
+
+    ``kind`` names the system: the plain ``agents`` or ``jobs`` one, the
+    two-level ``two_level_agents`` or ``two_level_jobs`` one, or the
+    ``mirror`` one.  Ids follow each system's numbering.
+    """
+    na, m = inst.num_agents, inst.m
+    agent_rows = [
+        [inst.edge_id(a, b) for b in inst.pref[a]] for a in inst.agent_ids()
+    ]
+    job_rows = [
+        [inst.edge_id(a, b) for a in inst.pref[b]] for b in inst.job_ids()
+    ]
+    if kind == "agents":
+        return agent_rows
+    if kind == "jobs":
+        return job_rows
+    if kind == "two_level_agents":
+        return [[2 * m + a, *row] for a, row in enumerate(agent_rows)] + [
+            [*(m + k for k in row), 2 * m + na + a]
+            for a, row in enumerate(agent_rows)
+        ]
+    if kind == "two_level_jobs":
+        return [[*row, *(m + k for k in row)] for row in job_rows] + [
+            [2 * m + na + a, 2 * m + a] for a in inst.agent_ids()
+        ]
+    return [
+        [*(4 * k for k in row), *(4 * k + 1 for k in row), 4 * m + a]
+        for a, row in enumerate(agent_rows)
+    ] + [
+        [*(4 * k + 2 for k in row), *(4 * k + 3 for k in row), 4 * m + na + j]
+        for j, row in enumerate(job_rows)
+    ]
+
+
+def gale_shapley_reference(lists, system, forbidden):
+    """Deferred acceptance from scratch on per-vertex lists, last in first out.
+
+    Ranks, endpoints and ``alone_ok`` are read off ``system``.  A proposal
+    along a forbidden edge that its right vertex would take is rejected, and
+    that vertex then refuses every edge it ranks at or below it, dropping
+    its holder; it is starved while it holds nothing after that.  Returns
+    ``(feasible, left_match, right_match, positions, starved)``, positions
+    relative to each list's start.
+    """
+    edge_right, right_rank = system.edge_right, system.right_rank
+    pos = [0] * len(lists)
+    left = [-1] * len(lists)
+    holder = [-1] * system.num_right
+    right = [-1] * system.num_right
+    cut = [float("inf")] * system.num_right
+    starved = set()
+    exhausted = False
+    free = list(range(len(lists)))[::-1]
+    while free:
+        u = free.pop()
+        while pos[u] < len(lists[u]):
+            e = lists[u][pos[u]]
+            r = edge_right[e]
+            if right_rank[e] >= cut[r]:
+                pos[u] += 1
+                continue
+            cut[r] = right_rank[e]
+            if right[r] != -1:
+                v = holder[r]
+                left[v] = right[r] = -1
+                pos[v] += 1
+                free.append(v)
+            if e in forbidden:
+                starved.add(r)
+                pos[u] += 1
+                continue
+            right[r], holder[r], left[u] = e, u, e
+            starved.discard(r)
+            break
+        else:
+            exhausted = exhausted or not system.alone_ok
+    return not exhausted and not starved, left, right, pos, starved
+
+
+class TestReferenceEngine:
+    """The engine on flat lists against Gale-Shapley on per-vertex lists."""
+
+    def systems(self, inst):
+        mirror = build_mirror(inst, legal_edge_set(inst))
+        return [
+            ("agents", build_system(inst, "agents")),
+            ("jobs", build_system(inst, "jobs")),
+            *zip(
+                ("two_level_agents", "two_level_jobs"), two_level_systems(inst)
+            ),
+            ("mirror", mirror_system(mirror)),
+        ]
+
+    def test_forbid_resume_sequences_match_reference(self):
+        rng = random.Random(7)
+        insts = [random_instance(seed) for seed in range(150)]
+        insts += [random_instance(seed, max_side=7) for seed in range(40)]
+        insts += [
+            parse_instance(generate(n, n + 2, 3 / n, seed=n)) for n in (9, 16)
+        ]
+        insts.append(ring_instance(12))
+        compared = infeasible = 0
+        for inst in insts:
+            for kind, system in self.systems(inst):
+                lists = reference_lists(inst, kind)
+                assert [
+                    left_list(system, u) for u in range(system.num_left)
+                ] == lists, kind
+                assert system.total_list_length == sum(map(len, lists))
+                forbidden = {e for e, f in enumerate(system.forbidden) if f}
+                edges = range(len(system.edge_left))
+                batches = [[]] + [
+                    rng.sample(edges, min(len(edges), rng.randint(1, 3)))
+                    for _ in range(3)
+                ]
+                for batch in batches:
+                    system.forbid(batch)
+                    forbidden.update(batch)
+                    feasible = system.run()
+                    want = gale_shapley_reference(lists, system, forbidden)
+                    assert feasible == want[0], kind
+                    if system.exhausted_left is not None:
+                        # The engine stops at its first exhausted vertex.
+                        infeasible += 1
+                        break
+                    starts = system.list_starts
+                    assert (
+                        system.left_match,
+                        system.right_match,
+                        [i - s for i, s in zip(system.next_i, starts)],
+                        system.starved,
+                    ) == want[1:], kind
+                    compared += 1
+        assert compared > 2000 and infeasible > 50
 
 
 class TestProposeDispose:
@@ -30,14 +170,14 @@ class TestProposeDispose:
         ]
 
     def test_empty_left_side(self):
-        system = ProposalSystem(0, 0, [], [], [], [])
+        system = ProposalSystem(0, [], [0], [], [], [])
         assert system.run()
         assert system.left_match == []
 
     def test_forbidding_only_stable_edge_is_infeasible(self, size_gap):
         a1, b1 = ids(size_gap, "a1", "b1")
         system = build_system(size_gap)
-        system.forbid([system.left_lists[a1][size_gap.rank_of(a1, b1)]])
+        system.forbid([left_list(system, a1)[size_gap.rank_of(a1, b1)]])
         assert not system.run()
         # Every agent may stay alone, so b1 starving is what the run blames.
         assert system.exhausted_left is None
@@ -89,7 +229,7 @@ class TestResume:
         classification = legal_edge_set(size_gap)
         mirror = build_mirror(size_gap, classification)
         system = mirror_system(mirror)
-        system.forbid(list(mirror.left_lists[0]))
+        system.forbid(left_list(mirror, 0))
         assert not system.run()
         assert system.exhausted_left == 0
         assert system.offender() == 0

@@ -21,6 +21,7 @@ from conftest import (
     composed_text,
     forbidden_reference,
     ids,
+    left_list,
     project_two_level,
     random_instance,
     ring_instance,
@@ -180,10 +181,10 @@ class TestPairFamilies:
                 for u in range(ref.num_left):
                     assert [
                         (virtual.edge_right[e], virtual.right_rank[e])
-                        for e in virtual.left_lists[u]
+                        for e in left_list(virtual, u)
                     ] == [
                         (ref.edge_right[e], ref.right_rank[e])
-                        for e in ref.left_lists[u]
+                        for e in left_list(ref, u)
                     ]
 
     def test_dominant_pairs_beyond_enumeration(self):

@@ -1,5 +1,7 @@
 """Mirror graph construction, embeddings, realizations, projections, partitions."""
 
+import random
+
 import pytest
 
 from popmatch import (
@@ -18,7 +20,13 @@ from popmatch import (
 from popmatch.mirror import MirrorMatching, format_mirror, mirror_system
 from popmatch.oracle import ground_truth, witness_search
 
-from conftest import ids, random_instance, showcase_full, size_gap_max
+from conftest import (
+    ids,
+    left_list,
+    random_instance,
+    showcase_full,
+    size_gap_max,
+)
 
 # Frozen because its left-optimal legal mirror matching differs between the
 # two halves (found by sweeping seeded instances).
@@ -79,7 +87,7 @@ class TestBuild:
         # Right copies: partner-minus block, twin, partner-plus block.
         mirror = make_mirror(size_gap)
         a1 = size_gap.id_of("a1")
-        row = mirror.left_lists[a1]
+        row = left_list(mirror, a1)
         assert [mirror.right_tag[e] for e in row] == [-1, -1, 1, 1, 1]
         assert mirror.is_twin(row[-1])
         incident = sorted(
@@ -98,9 +106,12 @@ class TestBuild:
         # Blocking-edge checks read lrank, which no dump prints.
         for inst in [showcase] + [random_instance(seed) for seed in range(60)]:
             mirror = make_mirror(inst)
-            for u, row in enumerate(mirror.left_lists):
+            for u in range(inst.n):
+                row = left_list(mirror, u)
                 assert [mirror.lrank[e] for e in row] == list(range(len(row)))
                 assert all(mirror.edge_left[e] == u for e in row)
+            # Every edge sits in exactly one copy's list.
+            assert sorted(mirror.list_edges) == list(range(mirror.num_edges))
 
     def test_dump_lists_every_copy(self, size_gap):
         text = format_mirror(make_mirror(size_gap))
@@ -108,6 +119,48 @@ class TestBuild:
             assert f"{name}_l >" in text
             assert f"{name}_r >" in text
         assert text == SIZE_GAP_DUMP
+
+
+def blocking_reference(mh):
+    """Every mirror edge whose two ends prefer it to their matches, by full scan."""
+    mirror = mh.mirror
+    blockers = []
+    for e in range(mirror.num_edges):
+        le = mh.left_edge[mirror.edge_left[e]]
+        re = mh.right_edge[mirror.edge_right[e]]
+        if e in (le, re):
+            continue
+        if (le == -1 or mirror.lrank[e] < mirror.lrank[le]) and (
+            re == -1 or mirror.rrank[e] < mirror.rrank[re]
+        ):
+            blockers.append(e)
+    return tuple(blockers)
+
+
+class TestBlockingEdges:
+    def test_prefix_scan_equals_full_scan(self):
+        # Seeded random partial mirror matchings: each edge, in random
+        # order, joins when both its copies are still free and a coin says so.
+        rng = random.Random(5)
+        insts = [random_instance(seed) for seed in range(150)]
+        insts += [random_instance(seed, max_side=7) for seed in range(30)]
+        found = 0
+        for inst in insts:
+            mirror = make_mirror(inst)
+            for _ in range(8):
+                left, right = [-1] * inst.n, [-1] * inst.n
+                edges = list(range(mirror.num_edges))
+                rng.shuffle(edges)
+                keep = rng.random()
+                for e in edges:
+                    u, v = mirror.edge_left[e], mirror.edge_right[e]
+                    if left[u] == right[v] == -1 and rng.random() < keep:
+                        left[u] = right[v] = e
+                mh = MirrorMatching(mirror, tuple(left), tuple(right))
+                want = blocking_reference(mh)
+                assert mirror_blocking_edges(mh) == want, inst
+                found += bool(want)
+        assert found > 500
 
 
 class TestEmbed:

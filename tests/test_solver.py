@@ -258,6 +258,14 @@ class TestHotPath:
             report = solve(inst, validate=True)
             assert report.outcome == "found"
             self.assert_lean(inst, report.state.classification)
+            assert "incoming" not in vars(inst.layout)
+
+    def test_engine_verdict_builds_no_views(self):
+        inst = parse_instance(generate(40, 60, 5 / 60, seed=0))
+        report = solve(inst)
+        assert report.outcome == "none" and report.state is not None
+        self.assert_lean(inst, report.state.classification)
+        assert "incoming" not in vars(inst.layout)
 
     def test_precheck_verdict_builds_no_views(self):
         inst = parse_instance(generate(400, 400, 5 / 400, seed=0))

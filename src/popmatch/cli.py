@@ -21,7 +21,7 @@ from .instance import (
     parse_instance,
     parse_matching,
 )
-from .legality import legal_edge_set
+from .legality import legal_edge_set, popular_edges
 from .mirror import build_mirror, format_mirror
 from .oracle import OracleCapError, ground_truth
 from .popularity import check_a_popular, verify_popular
@@ -42,7 +42,6 @@ class RunConfig:
     matching: str | None = None
     mode: str = "fully"
     kind: str = "legal"
-    backend: str = "fast"
     cross_check: bool = False
     dump_mirror: bool = False
     validate: bool = False
@@ -73,7 +72,7 @@ def _witness_json(inst: Instance, witness) -> dict[str, int]:
 
 def _cmd_solve(config: RunConfig) -> int:
     inst = _load_instance(config.instance)
-    report = solve(inst, backend=config.backend, validate=config.validate)
+    report = solve(inst, validate=config.validate)
     if config.as_json:
         payload: dict = {"outcome": report.outcome}
         if report.outcome == "found":
@@ -144,7 +143,7 @@ def _cmd_verify(config: RunConfig) -> int:
 
 def _cmd_edges(config: RunConfig) -> int:
     inst = _load_instance(config.instance)
-    classification = legal_edge_set(inst, backend=config.backend)
+    classification = legal_edge_set(inst)
     if config.dump_mirror:
         print(format_mirror(build_mirror(inst, classification)), end="")
         return EXIT_OK
@@ -193,7 +192,7 @@ def _cmd_oracle(config: RunConfig) -> int:
     }
     diffs: list[str] = []
     if config.cross_check:
-        solved = solve(inst, backend=config.backend, validate=True)
+        solved = solve(inst, validate=True)
         oracle_size = report.max_fully_popular_size
         if (solved.outcome == "found") != (oracle_size is not None):
             diffs.append("existence verdict differs")
@@ -201,9 +200,7 @@ def _cmd_oracle(config: RunConfig) -> int:
             diffs.append(
                 f"solver size {solved.size} != oracle size {oracle_size}"
             )
-        from .legality import popular_edges
-
-        fast = popular_edges(inst, backend="fast")
+        fast = popular_edges(inst)
         exact = report.popular_edges | frozenset(
             (u, u) for u in report.popular_loops
         )
@@ -238,9 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_instance:
             p.add_argument("instance", help="instance file")
         p.add_argument("--json", action="store_true", dest="as_json")
-        p.add_argument(
-            "--backend", choices=("fast", "oracle"), default="fast"
-        )
 
     p = sub.add_parser("solve", help="find a max-size fully popular matching")
     add_common(p)

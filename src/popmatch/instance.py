@@ -170,10 +170,7 @@ class EdgeLayout:
     job's position in the agent's list and ``job_rank[k]`` the agent's
     position in the job's list.  ``job_edges`` holds every edge id in job
     order: job j's edges, in j's preference order, run from
-    ``job_starts[j]`` to ``job_starts[j + 1] - 1``.  ``incoming[j]``, the
-    same run as a tuple of its own, is derived on first use and kept; no
-    solve or verification path reads it, since the proposal systems and
-    the mirror graph read ``job_edges`` and ``job_starts`` directly.
+    ``job_starts[j]`` to ``job_starts[j + 1] - 1``.
     """
 
     starts: tuple[int, ...]
@@ -183,10 +180,6 @@ class EdgeLayout:
     job_rank: tuple[int, ...]
     job_starts: tuple[int, ...]
     job_edges: tuple[int, ...]
-
-    @cached_property
-    def incoming(self) -> tuple[tuple[int, ...], ...]:
-        return _split(self.job_edges, self.job_starts)
 
 
 def _bulk_layout(src, dst, deg, na: int) -> EdgeLayout | None:

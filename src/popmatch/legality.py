@@ -211,13 +211,8 @@ def dominant_pairs(inst: Instance) -> frozenset[EdgeKey]:
     return _keys(inst, _flags(inst, _dominant_ids(inst)))
 
 
-def _popular_flags(inst: Instance, backend: str = "fast") -> list[bool]:
+def _popular_flags(inst: Instance) -> list[bool]:
     """:func:`popular_edges` as flags, from the ids of both rotation walks."""
-    if backend != "fast":
-        return _flags(inst, [
-            inst.m + a if a == b else inst.edge_id(a, b)
-            for a, b in popular_edges(inst, backend)
-        ])
     lay, m, na = inst.layout, inst.m, inst.num_agents
     stable = _stable_ids(inst)
     flags = _flags(inst, stable)
@@ -232,31 +227,18 @@ def _popular_flags(inst: Instance, backend: str = "fast") -> list[bool]:
     return flags
 
 
-def popular_edges(
-    inst: Instance, backend: str = "fast", cap: int | None = None
-) -> frozenset[EdgeKey]:
+def popular_edges(inst: Instance) -> frozenset[EdgeKey]:
     """Edges and self-loops that some popular matching uses.
 
-    The ``fast`` backend combines the stable pairs and dominant pairs with
-    the unstable-vertex rule for self-loops.  Every stable matching covers
-    the same vertices, so the unstable ones are those no stable pair
-    covers.  ``oracle`` enumerates all popular matchings instead and takes
-    the union (small instances only).
+    These are the stable pairs and dominant pairs, plus the self-loops of
+    unstable vertices.  Every stable matching covers the same vertices, so
+    the unstable ones are those no stable pair covers.
     """
-    if backend == "oracle":
-        from .oracle import ground_truth
-
-        report = ground_truth(inst, cap)
-        return report.popular_edges | frozenset(
-            (u, u) for u in report.popular_loops
-        )
-    if backend != "fast":
-        raise ValueError(f"unknown backend {backend!r}")
     return _keys(inst, _popular_flags(inst))
 
 
 def legal_edge_set(
-    inst: Instance, backend: str = "fast", posts: Posts | None = None
+    inst: Instance, posts: Posts | None = None
 ) -> EdgeClassification:
     """Classify every edge and self-loop and build the popular-subgraph components.
 
@@ -267,7 +249,7 @@ def legal_edge_set(
     if posts is None:
         posts = compute_posts(inst)
     valid = _valid_flags(inst, posts)
-    popular = _popular_flags(inst, backend)
+    popular = _popular_flags(inst)
     legal = list(map(and_, valid, popular))
 
     lay, m, na = inst.layout, inst.m, inst.num_agents

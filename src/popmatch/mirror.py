@@ -297,61 +297,28 @@ def project(mh: MirrorMatching, half: str) -> Matching:
     return Matching(tuple(partner))
 
 
-@dataclass(frozen=True)
-class PartitionRecord:
-    """Sign partitions induced by a perfect mirror matching.
+def classify_partition(
+    mh: MirrorMatching,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-vertex signs of a perfect mirror matching: ``(upper, lower)``.
 
-    ``u_agents``/``u_jobs`` hold twin-matched vertices.  The unprimed sets
-    read signs off the upper half (each vertex's own tag there) and the
-    primed sets read the lower half.
+    ``upper[u]`` is the tag of u's matched edge at u's copy in the upper
+    half (an agent's left copy, a job's right copy) and ``lower[u]`` the
+    tag at u's other copy; both are 0 when u is twin-matched.
     """
-
-    u_agents: frozenset[int]
-    u_jobs: frozenset[int]
-    a_plus: frozenset[int]
-    a_minus: frozenset[int]
-    b_plus: frozenset[int]
-    b_minus: frozenset[int]
-    ap_plus: frozenset[int]
-    ap_minus: frozenset[int]
-    bp_plus: frozenset[int]
-    bp_minus: frozenset[int]
-
-
-def classify_partition(mh: MirrorMatching) -> PartitionRecord:
-    """Read the sign partitions off a perfect mirror matching."""
     mirror = mh.mirror
-    inst = mirror.inst
-    u_agents, u_jobs = set(), set()
-    a_plus, a_minus, b_plus, b_minus = set(), set(), set(), set()
-    ap_plus, ap_minus, bp_plus, bp_minus = set(), set(), set(), set()
-    for u in range(inst.n):
-        e = mh.left_edge[u]
-        if e == -1 or mh.right_edge[u] == -1:
-            raise ValueError("mirror matching is not perfect")
-        if mirror.is_twin(e):
-            (u_agents if inst.is_agent(u) else u_jobs).add(u)
-            continue
-        if inst.is_agent(u):
-            # Upper-half sign at the agent's left copy.
-            (a_plus if mirror.left_tag[e] > 0 else a_minus).add(u)
-            er = mh.right_edge[u]
-            (ap_plus if mirror.right_tag[er] > 0 else ap_minus).add(u)
-        else:
-            (bp_plus if mirror.left_tag[e] > 0 else bp_minus).add(u)
-            er = mh.right_edge[u]
-            (b_plus if mirror.right_tag[er] > 0 else b_minus).add(u)
-    return PartitionRecord(
-        u_agents=frozenset(u_agents),
-        u_jobs=frozenset(u_jobs),
-        a_plus=frozenset(a_plus),
-        a_minus=frozenset(a_minus),
-        b_plus=frozenset(b_plus),
-        b_minus=frozenset(b_minus),
-        ap_plus=frozenset(ap_plus),
-        ap_minus=frozenset(ap_minus),
-        bp_plus=frozenset(bp_plus),
-        bp_minus=frozenset(bp_minus),
+    if -1 in mh.left_edge or -1 in mh.right_edge:
+        raise ValueError("mirror matching is not perfect")
+    na, g_edge = mirror.inst.num_agents, mirror.g_edge
+    at_left = [
+        0 if g_edge[e] < 0 else mirror.left_tag[e] for e in mh.left_edge
+    ]
+    at_right = [
+        0 if g_edge[e] < 0 else mirror.right_tag[e] for e in mh.right_edge
+    ]
+    return (
+        (*at_left[:na], *at_right[na:]),
+        (*at_right[:na], *at_left[na:]),
     )
 
 

@@ -11,7 +11,7 @@ popular matching, and that forces zero across its whole popular-subgraph
 component; the loop therefore forbids all plus-tagged proposals of the
 component's agents, resumes the engine, and marks the component.  When no
 unmarked vertex straddles the two halves any more, the upper projection is
-a max-size fully popular matching, and the final sign partitions assemble
+a max-size fully popular matching, and the final per-vertex signs assemble
 its popularity certificate.  If the engine ever runs dry, no fully popular
 matching exists.
 """
@@ -26,7 +26,6 @@ from .legality import EdgeClassification, legal_edge_set
 from .mirror import (
     MirrorGraph,
     MirrorMatching,
-    PartitionRecord,
     _realize_witnessed,
     build_mirror,
     classify_partition,
@@ -67,8 +66,8 @@ class SolverState:
     mirror_matching: MirrorMatching | None = None
     matching: Matching | None = None
     lower: Matching | None = None
-    partition: PartitionRecord | None = None
-    z_set: frozenset[int] = frozenset()
+    # Per-vertex (upper, lower) signs; see classify_partition.
+    signs: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
 @dataclass(frozen=True)
@@ -156,42 +155,30 @@ def _agent_plus_edges(state: SolverState, agents) -> list[int]:
 
 
 def extract_witness(state: SolverState, own: list[int]) -> tuple[int, ...]:
-    """Popularity certificate of the returned matching from the final partitions.
+    """Popularity certificate of the returned matching from the final signs.
 
-    Marked genuine-matched vertices and twin-matched vertices get zero;
-    everything else takes the sign of its upper-half tag.  ``own`` holds the
-    matching's :meth:`~popmatch.instance.Matching.partner_ranks`.  The
-    result must validate; a failure here would mean the solver itself is
-    broken.
+    Marked vertices and twin-matched vertices get zero; everything else
+    takes the sign of its upper-half tag.  ``own`` holds the matching's
+    :meth:`~popmatch.instance.Matching.partner_ranks`.  The result must
+    validate; a failure here would mean the solver itself is broken.
     """
-    part = state.partition
-    if part is None:
+    if state.signs is None:
         raise ValueError("solve has not finished")
-    alpha = [0] * state.inst.n
-    z = state.z_set
-    for a in part.a_plus:
-        alpha[a] = 1
-    for a in part.a_minus - z:
-        alpha[a] = -1
-    for b in part.b_plus - z:
-        alpha[b] = 1
-    for b in part.b_minus:
-        alpha[b] = -1
-    witness = tuple(alpha)
+    upper = state.signs[0]
+    witness = tuple(
+        0 if marked else s for marked, s in zip(state.marks, upper)
+    )
     if not _check_witness(state.inst, state.matching, own, witness):
-        raise SolverDefect("final partitions produced an invalid certificate")
+        raise SolverDefect("final signs produced an invalid certificate")
     return witness
 
 
-def solve(
-    inst: Instance, backend: str = "fast", validate: bool = False
-) -> SolveReport:
+def solve(inst: Instance, validate: bool = False) -> SolveReport:
     """Decide whether a fully popular matching exists and return a max-size one.
 
     Inputs without an agent-popular matching end at the post-graph test,
-    before any classification.  ``backend`` selects how popular edges are
-    classified (see :func:`popmatch.legality.popular_edges`).  With
-    ``validate`` the run additionally re-checks every structural guarantee
+    before any classification.  With ``validate`` the run additionally
+    re-checks every structural guarantee
     (restricted stability, partial symmetry, the per-half certificates, and
     the mirror realization of the result); violations raise
     :class:`SolverDefect`.
@@ -210,7 +197,7 @@ def solve(
             infeasible_vertex=blocker,
             state=None,
         )
-    classification = legal_edge_set(inst, backend=backend, posts=posts)
+    classification = legal_edge_set(inst, posts=posts)
     mirror = build_mirror(inst, classification)
     system = mirror_system(mirror)
     state = SolverState(
@@ -256,11 +243,7 @@ def solve(
     state.mirror_matching = mh
     state.matching = project(mh, "upper")
     state.lower = project(mh, "lower")
-    state.partition = classify_partition(mh)
-    unmatched = state.partition.u_agents | state.partition.u_jobs
-    state.z_set = frozenset(
-        u for u in range(inst.n) if state.marks[u] and u not in unmatched
-    )
+    state.signs = classify_partition(mh)
     own = state.matching.partner_ranks(inst)
     witness = extract_witness(state, own)
     if validate:
@@ -303,13 +286,16 @@ def _validate(
     """Re-check every structural guarantee of a successful solve.
 
     ``own_m`` holds the upper projection's partner ranks; the lower one's
-    are computed here, once.
+    are computed here, once.  Each check is one pass over the vertices or
+    the matched pairs.  A vertex is in *z* when it is marked and not
+    twin-matched; it *straddles* when its upper sign is its side's minus
+    tag (-1 for an agent, +1 for a job) and its lower sign the opposite.
     """
     inst = state.inst
-    part = state.partition
+    upper, lower = state.signs
     mat = state.matching
     low = state.lower
-    z = state.z_set
+    n, na = inst.n, inst.num_agents
 
     def ensure(cond: bool, message: str) -> None:
         if not cond:
@@ -320,38 +306,37 @@ def _validate(
         "result is not one-sided popular",
     )
 
-    z_agents = z & frozenset(inst.agent_ids())
-    z_jobs = z - z_agents
-    ensure(
-        z_agents <= (part.a_minus & part.ap_plus),
-        "marked matched agents escaped the minus/plus intersection",
-    )
-    ensure(
-        z_jobs <= (part.b_plus & part.bp_minus),
-        "marked matched jobs escaped the plus/minus intersection",
-    )
-
-    # Loop termination: no unmarked vertex straddles the two halves.
-    for u in (part.a_minus & part.ap_plus) | (part.b_plus & part.bp_minus):
-        ensure(state.marks[u], "unmarked straddling vertex at termination")
-
-    # The two projections agree on marked matched vertices.
-    for u in z:
+    z = [marked and s != 0 for marked, s in zip(state.marks, upper)]
+    for u in range(n):
+        side = -1 if u < na else 1
+        straddles = upper[u] == side and lower[u] == -side
         ensure(
-            mat.partner[u] == low.partner[u],
+            not z[u] or straddles,
+            "marked matched agents escaped the minus/plus intersection"
+            if u < na
+            else "marked matched jobs escaped the plus/minus intersection",
+        )
+        # Loop termination: no unmarked vertex straddles the two halves.
+        ensure(
+            not straddles or state.marks[u],
+            "unmarked straddling vertex at termination",
+        )
+        # The two projections agree on marked matched vertices.
+        ensure(
+            not z[u] or mat.partner[u] == low.partner[u],
             "upper and lower projections diverge on a marked vertex",
         )
 
     # Restricted stability on marked and twin-matched vertices.
-    lay, na = inst.layout, inst.num_agents
+    lay = inst.layout
     own_l = low.partner_ranks(inst)
-    restricted = z | part.u_agents | part.u_jobs
-    for a in restricted:
-        if a >= na:
+    restricted = [marked or s == 0 for marked, s in zip(state.marks, upper)]
+    for a in range(na):
+        if not restricted[a]:
             continue
         for k in range(lay.starts[a], lay.starts[a + 1]):
             b = na + lay.job_of[k]
-            if b in restricted:
+            if restricted[b]:
                 for own in (own_m, own_l):
                     blocked = (
                         lay.agent_rank[k] < own[a] and lay.job_rank[k] < own[b]
@@ -359,41 +344,31 @@ def _validate(
                     ensure(not blocked, "blocking edge inside the marked region")
 
     # Agents settled on their minus tags weakly prefer the upper projection.
-    for a in (part.a_minus - z) | (part.a_plus & part.ap_plus):
-        ensure(own_m[a] <= own_l[a], "agent prefers the lower projection")
+    for a in range(na):
+        settled = (upper[a] == -1 and not z[a]) or upper[a] == lower[a] == 1
+        ensure(
+            not settled or own_m[a] <= own_l[a],
+            "agent prefers the lower projection",
+        )
 
     # Upper projection stays inside the sign structure.
     for a, b in mat.pairs(inst):
         ok = (
-            (a in part.a_plus and b in part.b_minus)
-            or (a in z and b in z)
-            or (a in part.a_minus - z and b in part.b_plus - z)
+            (upper[a] == 1 and upper[b] == -1)
+            or (z[a] and z[b])
+            or (upper[a] == -1 and upper[b] == 1 and not (z[a] or z[b]))
         )
         ensure(ok, "matched pair escapes the sign partition")
 
-    # Per-half certificates.
-    gamma = [0] * inst.n
-    for u in part.a_plus | part.b_plus:
-        gamma[u] = 1
-    for u in part.a_minus | part.b_minus:
-        gamma[u] = -1
-    scope_m = list(inst.agent_ids()) + [
-        b for b in inst.job_ids() if b not in part.u_jobs
-    ]
+    # Per-half certificates: the signs themselves.
+    scope_m = [u for u in range(n) if u < na or upper[u] != 0]
     ensure(
-        _check_witness(inst, mat, own_m, gamma, vertices=scope_m),
+        _check_witness(inst, mat, own_m, upper, vertices=scope_m),
         "upper-half certificate failed off the twin-matched jobs",
     )
-    beta = [0] * inst.n
-    for u in part.ap_plus | part.bp_plus:
-        beta[u] = 1
-    for u in part.ap_minus | part.bp_minus:
-        beta[u] = -1
-    scope_l = [a for a in inst.agent_ids() if a not in part.u_agents] + list(
-        inst.job_ids()
-    )
+    scope_l = [u for u in range(n) if u >= na or lower[u] != 0]
     ensure(
-        _check_witness(inst, low, own_l, beta, vertices=scope_l),
+        _check_witness(inst, low, own_l, lower, vertices=scope_l),
         "lower-half certificate failed off the twin-matched agents",
     )
 

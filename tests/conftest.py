@@ -434,6 +434,12 @@ def layout_reference(inst) -> EdgeLayout:
     )
 
 
+def incoming_of(layout: EdgeLayout) -> tuple[tuple[int, ...], ...]:
+    """Each job's edge ids as a tuple of its own: its run of ``job_edges``."""
+    edges, bounds = layout.job_edges, layout.job_starts
+    return tuple(edges[s:e] for s, e in zip(bounds, bounds[1:]))
+
+
 def eager_views(text: str):
     """``(pref, incoming)`` of a valid instance text, built eagerly.
 

@@ -134,7 +134,7 @@ def sweep():
         truth = ground_truth(inst)
         stats["instances"] += 1
 
-        fast = popular_edges(inst, backend="fast")
+        fast = popular_edges(inst)
         exact = truth.popular_edges | frozenset(
             (u, u) for u in truth.popular_loops
         )

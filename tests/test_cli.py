@@ -1,12 +1,18 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
+import argparse
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from popmatch.cli import main
+import popmatch.cli as cli
+from popmatch.cli import build_parser, main
 from popmatch.generator import generate
 from popmatch.instance import parse_instance, serialize_instance
+from popmatch.oracle import ground_truth
 
 from conftest import (
     IDENTICAL_PREFS_TEXT,
@@ -170,11 +176,17 @@ def test_edges_kinds(files, capsys):
 
 
 def test_edges_oracle_backend(files, capsys):
+    # The popular listing is the oracle's popular edges and loops, sorted.
     path = files("gap.txt", SIZE_GAP_TEXT)
-    assert main(["edges", path, "--kind", "popular", "--backend", "oracle"]) == 0
-    exact = capsys.readouterr().out
-    assert main(["edges", path, "--kind", "popular", "--backend", "fast"]) == 0
-    assert capsys.readouterr().out == exact
+    assert main(["edges", path, "--kind", "popular"]) == 0
+    inst = parse_instance(SIZE_GAP_TEXT)
+    truth = ground_truth(inst)
+    keys = sorted(truth.popular_edges | {(u, u) for u in truth.popular_loops})
+    names = inst.names
+    assert capsys.readouterr().out == "".join(
+        f"{names[u]} (self)\n" if u == v else f"{names[u]} {names[v]}\n"
+        for u, v in keys
+    )
 
 
 def test_edges_dump_mirror(files, capsys):
@@ -190,6 +202,67 @@ def test_oracle_cross_check_clean(files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["diffs"] == []
     assert payload["matchings"] == 5
+
+
+def test_oracle_over_cap_exit_one(files, capsys, monkeypatch):
+    monkeypatch.setenv("POPMATCH_ORACLE_CAP", "3")
+    path = files("gap.txt", SIZE_GAP_TEXT)
+    assert main(["oracle", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: instance has 4 vertices, enumeration cap is 3\n"
+    )
+
+
+def test_oracle_cross_check_lists_diff(files, capsys, monkeypatch):
+    real_solve = cli.solve
+
+    def off_by_one(inst, **kwargs):
+        report = real_solve(inst, **kwargs)
+        return dataclasses.replace(report, size=report.size + 1)
+
+    monkeypatch.setattr(cli, "solve", off_by_one)
+    path = files("gap.txt", SIZE_GAP_TEXT)
+    assert main(["oracle", path, "--cross-check", "--json"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["diffs"] == ["solver size 3 != oracle size 2"]
+    assert main(["oracle", path, "--cross-check"]) == 3
+    assert "diffs: ['solver size 3 != oracle size 2']" in (
+        capsys.readouterr().out.splitlines()
+    )
+
+
+def readme_synopsis() -> dict[str, set[str]]:
+    """Options per subcommand in the README's CLI block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```")[0]
+    return {
+        line.split()[1]: set(re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", line))
+        for line in block.splitlines()
+        if line.startswith("popmatch ")
+    }
+
+
+def test_readme_cli_block_matches_parser():
+    (commands,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    synopsis = readme_synopsis()
+    assert synopsis.keys() == commands.choices.keys()
+    for name, sub in commands.choices.items():
+        # Each option is named once in the README, by any of its spellings.
+        spellings = [
+            set(action.option_strings)
+            for action in sub._actions
+            if action.option_strings and action.dest != "help"
+        ]
+        listed = synopsis[name]
+        assert listed <= set().union(*spellings), name
+        for options in spellings:
+            assert len(options & listed) == 1, (name, options)
 
 
 def test_generate_deterministic(capsys):

@@ -31,6 +31,7 @@ from conftest import (
     composed_text,
     eager_views,
     ids,
+    incoming_of,
     layout_reference,
     match_of,
     parse_reference,
@@ -255,7 +256,7 @@ class TestParseErrors:
             inst = parse_instance(text)
             assert (inst.names, inst.num_agents, inst.pref) == want, text
             assert inst.layout == layout_reference(inst), text
-            assert (inst.pref, inst.layout.incoming) == eager_views(text), text
+            assert (inst.pref, incoming_of(inst.layout)) == eager_views(text), text
             outcomes["valid"] += 1
         # Both outcomes are common, and every message of the table occurs.
         assert outcomes["valid"] >= 300
@@ -313,9 +314,10 @@ class TestLayout:
             got = inst.layout
             for field in (
                 "starts", "agent_of", "job_of", "agent_rank", "job_rank",
-                "job_starts", "job_edges", "incoming",
+                "job_starts", "job_edges",
             ):
                 assert getattr(got, field) == getattr(want, field), field
+            assert incoming_of(got) == incoming_of(want)
             assert inst.m == len(want.agent_of)
 
     def test_derived_tables_equal_constructions(self, showcase):
@@ -362,15 +364,15 @@ def view_texts():
 
 
 class TestDerivedViews:
-    """``pref`` and ``incoming`` come from the flat layout on first use."""
+    """``pref`` comes from the flat layout on first use, and each job's
+    ``incoming`` edge run equals the eager reference."""
 
     def test_equal_eager_reference(self):
         for text in view_texts():
             inst = parse_instance(text)
             assert "pref" not in vars(inst), text
-            assert "incoming" not in vars(inst.layout), text
             pref, incoming = eager_views(text)
-            assert inst.layout.incoming == incoming, text
+            assert incoming_of(inst.layout) == incoming, text
             assert inst.pref == pref, text
             assert inst.layout == layout_reference(inst), text
 
@@ -380,13 +382,13 @@ class TestDerivedViews:
         random.Random(2).shuffle(rows)
         same_ids = "\n".join(head + rows) + "\n"
         inst, again = parse_instance(text), parse_instance(same_ids)
-        again.pref, again.layout.incoming, again.rank_tbl  # derive on one only
+        again.pref, again.rank_tbl  # derive on one only
         assert inst == again and hash(inst) == hash(again)
         for x in (inst, again):
             back = pickle.loads(pickle.dumps(x))
             assert back == inst and hash(back) == hash(inst)
             assert back.pref == inst.pref
-            assert back.layout.incoming == inst.layout.incoming
+            assert incoming_of(back.layout) == incoming_of(inst.layout)
         relabelled = parse_instance(shuffled(text, random.Random(5)))
         assert relabelled != inst
         # Only job b0_3's order differs, so only the job side tells them apart.

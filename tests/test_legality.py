@@ -89,17 +89,12 @@ class TestPopularEdges:
     def test_fast_equals_oracle_union(self):
         for seed in range(150):
             inst = random_instance(seed)
-            fast = popular_edges(inst, backend="fast")
+            fast = popular_edges(inst)
             report = ground_truth(inst)
             exact = report.popular_edges | frozenset(
                 (u, u) for u in report.popular_loops
             )
             assert fast == exact, seed
-
-    def test_oracle_backend_matches_fast(self, size_gap):
-        assert popular_edges(size_gap, backend="oracle") == popular_edges(
-            size_gap, backend="fast"
-        )
 
 
 class TestPairFamilies:

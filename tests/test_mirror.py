@@ -55,8 +55,8 @@ b1_r > (a1_l^-, b1_r^+) (a0_l^-, b1_r^+) (b1_l^-, b1_r^+)! (a1_l^+, b1_r^-) (a0_
 """
 
 
-def make_mirror(inst, backend="fast"):
-    return build_mirror(inst, legal_edge_set(inst, backend=backend))
+def make_mirror(inst):
+    return build_mirror(inst, legal_edge_set(inst))
 
 
 class TestBuild:
@@ -296,33 +296,20 @@ class TestPartition:
     def test_size_gap_embedding_partition(self, size_gap):
         mirror = make_mirror(size_gap)
         mh = embed_stable(mirror, stable_matching(size_gap))
-        part = classify_partition(mh)
+        upper, lower = classify_partition(mh)
         a0, a1, b0, b1 = ids(size_gap, "a0", "a1", "b0", "b1")
-        assert part.u_agents == {a0}
-        assert part.u_jobs == {b0}
-        assert part.a_minus == {a1}
-        assert part.b_plus == {b1}
-        assert part.ap_plus == {a1}
-        assert part.bp_minus == {b1}
-        assert part.a_plus == part.b_minus == set()
-        assert part.ap_minus == part.bp_plus == set()
+        # a0 and b0 are twin-matched; a1 sits on its minus tag in the upper
+        # half and its plus tag in the lower one, b1 the other way round.
+        assert upper[a0] == lower[a0] == 0
+        assert upper[b0] == lower[b0] == 0
+        assert (upper[a1], lower[a1]) == (-1, 1)
+        assert (upper[b1], lower[b1]) == (1, -1)
 
     def test_all_twin_partition(self):
         inst = parse_instance("agents:\njobs: b0 b1\n")
         mirror = make_mirror(inst)
         mh = embed_stable(mirror, Matching((0, 1)))
-        part = classify_partition(mh)
-        assert part.u_jobs == {0, 1}
-        assert not (
-            part.a_plus
-            or part.a_minus
-            or part.b_plus
-            or part.b_minus
-            or part.ap_plus
-            or part.ap_minus
-            or part.bp_plus
-            or part.bp_minus
-        )
+        assert classify_partition(mh) == ((0, 0), (0, 0))
 
     def test_partition_covers_each_side(self):
         for seed in range(40):
@@ -333,13 +320,12 @@ class TestPartition:
             mh = MirrorMatching(
                 make_mirror(inst), tuple(system.left_match), tuple(system.right_match)
             )
-            part = classify_partition(mh)
-            agents = frozenset(inst.agent_ids())
-            jobs = frozenset(inst.job_ids())
-            assert part.u_agents | part.a_plus | part.a_minus == agents
-            assert part.u_agents | part.ap_plus | part.ap_minus == agents
-            assert part.u_jobs | part.b_plus | part.b_minus == jobs
-            assert part.u_jobs | part.bp_plus | part.bp_minus == jobs
+            upper, lower = classify_partition(mh)
+            assert len(upper) == len(lower) == inst.n
+            for u in range(inst.n):
+                assert upper[u] in (-1, 0, 1) and lower[u] in (-1, 0, 1)
+                twin = mh.mirror.is_twin(mh.left_edge[u])
+                assert (upper[u] == 0) == (lower[u] == 0) == twin
 
     def test_final_solver_partition_containments(self, showcase):
         from popmatch import solve
@@ -347,8 +333,20 @@ class TestPartition:
         for inst in (showcase, parse_instance(ASYMMETRIC_TEXT)):
             report = solve(inst, validate=True)
             state = report.state
-            part, z = state.partition, state.z_set
-            assert part.a_minus - z <= part.ap_minus
-            assert part.ap_plus - z <= part.a_plus
-            assert part.b_plus - z <= part.bp_plus
-            assert part.bp_minus - z <= part.b_minus
+            upper, lower = state.signs
+            for u in range(inst.n):
+                if state.marks[u]:
+                    continue
+                if inst.is_agent(u):
+                    assert upper[u] != -1 or lower[u] == -1
+                    assert lower[u] != 1 or upper[u] == 1
+                else:
+                    assert upper[u] != 1 or lower[u] == 1
+                    assert lower[u] != -1 or upper[u] == -1
+
+    def test_not_perfect_rejected(self, size_gap):
+        mirror = make_mirror(size_gap)
+        mh = embed_stable(mirror, stable_matching(size_gap))
+        broken = MirrorMatching(mirror, (-1, *mh.left_edge[1:]), mh.right_edge)
+        with pytest.raises(ValueError, match="not perfect"):
+            classify_partition(broken)

@@ -6,13 +6,15 @@ cut at per-vertex bounds ``list_starts``, so a system holds no list object
 per vertex and a left vertex's position is an index into the flat
 sequence.  Left vertices consume their lists monotonically; right vertices
 keep a threshold rank and never accept a proposal along an edge worse than
-one they have already seen.  A proposal along a forbidden edge is
+one they have already seen.  Edges are forbidden only through
+:meth:`ProposalSystem.forbid`.  A proposal along a forbidden edge is
 rejected, and that rejection also deletes every worse edge at the receiving
-vertex, including a currently held one.  The same machinery therefore
-serves plain stable matching and stable matching that must avoid a
-forbidden edge set.  Plain systems run on the instance's flat edge layout
-as it is, and every stable edge comes from one rotation walk between the
-two extreme stable matchings.
+vertex, including a currently held one.  Plain systems run on the
+instance's flat edge layout as it is, are forbidden nothing in a solve,
+and every stable edge comes from one rotation walk between the two extreme
+stable matchings.  Mirror systems are forbidden edges, and a run of one
+finds no stable matching avoiding them exactly when some left copy
+exhausts its list.
 
 Re-forbidding edges after a run and resuming is equivalent to a fresh run
 with the enlarged forbidden set, and total work over any forbid/resume
@@ -50,8 +52,9 @@ class ProposalSystem:
     each right vertex's incident edges (lower is better).  A right vertex's
     cutoff is the best rank it has seen; it never accepts an edge ranked at
     or beyond it.  With ``alone_ok`` a left vertex that runs out of its list
-    stays alone; otherwise that makes the run infeasible.  Only systems
-    without ``alone_ok`` are forbidden anything in a solve.
+    stays alone; otherwise that makes the run infeasible and is recorded in
+    ``exhausted_left``.  Only systems without ``alone_ok`` are forbidden
+    anything in a solve, and a fresh system forbids nothing.
 
     The lists are read, never written, so callers may share them.  The
     state is live: ``left_match[u]`` / ``right_match[r]`` hold the
@@ -69,7 +72,6 @@ class ProposalSystem:
         edge_left: Sequence[int],
         edge_right: Sequence[int],
         right_rank: Sequence[int],
-        forbidden=(),
         alone_ok: bool = False,
     ):
         self.num_left = len(list_starts) - 1
@@ -80,16 +82,12 @@ class ProposalSystem:
         self.edge_right = edge_right
         self.right_rank = right_rank
         self.alone_ok = alone_ok
-        num_edges = len(edge_left)
-        self.forbidden = [False] * num_edges
-        for e in forbidden:
-            self.forbidden[e] = True
+        self.forbidden = [False] * len(edge_left)
         self.total_list_length = len(list_edges)
         self.next_i = list(list_starts[:-1])
         self.left_match = [-1] * self.num_left
         self.right_match = [-1] * num_right
         self.right_cut = [INFINITE_RANK] * num_right
-        self.starved: set[int] = set()
         self.queue: deque[int] = deque(range(self.num_left))
         self.matched: list[int] = []
         self.proposals = 0
@@ -104,12 +102,14 @@ class ProposalSystem:
         self.rejections += 1
 
     def run(self) -> bool:
-        """Drain the proposal queue; True when the result is feasible.
+        """Drain the proposal queue; False when a left vertex exhausts its list.
 
-        Infeasible means some left vertex exhausted its list without
-        ``alone_ok``, or some right vertex ended unmatched after rejecting a
-        forbidden proposal it would otherwise have taken; either way no
-        stable matching avoiding the forbidden edges exists.
+        That can only happen without ``alone_ok``, and the run then stops at
+        once with the vertex in ``exhausted_left``.  In a mirror system, with
+        as many right copies as left ones and no sinks, a run in which no
+        left copy exhausts its list matches every right copy, so no stable
+        matching avoiding the forbidden edges exists exactly when this
+        returns False.
         """
         if self.exhausted_left is not None:
             return False
@@ -120,7 +120,7 @@ class ProposalSystem:
         right_rank, forbidden = self.right_rank, self.forbidden
         next_i, left_match = self.next_i, self.left_match
         right_match, right_cut = self.right_match, self.right_cut
-        starved, queue, matched = self.starved, self.queue, self.matched
+        queue, matched = self.queue, self.matched
         proposals = rejections = 0
         try:
             while queue:
@@ -151,7 +151,6 @@ class ProposalSystem:
                         if cur != -1:
                             right_match[r] = -1
                             self._divorce(cur)
-                        starved.add(r)
                         i += 1
                         rejections += 1
                         continue
@@ -165,13 +164,12 @@ class ProposalSystem:
                         rejections += 1
                     right_match[r] = e
                     right_cut[r] = rank
-                    starved.discard(r)
                     left_match[u] = e
                     next_i[u] = i
                     matched.append(u)
                     matched.append(r)
                     break
-            return not starved
+            return True
         finally:
             self.proposals += proposals
             self.rejections += rejections
@@ -193,18 +191,7 @@ class ProposalSystem:
             # forbidden rejection, so replicate that state exactly.
             r = self.edge_right[e]
             self.right_match[r] = -1
-            self.starved.add(r)
             self._divorce(e)
-
-    def offender(self) -> int:
-        """Vertex to blame after an infeasible run.
-
-        That is the left vertex that exhausted its list, or else the least
-        starved right vertex.
-        """
-        if self.exhausted_left is not None:
-            return self.exhausted_left
-        return min(self.starved)
 
 
 def _sides(inst: Instance, proposers: str) -> tuple[range, range]:

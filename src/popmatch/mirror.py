@@ -29,19 +29,22 @@ from .legality import EdgeClassification
 
 @dataclass(frozen=True)
 class MirrorGraph:
-    """Signed two-copy graph with ranked edge lists and a forbidden set.
+    """Signed two-copy graph with ranked edge lists and legal flags.
 
     For the k-th genuine edge (a, b) the four signed edges take ids
     ``4k .. 4k+3``: upper with a tagged plus, upper with a tagged minus,
     lower with b tagged plus, lower with b tagged minus.  Twin edges follow
-    at ``4m + u``.  ``lrank``/``rrank`` give each edge's position in its
-    left/right endpoint's preference order; ``forbidden`` marks every signed
-    copy of a non-legal edge and the twin of every vertex whose self-loop is
-    not legal.
+    at ``4m + u``.  So an edge's tags, whether it is a twin and whether it
+    is forbidden all follow from its id: a genuine copy's left tag is plus
+    when its id is even and its right tag is the opposite, a twin's left
+    tag is minus and its right tag plus, and a copy is forbidden when the
+    classification's ``legal_flags`` (shared, not copied) do not mark its
+    genuine edge, or for a twin its vertex's self-loop, as legal.
 
-    The left copies' ranked lists are stored flat, as the engine reads
-    them: u's list is ``list_edges[list_starts[u]:list_starts[u + 1]]``, in
-    ``lrank`` order.  Both are read-only views of packed ints, left out of
+    ``rrank`` gives each edge's position in its right endpoint's preference
+    order.  The left copies' ranked lists are stored flat, as the engine
+    reads them: u's list is ``list_edges[list_starts[u]:list_starts[u + 1]]``,
+    best first.  Both are read-only views of packed ints, left out of
     equality and hashing (they follow from ``inst`` like every other
     field).
     """
@@ -49,14 +52,10 @@ class MirrorGraph:
     inst: Instance
     edge_left: tuple[int, ...]
     edge_right: tuple[int, ...]
-    left_tag: tuple[int, ...]
-    right_tag: tuple[int, ...]
-    g_edge: tuple[int, ...]
     list_edges: memoryview = field(compare=False)
     list_starts: memoryview = field(compare=False)
-    lrank: tuple[int, ...]
     rrank: tuple[int, ...]
-    forbidden: frozenset[int]
+    legal_flags: tuple[bool, ...]
 
     @property
     def num_edges(self) -> int:
@@ -66,12 +65,22 @@ class MirrorGraph:
         return 4 * self.inst.m + u
 
     def is_twin(self, e: int) -> bool:
-        return self.g_edge[e] < 0
+        return e >= 4 * self.inst.m
+
+    def left_tag(self, e: int) -> int:
+        return 1 if e < 4 * self.inst.m and not e & 1 else -1
+
+    def right_tag(self, e: int) -> int:
+        return -self.left_tag(e)
+
+    def is_forbidden(self, e: int) -> bool:
+        m = self.inst.m
+        return not self.legal_flags[e >> 2 if e < 4 * m else e - 3 * m]
 
     def describe(self, e: int) -> str:
         names = self.inst.names
-        lt = "+" if self.left_tag[e] > 0 else "-"
-        rt = "+" if self.right_tag[e] > 0 else "-"
+        lt = "+" if self.left_tag(e) > 0 else "-"
+        rt = "+" if self.right_tag(e) > 0 else "-"
         return (
             f"({names[self.edge_left[e]]}_l^{lt}, "
             f"{names[self.edge_right[e]]}_r^{rt})"
@@ -91,11 +100,11 @@ class MirrorMatching:
     right_edge: tuple[int, ...]
 
     def uses_forbidden(self) -> bool:
-        return any(e in self.mirror.forbidden for e in self.left_edge)
+        return any(map(self.mirror.is_forbidden, self.left_edge))
 
 
 def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGraph:
-    """Construct the mirror graph with its forbidden set from a classification."""
+    """Construct the mirror graph of an instance and its classification."""
     m, n, na = inst.m, inst.n, inst.num_agents
     lay = inst.layout
     starts, job_starts = lay.starts, lay.job_starts
@@ -108,9 +117,6 @@ def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGr
     for t in (0, 1):
         edge_left[t:4 * m:4] = edge_right[t + 2:4 * m:4] = agent_of
         edge_left[t + 2:4 * m:4] = edge_right[t:4 * m:4] = job_of
-    left_tag = [1, -1, 1, -1] * m + [-1] * n
-    right_tag = [-1, 1, -1, 1] * m + [1] * n
-    g_edge = [k for k in range(m) for _ in range(4)] + [-1] * n
 
     # A copy with d neighbors ranks its edges in three blocks.  Its left
     # list holds the minus-tagged partners (reached along its own plus
@@ -123,48 +129,31 @@ def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGr
     ]
     a_deg = [degree[a] for a in agent_of]
     b_deg = [degree[b] for b in job_of]
-    lrank = [0] * (4 * m) + [2 * d for d in degree]
     rrank = [0] * (4 * m) + degree
-    lrank[0:4 * m:4] = lay.agent_rank
-    lrank[1:4 * m:4] = [d + r for d, r in zip(a_deg, lay.agent_rank)]
-    lrank[2:4 * m:4] = lay.job_rank
-    lrank[3:4 * m:4] = [d + r for d, r in zip(b_deg, lay.job_rank)]
     rrank[0:4 * m:4] = [d + 1 + r for d, r in zip(b_deg, lay.job_rank)]
     rrank[1:4 * m:4] = lay.job_rank
     rrank[2:4 * m:4] = [d + 1 + r for d, r in zip(a_deg, lay.agent_rank)]
     rrank[3:4 * m:4] = lay.agent_rank
     list_edges, list_starts = _left_lists(lay, agent_of, job_of, degree)
-
-    # Legal flags per genuine edge k and, at m + u, per self-loop of u.
-    legal = classification.legal_flags
-    forbidden = [
-        e for k in range(m) if not legal[k] for e in range(4 * k, 4 * k + 4)
-    ]
-    forbidden += [4 * m + u for u in range(n) if not legal[m + u]]
-
     return MirrorGraph(
         inst=inst,
         edge_left=tuple(edge_left),
         edge_right=tuple(edge_right),
-        left_tag=tuple(left_tag),
-        right_tag=tuple(right_tag),
-        g_edge=tuple(g_edge),
         list_edges=list_edges,
         list_starts=list_starts,
-        lrank=tuple(lrank),
         rrank=tuple(rrank),
-        forbidden=frozenset(forbidden),
+        legal_flags=classification.legal_flags,
     )
 
 
 def _left_lists(lay, agent_of, job_of, degree):
     """``(list_edges, list_starts)`` of the mirror's left copies.
 
-    Left copy u lists its 2d + 1 edges in lrank order from
-    ``list_starts[u]`` on.  So genuine edge k, at rank r of an endpoint u's
-    list, puts its copy that reaches the partner's minus tag at
-    ``list_starts[u] + r`` and the one that reaches its plus tag d places
-    later, and u's twin ends the list.  A function of its own so that its
+    Left copy u lists its 2d + 1 edges, best first, from ``list_starts[u]``
+    on.  So genuine edge k, at rank r of an endpoint u's list, puts its copy
+    that reaches the partner's minus tag at ``list_starts[u] + r`` and the
+    one that reaches its plus tag d places later, and u's twin ends the
+    list.  A function of its own so that its
     numpy temporaries are freed before ``build_mirror`` copies the per-edge
     lists into tuples.
     """
@@ -183,16 +172,25 @@ def _left_lists(lay, agent_of, job_of, degree):
 
 
 def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
-    """Proposal system over the mirror graph: left copies propose, right dispose."""
-    return ProposalSystem(
+    """Proposal system over the mirror graph: left copies propose, right dispose.
+
+    Every signed copy of a non-legal edge, and the twin of every vertex
+    whose self-loop is not legal, is forbidden before the first run.
+    """
+    system = ProposalSystem(
         num_right=mirror.inst.n,
         list_edges=mirror.list_edges,
         list_starts=mirror.list_starts,
         edge_left=mirror.edge_left,
         edge_right=mirror.edge_right,
         right_rank=mirror.rrank,
-        forbidden=mirror.forbidden,
     )
+    m, n, legal = mirror.inst.m, mirror.inst.n, mirror.legal_flags
+    system.forbid([
+        *(e for k in range(m) if not legal[k] for e in range(4 * k, 4 * k + 4)),
+        *(4 * m + u for u in range(n) if not legal[m + u]),
+    ])
+    return system
 
 
 def embed_stable(mirror: MirrorGraph, stable: Matching) -> MirrorMatching:
@@ -309,13 +307,10 @@ def classify_partition(
     mirror = mh.mirror
     if -1 in mh.left_edge or -1 in mh.right_edge:
         raise ValueError("mirror matching is not perfect")
-    na, g_edge = mirror.inst.num_agents, mirror.g_edge
-    at_left = [
-        0 if g_edge[e] < 0 else mirror.left_tag[e] for e in mh.left_edge
-    ]
-    at_right = [
-        0 if g_edge[e] < 0 else mirror.right_tag[e] for e in mh.right_edge
-    ]
+    na, twins = mirror.inst.num_agents, 4 * mirror.inst.m
+    # A genuine copy's left tag is plus on even ids; its right tag opposes.
+    at_left = [0 if e >= twins else -1 if e & 1 else 1 for e in mh.left_edge]
+    at_right = [0 if e >= twins else 1 if e & 1 else -1 for e in mh.right_edge]
     return (
         (*at_left[:na], *at_right[na:]),
         (*at_right[:na], *at_left[na:]),
@@ -325,19 +320,20 @@ def classify_partition(
 def mirror_blocking_edges(mh: MirrorMatching) -> tuple[int, ...]:
     """Every mirror edge both of whose endpoints prefer it to their matches.
 
-    A left copy's list is in ``lrank`` order, so the edges it prefers to its
-    match are the list's prefix before the matched edge, or the whole list
-    when the copy is unmatched.  Only those are tested at the right end.
+    A left copy's list is best first, so the edges it prefers to its match
+    are the list's prefix before the matched edge, or the whole list when
+    the copy is unmatched.  Only those are tested at the right end.
     Returns the blocking edges sorted by id.
     """
     mirror = mh.mirror
     flat, starts = mirror.list_edges, mirror.list_starts
-    edge_right, lrank, rrank = mirror.edge_right, mirror.lrank, mirror.rrank
+    edge_right, rrank = mirror.edge_right, mirror.rrank
     right_edge = mh.right_edge
     blockers = []
     for u, le in enumerate(mh.left_edge):
-        end = starts[u + 1] if le == -1 else starts[u] + lrank[le]
-        for e in flat[starts[u]:end]:
+        for e in flat[starts[u]:starts[u + 1]]:
+            if e == le:
+                break
             re = right_edge[edge_right[e]]
             if re == -1 or rrank[e] < rrank[re]:
                 blockers.append(e)
@@ -352,7 +348,7 @@ def format_mirror(mirror: MirrorGraph) -> str:
     starts = mirror.list_starts
     for u in range(inst.n):
         row = " ".join(
-            mirror.describe(e) + ("!" if e in mirror.forbidden else "")
+            mirror.describe(e) + ("!" if mirror.is_forbidden(e) else "")
             for e in mirror.list_edges[starts[u]:starts[u + 1]]
         )
         lines.append(f"{inst.names[u]}_l > {row}")
@@ -362,7 +358,7 @@ def format_mirror(mirror: MirrorGraph) -> str:
     for u in range(inst.n):
         order = sorted(incoming[u], key=mirror.rrank.__getitem__)
         row = " ".join(
-            mirror.describe(e) + ("!" if e in mirror.forbidden else "")
+            mirror.describe(e) + ("!" if mirror.is_forbidden(e) else "")
             for e in order
         )
         lines.append(f"{inst.names[u]}_r > {row}")

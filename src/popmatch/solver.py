@@ -63,7 +63,6 @@ class SolverState:
     scan_pos: int = 0
     iteration: int = 0
     # Populated when the solve finishes successfully.
-    mirror_matching: MirrorMatching | None = None
     matching: Matching | None = None
     lower: Matching | None = None
     # Per-vertex (upper, lower) signs; see classify_partition.
@@ -98,14 +97,15 @@ class SolveReport:
 
 
 def _is_candidate(state: SolverState, u: int) -> bool:
+    """u's left copy sits on a minus tag and its right copy on a plus tag.
+
+    That holds when both of u's matched edges are genuine copies with odd
+    ids (see :class:`~popmatch.mirror.MirrorGraph`).
+    """
     le = state.system.left_match[u]
     re = state.system.right_match[u]
-    if le == -1 or re == -1:
-        return False
-    mirror = state.mirror
-    if mirror.is_twin(le) or mirror.is_twin(re):
-        return False
-    return mirror.left_tag[le] < 0 and mirror.right_tag[re] > 0
+    twins = 4 * state.inst.m
+    return 0 <= le < twins and 0 <= re < twins and le & re & 1 == 1
 
 
 def _absorb_candidates(state: SolverState) -> None:
@@ -240,7 +240,6 @@ def solve(inst: Instance, validate: bool = False) -> SolveReport:
     mh = MirrorMatching(
         mirror, tuple(system.left_match), tuple(system.right_match)
     )
-    state.mirror_matching = mh
     state.matching = project(mh, "upper")
     state.lower = project(mh, "lower")
     state.signs = classify_partition(mh)
@@ -272,7 +271,7 @@ def _none_report(
         iterations=state.iteration,
         trace=tuple(trace),
         fail_iteration=iteration,
-        infeasible_vertex=state.system.offender(),
+        infeasible_vertex=state.system.exhausted_left,
         state=state,
     )
 
@@ -360,13 +359,24 @@ def _validate(
         )
         ensure(ok, "matched pair escapes the sign partition")
 
-    # Per-half certificates: the signs themselves.
-    scope_m = [u for u in range(n) if u < na or upper[u] != 0]
+    # Per-half certificates: the signs themselves.  Each half's scope must
+    # hold both ends of every pair its projection matches.
+    in_m = [u < na or upper[u] != 0 for u in range(n)]
+    ensure(
+        all(in_m[a] == in_m[b] for a, b in mat.pairs(inst)),
+        "upper projection matches a twin-matched job",
+    )
+    scope_m = [u for u in range(n) if in_m[u]]
     ensure(
         _check_witness(inst, mat, own_m, upper, vertices=scope_m),
         "upper-half certificate failed off the twin-matched jobs",
     )
-    scope_l = [u for u in range(n) if u >= na or lower[u] != 0]
+    in_l = [u >= na or lower[u] != 0 for u in range(n)]
+    ensure(
+        all(in_l[a] == in_l[b] for a, b in low.pairs(inst)),
+        "lower projection matches a twin-matched agent",
+    )
+    scope_l = [u for u in range(n) if in_l[u]]
     ensure(
         _check_witness(inst, low, own_l, lower, vertices=scope_l),
         "lower-half certificate failed off the twin-matched agents",

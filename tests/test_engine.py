@@ -128,7 +128,7 @@ class TestReferenceEngine:
             parse_instance(generate(n, n + 2, 3 / n, seed=n)) for n in (9, 16)
         ]
         insts.append(ring_instance(12))
-        compared = infeasible = 0
+        compared = infeasible = mirror_feasible = 0
         for inst in insts:
             for kind, system in self.systems(inst):
                 lists = reference_lists(inst, kind)
@@ -147,8 +147,14 @@ class TestReferenceEngine:
                     forbidden.update(batch)
                     feasible = system.run()
                     want = gale_shapley_reference(lists, system, forbidden)
-                    assert feasible == want[0], kind
-                    if system.exhausted_left is not None:
+                    assert feasible == (system.exhausted_left is None), kind
+                    # An engine verdict of infeasible is the reference's too.
+                    assert feasible or not want[0], kind
+                    if kind == "mirror" and feasible:
+                        # No right copy starves unless a left copy exhausts.
+                        assert not want[4]
+                        mirror_feasible += 1
+                    if not feasible:
                         # The engine stops at its first exhausted vertex.
                         infeasible += 1
                         break
@@ -157,10 +163,9 @@ class TestReferenceEngine:
                         system.left_match,
                         system.right_match,
                         [i - s for i, s in zip(system.next_i, starts)],
-                        system.starved,
-                    ) == want[1:], kind
+                    ) == want[1:4], kind
                     compared += 1
-        assert compared > 2000 and infeasible > 50
+        assert compared > 2000 and infeasible > 50 and mirror_feasible > 300
 
 
 class TestProposeDispose:
@@ -173,22 +178,6 @@ class TestProposeDispose:
         system = ProposalSystem(0, [], [0], [], [], [])
         assert system.run()
         assert system.left_match == []
-
-    def test_forbidding_only_stable_edge_is_infeasible(self, size_gap):
-        a1, b1 = ids(size_gap, "a1", "b1")
-        system = build_system(size_gap)
-        system.forbid([left_list(system, a1)[size_gap.rank_of(a1, b1)]])
-        assert not system.run()
-        # Every agent may stay alone, so b1 starving is what the run blames.
-        assert system.exhausted_left is None
-        assert system.offender() == b1 - size_gap.num_agents
-        # No matching is free of blocking edges while avoiding (a1, b1).
-        family = [
-            m
-            for m in enumerate_matchings(size_gap)
-            if not blocking_edges(size_gap, m) and m.partner[a1] != b1
-        ]
-        assert family == []
 
     def test_output_has_no_blocking_edge(self):
         for seed in range(60):
@@ -232,7 +221,6 @@ class TestResume:
         system.forbid(left_list(mirror, 0))
         assert not system.run()
         assert system.exhausted_left == 0
-        assert system.offender() == 0
 
     def test_feasible_forbidden_runs_are_fully_stable(self):
         # A feasible outcome avoids every forbidden edge and has no blocking
@@ -249,7 +237,7 @@ class TestResume:
             extra = [
                 e
                 for e in range(mirror.num_edges)
-                if e not in mirror.forbidden and rng.random() < 0.15
+                if not mirror.is_forbidden(e) and rng.random() < 0.15
             ]
             system = mirror_system(mirror)
             system.forbid(extra)
@@ -261,7 +249,7 @@ class TestResume:
             )
             assert mirror_blocking_edges(mh) == (), seed
             assert not any(
-                e in mirror.forbidden or e in extra for e in mh.left_edge
+                mirror.is_forbidden(e) or e in extra for e in mh.left_edge
             ), seed
         assert hits > 20
 
@@ -274,7 +262,7 @@ class TestResume:
             candidates = [
                 e
                 for e in range(mirror.num_edges)
-                if e not in mirror.forbidden
+                if not mirror.is_forbidden(e)
             ]
             rng.shuffle(candidates)
             batches = [candidates[: len(candidates) // 3]]

@@ -278,9 +278,11 @@ class TestLegalEdgeSet:
             assert got.legal == legal, inst.names
             assert got.component_id == component_id, inst.names
             assert got.components == components, inst.names
-            assert build_mirror(inst, got).forbidden == forbidden_reference(
-                inst, legal
-            ), inst.names
+            mirror = build_mirror(inst, got)
+            forbidden = {
+                e for e in range(mirror.num_edges) if mirror.is_forbidden(e)
+            }
+            assert forbidden == forbidden_reference(inst, legal), inst.names
 
     def test_given_posts_are_read(self, size_gap):
         posts = compute_posts(size_gap)

@@ -1,6 +1,8 @@
 """Mirror graph construction, embeddings, realizations, projections, partitions."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,6 +23,8 @@ from popmatch.mirror import MirrorMatching, format_mirror, mirror_system
 from popmatch.oracle import ground_truth, witness_search
 
 from conftest import (
+    composed_text,
+    forbidden_reference,
     ids,
     left_list,
     random_instance,
@@ -59,6 +63,23 @@ def make_mirror(inst):
     return build_mirror(inst, legal_edge_set(inst))
 
 
+def per_edge_reference(inst):
+    """Each mirror edge's ``(left tag, right tag, is twin, is forbidden)``.
+
+    Built as explicit per-edge sequences, one entry per id, with the
+    forbidden ids taken from the legal key set.
+    """
+    m, n = inst.m, inst.n
+    left_tag = [1, -1, 1, -1] * m + [-1] * n
+    right_tag = [-1, 1, -1, 1] * m + [1] * n
+    g_edge = [k for k in range(m) for _ in range(4)] + [-1] * n
+    forbidden = forbidden_reference(inst, legal_edge_set(inst).legal)
+    return [
+        (left_tag[e], right_tag[e], g_edge[e] < 0, e in forbidden)
+        for e in range(4 * m + n)
+    ]
+
+
 class TestBuild:
     def test_size_gap_edge_count(self, size_gap):
         mirror = make_mirror(size_gap)
@@ -67,10 +88,10 @@ class TestBuild:
     def test_stable_vertex_twins_forbidden(self, size_gap):
         mirror = make_mirror(size_gap)
         a0, a1, b0, b1 = ids(size_gap, "a0", "a1", "b0", "b1")
-        assert mirror.twin(a1) in mirror.forbidden
-        assert mirror.twin(b1) in mirror.forbidden
-        assert mirror.twin(a0) not in mirror.forbidden
-        assert mirror.twin(b0) not in mirror.forbidden
+        assert mirror.is_forbidden(mirror.twin(a1))
+        assert mirror.is_forbidden(mirror.twin(b1))
+        assert not mirror.is_forbidden(mirror.twin(a0))
+        assert not mirror.is_forbidden(mirror.twin(b0))
 
     def test_invalid_edge_copies_all_forbidden(self, identical_prefs):
         # b3 is neither a top choice nor any agent's fallback, so every
@@ -80,7 +101,7 @@ class TestBuild:
         for k, (a, b) in enumerate(identical_prefs.edges):
             if b == b3:
                 for off in range(4):
-                    assert 4 * k + off in mirror.forbidden
+                    assert mirror.is_forbidden(4 * k + off)
 
     def test_rank_orders(self, size_gap):
         # Left copies: partner-minus block, partner-plus block, twin last.
@@ -88,7 +109,7 @@ class TestBuild:
         mirror = make_mirror(size_gap)
         a1 = size_gap.id_of("a1")
         row = left_list(mirror, a1)
-        assert [mirror.right_tag[e] for e in row] == [-1, -1, 1, 1, 1]
+        assert [mirror.right_tag(e) for e in row] == [-1, -1, 1, 1, 1]
         assert mirror.is_twin(row[-1])
         incident = sorted(
             (
@@ -99,16 +120,25 @@ class TestBuild:
             ),
             key=lambda e: mirror.rrank[e],
         )
-        assert [mirror.left_tag[e] for e in incident] == [-1, -1, -1, 1, 1]
+        assert [mirror.left_tag(e) for e in incident] == [-1, -1, -1, 1, 1]
         assert mirror.is_twin(incident[2])
 
     def test_left_ranks_are_list_positions(self, showcase):
-        # Blocking-edge checks read lrank, which no dump prints.
+        # Tags, twins and forbidden copies are arithmetic on the edge id;
+        # they must agree with explicit per-edge sequences.
         for inst in [showcase] + [random_instance(seed) for seed in range(60)]:
             mirror = make_mirror(inst)
+            assert [
+                (
+                    mirror.left_tag(e),
+                    mirror.right_tag(e),
+                    mirror.is_twin(e),
+                    mirror.is_forbidden(e),
+                )
+                for e in range(mirror.num_edges)
+            ] == per_edge_reference(inst)
             for u in range(inst.n):
                 row = left_list(mirror, u)
-                assert [mirror.lrank[e] for e in row] == list(range(len(row)))
                 assert all(mirror.edge_left[e] == u for e in row)
             # Every edge sits in exactly one copy's list.
             assert sorted(mirror.list_edges) == list(range(mirror.num_edges))
@@ -120,17 +150,41 @@ class TestBuild:
             assert f"{name}_r >" in text
         assert text == SIZE_GAP_DUMP
 
+    def test_retained_memory_per_edge(self):
+        # The graph keeps two endpoint tuples, the right ranks and the flat
+        # lists; its system adds the live state and forbidden flags.
+        inst = parse_instance(composed_text(1000, seed=3))
+        classification = legal_edge_set(inst)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            mirror = build_mirror(inst, classification)
+            system = mirror_system(mirror)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert system.num_left == inst.n
+        assert retained < 110 * mirror.num_edges, retained / mirror.num_edges
+
 
 def blocking_reference(mh):
-    """Every mirror edge whose two ends prefer it to their matches, by full scan."""
+    """Every mirror edge whose two ends prefer it to their matches, by full scan.
+
+    A copy's left rank is its index in its left copy's list.
+    """
     mirror = mh.mirror
+    lrank = [0] * mirror.num_edges
+    for u in range(mirror.inst.n):
+        for i, e in enumerate(left_list(mirror, u)):
+            lrank[e] = i
     blockers = []
     for e in range(mirror.num_edges):
         le = mh.left_edge[mirror.edge_left[e]]
         re = mh.right_edge[mirror.edge_right[e]]
         if e in (le, re):
             continue
-        if (le == -1 or mirror.lrank[e] < mirror.lrank[le]) and (
+        if (le == -1 or lrank[e] < lrank[le]) and (
             re == -1 or mirror.rrank[e] < mirror.rrank[re]
         ):
             blockers.append(e)
@@ -232,8 +286,8 @@ class TestRealize:
         mh = realize_witnessed(mirror, mat, alpha)
         for u in range(size_gap.n):
             le, re = mh.left_edge[u], mh.right_edge[u]
-            ltag = mirror.left_tag[le] if mirror.edge_left[le] == u else mirror.right_tag[le]
-            rtag = mirror.right_tag[re] if mirror.edge_right[re] == u else mirror.left_tag[re]
+            ltag = mirror.left_tag(le) if mirror.edge_left[le] == u else mirror.right_tag(le)
+            rtag = mirror.right_tag(re) if mirror.edge_right[re] == u else mirror.left_tag(re)
             assert ltag + rtag == 2 * alpha[u]
 
     def test_non_cancelling_pair_rejected(self, size_gap):

@@ -4,6 +4,8 @@ import gc
 import itertools
 import time
 
+import pytest
+
 from popmatch import (
     check_a_popular,
     check_witness,
@@ -16,7 +18,7 @@ from popmatch import (
     verify_popular,
 )
 from popmatch.oracle import ground_truth
-from popmatch.solver import find_unmarked
+from popmatch.solver import SolverDefect, _validate, find_unmarked
 
 from conftest import composed_text, pairs_by_name, random_instance, ring_text
 
@@ -164,6 +166,21 @@ class TestWitnesses:
                     if not check_witness(inst, mat, alpha):
                         continue
                     assert all(alpha[u] == 0 for u in marked)
+
+
+class TestValidation:
+    def test_pair_leaving_a_half_scope_is_a_defect(self):
+        # Vertex 0 is an agent matched in the lower projection; a zero lower
+        # sign drops it from the lower half's scope while its partner stays.
+        inst = random_instance(0)
+        report = solve(inst)
+        state = report.state
+        assert report.outcome == "found" and not state.lower.is_self(0)
+        upper, lower = state.signs
+        state.signs = (upper, (0, *lower[1:]))
+        own = report.matching.partner_ranks(inst)
+        with pytest.raises(SolverDefect, match="lower projection"):
+            _validate(state, report.witness, compute_posts(inst), own)
 
 
 class TestAgainstOracle:

@@ -24,7 +24,6 @@ from .popularity import (
     check_witness,
     edge_weight,
     verify_popular,
-    wt_total,
 )
 from .legality import (
     EdgeClassification,
@@ -89,5 +88,4 @@ __all__ = [
     "verify_popular",
     "vote",
     "witness_search",
-    "wt_total",
 ]

@@ -289,7 +289,7 @@ def run(config: RunConfig) -> int:
     }
     try:
         return handlers[config.command](config)
-    except (InstanceError, FileNotFoundError, ValueError) as exc:
+    except (InstanceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -181,6 +181,21 @@ class EdgeLayout:
     job_starts: tuple[int, ...]
     job_edges: tuple[int, ...]
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """``starts``, ``agent_of``, ``job_of``, ``agent_rank`` and
+        ``job_rank`` as numpy arrays, for whole-layout passes.
+
+        Derived on first use and then kept; parsing never builds them.
+        """
+        return tuple(
+            np.fromiter(x, np.intp, len(x))
+            for x in (
+                self.starts, self.agent_of, self.job_of,
+                self.agent_rank, self.job_rank,
+            )
+        )
+
 
 def _bulk_layout(src, dst, deg, na: int) -> EdgeLayout | None:
     """The edge layout of valid lists, or ``None`` if any rule fails.

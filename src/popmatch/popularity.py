@@ -12,8 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import sub
 
-from .instance import Instance, InstanceError, Matching, Posts
+import numpy as np
+
+from .instance import EdgeLayout, Instance, InstanceError, Matching, Posts
 
 _INF = 1 << 60
 
@@ -56,21 +59,6 @@ def edge_weight(inst: Instance, mat: Matching, e: tuple[int, int]) -> int:
     return su + sv
 
 
-def wt_total(inst: Instance, mat: Matching, other: Matching) -> int:
-    """Sum of ``edge_weight`` over ``other``'s edges and self-loops.
-
-    Equals the vote difference ``phi(other, mat) - phi(mat, other)``.
-    """
-    total = 0
-    for u in range(inst.n):
-        p = other.partner[u]
-        if p == u:
-            total += edge_weight(inst, mat, (u, u))
-        elif u < p:
-            total += edge_weight(inst, mat, (u, p))
-    return total
-
-
 def check_witness(
     inst: Instance,
     mat: Matching,
@@ -93,38 +81,46 @@ def check_witness(
 def _check_witness(
     inst: Instance, mat: Matching, own: list[int], alpha, vertices=None
 ) -> bool:
-    """:func:`check_witness` with ``own = mat.partner_ranks(inst)`` given."""
-    partner = mat.partner
-    scope = range(inst.n) if vertices is None else sorted(vertices)
-    in_scope = [False] * inst.n
-    for u in scope:
-        in_scope[u] = True
-    for u in scope:
-        p = partner[u]
-        if p != u and not in_scope[p]:
-            raise ValueError("matching leaves the induced subgraph")
-    if any(alpha[u] not in (-1, 0, 1) for u in scope):
+    """:func:`check_witness` with ``own = mat.partner_ranks(inst)`` given.
+
+    One pass of whole-array tests over the vertices and the edge layout:
+    the scope mask (raising first if a pair straddles it), the entries, their
+    sum, the self-loops, then every edge with both ends in scope.
+    """
+    n = inst.n
+    partner = np.fromiter(mat.partner, np.intp, n)
+    if vertices is None:
+        in_scope = np.ones(n, bool)
+    else:
+        in_scope = np.zeros(n, bool)
+        in_scope[np.fromiter(vertices, np.intp)] = True
+    if (in_scope & ~in_scope[partner]).any():
+        raise ValueError("matching leaves the induced subgraph")
+    alpha = np.asarray(alpha)[:n]
+    if not ((alpha == -1) | (alpha == 0) | (alpha == 1))[in_scope].all():
         return False
-    if sum(alpha[u] for u in scope) != 0:
+    alpha = np.where(in_scope, alpha, 0)
+    if alpha.sum() != 0:
         return False
     # A self-loop weighs -1 unless its vertex is alone, then 0.
-    if any(partner[u] == u and alpha[u] < 0 for u in scope):
+    if ((partner == np.arange(n)) & (alpha < 0)).any():
         return False
-    na, lay = inst.num_agents, inst.layout
-    starts, job_of, job_rank = lay.starts, lay.job_of, lay.job_rank
-    # The same per-vertex values, indexed by job: job c is vertex na + c.
-    in_job, own_job, alpha_job = in_scope[na:], own[na:], alpha[na:]
-    for a in scope:
-        if a >= na:
-            break
-        own_a, alpha_a, s = own[a], alpha[a], starts[a]
-        for i, c in enumerate(job_of[s:starts[a + 1]]):
-            if in_job[c]:
-                j, own_b = job_rank[s + i], own_job[c]
-                wt = (i < own_a) - (i > own_a) + (j < own_b) - (j > own_b)
-                if alpha_a + alpha_job[c] < wt:
-                    return False
-    return True
+    agents, jobs, votes = _edge_votes(inst, own)
+    inside = in_scope[agents] & in_scope[jobs]
+    return not (inside & (alpha[agents] + alpha[jobs] < votes)).any()
+
+
+def _edge_votes(inst: Instance, own: list[int]):
+    """Per edge: its agent's and its job's vertex ids, and their joint vote.
+
+    The vote is each endpoint's +1, 0 or -1 for the other against its
+    partner, whose rank is in ``own``; it equals :func:`edge_weight`.
+    """
+    _, agent_of, job_of, agent_rank, job_rank = inst.layout.arrays
+    jobs = inst.num_agents + job_of
+    own = np.fromiter(own, np.intp, len(own))
+    votes = np.sign(own[agent_of] - agent_rank) + np.sign(own[jobs] - job_rank)
+    return agent_of, jobs, votes
 
 
 def check_a_popular(inst: Instance, posts: Posts, mat: Matching) -> bool:
@@ -206,37 +202,25 @@ def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:
     {0, +-1}: they are the witness, checked with :func:`check_witness`
     before it is returned.  Otherwise the optimal assignment is the
     counterexample.  The weights come from the edge layout and
-    :meth:`Matching.partner_ranks` directly; each equals :func:`edge_weight`
-    less the two loop weights.
+    :meth:`Matching.partner_ranks` in one array pass; each equals
+    :func:`edge_weight` less the two loop weights.
     """
     p = inst.num_agents
     q = inst.num_jobs
-    partner, lay = mat.partner, inst.layout
-    starts, job_of, job_rank = lay.starts, lay.job_of, lay.job_rank
-    loop_wt = [0 if partner[u] == u else -1 for u in range(inst.n)]
+    matched = np.fromiter(mat.partner, np.intp, inst.n) != np.arange(inst.n)
     own = mat.partner_ranks(inst)
-    const = sum(loop_wt)
+    const = -int(matched.sum())  # every matched vertex's loop weighs -1
 
     # Folded weights are >= 0: a vertex's vote for a neighbor against its
     # partner, plus one if it is matched (its loop weight, taken out).
-    own_job, loop_job = own[p:], loop_wt[p:]  # job c is vertex p + c
-    adj: list[list[tuple[int, int]]] = []
-    for a in range(p):
-        own_a, loop_a, s = own[a], loop_wt[a], starts[a]
-        row = []
-        for i, c in enumerate(job_of[s:starts[a + 1]]):
-            j, own_b = job_rank[s + i], own_job[c]
-            wprime = (
-                (i < own_a) - (i > own_a) + (j < own_b) - (j > own_b)
-                - loop_a - loop_job[c]
-            )
-            row.append((c, wprime))
-        row.append((q + a, 0))
-        adj.append(row)
+    agents, jobs, votes = _edge_votes(inst, own)
+    wprime = votes + matched[agents] + matched[jobs]
 
     # The rank of an agent's partner is the index of that option in its row;
     # an unmatched agent's own rank is its list length, the index of its sink.
-    value, match_row, y_row, y_col = _assignment_max(p, q, adj, own[:p])
+    value, match_row, y_row, y_col = _assignment_max(
+        inst.layout, -wprime, own[:p]
+    )
     margin = value + const
 
     if margin > 0:
@@ -246,28 +230,24 @@ def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:
         best = Matching.from_pairs(inst, pairs)
         return PopularityVerdict(False, margin, None, best)
 
-    witness = [0] * inst.n
-    for a in inst.agent_ids():
-        witness[a] = y_row[a] + loop_wt[a]
-    for b in inst.job_ids():
-        witness[b] = y_col[b - p] + loop_wt[b]
-    alpha = tuple(witness)
+    alpha = tuple(map(sub, y_row + y_col, matched.tolist()))
     if not check_witness(inst, mat, alpha):
         raise AssertionError("dual potentials fail certificate validation")
     return PopularityVerdict(True, 0, alpha, None)
 
 
 def _assignment_max(
-    p: int, q: int, adj: list[list[tuple[int, int]]], start: list[int]
+    lay: EdgeLayout, cost: np.ndarray, start: list[int]
 ) -> tuple[int, list[int], list[int], list[int]]:
-    """Max-weight assignment of rows to columns with per-row private sinks.
+    """Max-weight assignment of agents (rows) to jobs (columns) with sinks.
 
-    ``adj[a]`` lists ``(col, weight)`` options, weights >= 0, where cols
-    ``0..q-1`` are shared and col ``q+a`` is row a's zero-weight sink.
-    ``start[a]`` indexes a hinted option of row a in ``adj[a]``; the hints
-    only speed the search up.  Every row ends assigned.  Returns the total
-    weight over shared columns, the row assignment, and nonnegative
-    integral dual potentials ``y_row``/``y_col`` satisfying
+    Row a's options are its edges ``lay.starts[a] ..`` in layout order, edge
+    k going to column ``lay.job_of[k]`` at ``cost[k]`` (a negated weight, so
+    <= 0), then its private zero-cost sink, column ``q + a`` (q jobs) at
+    option index ``degree``.  ``start[a]`` is a hinted option index of row
+    a; the hints only speed the search up.  Every row ends assigned.
+    Returns the total weight over shared columns, the row assignment, and
+    nonnegative integral dual potentials ``y_row``/``y_col`` satisfying
     ``y_row[a] + y_col[c] >= weight(a, c)`` with equality on assigned pairs
     and zero on unassigned shared columns.
 
@@ -277,17 +257,30 @@ def _assignment_max(
     ``(distance, column is matched, column)`` with lazy deletion, and
     augments along the path to the first free column it settles.  Its own
     sink is free at reduced distance 0, so a search settles only columns at
-    negative distance and touches only their rows' lists; at equal distance
-    a free column comes first and ends the search.  A sink stays at price 0:
-    only its own row reaches it.
+    negative distance and touches only their rows' options; at equal
+    distance a free column comes first and ends the search.  A sink stays
+    at price 0: only its own row reaches it.
+
+    The warm start tests every row's tightness at once, as one
+    ``np.minimum.reduceat`` of reduced costs over the layout's rows; only
+    the rows that fail, and the rows of a column whose price resets (read
+    from ``job_edges``), are rechecked in Python.  The searches read their
+    options from the same flat lists.
     """
+    starts, job_of = lay.starts, lay.job_of
+    job_starts, job_edges, agent_of = lay.job_starts, lay.job_edges, lay.agent_of
+    p, q = len(starts) - 1, len(job_starts) - 1
     num_cols = q + p
+    costs = cost.tolist()
     v = [0] * num_cols
     match_row = [-1] * p
     match_col = [-1] * num_cols
     mcost = [0] * p  # cost (negated weight) of each row's assigned edge
 
-    cost_adj = [[(c, -w) for c, w in row] for row in adj]
+    def options(a: int):
+        """Row a's ``(column, cost)`` options, its sink last."""
+        s, e = starts[a], starts[a + 1]
+        return zip((*job_of[s:e], q + a), (*costs[s:e], 0))
 
     # Per-search state over all columns; a search resets what it touched.
     d = [_INF] * num_cols
@@ -300,38 +293,51 @@ def _assignment_max(
     # its weight as price.  A row whose option is then not one of its
     # cheapest drops out; the column it frees goes back to price 0, which
     # can make the column cheapest for its other rows, so they are rechecked.
+    # Prices only rise, so the rows that drop are a monotone fixed point
+    # and the order in which rows are checked does not change them.
     for a, i in enumerate(start):
-        c, w = cost_adj[a][i]
+        s = starts[a]
+        if s + i < starts[a + 1]:
+            c, w = job_of[s + i], costs[s + i]
+        else:
+            c, w = q + a, 0
         if match_col[c] == -1:
             match_col[c] = a
             match_row[a] = c
             mcost[a] = w
             v[c] = -(-w // 2)
-    col_rows: list[list[int]] = [[] for _ in range(num_cols)]
-    for a, row in enumerate(cost_adj):
-        for c, _ in row:
-            col_rows[c].append(a)
-    work = list(range(p))
+    arr_starts, _, arr_job_of, _, _ = lay.arrays
+    prices = np.fromiter(v, np.intp, num_cols)
+    rows = np.fromiter(match_row, np.intp, p)
+    # The sink's reduced cost is 0; a row is tight when no option is below u.
+    lowest = np.minimum(
+        np.minimum.reduceat(cost - prices[arr_job_of], arr_starts[:-1]), 0
+    )
+    u = np.fromiter(mcost, np.intp, p) - prices[rows]
+    work = np.flatnonzero((lowest < u) & (rows != -1)).tolist()
     while work:
         a = work.pop()
         c = match_row[a]
         if c == -1:
             continue
         u = mcost[a] - v[c]
-        if all(w - v[c2] >= u for c2, w in cost_adj[a]):
+        if all(w - v[c2] >= u for c2, w in options(a)):
             continue
         match_row[a] = match_col[c] = -1
         if v[c]:
             v[c] = 0
-            work.extend(col_rows[c])
+            work.extend(
+                agent_of[k] for k in job_edges[job_starts[c]:job_starts[c + 1]]
+            )
 
     for a0 in range(p):
         if match_row[a0] != -1:
             continue
-        touched = [c for c, _ in cost_adj[a0]]
+        touched = []
         done: list[int] = []
         heap: list[tuple[int, bool, int]] = []
-        for c, w in cost_adj[a0]:
+        for c, w in options(a0):
+            touched.append(c)
             d[c] = w - v[c]
             reach_row[c] = a0
             reach_cost[c] = w
@@ -349,7 +355,7 @@ def _assignment_max(
                 break
             a1 = match_col[bc]
             base = dist - mcost[a1] + v[bc]
-            for c, w in cost_adj[a1]:
+            for c, w in options(a1):
                 if done_mark[c]:
                     continue
                 nd = base + w - v[c]

@@ -16,6 +16,7 @@ suite.
 from __future__ import annotations
 
 import random
+from heapq import heappop, heappush
 from itertools import chain
 
 import numpy as np
@@ -25,7 +26,9 @@ from popmatch import (
     Instance,
     InstanceError,
     Matching,
+    PopularityVerdict,
     compute_posts,
+    edge_weight,
     parse_instance,
 )
 from popmatch.engine import build_system, rotation_walk
@@ -560,3 +563,190 @@ def parse_reference(text: str):
                     f"{names[v]!r} but not conversely"
                 )
     return tuple(names), na, tuple(pref)
+
+
+def wt_total(inst: Instance, mat: Matching, other: Matching) -> int:
+    """Sum of ``edge_weight`` over ``other``'s edges and self-loops.
+
+    Equals the vote difference ``phi(other, mat) - phi(mat, other)``.
+    """
+    total = 0
+    for u in range(inst.n):
+        p = other.partner[u]
+        if p == u:
+            total += edge_weight(inst, mat, (u, u))
+        elif u < p:
+            total += edge_weight(inst, mat, (u, p))
+    return total
+
+
+_INF = 1 << 60
+
+
+def verify_reference(inst: Instance, mat: Matching):
+    """``verify_popular`` on per-agent ``(col, weight)`` lists, as a reference.
+
+    The fold and :func:`assignment_reference` are the list-based versions
+    that the flat-array ones replaced; the witness is assembled the same
+    way but not re-checked here.  Returns the verdict and the number of
+    rows that were tight at the warm start's prices yet dropped after a
+    column price reset (the cascade).
+    """
+    p = inst.num_agents
+    q = inst.num_jobs
+    partner, lay = mat.partner, inst.layout
+    starts, job_of, job_rank = lay.starts, lay.job_of, lay.job_rank
+    loop_wt = [0 if partner[u] == u else -1 for u in range(inst.n)]
+    own = mat.partner_ranks(inst)
+    const = sum(loop_wt)
+
+    own_job, loop_job = own[p:], loop_wt[p:]  # job c is vertex p + c
+    adj: list[list[tuple[int, int]]] = []
+    for a in range(p):
+        own_a, loop_a, s = own[a], loop_wt[a], starts[a]
+        row = []
+        for i, c in enumerate(job_of[s:starts[a + 1]]):
+            j, own_b = job_rank[s + i], own_job[c]
+            wprime = (
+                (i < own_a) - (i > own_a) + (j < own_b) - (j > own_b)
+                - loop_a - loop_job[c]
+            )
+            row.append((c, wprime))
+        row.append((q + a, 0))
+        adj.append(row)
+
+    value, match_row, y_row, y_col, cascade = assignment_reference(
+        p, q, adj, own[:p]
+    )
+    margin = value + const
+
+    if margin > 0:
+        pairs = [
+            (a, c + p) for a, c in enumerate(match_row) if c < q
+        ]
+        best = Matching.from_pairs(inst, pairs)
+        return PopularityVerdict(False, margin, None, best), cascade
+
+    witness = [0] * inst.n
+    for a in inst.agent_ids():
+        witness[a] = y_row[a] + loop_wt[a]
+    for b in inst.job_ids():
+        witness[b] = y_col[b - p] + loop_wt[b]
+    return PopularityVerdict(True, 0, tuple(witness), None), cascade
+
+
+def assignment_reference(
+    p: int, q: int, adj: list[list[tuple[int, int]]], start: list[int]
+):
+    """Max-weight assignment over per-row ``(col, weight)`` option lists.
+
+    ``adj[a]`` ends with row a's zero-weight sink, col ``q + a``; ``start``
+    indexes each row's hinted option.  The warm start checks every row's
+    tightness in turn and rechecks a column's rows when its price resets;
+    each row it leaves unassigned runs Dijkstra over reduced costs.
+    Returns the value, the row assignment, the duals and the cascade count.
+    """
+    num_cols = q + p
+    v = [0] * num_cols
+    match_row = [-1] * p
+    match_col = [-1] * num_cols
+    mcost = [0] * p  # cost (negated weight) of each row's assigned edge
+
+    cost_adj = [[(c, -w) for c, w in row] for row in adj]
+
+    # Per-search state over all columns; a search resets what it touched.
+    d = [_INF] * num_cols
+    reach_row = [-1] * num_cols
+    reach_cost = [0] * num_cols
+    prev_col = [-1] * num_cols
+    done_mark = [False] * num_cols
+
+    for a, i in enumerate(start):
+        c, w = cost_adj[a][i]
+        if match_col[c] == -1:
+            match_col[c] = a
+            match_row[a] = c
+            mcost[a] = w
+            v[c] = -(-w // 2)
+    col_rows: list[list[int]] = [[] for _ in range(num_cols)]
+    for a, row in enumerate(cost_adj):
+        for c, _ in row:
+            col_rows[c].append(a)
+
+    def tight(a: int) -> bool:
+        u = mcost[a] - v[match_row[a]]
+        return all(w - v[c2] >= u for c2, w in cost_adj[a])
+
+    tight_at_start = [match_row[a] != -1 and tight(a) for a in range(p)]
+    cascade = 0
+    work = list(range(p))
+    while work:
+        a = work.pop()
+        c = match_row[a]
+        if c == -1:
+            continue
+        u = mcost[a] - v[c]
+        if all(w - v[c2] >= u for c2, w in cost_adj[a]):
+            continue
+        cascade += tight_at_start[a]
+        match_row[a] = match_col[c] = -1
+        if v[c]:
+            v[c] = 0
+            work.extend(col_rows[c])
+
+    for a0 in range(p):
+        if match_row[a0] != -1:
+            continue
+        touched = [c for c, _ in cost_adj[a0]]
+        done: list[int] = []
+        heap: list[tuple[int, bool, int]] = []
+        for c, w in cost_adj[a0]:
+            d[c] = w - v[c]
+            reach_row[c] = a0
+            reach_cost[c] = w
+            prev_col[c] = -1
+            heappush(heap, (d[c], match_col[c] != -1, c))
+        while True:
+            if not heap:
+                raise AssertionError("assignment search ran out of columns")
+            dist, matched, bc = heappop(heap)
+            if dist != d[bc]:
+                continue  # stale: the column was reached more cheaply
+            done_mark[bc] = True
+            done.append(bc)
+            if not matched:
+                break
+            a1 = match_col[bc]
+            base = dist - mcost[a1] + v[bc]
+            for c, w in cost_adj[a1]:
+                if done_mark[c]:
+                    continue
+                nd = base + w - v[c]
+                if nd < d[c]:
+                    if d[c] == _INF:
+                        touched.append(c)
+                    d[c] = nd
+                    reach_row[c] = a1
+                    reach_cost[c] = w
+                    prev_col[c] = bc
+                    heappush(heap, (nd, match_col[c] != -1, c))
+        mu = dist
+        for c in done:
+            v[c] += d[c] - mu
+        c = bc
+        while True:
+            a = reach_row[c]
+            match_col[c] = a
+            match_row[a] = c
+            mcost[a] = reach_cost[c]
+            if a == a0:
+                break
+            c = prev_col[c]
+        for c in touched:
+            d[c] = _INF
+            done_mark[c] = False
+
+    value = -sum(mcost[a] for a in range(p) if match_row[a] < q)
+    y_col = [-v[c] for c in range(q)]
+    y_row = [v[match_row[a]] - mcost[a] for a in range(p)]
+    return value, match_row, y_row, y_col, cascade

@@ -298,3 +298,16 @@ def test_input_error_exit_one(files, capsys):
 def test_missing_file_exit_one():
     assert main(["solve", "/nonexistent/instance.txt"]) == 1
 
+
+def test_directory_instance_exit_one(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_directory_matching_exit_one(files, tmp_path, capsys):
+    path = files("gap.txt", SIZE_GAP_TEXT)
+    assert main(["verify", path, "--matching", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+

@@ -371,6 +371,7 @@ class TestDerivedViews:
         for text in view_texts():
             inst = parse_instance(text)
             assert "pref" not in vars(inst), text
+            assert "arrays" not in vars(inst.layout), text
             pref, incoming = eager_views(text)
             assert incoming_of(inst.layout) == incoming, text
             assert inst.pref == pref, text

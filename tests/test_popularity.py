@@ -1,6 +1,7 @@
 """Vote weights, popularity verification, certificates, one-sided checks."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -15,10 +16,11 @@ from popmatch import (
     generate,
     parse_instance,
     run_election,
+    solve,
     stable_matching,
     verify_popular,
-    wt_total,
 )
+from popmatch.cli import main
 from popmatch.oracle import enumerate_matchings, ground_truth
 from popmatch.popularity import a_popular_obstruction
 
@@ -31,6 +33,8 @@ from conftest import (
     showcase_full,
     size_gap_max,
     size_gap_stable,
+    verify_reference,
+    wt_total,
 )
 
 
@@ -132,6 +136,86 @@ class TestVerifyPopular:
                 for u in range(inst.n):
                     if mat.is_self(u):
                         assert alpha[u] == 0
+
+
+class TestListReference:
+    """The flat-array verification against the list-based one it replaced."""
+
+    def test_verdicts_equal_reference(self):
+        # Random matchings, stable ones, solve's answers and both with one
+        # pair dropped, on random instances, rings and shuffled blocks.
+        rng = random.Random(7)
+        insts = [
+            parse_instance(
+                generate(2 + s % 9, 2 + s // 9 % 9, 0.25 + s % 4 / 6, s)
+            )
+            for s in range(300)
+        ]
+        insts += [parse_instance(generate(30, 30, 4 / 30, s)) for s in range(40)]
+        insts += [ring_instance(n) for n in range(2, 60)]
+        insts += [parse_instance(composed_text(k, seed=k)) for k in range(1, 30)]
+        pairs = popular = cascading = 0
+        for seed, inst in enumerate(insts):
+            stable = stable_matching(inst)
+            mats = [
+                _random_matching(rng, inst),
+                _random_matching(rng, inst),
+                stable,
+                _drop_pair(rng, inst, stable),
+            ]
+            report = solve(inst)
+            if report.outcome == "found":
+                mats += [report.matching, _drop_pair(rng, inst, report.matching)]
+            for mat in mats:
+                got = verify_popular(inst, mat)
+                want, cascade = verify_reference(inst, mat)
+                assert (got.popular, got.margin, got.witness) == (
+                    want.popular,
+                    want.margin,
+                    want.witness,
+                ), (seed, mat.partner)
+                if want.popular:
+                    assert got.counterexample is None, seed
+                else:
+                    assert (
+                        got.counterexample.partner == want.counterexample.partner
+                    ), (seed, mat.partner)
+                pairs += 1
+                popular += want.popular
+                cascading += cascade > 0
+        assert pairs >= 2000 and 500 <= popular <= pairs - 500, (pairs, popular)
+        # Rows that were tight at the warm start but dropped after a column
+        # price reset: the worklist's cascade path runs.
+        assert cascading >= 100, cascading
+
+
+class TestIntTypes:
+    """Verdicts and witnesses hold Python ints, as their reprs and JSON need."""
+
+    def test_entries_are_python_ints(self, tmp_path, capsys):
+        texts = [composed_text(8, seed=2), generate(12, 12, 0.3, seed=4)]
+        texts += [generate(6, 6, 0.5, seed=s) for s in range(20)]
+        kinds = set()
+        for text in texts:
+            inst = parse_instance(text)
+            report = solve(inst, validate=True)
+            mats = [stable_matching(inst), _random_matching(random.Random(1), inst)]
+            if report.outcome == "found":
+                assert all(type(x) is int for x in report.witness), text
+                mats.append(report.matching)
+            for mat in mats:
+                verdict = verify_popular(inst, mat)
+                assert type(verdict.margin) is int
+                if verdict.popular:
+                    assert all(type(x) is int for x in verdict.witness)
+                    json.dumps(verdict.witness)
+                kinds.add(verdict.popular)
+            path = tmp_path / "inst.txt"
+            path.write_text(text)
+            code = main(["solve", str(path), "--json", "--validate"])
+            payload = json.loads(capsys.readouterr().out)
+            assert code in (0, 2) and "outcome" in payload
+        assert kinds == {True, False}
 
 
 class TestAgainstNetworkx:
@@ -300,6 +384,14 @@ def _random_matching(rng, inst) -> Matching:
         if a not in taken and b not in taken and rng.random() < 0.7:
             taken.update((a, b))
             pairs.append((a, b))
+    return Matching.from_pairs(inst, pairs)
+
+
+def _drop_pair(rng, inst, mat) -> Matching:
+    """``mat`` without one of its pairs, chosen at random."""
+    pairs = list(mat.pairs(inst))
+    if pairs:
+        pairs.pop(rng.randrange(len(pairs)))
     return Matching.from_pairs(inst, pairs)
 
 

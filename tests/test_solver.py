@@ -326,6 +326,7 @@ class TestHotPath:
         assert report.outcome == "none" and report.fail_iteration == 0
         assert report.state is None  # decided by the precheck
         self.assert_lean(inst)
+        assert "arrays" not in vars(inst.layout)
 
     def test_verify_builds_no_rank_dicts(self):
         text = composed_text(40, seed=5)

@@ -1,7 +1,8 @@
 """Command-line surface: solve, verify, classify edges, oracle checks, generation.
 
 Exit codes: 0 success, 1 input or I/O error, 2 no fully popular matching
-exists (``solve``), 3 verification failed (``verify``).
+exists (``solve``), 3 verification failed (``verify``) or the oracle
+cross-check found a difference (``oracle --cross-check``).
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .generator import generate
@@ -21,7 +21,7 @@ from .instance import (
     parse_instance,
     parse_matching,
 )
-from .legality import legal_edge_set, popular_edges
+from .legality import legal_edge_set
 from .mirror import build_mirror, format_mirror
 from .oracle import OracleCapError, ground_truth
 from .popularity import check_a_popular, verify_popular
@@ -31,27 +31,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NONE = 2
 EXIT_FAILED = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed command line."""
-
-    command: str
-    instance: str | None = None
-    matching: str | None = None
-    mode: str = "fully"
-    kind: str = "legal"
-    cross_check: bool = False
-    dump_mirror: bool = False
-    validate: bool = False
-    trace: bool = False
-    as_json: bool = False
-    agents: int = 4
-    jobs: int = 4
-    density: float = 0.5
-    seed: int = 0
-    output: str | None = None
 
 
 def _load_instance(path: str) -> Instance:
@@ -70,10 +49,10 @@ def _witness_json(inst: Instance, witness) -> dict[str, int]:
     return {inst.names[u]: witness[u] for u in range(inst.n)}
 
 
-def _cmd_solve(config: RunConfig) -> int:
-    inst = _load_instance(config.instance)
-    report = solve(inst, validate=config.validate)
-    if config.as_json:
+def _cmd_solve(args: argparse.Namespace) -> int:
+    inst = _load_instance(args.instance)
+    report = solve(inst, validate=args.validate)
+    if args.as_json:
         payload: dict = {"outcome": report.outcome}
         if report.outcome == "found":
             payload["matching"] = _matching_json(inst, report.matching)
@@ -82,7 +61,7 @@ def _cmd_solve(config: RunConfig) -> int:
         else:
             payload["fail_iteration"] = report.fail_iteration
             payload["vertex"] = inst.names[report.infeasible_vertex]
-        if config.trace:
+        if args.trace:
             payload["trace"] = [
                 {
                     "iteration": row.iteration,
@@ -105,7 +84,7 @@ def _cmd_solve(config: RunConfig) -> int:
                 for u in range(inst.n)
             )
         )
-        if config.trace:
+        if args.trace:
             for row in report.trace:
                 print(
                     f"iteration {row.iteration}: trigger "
@@ -122,18 +101,18 @@ def _cmd_solve(config: RunConfig) -> int:
     return EXIT_OK if report.outcome == "found" else EXIT_NONE
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    inst = _load_instance(config.instance)
-    mat = parse_matching(Path(config.matching).read_text(), inst)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    inst = _load_instance(args.instance)
+    mat = parse_matching(Path(args.matching).read_text(), inst)
     results: dict[str, bool] = {}
-    if config.mode in ("popular", "fully"):
+    if args.mode in ("popular", "fully"):
         results["popular"] = verify_popular(inst, mat).popular
-    if config.mode in ("a-popular", "fully"):
+    if args.mode in ("a-popular", "fully"):
         results["a-popular"] = check_a_popular(
             inst, compute_posts(inst), mat
         )
     ok = all(results.values())
-    if config.as_json:
+    if args.as_json:
         print(json.dumps({"ok": ok, "checks": results}))
     else:
         for name, value in results.items():
@@ -141,23 +120,23 @@ def _cmd_verify(config: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
-def _cmd_edges(config: RunConfig) -> int:
-    inst = _load_instance(config.instance)
+def _cmd_edges(args: argparse.Namespace) -> int:
+    inst = _load_instance(args.instance)
     classification = legal_edge_set(inst)
-    if config.dump_mirror:
+    if args.dump_mirror:
         print(format_mirror(build_mirror(inst, classification)), end="")
         return EXIT_OK
     chosen = {
         "valid": classification.valid,
         "popular": classification.popular,
         "legal": classification.legal,
-    }[config.kind]
+    }[args.kind]
     keys = sorted(chosen)
-    if config.as_json:
+    if args.as_json:
         print(
             json.dumps(
                 {
-                    config.kind: [_edge_names(inst, k) for k in keys],
+                    args.kind: [_edge_names(inst, k) for k in keys],
                     "components": [
                         [inst.names[u] for u in comp]
                         for comp in classification.components
@@ -174,8 +153,8 @@ def _cmd_edges(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(config: RunConfig) -> int:
-    inst = _load_instance(config.instance)
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    inst = _load_instance(args.instance)
     try:
         report = ground_truth(inst)
     except OracleCapError as exc:
@@ -191,7 +170,7 @@ def _cmd_oracle(config: RunConfig) -> int:
         "max_popular_size": report.max_popular_size,
     }
     diffs: list[str] = []
-    if config.cross_check:
+    if args.cross_check:
         solved = solve(inst, validate=True)
         oracle_size = report.max_fully_popular_size
         if (solved.outcome == "found") != (oracle_size is not None):
@@ -200,14 +179,14 @@ def _cmd_oracle(config: RunConfig) -> int:
             diffs.append(
                 f"solver size {solved.size} != oracle size {oracle_size}"
             )
-        fast = popular_edges(inst)
+        fast = legal_edge_set(inst).popular
         exact = report.popular_edges | frozenset(
             (u, u) for u in report.popular_loops
         )
         if fast != exact:
             diffs.append("popular edge sets differ")
         payload["diffs"] = diffs
-    if config.as_json:
+    if args.as_json:
         print(json.dumps(payload))
     else:
         for key, value in payload.items():
@@ -215,10 +194,10 @@ def _cmd_oracle(config: RunConfig) -> int:
     return EXIT_OK if not diffs else EXIT_FAILED
 
 
-def _cmd_generate(config: RunConfig) -> int:
-    text = generate(config.agents, config.jobs, config.density, config.seed)
-    if config.output:
-        Path(config.output).write_text(text)
+def _cmd_generate(args: argparse.Namespace) -> int:
+    text = generate(args.agents, args.jobs, args.density, args.seed)
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         print(text, end="")
     return EXIT_OK
@@ -231,35 +210,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_instance=True):
-        if needs_instance:
-            p.add_argument("instance", help="instance file")
+    def add_command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        p.add_argument("instance", help="instance file")
         p.add_argument("--json", action="store_true", dest="as_json")
+        return p
 
-    p = sub.add_parser("solve", help="find a max-size fully popular matching")
-    add_common(p)
+    p = add_command("solve", _cmd_solve, "find a max-size fully popular matching")
     p.add_argument("--validate", action="store_true")
     p.add_argument("--trace", action="store_true")
 
-    p = sub.add_parser("verify", help="check a matching file")
-    add_common(p)
+    p = add_command("verify", _cmd_verify, "check a matching file")
     p.add_argument("--matching", required=True)
     p.add_argument(
         "--mode", choices=("popular", "a-popular", "fully"), default="fully"
     )
 
-    p = sub.add_parser("edges", help="classify edges and self-loops")
-    add_common(p)
+    p = add_command("edges", _cmd_edges, "classify edges and self-loops")
     p.add_argument(
         "--kind", choices=("valid", "popular", "legal"), default="legal"
     )
     p.add_argument("--dump-mirror", action="store_true")
 
-    p = sub.add_parser("oracle", help="exhaustive ground truth (small instances)")
-    add_common(p)
+    p = add_command(
+        "oracle", _cmd_oracle, "exhaustive ground truth (small instances)"
+    )
     p.add_argument("--cross-check", action="store_true")
 
     p = sub.add_parser("generate", help="emit a seeded random instance")
+    p.set_defaults(handler=_cmd_generate)
     p.add_argument("--agents", type=int, default=4)
     p.add_argument("--jobs", type=int, default=4)
     p.add_argument("--density", type=float, default=0.5)
@@ -269,34 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        key: value
-        for key, value in vars(args).items()
-        if key in RunConfig.__dataclass_fields__ and value is not None
-    }
-    return RunConfig(**fields)
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit code."""
-    handlers = {
-        "solve": _cmd_solve,
-        "verify": _cmd_verify,
-        "edges": _cmd_edges,
-        "oracle": _cmd_oracle,
-        "generate": _cmd_generate,
-    }
+def main(argv=None) -> int:
+    """Parse ``argv`` and run its subcommand; returns the process exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[config.command](config)
+        return args.handler(args)
     except (InstanceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
 
 
 if __name__ == "__main__":

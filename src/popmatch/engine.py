@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 
-from .instance import Instance, Matching
+from .instance import Instance
 
 INFINITE_RANK = 1 << 60
 
@@ -194,14 +194,6 @@ class ProposalSystem:
             self._divorce(e)
 
 
-def _sides(inst: Instance, proposers: str) -> tuple[range, range]:
-    if proposers == "agents":
-        return inst.agent_ids(), inst.job_ids()
-    if proposers == "jobs":
-        return inst.job_ids(), inst.agent_ids()
-    raise ValueError(f"unknown proposer side {proposers!r}")
-
-
 def build_system(inst: Instance, proposers: str = "agents") -> ProposalSystem:
     """Plain one-sided proposal system over an instance's edge layout.
 
@@ -224,20 +216,6 @@ def build_system(inst: Instance, proposers: str = "agents") -> ProposalSystem:
             lay.job_of, lay.agent_of, lay.agent_rank, alone_ok=True,
         )
     raise ValueError(f"unknown proposer side {proposers!r}")
-
-
-def stable_matching(inst: Instance, proposers: str = "agents") -> Matching:
-    """Proposer-optimal stable matching of the instance."""
-    left_ids, right_ids = _sides(inst, proposers)
-    system = build_system(inst, proposers)
-    system.run()
-    partner = list(range(inst.n))
-    for i, e in enumerate(system.left_match):
-        if e != -1:
-            j = system.edge_right[e]
-            partner[left_ids[i]] = right_ids[j]
-            partner[right_ids[j]] = left_ids[i]
-    return Matching(tuple(partner))
 
 
 def rotation_walk(agents: ProposalSystem, jobs: ProposalSystem) -> set[int]:
@@ -304,26 +282,3 @@ def rotation_walk(agents: ProposalSystem, jobs: ProposalSystem) -> set[int]:
                     depth[x] = -1
                     stable.add(e)
     return stable
-
-
-def stable_vertices(inst: Instance) -> frozenset[int]:
-    """Vertices matched to genuine partners in every stable matching.
-
-    All stable matchings cover the same vertex set, so one agent-proposing
-    run settles membership.
-    """
-    mat = stable_matching(inst)
-    return frozenset(u for u in range(inst.n) if not mat.is_self(u))
-
-
-def blocking_edges(inst: Instance, mat: Matching) -> frozenset[tuple[int, int]]:
-    """All edges whose endpoints both strictly prefer each other to their partners."""
-    blockers = []
-    for a, b in inst.edges:
-        if mat.partner[a] == b:
-            continue
-        if inst.rank_of(a, b) < inst.rank_of(a, mat.partner[a]) and inst.rank_of(
-            b, a
-        ) < inst.rank_of(b, mat.partner[b]):
-            blockers.append((a, b))
-    return frozenset(blockers)

@@ -39,7 +39,7 @@ class Instance:
     per-edge data built with the instance, and solving and verification
     read only it.  ``pref``, ``rank_tbl[u]`` (each neighbor's position in
     ``pref[u]``) and ``edges`` serve the per-vertex and per-pair accessors
-    (``neighbors``, ``rank_of``, ``has_edge``) of the oracle, elections and
+    (``rank_of``, ``has_edge``) of the oracle, elections and
     serialization; they are derived from the layout on first use and then
     kept.  Equality and hashing read the fields alone.
     """
@@ -88,9 +88,6 @@ class Instance:
 
     def job_ids(self) -> range:
         return range(self.num_agents, self.n)
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.pref[u]
 
     def rank_of(self, u: int, v: int) -> int:
         """Position of v in u's list; u's own (worst) slot if v == u."""
@@ -508,23 +505,6 @@ def compute_posts(inst: Instance) -> Posts:
                 break
         s.append(fallback)
     return Posts(tuple(map(na.__add__, top)), tuple(s))
-
-
-def vote(inst: Instance, u: int, v: int, w: int) -> int:
-    """u's vote for v against w: +1 if u prefers v, -1 if u prefers w, 0 if equal.
-
-    Both candidates must be genuine neighbors of u or u itself; staying
-    alone is every vertex's worst option.
-    """
-    for cand in (v, w):
-        if cand != u and not inst.has_edge(u, cand) and not inst.has_edge(cand, u):
-            raise InstanceError(
-                f"{inst.names[cand]} is not adjacent to {inst.names[u]}"
-            )
-    if v == w:
-        return 0
-    rv, rw = inst.rank_of(u, v), inst.rank_of(u, w)
-    return 1 if rv < rw else -1
 
 
 def run_election(

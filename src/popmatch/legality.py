@@ -87,7 +87,12 @@ def _flags(inst: Instance, ids) -> list[bool]:
 
 
 def _valid_flags(inst: Instance, posts: Posts) -> list[bool]:
-    """:func:`valid_edges` as flags: f(a) is edge ``starts[a]``."""
+    """Edges permitted by the one-sided characterization, as flags.
+
+    Each agent contributes its top edge f(a), which is edge ``starts[a]``,
+    and its fallback slot (possibly its own self-loop); each job that is
+    nobody's top choice contributes its self-loop.
+    """
     m, starts = inst.m, inst.layout.starts
     flags = _flags(inst, starts[:-1])
     for a, s in enumerate(posts.s):
@@ -97,16 +102,6 @@ def _valid_flags(inst: Instance, posts: Posts) -> list[bool]:
         if b not in f_image:
             flags[m + b] = True
     return flags
-
-
-def valid_edges(inst: Instance, posts: Posts) -> frozenset[EdgeKey]:
-    """Edges permitted by the one-sided characterization.
-
-    Each agent contributes its top edge and its fallback slot (possibly its
-    own self-loop); each job that is nobody's top choice contributes its
-    self-loop.
-    """
-    return _keys(inst, _valid_flags(inst, posts))
 
 
 def two_level_systems(inst: Instance) -> tuple[ProposalSystem, ProposalSystem]:
@@ -201,18 +196,14 @@ def _dominant_ids(inst: Instance) -> set[int]:
     return {e % m for e in rotation_walk(*two_level_systems(inst)) if e < 2 * m}
 
 
-def stable_pairs(inst: Instance) -> frozenset[EdgeKey]:
-    """All edges lying in some stable matching."""
-    return _keys(inst, _flags(inst, _stable_ids(inst)))
-
-
-def dominant_pairs(inst: Instance) -> frozenset[EdgeKey]:
-    """All edges lying in some dominant matching."""
-    return _keys(inst, _flags(inst, _dominant_ids(inst)))
-
-
 def _popular_flags(inst: Instance) -> list[bool]:
-    """:func:`popular_edges` as flags, from the ids of both rotation walks."""
+    """Edges and self-loops that some popular matching uses, as flags.
+
+    These are the stable pairs and dominant pairs, from the ids of both
+    rotation walks, plus the self-loops of unstable vertices.  Every stable
+    matching covers the same vertices, so the unstable ones are those no
+    stable pair covers.
+    """
     lay, m, na = inst.layout, inst.m, inst.num_agents
     stable = _stable_ids(inst)
     flags = _flags(inst, stable)
@@ -225,16 +216,6 @@ def _popular_flags(inst: Instance) -> list[bool]:
         if not covered[u]:
             flags[m + u] = True
     return flags
-
-
-def popular_edges(inst: Instance) -> frozenset[EdgeKey]:
-    """Edges and self-loops that some popular matching uses.
-
-    These are the stable pairs and dominant pairs, plus the self-loops of
-    unstable vertices.  Every stable matching covers the same vertices, so
-    the unstable ones are those no stable pair covers.
-    """
-    return _keys(inst, _popular_flags(inst))
 
 
 def legal_edge_set(

@@ -1,4 +1,4 @@
-"""The two-copy mirror graph: signed parallel edges, embeddings, realizations.
+"""The two-copy mirror graph: signed parallel edges, realizations, projections.
 
 Every vertex u appears twice, as a left copy and a right copy.  A genuine
 edge (a, b) spawns four signed edges: two parallel ones in the upper half
@@ -22,7 +22,7 @@ from operator import sub
 
 import numpy as np
 
-from .engine import ProposalSystem, blocking_edges, packed_ints
+from .engine import ProposalSystem, packed_ints
 from .instance import Instance, Matching
 from .legality import EdgeClassification
 
@@ -193,51 +193,18 @@ def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
     return system
 
 
-def embed_stable(mirror: MirrorGraph, stable: Matching) -> MirrorMatching:
-    """Mirror a stable matching symmetrically using the minus-to-plus rule.
-
-    Each matched pair occupies the upper and lower minus-to-plus copies;
-    self-matched vertices take their twins.  The input must be stable, and
-    the result then has no blocking edge in the mirror graph.
-    """
-    inst = mirror.inst
-    if blocking_edges(inst, stable):
-        raise ValueError("matching is not stable")
-    left = [-1] * inst.n
-    right = [-1] * inst.n
-    for a, b in stable.pairs(inst):
-        k = inst.edge_id(a, b)
-        left[a] = 4 * k + 1
-        right[b] = 4 * k + 1
-        left[b] = 4 * k + 3
-        right[a] = 4 * k + 3
-    for u in range(inst.n):
-        if stable.is_self(u):
-            left[u] = right[u] = mirror.twin(u)
-    return MirrorMatching(mirror, tuple(left), tuple(right))
-
-
 def realize_witnessed(
-    mirror: MirrorGraph, mat: Matching, alpha
+    mirror: MirrorGraph, mat: Matching, own: list[int], alpha
 ) -> MirrorMatching:
     """Symmetric mirror realization of a popular matching from its certificate.
 
-    Matched pairs are signed by their certificate values; a pair whose
-    entries do not cancel violates the tight-edge property of certificates
-    and is rejected.  At every vertex the two incident sign tags sum to
-    twice its certificate entry.
-    """
-    return _realize_witnessed(
-        mirror, mat, mat.partner_ranks(mirror.inst), alpha
-    )
-
-
-def _realize_witnessed(
-    mirror: MirrorGraph, mat: Matching, own: list[int], alpha
-) -> MirrorMatching:
-    """:func:`realize_witnessed` with ``own = mat.partner_ranks(inst)`` given.
-
-    Agent a's matched edge is ``starts[a] + own[a]``.
+    ``own`` holds ``mat.partner_ranks(inst)``, so agent a's matched edge is
+    ``starts[a] + own[a]``.  Matched pairs are signed by their certificate
+    values; a pair whose entries do not cancel violates the tight-edge
+    property of certificates and is rejected.  At every vertex the two
+    incident sign tags sum to twice its certificate entry, and the all-zero
+    certificate of a stable matching puts every pair on its minus-to-plus
+    copies and every single vertex on its twin.
     """
     inst = mirror.inst
     starts = inst.layout.starts

@@ -44,7 +44,6 @@ class OracleReport:
     max_popular_size: int
     popular_edges: frozenset[tuple[int, int]]
     popular_loops: frozenset[int]
-    witness_exists: tuple[bool, ...] | None
 
 
 def enumerate_matchings(inst: Instance, cap: int | None = None):
@@ -72,11 +71,7 @@ def enumerate_matchings(inst: Instance, cap: int | None = None):
     yield from rec(0)
 
 
-def ground_truth(
-    inst: Instance,
-    cap: int | None = None,
-    with_witness_flags: bool = False,
-) -> OracleReport:
+def ground_truth(inst: Instance, cap: int | None = None) -> OracleReport:
     """Exhaustive elections over all matchings.
 
     Popularity and agent-side popularity come straight from the vote counts;
@@ -139,10 +134,6 @@ def ground_truth(
             "self-loop popularity disagrees with the unstable-vertex rule"
         )
 
-    flags = None
-    if with_witness_flags:
-        flags = tuple(witness_search(inst, m) is not None for m in mats)
-
     fully_sizes = [m.size(inst) for m in fully]
     return OracleReport(
         num_matchings=k,
@@ -154,7 +145,6 @@ def ground_truth(
         max_popular_size=max(sizes),
         popular_edges=pop_edges,
         popular_loops=pop_loops,
-        witness_exists=flags,
     )
 
 

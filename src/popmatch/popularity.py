@@ -199,7 +199,7 @@ def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:
     ``mat`` itself.  The margin is the optimum plus the loop constant.  When
     it is zero, ``mat`` is an optimal assignment, so complementary slackness
     pins the integral duals, shifted back by the loop weights, into
-    {0, +-1}: they are the witness, checked with :func:`check_witness`
+    {0, +-1}: they are the witness, checked as :func:`check_witness` does
     before it is returned.  Otherwise the optimal assignment is the
     counterexample.  The weights come from the edge layout and
     :meth:`Matching.partner_ranks` in one array pass; each equals
@@ -231,7 +231,7 @@ def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:
         return PopularityVerdict(False, margin, None, best)
 
     alpha = tuple(map(sub, y_row + y_col, matched.tolist()))
-    if not check_witness(inst, mat, alpha):
+    if not _check_witness(inst, mat, own, alpha):
         raise AssertionError("dual potentials fail certificate validation")
     return PopularityVerdict(True, 0, alpha, None)
 

@@ -26,12 +26,12 @@ from .legality import EdgeClassification, legal_edge_set
 from .mirror import (
     MirrorGraph,
     MirrorMatching,
-    _realize_witnessed,
     build_mirror,
     classify_partition,
     mirror_blocking_edges,
     mirror_system,
     project,
+    realize_witnessed,
 )
 from .popularity import _check_witness, a_popular_obstruction, check_a_popular
 
@@ -162,8 +162,6 @@ def extract_witness(state: SolverState, own: list[int]) -> tuple[int, ...]:
     :meth:`~popmatch.instance.Matching.partner_ranks`.  The result must
     validate; a failure here would mean the solver itself is broken.
     """
-    if state.signs is None:
-        raise ValueError("solve has not finished")
     upper = state.signs[0]
     witness = tuple(
         0 if marked else s for marked, s in zip(state.marks, upper)
@@ -383,7 +381,7 @@ def _validate(
     )
 
     # The full certificate must also realize to a legal stable mirror matching.
-    realization = _realize_witnessed(state.mirror, mat, own_m, witness)
+    realization = realize_witnessed(state.mirror, mat, own_m, witness)
     ensure(
         not mirror_blocking_edges(realization),
         "realization of the result is unstable in the mirror graph",

@@ -28,13 +28,13 @@ from popmatch import (
     Matching,
     PopularityVerdict,
     compute_posts,
-    edge_weight,
     parse_instance,
 )
 from popmatch.engine import build_system, rotation_walk
 from popmatch.instance import EdgeLayout
 from popmatch.generator import generate
 from popmatch.legality import two_level_systems
+from popmatch.popularity import edge_weight
 
 SIZE_GAP_TEXT = """\
 # stable matching has size 1, the popular maximum has size 2
@@ -323,6 +323,55 @@ def two_level_reference(inst):
     return aux, na
 
 
+def stable_matching(inst) -> Matching:
+    """Agent-optimal stable matching: one run of the agent-proposing system."""
+    system = build_system(inst, "agents")
+    system.run()
+    partner = list(range(inst.n))
+    for a, e in enumerate(system.left_match):
+        if e != -1:
+            b = inst.num_agents + system.edge_right[e]
+            partner[a], partner[b] = b, a
+    return Matching(tuple(partner))
+
+
+def stable_vertices(inst) -> frozenset[int]:
+    """Vertices matched to genuine partners in every stable matching.
+
+    All stable matchings cover the same vertex set, so one agent-proposing
+    run settles membership.
+    """
+    mat = stable_matching(inst)
+    return frozenset(u for u in range(inst.n) if not mat.is_self(u))
+
+
+def blocking_edges(inst, mat: Matching) -> frozenset[tuple[int, int]]:
+    """All edges whose endpoints both strictly prefer each other to their partners."""
+    blockers = []
+    for a, b in inst.edges:
+        if mat.partner[a] == b:
+            continue
+        if inst.rank_of(a, b) < inst.rank_of(a, mat.partner[a]) and inst.rank_of(
+            b, a
+        ) < inst.rank_of(b, mat.partner[b]):
+            blockers.append((a, b))
+    return frozenset(blockers)
+
+
+def pair_families(inst):
+    """``(stable, dominant)``: the ``(agent, job)`` keys of the edges in some
+    stable and in some dominant matching, from the two rotation walks."""
+    edges = inst.edges
+    walk = rotation_walk(build_system(inst, "agents"), build_system(inst, "jobs"))
+    stable = frozenset(map(edges.__getitem__, walk))
+    dominant = frozenset(
+        edges[e % inst.m]
+        for e in rotation_walk(*two_level_systems(inst))
+        if e < 2 * inst.m
+    )
+    return stable, dominant
+
+
 def classification_reference(inst):
     """Edge classification on ``(agent, job)`` keys and edge tuples.
 
@@ -339,14 +388,7 @@ def classification_reference(inst):
         valid.add((a, posts.s[a]) if posts.s[a] != a else (a, a))
     f_image = posts.f_image()
     valid = frozenset(valid).union((b, b) for b in inst.job_ids() if b not in f_image)
-    edges = inst.edges
-    walk = rotation_walk(build_system(inst, "agents"), build_system(inst, "jobs"))
-    stable = frozenset(map(edges.__getitem__, walk))
-    dominant = {
-        edges[e % inst.m]
-        for e in rotation_walk(*two_level_systems(inst))
-        if e < 2 * inst.m
-    }
+    stable, dominant = pair_families(inst)
     covered = set(chain.from_iterable(stable))
     loops = [(u, u) for u in range(inst.n) if u not in covered]
     popular = stable.union(dominant, loops)

@@ -14,29 +14,26 @@ from functools import partial
 import pytest
 
 from popmatch import (
-    blocking_edges,
     check_a_popular,
     check_witness,
     compute_posts,
-    embed_stable,
     legal_edge_set,
-    mirror_blocking_edges,
     parse_instance,
-    popular_edges,
     solve,
-    stable_matching,
     verify_popular,
 )
-from popmatch.mirror import build_mirror
+from popmatch.mirror import build_mirror, mirror_blocking_edges, realize_witnessed
 from popmatch.oracle import enumerate_matchings, ground_truth, witness_search
 from popmatch.solver import SolverDefect
 
 from conftest import (
+    blocking_edges,
     composed_text,
     random_instance,
     ring_text,
     showcase_full,
     size_gap_max,
+    stable_matching,
 )
 
 SWEEP_SIZE = 1000
@@ -134,7 +131,8 @@ def sweep():
         truth = ground_truth(inst)
         stats["instances"] += 1
 
-        fast = popular_edges(inst)
+        classification = legal_edge_set(inst)
+        fast = classification.popular
         exact = truth.popular_edges | frozenset(
             (u, u) for u in truth.popular_loops
         )
@@ -143,8 +141,11 @@ def sweep():
 
         # Structural scan: the mirrored stable matching never has a blocker.
         stats["embed_scans"] += 1
-        mirror = build_mirror(inst, legal_edge_set(inst))
-        if mirror_blocking_edges(embed_stable(mirror, stable_matching(inst))):
+        mirror = build_mirror(inst, classification)
+        stable = stable_matching(inst)
+        zero = (0,) * inst.n
+        embedded = realize_witnessed(mirror, stable, stable.partner_ranks(inst), zero)
+        if mirror_blocking_edges(embedded):
             stats["embed_failures"] += 1
 
         try:

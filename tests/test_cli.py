@@ -233,6 +233,35 @@ def test_oracle_cross_check_lists_diff(files, capsys, monkeypatch):
     )
 
 
+def test_oracle_cross_check_lists_existence_diff(files, capsys, monkeypatch):
+    real_solve = cli.solve
+
+    def no_answer(inst, **kwargs):
+        return dataclasses.replace(real_solve(inst, **kwargs), outcome="none")
+
+    monkeypatch.setattr(cli, "solve", no_answer)
+    path = files("gap.txt", SIZE_GAP_TEXT)
+    assert main(["oracle", path, "--cross-check", "--json"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["diffs"] == ["existence verdict differs"]
+
+
+def test_oracle_cross_check_lists_popular_edge_diff(files, capsys, monkeypatch):
+    real_classify = cli.legal_edge_set
+
+    def one_popular_edge_short(inst):
+        classification = real_classify(inst)
+        flags = list(classification.popular_flags)
+        flags[flags.index(True)] = False
+        return dataclasses.replace(classification, popular_flags=tuple(flags))
+
+    monkeypatch.setattr(cli, "legal_edge_set", one_popular_edge_short)
+    path = files("gap.txt", SIZE_GAP_TEXT)
+    assert main(["oracle", path, "--cross-check", "--json"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["diffs"] == ["popular edge sets differ"]
+
+
 def readme_synopsis() -> dict[str, set[str]]:
     """Options per subcommand in the README's CLI block."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

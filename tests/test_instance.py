@@ -18,10 +18,9 @@ from popmatch import (
     parse_instance,
     parse_matching,
     run_election,
-    serialize_instance,
-    vote,
 )
 from popmatch import instance as instance_module
+from popmatch.instance import serialize_instance
 from popmatch.generator import generate
 from popmatch.oracle import enumerate_matchings
 
@@ -460,26 +459,6 @@ class TestPosts:
             posts = compute_posts(inst)
             assert all(not inst.is_agent(b) for b in posts.f)
             assert compute_posts(inst) == posts  # deterministic
-
-
-class TestVotes:
-    def test_job_prefers_better_agent(self, size_gap):
-        a0, a1, b1 = ids(size_gap, "a0", "a1", "b1")
-        assert vote(size_gap, b1, a1, a0) == 1
-        assert vote(size_gap, b1, a0, a1) == -1
-
-    def test_identity_vote(self, size_gap):
-        a1, b1 = ids(size_gap, "a1", "b1")
-        assert vote(size_gap, a1, b1, b1) == 0
-
-    def test_any_neighbor_beats_self(self, size_gap):
-        a0, b1 = ids(size_gap, "a0", "b1")
-        assert vote(size_gap, a0, b1, a0) == 1
-
-    def test_non_neighbor_rejected(self, size_gap):
-        a0, b0 = ids(size_gap, "a0", "b0")
-        with pytest.raises(InstanceError, match="adjacent"):
-            vote(size_gap, a0, b0, a0)
 
 
 class TestElections:

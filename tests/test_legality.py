@@ -1,27 +1,21 @@
 """Valid/popular/legal classification and the popular subgraph."""
 
-from popmatch import (
-    Instance,
-    blocking_edges,
-    compute_posts,
-    legal_edge_set,
-    parse_instance,
-    popular_edges,
-    valid_edges,
-)
+from popmatch import Instance, compute_posts, legal_edge_set, parse_instance
 from popmatch.engine import build_system
 from popmatch.generator import generate
 from popmatch.instance import Posts
-from popmatch.legality import dominant_pairs, stable_pairs, two_level_systems
+from popmatch.legality import two_level_systems
 from popmatch.mirror import build_mirror
 from popmatch.oracle import enumerate_matchings, ground_truth
 
 from conftest import (
+    blocking_edges,
     classification_reference,
     composed_text,
     forbidden_reference,
     ids,
     left_list,
+    pair_families,
     project_two_level,
     random_instance,
     ring_instance,
@@ -37,7 +31,7 @@ def keyset(inst, classification_set):
 
 class TestValidEdges:
     def test_size_gap(self, size_gap):
-        got = keyset(size_gap, valid_edges(size_gap, compute_posts(size_gap)))
+        got = keyset(size_gap, legal_edge_set(size_gap).valid)
         assert got == [
             ("a0", "a0"),
             ("a0", "b1"),
@@ -48,17 +42,17 @@ class TestValidEdges:
 
     def test_top_choice_job_loop_excluded(self, size_gap):
         b1 = size_gap.id_of("b1")
-        assert (b1, b1) not in valid_edges(size_gap, compute_posts(size_gap))
+        assert (b1, b1) not in legal_edge_set(size_gap).valid
 
     def test_single_pair(self):
         inst = parse_instance("agents: a\njobs: b\na > b\nb > a\n")
-        got = valid_edges(inst, compute_posts(inst))
+        got = legal_edge_set(inst).valid
         assert got == frozenset({(0, 1), (0, 0)})
 
     def test_every_agent_has_exactly_two_valid_slots(self):
         for seed in range(60):
             inst = random_instance(seed)
-            valid = valid_edges(inst, compute_posts(inst))
+            valid = legal_edge_set(inst).valid
             for a in inst.agent_ids():
                 incident = [k for k in valid if k[0] == a]
                 assert len(incident) == 2
@@ -66,7 +60,7 @@ class TestValidEdges:
 
 class TestPopularEdges:
     def test_size_gap(self, size_gap):
-        got = keyset(size_gap, popular_edges(size_gap))
+        got = keyset(size_gap, legal_edge_set(size_gap).popular)
         assert got == [
             ("a0", "a0"),
             ("a0", "b1"),
@@ -77,19 +71,19 @@ class TestPopularEdges:
 
     def test_single_pair_no_loops(self):
         inst = parse_instance("agents: a\njobs: b\na > b\nb > a\n")
-        assert popular_edges(inst) == frozenset({(0, 1)})
+        assert legal_edge_set(inst).popular == frozenset({(0, 1)})
 
     def test_showcase_contains_stable_and_max(self, showcase):
         from conftest import showcase_max, showcase_stable
 
-        popular = popular_edges(showcase)
+        popular = legal_edge_set(showcase).popular
         for mat in (showcase_stable(showcase), showcase_max(showcase)):
             assert set(mat.pairs(showcase)) <= popular
 
     def test_fast_equals_oracle_union(self):
         for seed in range(150):
             inst = random_instance(seed)
-            fast = popular_edges(inst)
+            fast = legal_edge_set(inst).popular
             report = ground_truth(inst)
             exact = report.popular_edges | frozenset(
                 (u, u) for u in report.popular_loops
@@ -101,7 +95,7 @@ class TestPairFamilies:
     def test_stable_pairs_subset_of_popular(self):
         for seed in range(40):
             inst = random_instance(seed)
-            assert stable_pairs(inst) <= popular_edges(inst)
+            assert pair_families(inst)[0] <= legal_edge_set(inst).popular
 
     def test_two_level_instance_shape(self, size_gap):
         aux, na = two_level_reference(size_gap)
@@ -157,7 +151,7 @@ class TestPairFamilies:
             for mat in enumerate_matchings(aux):
                 if not blocking_edges(aux, mat):
                     truth |= project_two_level(inst, mat.pairs(aux), na)
-            dominant = dominant_pairs(inst)
+            _, dominant = pair_families(inst)
             for edge in inst.edges:
                 assert (edge in dominant) == (edge in truth), (seed, edge)
 
@@ -195,12 +189,12 @@ class TestPairFamilies:
                 )))
         for inst in insts:
             aux, na = two_level_reference(inst)
-            want = project_two_level(inst, stable_pairs(aux), na)
-            assert dominant_pairs(inst) == want, inst.names
+            want = project_two_level(inst, pair_families(aux)[0], na)
+            assert pair_families(inst)[1] == want, inst.names
 
     def test_dominant_pairs_cover_max_size_popular(self, size_gap):
         a0, a1, b0, b1 = ids(size_gap, "a0", "a1", "b0", "b1")
-        dom = dominant_pairs(size_gap)
+        _, dom = pair_families(size_gap)
         assert (a0, b1) in dom and (a1, b0) in dom
 
 

@@ -1,4 +1,4 @@
-"""Mirror graph construction, embeddings, realizations, projections, partitions."""
+"""Mirror graph construction, realizations, projections, partitions."""
 
 import gc
 import random
@@ -6,20 +6,17 @@ import tracemalloc
 
 import pytest
 
-from popmatch import (
-    Matching,
+from popmatch import Matching, legal_edge_set, parse_instance, verify_popular
+from popmatch.mirror import (
+    MirrorMatching,
     build_mirror,
     classify_partition,
-    embed_stable,
-    legal_edge_set,
+    format_mirror,
     mirror_blocking_edges,
-    parse_instance,
+    mirror_system,
     project,
     realize_witnessed,
-    stable_matching,
-    verify_popular,
 )
-from popmatch.mirror import MirrorMatching, format_mirror, mirror_system
 from popmatch.oracle import ground_truth, witness_search
 
 from conftest import (
@@ -30,6 +27,7 @@ from conftest import (
     random_instance,
     showcase_full,
     size_gap_max,
+    stable_matching,
 )
 
 # Frozen because its left-optimal legal mirror matching differs between the
@@ -61,6 +59,15 @@ b1_r > (a1_l^-, b1_r^+) (a0_l^-, b1_r^+) (b1_l^-, b1_r^+)! (a1_l^+, b1_r^-) (a0_
 
 def make_mirror(inst):
     return build_mirror(inst, legal_edge_set(inst))
+
+
+def realize(mirror, mat, alpha=None):
+    """``realize_witnessed`` with ``mat``'s partner ranks, by default with
+    the all-zero certificate: the embedding of a stable matching."""
+    inst = mirror.inst
+    if alpha is None:
+        alpha = (0,) * inst.n
+    return realize_witnessed(mirror, mat, mat.partner_ranks(inst), alpha)
 
 
 def per_edge_reference(inst):
@@ -220,7 +227,7 @@ class TestBlockingEdges:
 class TestEmbed:
     def test_size_gap_embed(self, size_gap):
         mirror = make_mirror(size_gap)
-        mh = embed_stable(mirror, stable_matching(size_gap))
+        mh = realize(mirror, stable_matching(size_gap))
         genuine = sum(
             1 for e in mh.left_edge if not mirror.is_twin(e)
         )
@@ -228,46 +235,50 @@ class TestEmbed:
         assert (genuine, twins) == (2, 2)
         assert mirror_blocking_edges(mh) == ()
 
-    def test_unstable_input_rejected(self, size_gap):
-        mirror = make_mirror(size_gap)
-        with pytest.raises(ValueError, match="not stable"):
-            embed_stable(mirror, size_gap_max(size_gap))
-
     def test_no_edges_means_all_twins(self):
         inst = parse_instance("agents:\njobs: b0 b1\n")
         mirror = make_mirror(inst)
-        mh = embed_stable(mirror, Matching((0, 1)))
+        mh = realize(mirror, Matching((0, 1)))
         assert all(mirror.is_twin(e) for e in mh.left_edge)
 
     def test_showcase_embed_stable(self, showcase):
         from conftest import showcase_stable
 
         mirror = make_mirror(showcase)
-        mh = embed_stable(mirror, showcase_stable(showcase))
+        mh = realize(mirror, showcase_stable(showcase))
         assert mirror_blocking_edges(mh) == ()
 
     def test_random_stable_embeddings_never_blocked(self):
         for seed in range(80):
             inst = random_instance(seed)
             mirror = make_mirror(inst)
-            mh = embed_stable(mirror, stable_matching(inst))
+            mh = realize(mirror, stable_matching(inst))
             assert mirror_blocking_edges(mh) == (), seed
 
 
 class TestRealize:
     def test_zero_witness_reproduces_embedding(self, size_gap):
+        # The embedding puts each pair on its minus-to-plus copies in both
+        # halves and each single vertex on its twin.
         mirror = make_mirror(size_gap)
         stable = stable_matching(size_gap)
-        embedded = embed_stable(mirror, stable)
-        realized = realize_witnessed(mirror, stable, (0,) * size_gap.n)
-        assert realized.left_edge == embedded.left_edge
-        assert realized.right_edge == embedded.right_edge
+        left, right = [-1] * size_gap.n, [-1] * size_gap.n
+        for a, b in stable.pairs(size_gap):
+            k = size_gap.edge_id(a, b)
+            left[a] = right[b] = 4 * k + 1
+            left[b] = right[a] = 4 * k + 3
+        for u in range(size_gap.n):
+            if stable.is_self(u):
+                left[u] = right[u] = mirror.twin(u)
+        realized = realize(mirror, stable)
+        assert realized.left_edge == tuple(left)
+        assert realized.right_edge == tuple(right)
 
     def test_size_gap_max_realization_stable(self, size_gap):
         mirror = make_mirror(size_gap)
         mat = size_gap_max(size_gap)
         alpha = verify_popular(size_gap, mat).witness
-        mh = realize_witnessed(mirror, mat, alpha)
+        mh = realize(mirror, mat, alpha)
         assert mirror_blocking_edges(mh) == ()
 
     def test_showcase_full_realization_legal_and_stable(self, showcase):
@@ -275,7 +286,7 @@ class TestRealize:
         mat = showcase_full(showcase)
         alpha = witness_search(showcase, mat)
         assert alpha is not None
-        mh = realize_witnessed(mirror, mat, alpha)
+        mh = realize(mirror, mat, alpha)
         assert mirror_blocking_edges(mh) == ()
         assert not mh.uses_forbidden()
 
@@ -283,7 +294,7 @@ class TestRealize:
         mirror = make_mirror(size_gap)
         mat = size_gap_max(size_gap)
         alpha = verify_popular(size_gap, mat).witness
-        mh = realize_witnessed(mirror, mat, alpha)
+        mh = realize(mirror, mat, alpha)
         for u in range(size_gap.n):
             le, re = mh.left_edge[u], mh.right_edge[u]
             ltag = mirror.left_tag(le) if mirror.edge_left[le] == u else mirror.right_tag(le)
@@ -295,7 +306,7 @@ class TestRealize:
         mat = size_gap_max(size_gap)
         # (a1, b0) is matched but the entries sum to 2 instead of zero.
         with pytest.raises(ValueError, match="non-cancelling"):
-            realize_witnessed(mirror, mat, (1, 1, 1, -1))
+            realize(mirror, mat, (1, 1, 1, -1))
 
     def test_all_popular_realizations_stable(self):
         # Every popular matching with any certificate realizes to a stable
@@ -308,7 +319,7 @@ class TestRealize:
             for mat in report.popular:
                 alpha = witness_search(inst, mat)
                 assert alpha is not None
-                mh = realize_witnessed(mirror, mat, alpha)
+                mh = realize(mirror, mat, alpha)
                 assert mirror_blocking_edges(mh) == (), seed
                 if mat.partner in fully:
                     assert not mh.uses_forbidden(), seed
@@ -318,7 +329,7 @@ class TestProject:
     def test_round_trip_both_halves(self, size_gap):
         mirror = make_mirror(size_gap)
         stable = stable_matching(size_gap)
-        mh = embed_stable(mirror, stable)
+        mh = realize(mirror, stable)
         assert project(mh, "upper").partner == stable.partner
         assert project(mh, "lower").partner == stable.partner
 
@@ -326,7 +337,7 @@ class TestProject:
         mirror = make_mirror(showcase)
         mat = showcase_full(showcase)
         alpha = witness_search(showcase, mat)
-        mh = realize_witnessed(mirror, mat, alpha)
+        mh = realize(mirror, mat, alpha)
         assert project(mh, "upper").partner == mat.partner
         assert project(mh, "lower").partner == mat.partner
 
@@ -341,7 +352,7 @@ class TestProject:
 
     def test_unknown_half_rejected(self, size_gap):
         mirror = make_mirror(size_gap)
-        mh = embed_stable(mirror, stable_matching(size_gap))
+        mh = realize(mirror, stable_matching(size_gap))
         with pytest.raises(ValueError, match="half"):
             project(mh, "middle")
 
@@ -349,7 +360,7 @@ class TestProject:
 class TestPartition:
     def test_size_gap_embedding_partition(self, size_gap):
         mirror = make_mirror(size_gap)
-        mh = embed_stable(mirror, stable_matching(size_gap))
+        mh = realize(mirror, stable_matching(size_gap))
         upper, lower = classify_partition(mh)
         a0, a1, b0, b1 = ids(size_gap, "a0", "a1", "b0", "b1")
         # a0 and b0 are twin-matched; a1 sits on its minus tag in the upper
@@ -362,7 +373,7 @@ class TestPartition:
     def test_all_twin_partition(self):
         inst = parse_instance("agents:\njobs: b0 b1\n")
         mirror = make_mirror(inst)
-        mh = embed_stable(mirror, Matching((0, 1)))
+        mh = realize(mirror, Matching((0, 1)))
         assert classify_partition(mh) == ((0, 0), (0, 0))
 
     def test_partition_covers_each_side(self):
@@ -400,7 +411,7 @@ class TestPartition:
 
     def test_not_perfect_rejected(self, size_gap):
         mirror = make_mirror(size_gap)
-        mh = embed_stable(mirror, stable_matching(size_gap))
+        mh = realize(mirror, stable_matching(size_gap))
         broken = MirrorMatching(mirror, (-1, *mh.left_edge[1:]), mh.right_edge)
         with pytest.raises(ValueError, match="not perfect"):
             classify_partition(broken)

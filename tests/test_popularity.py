@@ -12,17 +12,15 @@ from popmatch import (
     check_a_popular,
     check_witness,
     compute_posts,
-    edge_weight,
     generate,
     parse_instance,
     run_election,
     solve,
-    stable_matching,
     verify_popular,
 )
 from popmatch.cli import main
 from popmatch.oracle import enumerate_matchings, ground_truth
-from popmatch.popularity import a_popular_obstruction
+from popmatch.popularity import a_popular_obstruction, edge_weight
 
 from conftest import (
     composed_text,
@@ -33,6 +31,7 @@ from conftest import (
     showcase_full,
     size_gap_max,
     size_gap_stable,
+    stable_matching,
     verify_reference,
     wt_total,
 )

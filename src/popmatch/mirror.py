@@ -12,7 +12,9 @@ between the two blocks.
 
 Stable matchings here encode "half-integral" popular structure; symmetric
 ones project to matchings of the original instance, and the per-vertex sign
-sums recover popularity certificates.
+sums recover popularity certificates.  Mirror matchings are read in
+whole-array passes: copy ``e & 3`` of genuine edge ``e >> 2`` makes every
+projection, sign and position arithmetic on the layout.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from .engine import ProposalSystem, packed_ints
 from .instance import Instance, Matching
 from .legality import EdgeClassification
+from .popularity import _ints, _partner_ranks
 
 
 @dataclass(frozen=True)
@@ -92,15 +95,17 @@ class MirrorMatching:
     """A perfect matching of the mirror graph, stored per copy.
 
     ``left_edge[u]`` / ``right_edge[u]`` hold the edge id matched at u's
-    left / right copy.
+    left / right copy, as tuples or (in a solve) int arrays.
     """
 
     mirror: MirrorGraph
-    left_edge: tuple[int, ...]
-    right_edge: tuple[int, ...]
+    left_edge: tuple[int, ...] | np.ndarray
+    right_edge: tuple[int, ...] | np.ndarray
 
     def uses_forbidden(self) -> bool:
-        return any(map(self.mirror.is_forbidden, self.left_edge))
+        m, left = self.mirror.inst.m, _ints(self.left_edge)
+        legal = np.fromiter(self.mirror.legal_flags, bool)
+        return not legal[np.where(left < 4 * m, left >> 2, left - 3 * m)].all()
 
 
 def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGraph:
@@ -194,72 +199,59 @@ def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
 
 
 def realize_witnessed(
-    mirror: MirrorGraph, mat: Matching, own: list[int], alpha
+    mirror: MirrorGraph, mat: Matching, own, alpha
 ) -> MirrorMatching:
     """Symmetric mirror realization of a popular matching from its certificate.
 
     ``own`` holds ``mat.partner_ranks(inst)``, so agent a's matched edge is
     ``starts[a] + own[a]``.  Matched pairs are signed by their certificate
     values; a pair whose entries do not cancel violates the tight-edge
-    property of certificates and is rejected.  At every vertex the two
-    incident sign tags sum to twice its certificate entry, and the all-zero
-    certificate of a stable matching puts every pair on its minus-to-plus
-    copies and every single vertex on its twin.
+    property of certificates and is rejected, and then a single vertex with
+    a nonzero entry.  At every vertex the two incident sign tags sum to
+    twice its certificate entry, and the all-zero certificate of a stable
+    matching puts every pair on its minus-to-plus copies and every single
+    vertex on its twin.
     """
     inst = mirror.inst
-    starts = inst.layout.starts
-    left = [-1] * inst.n
-    right = [-1] * inst.n
-    for a, b in mat.pairs(inst):
-        if alpha[a] + alpha[b] != 0:
-            raise ValueError(
-                f"matched pair ({inst.names[a]}, {inst.names[b]}) has "
-                "non-cancelling certificate entries"
-            )
-        k = starts[a] + own[a]
-        if alpha[a] < 0:
-            left[a] = 4 * k + 1   # upper minus at a
-            right[b] = 4 * k + 1
-            left[b] = 4 * k + 2   # lower plus at b
-            right[a] = 4 * k + 2
-        elif alpha[a] > 0:
-            left[a] = 4 * k      # upper plus at a
-            right[b] = 4 * k
-            left[b] = 4 * k + 3  # lower minus at b
-            right[a] = 4 * k + 3
-        else:
-            left[a] = 4 * k + 1
-            right[b] = 4 * k + 1
-            left[b] = 4 * k + 3
-            right[a] = 4 * k + 3
-    for u in range(inst.n):
-        if mat.is_self(u):
-            if alpha[u] != 0:
-                raise ValueError(
-                    f"self-matched vertex {inst.names[u]} has a nonzero "
-                    "certificate entry"
-                )
-            left[u] = right[u] = mirror.twin(u)
-    return MirrorMatching(mirror, tuple(left), tuple(right))
+    partner, alpha = _ints(mat.partner), np.asarray(alpha)
+    left = np.arange(inst.n)
+    agents = np.flatnonzero(partner[:inst.num_agents] != left[:inst.num_agents])
+    jobs, sign = partner[agents], alpha[agents]
+    if (bad := np.flatnonzero(sign + alpha[jobs] != 0)).size:
+        a, b = inst.names[agents[bad[0]]], inst.names[jobs[bad[0]]]
+        raise ValueError(
+            f"matched pair ({a}, {b}) has non-cancelling certificate entries"
+        )
+    if (bad := np.flatnonzero((partner == left) & (alpha != 0))).size:
+        raise ValueError(
+            f"self-matched vertex {inst.names[bad[0]]} has a nonzero "
+            "certificate entry"
+        )
+    # The agent's entry picks the copies: minus takes the upper minus and
+    # lower plus, plus the upper plus and lower minus, zero both minus ones.
+    k = 4 * (inst.layout.arrays[0][agents] + _ints(own)[agents])
+    left += 4 * inst.m
+    right = left.copy()
+    left[agents] = right[jobs] = k + (sign <= 0)
+    left[jobs] = right[agents] = k + 2 + (sign >= 0)
+    return MirrorMatching(mirror, tuple(left.tolist()), tuple(right.tolist()))
 
 
 def project(mh: MirrorMatching, half: str) -> Matching:
-    """Matching induced in one half; twin-matched vertices become self-matched."""
+    """Matching induced in one half (the agents' left copies for the upper,
+    the jobs' for the lower); twin-matched vertices become self-matched."""
     if half not in ("upper", "lower"):
         raise ValueError(f"unknown half {half!r}")
-    mirror = mh.mirror
-    inst = mirror.inst
-    partner = list(range(inst.n))
-    for u in range(inst.n):
-        e = mh.left_edge[u]
-        if e == -1 or mirror.is_twin(e):
-            continue
-        is_upper = inst.is_agent(u)
-        if (half == "upper") == is_upper:
-            v = mirror.edge_right[e]
-            partner[u] = v
-            partner[v] = u
-    return Matching(tuple(partner))
+    inst = mh.mirror.inst
+    na = inst.num_agents
+    left = _ints(mh.left_edge)
+    left = left[:na] if half == "upper" else left[na:]
+    k = left[(left >= 0) & (left < 4 * inst.m)] >> 2
+    _, agents, job_of, _, _ = inst.layout.arrays
+    partner = np.arange(inst.n)
+    partner[agents[k]] = na + job_of[k]
+    partner[na + job_of[k]] = agents[k]
+    return Matching(tuple(partner.tolist()))
 
 
 def classify_partition(
@@ -271,41 +263,61 @@ def classify_partition(
     half (an agent's left copy, a job's right copy) and ``lower[u]`` the
     tag at u's other copy; both are 0 when u is twin-matched.
     """
-    mirror = mh.mirror
-    if -1 in mh.left_edge or -1 in mh.right_edge:
+    inst = mh.mirror.inst
+    left, right = _ints(mh.left_edge), _ints(mh.right_edge)
+    if (left == -1).any() or (right == -1).any():
         raise ValueError("mirror matching is not perfect")
-    na, twins = mirror.inst.num_agents, 4 * mirror.inst.m
+    na, twins = inst.num_agents, 4 * inst.m
     # A genuine copy's left tag is plus on even ids; its right tag opposes.
-    at_left = [0 if e >= twins else -1 if e & 1 else 1 for e in mh.left_edge]
-    at_right = [0 if e >= twins else 1 if e & 1 else -1 for e in mh.right_edge]
-    return (
-        (*at_left[:na], *at_right[na:]),
-        (*at_right[:na], *at_left[na:]),
-    )
+    at_left = np.where(left >= twins, 0, 1 - 2 * (left & 1))
+    at_right = np.where(right >= twins, 0, 2 * (right & 1) - 1)
+    upper = np.concatenate((at_left[:na], at_right[na:]))
+    lower = np.concatenate((at_right[:na], at_left[na:]))
+    return tuple(upper.tolist()), tuple(lower.tolist())
 
 
 def mirror_blocking_edges(mh: MirrorMatching) -> tuple[int, ...]:
     """Every mirror edge both of whose endpoints prefer it to their matches.
 
-    A left copy's list is best first, so the edges it prefers to its match
-    are the list's prefix before the matched edge, or the whole list when
-    the copy is unmatched.  Only those are tested at the right end.
-    Returns the blocking edges sorted by id.
+    Positions are layout arithmetic (see :func:`_positions`).  The twins
+    are tested in one n-sized pass and each copy class t in one m-sized
+    pass, so no temporary spans all 4m + n edges.  Sorted by id.
     """
-    mirror = mh.mirror
-    flat, starts = mirror.list_edges, mirror.list_starts
-    edge_right, rrank = mirror.edge_right, mirror.rrank
-    right_edge = mh.right_edge
-    blockers = []
-    for u, le in enumerate(mh.left_edge):
-        for e in flat[starts[u]:starts[u + 1]]:
-            if e == le:
-                break
-            re = right_edge[edge_right[e]]
-            if re == -1 or rrank[e] < rrank[re]:
-                blockers.append(e)
-    blockers.sort()
-    return tuple(blockers)
+    inst = mh.mirror.inst
+    _, agents, job_of, agent_rank, job_rank = inst.layout.arrays
+    jobs = inst.num_agents + job_of
+    deg = _partner_ranks(inst, np.arange(inst.n))  # no one matched: degrees
+    left_at = _positions(inst, _ints(mh.left_edge), deg, True)
+    right_at = _positions(inst, _ints(mh.right_edge), deg, False)
+    found = [4 * inst.m + np.flatnonzero((2 * deg < left_at) & (deg < right_at))]
+    # (left end, right end, their ranks) of copies 4k + t, upper then lower.
+    upper = (agents, jobs, agent_rank, job_rank)
+    lower = (jobs, agents, job_rank, agent_rank)
+    for t, (u, v, ru, rv) in enumerate((upper, upper, lower, lower)):
+        hit = (ru + _offset(t & 1, deg[u], True) < left_at[u]) & (
+            rv + _offset(t & 1, deg[v], False) < right_at[v]
+        )
+        found.append(4 * np.flatnonzero(hit) + t)
+    return tuple(np.sort(np.concatenate(found)).tolist())
+
+
+def _offset(odd, d, left: bool):
+    """Where a copy of degree d starts its block of parity ``odd``."""
+    return odd * d if left else (1 - odd) * (d + 1)
+
+
+def _positions(inst: Instance, edges, deg, left: bool) -> np.ndarray:
+    """Where each copy's matched edge ``edges[u]`` sits in u's left (or
+    right) order.  Edge ``4k + t`` at rank r of u (of degree d) sits at r
+    on the left and d + 1 + r on the right when t is even, at d + r and r
+    when t is odd; a twin at 2d and d; no edge (-1) counts as 2d + 1."""
+    at = np.where(edges == -1, 2 * deg + 1, 2 * deg if left else deg)
+    u = np.flatnonzero((edges >= 0) & (edges < 4 * inst.m))
+    e = edges[u]
+    _, _, _, agent_rank, job_rank = inst.layout.arrays
+    rank = np.where(u < inst.num_agents, agent_rank[e >> 2], job_rank[e >> 2])
+    at[u] = rank + _offset(e & 1, deg[u], left)
+    return at
 
 
 def format_mirror(mirror: MirrorGraph) -> str:

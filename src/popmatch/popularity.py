@@ -59,44 +59,31 @@ def edge_weight(inst: Instance, mat: Matching, e: tuple[int, int]) -> int:
     return su + sv
 
 
-def check_witness(
-    inst: Instance,
-    mat: Matching,
-    alpha,
-    vertices=None,
-) -> bool:
+def check_witness(inst: Instance, mat: Matching, alpha, vertices=None) -> bool:
     """Validate a popularity certificate against a matching.
 
-    Requires entries in {0, +-1} summing to zero, every edge covered
-    (``alpha_a + alpha_b >= wt``), and every vertex covering its own
-    self-loop weight.  ``vertices`` restricts the check to an induced
+    Requires ``inst.n`` entries in {0, +-1} summing to zero, every edge
+    covered (``alpha_a + alpha_b >= wt``), and every vertex covering its
+    own self-loop weight.  ``vertices`` restricts the check to an induced
     subgraph; the matching must not pair a vertex in scope with one outside.
-    The weights are folded from the edge layout and
-    :meth:`Matching.partner_ranks` as in :func:`verify_popular`; each equals
-    :func:`edge_weight`.
-    """
-    return _check_witness(inst, mat, mat.partner_ranks(inst), alpha, vertices)
-
-
-def _check_witness(
-    inst: Instance, mat: Matching, own: list[int], alpha, vertices=None
-) -> bool:
-    """:func:`check_witness` with ``own = mat.partner_ranks(inst)`` given.
-
-    One pass of whole-array tests over the vertices and the edge layout:
-    the scope mask (raising first if a pair straddles it), the entries, their
-    sum, the self-loops, then every edge with both ends in scope.
+    One pass of whole-array tests, arrays read as they are: the scope
+    (raising first if a pair straddles it), the length and entries, their
+    sum, the self-loops, then every edge with both ends in scope, its weight
+    folded from the layout and the partner ranks as in
+    :func:`verify_popular`; each equals :func:`edge_weight`.
     """
     n = inst.n
-    partner = np.fromiter(mat.partner, np.intp, n)
+    partner = _ints(mat.partner)
     if vertices is None:
         in_scope = np.ones(n, bool)
     else:
         in_scope = np.zeros(n, bool)
-        in_scope[np.fromiter(vertices, np.intp)] = True
+        in_scope[_ints(vertices)] = True
     if (in_scope & ~in_scope[partner]).any():
         raise ValueError("matching leaves the induced subgraph")
-    alpha = np.asarray(alpha)[:n]
+    alpha = np.asarray(alpha)
+    if alpha.shape != (n,):
+        return False
     if not ((alpha == -1) | (alpha == 0) | (alpha == 1))[in_scope].all():
         return False
     alpha = np.where(in_scope, alpha, 0)
@@ -105,12 +92,12 @@ def _check_witness(
     # A self-loop weighs -1 unless its vertex is alone, then 0.
     if ((partner == np.arange(n)) & (alpha < 0)).any():
         return False
-    agents, jobs, votes = _edge_votes(inst, own)
+    agents, jobs, votes = _edge_votes(inst, _partner_ranks(inst, partner))
     inside = in_scope[agents] & in_scope[jobs]
     return not (inside & (alpha[agents] + alpha[jobs] < votes)).any()
 
 
-def _edge_votes(inst: Instance, own: list[int]):
+def _edge_votes(inst: Instance, own):
     """Per edge: its agent's and its job's vertex ids, and their joint vote.
 
     The vote is each endpoint's +1, 0 or -1 for the other against its
@@ -118,9 +105,30 @@ def _edge_votes(inst: Instance, own: list[int]):
     """
     _, agent_of, job_of, agent_rank, job_rank = inst.layout.arrays
     jobs = inst.num_agents + job_of
-    own = np.fromiter(own, np.intp, len(own))
+    own = _ints(own)
     votes = np.sign(own[agent_of] - agent_rank) + np.sign(own[jobs] - job_rank)
     return agent_of, jobs, votes
+
+
+def _ints(values) -> np.ndarray:
+    """``values`` as an int array: an array as it is, anything else copied."""
+    if isinstance(values, np.ndarray):
+        return values
+    return np.fromiter(values, np.intp)
+
+
+def _partner_ranks(inst: Instance, partner) -> np.ndarray:
+    """:meth:`Matching.partner_ranks` of a partner array, in one layout pass:
+    edge k is matched when its job is its agent's partner."""
+    starts, agent_of, job_of, agent_rank, job_rank = inst.layout.arrays
+    jobs = inst.num_agents + job_of
+    own = np.concatenate(
+        (np.diff(starts), np.bincount(job_of, minlength=inst.num_jobs))
+    )
+    k = np.flatnonzero(_ints(partner)[agent_of] == jobs)
+    own[agent_of[k]] = agent_rank[k]
+    own[jobs[k]] = job_rank[k]
+    return own
 
 
 def check_a_popular(inst: Instance, posts: Posts, mat: Matching) -> bool:
@@ -130,18 +138,15 @@ def check_a_popular(inst: Instance, posts: Posts, mat: Matching) -> bool:
     agent (an agent may sit on its own self-loop only when its fallback is
     itself), and give every top-choice job to an agent that ranks it first.
     """
-    for a in inst.agent_ids():
-        p = mat.partner[a]
-        if p == a:
-            if posts.s[a] != a:
-                return False
-        elif p != posts.f[a] and p != posts.s[a]:
-            return False
-    for b in posts.f_image():
-        p = mat.partner[b]
-        if p == b or posts.f[p] != b:
-            return False
-    return True
+    agents = np.arange(inst.num_agents)
+    partner, f, s = _ints(mat.partner), _ints(posts.f), _ints(posts.s)
+    p = partner[agents]
+    alone = p == agents
+    if (alone & (s != agents)).any() or (~alone & (p != f) & (p != s)).any():
+        return False
+    top = np.flatnonzero(np.bincount(f, minlength=inst.n))
+    holder = partner[top]
+    return not (holder == top).any() and bool((f[holder] == top).all())
 
 
 def a_popular_obstruction(inst: Instance, posts: Posts) -> int | None:
@@ -199,16 +204,16 @@ def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:
     ``mat`` itself.  The margin is the optimum plus the loop constant.  When
     it is zero, ``mat`` is an optimal assignment, so complementary slackness
     pins the integral duals, shifted back by the loop weights, into
-    {0, +-1}: they are the witness, checked as :func:`check_witness` does
+    {0, +-1}: they are the witness, checked by :func:`check_witness`
     before it is returned.  Otherwise the optimal assignment is the
-    counterexample.  The weights come from the edge layout and
-    :meth:`Matching.partner_ranks` in one array pass; each equals
-    :func:`edge_weight` less the two loop weights.
+    counterexample.  The weights come from the edge layout and the partner
+    ranks in one array pass; each equals :func:`edge_weight` less the two
+    loop weights.
     """
-    p = inst.num_agents
-    q = inst.num_jobs
-    matched = np.fromiter(mat.partner, np.intp, inst.n) != np.arange(inst.n)
-    own = mat.partner_ranks(inst)
+    p, q = inst.num_agents, inst.num_jobs
+    partner = _ints(mat.partner)
+    matched = partner != np.arange(inst.n)
+    own = _partner_ranks(inst, partner)
     const = -int(matched.sum())  # every matched vertex's loop weighs -1
 
     # Folded weights are >= 0: a vertex's vote for a neighbor against its
@@ -219,7 +224,7 @@ def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:
     # The rank of an agent's partner is the index of that option in its row;
     # an unmatched agent's own rank is its list length, the index of its sink.
     value, match_row, y_row, y_col = _assignment_max(
-        inst.layout, -wprime, own[:p]
+        inst.layout, -wprime, own[:p].tolist()
     )
     margin = value + const
 
@@ -231,7 +236,7 @@ def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:
         return PopularityVerdict(False, margin, None, best)
 
     alpha = tuple(map(sub, y_row + y_col, matched.tolist()))
-    if not _check_witness(inst, mat, own, alpha):
+    if not check_witness(inst, mat, alpha):
         raise AssertionError("dual potentials fail certificate validation")
     return PopularityVerdict(True, 0, alpha, None)
 

@@ -14,26 +14,25 @@ unmarked vertex straddles the two halves any more, the upper projection is
 a max-size fully popular matching, and the final per-vertex signs assemble
 its popularity certificate.  If the engine ever runs dry, no fully popular
 matching exists.
+
+The last step computes projections, signs, the certificate and any
+validation in whole-array passes over the engine's final matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .engine import ProposalSystem
 from .instance import Instance, Matching, Posts, compute_posts
 from .legality import EdgeClassification, legal_edge_set
-from .mirror import (
-    MirrorGraph,
-    MirrorMatching,
-    build_mirror,
-    classify_partition,
-    mirror_blocking_edges,
-    mirror_system,
-    project,
-    realize_witnessed,
-)
-from .popularity import _check_witness, a_popular_obstruction, check_a_popular
+from .mirror import MirrorGraph, MirrorMatching, build_mirror, mirror_system
+from .mirror import classify_partition, mirror_blocking_edges, project
+from .mirror import realize_witnessed
+from .popularity import _ints, _partner_ranks, a_popular_obstruction
+from .popularity import check_a_popular, check_witness
 
 
 class SolverDefect(AssertionError):
@@ -154,21 +153,17 @@ def _agent_plus_edges(state: SolverState, agents) -> list[int]:
     return out
 
 
-def extract_witness(state: SolverState, own: list[int]) -> tuple[int, ...]:
+def extract_witness(state: SolverState) -> tuple[int, ...]:
     """Popularity certificate of the returned matching from the final signs.
 
     Marked vertices and twin-matched vertices get zero; everything else
-    takes the sign of its upper-half tag.  ``own`` holds the matching's
-    :meth:`~popmatch.instance.Matching.partner_ranks`.  The result must
-    validate; a failure here would mean the solver itself is broken.
+    takes the sign of its upper-half tag.  The result must validate; a
+    failure here would mean the solver itself is broken.
     """
-    upper = state.signs[0]
-    witness = tuple(
-        0 if marked else s for marked, s in zip(state.marks, upper)
-    )
-    if not _check_witness(state.inst, state.matching, own, witness):
+    witness = np.where(np.fromiter(state.marks, bool), 0, _ints(state.signs[0]))
+    if not check_witness(state.inst, state.matching, witness):
         raise SolverDefect("final signs produced an invalid certificate")
-    return witness
+    return tuple(witness.tolist())
 
 
 def solve(inst: Instance, validate: bool = False) -> SolveReport:
@@ -235,15 +230,20 @@ def solve(inst: Instance, validate: bool = False) -> SolveReport:
             state.marks[u] = True
         _absorb_candidates(state)
 
+    # The epilogue reads the final matching as two arrays; a structural
+    # failure in it is the solver's, not the input's.
     mh = MirrorMatching(
-        mirror, tuple(system.left_match), tuple(system.right_match)
+        mirror, _ints(system.left_match), _ints(system.right_match)
     )
     state.matching = project(mh, "upper")
     state.lower = project(mh, "lower")
-    state.signs = classify_partition(mh)
-    own = state.matching.partner_ranks(inst)
-    witness = extract_witness(state, own)
+    try:
+        state.signs = classify_partition(mh)
+    except ValueError as exc:
+        raise SolverDefect(str(exc)) from exc
+    witness = extract_witness(state)
     if validate:
+        own = _partner_ranks(inst, state.matching.partner)
         _validate(state, witness, posts, own)
     return SolveReport(
         outcome="found",
@@ -275,118 +275,101 @@ def _none_report(
 
 
 def _validate(
-    state: SolverState,
-    witness: tuple[int, ...],
-    posts: Posts,
-    own_m: list[int],
+    state: SolverState, witness: tuple[int, ...], posts: Posts, own_m
 ) -> None:
     """Re-check every structural guarantee of a successful solve.
 
-    ``own_m`` holds the upper projection's partner ranks; the lower one's
-    are computed here, once.  Each check is one pass over the vertices or
-    the matched pairs.  A vertex is in *z* when it is marked and not
-    twin-matched; it *straddles* when its upper sign is its side's minus
-    tag (-1 for an agent, +1 for a job) and its lower sign the opposite.
+    ``own_m`` holds the upper projection's partner ranks.  Signs and
+    projections first, then the certificate's realization; a failure
+    raises :class:`SolverDefect`.
+    """
+    _validate_signs(state, posts, own_m)
+    try:
+        realization = realize_witnessed(
+            state.mirror, state.matching, own_m, witness
+        )
+    except ValueError as exc:
+        raise SolverDefect(str(exc)) from exc
+    if mirror_blocking_edges(realization):
+        raise SolverDefect(
+            "realization of the result is unstable in the mirror graph"
+        )
+    if realization.uses_forbidden():
+        raise SolverDefect("realization of the result uses a forbidden edge")
+
+
+def _validate_signs(state: SolverState, posts: Posts, own_m) -> None:
+    """:func:`_validate`'s checks of the final signs and projections.
+
+    A failing check names the first vertex's failure in id order.  A vertex
+    is in *z* when it is marked and not twin-matched; it *straddles* when
+    its upper sign is its side's minus tag (-1 for an agent, +1 for a job)
+    and its lower sign the opposite.
     """
     inst = state.inst
-    upper, lower = state.signs
-    mat = state.matching
-    low = state.lower
     n, na = inst.n, inst.num_agents
+    upper, lower = map(_ints, state.signs)
+    marks = np.fromiter(state.marks, bool, n)
+    mat, low = state.matching, state.lower
+    partner_m, partner_l = _ints(mat.partner), _ints(low.partner)
+    own_m, own_l = _ints(own_m), _partner_ranks(inst, partner_l)
 
-    def ensure(cond: bool, message: str) -> None:
+    def ensure(cond, message: str) -> None:
         if not cond:
             raise SolverDefect(message)
 
-    ensure(
-        check_a_popular(inst, posts, mat),
-        "result is not one-sided popular",
-    )
-
-    z = [marked and s != 0 for marked, s in zip(state.marks, upper)]
-    for u in range(n):
-        side = -1 if u < na else 1
-        straddles = upper[u] == side and lower[u] == -side
+    ensure(check_a_popular(inst, posts, mat), "result is not one-sided popular")
+    is_agent = np.arange(n) < na
+    z = marks & (upper != 0)
+    side = np.where(is_agent, -1, 1)
+    straddles = (upper == side) & (lower == -side)
+    escaped = z & ~straddles
+    # Loop termination: no unmarked vertex straddles the two halves.
+    unmarked = straddles & ~marks
+    # The two projections agree on marked matched vertices.
+    diverged = z & (partner_m != partner_l)
+    if (bad := np.flatnonzero(escaped | unmarked | diverged)).size:
+        u = bad[0]
         ensure(
-            not z[u] or straddles,
+            not escaped[u],
             "marked matched agents escaped the minus/plus intersection"
             if u < na
             else "marked matched jobs escaped the plus/minus intersection",
         )
-        # Loop termination: no unmarked vertex straddles the two halves.
-        ensure(
-            not straddles or state.marks[u],
-            "unmarked straddling vertex at termination",
-        )
-        # The two projections agree on marked matched vertices.
-        ensure(
-            not z[u] or mat.partner[u] == low.partner[u],
-            "upper and lower projections diverge on a marked vertex",
-        )
+        ensure(not unmarked[u], "unmarked straddling vertex at termination")
+        raise SolverDefect("upper and lower projections diverge on a marked vertex")
 
     # Restricted stability on marked and twin-matched vertices.
-    lay = inst.layout
-    own_l = low.partner_ranks(inst)
-    restricted = [marked or s == 0 for marked, s in zip(state.marks, upper)]
-    for a in range(na):
-        if not restricted[a]:
-            continue
-        for k in range(lay.starts[a], lay.starts[a + 1]):
-            b = na + lay.job_of[k]
-            if restricted[b]:
-                for own in (own_m, own_l):
-                    blocked = (
-                        lay.agent_rank[k] < own[a] and lay.job_rank[k] < own[b]
-                    )
-                    ensure(not blocked, "blocking edge inside the marked region")
+    restricted = marks | (upper == 0)
+    _, agents, job_of, agent_rank, job_rank = inst.layout.arrays
+    jobs = na + job_of
+    inside = restricted[agents] & restricted[jobs]
+    for own in (own_m, own_l):
+        blocked = inside & (agent_rank < own[agents]) & (job_rank < own[jobs])
+        ensure(not blocked.any(), "blocking edge inside the marked region")
 
     # Agents settled on their minus tags weakly prefer the upper projection.
-    for a in range(na):
-        settled = (upper[a] == -1 and not z[a]) or upper[a] == lower[a] == 1
-        ensure(
-            not settled or own_m[a] <= own_l[a],
-            "agent prefers the lower projection",
-        )
+    ua, la, za = upper[:na], lower[:na], z[:na]
+    settled = ((ua == -1) & ~za) | ((ua == 1) & (la == 1))
+    prefers_lower = settled & (own_m[:na] > own_l[:na])
+    ensure(not prefers_lower.any(), "agent prefers the lower projection")
 
     # Upper projection stays inside the sign structure.
-    for a, b in mat.pairs(inst):
-        ok = (
-            (upper[a] == 1 and upper[b] == -1)
-            or (z[a] and z[b])
-            or (upper[a] == -1 and upper[b] == 1 and not (z[a] or z[b]))
-        )
-        ensure(ok, "matched pair escapes the sign partition")
+    a = np.flatnonzero(partner_m[:na] != np.arange(na))
+    ua, ub, za, zb = upper[a], upper[partner_m[a]], z[a], z[partner_m[a]]
+    plus_minus = (ua == 1) & (ub == -1)
+    minus_plus = (ua == -1) & (ub == 1) & ~(za | zb)
+    kept = plus_minus | (za & zb) | minus_plus
+    ensure(kept.all(), "matched pair escapes the sign partition")
 
-    # Per-half certificates: the signs themselves.  Each half's scope must
-    # hold both ends of every pair its projection matches.
-    in_m = [u < na or upper[u] != 0 for u in range(n)]
-    ensure(
-        all(in_m[a] == in_m[b] for a, b in mat.pairs(inst)),
-        "upper projection matches a twin-matched job",
-    )
-    scope_m = [u for u in range(n) if in_m[u]]
-    ensure(
-        _check_witness(inst, mat, own_m, upper, vertices=scope_m),
-        "upper-half certificate failed off the twin-matched jobs",
-    )
-    in_l = [u >= na or lower[u] != 0 for u in range(n)]
-    ensure(
-        all(in_l[a] == in_l[b] for a, b in low.pairs(inst)),
-        "lower projection matches a twin-matched agent",
-    )
-    scope_l = [u for u in range(n) if in_l[u]]
-    ensure(
-        _check_witness(inst, low, own_l, lower, vertices=scope_l),
-        "lower-half certificate failed off the twin-matched agents",
-    )
-
-    # The full certificate must also realize to a legal stable mirror matching.
-    realization = realize_witnessed(state.mirror, mat, own_m, witness)
-    ensure(
-        not mirror_blocking_edges(realization),
-        "realization of the result is unstable in the mirror graph",
-    )
-    ensure(
-        not realization.uses_forbidden(),
-        "realization of the result uses a forbidden edge",
-    )
+    # Per-half certificates: the signs themselves.  The check above leaves
+    # no job the upper projection matches with a zero sign, so only the
+    # lower half's scope needs checking for a pair with one end outside it.
+    ok = check_witness(inst, mat, upper, np.flatnonzero(is_agent | (upper != 0)))
+    ensure(ok, "upper-half certificate failed off the twin-matched jobs")
+    in_l = ~is_agent | (lower != 0)
+    a = np.flatnonzero(partner_l[:na] != np.arange(na))
+    leaves = in_l[a] != in_l[partner_l[a]]
+    ensure(not leaves.any(), "lower projection matches a twin-matched agent")
+    ok = check_witness(inst, low, lower, np.flatnonzero(in_l))
+    ensure(ok, "lower-half certificate failed off the twin-matched agents")

@@ -34,7 +34,9 @@ from popmatch.engine import build_system, rotation_walk
 from popmatch.instance import EdgeLayout
 from popmatch.generator import generate
 from popmatch.legality import two_level_systems
-from popmatch.popularity import edge_weight
+from popmatch.mirror import MirrorMatching
+from popmatch.popularity import check_witness, edge_weight
+from popmatch.solver import SolverDefect
 
 SIZE_GAP_TEXT = """\
 # stable matching has size 1, the popular maximum has size 2
@@ -227,6 +229,20 @@ def random_text(seed: int, max_side: int = 4) -> str:
 
 def random_instance(seed: int, max_side: int = 4):
     return parse_instance(random_text(seed, max_side))
+
+
+def random_matching(rng, inst) -> Matching:
+    """A random matching: each edge, in shuffled order, joins with
+    probability 0.7 while both its ends are free."""
+    edges = list(inst.edges)
+    rng.shuffle(edges)
+    taken: set[int] = set()
+    pairs = []
+    for a, b in edges:
+        if a not in taken and b not in taken and rng.random() < 0.7:
+            taken.update((a, b))
+            pairs.append((a, b))
+    return Matching.from_pairs(inst, pairs)
 
 
 def ring_text(n: int) -> str:
@@ -792,3 +808,221 @@ def assignment_reference(
     y_col = [-v[c] for c in range(q)]
     y_row = [v[match_row[a]] - mcost[a] for a in range(p)]
     return value, match_row, y_row, y_col, cascade
+
+
+# The solve epilogue as per-vertex and per-edge Python: the list-based
+# definitions that the whole-array passes in ``popmatch.mirror``,
+# ``popmatch.popularity`` and ``popmatch.solver`` replaced, kept as their
+# references.
+
+
+def project_reference(mh, half: str) -> Matching:
+    """``mirror.project``: the half's left copies read one by one."""
+    if half not in ("upper", "lower"):
+        raise ValueError(f"unknown half {half!r}")
+    mirror = mh.mirror
+    inst = mirror.inst
+    partner = list(range(inst.n))
+    for u in range(inst.n):
+        e = mh.left_edge[u]
+        if e == -1 or mirror.is_twin(e):
+            continue
+        is_upper = inst.is_agent(u)
+        if (half == "upper") == is_upper:
+            v = mirror.edge_right[e]
+            partner[u] = v
+            partner[v] = u
+    return Matching(tuple(partner))
+
+
+def partition_reference(mh):
+    """``mirror.classify_partition`` as per-copy list comprehensions."""
+    mirror = mh.mirror
+    if -1 in mh.left_edge or -1 in mh.right_edge:
+        raise ValueError("mirror matching is not perfect")
+    na, twins = mirror.inst.num_agents, 4 * mirror.inst.m
+    at_left = [0 if e >= twins else -1 if e & 1 else 1 for e in mh.left_edge]
+    at_right = [0 if e >= twins else 1 if e & 1 else -1 for e in mh.right_edge]
+    return (
+        (*at_left[:na], *at_right[na:]),
+        (*at_right[:na], *at_left[na:]),
+    )
+
+
+def realize_reference(mirror, mat: Matching, own, alpha) -> MirrorMatching:
+    """``mirror.realize_witnessed``, one matched pair and one vertex at a time."""
+    inst = mirror.inst
+    starts = inst.layout.starts
+    left = [-1] * inst.n
+    right = [-1] * inst.n
+    for a, b in mat.pairs(inst):
+        if alpha[a] + alpha[b] != 0:
+            raise ValueError(
+                f"matched pair ({inst.names[a]}, {inst.names[b]}) has "
+                "non-cancelling certificate entries"
+            )
+        k = starts[a] + own[a]
+        if alpha[a] < 0:
+            left[a] = right[b] = 4 * k + 1   # upper minus at a
+            left[b] = right[a] = 4 * k + 2   # lower plus at b
+        elif alpha[a] > 0:
+            left[a] = right[b] = 4 * k       # upper plus at a
+            left[b] = right[a] = 4 * k + 3   # lower minus at b
+        else:
+            left[a] = right[b] = 4 * k + 1
+            left[b] = right[a] = 4 * k + 3
+    for u in range(inst.n):
+        if mat.is_self(u):
+            if alpha[u] != 0:
+                raise ValueError(
+                    f"self-matched vertex {inst.names[u]} has a nonzero "
+                    "certificate entry"
+                )
+            left[u] = right[u] = mirror.twin(u)
+    return MirrorMatching(mirror, tuple(left), tuple(right))
+
+
+def prefix_blocking_reference(mh) -> tuple[int, ...]:
+    """``mirror.mirror_blocking_edges``: each left copy's list scanned up to
+    its matched edge, each edge tested at its right end."""
+    mirror = mh.mirror
+    flat, starts = mirror.list_edges, mirror.list_starts
+    edge_right, rrank = mirror.edge_right, mirror.rrank
+    right_edge = mh.right_edge
+    blockers = []
+    for u, le in enumerate(mh.left_edge):
+        for e in flat[starts[u]:starts[u + 1]]:
+            if e == le:
+                break
+            re = right_edge[edge_right[e]]
+            if re == -1 or rrank[e] < rrank[re]:
+                blockers.append(e)
+    blockers.sort()
+    return tuple(blockers)
+
+
+def uses_forbidden_reference(mh) -> bool:
+    """``MirrorMatching.uses_forbidden`` edge by edge."""
+    return any(map(mh.mirror.is_forbidden, mh.left_edge))
+
+
+def a_popular_reference(inst, posts, mat: Matching) -> bool:
+    """``popularity.check_a_popular`` one agent and one top job at a time."""
+    for a in inst.agent_ids():
+        p = mat.partner[a]
+        if p == a:
+            if posts.s[a] != a:
+                return False
+        elif p != posts.f[a] and p != posts.s[a]:
+            return False
+    for b in posts.f_image():
+        p = mat.partner[b]
+        if p == b or posts.f[p] != b:
+            return False
+    return True
+
+
+def validate_reference(state, witness, posts, own_m) -> None:
+    """``solver._validate`` as loops over the vertices, edges and pairs.
+
+    It keeps the upper-scope check that the array version drops as
+    unreachable, and, like it, reports a failed realization as a
+    :class:`SolverDefect`.
+    """
+    inst = state.inst
+    upper, lower = state.signs
+    mat = state.matching
+    low = state.lower
+    n, na = inst.n, inst.num_agents
+
+    def ensure(cond: bool, message: str) -> None:
+        if not cond:
+            raise SolverDefect(message)
+
+    ensure(
+        a_popular_reference(inst, posts, mat),
+        "result is not one-sided popular",
+    )
+
+    z = [marked and s != 0 for marked, s in zip(state.marks, upper)]
+    for u in range(n):
+        side = -1 if u < na else 1
+        straddles = upper[u] == side and lower[u] == -side
+        ensure(
+            not z[u] or straddles,
+            "marked matched agents escaped the minus/plus intersection"
+            if u < na
+            else "marked matched jobs escaped the plus/minus intersection",
+        )
+        ensure(
+            not straddles or state.marks[u],
+            "unmarked straddling vertex at termination",
+        )
+        ensure(
+            not z[u] or mat.partner[u] == low.partner[u],
+            "upper and lower projections diverge on a marked vertex",
+        )
+
+    lay = inst.layout
+    own_l = low.partner_ranks(inst)
+    restricted = [marked or s == 0 for marked, s in zip(state.marks, upper)]
+    for a in range(na):
+        if not restricted[a]:
+            continue
+        for k in range(lay.starts[a], lay.starts[a + 1]):
+            b = na + lay.job_of[k]
+            if restricted[b]:
+                for own in (own_m, own_l):
+                    blocked = (
+                        lay.agent_rank[k] < own[a] and lay.job_rank[k] < own[b]
+                    )
+                    ensure(not blocked, "blocking edge inside the marked region")
+
+    for a in range(na):
+        settled = (upper[a] == -1 and not z[a]) or upper[a] == lower[a] == 1
+        ensure(
+            not settled or own_m[a] <= own_l[a],
+            "agent prefers the lower projection",
+        )
+
+    for a, b in mat.pairs(inst):
+        ok = (
+            (upper[a] == 1 and upper[b] == -1)
+            or (z[a] and z[b])
+            or (upper[a] == -1 and upper[b] == 1 and not (z[a] or z[b]))
+        )
+        ensure(ok, "matched pair escapes the sign partition")
+
+    in_m = [u < na or upper[u] != 0 for u in range(n)]
+    ensure(
+        all(in_m[a] == in_m[b] for a, b in mat.pairs(inst)),
+        "upper projection matches a twin-matched job",
+    )
+    scope_m = [u for u in range(n) if in_m[u]]
+    ensure(
+        check_witness(inst, mat, upper, vertices=scope_m),
+        "upper-half certificate failed off the twin-matched jobs",
+    )
+    in_l = [u >= na or lower[u] != 0 for u in range(n)]
+    ensure(
+        all(in_l[a] == in_l[b] for a, b in low.pairs(inst)),
+        "lower projection matches a twin-matched agent",
+    )
+    scope_l = [u for u in range(n) if in_l[u]]
+    ensure(
+        check_witness(inst, low, lower, vertices=scope_l),
+        "lower-half certificate failed off the twin-matched agents",
+    )
+
+    try:
+        realization = realize_reference(state.mirror, mat, own_m, witness)
+    except ValueError as exc:
+        raise SolverDefect(str(exc)) from exc
+    ensure(
+        not prefix_blocking_reference(realization),
+        "realization of the result is unstable in the mirror graph",
+    )
+    ensure(
+        not uses_forbidden_reference(realization),
+        "realization of the result uses a forbidden edge",
+    )

@@ -9,10 +9,13 @@ from pathlib import Path
 import pytest
 
 import popmatch.cli as cli
+import popmatch.solver as solver
 from popmatch.cli import build_parser, main
 from popmatch.generator import generate
 from popmatch.instance import parse_instance, serialize_instance
+from popmatch.mirror import mirror_system
 from popmatch.oracle import ground_truth
+from popmatch.solver import SolverDefect
 
 from conftest import (
     IDENTICAL_PREFS_TEXT,
@@ -271,6 +274,68 @@ def readme_synopsis() -> dict[str, set[str]]:
         for line in block.splitlines()
         if line.startswith("popmatch ")
     }
+
+
+def _witness_changed(change):
+    """``solver.extract_witness`` with ``change(state, witness)`` applied."""
+    extract = solver.extract_witness
+
+    def changed(state):
+        witness = list(extract(state))
+        change(state, witness)
+        return tuple(witness)
+
+    return changed
+
+
+def _non_cancelling(state, witness):
+    a, b = state.matching.pairs(state.inst)[0]
+    witness[b] = witness[a]
+
+
+def _nonzero_single(state, witness):
+    u = next(u for u in range(state.inst.n) if state.matching.is_self(u))
+    witness[u] = 1
+
+
+def _left_copy_dropped(mirror):
+    """``solver.mirror_system`` whose runs end with left copy 0 unmatched."""
+    system = mirror_system(mirror)
+    run = system.run
+
+    def run_then_drop():
+        feasible = run()
+        system.left_match[0] = -1
+        return feasible
+
+    system.run = run_then_drop
+    return system
+
+
+@pytest.mark.parametrize(
+    "text, target, fake, message",
+    [
+        (
+            SIZE_GAP_TEXT, "extract_witness",
+            _witness_changed(_non_cancelling), "non-cancelling",
+        ),
+        (
+            SHOWCASE_TEXT, "extract_witness",
+            _witness_changed(_nonzero_single), "nonzero certificate entry",
+        ),
+        (SIZE_GAP_TEXT, "mirror_system", _left_copy_dropped, "not perfect"),
+    ],
+    ids=["non-cancelling-pair", "nonzero-single", "not-perfect"],
+)
+def test_structural_failures_are_not_input_errors(
+    files, capsys, monkeypatch, text, target, fake, message
+):
+    # Each failure raises ValueError inside popmatch.mirror; a solve reports
+    # it as a SolverDefect, which main does not turn into exit 1.
+    monkeypatch.setattr(solver, target, fake)
+    with pytest.raises(SolverDefect, match=message):
+        main(["solve", "--validate", files("inst.txt", text)])
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_readme_cli_block_matches_parser():

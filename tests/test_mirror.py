@@ -4,9 +4,18 @@ import gc
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from popmatch import Matching, legal_edge_set, parse_instance, verify_popular
+from popmatch import (
+    Matching,
+    check_a_popular,
+    compute_posts,
+    legal_edge_set,
+    parse_instance,
+    solve,
+    verify_popular,
+)
 from popmatch.mirror import (
     MirrorMatching,
     build_mirror,
@@ -18,16 +27,27 @@ from popmatch.mirror import (
     realize_witnessed,
 )
 from popmatch.oracle import ground_truth, witness_search
+from popmatch.popularity import _partner_ranks
 
 from conftest import (
+    SHOWCASE_TEXT,
+    SIZE_GAP_TEXT,
+    a_popular_reference,
     composed_text,
     forbidden_reference,
     ids,
     left_list,
+    partition_reference,
+    prefix_blocking_reference,
+    project_reference,
     random_instance,
+    random_matching,
+    realize_reference,
+    ring_text,
     showcase_full,
     size_gap_max,
     stable_matching,
+    uses_forbidden_reference,
 )
 
 # Frozen because its left-optimal legal mirror matching differs between the
@@ -198,26 +218,33 @@ def blocking_reference(mh):
     return tuple(blockers)
 
 
+def random_mirror_matchings(rng, mirror, count: int):
+    """Seeded random partial mirror matchings, ``count`` of them.
+
+    Each edge, in random order, joins when both its copies are still free
+    and a coin says so.
+    """
+    inst = mirror.inst
+    for _ in range(count):
+        left, right = [-1] * inst.n, [-1] * inst.n
+        edges = list(range(mirror.num_edges))
+        rng.shuffle(edges)
+        keep = rng.random()
+        for e in edges:
+            u, v = mirror.edge_left[e], mirror.edge_right[e]
+            if left[u] == right[v] == -1 and rng.random() < keep:
+                left[u] = right[v] = e
+        yield MirrorMatching(mirror, tuple(left), tuple(right))
+
+
 class TestBlockingEdges:
     def test_prefix_scan_equals_full_scan(self):
-        # Seeded random partial mirror matchings: each edge, in random
-        # order, joins when both its copies are still free and a coin says so.
         rng = random.Random(5)
         insts = [random_instance(seed) for seed in range(150)]
         insts += [random_instance(seed, max_side=7) for seed in range(30)]
         found = 0
         for inst in insts:
-            mirror = make_mirror(inst)
-            for _ in range(8):
-                left, right = [-1] * inst.n, [-1] * inst.n
-                edges = list(range(mirror.num_edges))
-                rng.shuffle(edges)
-                keep = rng.random()
-                for e in edges:
-                    u, v = mirror.edge_left[e], mirror.edge_right[e]
-                    if left[u] == right[v] == -1 and rng.random() < keep:
-                        left[u] = right[v] = e
-                mh = MirrorMatching(mirror, tuple(left), tuple(right))
+            for mh in random_mirror_matchings(rng, make_mirror(inst), 8):
                 want = blocking_reference(mh)
                 assert mirror_blocking_edges(mh) == want, inst
                 found += bool(want)
@@ -415,3 +442,134 @@ class TestPartition:
         broken = MirrorMatching(mirror, (-1, *mh.left_edge[1:]), mh.right_edge)
         with pytest.raises(ValueError, match="not perfect"):
             classify_partition(broken)
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestListReference:
+    """The whole-array passes equal the list-based definitions they replaced."""
+
+    @staticmethod
+    def instances():
+        for seed in range(500):
+            yield random_instance(seed)
+        for k in range(1, 25):
+            yield parse_instance(composed_text(k, seed=k))
+        for n in range(2, 40):
+            yield parse_instance(ring_text(n))
+        yield parse_instance(SIZE_GAP_TEXT)
+        yield parse_instance(SHOWCASE_TEXT)
+
+    @staticmethod
+    def assert_same(mh, array_mh):
+        """Every epilogue function on ``mh`` (tuples) and ``array_mh``."""
+        for half in ("upper", "lower"):
+            want = project_reference(mh, half)
+            assert project(mh, half) == project(array_mh, half) == want
+        want = outcome(partition_reference, mh)
+        assert outcome(classify_partition, mh) == want
+        assert outcome(classify_partition, array_mh) == want
+        want = prefix_blocking_reference(mh)
+        assert mirror_blocking_edges(mh) == mirror_blocking_edges(array_mh) == want
+        want = uses_forbidden_reference(mh)
+        assert mh.uses_forbidden() == array_mh.uses_forbidden() == want
+        return bool(prefix_blocking_reference(mh))
+
+    def test_final_mirror_matchings_equal_reference(self):
+        # The engine's final matching of every solve that reaches the mirror:
+        # perfect when it is found, not perfect when the engine ran dry.
+        counts = {"found": 0, "none": 0, "rounds": 0}
+        for inst in self.instances():
+            report = solve(inst)
+            state = report.state
+            if state is None:
+                continue
+            counts[report.outcome] += 1
+            counts["rounds"] += report.iterations > 0
+            system = state.system
+            mh = MirrorMatching(
+                state.mirror, tuple(system.left_match), tuple(system.right_match)
+            )
+            array_mh = MirrorMatching(
+                state.mirror,
+                np.array(system.left_match),
+                np.array(system.right_match),
+            )
+            self.assert_same(mh, array_mh)
+            if report.outcome != "found":
+                continue
+            upper, lower = partition_reference(mh)
+            assert state.signs == (upper, lower)
+            assert state.matching == project_reference(mh, "upper")
+            assert state.lower == project_reference(mh, "lower")
+            assert report.witness == tuple(
+                0 if marked else s for marked, s in zip(state.marks, upper)
+            )
+            for mat in (state.matching, state.lower):
+                own = mat.partner_ranks(inst)
+                assert _partner_ranks(inst, mat.partner).tolist() == own
+            own = state.matching.partner_ranks(inst)
+            realized = realize_witnessed(
+                state.mirror, state.matching, own, report.witness
+            )
+            assert realized == realize_reference(
+                state.mirror, state.matching, own, report.witness
+            )
+            assert not self.assert_same(realized, realized)
+            posts = compute_posts(inst)
+            assert check_a_popular(inst, posts, state.matching)
+            assert a_popular_reference(inst, posts, state.matching)
+        assert counts["found"] >= 300 and counts["none"] >= 30, counts
+        assert counts["rounds"] >= 20, counts
+
+    def test_random_mirror_matchings_equal_reference(self):
+        # Partial ones, and perfect but unstable ones: the random partial
+        # matchings with every copy pair that is still free put on its twin.
+        rng = random.Random(7)
+        perfect = blocked = 0
+        for seed in range(200):
+            inst = random_instance(seed, max_side=5)
+            mirror = make_mirror(inst)
+            for mh in random_mirror_matchings(rng, mirror, 6):
+                blocked += self.assert_same(mh, mh)
+                left, right = list(mh.left_edge), list(mh.right_edge)
+                for u in range(inst.n):
+                    if left[u] == right[u] == -1:
+                        left[u] = right[u] = mirror.twin(u)
+                filled = MirrorMatching(mirror, tuple(left), tuple(right))
+                perfect += -1 not in left and -1 not in right
+                blocked += self.assert_same(filled, filled)
+        assert perfect >= 200 and blocked >= 1000, (perfect, blocked)
+
+    def test_realizations_and_one_sided_checks_equal_reference(self):
+        # Random matchings with random certificates: cancelling or not,
+        # zero on single vertices or not.
+        rng = random.Random(9)
+        raised = 0
+        for seed in range(300):
+            inst = random_instance(seed, max_side=5)
+            mirror = make_mirror(inst)
+            posts = compute_posts(inst)
+            for _ in range(4):
+                mat = random_matching(rng, inst)
+                own = mat.partner_ranks(inst)
+                alpha = [0] * inst.n
+                for a, b in mat.pairs(inst):
+                    alpha[a] = rng.choice((-1, 0, 1))
+                    alpha[b] = -alpha[a]
+                if rng.random() < 0.5:
+                    alpha[rng.randrange(inst.n)] = rng.choice((-1, 1))
+                want = outcome(realize_reference, mirror, mat, own, alpha)
+                got = outcome(realize_witnessed, mirror, mat, own, alpha)
+                assert got == want
+                raised += isinstance(want, tuple)
+                assert check_a_popular(inst, posts, mat) == a_popular_reference(
+                    inst, posts, mat
+                )
+        assert raised >= 200, raised

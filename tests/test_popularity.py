@@ -27,6 +27,7 @@ from conftest import (
     ids,
     match_of,
     random_instance,
+    random_matching,
     ring_instance,
     showcase_full,
     size_gap_max,
@@ -157,8 +158,8 @@ class TestListReference:
         for seed, inst in enumerate(insts):
             stable = stable_matching(inst)
             mats = [
-                _random_matching(rng, inst),
-                _random_matching(rng, inst),
+                random_matching(rng, inst),
+                random_matching(rng, inst),
                 stable,
                 _drop_pair(rng, inst, stable),
             ]
@@ -198,7 +199,7 @@ class TestIntTypes:
         for text in texts:
             inst = parse_instance(text)
             report = solve(inst, validate=True)
-            mats = [stable_matching(inst), _random_matching(random.Random(1), inst)]
+            mats = [stable_matching(inst), random_matching(random.Random(1), inst)]
             if report.outcome == "found":
                 assert all(type(x) is int for x in report.witness), text
                 mats.append(report.matching)
@@ -273,6 +274,16 @@ class TestCheckWitness:
         mat = size_gap_stable(size_gap)
         assert not check_witness(size_gap, mat, (2, -1, -1, 0))
 
+    def test_certificate_of_the_wrong_length_rejected(self, size_gap):
+        # A valid certificate with an entry too many or too few.
+        mat = size_gap_max(size_gap)
+        alpha = verify_popular(size_gap, mat).witness
+        assert check_witness(size_gap, mat, alpha)
+        everyone = list(range(size_gap.n))
+        for wrong in (alpha + (0,), alpha + (0, 0, 1, -1), alpha[:-1], ()):
+            assert not check_witness(size_gap, mat, wrong)
+            assert not check_witness(size_gap, mat, wrong, vertices=everyone)
+
     def test_matching_must_stay_inside_scope(self, size_gap):
         mat = size_gap_max(size_gap)
         b1 = size_gap.id_of("b1")
@@ -297,7 +308,7 @@ class TestCheckWitness:
         insts += [ring_instance(n) for n in range(2, 30)]
         insts += [parse_instance(composed_text(k, seed=k)) for k in range(1, 12)]
         for seed, inst in enumerate(insts):
-            mat = _random_matching(rng, inst)
+            mat = random_matching(rng, inst)
             popular = verify_popular(inst, mat)
             for trial in range(8):
                 if trial < 4:
@@ -372,18 +383,6 @@ class TestAPopular:
                 assert check_a_popular(inst, posts, mat) == (
                     mat.partner in truth
                 ), (seed, mat.partner)
-
-
-def _random_matching(rng, inst) -> Matching:
-    edges = list(inst.edges)
-    rng.shuffle(edges)
-    taken: set[int] = set()
-    pairs = []
-    for a, b in edges:
-        if a not in taken and b not in taken and rng.random() < 0.7:
-            taken.update((a, b))
-            pairs.append((a, b))
-    return Matching.from_pairs(inst, pairs)
 
 
 def _drop_pair(rng, inst, mat) -> Matching:

@@ -1,12 +1,16 @@
 """The full solve pipeline: verdicts, certificates, traces, and invariants."""
 
+import copy
+import dataclasses
 import gc
 import itertools
 import time
+import tracemalloc
 
 import pytest
 
 from popmatch import (
+    Matching,
     check_a_popular,
     check_witness,
     compute_posts,
@@ -20,7 +24,14 @@ from popmatch import (
 from popmatch.oracle import ground_truth
 from popmatch.solver import SolverDefect, _validate, find_unmarked
 
-from conftest import composed_text, pairs_by_name, random_instance, ring_text
+from conftest import (
+    SHOWCASE_TEXT,
+    composed_text,
+    pairs_by_name,
+    random_instance,
+    ring_text,
+    validate_reference,
+)
 
 # Solve needs one forbidding round here; frozen from the seeded sweep.
 ONE_ROUND_TEXT = """\
@@ -182,6 +193,122 @@ class TestValidation:
         with pytest.raises(SolverDefect, match="lower projection"):
             _validate(state, report.witness, compute_posts(inst), own)
 
+    # Every message ``_validate`` can raise.  "upper projection matches a
+    # twin-matched job" is not among them: the sign-partition check before
+    # it gives every job that the upper projection matches a nonzero sign.
+    MESSAGES = (
+        "result is not one-sided popular",
+        "marked matched agents escaped the minus/plus intersection",
+        "marked matched jobs escaped the plus/minus intersection",
+        "unmarked straddling vertex at termination",
+        "upper and lower projections diverge on a marked vertex",
+        "blocking edge inside the marked region",
+        "agent prefers the lower projection",
+        "matched pair escapes the sign partition",
+        "upper-half certificate failed off the twin-matched jobs",
+        "lower projection matches a twin-matched agent",
+        "lower-half certificate failed off the twin-matched agents",
+        "non-cancelling certificate entries",
+        "has a nonzero certificate entry",
+        "realization of the result is unstable in the mirror graph",
+        "realization of the result uses a forbidden edge",
+    )
+
+    @staticmethod
+    def defects(inst, report):
+        """Single injected defects of a found solve, as ``_validate`` inputs.
+
+        Each flips one sign or the upper signs of an edge's two ends to
+        zero, flips one mark, drops one pair from a projection, swaps two
+        lower partners, changes one certificate entry or one matched pair's
+        two entries, or clears the legal flag of one matched edge.
+        """
+        state, witness = report.state, report.witness
+        own = report.matching.partner_ranks(inst)
+
+        def injected(**fields):
+            bad = copy.copy(state)
+            bad.marks = list(state.marks)
+            for name, value in fields.items():
+                setattr(bad, name, value)
+            return bad
+
+        def without(mat, u):
+            partner = list(mat.partner)
+            partner[u], partner[mat.partner[u]] = u, mat.partner[u]
+            return Matching(tuple(partner))
+
+        def changed(values, *entries):
+            out = list(values)
+            for u, value in entries:
+                out[u] = value
+            return tuple(out)
+
+        upper, lower = state.signs
+        for u in range(inst.n):
+            for sign in (-1, 0, 1):
+                if upper[u] != sign:
+                    signs = (changed(upper, (u, sign)), lower)
+                    yield injected(signs=signs), witness, own
+                if lower[u] != sign:
+                    signs = (upper, changed(lower, (u, sign)))
+                    yield injected(signs=signs), witness, own
+                if witness[u] != sign:
+                    yield state, changed(witness, (u, sign)), own
+            marks = injected()
+            marks.marks[u] = not marks.marks[u]
+            yield marks, witness, own
+            if not state.lower.is_self(u):
+                yield injected(lower=without(state.lower, u)), witness, own
+        for a, b in inst.edges:
+            signs = (changed(upper, (a, 0), (b, 0)), lower)
+            yield injected(signs=signs), witness, own
+        for a, b in report.matching.pairs(inst):
+            mat = without(report.matching, a)
+            yield injected(matching=mat), witness, mat.partner_ranks(inst)
+            for sign in (-1, 0, 1):
+                if witness[a] != sign:
+                    pair = changed(witness, (a, sign), (b, -sign))
+                    yield state, pair, own
+            flags = changed(state.mirror.legal_flags, (inst.edge_id(a, b), False))
+            mirror = dataclasses.replace(state.mirror, legal_flags=flags)
+            yield injected(mirror=mirror), witness, own
+        pairs = state.lower.pairs(inst)
+        for (a1, b1), (a2, b2) in itertools.combinations(pairs, 2):
+            if inst.has_edge(a1, b2) and inst.has_edge(a2, b1):
+                swapped = [p for p in pairs if p[0] not in (a1, a2)]
+                swapped += [(a1, b2), (a2, b1)]
+                lower_mat = Matching.from_pairs(inst, swapped)
+                yield injected(lower=lower_mat), witness, own
+
+    def test_every_defect_message_is_pinned(self):
+        # Reference and array validation raise the same first message on
+        # every injected defect; across the sweep each message is raised.
+        texts = [ONE_ROUND_TEXT, SHOWCASE_TEXT, composed_text(3, seed=1)]
+        insts = [parse_instance(text) for text in texts]
+        insts += [random_instance(seed) for seed in (1231, 1582, 1695)]
+        insts += [random_instance(seed) for seed in range(60)]
+        seen: dict[str, int] = {}
+        for inst in insts:
+            report = solve(inst, validate=True)
+            if report.outcome != "found":
+                continue
+            posts = compute_posts(inst)
+            for state, witness, own in self.defects(inst, report):
+                results = []
+                for check in (validate_reference, _validate):
+                    try:
+                        check(state, witness, posts, own)
+                        results.append(None)
+                    except SolverDefect as exc:
+                        results.append(str(exc))
+                want, got = results
+                assert got == want
+                if want is not None:
+                    (message,) = [m for m in self.MESSAGES if m in want]
+                    seen[message] = seen.get(message, 0) + 1
+        assert set(seen) == set(self.MESSAGES), seen
+
 
 class TestAgainstOracle:
     def test_verdict_size_and_membership(self):
@@ -266,6 +393,28 @@ def block_union_text(copies: int) -> str:
         for i in range(copies)
     ]
     return f"agents: {agents}\njobs: {jobs}\n" + "\n".join(lines) + "\n"
+
+
+def test_validation_adds_no_memory_peak():
+    """Validation adds at most 10 % to a solve's traced memory peak.
+
+    On 1,000 blocks the peak is set before the last step, by classification
+    and the mirror build; the epilogue's and validation's temporaries must
+    stay below it.
+    """
+    inst = parse_instance(composed_text(1000))
+    solve(inst, validate=True)  # builds the layout arrays both runs share
+    peak = {}
+    for validate in (False, True):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = solve(inst, validate=validate)
+            _, peak[validate] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.outcome == "found"
+    assert peak[True] <= 1.1 * peak[False], peak
 
 
 def test_validation_costs_less_than_a_solve():

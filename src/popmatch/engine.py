@@ -1,4 +1,4 @@
-"""Generic proposer/disposer engine with forbidden edges and resumable state.
+"""Generic proposer/disposer engine with forbidden edges.
 
 The engine runs one-sided proposals over ranked edge lists.  The lists are
 stored as compressed sparse rows: one flat edge sequence ``list_edges``,
@@ -7,18 +7,15 @@ per vertex and a left vertex's position is an index into the flat
 sequence.  Left vertices consume their lists monotonically; right vertices
 keep a threshold rank and never accept a proposal along an edge worse than
 one they have already seen.  Edges are forbidden only through
-:meth:`ProposalSystem.forbid`.  A proposal along a forbidden edge is
-rejected, and that rejection also deletes every worse edge at the receiving
-vertex, including a currently held one.  Plain systems run on the
-instance's flat edge layout as it is, are forbidden nothing in a solve,
-and every stable edge comes from one rotation walk between the two extreme
-stable matchings.  Mirror systems are forbidden edges, and a run of one
-finds no stable matching avoiding them exactly when some left copy
-exhausts its list.
-
-Re-forbidding edges after a run and resuming is equivalent to a fresh run
-with the enlarged forbidden set, and total work over any forbid/resume
-sequence stays linear in the summed list lengths.
+:meth:`ProposalSystem.forbid`, before the run.  A proposal along a
+forbidden edge is rejected, and that rejection also deletes every worse
+edge at the receiving vertex, including a currently held one.  Plain
+systems run on the instance's flat edge layout as it is, are forbidden
+nothing, and every stable edge comes from one rotation walk between the two
+extreme stable matchings.  A mirror system is forbidden the copies of its
+non-legal edges, and its run finds no stable matching avoiding them
+exactly when some left copy exhausts its list.  A run's work is linear in
+the summed list lengths.
 """
 
 from __future__ import annotations
@@ -56,12 +53,10 @@ class ProposalSystem:
     ``exhausted_left``.  Only systems without ``alone_ok`` are forbidden
     anything in a solve, and a fresh system forbids nothing.
 
-    The lists are read, never written, so callers may share them.  The
-    state is live: ``left_match[u]`` / ``right_match[r]`` hold the
-    matched edge id or -1, ``next_i[u]`` is the position in ``list_edges``
-    of u's matched edge (``list_starts[u + 1]`` when u is alone), and
-    ``matched`` collects every vertex, left or right, that took a new edge,
-    for callers to drain.
+    The lists are read, never written, so callers may share them.  After a
+    run, ``left_match[u]`` / ``right_match[r]`` hold the matched edge id or
+    -1, and ``next_i[u]`` is the position in ``list_edges`` of u's matched
+    edge (``list_starts[u + 1]`` when u is alone).
     """
 
     def __init__(
@@ -89,17 +84,9 @@ class ProposalSystem:
         self.right_match = [-1] * num_right
         self.right_cut = [INFINITE_RANK] * num_right
         self.queue: deque[int] = deque(range(self.num_left))
-        self.matched: list[int] = []
         self.proposals = 0
         self.rejections = 0
         self.exhausted_left: int | None = None
-
-    def _divorce(self, edge: int) -> None:
-        u = self.edge_left[edge]
-        self.left_match[u] = -1
-        self.next_i[u] += 1
-        self.queue.append(u)
-        self.rejections += 1
 
     def run(self) -> bool:
         """Drain the proposal queue; False when a left vertex exhausts its list.
@@ -109,24 +96,21 @@ class ProposalSystem:
         as many right copies as left ones and no sinks, a run in which no
         left copy exhausts its list matches every right copy, so no stable
         matching avoiding the forbidden edges exists exactly when this
-        returns False.
+        returns False.  The queue only ever holds unmatched left vertices,
+        each once.
         """
-        if self.exhausted_left is not None:
-            return False
-        # The loop reads the live state through locals; the counters are
-        # written back on every exit.
+        # The loop reads the state through locals; the counters are written
+        # back on every exit.
         list_edges, list_starts = self.list_edges, self.list_starts
         edge_left, edge_right = self.edge_left, self.edge_right
         right_rank, forbidden = self.right_rank, self.forbidden
         next_i, left_match = self.next_i, self.left_match
         right_match, right_cut = self.right_match, self.right_cut
-        queue, matched = self.queue, self.matched
+        queue = self.queue
         proposals = rejections = 0
         try:
             while queue:
                 u = queue.popleft()
-                if left_match[u] != -1:
-                    continue
                 i, end = next_i[u], list_starts[u + 1]
                 while True:
                     if i >= end:
@@ -143,31 +127,25 @@ class ProposalSystem:
                         i += 1
                         rejections += 1
                         continue
-                    if forbidden[e]:
-                        # An in-range forbidden proposal deletes every worse
-                        # edge here, including the currently held one.
-                        right_cut[r] = rank
-                        cur = right_match[r]
-                        if cur != -1:
-                            right_match[r] = -1
-                            self._divorce(cur)
-                        i += 1
-                        rejections += 1
-                        continue
+                    # In range: the holder, if any, moves to its next edge.
+                    right_cut[r] = rank
                     cur = right_match[r]
                     if cur != -1:
-                        # Inlined _divorce: the holder moves to its next edge.
                         v = edge_left[cur]
                         left_match[v] = -1
                         next_i[v] += 1
                         queue.append(v)
                         rejections += 1
+                    if forbidden[e]:
+                        # A forbidden proposal deletes every worse edge here,
+                        # the held one included, and r stays unmatched.
+                        right_match[r] = -1
+                        i += 1
+                        rejections += 1
+                        continue
                     right_match[r] = e
-                    right_cut[r] = rank
                     left_match[u] = e
                     next_i[u] = i
-                    matched.append(u)
-                    matched.append(r)
                     break
             return True
         finally:
@@ -175,23 +153,10 @@ class ProposalSystem:
             self.rejections += rejections
 
     def forbid(self, edges) -> None:
-        """Mark edges forbidden, divorcing any that are currently matched.
-
-        Running again afterwards is equivalent to a fresh run with the
-        enlarged forbidden set.
-        """
+        """Mark edges forbidden; a system is forbidden edges before its run."""
+        forbidden = self.forbidden
         for e in edges:
-            if self.forbidden[e]:
-                continue
-            self.forbidden[e] = True
-            u = self.edge_left[e]
-            if self.left_match[u] != e:
-                continue
-            # From scratch this proposal would have been an in-range
-            # forbidden rejection, so replicate that state exactly.
-            r = self.edge_right[e]
-            self.right_match[r] = -1
-            self._divorce(e)
+            forbidden[e] = True
 
 
 def build_system(inst: Instance, proposers: str = "agents") -> ProposalSystem:

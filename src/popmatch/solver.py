@@ -1,27 +1,50 @@
-"""Max-size fully popular matching via iterated forbidding in the mirror graph.
+"""Max-size fully popular matching from one stable matching of the mirror graph.
 
 A fully popular matching is agent-popular, so the solver first runs the
 linear post-graph test :func:`popmatch.popularity.a_popular_obstruction`
 and returns ``none`` at once when no agent-popular matching exists.
 Otherwise it computes a legal stable matching of the mirror graph (one that
-avoids every signed copy of a non-legal edge), then repeatedly looks for a
-vertex whose left copy carries a minus tag while its right copy carries a
-plus tag.  Any such vertex must have certificate entry zero in every fully
-popular matching, and that forces zero across its whole popular-subgraph
-component; the loop therefore forbids all plus-tagged proposals of the
-component's agents, resumes the engine, and marks the component.  When no
-unmarked vertex straddles the two halves any more, the upper projection is
-a max-size fully popular matching, and the final per-vertex signs assemble
-its popularity certificate.  If the engine ever runs dry, no fully popular
-matching exists.
+avoids every signed copy of a non-legal edge); if the engine runs dry, no
+fully popular matching exists.  A vertex whose left copy carries a minus
+tag while its right copy carries a plus tag *straddles*.  It has
+certificate entry zero in every fully popular matching, and that forces
+zero across its whole popular-subgraph component, so one pass marks the
+component of every straddling vertex, in id order.  The upper projection
+is then a max-size fully popular matching, and the per-vertex signs with
+the marks assemble its popularity certificate.  The last step computes
+projections, signs, the certificate and any validation in whole-array
+passes over the engine's matching.
 
-The last step computes projections, signs, the certificate and any
-validation in whole-array passes over the engine's final matching.
+The paper's algorithm goes on from each marked component: it forbids the
+plus-tagged copies at the component's agents, reruns the engine, and looks
+again for an unmarked straddling vertex.  The pass stands for that loop by
+this lemma.  In a stable mirror matching that avoids the non-legal copies,
+if one vertex of a popular-subgraph component straddles, every vertex of
+the component sits on odd or twin copies only, so none holds a plus-tagged
+edge.  Forbidding those edges then divorces nothing, the rerun makes no
+proposal, and the loop ends with the first run's matching and this pass's
+marks and trace.  Matched genuine edges are legal, hence popular, so they
+stay inside their component.  The lemma starts from the fact that a
+certificate is zero on a whole popular-subgraph component or on none of it
+(Huang & Kavitha, "Popular matchings in the stable marriage problem", Inf.
+Comput. 2013); a proof is not written out here.  The evidence:
+
+* a sweep of the loop counted 65,800 forbid rounds with no divorce, no
+  proposal on a rerun and no rerun that ran dry, over small random
+  instances, ``generate`` instances up to 30x30, shuffled disjoint blocks,
+  rotation rings and blocks glued by last-ranked cross edges;
+* the test suite reruns the loop from scratch, a fresh engine per round,
+  and compares its every result field with :func:`solve`.
+
+The guard in :func:`_mark_components` checks the lemma's conclusion on
+every solve.  It holds exactly when every forbid of the loop would have
+divorced nothing, so a false lemma raises :class:`SolverDefect` instead of
+giving an answer that differs from the loop's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,11 +79,8 @@ class SolverState:
     classification: EdgeClassification
     mirror: MirrorGraph
     system: ProposalSystem
-    marks: list[bool] = field(default_factory=list)
-    candidates: list[int] = field(default_factory=list)
-    in_list: list[bool] = field(default_factory=list)
-    scan_pos: int = 0
-    iteration: int = 0
+    # Per-vertex flags of the marked components; see _mark_components.
+    marks: np.ndarray | None = None
     # Populated when the solve finishes successfully.
     matching: Matching | None = None
     lower: Matching | None = None
@@ -74,14 +94,14 @@ class SolveReport:
 
     ``outcome`` is ``"found"`` or ``"none"``.  A found matching comes with
     its popularity certificate and is max-size among fully popular
-    matchings.  A nonexistence verdict records the iteration at which it
-    was reached and a vertex to blame; rerunning reproduces it
+    matchings.  A nonexistence verdict is reached before any marking, so
+    its ``fail_iteration`` is always 0, and rerunning reproduces it
     deterministically.  When no agent-popular matching exists, the verdict
-    comes before any engine work: ``fail_iteration`` is 0,
-    ``infeasible_vertex`` is the first agent that overflows its component
-    of the post graph, and ``state`` is ``None``.  Otherwise the verdict
-    comes when the engine runs dry, and ``infeasible_vertex`` is the vertex
-    whose mirror copy ran out of options.
+    comes before any engine work: ``infeasible_vertex`` is the first agent
+    that overflows its component of the post graph, and ``state`` is
+    ``None``.  Otherwise the verdict comes when the first mirror run runs
+    dry, and ``infeasible_vertex`` is the vertex whose mirror copy ran out
+    of options.
     """
 
     outcome: str
@@ -95,62 +115,41 @@ class SolveReport:
     state: SolverState | None
 
 
-def _is_candidate(state: SolverState, u: int) -> bool:
-    """u's left copy sits on a minus tag and its right copy on a plus tag.
+def _mark_components(state: SolverState, left, right) -> tuple[TraceRow, ...]:
+    """Mark the component of every straddling vertex, in id order.
 
-    That holds when both of u's matched edges are genuine copies with odd
-    ids (see :class:`~popmatch.mirror.MirrorGraph`).
+    ``left`` and ``right`` hold the edge matched at each vertex's left and
+    right copy.  A vertex straddles when its left copy sits on a minus tag
+    and its right copy on a plus tag, that is, when both edges are genuine
+    copies with odd ids (see :class:`~popmatch.mirror.MirrorGraph`).  Each
+    newly marked component gives one trace row; its ``edges_forbidden``
+    counts the plus-tagged copies at the component's agents, two per legal
+    edge, that the paper's loop forbids.  Then every vertex of a marked
+    component must hold odd or twin copies only, or the solver is broken.
     """
-    le = state.system.left_match[u]
-    re = state.system.right_match[u]
-    twins = 4 * state.inst.m
-    return 0 <= le < twins and 0 <= re < twins and le & re & 1 == 1
-
-
-def _absorb_candidates(state: SolverState) -> None:
-    """Append vertices that now straddle the two halves, in id order per batch.
-
-    Only a vertex that took a new edge since the last batch can have started
-    to straddle; the engine lists those in ``matched``, which this drains.
-    """
-    matched = state.system.matched
-    for u in sorted(set(matched)):
-        if (
-            not state.in_list[u]
-            and not state.marks[u]
-            and _is_candidate(state, u)
-        ):
-            state.in_list[u] = True
-            state.candidates.append(u)
-    matched.clear()
-
-
-def find_unmarked(state: SolverState) -> int | None:
-    """Next unmarked straddling vertex via the append-only candidate list.
-
-    The scan pointer only moves forward: entries are skipped once they are
-    marked or no longer straddle (a vertex that falls to its twin never
-    straddles again), so the total scan cost is linear in appends.
-    """
-    while state.scan_pos < len(state.candidates):
-        u = state.candidates[state.scan_pos]
-        if not state.marks[u] and _is_candidate(state, u):
-            return u
-        state.scan_pos += 1
-    return None
-
-
-def _agent_plus_edges(state: SolverState, agents) -> list[int]:
-    """All not-yet-forbidden plus-tagged edges at the given agents' copies."""
-    starts = state.inst.layout.starts
-    forbidden = state.system.forbidden
-    out = []
-    for a in agents:
-        for k in range(starts[a], starts[a + 1]):
-            for e in (4 * k, 4 * k + 2):
-                if not forbidden[e]:
-                    out.append(e)
-    return out
+    inst, classification = state.inst, state.classification
+    cid, components = classification.component_id, classification.components
+    starts, legal = inst.layout.starts, classification.legal_flags
+    proposals = state.system.proposals
+    twins = 4 * inst.m
+    straddles = (left < twins) & (right < twins) & (left & right & 1 == 1)
+    marks = state.marks = np.zeros(inst.n, bool)
+    trace = []
+    for u in np.flatnonzero(straddles).tolist():
+        if marks[u]:
+            continue
+        component = components[cid[u]]
+        marks[list(component)] = True
+        plus = sum(
+            sum(legal[starts[a]:starts[a + 1]])
+            for a in component if inst.is_agent(a)
+        )
+        trace.append(TraceRow(len(trace) + 1, u, component, 2 * plus, proposals))
+    plus_left = (left < twins) & (left & 1 == 0)
+    plus_right = (right < twins) & (right & 1 == 0)
+    if (marks & (plus_left | plus_right)).any():
+        raise SolverDefect("a marked component holds a plus-tagged edge")
+    return tuple(trace)
 
 
 def extract_witness(state: SolverState) -> tuple[int, ...]:
@@ -160,7 +159,7 @@ def extract_witness(state: SolverState) -> tuple[int, ...]:
     takes the sign of its upper-half tag.  The result must validate; a
     failure here would mean the solver itself is broken.
     """
-    witness = np.where(np.fromiter(state.marks, bool), 0, _ints(state.signs[0]))
+    witness = np.where(state.marks, 0, _ints(state.signs[0]))
     if not check_witness(state.inst, state.matching, witness):
         raise SolverDefect("final signs produced an invalid certificate")
     return tuple(witness.tolist())
@@ -179,62 +178,19 @@ def solve(inst: Instance, validate: bool = False) -> SolveReport:
     posts = compute_posts(inst)
     blocker = a_popular_obstruction(inst, posts)
     if blocker is not None:
-        return SolveReport(
-            outcome="none",
-            matching=None,
-            witness=None,
-            size=None,
-            iterations=0,
-            trace=(),
-            fail_iteration=0,
-            infeasible_vertex=blocker,
-            state=None,
-        )
+        return _none_report(blocker, None)
     classification = legal_edge_set(inst, posts=posts)
     mirror = build_mirror(inst, classification)
     system = mirror_system(mirror)
-    state = SolverState(
-        inst=inst,
-        classification=classification,
-        mirror=mirror,
-        system=system,
-        marks=[False] * inst.n,
-        in_list=[False] * inst.n,
-    )
-    trace: list[TraceRow] = []
-
+    state = SolverState(inst, classification, mirror, system)
     if not system.run():
-        return _none_report(state, trace, 0)
-    _absorb_candidates(state)
-
-    while (trigger := find_unmarked(state)) is not None:
-        state.iteration += 1
-        cid = state.classification.component_id[trigger]
-        component = state.classification.components[cid]
-        comp_agents = [u for u in component if inst.is_agent(u)]
-        newly = _agent_plus_edges(state, comp_agents)
-        system.forbid(newly)
-        feasible = system.run()
-        trace.append(
-            TraceRow(
-                iteration=state.iteration,
-                trigger=trigger,
-                component=component,
-                edges_forbidden=len(newly),
-                proposals_total=system.proposals,
-            )
-        )
-        if not feasible:
-            return _none_report(state, trace, state.iteration)
-        for u in component:
-            state.marks[u] = True
-        _absorb_candidates(state)
-
-    # The epilogue reads the final matching as two arrays; a structural
-    # failure in it is the solver's, not the input's.
+        return _none_report(system.exhausted_left, state)
+    # The rest reads the matching as two arrays; a structural failure in it
+    # is the solver's, not the input's.
     mh = MirrorMatching(
         mirror, _ints(system.left_match), _ints(system.right_match)
     )
+    trace = _mark_components(state, mh.left_edge, mh.right_edge)
     state.matching = project(mh, "upper")
     state.lower = project(mh, "lower")
     try:
@@ -250,26 +206,24 @@ def solve(inst: Instance, validate: bool = False) -> SolveReport:
         matching=state.matching,
         witness=witness,
         size=state.matching.size(inst),
-        iterations=state.iteration,
-        trace=tuple(trace),
+        iterations=len(trace),
+        trace=trace,
         fail_iteration=None,
         infeasible_vertex=None,
         state=state,
     )
 
 
-def _none_report(
-    state: SolverState, trace: list[TraceRow], iteration: int
-) -> SolveReport:
+def _none_report(vertex: int, state: SolverState | None) -> SolveReport:
     return SolveReport(
         outcome="none",
         matching=None,
         witness=None,
         size=None,
-        iterations=state.iteration,
-        trace=tuple(trace),
-        fail_iteration=iteration,
-        infeasible_vertex=state.system.exhausted_left,
+        iterations=0,
+        trace=(),
+        fail_iteration=0,
+        infeasible_vertex=vertex,
         state=state,
     )
 
@@ -290,6 +244,10 @@ def _validate(
         )
     except ValueError as exc:
         raise SolverDefect(str(exc)) from exc
+    # The checks read arrays; dropping the tuples keeps them off the peak.
+    realization = MirrorMatching(
+        state.mirror, *map(_ints, (realization.left_edge, realization.right_edge))
+    )
     if mirror_blocking_edges(realization):
         raise SolverDefect(
             "realization of the result is unstable in the mirror graph"
@@ -309,7 +267,7 @@ def _validate_signs(state: SolverState, posts: Posts, own_m) -> None:
     inst = state.inst
     n, na = inst.n, inst.num_agents
     upper, lower = map(_ints, state.signs)
-    marks = np.fromiter(state.marks, bool, n)
+    marks = np.asarray(state.marks, bool)
     mat, low = state.matching, state.lower
     partner_m, partner_l = _ints(mat.partner), _ints(low.partner)
     own_m, own_l = _ints(own_m), _partner_ranks(inst, partner_l)

@@ -33,10 +33,10 @@ from popmatch import (
 from popmatch.engine import build_system, rotation_walk
 from popmatch.instance import EdgeLayout
 from popmatch.generator import generate
-from popmatch.legality import two_level_systems
-from popmatch.mirror import MirrorMatching
-from popmatch.popularity import check_witness, edge_weight
-from popmatch.solver import SolverDefect
+from popmatch.legality import legal_edge_set, two_level_systems
+from popmatch.mirror import MirrorMatching, build_mirror, mirror_system
+from popmatch.popularity import a_popular_obstruction, check_witness, edge_weight
+from popmatch.solver import SolverDefect, TraceRow
 
 SIZE_GAP_TEXT = """\
 # stable matching has size 1, the popular maximum has size 2
@@ -294,6 +294,32 @@ def composed_text(blocks: int, seed: int | None = None) -> str:
         + "\n"
         + "\n".join(lines)
         + "\n"
+    )
+
+
+def planted_text(blocks: int, cross: int, seed: int) -> str:
+    """Disjoint copies of ``BLOCK`` glued by ``cross`` random cross edges.
+
+    Each cross edge joins an agent and a job of two different blocks, and
+    both ends rank it below their block's own edges, so popular-subgraph
+    components can span blocks.
+    """
+    rng = random.Random(seed)
+    prefs = {
+        f"{name}_{i}": [f"{v}_{i}" for v in row]
+        for i in range(blocks)
+        for name, row in BLOCK
+    }
+    agents = [name for name in prefs if name.startswith("a")]
+    jobs = [name for name in prefs if name.startswith("b")]
+    for _ in range(cross):
+        a, b = rng.choice(agents), rng.choice(jobs)
+        if a.split("_")[1] != b.split("_")[1] and b not in prefs[a]:
+            prefs[a].append(b)
+            prefs[b].append(a)
+    return (
+        "agents: " + " ".join(agents) + "\njobs: " + " ".join(jobs) + "\n"
+        + "".join(f"{u} > {' '.join(row)}\n" for u, row in prefs.items())
     )
 
 
@@ -1025,4 +1051,84 @@ def validate_reference(state, witness, posts, own_m) -> None:
     ensure(
         not uses_forbidden_reference(realization),
         "realization of the result uses a forbidden edge",
+    )
+
+
+def iterated_forbid_reference(inst) -> dict:
+    """The paper's forbid loop, solving from scratch in every round.
+
+    After the agent-popularity precheck and a first legal stable mirror
+    matching, each round takes the lowest-id unmarked vertex whose left copy
+    sits on a minus tag and whose right copy on a plus tag, forbids the
+    plus-tagged copies at its component's agents, and builds and runs a
+    fresh mirror system with every edge forbidden so far; the component is
+    marked when that run succeeds.  A run that exhausts a left copy ends in
+    ``none``.  Returns the fields of the ``SolveReport`` but ``state``.
+    """
+    none = dict(
+        outcome="none", matching=None, witness=None, size=None,
+        iterations=0, trace=(), fail_iteration=0,
+    )
+    posts = compute_posts(inst)
+    blocker = a_popular_obstruction(inst, posts)
+    if blocker is not None:
+        return {**none, "infeasible_vertex": blocker}
+    classification = legal_edge_set(inst, posts=posts)
+    mirror = build_mirror(inst, classification)
+    system = mirror_system(mirror)
+    if not system.run():
+        return {**none, "infeasible_vertex": system.exhausted_left}
+
+    def straddles(u: int) -> bool:
+        le, re = system.left_match[u], system.right_match[u]
+        return (
+            not mirror.is_twin(le) and mirror.left_tag(le) == -1
+            and not mirror.is_twin(re) and mirror.right_tag(re) == 1
+        )
+
+    marks = [False] * inst.n
+    forbidden: set[int] = set()
+    trace = []
+    while (trigger := next(
+        (u for u in range(inst.n) if not marks[u] and straddles(u)), None
+    )) is not None:
+        component = classification.components[
+            classification.component_id[trigger]
+        ]
+        agents = {u for u in component if inst.is_agent(u)}
+        newly = {
+            e for e in range(4 * inst.m)
+            if mirror.left_tag(e) == 1
+            and agents & {mirror.edge_left[e], mirror.edge_right[e]}
+            and not mirror.is_forbidden(e) and e not in forbidden
+        }
+        forbidden |= newly
+        system = mirror_system(mirror)
+        system.forbid(sorted(forbidden))
+        feasible = system.run()
+        trace.append(TraceRow(
+            len(trace) + 1, trigger, component, len(newly), system.proposals
+        ))
+        if not feasible:
+            return {
+                **none, "iterations": len(trace), "trace": tuple(trace),
+                "fail_iteration": len(trace),
+                "infeasible_vertex": system.exhausted_left,
+            }
+        for u in component:
+            marks[u] = True
+    mh = MirrorMatching(
+        mirror, tuple(system.left_match), tuple(system.right_match)
+    )
+    matching = project_reference(mh, "upper")
+    upper, _ = partition_reference(mh)
+    return dict(
+        outcome="found",
+        matching=matching,
+        witness=tuple(0 if marked else s for marked, s in zip(marks, upper)),
+        size=matching.size(inst),
+        iterations=len(trace),
+        trace=tuple(trace),
+        fail_iteration=None,
+        infeasible_vertex=None,
     )

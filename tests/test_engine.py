@@ -1,6 +1,8 @@
-"""Engine behavior: stability, forbidden edges, resumption, pair queries."""
+"""Engine behavior: stability, forbidden edges, pair queries."""
 
 import random
+
+import pytest
 
 from popmatch import Matching, generate, legal_edge_set, parse_instance
 from popmatch.engine import ProposalSystem, build_system
@@ -107,17 +109,19 @@ class TestReferenceEngine:
     """The engine on flat lists against Gale-Shapley on per-vertex lists."""
 
     def systems(self, inst):
+        """Each kind's builder; every call gives a fresh system."""
         mirror = build_mirror(inst, legal_edge_set(inst))
         return [
-            ("agents", build_system(inst, "agents")),
-            ("jobs", build_system(inst, "jobs")),
-            *zip(
-                ("two_level_agents", "two_level_jobs"), two_level_systems(inst)
-            ),
-            ("mirror", mirror_system(mirror)),
+            ("agents", lambda: build_system(inst, "agents")),
+            ("jobs", lambda: build_system(inst, "jobs")),
+            ("two_level_agents", lambda: two_level_systems(inst)[0]),
+            ("two_level_jobs", lambda: two_level_systems(inst)[1]),
+            ("mirror", lambda: mirror_system(mirror)),
         ]
 
     def test_forbid_resume_sequences_match_reference(self):
+        # Growing forbidden sets, each forbidden in one batch on a fresh
+        # system, until a run is infeasible.
         rng = random.Random(7)
         insts = [random_instance(seed) for seed in range(150)]
         insts += [random_instance(seed, max_side=7) for seed in range(40)]
@@ -127,21 +131,24 @@ class TestReferenceEngine:
         insts.append(ring_instance(12))
         compared = infeasible = mirror_feasible = 0
         for inst in insts:
-            for kind, system in self.systems(inst):
+            for kind, fresh in self.systems(inst):
+                system = fresh()
                 lists = reference_lists(inst, kind)
                 assert [
                     left_list(system, u) for u in range(system.num_left)
                 ] == lists, kind
                 assert system.total_list_length == sum(map(len, lists))
-                forbidden = {e for e, f in enumerate(system.forbidden) if f}
+                built = {e for e, f in enumerate(system.forbidden) if f}
                 edges = range(len(system.edge_left))
                 batches = [[]] + [
                     rng.sample(edges, min(len(edges), rng.randint(1, 3)))
                     for _ in range(3)
                 ]
+                forbidden = set(built)
                 for batch in batches:
-                    system.forbid(batch)
                     forbidden.update(batch)
+                    system = fresh()
+                    system.forbid(sorted(forbidden - built))
                     feasible = system.run()
                     want = gale_shapley_reference(lists, system, forbidden)
                     assert feasible == (system.exhausted_left is None), kind
@@ -192,6 +199,10 @@ class TestProposeDispose:
             )
         assert runs[0] == runs[1] == runs[2]
 
+    def test_unknown_proposer_side(self, size_gap):
+        with pytest.raises(ValueError, match="unknown proposer side 'both'"):
+            build_system(size_gap, "both")
+
     def test_proposals_bounded_by_total_list_length(self):
         for seed in range(40):
             inst = random_instance(seed)
@@ -201,14 +212,6 @@ class TestProposeDispose:
 
 
 class TestResume:
-    def test_empty_resume_is_identity(self, size_gap):
-        system = build_system(size_gap)
-        first_feasible = system.run()
-        first = list(system.left_match)
-        system.forbid([])
-        assert system.run() == first_feasible
-        assert system.left_match == first
-
     def test_exhausting_a_left_vertex_without_sink(self, size_gap):
         # A mirror system's left copies may not stay alone; forbidding one
         # left copy's whole list leaves it nowhere to go.
@@ -249,37 +252,6 @@ class TestResume:
                 mirror.is_forbidden(e) or e in extra for e in mh.left_edge
             ), seed
         assert hits > 20
-
-    def test_incremental_equals_from_scratch(self):
-        rng = random.Random(1)
-        for seed in range(40):
-            inst = random_instance(seed, max_side=3)
-            classification = legal_edge_set(inst)
-            mirror = build_mirror(inst, classification)
-            candidates = [
-                e
-                for e in range(mirror.num_edges)
-                if not mirror.is_forbidden(e)
-            ]
-            rng.shuffle(candidates)
-            batches = [candidates[: len(candidates) // 3]]
-            batches.append(candidates[len(candidates) // 3 : len(candidates) // 2])
-
-            incremental = mirror_system(mirror)
-            feasible = incremental.run()
-            for batch in batches:
-                if not feasible:
-                    break
-                incremental.forbid(batch)
-                feasible = incremental.run()
-
-            scratch = mirror_system(mirror)
-            scratch.forbid([e for batch in batches for e in batch])
-
-            assert feasible == scratch.run()
-            if feasible:
-                assert incremental.left_match == scratch.left_match
-                assert incremental.right_match == scratch.right_match
 
 
 class TestStableQueries:

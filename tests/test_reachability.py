@@ -1,0 +1,147 @@
+"""Every executable line of the solver and the engine is reached or ledgered.
+
+A fixed solve sweep runs under a ``sys.settrace`` line tracer.  A line it
+does not reach must be in ``LEDGER``, which names the test that reaches it
+on purpose: an injected defect that the line raises, or a caller error that
+it rejects.  A ledger entry that the sweep does reach, or that names no
+test, fails too, so the ledger lists exactly the lines that a plain solve
+cannot reach.
+"""
+
+import inspect
+import re
+import sys
+from pathlib import Path
+
+import popmatch.engine
+import popmatch.solver
+from popmatch import generate, parse_instance, solve
+
+from conftest import (
+    IDENTICAL_PREFS_TEXT,
+    SHOWCASE_TEXT,
+    SIZE_GAP_TEXT,
+    composed_text,
+    planted_text,
+    random_text,
+    ring_text,
+)
+
+MODULES = (popmatch.engine, popmatch.solver)
+
+PINNED = "test_solver.py::TestValidation::test_every_defect_message_is_pinned"
+REALIZE = "test_cli.py::test_structural_failures_are_not_input_errors"
+
+# (module, function, source line) -> the test that reaches the line.
+LEDGER = {
+    ("engine", "build_system",
+     'raise ValueError(f"unknown proposer side {proposers!r}")'):
+        "test_engine.py::TestProposeDispose::test_unknown_proposer_side",
+    ("solver", "_mark_components",
+     'raise SolverDefect("a marked component holds a plus-tagged edge")'):
+        "test_solver.py::TestValidation::test_marked_plus_edge_is_a_defect",
+    ("solver", "extract_witness",
+     'raise SolverDefect("final signs produced an invalid certificate")'):
+        "test_solver.py::TestValidation::test_invalid_final_signs_are_a_defect",
+    ("solver", "solve", "except ValueError as exc:"): REALIZE,
+    ("solver", "solve", "raise SolverDefect(str(exc)) from exc"): REALIZE,
+    ("solver", "_validate", "except ValueError as exc:"): REALIZE,
+    ("solver", "_validate", "raise SolverDefect(str(exc)) from exc"): REALIZE,
+    ("solver", "_validate", "raise SolverDefect("): PINNED,
+    ("solver", "_validate",
+     '"realization of the result is unstable in the mirror graph"'): PINNED,
+    ("solver", "_validate",
+     'raise SolverDefect("realization of the result uses a forbidden edge")'):
+        PINNED,
+    ("solver", "_validate_signs", "u = bad[0]"): PINNED,
+    ("solver", "_validate_signs", "ensure("): PINNED,
+    ("solver", "_validate_signs", "not escaped[u],"): PINNED,
+    ("solver", "_validate_signs",
+     '"marked matched agents escaped the minus/plus intersection"'): PINNED,
+    ("solver", "_validate_signs", "if u < na"): PINNED,
+    ("solver", "_validate_signs",
+     'else "marked matched jobs escaped the plus/minus intersection",'):
+        PINNED,
+    ("solver", "_validate_signs",
+     'ensure(not unmarked[u], "unmarked straddling vertex at termination")'):
+        PINNED,
+    ("solver", "_validate_signs",
+     'raise SolverDefect("upper and lower projections diverge on a marked '
+     'vertex")'): PINNED,
+    ("solver", "_validate_signs.<locals>.ensure", "raise SolverDefect(message)"):
+        PINNED,
+}
+
+
+def sweep_texts() -> list[str]:
+    """Found solves with and without marking, and both kinds of none."""
+    return [
+        SHOWCASE_TEXT,
+        SIZE_GAP_TEXT,
+        IDENTICAL_PREFS_TEXT,
+        *(random_text(seed) for seed in range(60)),
+        generate(40, 60, 5 / 60, seed=0),
+        composed_text(3, seed=1),
+        ring_text(5),
+        planted_text(6, 6, 0),
+    ]
+
+
+def executable_lines(module) -> dict[int, str]:
+    """Each line that holds bytecode of a function, with its qualname."""
+    path = module.__file__
+    lines = {}
+    stack = [compile(Path(path).read_text(), path, "exec")]
+    while stack:
+        code = stack.pop()
+        if code.co_flags & inspect.CO_NEWLOCALS:
+            for _, _, line in code.co_lines():
+                if line is not None:
+                    lines[line] = code.co_qualname
+        stack += [c for c in code.co_consts if inspect.iscode(c)]
+    return lines
+
+
+def reached_lines(texts) -> set[tuple[str, int]]:
+    """``(file, line)`` of every line the solves run in the two modules."""
+    files = {module.__file__ for module in MODULES}
+    reached = set()
+
+    def local(frame, event, arg):
+        reached.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def calls(frame, event, arg):
+        return local(frame, event, arg) if frame.f_code.co_filename in files else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        for text in texts:
+            solve(parse_instance(text), validate=True)
+    finally:
+        sys.settrace(previous)
+    return reached
+
+
+def test_every_line_is_reached_or_ledgered():
+    reached = reached_lines(sweep_texts())
+    unreached = set()
+    for module in MODULES:
+        source = Path(module.__file__).read_text().splitlines()
+        name = module.__name__.rsplit(".", 1)[1]
+        for line, qualname in executable_lines(module).items():
+            if (module.__file__, line) not in reached:
+                unreached.add((name, qualname, source[line - 1].strip()))
+    assert unreached - LEDGER.keys() == set(), "unreached and not ledgered"
+    assert LEDGER.keys() - unreached == set(), "ledgered but reached"
+
+
+def test_ledger_names_existing_tests():
+    tests = Path(__file__).resolve().parent
+    for test in set(LEDGER.values()):
+        path, *owners, name = test.split("::")
+        source = (tests / path).read_text()
+        for owner in owners:
+            assert re.search(rf"^class {owner}\b", source, re.M), test
+        assert re.search(rf"^\s*def {name}\(", source, re.M), test

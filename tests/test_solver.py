@@ -22,13 +22,17 @@ from popmatch import (
     verify_popular,
 )
 from popmatch.oracle import ground_truth
-from popmatch.solver import SolverDefect, _validate, find_unmarked
+from popmatch.mirror import classify_partition, mirror_system
+from popmatch.solver import SolverDefect, _validate
 
 from conftest import (
     SHOWCASE_TEXT,
     composed_text,
+    iterated_forbid_reference,
     pairs_by_name,
+    planted_text,
     random_instance,
+    random_text,
     ring_text,
     validate_reference,
 )
@@ -143,11 +147,53 @@ class TestTraceAndMarks:
                 seen.update(row.component)
 
     def test_no_candidate_after_success(self):
+        # Every vertex whose upper sign is its side's minus tag and whose
+        # lower sign is the opposite lies in a traced component.
         for seed in range(40):
             inst = random_instance(seed)
             report = solve(inst)
-            if report.outcome == "found":
-                assert find_unmarked(report.state) is None
+            if report.outcome != "found":
+                continue
+            upper, lower = report.state.signs
+            marked = {u for row in report.trace for u in row.component}
+            for u in range(inst.n):
+                side = -1 if inst.is_agent(u) else 1
+                if upper[u] == side and lower[u] == -side:
+                    assert u in marked, seed
+
+
+class TestAgainstIteratedLoop:
+    def test_marking_pass_equals_iterated_forbid_reference(self):
+        # The paper's loop, rerun from scratch after every forbid, gives
+        # every report field that the single marking pass gives.
+        texts = [random_text(seed) for seed in range(500)]
+        texts += [
+            generate(n, n + 1, density, seed=seed)
+            for seed in range(40)
+            for n, density in ((6, 0.5), (10, 0.3), (15, 0.2))
+        ]
+        texts += [composed_text(k, seed=k) for k in range(1, 16)]
+        texts += [ring_text(n) for n in range(2, 30)]
+        texts += [
+            planted_text(blocks, cross, seed)
+            for blocks in (3, 6, 10)
+            for cross in (2, 6, 12)
+            for seed in range(8)
+        ]
+        rounds = engine_none = spanning = 0
+        for text in texts:
+            inst = parse_instance(text)
+            report = solve(inst, validate=True)
+            fields = {
+                f.name: getattr(report, f.name)
+                for f in dataclasses.fields(report)
+                if f.name != "state"
+            }
+            assert fields == iterated_forbid_reference(inst), text
+            rounds += report.iterations
+            engine_none += report.outcome == "none" and report.state is not None
+            spanning += any(len(row.component) > 6 for row in report.trace)
+        assert rounds > 400 and engine_none > 100 and spanning > 20
 
 
 class TestWitnesses:
@@ -192,6 +238,41 @@ class TestValidation:
         own = report.matching.partner_ranks(inst)
         with pytest.raises(SolverDefect, match="lower projection"):
             _validate(state, report.witness, compute_posts(inst), own)
+
+    def test_marked_plus_edge_is_a_defect(self, monkeypatch):
+        # a1 straddles and marks the whole one-round instance; a0's left
+        # copy moved onto its first plus-tagged copy trips the guard.
+        inst = parse_instance(ONE_ROUND_TEXT)
+        a0, a1 = inst.id_of("a0"), inst.id_of("a1")
+
+        def a0_on_plus(mirror):
+            system = mirror_system(mirror)
+            run = system.run
+
+            def run_then_move():
+                feasible = run()
+                system.left_match[a0] = 4 * inst.layout.starts[a0]
+                return feasible
+
+            system.run = run_then_move
+            return system
+
+        assert solve(inst).trace[0].trigger == a1
+        monkeypatch.setattr("popmatch.solver.mirror_system", a0_on_plus)
+        with pytest.raises(SolverDefect, match="marked component holds a plus"):
+            solve(inst)
+
+    def test_invalid_final_signs_are_a_defect(self, size_gap, monkeypatch):
+        # a0's upper sign flipped from minus to plus no longer cancels its
+        # partner's, so the certificate read off the signs is invalid.
+        def a0_flipped(mh):
+            upper, lower = classify_partition(mh)
+            return (-upper[0], *upper[1:]), lower
+
+        assert solve(size_gap).witness[0] == -1
+        monkeypatch.setattr("popmatch.solver.classify_partition", a0_flipped)
+        with pytest.raises(SolverDefect, match="invalid certificate"):
+            solve(size_gap)
 
     # Every message ``_validate`` can raise.  "upper projection matches a
     # twin-matched job" is not among them: the sign-partition check before

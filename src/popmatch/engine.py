@@ -28,7 +28,7 @@ from .instance import Instance
 INFINITE_RANK = 1 << 60
 
 
-def packed_ints(values) -> memoryview:
+def int64_view(values) -> memoryview:
     """A numpy integer array's values, copied out as read-only 8-byte ints.
 
     Builders hand the engine their flat lists and bounds this way.  The

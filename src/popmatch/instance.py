@@ -9,10 +9,9 @@ as a perfect matching once each uncovered vertex is paired with itself.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from operator import sub
 from typing import NoReturn
 
 import numpy as np
@@ -168,6 +167,11 @@ class EdgeLayout:
     position in the job's list.  ``job_edges`` holds every edge id in job
     order: job j's edges, in j's preference order, run from
     ``job_starts[j]`` to ``job_starts[j + 1] - 1``.
+
+    ``arrays`` holds ``starts``, ``agent_of``, ``job_of``, ``agent_rank``
+    and ``job_rank`` again as read-only int arrays, for whole-layout
+    passes: the arrays that parsing computed them from, kept.  They are
+    left out of equality and hashing, as they repeat the tuples.
     """
 
     starts: tuple[int, ...]
@@ -177,21 +181,7 @@ class EdgeLayout:
     job_rank: tuple[int, ...]
     job_starts: tuple[int, ...]
     job_edges: tuple[int, ...]
-
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """``starts``, ``agent_of``, ``job_of``, ``agent_rank`` and
-        ``job_rank`` as numpy arrays, for whole-layout passes.
-
-        Derived on first use and then kept; parsing never builds them.
-        """
-        return tuple(
-            np.fromiter(x, np.intp, len(x))
-            for x in (
-                self.starts, self.agent_of, self.job_of,
-                self.agent_rank, self.job_rank,
-            )
-        )
+    arrays: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
 
 def _bulk_layout(src, dst, deg, na: int) -> EdgeLayout | None:
@@ -230,14 +220,15 @@ def _bulk_layout(src, dst, deg, na: int) -> EdgeLayout | None:
     job_rank = np.empty(m, np.intp)
     job_rank[edge_at] = np.arange(m) - np.repeat(job_starts[:-1], deg[na:])
     agent_rank = np.arange(m) - np.repeat(starts[:-1], deg[:na])
+    # A copy, so that no kept array is a view of the 2m-long parse buffers.
+    arrays = (starts, src[:m].copy(), dst[:m] - na, agent_rank, job_rank)
+    for x in arrays:
+        x.flags.writeable = False
     return EdgeLayout(
-        tuple(starts.tolist()),
-        tuple(src[:m].tolist()),
-        tuple((dst[:m] - na).tolist()),
-        tuple(agent_rank.tolist()),
-        tuple(job_rank.tolist()),
+        *(tuple(x.tolist()) for x in arrays),
         tuple(job_starts.tolist()),
         tuple(edge_at.tolist()),
+        arrays,
     )
 
 
@@ -324,22 +315,28 @@ class Matching:
             _match_pair(inst, partner, a, b)
         return Matching(tuple(partner))
 
-    def partner_ranks(self, inst: Instance) -> list[int]:
-        """Each vertex's rank of its partner; its list length when alone.
+    @cached_property
+    def partner_array(self) -> np.ndarray:
+        """``partner`` as a read-only int array, made on first use and kept."""
+        partner = np.fromiter(self.partner, np.intp, len(self.partner))
+        partner.flags.writeable = False
+        return partner
 
-        Reads the edge layout only: O(m), no rank dict and no ``pref``.
+    def partner_ranks(self, inst: Instance) -> np.ndarray:
+        """Each vertex's rank of its partner as an int array; its list
+        length when alone.
+
+        One pass over the layout's arrays: edge k is matched when its job is
+        its agent's partner.
         """
-        lay, na, partner = inst.layout, inst.num_agents, self.partner
-        starts, job_of, job_rank = lay.starts, lay.job_of, lay.job_rank
-        js = lay.job_starts
-        own = [*map(sub, starts[1:], starts), *map(sub, js[1:], js)]
-        for a in range(na):
-            b = partner[a]
-            if b != a:
-                s = starts[a]
-                k = job_of.index(b - na, s, starts[a + 1])
-                own[a] = k - s
-                own[b] = job_rank[k]
+        starts, agent_of, job_of, agent_rank, job_rank = inst.layout.arrays
+        jobs = inst.num_agents + job_of
+        own = np.concatenate(
+            (np.diff(starts), np.bincount(job_of, minlength=inst.num_jobs))
+        )
+        k = np.flatnonzero(self.partner_array[agent_of] == jobs)
+        own[agent_of[k]] = agent_rank[k]
+        own[jobs[k]] = job_rank[k]
         return own
 
     def pairs(self, inst: Instance) -> tuple[tuple[int, int], ...]:

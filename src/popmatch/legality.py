@@ -29,7 +29,7 @@ from operator import and_, sub
 
 import numpy as np
 
-from .engine import ProposalSystem, build_system, packed_ints, rotation_walk
+from .engine import ProposalSystem, build_system, int64_view, rotation_walk
 from .instance import Instance, Posts, compute_posts
 
 EdgeKey = tuple[int, int]
@@ -171,11 +171,11 @@ def two_level_systems(inst: Instance) -> tuple[ProposalSystem, ProposalSystem]:
     ]
     return (
         ProposalSystem(
-            nj + na, packed_ints(agent_lists), packed_ints(agent_starts),
+            nj + na, int64_view(agent_lists), int64_view(agent_starts),
             owner, post, job_rank, alone_ok=True,
         ),
         ProposalSystem(
-            2 * na, packed_ints(job_lists), packed_ints(job_list_starts),
+            2 * na, int64_view(job_lists), int64_view(job_list_starts),
             post, owner, agent_rank, alone_ok=True,
         ),
     )

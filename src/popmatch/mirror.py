@@ -24,10 +24,9 @@ from operator import sub
 
 import numpy as np
 
-from .engine import ProposalSystem, packed_ints
+from .engine import ProposalSystem, int64_view
 from .instance import Instance, Matching
 from .legality import EdgeClassification
-from .popularity import _ints, _partner_ranks
 
 
 @dataclass(frozen=True)
@@ -90,20 +89,21 @@ class MirrorGraph:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MirrorMatching:
     """A perfect matching of the mirror graph, stored per copy.
 
-    ``left_edge[u]`` / ``right_edge[u]`` hold the edge id matched at u's
-    left / right copy, as tuples or (in a solve) int arrays.
+    ``left_edge[u]`` / ``right_edge[u]`` are int arrays holding the edge
+    id matched at u's left / right copy, -1 for none.  Arrays have no
+    single truth value, so matchings compare by identity.
     """
 
     mirror: MirrorGraph
-    left_edge: tuple[int, ...] | np.ndarray
-    right_edge: tuple[int, ...] | np.ndarray
+    left_edge: np.ndarray
+    right_edge: np.ndarray
 
     def uses_forbidden(self) -> bool:
-        m, left = self.mirror.inst.m, _ints(self.left_edge)
+        m, left = self.mirror.inst.m, self.left_edge
         legal = np.fromiter(self.mirror.legal_flags, bool)
         return not legal[np.where(left < 4 * m, left >> 2, left - 3 * m)].all()
 
@@ -173,7 +173,7 @@ def _left_lists(lay, agent_of, job_of, degree):
     list_edges[at] = np.concatenate((copies[0], copies[2]))
     list_edges[at + deg[ends]] = np.concatenate((copies[1], copies[3]))
     list_edges[list_starts[1:] - 1] = np.arange(4 * m, 4 * m + n)
-    return packed_ints(list_edges), packed_ints(list_starts)
+    return int64_view(list_edges), int64_view(list_starts)
 
 
 def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
@@ -203,17 +203,17 @@ def realize_witnessed(
 ) -> MirrorMatching:
     """Symmetric mirror realization of a popular matching from its certificate.
 
-    ``own`` holds ``mat.partner_ranks(inst)``, so agent a's matched edge is
-    ``starts[a] + own[a]``.  Matched pairs are signed by their certificate
-    values; a pair whose entries do not cancel violates the tight-edge
-    property of certificates and is rejected, and then a single vertex with
-    a nonzero entry.  At every vertex the two incident sign tags sum to
-    twice its certificate entry, and the all-zero certificate of a stable
-    matching puts every pair on its minus-to-plus copies and every single
-    vertex on its twin.
+    ``own`` is the array ``mat.partner_ranks(inst)``, so agent a's matched
+    edge is ``starts[a] + own[a]``.  Matched pairs are signed by their
+    certificate values; a pair whose entries do not cancel violates the
+    tight-edge property of certificates and is rejected, and then a single
+    vertex with a nonzero entry.  At every vertex the two incident sign tags
+    sum to twice its certificate entry, and the all-zero certificate of a
+    stable matching puts every pair on its minus-to-plus copies and every
+    single vertex on its twin.  The realization's two edge arrays are new.
     """
     inst = mirror.inst
-    partner, alpha = _ints(mat.partner), np.asarray(alpha)
+    partner, alpha = mat.partner_array, np.asarray(alpha)
     left = np.arange(inst.n)
     agents = np.flatnonzero(partner[:inst.num_agents] != left[:inst.num_agents])
     jobs, sign = partner[agents], alpha[agents]
@@ -229,12 +229,12 @@ def realize_witnessed(
         )
     # The agent's entry picks the copies: minus takes the upper minus and
     # lower plus, plus the upper plus and lower minus, zero both minus ones.
-    k = 4 * (inst.layout.arrays[0][agents] + _ints(own)[agents])
+    k = 4 * (inst.layout.arrays[0][agents] + own[agents])
     left += 4 * inst.m
     right = left.copy()
     left[agents] = right[jobs] = k + (sign <= 0)
     left[jobs] = right[agents] = k + 2 + (sign >= 0)
-    return MirrorMatching(mirror, tuple(left.tolist()), tuple(right.tolist()))
+    return MirrorMatching(mirror, left, right)
 
 
 def project(mh: MirrorMatching, half: str) -> Matching:
@@ -244,8 +244,7 @@ def project(mh: MirrorMatching, half: str) -> Matching:
         raise ValueError(f"unknown half {half!r}")
     inst = mh.mirror.inst
     na = inst.num_agents
-    left = _ints(mh.left_edge)
-    left = left[:na] if half == "upper" else left[na:]
+    left = mh.left_edge[:na] if half == "upper" else mh.left_edge[na:]
     k = left[(left >= 0) & (left < 4 * inst.m)] >> 2
     _, agents, job_of, _, _ = inst.layout.arrays
     partner = np.arange(inst.n)
@@ -254,17 +253,16 @@ def project(mh: MirrorMatching, half: str) -> Matching:
     return Matching(tuple(partner.tolist()))
 
 
-def classify_partition(
-    mh: MirrorMatching,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-vertex signs of a perfect mirror matching: ``(upper, lower)``.
+def classify_partition(mh: MirrorMatching) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex signs of a perfect mirror matching: two int arrays
+    ``(upper, lower)``.
 
     ``upper[u]`` is the tag of u's matched edge at u's copy in the upper
     half (an agent's left copy, a job's right copy) and ``lower[u]`` the
     tag at u's other copy; both are 0 when u is twin-matched.
     """
     inst = mh.mirror.inst
-    left, right = _ints(mh.left_edge), _ints(mh.right_edge)
+    left, right = mh.left_edge, mh.right_edge
     if (left == -1).any() or (right == -1).any():
         raise ValueError("mirror matching is not perfect")
     na, twins = inst.num_agents, 4 * inst.m
@@ -273,7 +271,7 @@ def classify_partition(
     at_right = np.where(right >= twins, 0, 2 * (right & 1) - 1)
     upper = np.concatenate((at_left[:na], at_right[na:]))
     lower = np.concatenate((at_right[:na], at_left[na:]))
-    return tuple(upper.tolist()), tuple(lower.tolist())
+    return upper, lower
 
 
 def mirror_blocking_edges(mh: MirrorMatching) -> tuple[int, ...]:
@@ -286,9 +284,10 @@ def mirror_blocking_edges(mh: MirrorMatching) -> tuple[int, ...]:
     inst = mh.mirror.inst
     _, agents, job_of, agent_rank, job_rank = inst.layout.arrays
     jobs = inst.num_agents + job_of
-    deg = _partner_ranks(inst, np.arange(inst.n))  # no one matched: degrees
-    left_at = _positions(inst, _ints(mh.left_edge), deg, True)
-    right_at = _positions(inst, _ints(mh.right_edge), deg, False)
+    # A left copy of degree d lists 2d + 1 edges.
+    deg = np.diff(np.asarray(mh.mirror.list_starts)) >> 1
+    left_at = _positions(inst, mh.left_edge, deg, True)
+    right_at = _positions(inst, mh.right_edge, deg, False)
     found = [4 * inst.m + np.flatnonzero((2 * deg < left_at) & (deg < right_at))]
     # (left end, right end, their ranks) of copies 4k + t, upper then lower.
     upper = (agents, jobs, agent_rank, job_rank)

@@ -73,12 +73,12 @@ def check_witness(inst: Instance, mat: Matching, alpha, vertices=None) -> bool:
     :func:`verify_popular`; each equals :func:`edge_weight`.
     """
     n = inst.n
-    partner = _ints(mat.partner)
+    partner = mat.partner_array
     if vertices is None:
         in_scope = np.ones(n, bool)
     else:
         in_scope = np.zeros(n, bool)
-        in_scope[_ints(vertices)] = True
+        in_scope[np.asarray(vertices, np.intp)] = True
     if (in_scope & ~in_scope[partner]).any():
         raise ValueError("matching leaves the induced subgraph")
     alpha = np.asarray(alpha)
@@ -92,7 +92,7 @@ def check_witness(inst: Instance, mat: Matching, alpha, vertices=None) -> bool:
     # A self-loop weighs -1 unless its vertex is alone, then 0.
     if ((partner == np.arange(n)) & (alpha < 0)).any():
         return False
-    agents, jobs, votes = _edge_votes(inst, _partner_ranks(inst, partner))
+    agents, jobs, votes = _edge_votes(inst, mat.partner_ranks(inst))
     inside = in_scope[agents] & in_scope[jobs]
     return not (inside & (alpha[agents] + alpha[jobs] < votes)).any()
 
@@ -101,34 +101,13 @@ def _edge_votes(inst: Instance, own):
     """Per edge: its agent's and its job's vertex ids, and their joint vote.
 
     The vote is each endpoint's +1, 0 or -1 for the other against its
-    partner, whose rank is in ``own``; it equals :func:`edge_weight`.
+    partner, whose rank is in the array ``own``; it equals
+    :func:`edge_weight`.
     """
     _, agent_of, job_of, agent_rank, job_rank = inst.layout.arrays
     jobs = inst.num_agents + job_of
-    own = _ints(own)
     votes = np.sign(own[agent_of] - agent_rank) + np.sign(own[jobs] - job_rank)
     return agent_of, jobs, votes
-
-
-def _ints(values) -> np.ndarray:
-    """``values`` as an int array: an array as it is, anything else copied."""
-    if isinstance(values, np.ndarray):
-        return values
-    return np.fromiter(values, np.intp)
-
-
-def _partner_ranks(inst: Instance, partner) -> np.ndarray:
-    """:meth:`Matching.partner_ranks` of a partner array, in one layout pass:
-    edge k is matched when its job is its agent's partner."""
-    starts, agent_of, job_of, agent_rank, job_rank = inst.layout.arrays
-    jobs = inst.num_agents + job_of
-    own = np.concatenate(
-        (np.diff(starts), np.bincount(job_of, minlength=inst.num_jobs))
-    )
-    k = np.flatnonzero(_ints(partner)[agent_of] == jobs)
-    own[agent_of[k]] = agent_rank[k]
-    own[jobs[k]] = job_rank[k]
-    return own
 
 
 def check_a_popular(inst: Instance, posts: Posts, mat: Matching) -> bool:
@@ -138,8 +117,10 @@ def check_a_popular(inst: Instance, posts: Posts, mat: Matching) -> bool:
     agent (an agent may sit on its own self-loop only when its fallback is
     itself), and give every top-choice job to an agent that ranks it first.
     """
-    agents = np.arange(inst.num_agents)
-    partner, f, s = _ints(mat.partner), _ints(posts.f), _ints(posts.s)
+    na = inst.num_agents
+    agents = np.arange(na)
+    partner = mat.partner_array
+    f, s = (np.fromiter(x, np.intp, na) for x in (posts.f, posts.s))
     p = partner[agents]
     alone = p == agents
     if (alone & (s != agents)).any() or (~alone & (p != f) & (p != s)).any():
@@ -211,9 +192,8 @@ def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:
     loop weights.
     """
     p, q = inst.num_agents, inst.num_jobs
-    partner = _ints(mat.partner)
-    matched = partner != np.arange(inst.n)
-    own = _partner_ranks(inst, partner)
+    matched = mat.partner_array != np.arange(inst.n)
+    own = mat.partner_ranks(inst)
     const = -int(matched.sum())  # every matched vertex's loop weighs -1
 
     # Folded weights are >= 0: a vertex's vote for a neighbor against its

@@ -54,8 +54,7 @@ from .legality import EdgeClassification, legal_edge_set
 from .mirror import MirrorGraph, MirrorMatching, build_mirror, mirror_system
 from .mirror import classify_partition, mirror_blocking_edges, project
 from .mirror import realize_witnessed
-from .popularity import _ints, _partner_ranks, a_popular_obstruction
-from .popularity import check_a_popular, check_witness
+from .popularity import a_popular_obstruction, check_a_popular, check_witness
 
 
 class SolverDefect(AssertionError):
@@ -84,8 +83,8 @@ class SolverState:
     # Populated when the solve finishes successfully.
     matching: Matching | None = None
     lower: Matching | None = None
-    # Per-vertex (upper, lower) signs; see classify_partition.
-    signs: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    # Per-vertex (upper, lower) sign arrays; see classify_partition.
+    signs: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -152,17 +151,18 @@ def _mark_components(state: SolverState, left, right) -> tuple[TraceRow, ...]:
     return tuple(trace)
 
 
-def extract_witness(state: SolverState) -> tuple[int, ...]:
-    """Popularity certificate of the returned matching from the final signs.
+def extract_witness(state: SolverState) -> np.ndarray:
+    """Popularity certificate of the returned matching from the final signs,
+    as an int array.
 
     Marked vertices and twin-matched vertices get zero; everything else
     takes the sign of its upper-half tag.  The result must validate; a
     failure here would mean the solver itself is broken.
     """
-    witness = np.where(state.marks, 0, _ints(state.signs[0]))
+    witness = np.where(state.marks, 0, state.signs[0])
     if not check_witness(state.inst, state.matching, witness):
         raise SolverDefect("final signs produced an invalid certificate")
-    return tuple(witness.tolist())
+    return witness
 
 
 def solve(inst: Instance, validate: bool = False) -> SolveReport:
@@ -188,7 +188,7 @@ def solve(inst: Instance, validate: bool = False) -> SolveReport:
     # The rest reads the matching as two arrays; a structural failure in it
     # is the solver's, not the input's.
     mh = MirrorMatching(
-        mirror, _ints(system.left_match), _ints(system.right_match)
+        mirror, np.array(system.left_match), np.array(system.right_match)
     )
     trace = _mark_components(state, mh.left_edge, mh.right_edge)
     state.matching = project(mh, "upper")
@@ -199,12 +199,11 @@ def solve(inst: Instance, validate: bool = False) -> SolveReport:
         raise SolverDefect(str(exc)) from exc
     witness = extract_witness(state)
     if validate:
-        own = _partner_ranks(inst, state.matching.partner)
-        _validate(state, witness, posts, own)
+        _validate(state, witness, posts, state.matching.partner_ranks(inst))
     return SolveReport(
         outcome="found",
         matching=state.matching,
-        witness=witness,
+        witness=tuple(witness.tolist()),
         size=state.matching.size(inst),
         iterations=len(trace),
         trace=trace,
@@ -228,12 +227,11 @@ def _none_report(vertex: int, state: SolverState | None) -> SolveReport:
     )
 
 
-def _validate(
-    state: SolverState, witness: tuple[int, ...], posts: Posts, own_m
-) -> None:
+def _validate(state: SolverState, witness, posts: Posts, own_m) -> None:
     """Re-check every structural guarantee of a successful solve.
 
-    ``own_m`` holds the upper projection's partner ranks.  Signs and
+    ``witness`` is the certificate array of :func:`extract_witness` and
+    ``own_m`` the upper projection's partner rank array.  Signs and
     projections first, then the certificate's realization; a failure
     raises :class:`SolverDefect`.
     """
@@ -244,10 +242,6 @@ def _validate(
         )
     except ValueError as exc:
         raise SolverDefect(str(exc)) from exc
-    # The checks read arrays; dropping the tuples keeps them off the peak.
-    realization = MirrorMatching(
-        state.mirror, *map(_ints, (realization.left_edge, realization.right_edge))
-    )
     if mirror_blocking_edges(realization):
         raise SolverDefect(
             "realization of the result is unstable in the mirror graph"
@@ -266,11 +260,10 @@ def _validate_signs(state: SolverState, posts: Posts, own_m) -> None:
     """
     inst = state.inst
     n, na = inst.n, inst.num_agents
-    upper, lower = map(_ints, state.signs)
-    marks = np.asarray(state.marks, bool)
+    (upper, lower), marks = state.signs, state.marks
     mat, low = state.matching, state.lower
-    partner_m, partner_l = _ints(mat.partner), _ints(low.partner)
-    own_m, own_l = _ints(own_m), _partner_ranks(inst, partner_l)
+    partner_m, partner_l = mat.partner_array, low.partner_array
+    own_l = low.partner_ranks(inst)
 
     def ensure(cond, message: str) -> None:
         if not cond:

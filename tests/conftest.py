@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from heapq import heappop, heappush
 from itertools import chain
+from operator import sub
 
 import numpy as np
 import pytest
@@ -510,15 +511,30 @@ def layout_reference(inst) -> EdgeLayout:
     job_starts = [0]
     for row in incoming:
         job_starts.append(job_starts[-1] + len(row))
+    flat = (starts, agent_of, job_of, agent_rank, job_rank)
     return EdgeLayout(
-        tuple(starts),
-        tuple(agent_of),
-        tuple(job_of),
-        tuple(agent_rank),
-        tuple(job_rank),
+        *map(tuple, flat),
         tuple(job_starts),
         tuple(chain.from_iterable(incoming)),
+        tuple(np.array(x, np.intp) for x in flat),
     )
+
+
+def partner_ranks_reference(inst, mat: Matching) -> list[int]:
+    """``Matching.partner_ranks`` as a list: each matched agent's edge found
+    by a search of its edge range."""
+    lay, na, partner = inst.layout, inst.num_agents, mat.partner
+    starts, job_of, job_rank = lay.starts, lay.job_of, lay.job_rank
+    js = lay.job_starts
+    own = [*map(sub, starts[1:], starts), *map(sub, js[1:], js)]
+    for a in range(na):
+        b = partner[a]
+        if b != a:
+            s = starts[a]
+            k = job_of.index(b - na, s, starts[a + 1])
+            own[a] = k - s
+            own[b] = job_rank[k]
+    return own
 
 
 def incoming_of(layout: EdgeLayout) -> tuple[tuple[int, ...], ...]:
@@ -681,7 +697,7 @@ def verify_reference(inst: Instance, mat: Matching):
     partner, lay = mat.partner, inst.layout
     starts, job_of, job_rank = lay.starts, lay.job_of, lay.job_rank
     loop_wt = [0 if partner[u] == u else -1 for u in range(inst.n)]
-    own = mat.partner_ranks(inst)
+    own = partner_ranks_reference(inst, mat)
     const = sum(loop_wt)
 
     own_job, loop_job = own[p:], loop_wt[p:]  # job c is vertex p + c
@@ -905,7 +921,12 @@ def realize_reference(mirror, mat: Matching, own, alpha) -> MirrorMatching:
                     "certificate entry"
                 )
             left[u] = right[u] = mirror.twin(u)
-    return MirrorMatching(mirror, tuple(left), tuple(right))
+    return MirrorMatching(mirror, np.array(left), np.array(right))
+
+
+def mirror_edges(mh) -> tuple[list[int], list[int]]:
+    """A mirror matching's two per-copy edge arrays as lists, for equality."""
+    return mh.left_edge.tolist(), mh.right_edge.tolist()
 
 
 def prefix_blocking_reference(mh) -> tuple[int, ...]:
@@ -990,7 +1011,7 @@ def validate_reference(state, witness, posts, own_m) -> None:
         )
 
     lay = inst.layout
-    own_l = low.partner_ranks(inst)
+    own_l = partner_ranks_reference(inst, low)
     restricted = [marked or s == 0 for marked, s in zip(state.marks, upper)]
     for a in range(na):
         if not restricted[a]:
@@ -1118,7 +1139,7 @@ def iterated_forbid_reference(inst) -> dict:
         for u in component:
             marks[u] = True
     mh = MirrorMatching(
-        mirror, tuple(system.left_match), tuple(system.right_match)
+        mirror, np.array(system.left_match), np.array(system.right_match)
     )
     matching = project_reference(mh, "upper")
     upper, _ = partition_reference(mh)

@@ -281,9 +281,9 @@ def _witness_changed(change):
     extract = solver.extract_witness
 
     def changed(state):
-        witness = list(extract(state))
+        witness = extract(state).copy()
         change(state, witness)
-        return tuple(witness)
+        return witness
 
     return changed
 

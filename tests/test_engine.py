@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from popmatch import Matching, generate, legal_edge_set, parse_instance
@@ -245,7 +246,7 @@ class TestResume:
                 continue
             hits += 1
             mh = MirrorMatching(
-                mirror, tuple(system.left_match), tuple(system.right_match)
+                mirror, np.array(system.left_match), np.array(system.right_match)
             )
             assert mirror_blocking_edges(mh) == (), seed
             assert not any(

@@ -6,6 +6,7 @@ import re
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -319,6 +320,19 @@ class TestLayout:
             assert incoming_of(got) == incoming_of(want)
             assert inst.m == len(want.agent_of)
 
+    def test_held_arrays_equal_their_tuples(self, showcase):
+        # Equality leaves ``arrays`` out, so the test above cannot see them.
+        # Each is a read-only int array that owns its data, so none keeps a
+        # parse buffer alive.
+        names = ("starts", "agent_of", "job_of", "agent_rank", "job_rank")
+        for inst in layout_cases(showcase):
+            lay = inst.layout
+            assert len(lay.arrays) == len(names)
+            for name, array in zip(names, lay.arrays):
+                assert array.dtype == np.intp and array.base is None, name
+                assert not array.flags.writeable, name
+                assert tuple(array.tolist()) == getattr(lay, name), name
+
     def test_derived_tables_equal_constructions(self, showcase):
         for inst in layout_cases(showcase):
             assert inst.rank_tbl == tuple(
@@ -370,7 +384,6 @@ class TestDerivedViews:
         for text in view_texts():
             inst = parse_instance(text)
             assert "pref" not in vars(inst), text
-            assert "arrays" not in vars(inst.layout), text
             pref, incoming = eager_views(text)
             assert incoming_of(inst.layout) == incoming, text
             assert inst.pref == pref, text

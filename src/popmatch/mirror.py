@@ -63,14 +63,11 @@ class MirrorGraph:
     def num_edges(self) -> int:
         return len(self.edge_left)
 
-    def twin(self, u: int) -> int:
-        return 4 * self.inst.m + u
-
     def is_twin(self, e: int) -> bool:
         return e >= 4 * self.inst.m
 
     def left_tag(self, e: int) -> int:
-        return 1 if e < 4 * self.inst.m and not e & 1 else -1
+        return -1 if self.is_twin(e) or e & 1 else 1
 
     def right_tag(self, e: int) -> int:
         return -self.left_tag(e)

@@ -4,8 +4,8 @@ Enumerates every matching, runs all pairwise elections, and reports the
 exact sets of popular, agent-side-popular, and fully popular matchings along
 with the popular edge union.  Everything downstream is validated against
 these definitions, so this module deliberately trades speed for
-transparency: no pruning beyond a vertex cap, and no structural shortcuts
-except where explicitly cross-checked.
+transparency: no pruning beyond a vertex cap and a matching cap, and no
+structural shortcuts except where explicitly cross-checked.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ from .popularity import edge_weight
 
 DEFAULT_VERTEX_CAP = 16
 _CAP_ENV = "POPMATCH_ORACLE_CAP"
+# The elections take time quadratic in the number of matchings: about 2 s
+# of CPU at 4,051 matchings (5x6 complete), 8 s at 8,852 (the largest that
+# a test enumerates, in perfbench) and 20 s at 13,327 (6x6 complete).
+MATCHING_CAP = 10_000
 
 
 class OracleCapError(ValueError):
@@ -46,12 +50,48 @@ class OracleReport:
     popular_loops: frozenset[int]
 
 
+def _matching_count(inst: Instance, stop: int) -> int:
+    """The number of matchings, or a number above ``stop`` once the count
+    passes it.
+
+    A bitmask program over the smaller side: the vertices of the larger
+    side join one at a time, and each set of smaller-side vertices in use
+    keeps the number of partial matchings that use exactly that set.  A
+    partial matching is a matching too, so the running total never exceeds
+    the count, and the program stops as soon as it passes ``stop``.
+    """
+    rows, cols = inst.agent_ids(), inst.job_ids()
+    if len(rows) < len(cols):
+        rows, cols = cols, rows
+    bit = {v: 1 << i for i, v in enumerate(cols)}
+    ways = {0: 1}
+    for u in rows:
+        grown = dict(ways)  # u alone
+        for used, count in ways.items():
+            for v in inst.pref[u]:
+                if not used & bit[v]:
+                    grown[used | bit[v]] = grown.get(used | bit[v], 0) + count
+        ways = grown
+        if sum(ways.values()) > stop:
+            break
+    return sum(ways.values())
+
+
 def enumerate_matchings(inst: Instance, cap: int | None = None):
-    """Yield every matching of the instance exactly once, the empty one included."""
+    """Yield every matching of the instance exactly once, the empty one included.
+
+    Refuses, before yielding anything, an instance above the vertex cap or
+    with more than ``MATCHING_CAP`` matchings.
+    """
     limit = cap if cap is not None else vertex_cap()
     if inst.n > limit:
         raise OracleCapError(
             f"instance has {inst.n} vertices, enumeration cap is {limit}"
+        )
+    if _matching_count(inst, MATCHING_CAP) > MATCHING_CAP:
+        raise OracleCapError(
+            f"instance has more than {MATCHING_CAP} matchings, "
+            "too many to enumerate"
         )
     partner = list(range(inst.n))
 

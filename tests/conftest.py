@@ -920,8 +920,13 @@ def realize_reference(mirror, mat: Matching, own, alpha) -> MirrorMatching:
                     f"self-matched vertex {inst.names[u]} has a nonzero "
                     "certificate entry"
                 )
-            left[u] = right[u] = mirror.twin(u)
+            left[u] = right[u] = twin(mirror, u)
     return MirrorMatching(mirror, np.array(left), np.array(right))
+
+
+def twin(mirror, u: int) -> int:
+    """The id of u's twin edge in the mirror graph."""
+    return 4 * mirror.inst.m + u
 
 
 def mirror_edges(mh) -> tuple[list[int], list[int]]:

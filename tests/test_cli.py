@@ -218,6 +218,16 @@ def test_oracle_over_cap_exit_one(files, capsys, monkeypatch):
     )
 
 
+def test_oracle_over_matching_cap_exit_one(files, capsys):
+    path = files("complete.txt", generate(8, 8, 1.0, seed=0))
+    assert main(["oracle", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: instance has more than 10000 matchings, too many to enumerate\n"
+    )
+
+
 def test_oracle_cross_check_lists_diff(files, capsys, monkeypatch):
     real_solve = cli.solve
 

@@ -48,6 +48,7 @@ from conftest import (
     showcase_full,
     size_gap_max,
     stable_matching,
+    twin,
     uses_forbidden_reference,
 )
 
@@ -116,10 +117,10 @@ class TestBuild:
     def test_stable_vertex_twins_forbidden(self, size_gap):
         mirror = make_mirror(size_gap)
         a0, a1, b0, b1 = ids(size_gap, "a0", "a1", "b0", "b1")
-        assert mirror.is_forbidden(mirror.twin(a1))
-        assert mirror.is_forbidden(mirror.twin(b1))
-        assert not mirror.is_forbidden(mirror.twin(a0))
-        assert not mirror.is_forbidden(mirror.twin(b0))
+        assert mirror.is_forbidden(twin(mirror, a1))
+        assert mirror.is_forbidden(twin(mirror, b1))
+        assert not mirror.is_forbidden(twin(mirror, a0))
+        assert not mirror.is_forbidden(twin(mirror, b0))
 
     def test_invalid_edge_copies_all_forbidden(self, identical_prefs):
         # b3 is neither a top choice nor any agent's fallback, so every
@@ -297,7 +298,7 @@ class TestRealize:
             left[b] = right[a] = 4 * k + 3
         for u in range(size_gap.n):
             if stable.is_self(u):
-                left[u] = right[u] = mirror.twin(u)
+                left[u] = right[u] = twin(mirror, u)
         assert mirror_edges(realize(mirror, stable)) == (left, right)
 
     def test_size_gap_max_realization_stable(self, size_gap):
@@ -415,8 +416,8 @@ class TestPartition:
             assert len(upper) == len(lower) == inst.n
             for u in range(inst.n):
                 assert upper[u] in (-1, 0, 1) and lower[u] in (-1, 0, 1)
-                twin = mh.mirror.is_twin(mh.left_edge[u])
-                assert (upper[u] == 0) == (lower[u] == 0) == twin
+                on_twin = mh.mirror.is_twin(mh.left_edge[u])
+                assert (upper[u] == 0) == (lower[u] == 0) == on_twin
 
     def test_final_solver_partition_containments(self, showcase):
         from popmatch import solve
@@ -545,7 +546,7 @@ class TestListReference:
                 left, right = list(mh.left_edge), list(mh.right_edge)
                 for u in range(inst.n):
                     if left[u] == right[u] == -1:
-                        left[u] = right[u] = mirror.twin(u)
+                        left[u] = right[u] = twin(mirror, u)
                 filled = MirrorMatching(mirror, np.array(left), np.array(right))
                 perfect += -1 not in left and -1 not in right
                 blocked += self.assert_same(filled)

@@ -2,10 +2,12 @@
 
 import pytest
 
-from popmatch import Matching, check_witness, parse_instance
+from popmatch import Matching, check_witness, generate, parse_instance
+from popmatch import oracle
 from popmatch.legality import legal_edge_set
 from popmatch.mirror import build_mirror, mirror_system
 from popmatch.oracle import (
+    MATCHING_CAP,
     OracleCapError,
     enumerate_matchings,
     ground_truth,
@@ -26,6 +28,23 @@ from conftest import (
 
 
 class TestEnumeration:
+    def test_count_equals_enumeration(self):
+        for seed in range(150):
+            inst = random_instance(seed, max_side=5)
+            count = sum(1 for _ in enumerate_matchings(inst))
+            assert oracle._matching_count(inst, count) == count, seed
+
+    def test_matching_cap_refuses_before_enumerating(self):
+        # 8x8 complete: inside the vertex cap, with 1,441,729 matchings.
+        inst = parse_instance(generate(8, 8, 1.0, seed=0))
+        assert oracle._matching_count(inst, MATCHING_CAP) > MATCHING_CAP
+        with pytest.raises(OracleCapError, match="more than 10000 matchings"):
+            ground_truth(inst)
+
+    def test_matching_cap_admits_complete_5x6(self):
+        inst = parse_instance(generate(5, 6, 1.0, seed=0))
+        assert sum(1 for _ in enumerate_matchings(inst)) == 4051
+
     def test_size_gap_has_five(self, size_gap):
         assert sum(1 for _ in enumerate_matchings(size_gap)) == 5
 

@@ -1,11 +1,13 @@
-"""Every executable line of the solver and the engine is reached or ledgered.
+"""Every executable line of the solver, the mirror graph and the engine is
+reached or ledgered.
 
-A fixed solve sweep runs under a ``sys.settrace`` line tracer.  A line it
-does not reach must be in ``LEDGER``, which names the test that reaches it
-on purpose: an injected defect that the line raises, or a caller error that
-it rejects.  A ledger entry that the sweep does reach, or that names no
-test, fails too, so the ledger lists exactly the lines that a plain solve
-cannot reach.
+A fixed solve sweep, and the mirror dump of ``popmatch edges
+--dump-mirror`` on one input, run under a ``sys.settrace`` line tracer.  A
+line they do not reach must be in ``LEDGER``, which names the test that
+reaches it on purpose: an injected defect that the line raises, or a caller
+error that it rejects.  A ledger entry that the sweep does reach, or that
+names no test, fails too, so the ledger lists exactly the lines that a
+plain solve cannot reach.
 """
 
 import inspect
@@ -14,8 +16,10 @@ import sys
 from pathlib import Path
 
 import popmatch.engine
+import popmatch.mirror
 import popmatch.solver
-from popmatch import generate, parse_instance, solve
+from popmatch import generate, legal_edge_set, parse_instance, solve
+from popmatch.mirror import build_mirror, format_mirror
 
 from conftest import (
     IDENTICAL_PREFS_TEXT,
@@ -27,16 +31,31 @@ from conftest import (
     ring_text,
 )
 
-MODULES = (popmatch.engine, popmatch.solver)
+MODULES = (popmatch.engine, popmatch.mirror, popmatch.solver)
 
 PINNED = "test_solver.py::TestValidation::test_every_defect_message_is_pinned"
 REALIZE = "test_cli.py::test_structural_failures_are_not_input_errors"
+NON_CANCELLING = "test_mirror.py::TestRealize::test_non_cancelling_pair_rejected"
 
 # (module, function, source line) -> the test that reaches the line.
 LEDGER = {
     ("engine", "build_system",
      'raise ValueError(f"unknown proposer side {proposers!r}")'):
         "test_engine.py::TestProposeDispose::test_unknown_proposer_side",
+    ("mirror", "realize_witnessed",
+     "a, b = inst.names[agents[bad[0]]], inst.names[jobs[bad[0]]]"):
+        NON_CANCELLING,
+    ("mirror", "realize_witnessed", "raise ValueError("): REALIZE,
+    ("mirror", "realize_witnessed",
+     'f"matched pair ({a}, {b}) has non-cancelling certificate entries"'):
+        NON_CANCELLING,
+    ("mirror", "realize_witnessed",
+     'f"self-matched vertex {inst.names[bad[0]]} has a nonzero "'): REALIZE,
+    ("mirror", "project", 'raise ValueError(f"unknown half {half!r}")'):
+        "test_mirror.py::TestProject::test_unknown_half_rejected",
+    ("mirror", "classify_partition",
+     'raise ValueError("mirror matching is not perfect")'):
+        "test_mirror.py::TestPartition::test_not_perfect_rejected",
     ("solver", "_mark_components",
      'raise SolverDefect("a marked component holds a plus-tagged edge")'):
         "test_solver.py::TestValidation::test_marked_plus_edge_is_a_defect",
@@ -103,7 +122,8 @@ def executable_lines(module) -> dict[int, str]:
 
 
 def reached_lines(texts) -> set[tuple[str, int]]:
-    """``(file, line)`` of every line the solves run in the two modules."""
+    """``(file, line)`` of every line the solves and the dump run in
+    ``MODULES``."""
     files = {module.__file__ for module in MODULES}
     reached = set()
 
@@ -119,6 +139,9 @@ def reached_lines(texts) -> set[tuple[str, int]]:
     try:
         for text in texts:
             solve(parse_instance(text), validate=True)
+        # The ``edges --dump-mirror`` path, on the first text.
+        inst = parse_instance(texts[0])
+        format_mirror(build_mirror(inst, legal_edge_set(inst)))
     finally:
         sys.settrace(previous)
     return reached

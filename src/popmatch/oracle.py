@@ -70,7 +70,8 @@ def _matching_count(inst: Instance, stop: int) -> int:
         for used, count in ways.items():
             for v in inst.pref[u]:
                 if not used & bit[v]:
-                    grown[used | bit[v]] = grown.get(used | bit[v], 0) + count
+                    key = used | bit[v]
+                    grown[key] = grown.get(key, 0) + count
         ways = grown
         if sum(ways.values()) > stop:
             break

@@ -64,8 +64,9 @@ def check_witness(inst: Instance, mat: Matching, alpha, vertices=None) -> bool:
 
     Requires ``inst.n`` entries in {0, +-1} summing to zero, every edge
     covered (``alpha_a + alpha_b >= wt``), and every vertex covering its
-    own self-loop weight.  ``vertices`` restricts the check to an induced
-    subgraph; the matching must not pair a vertex in scope with one outside.
+    own self-loop weight.  ``vertices``, a sequence or array of vertex ids,
+    restricts the check to an induced subgraph; the matching must not pair
+    a vertex in scope with one outside.
     One pass of whole-array tests, arrays read as they are: the scope
     (raising first if a pair straddles it), the length and entries, their
     sum, the self-loops, then every edge with both ends in scope, its weight

@@ -6,13 +6,15 @@ cut at per-vertex bounds ``list_starts``, so a system holds no list object
 per vertex and a left vertex's position is an index into the flat
 sequence.  Left vertices consume their lists monotonically; right vertices
 keep a threshold rank and never accept a proposal along an edge worse than
-one they have already seen.  Edges are forbidden only through
-:meth:`ProposalSystem.forbid`, before the run.  A proposal along a
-forbidden edge is rejected, and that rejection also deletes every worse
-edge at the receiving vertex, including a currently held one.  Plain
-systems run on the instance's flat edge layout as it is, are forbidden
-nothing, and every stable edge comes from one rotation walk between the two
-extreme stable matchings.  A mirror system is forbidden the copies of its
+one they have already seen.  A system is given its forbidden edges as flags
+when it is built.  A proposal along a forbidden edge is rejected, and that
+rejection also deletes every worse edge at the receiving vertex, including
+a currently held one.  Plain systems run on the instance's flat edge layout
+as it is, are forbidden nothing, and every stable edge comes from one
+rotation walk between the two extreme stable matchings.  The derived
+systems, of the two-level instance and of the mirror graph, give each edge's
+left vertex and its position in that vertex's list, and :func:`flat_lists`
+alone lays their lists out.  A mirror system is forbidden the copies of its
 non-legal edges, and its run finds no stable matching avoiding them
 exactly when some left copy exhausts its list.  A run's work is linear in
 the summed list lengths.
@@ -22,6 +24,8 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
+
+import numpy as np
 
 from .instance import Instance
 
@@ -39,6 +43,22 @@ def int64_view(values) -> memoryview:
     return memoryview(values.astype("q", copy=False).tobytes()).cast("q")
 
 
+def flat_lists(num_left: int, left, position) -> tuple[memoryview, memoryview]:
+    """``(list_edges, list_starts)`` of a system whose edge e sits at
+    ``position[e]`` of left vertex ``left[e]``'s list.
+
+    ``left`` and ``position`` are int arrays indexed by edge id, and each
+    vertex's positions run over ``0 .. d - 1`` for its d edges, so one
+    scatter places every edge: the starts are the cumulated list lengths.
+    A left vertex with no edges gets an empty list.
+    """
+    starts = np.zeros(num_left + 1, np.intp)
+    np.cumsum(np.bincount(left, minlength=num_left), out=starts[1:])
+    edges = np.empty(len(left), np.intp)
+    edges[starts[left] + position] = np.arange(len(left))
+    return int64_view(edges), int64_view(starts)
+
+
 class ProposalSystem:
     """Ranked proposal lists on the left, threshold acceptance on the right.
 
@@ -50,8 +70,10 @@ class ProposalSystem:
     cutoff is the best rank it has seen; it never accepts an edge ranked at
     or beyond it.  With ``alone_ok`` a left vertex that runs out of its list
     stays alone; otherwise that makes the run infeasible and is recorded in
-    ``exhausted_left``.  Only systems without ``alone_ok`` are forbidden
-    anything in a solve, and a fresh system forbids nothing.
+    ``exhausted_left``.  ``forbidden`` flags the edges forbidden in the run,
+    none when not given; the system keeps the list as its ``forbidden``
+    and reads it only while it runs.  Only systems without ``alone_ok`` are
+    forbidden anything in a solve.
 
     The lists are read, never written, so callers may share them.  After a
     run, ``left_match[u]`` / ``right_match[r]`` hold the matched edge id or
@@ -68,6 +90,7 @@ class ProposalSystem:
         edge_right: Sequence[int],
         right_rank: Sequence[int],
         alone_ok: bool = False,
+        forbidden: list[bool] | None = None,
     ):
         self.num_left = len(list_starts) - 1
         self.num_right = num_right
@@ -77,7 +100,9 @@ class ProposalSystem:
         self.edge_right = edge_right
         self.right_rank = right_rank
         self.alone_ok = alone_ok
-        self.forbidden = [False] * len(edge_left)
+        if forbidden is None:
+            forbidden = [False] * len(edge_left)
+        self.forbidden = forbidden
         self.total_list_length = len(list_edges)
         self.next_i = list(list_starts[:-1])
         self.left_match = [-1] * self.num_left
@@ -151,12 +176,6 @@ class ProposalSystem:
         finally:
             self.proposals += proposals
             self.rejections += rejections
-
-    def forbid(self, edges) -> None:
-        """Mark edges forbidden; a system is forbidden edges before its run."""
-        forbidden = self.forbidden
-        for e in edges:
-            forbidden[e] = True
 
 
 def build_system(inst: Instance, proposers: str = "agents") -> ProposalSystem:

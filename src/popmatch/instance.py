@@ -183,6 +183,10 @@ class EdgeLayout:
     job_edges: tuple[int, ...]
     arrays: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
+    def degrees(self) -> np.ndarray:
+        """Every vertex's list length as an int array, agents then jobs."""
+        return np.concatenate((np.diff(self.arrays[0]), np.diff(self.job_starts)))
+
 
 def _bulk_layout(src, dst, deg, na: int) -> EdgeLayout | None:
     """The edge layout of valid lists, or ``None`` if any rule fails.

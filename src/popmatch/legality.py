@@ -25,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count
-from operator import and_, sub
+from operator import and_
 
 import numpy as np
 
-from .engine import ProposalSystem, build_system, int64_view, rotation_walk
+from .engine import ProposalSystem, build_system, flat_lists, int64_view
+from .engine import rotation_walk
 from .instance import Instance, Posts, compute_posts
 
 EdgeKey = tuple[int, int]
@@ -107,77 +108,47 @@ def _valid_flags(inst: Instance, posts: Posts) -> list[bool]:
 def two_level_systems(inst: Instance) -> tuple[ProposalSystem, ProposalSystem]:
     """Plain systems of the two-level instance, on virtual edge ids.
 
-    Agent a has a high copy (left vertex a) and a low copy (left vertex
-    num_agents + a); jobs keep their index j, and a's private last-resort
-    job is index num_jobs + a.  High edge k joins the high copy of the
-    agent of the instance's edge k (see ``EdgeLayout``) to that edge's
-    job, and low edge m + k joins its low copy; edges 2m + a and
-    2m + num_agents + a join a's high and low copy to its last resort.
-    The high copy ranks its last resort first and a's jobs after; the low
-    copy ranks a's jobs first and the last resort last.  A job ranks all
-    high edges above all low edges, keeping its own order inside each
-    level, and a last resort prefers the low copy.  In any stable matching
-    exactly one copy of a holds a genuine job or a is effectively alone, so
-    projecting genuine edges back recovers a dominant matching.
+    Agent a has a high copy (vertex a) and a low copy (vertex num_agents +
+    a); jobs keep their index j, and a's private last-resort job is index
+    num_jobs + a.  High edge k joins the high copy of the agent of the
+    instance's edge k (see ``EdgeLayout``) to that edge's job, and low edge
+    m + k joins its low copy; edges 2m + a and 2m + num_agents + a join a's
+    high and low copy to its last resort.  The high copy ranks its last
+    resort first and a's jobs after; the low copy ranks a's jobs first and
+    the last resort last.  A job ranks all high edges above all low edges,
+    keeping its own order inside each level, and a last resort prefers the
+    low copy.  In any stable matching exactly one copy of a holds a genuine
+    job or a is effectively alone, so projecting genuine edges back recovers
+    a dominant matching.
 
-    Every list and rank is arithmetic on the instance's edge layout:
-    nothing is looked up by name or rank dict.  Each system's lists are one
-    flat int array with bounds, scattered in a few numpy passes, not a list
-    object per vertex.  Returns the agent-proposing system and the
+    The instance is given per edge, as four int arrays of arithmetic on the
+    layout's arrays: each edge's agent copy and its job or last resort, and
+    its rank in the lists of both.  The two systems read the same arrays
+    with the sides' roles swapped, and :func:`~popmatch.engine.flat_lists`
+    lays out their lists.  Returns the agent-proposing system and the
     job-proposing one.
     """
-    lay = inst.layout
-    na, nj, m = inst.num_agents, inst.num_jobs, inst.m
-    starts, job_starts, rest = lay.starts, lay.job_starts, 2 * m
-    # The flat lists are scattered by index arithmetic on the layout.  A
-    # high list is a's last resort, then a's edges, and a low list a's low
-    # edges, then its last resort: each is a's edge range with one entry
-    # inserted, so a's lists start a places after a's range does.
-    edges, agents = np.arange(m), np.arange(na)
-    runs = np.array(starts, np.intp)
-    firsts = runs[:-1] + agents
-    agent_lists = np.concatenate((
-        np.insert(edges, runs[:-1], rest + agents),
-        np.insert(m + edges, runs[1:], rest + na + agents),
-    ))
-    agent_starts = np.concatenate((firsts, m + na + firsts, [2 * (m + na)]))
-    # Job j's list is its high edges, then its low edges: twice its run of
-    # job_edges, from twice the run's start.  Each last resort's list is the
-    # low copy of its agent, then the high copy.
-    runs = np.array(job_starts, np.intp)
-    job_of = np.array(lay.job_of, np.intp)
-    at = 2 * runs[job_of] + np.array(lay.job_rank, np.intp)
-    job_lists = np.empty(2 * (m + na), np.intp)
-    job_lists[at] = edges
-    job_lists[at + np.diff(runs)[job_of]] = m + edges
-    job_lists[rest::2] = rest + na + agents
-    job_lists[rest + 1::2] = rest + agents
-    job_list_starts = np.concatenate((2 * runs, rest + 2 * agents + 2))
+    na, nj = inst.num_agents, inst.num_jobs
+    _, agent_of, job_of, agent_rank, job_rank = inst.layout.arrays
+    degree, copies = inst.layout.degrees(), np.arange(2 * na)
+    rest = np.zeros(na, np.intp)
+    owner = np.concatenate((agent_of, na + agent_of, copies))
+    post = np.concatenate((job_of, job_of, nj + copies % na))
+    owner_rank = np.concatenate((agent_rank + 1, agent_rank, rest, degree[:na]))
+    post_rank = np.concatenate(
+        (job_rank, degree[na + job_of] + job_rank, rest + 1, rest)
+    )
 
-    owner = [*lay.agent_of, *[na + a for a in lay.agent_of], *range(2 * na)]
-    post = [*lay.job_of, *lay.job_of, *range(nj, nj + na), *range(nj, nj + na)]
-    degree = [*map(sub, job_starts[1:], job_starts)]
-    job_rank = [
-        *lay.job_rank,
-        *[degree[j] + r for j, r in zip(lay.job_of, lay.job_rank)],
-        *[1] * na,
-        *[0] * na,
-    ]
-    agent_rank = [
-        *[r + 1 for r in lay.agent_rank],
-        *lay.agent_rank,
-        *[0] * na,
-        *map(sub, starts[1:], starts),
-    ]
+    def system(left, right, left_rank, right_rank, num_left, num_right):
+        return ProposalSystem(
+            num_right, *flat_lists(num_left, left, left_rank),
+            int64_view(left), int64_view(right), int64_view(right_rank),
+            alone_ok=True,
+        )
+
     return (
-        ProposalSystem(
-            nj + na, int64_view(agent_lists), int64_view(agent_starts),
-            owner, post, job_rank, alone_ok=True,
-        ),
-        ProposalSystem(
-            2 * na, int64_view(job_lists), int64_view(job_list_starts),
-            post, owner, agent_rank, alone_ok=True,
-        ),
+        system(owner, post, owner_rank, post_rank, 2 * na, nj + na),
+        system(post, owner, post_rank, owner_rank, nj + na, 2 * na),
     )
 
 

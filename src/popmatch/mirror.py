@@ -20,11 +20,10 @@ projection, sign and position arithmetic on the layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import sub
 
 import numpy as np
 
-from .engine import ProposalSystem, int64_view
+from .engine import ProposalSystem, flat_lists, int64_view
 from .instance import Instance, Matching
 from .legality import EdgeClassification
 
@@ -43,20 +42,20 @@ class MirrorGraph:
     classification's ``legal_flags`` (shared, not copied) do not mark its
     genuine edge, or for a twin its vertex's self-loop, as legal.
 
-    ``rrank`` gives each edge's position in its right endpoint's preference
-    order.  The left copies' ranked lists are stored flat, as the engine
-    reads them: u's list is ``list_edges[list_starts[u]:list_starts[u + 1]]``,
-    best first.  Both are read-only views of packed ints, left out of
-    equality and hashing (they follow from ``inst`` like every other
-    field).
+    ``edge_left`` and ``edge_right`` give each edge's left and right copy,
+    and ``rrank`` its position in its right copy's preference order.  The
+    left copies' ranked lists are stored flat, as the engine reads them:
+    u's list is ``list_edges[list_starts[u]:list_starts[u + 1]]``, best
+    first.  All five are read-only views of packed ints, left out of
+    equality and hashing (they follow from ``inst``).
     """
 
     inst: Instance
-    edge_left: tuple[int, ...]
-    edge_right: tuple[int, ...]
+    edge_left: memoryview = field(compare=False)
+    edge_right: memoryview = field(compare=False)
     list_edges: memoryview = field(compare=False)
     list_starts: memoryview = field(compare=False)
-    rrank: tuple[int, ...]
+    rrank: memoryview = field(compare=False)
     legal_flags: tuple[bool, ...]
 
     @property
@@ -106,71 +105,35 @@ class MirrorMatching:
 
 
 def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGraph:
-    """Construct the mirror graph of an instance and its classification."""
-    m, n, na = inst.m, inst.n, inst.num_agents
-    lay = inst.layout
-    starts, job_starts = lay.starts, lay.job_starts
-    agent_of, job_of = lay.agent_of, [na + j for j in lay.job_of]
-    # Upper copies (4k, 4k + 1) join a's left copy to b's right copy, lower
-    # copies (4k + 2, 4k + 3) b's left copy to a's right copy; the first of
-    # each pair carries the plus tag at its left end.
-    edge_left = [0] * (4 * m) + list(range(n))
-    edge_right = [0] * (4 * m) + list(range(n))
-    for t in (0, 1):
-        edge_left[t:4 * m:4] = edge_right[t + 2:4 * m:4] = agent_of
-        edge_left[t + 2:4 * m:4] = edge_right[t:4 * m:4] = job_of
+    """Construct the mirror graph of an instance and its classification.
 
+    The graph is given per edge, as four int arrays filled one copy class
+    ``4k + t`` at a time and then the twins: each edge's left and right
+    copy, its position in its left copy's list and its rank at its right
+    copy.  :func:`~popmatch.engine.flat_lists` lays out the lists.
+    """
     # A copy with d neighbors ranks its edges in three blocks.  Its left
     # list holds the minus-tagged partners (reached along its own plus
     # tag), the plus-tagged partners, then the twin; its right order holds
     # the minus-tagged partners, the twin, then the plus-tagged partners.
-    # So an edge at position r of u's list sits at r or d + r on the left
-    # and at r or d + 1 + r on the right, and the twin at 2d and d.
-    degree = [
-        *map(sub, starts[1:], starts), *map(sub, job_starts[1:], job_starts)
-    ]
-    a_deg = [degree[a] for a in agent_of]
-    b_deg = [degree[b] for b in job_of]
-    rrank = [0] * (4 * m) + degree
-    rrank[0:4 * m:4] = [d + 1 + r for d, r in zip(b_deg, lay.job_rank)]
-    rrank[1:4 * m:4] = lay.job_rank
-    rrank[2:4 * m:4] = [d + 1 + r for d, r in zip(a_deg, lay.agent_rank)]
-    rrank[3:4 * m:4] = lay.agent_rank
-    list_edges, list_starts = _left_lists(lay, agent_of, job_of, degree)
+    # So an edge at rank r of u's list sits at r or d + r on the left and
+    # at r or d + 1 + r on the right (see _offset), the twin at 2d and d.
+    m, n = inst.m, inst.n
+    degree = inst.layout.degrees()
+    left, right, at, rrank = np.empty((4, 4 * m + n), np.intp)
+    left[4 * m:] = right[4 * m:] = np.arange(n)
+    at[4 * m:], rrank[4 * m:] = 2 * degree, degree
+    for t, (u, v, ru, rv) in enumerate(_copy_classes(inst)):
+        left[t:4 * m:4], right[t:4 * m:4] = u, v
+        at[t:4 * m:4] = ru + _offset(t & 1, degree[u], True)
+        rrank[t:4 * m:4] = rv + _offset(t & 1, degree[v], False)
     return MirrorGraph(
-        inst=inst,
-        edge_left=tuple(edge_left),
-        edge_right=tuple(edge_right),
-        list_edges=list_edges,
-        list_starts=list_starts,
-        rrank=tuple(rrank),
-        legal_flags=classification.legal_flags,
+        inst,
+        *map(int64_view, (left, right)),
+        *flat_lists(n, left, at),
+        int64_view(rrank),
+        classification.legal_flags,
     )
-
-
-def _left_lists(lay, agent_of, job_of, degree):
-    """``(list_edges, list_starts)`` of the mirror's left copies.
-
-    Left copy u lists its 2d + 1 edges, best first, from ``list_starts[u]``
-    on.  So genuine edge k, at rank r of an endpoint u's list, puts its copy
-    that reaches the partner's minus tag at ``list_starts[u] + r`` and the
-    one that reaches its plus tag d places later, and u's twin ends the
-    list.  A function of its own so that its
-    numpy temporaries are freed before ``build_mirror`` copies the per-edge
-    lists into tuples.
-    """
-    m, n = len(agent_of), len(degree)
-    deg = np.array(degree, np.intp)
-    list_starts = np.zeros(n + 1, np.intp)
-    np.cumsum(2 * deg + 1, out=list_starts[1:])
-    ends = np.array([*agent_of, *job_of], np.intp)
-    at = list_starts[ends] + np.array([*lay.agent_rank, *lay.job_rank], np.intp)
-    copies = np.arange(4 * m).reshape(m, 4).T
-    list_edges = np.empty(4 * m + n, np.intp)
-    list_edges[at] = np.concatenate((copies[0], copies[2]))
-    list_edges[at + deg[ends]] = np.concatenate((copies[1], copies[3]))
-    list_edges[list_starts[1:] - 1] = np.arange(4 * m, 4 * m + n)
-    return int64_view(list_edges), int64_view(list_starts)
 
 
 def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
@@ -179,20 +142,16 @@ def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
     Every signed copy of a non-legal edge, and the twin of every vertex
     whose self-loop is not legal, is forbidden before the first run.
     """
-    system = ProposalSystem(
+    m, legal = mirror.inst.m, np.array(mirror.legal_flags, bool)
+    return ProposalSystem(
         num_right=mirror.inst.n,
         list_edges=mirror.list_edges,
         list_starts=mirror.list_starts,
         edge_left=mirror.edge_left,
         edge_right=mirror.edge_right,
         right_rank=mirror.rrank,
+        forbidden=(~np.concatenate((legal[:m].repeat(4), legal[m:]))).tolist(),
     )
-    m, n, legal = mirror.inst.m, mirror.inst.n, mirror.legal_flags
-    system.forbid([
-        *(e for k in range(m) if not legal[k] for e in range(4 * k, 4 * k + 4)),
-        *(4 * m + u for u in range(n) if not legal[m + u]),
-    ])
-    return system
 
 
 def realize_witnessed(
@@ -279,22 +238,26 @@ def mirror_blocking_edges(mh: MirrorMatching) -> tuple[int, ...]:
     pass, so no temporary spans all 4m + n edges.  Sorted by id.
     """
     inst = mh.mirror.inst
-    _, agents, job_of, agent_rank, job_rank = inst.layout.arrays
-    jobs = inst.num_agents + job_of
-    # A left copy of degree d lists 2d + 1 edges.
-    deg = np.diff(np.asarray(mh.mirror.list_starts)) >> 1
+    deg = inst.layout.degrees()
     left_at = _positions(inst, mh.left_edge, deg, True)
     right_at = _positions(inst, mh.right_edge, deg, False)
     found = [4 * inst.m + np.flatnonzero((2 * deg < left_at) & (deg < right_at))]
-    # (left end, right end, their ranks) of copies 4k + t, upper then lower.
-    upper = (agents, jobs, agent_rank, job_rank)
-    lower = (jobs, agents, job_rank, agent_rank)
-    for t, (u, v, ru, rv) in enumerate((upper, upper, lower, lower)):
+    for t, (u, v, ru, rv) in enumerate(_copy_classes(inst)):
         hit = (ru + _offset(t & 1, deg[u], True) < left_at[u]) & (
             rv + _offset(t & 1, deg[v], False) < right_at[v]
         )
         found.append(4 * np.flatnonzero(hit) + t)
     return tuple(np.sort(np.concatenate(found)).tolist())
+
+
+def _copy_classes(inst: Instance) -> tuple[tuple[np.ndarray, ...], ...]:
+    """``(left end, right end, their ranks)`` of the copies ``4k + t`` for
+    t = 0 .. 3, each four arrays over k: upper, upper, lower, lower."""
+    _, agents, job_of, agent_rank, job_rank = inst.layout.arrays
+    jobs = inst.num_agents + job_of
+    upper = (agents, jobs, agent_rank, job_rank)
+    lower = (jobs, agents, job_rank, agent_rank)
+    return upper, upper, lower, lower
 
 
 def _offset(odd, d, left: bool):

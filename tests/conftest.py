@@ -178,6 +178,12 @@ def left_list(system, u: int) -> list[int]:
     return list(system.list_edges[starts[u]:starts[u + 1]])
 
 
+def forbid(system, edges) -> None:
+    """Forbid edges in a proposal system before its run."""
+    for e in edges:
+        system.forbidden[e] = True
+
+
 def pairs_by_name(inst, mat: Matching):
     return sorted(
         (inst.names[a], inst.names[b]) for a, b in mat.pairs(inst)
@@ -1130,7 +1136,7 @@ def iterated_forbid_reference(inst) -> dict:
         }
         forbidden |= newly
         system = mirror_system(mirror)
-        system.forbid(sorted(forbidden))
+        forbid(system, forbidden)
         feasible = system.run()
         trace.append(TraceRow(
             len(trace) + 1, trigger, component, len(newly), system.proposals

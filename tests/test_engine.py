@@ -13,6 +13,7 @@ from popmatch.oracle import enumerate_matchings
 
 from conftest import (
     blocking_edges,
+    forbid,
     ids,
     left_list,
     pair_families,
@@ -130,7 +131,7 @@ class TestReferenceEngine:
             parse_instance(generate(n, n + 2, 3 / n, seed=n)) for n in (9, 16)
         ]
         insts.append(ring_instance(12))
-        compared = infeasible = mirror_feasible = 0
+        compared = infeasible = mirror_feasible = with_empty = 0
         for inst in insts:
             for kind, fresh in self.systems(inst):
                 system = fresh()
@@ -138,6 +139,8 @@ class TestReferenceEngine:
                 assert [
                     left_list(system, u) for u in range(system.num_left)
                 ] == lists, kind
+                # A job that no agent lists has an empty two-level list.
+                with_empty += kind == "two_level_jobs" and [] in lists
                 assert system.total_list_length == sum(map(len, lists))
                 built = {e for e, f in enumerate(system.forbidden) if f}
                 edges = range(len(system.edge_left))
@@ -149,7 +152,7 @@ class TestReferenceEngine:
                 for batch in batches:
                     forbidden.update(batch)
                     system = fresh()
-                    system.forbid(sorted(forbidden - built))
+                    forbid(system, forbidden - built)
                     feasible = system.run()
                     want = gale_shapley_reference(lists, system, forbidden)
                     assert feasible == (system.exhausted_left is None), kind
@@ -171,6 +174,7 @@ class TestReferenceEngine:
                     ) == want[1:4], kind
                     compared += 1
         assert compared > 2000 and infeasible > 50 and mirror_feasible > 300
+        assert with_empty >= 1
 
 
 class TestProposeDispose:
@@ -219,7 +223,7 @@ class TestResume:
         classification = legal_edge_set(size_gap)
         mirror = build_mirror(size_gap, classification)
         system = mirror_system(mirror)
-        system.forbid(left_list(mirror, 0))
+        forbid(system, left_list(mirror, 0))
         assert not system.run()
         assert system.exhausted_left == 0
 
@@ -241,7 +245,7 @@ class TestResume:
                 if not mirror.is_forbidden(e) and rng.random() < 0.15
             ]
             system = mirror_system(mirror)
-            system.forbid(extra)
+            forbid(system, extra)
             if not system.run():
                 continue
             hits += 1

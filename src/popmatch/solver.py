@@ -128,22 +128,24 @@ def _mark_components(state: SolverState, left, right) -> tuple[TraceRow, ...]:
     """
     inst, classification = state.inst, state.classification
     cid, components = classification.component_id, classification.components
-    starts, legal = inst.layout.starts, classification.legal_flags
     proposals = state.system.proposals
     twins = 4 * inst.m
     straddles = (left < twins) & (right < twins) & (left & right & 1 == 1)
     marks = state.marks = np.zeros(inst.n, bool)
+    # Legal edges per component, summed over its agents' edge ranges, none
+    # of which is empty.
+    legal = np.fromiter(classification.legal_flags, np.intp, inst.m)
+    per_agent = np.add.reduceat(legal, inst.layout.arrays[0][:-1])
+    plus = np.bincount(cid[:inst.num_agents], per_agent, len(components))
     trace = []
     for u in np.flatnonzero(straddles).tolist():
         if marks[u]:
             continue
         component = components[cid[u]]
         marks[list(component)] = True
-        plus = sum(
-            sum(legal[starts[a]:starts[a + 1]])
-            for a in component if inst.is_agent(a)
-        )
-        trace.append(TraceRow(len(trace) + 1, u, component, 2 * plus, proposals))
+        trace.append(TraceRow(
+            len(trace) + 1, u, component, 2 * int(plus[cid[u]]), proposals
+        ))
     plus_left = (left < twins) & (left & 1 == 0)
     plus_right = (right < twins) & (right & 1 == 0)
     if (marks & (plus_left | plus_right)).any():
@@ -188,7 +190,8 @@ def solve(inst: Instance, validate: bool = False) -> SolveReport:
     # The rest reads the matching as two arrays; a structural failure in it
     # is the solver's, not the input's.
     mh = MirrorMatching(
-        mirror, np.array(system.left_match), np.array(system.right_match)
+        mirror, np.array(system.left_match, np.intp),
+        np.array(system.right_match, np.intp),
     )
     trace = _mark_components(state, mh.left_edge, mh.right_edge)
     state.matching = project(mh, "upper")

@@ -158,7 +158,9 @@ class TestPairFamilies:
     def test_two_level_systems_equal_reference_systems(self, showcase):
         # The virtual systems run on G's edge layout; the reference systems
         # run on the materialized instance.  Edge ids differ, but every left
-        # vertex must see the same right vertices at the same ranks.
+        # vertex must see the same right vertices at the same ranks.  A job
+        # that no agent lists has an empty list in the job-proposing system.
+        with_empty = 0
         for inst in [showcase] + [random_instance(seed) for seed in range(60)]:
             aux, _ = two_level_reference(inst)
             for virtual, proposers in zip(
@@ -167,14 +169,17 @@ class TestPairFamilies:
                 ref = build_system(aux, proposers)
                 assert virtual.num_left == ref.num_left
                 assert virtual.num_right == ref.num_right
-                for u in range(ref.num_left):
+                lists = [left_list(virtual, u) for u in range(ref.num_left)]
+                for u, row in enumerate(lists):
                     assert [
                         (virtual.edge_right[e], virtual.right_rank[e])
-                        for e in left_list(virtual, u)
+                        for e in row
                     ] == [
                         (ref.edge_right[e], ref.right_rank[e])
                         for e in left_list(ref, u)
                     ]
+                with_empty += proposers == "jobs" and [] in lists
+        assert with_empty >= 1
 
     def test_dominant_pairs_beyond_enumeration(self):
         # The virtual walk against the stable pairs of the materialized

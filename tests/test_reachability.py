@@ -1,8 +1,9 @@
-"""Every executable line of the solver, the mirror graph and the engine is
-reached or ledgered.
+"""Every executable line of the solver, the mirror graph, the engine and
+the edge classification is reached or ledgered.
 
-A fixed solve sweep, and the mirror dump of ``popmatch edges
---dump-mirror`` on one input, run under a ``sys.settrace`` line tracer.  A
+A fixed solve sweep, and on one input the mirror dump of ``popmatch edges
+--dump-mirror`` and the key sets of ``popmatch edges --kind``, run under a
+``sys.settrace`` line tracer.  A
 line they do not reach must be in ``LEDGER``, which names the test that
 reaches it on purpose: an injected defect that the line raises, or a caller
 error that it rejects.  A ledger entry that the sweep does reach, or that
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 import popmatch.engine
+import popmatch.legality
 import popmatch.mirror
 import popmatch.solver
 from popmatch import generate, legal_edge_set, parse_instance, solve
@@ -31,7 +33,7 @@ from conftest import (
     ring_text,
 )
 
-MODULES = (popmatch.engine, popmatch.mirror, popmatch.solver)
+MODULES = (popmatch.engine, popmatch.legality, popmatch.mirror, popmatch.solver)
 
 PINNED = "test_solver.py::TestValidation::test_every_defect_message_is_pinned"
 REALIZE = "test_cli.py::test_structural_failures_are_not_input_errors"
@@ -139,9 +141,12 @@ def reached_lines(texts) -> set[tuple[str, int]]:
     try:
         for text in texts:
             solve(parse_instance(text), validate=True)
-        # The ``edges --dump-mirror`` path, on the first text.
+        # The ``edges --dump-mirror`` and ``edges --kind`` paths, on the
+        # first text.
         inst = parse_instance(texts[0])
-        format_mirror(build_mirror(inst, legal_edge_set(inst)))
+        classification = legal_edge_set(inst)
+        format_mirror(build_mirror(inst, classification))
+        classification.valid, classification.popular, classification.legal
     finally:
         sys.settrace(previous)
     return reached

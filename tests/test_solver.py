@@ -81,6 +81,14 @@ class TestVerdicts:
             showcase, compute_posts(showcase), report.matching
         )
 
+    def test_no_agents_found_empty(self):
+        # With no genuine edge the engine's matched-edge lists can be empty;
+        # they are still read as int arrays.
+        for text in ("agents:\njobs:\n", "agents:\njobs: b\n"):
+            report = solve(parse_instance(text), validate=True)
+            assert report.outcome == "found"
+            assert report.size == 0
+
     def test_oracle_backend_agrees(self, size_gap, showcase):
         for inst in (size_gap, showcase):
             report = solve(inst)

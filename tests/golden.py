@@ -5,8 +5,10 @@ Each digest covers a command's exit code, stdout and stderr, as
 showcase, ``SIZE_GAP``, 200 ``generate`` instances (sides 1-6, densities
 0.3, 0.5 and 0.8) and one ``blocks`` and one ``ring`` text of the
 benchmark.  The commands are ``solve --json --trace``, ``solve --validate``,
-``edges --dump-mirror`` and ``verify --json`` in all three modes, on the
-solver's answer and on a seeded greedy matching.
+``edges --dump-mirror``, ``edges --kind <kind> --json`` for each kind and
+``verify --json`` in all three modes, on the solver's answer and on a
+seeded greedy matching; inputs of at most ``ORACLE_MAX_N`` vertices add
+``oracle --cross-check --json``.
 
 ``tests/test_golden.py`` compares the corpus with ``tests/golden.json``.
 A change that alters an output regenerates the file, from the repository
@@ -36,6 +38,8 @@ GOLDEN = HERE / "golden.json"
 SEEDS = 200
 DENSITIES = (0.3, 0.5, 0.8)
 VERIFY_MODES = ("popular", "a-popular", "fully")
+EDGE_KINDS = ("valid", "popular", "legal")
+ORACLE_MAX_N = 8
 
 
 def _bench_workloads():
@@ -96,14 +100,18 @@ def corpus() -> dict[str, str]:
         for name, text in inputs().items():
             inst_path.write_text(text)
             path = str(inst_path)
-            for argv in (
+            inst = parse_instance(text)
+            commands = [
                 ["solve", path, "--json", "--trace"],
                 ["solve", path, "--validate"],
                 ["edges", path, "--dump-mirror"],
-            ):
+                *(["edges", path, "--kind", kind, "--json"] for kind in EDGE_KINDS),
+            ]
+            if inst.n <= ORACLE_MAX_N:
+                commands.append(["oracle", path, "--cross-check", "--json"])
+            for argv in commands:
                 out[f"{name} {' '.join(argv[:1] + argv[2:])}"] = _digest(argv)
             matchings = {"greedy": greedy_matching_text(text, name)}
-            inst = parse_instance(text)
             report = solve(inst)
             if report.outcome == "found":
                 matchings["solved"] = format_matching(inst, report.matching)

@@ -184,22 +184,22 @@ def build_system(inst: Instance, proposers: str = "agents") -> ProposalSystem:
     Left vertex i is the i-th proposer and right vertex j the j-th vertex
     of the other side.  Edge ids are the instance's own edge indexes, so
     both sides' systems share them, and every list and rank is one of the
-    layout's tuples: agents propose along ``range(m)`` cut at ``starts``,
-    jobs along ``job_edges`` cut at ``job_starts``.  A proposer that runs
-    out of its list stays alone.
+    layout's arrays, as an :func:`int64_view`: agents propose along the
+    edge ids ``0 .. m - 1`` cut at ``starts``, jobs along ``job_edges`` cut
+    at ``job_starts``.  A proposer that runs out of its list stays alone.
     """
     lay = inst.layout
     if proposers == "agents":
-        return ProposalSystem(
-            inst.num_jobs, range(inst.m), lay.starts,
-            lay.agent_of, lay.job_of, lay.job_rank, alone_ok=True,
-        )
-    if proposers == "jobs":
-        return ProposalSystem(
-            inst.num_agents, lay.job_edges, lay.job_starts,
-            lay.job_of, lay.agent_of, lay.agent_rank, alone_ok=True,
-        )
-    raise ValueError(f"unknown proposer side {proposers!r}")
+        num_right, lists = inst.num_jobs, (np.arange(inst.m), lay.starts)
+        sides = lay.agent_of, lay.job_of, lay.job_rank
+    elif proposers == "jobs":
+        num_right, lists = inst.num_agents, (lay.job_edges, lay.job_starts)
+        sides = lay.job_of, lay.agent_of, lay.agent_rank
+    else:
+        raise ValueError(f"unknown proposer side {proposers!r}")
+    return ProposalSystem(
+        num_right, *map(int64_view, lists + sides), alone_ok=True
+    )
 
 
 def rotation_walk(agents: ProposalSystem, jobs: ProposalSystem) -> set[int]:

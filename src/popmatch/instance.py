@@ -9,7 +9,7 @@ as a perfect matching once each uncovered vertex is paired with itself.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from typing import NoReturn
@@ -63,10 +63,8 @@ class Instance:
     def pref(self) -> tuple[tuple[int, ...], ...]:
         """Agents' rows from their edge ranges, jobs' from ``job_edges``."""
         lay, na = self.layout, self.num_agents
-        agent_rows = _split(tuple(map(na.__add__, lay.job_of)), lay.starts)
-        job_rows = _split(
-            tuple(map(lay.agent_of.__getitem__, lay.job_edges)), lay.job_starts
-        )
+        agent_rows = _split(na + lay.job_of, lay.starts)
+        job_rows = _split(lay.agent_of[lay.job_edges], lay.job_starts)
         return agent_rows + job_rows
 
     @cached_property
@@ -77,7 +75,7 @@ class Instance:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Every edge as ``(agent, job)``; edge k is ``edges[k]``."""
         lay, na = self.layout, self.num_agents
-        return tuple(zip(lay.agent_of, [na + j for j in lay.job_of]))
+        return tuple(zip(lay.agent_of.tolist(), (na + lay.job_of).tolist()))
 
     def is_agent(self, u: int) -> bool:
         return u < self.num_agents
@@ -94,25 +92,8 @@ class Instance:
             return len(self.pref[u])
         return self.rank_tbl[u][v]
 
-    def id_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise InstanceError(f"unknown vertex name {name!r}") from None
-
     def has_edge(self, a: int, b: int) -> bool:
         return b in self.rank_tbl[a]
-
-    def edge_id(self, a: int, b: int) -> int:
-        """Layout id of the genuine edge joining agent a to job b.
-
-        Searches a's edge range only; raises ``ValueError`` when a does not
-        list b.
-        """
-        starts = self.layout.starts
-        return self.layout.job_of.index(
-            b - self.num_agents, starts[a], starts[a + 1]
-        )
 
     @staticmethod
     def build(
@@ -153,12 +134,13 @@ class Instance:
         return Instance(tuple(names), na, layout)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeLayout:
-    """An instance's edges as flat tuples indexed by edge id.
+    """An instance's edges as flat int arrays indexed by edge id.
 
     Built with the instance, from the same flat arrays that validate its
-    lists.  Agent a's edges run from ``starts[a]`` to ``starts[a + 1] - 1``
+    lists; every field is a read-only array that owns its data.  Agent a's
+    edges run from ``starts[a]`` to ``starts[a + 1] - 1``
     in a's preference order, so edge (a, b) has id
     ``starts[a] + pref[a].index(b)``.  Jobs are numbered by
     index, job j being vertex ``num_agents + j``.  ``agent_of[k]`` and
@@ -166,26 +148,29 @@ class EdgeLayout:
     job's position in the agent's list and ``job_rank[k]`` the agent's
     position in the job's list.  ``job_edges`` holds every edge id in job
     order: job j's edges, in j's preference order, run from
-    ``job_starts[j]`` to ``job_starts[j + 1] - 1``.
-
-    ``arrays`` holds ``starts``, ``agent_of``, ``job_of``, ``agent_rank``
-    and ``job_rank`` again as read-only int arrays, for whole-layout
-    passes: the arrays that parsing computed them from, kept.  They are
-    left out of equality and hashing, as they repeat the tuples.
+    ``job_starts[j]`` to ``job_starts[j + 1] - 1``.  Layouts are equal
+    when their arrays are, and hash by the arrays' bytes.
     """
 
-    starts: tuple[int, ...]
-    agent_of: tuple[int, ...]
-    job_of: tuple[int, ...]
-    agent_rank: tuple[int, ...]
-    job_rank: tuple[int, ...]
-    job_starts: tuple[int, ...]
-    job_edges: tuple[int, ...]
-    arrays: tuple[np.ndarray, ...] = field(compare=False, repr=False)
+    starts: np.ndarray
+    agent_of: np.ndarray
+    job_of: np.ndarray
+    agent_rank: np.ndarray
+    job_rank: np.ndarray
+    job_starts: np.ndarray
+    job_edges: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EdgeLayout):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(x.tobytes() for x in vars(self).values()))
 
     def degrees(self) -> np.ndarray:
         """Every vertex's list length as an int array, agents then jobs."""
-        return np.concatenate((np.diff(self.arrays[0]), np.diff(self.job_starts)))
+        return np.concatenate((np.diff(self.starts), np.diff(self.job_starts)))
 
 
 def _bulk_layout(src, dst, deg, na: int) -> EdgeLayout | None:
@@ -225,34 +210,31 @@ def _bulk_layout(src, dst, deg, na: int) -> EdgeLayout | None:
     job_rank[edge_at] = np.arange(m) - np.repeat(job_starts[:-1], deg[na:])
     agent_rank = np.arange(m) - np.repeat(starts[:-1], deg[:na])
     # A copy, so that no kept array is a view of the 2m-long parse buffers.
-    arrays = (starts, src[:m].copy(), dst[:m] - na, agent_rank, job_rank)
+    agent_of, job_of = src[:m].copy(), dst[:m] - na
+    arrays = (starts, agent_of, job_of, agent_rank, job_rank, job_starts, edge_at)
     for x in arrays:
         x.flags.writeable = False
-    return EdgeLayout(
-        *(tuple(x.tolist()) for x in arrays),
-        tuple(job_starts.tolist()),
-        tuple(edge_at.tolist()),
-        arrays,
-    )
+    return EdgeLayout(*arrays)
 
 
-def _split(
-    flat: tuple[int, ...], bounds: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """``flat`` cut into the runs between consecutive ``bounds``."""
+def _split(flat: np.ndarray, bounds: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The int array ``flat`` cut into the runs between consecutive
+    ``bounds``, as tuples."""
+    flat, bounds = tuple(flat.tolist()), bounds.tolist()
     return tuple([flat[s:e] for s, e in zip(bounds, bounds[1:])])
 
 
-def _match_pair(inst: Instance, partner: list[int], a: int, b: int) -> None:
+def _match_pair(inst: Instance, partner: list[int], a, b, starts, job_of) -> None:
     """Pair a with b in ``partner``; raise unless they are a free edge.
 
     Either may be the agent; the edge is looked up in the agent's range.
+    ``starts`` and ``job_of`` are the layout's arrays as lists, which the
+    caller takes once for all its pairs.
     """
     u, v = (a, b) if a < b else (b, a)
-    lay, na = inst.layout, inst.num_agents
+    na = inst.num_agents
     if not (
-        0 <= u < na <= v < inst.n
-        and v - na in lay.job_of[lay.starts[u]:lay.starts[u + 1]]
+        0 <= u < na <= v < inst.n and v - na in job_of[starts[u]:starts[u + 1]]
     ):
         raise InstanceError(f"({inst.names[a]}, {inst.names[b]}) is not an edge")
     if partner[a] != a or partner[b] != b:
@@ -315,8 +297,9 @@ class Matching:
     @staticmethod
     def from_pairs(inst: Instance, pairs) -> "Matching":
         partner = list(range(inst.n))
+        lists = inst.layout.starts.tolist(), inst.layout.job_of.tolist()
         for a, b in pairs:
-            _match_pair(inst, partner, a, b)
+            _match_pair(inst, partner, a, b, *lists)
         return Matching(tuple(partner))
 
     @cached_property
@@ -333,14 +316,12 @@ class Matching:
         One pass over the layout's arrays: edge k is matched when its job is
         its agent's partner.
         """
-        starts, agent_of, job_of, agent_rank, job_rank = inst.layout.arrays
-        jobs = inst.num_agents + job_of
-        own = np.concatenate(
-            (np.diff(starts), np.bincount(job_of, minlength=inst.num_jobs))
-        )
-        k = np.flatnonzero(self.partner_array[agent_of] == jobs)
-        own[agent_of[k]] = agent_rank[k]
-        own[jobs[k]] = job_rank[k]
+        lay = inst.layout
+        jobs = inst.num_agents + lay.job_of
+        own = lay.degrees()
+        k = np.flatnonzero(self.partner_array[lay.agent_of] == jobs)
+        own[lay.agent_of[k]] = lay.agent_rank[k]
+        own[jobs[k]] = lay.job_rank[k]
         return own
 
     def pairs(self, inst: Instance) -> tuple[tuple[int, int], ...]:
@@ -358,20 +339,18 @@ class Matching:
         return self.partner[u] == u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Posts:
-    """Per-agent top choice and fallback post.
+    """Per-agent top choice and fallback post, as read-only int arrays
+    indexed by agent; posts compare by identity.
 
     ``f[a]`` is agent a's first-ranked job.  ``s[a]`` is a's most preferred
     neighbor that is nobody's top choice, or a itself when every neighbor of
     a is some agent's top choice.
     """
 
-    f: tuple[int, ...]
-    s: tuple[int, ...]
-
-    def f_image(self) -> frozenset[int]:
-        return frozenset(self.f)
+    f: np.ndarray
+    s: np.ndarray
 
 
 def parse_instance(text: str) -> Instance:
@@ -458,6 +437,7 @@ def parse_matching(text: str, inst: Instance) -> Matching:
     na = inst.num_agents
     ids = dict(zip(inst.names, range(inst.n)))
     partner = list(range(inst.n))
+    lists = inst.layout.starts.tolist(), inst.layout.job_of.tolist()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -472,7 +452,7 @@ def parse_matching(text: str, inst: Instance) -> Matching:
         if a >= na or b < na:
             raise InstanceError(f"line {line_no}: expected an agent then a job")
         try:
-            _match_pair(inst, partner, a, b)
+            _match_pair(inst, partner, a, b, *lists)
         except InstanceError as exc:
             raise InstanceError(f"line {line_no}: {exc}") from None
     return Matching(tuple(partner))
@@ -488,24 +468,20 @@ def compute_posts(inst: Instance) -> Posts:
     """Derive each agent's top choice f(a) and fallback post s(a).
 
     Reads the edge layout: f(a) is the job of edge ``starts[a]``, and s(a)
-    the first job in a's edge range that is nobody's top.
+    the first job in a's edge range that is nobody's top, found as the
+    least such edge id per range (m standing for none).
     """
-    na, lay = inst.num_agents, inst.layout
-    starts, job_of = lay.starts, lay.job_of
-    top = [job_of[k] for k in starts[:-1]]
-    is_top = [False] * inst.num_jobs
-    for j in top:
-        is_top[j] = True
-    s = []
-    for a in range(na):
-        fallback = a
-        # The range's first job is a's own top, so the search skips it.
-        for j in job_of[starts[a] + 1:starts[a + 1]]:
-            if not is_top[j]:
-                fallback = na + j
-                break
-        s.append(fallback)
-    return Posts(tuple(map(na.__add__, top)), tuple(s))
+    na, m, lay = inst.num_agents, inst.m, inst.layout
+    f = na + lay.job_of[lay.starts[:-1]]
+    is_top = np.zeros(inst.n, bool)
+    is_top[f] = True
+    candidates = np.where(is_top[na + lay.job_of], m, np.arange(m))
+    first = np.minimum.reduceat(candidates, lay.starts[:-1])
+    s = np.arange(na)
+    has = first < m
+    s[has] = na + lay.job_of[first[has]]
+    f.flags.writeable = s.flags.writeable = False
+    return Posts(f, s)
 
 
 def run_election(

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count
-from operator import and_
 
 import numpy as np
 
@@ -36,24 +34,26 @@ from .instance import Instance, Posts, compute_posts
 EdgeKey = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeClassification:
     """Valid/popular/legal edges plus the popular-subgraph components.
 
-    The flags are indexed like the edge layout: ``legal_flags[k]`` for
-    genuine edge k, and ``legal_flags[m + u]`` for the self-loop of u.
-    ``valid``, ``popular`` and ``legal`` give the same sets as ``(agent,
-    job)`` keys, self-loops as ``(u, u)``; they are derived on first use.
-    ``component_id[u]`` indexes the connected component of u in the graph of
-    genuine popular edges (self-loops connect nothing); every vertex belongs
-    to exactly one component.
+    The flags are read-only bool arrays of length m + n, indexed like the
+    edge layout: ``legal_flags[k]`` for genuine edge k, and
+    ``legal_flags[m + u]`` for the self-loop of u.  ``valid``, ``popular``
+    and ``legal`` give the same sets as ``(agent, job)`` keys, self-loops as
+    ``(u, u)``; they are derived on first use.  ``component_id``, a
+    read-only int array, holds at u the index into ``components`` of the
+    connected component of u in the graph of genuine popular edges
+    (self-loops connect nothing); every vertex belongs to exactly one
+    component.  Classifications compare by identity.
     """
 
-    inst: Instance = field(repr=False, compare=False)
-    valid_flags: tuple[bool, ...]
-    popular_flags: tuple[bool, ...]
-    legal_flags: tuple[bool, ...]
-    component_id: tuple[int, ...]
+    inst: Instance = field(repr=False)
+    valid_flags: np.ndarray
+    popular_flags: np.ndarray
+    legal_flags: np.ndarray
+    component_id: np.ndarray
     components: tuple[tuple[int, ...], ...]
 
     @cached_property
@@ -69,39 +69,33 @@ class EdgeClassification:
         return _keys(self.inst, self.legal_flags)
 
 
-def _keys(inst: Instance, flags) -> frozenset[EdgeKey]:
+def _keys(inst: Instance, flags: np.ndarray) -> frozenset[EdgeKey]:
     """The ``(agent, job)`` keys of flagged edge ids, ``(u, u)`` for m + u."""
-    lay, m, na = inst.layout, inst.m, inst.num_agents
-    agent_of, job_of = lay.agent_of, lay.job_of
-    return frozenset(
-        (agent_of[k], na + job_of[k]) if k < m else (k - m, k - m)
-        for k in compress(count(), flags)
+    lay, m = inst.layout, inst.m
+    edges = np.flatnonzero(flags[:m])
+    loops = np.flatnonzero(flags[m:]).tolist()
+    jobs = inst.num_agents + lay.job_of[edges]
+    return frozenset(zip(lay.agent_of[edges].tolist(), jobs.tolist())).union(
+        zip(loops, loops)
     )
 
 
-def _flags(inst: Instance, ids) -> list[bool]:
-    """Flags of length m + n, set at ``ids``."""
-    flags = [False] * (inst.m + inst.n)
-    for k in ids:
-        flags[k] = True
-    return flags
-
-
-def _valid_flags(inst: Instance, posts: Posts) -> list[bool]:
+def _valid_flags(inst: Instance, posts: Posts) -> np.ndarray:
     """Edges permitted by the one-sided characterization, as flags.
 
     Each agent contributes its top edge f(a), which is edge ``starts[a]``,
-    and its fallback slot (possibly its own self-loop); each job that is
-    nobody's top choice contributes its self-loop.
+    and its fallback slot: the edge whose job is s(a), or its own self-loop
+    when s(a) is a; each job that is nobody's top choice contributes its
+    self-loop.
     """
-    m, starts = inst.m, inst.layout.starts
-    flags = _flags(inst, starts[:-1])
-    for a, s in enumerate(posts.s):
-        flags[m + a if s == a else inst.edge_id(a, s)] = True
-    f_image = posts.f_image()
-    for b in inst.job_ids():
-        if b not in f_image:
-            flags[m + b] = True
+    lay, m, na = inst.layout, inst.m, inst.num_agents
+    flags = np.zeros(m + inst.n, bool)
+    flags[lay.starts[:-1]] = True
+    flags[:m] |= na + lay.job_of == posts.s[lay.agent_of]
+    loops = flags[m:]
+    loops[:na] = posts.s == np.arange(na)
+    loops[na:] = True
+    loops[posts.f] = False
     return flags
 
 
@@ -128,15 +122,17 @@ def two_level_systems(inst: Instance) -> tuple[ProposalSystem, ProposalSystem]:
     lays out their lists.  Returns the agent-proposing system and the
     job-proposing one.
     """
-    na, nj = inst.num_agents, inst.num_jobs
-    _, agent_of, job_of, agent_rank, job_rank = inst.layout.arrays
-    degree, copies = inst.layout.degrees(), np.arange(2 * na)
+    na, nj, lay = inst.num_agents, inst.num_jobs, inst.layout
+    agent_of, job_of = lay.agent_of, lay.job_of
+    degree, copies = lay.degrees(), np.arange(2 * na)
     rest = np.zeros(na, np.intp)
     owner = np.concatenate((agent_of, na + agent_of, copies))
     post = np.concatenate((job_of, job_of, nj + copies % na))
-    owner_rank = np.concatenate((agent_rank + 1, agent_rank, rest, degree[:na]))
+    owner_rank = np.concatenate(
+        (lay.agent_rank + 1, lay.agent_rank, rest, degree[:na])
+    )
     post_rank = np.concatenate(
-        (job_rank, degree[na + job_of] + job_rank, rest + 1, rest)
+        (lay.job_rank, degree[na + job_of] + lay.job_rank, rest + 1, rest)
     )
 
     def system(left, right, left_rank, right_rank, num_left, num_right):
@@ -167,7 +163,7 @@ def _dominant_ids(inst: Instance) -> set[int]:
     return {e % m for e in rotation_walk(*two_level_systems(inst)) if e < 2 * m}
 
 
-def _popular_flags(inst: Instance) -> list[bool]:
+def _popular_flags(inst: Instance) -> np.ndarray:
     """Edges and self-loops that some popular matching uses, as flags.
 
     These are the stable pairs and dominant pairs, from the ids of both
@@ -176,16 +172,13 @@ def _popular_flags(inst: Instance) -> list[bool]:
     stable pair covers.
     """
     lay, m, na = inst.layout, inst.m, inst.num_agents
-    stable = _stable_ids(inst)
-    flags = _flags(inst, stable)
-    for k in _dominant_ids(inst):
-        flags[k] = True
-    covered = [False] * inst.n
-    for k in stable:
-        covered[lay.agent_of[k]] = covered[na + lay.job_of[k]] = True
-    for u in range(inst.n):
-        if not covered[u]:
-            flags[m + u] = True
+    stable = list(_stable_ids(inst))
+    flags = np.ones(m + inst.n, bool)
+    flags[:m] = False
+    flags[stable] = True
+    flags[list(_dominant_ids(inst))] = True
+    flags[m + lay.agent_of[stable]] = False
+    flags[m + na + lay.job_of[stable]] = False
     return flags
 
 
@@ -202,10 +195,10 @@ def legal_edge_set(
         posts = compute_posts(inst)
     valid = _valid_flags(inst, posts)
     popular = _popular_flags(inst)
-    legal = list(map(and_, valid, popular))
+    legal = valid & popular
 
     lay, m, na = inst.layout, inst.m, inst.num_agents
-    agent_of, job_of = lay.agent_of, lay.job_of
+    agent_of, job_of = lay.agent_of.tolist(), lay.job_of.tolist()
     parent = list(range(inst.n))
 
     def find(x: int) -> int:
@@ -214,7 +207,7 @@ def legal_edge_set(
             x = parent[x]
         return x
 
-    for k in compress(range(m), popular):
+    for k in np.flatnonzero(popular[:m]).tolist():
         ra, rb = find(agent_of[k]), find(na + job_of[k])
         if ra != rb:
             parent[ra] = rb
@@ -230,11 +223,9 @@ def legal_edge_set(
         cid = roots[r]
         component_id.append(cid)
         members[cid].append(u)
+    arrays = valid, popular, legal, np.array(component_id, np.intp)
+    for x in arrays:
+        x.flags.writeable = False
     return EdgeClassification(
-        inst=inst,
-        valid_flags=tuple(valid),
-        popular_flags=tuple(popular),
-        legal_flags=tuple(legal),
-        component_id=tuple(component_id),
-        components=tuple(tuple(ms) for ms in members),
+        inst, *arrays, tuple(tuple(ms) for ms in members)
     )

@@ -46,8 +46,8 @@ class MirrorGraph:
     and ``rrank`` its position in its right copy's preference order.  The
     left copies' ranked lists are stored flat, as the engine reads them:
     u's list is ``list_edges[list_starts[u]:list_starts[u + 1]]``, best
-    first.  All five are read-only views of packed ints, left out of
-    equality and hashing (they follow from ``inst``).
+    first.  All five are read-only views of packed ints.  They and the
+    flags are left out of equality and hashing (they follow from ``inst``).
     """
 
     inst: Instance
@@ -56,7 +56,7 @@ class MirrorGraph:
     list_edges: memoryview = field(compare=False)
     list_starts: memoryview = field(compare=False)
     rrank: memoryview = field(compare=False)
-    legal_flags: tuple[bool, ...]
+    legal_flags: np.ndarray = field(compare=False)
 
     @property
     def num_edges(self) -> int:
@@ -71,9 +71,10 @@ class MirrorGraph:
     def right_tag(self, e: int) -> int:
         return -self.left_tag(e)
 
-    def is_forbidden(self, e: int) -> bool:
-        m = self.inst.m
-        return not self.legal_flags[e >> 2 if e < 4 * m else e - 3 * m]
+    def forbidden_flags(self) -> np.ndarray:
+        """Whether each edge is forbidden, as one bool array over edge ids."""
+        legal, m = self.legal_flags, self.inst.m
+        return ~np.concatenate((legal[:m].repeat(4), legal[m:]))
 
     def describe(self, e: int) -> str:
         names = self.inst.names
@@ -99,9 +100,7 @@ class MirrorMatching:
     right_edge: np.ndarray
 
     def uses_forbidden(self) -> bool:
-        m, left = self.mirror.inst.m, self.left_edge
-        legal = np.fromiter(self.mirror.legal_flags, bool)
-        return not legal[np.where(left < 4 * m, left >> 2, left - 3 * m)].all()
+        return bool(self.mirror.forbidden_flags()[self.left_edge].any())
 
 
 def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGraph:
@@ -142,7 +141,6 @@ def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
     Every signed copy of a non-legal edge, and the twin of every vertex
     whose self-loop is not legal, is forbidden before the first run.
     """
-    m, legal = mirror.inst.m, np.array(mirror.legal_flags, bool)
     return ProposalSystem(
         num_right=mirror.inst.n,
         list_edges=mirror.list_edges,
@@ -150,7 +148,7 @@ def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
         edge_left=mirror.edge_left,
         edge_right=mirror.edge_right,
         right_rank=mirror.rrank,
-        forbidden=(~np.concatenate((legal[:m].repeat(4), legal[m:]))).tolist(),
+        forbidden=mirror.forbidden_flags().tolist(),
     )
 
 
@@ -185,7 +183,7 @@ def realize_witnessed(
         )
     # The agent's entry picks the copies: minus takes the upper minus and
     # lower plus, plus the upper plus and lower minus, zero both minus ones.
-    k = 4 * (inst.layout.arrays[0][agents] + own[agents])
+    k = 4 * (inst.layout.starts[agents] + own[agents])
     left += 4 * inst.m
     right = left.copy()
     left[agents] = right[jobs] = k + (sign <= 0)
@@ -202,10 +200,10 @@ def project(mh: MirrorMatching, half: str) -> Matching:
     na = inst.num_agents
     left = mh.left_edge[:na] if half == "upper" else mh.left_edge[na:]
     k = left[(left >= 0) & (left < 4 * inst.m)] >> 2
-    _, agents, job_of, _, _ = inst.layout.arrays
+    agents, jobs = inst.layout.agent_of[k], na + inst.layout.job_of[k]
     partner = np.arange(inst.n)
-    partner[agents[k]] = na + job_of[k]
-    partner[na + job_of[k]] = agents[k]
+    partner[agents] = jobs
+    partner[jobs] = agents
     return Matching(tuple(partner.tolist()))
 
 
@@ -253,10 +251,10 @@ def mirror_blocking_edges(mh: MirrorMatching) -> tuple[int, ...]:
 def _copy_classes(inst: Instance) -> tuple[tuple[np.ndarray, ...], ...]:
     """``(left end, right end, their ranks)`` of the copies ``4k + t`` for
     t = 0 .. 3, each four arrays over k: upper, upper, lower, lower."""
-    _, agents, job_of, agent_rank, job_rank = inst.layout.arrays
-    jobs = inst.num_agents + job_of
-    upper = (agents, jobs, agent_rank, job_rank)
-    lower = (jobs, agents, job_rank, agent_rank)
+    lay = inst.layout
+    agents, jobs = lay.agent_of, inst.num_agents + lay.job_of
+    upper = (agents, jobs, lay.agent_rank, lay.job_rank)
+    lower = (jobs, agents, lay.job_rank, lay.agent_rank)
     return upper, upper, lower, lower
 
 
@@ -273,8 +271,8 @@ def _positions(inst: Instance, edges, deg, left: bool) -> np.ndarray:
     at = np.where(edges == -1, 2 * deg + 1, 2 * deg if left else deg)
     u = np.flatnonzero((edges >= 0) & (edges < 4 * inst.m))
     e = edges[u]
-    _, _, _, agent_rank, job_rank = inst.layout.arrays
-    rank = np.where(u < inst.num_agents, agent_rank[e >> 2], job_rank[e >> 2])
+    lay, k = inst.layout, e >> 2
+    rank = np.where(u < inst.num_agents, lay.agent_rank[k], lay.job_rank[k])
     at[u] = rank + _offset(e & 1, deg[u], left)
     return at
 
@@ -283,10 +281,10 @@ def format_mirror(mirror: MirrorGraph) -> str:
     """Line-oriented debug dump: each copy's ranked edges with forbidden flags."""
     inst = mirror.inst
     lines = [f"mirror graph: {inst.n * 2} vertices, {mirror.num_edges} edges"]
-    starts = mirror.list_starts
+    starts, forbidden = mirror.list_starts, mirror.forbidden_flags().tolist()
     for u in range(inst.n):
         row = " ".join(
-            mirror.describe(e) + ("!" if mirror.is_forbidden(e) else "")
+            mirror.describe(e) + ("!" if forbidden[e] else "")
             for e in mirror.list_edges[starts[u]:starts[u + 1]]
         )
         lines.append(f"{inst.names[u]}_l > {row}")
@@ -296,8 +294,7 @@ def format_mirror(mirror: MirrorGraph) -> str:
     for u in range(inst.n):
         order = sorted(incoming[u], key=mirror.rrank.__getitem__)
         row = " ".join(
-            mirror.describe(e) + ("!" if mirror.is_forbidden(e) else "")
-            for e in order
+            mirror.describe(e) + ("!" if forbidden[e] else "") for e in order
         )
         lines.append(f"{inst.names[u]}_r > {row}")
     return "\n".join(lines) + "\n"

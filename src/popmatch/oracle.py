@@ -10,16 +10,14 @@ structural shortcuts except where explicitly cross-checked.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, Matching
-from .popularity import edge_weight
+from .instance import Instance, InstanceError, Matching
 
-DEFAULT_VERTEX_CAP = 16
-_CAP_ENV = "POPMATCH_ORACLE_CAP"
+VERTEX_CAP = 16
+WITNESS_CAP = 12
 # The elections take time quadratic in the number of matchings: about 2 s
 # of CPU at 4,051 matchings (5x6 complete), 8 s at 8,852 (the largest that
 # a test enumerates, in perfbench) and 20 s at 13,327 (6x6 complete).
@@ -28,11 +26,6 @@ MATCHING_CAP = 10_000
 
 class OracleCapError(ValueError):
     """Instance too large for exhaustive enumeration."""
-
-
-def vertex_cap() -> int:
-    raw = os.environ.get(_CAP_ENV)
-    return int(raw) if raw else DEFAULT_VERTEX_CAP
 
 
 @dataclass(frozen=True)
@@ -78,16 +71,15 @@ def _matching_count(inst: Instance, stop: int) -> int:
     return sum(ways.values())
 
 
-def enumerate_matchings(inst: Instance, cap: int | None = None):
+def enumerate_matchings(inst: Instance):
     """Yield every matching of the instance exactly once, the empty one included.
 
-    Refuses, before yielding anything, an instance above the vertex cap or
-    with more than ``MATCHING_CAP`` matchings.
+    Refuses, before yielding anything, an instance of more than
+    ``VERTEX_CAP`` vertices or with more than ``MATCHING_CAP`` matchings.
     """
-    limit = cap if cap is not None else vertex_cap()
-    if inst.n > limit:
+    if inst.n > VERTEX_CAP:
         raise OracleCapError(
-            f"instance has {inst.n} vertices, enumeration cap is {limit}"
+            f"instance has {inst.n} vertices, enumeration cap is {VERTEX_CAP}"
         )
     if _matching_count(inst, MATCHING_CAP) > MATCHING_CAP:
         raise OracleCapError(
@@ -112,7 +104,7 @@ def enumerate_matchings(inst: Instance, cap: int | None = None):
     yield from rec(0)
 
 
-def ground_truth(inst: Instance, cap: int | None = None) -> OracleReport:
+def ground_truth(inst: Instance) -> OracleReport:
     """Exhaustive elections over all matchings.
 
     Popularity and agent-side popularity come straight from the vote counts;
@@ -121,7 +113,7 @@ def ground_truth(inst: Instance, cap: int | None = None) -> OracleReport:
     its vertex is unstable, with the stable vertices read off the same
     enumeration: those matched in some matching without a blocking edge.
     """
-    mats = list(enumerate_matchings(inst, cap))
+    mats = list(enumerate_matchings(inst))
     k = len(mats)
     n = inst.n
 
@@ -189,19 +181,18 @@ def ground_truth(inst: Instance, cap: int | None = None) -> OracleReport:
     )
 
 
-def witness_search(
-    inst: Instance, mat: Matching, cap: int = 12
-) -> tuple[int, ...] | None:
+def witness_search(inst: Instance, mat: Matching) -> tuple[int, ...] | None:
     """Exhaustive search for a popularity certificate of ``mat``.
 
     Complete backtracking over all vectors in {0, +-1}^n, organized so that
     the all-zero branch is explored first (a stable matching therefore
     yields the zero certificate).  Returns None when no vector satisfies the
     covering constraints, which by exhaustiveness proves none exists.
+    Refuses an instance of more than ``WITNESS_CAP`` vertices.
     """
-    if inst.n > cap:
+    if inst.n > WITNESS_CAP:
         raise OracleCapError(
-            f"instance has {inst.n} vertices, witness search cap is {cap}"
+            f"instance has {inst.n} vertices, witness search cap is {WITNESS_CAP}"
         )
     n = inst.n
     loop_wt = [edge_weight(inst, mat, (u, u)) for u in range(n)]
@@ -233,3 +224,25 @@ def witness_search(
         alpha[u] = 0
 
     return next(rec(0, 0), None)
+
+
+def edge_weight(inst: Instance, mat: Matching, e: tuple[int, int]) -> int:
+    """Joint vote of an edge's endpoints against their partners in ``mat``.
+
+    Genuine edges weigh +2 (blocking), -2 (both prefer their partners), or
+    0; a self-loop weighs 0 if it is in the matching and -1 otherwise.
+    """
+    u, v = e
+    if u == v:
+        if not 0 <= u < inst.n:
+            raise InstanceError(f"no vertex with id {u}")
+        return 0 if mat.partner[u] == u else -1
+    if not (inst.has_edge(u, v) or inst.has_edge(v, u)):
+        raise InstanceError(f"({u}, {v}) is not an edge")
+    su = 1 if inst.rank_of(u, v) < inst.rank_of(u, mat.partner[u]) else (
+        0 if mat.partner[u] == v else -1
+    )
+    sv = 1 if inst.rank_of(v, u) < inst.rank_of(v, mat.partner[v]) else (
+        0 if mat.partner[v] == u else -1
+    )
+    return su + sv

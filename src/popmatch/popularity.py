@@ -16,7 +16,7 @@ from operator import sub
 
 import numpy as np
 
-from .instance import EdgeLayout, Instance, InstanceError, Matching, Posts
+from .instance import EdgeLayout, Instance, Matching, Posts
 
 _INF = 1 << 60
 
@@ -37,28 +37,6 @@ class PopularityVerdict:
     counterexample: Matching | None
 
 
-def edge_weight(inst: Instance, mat: Matching, e: tuple[int, int]) -> int:
-    """Joint vote of an edge's endpoints against their partners in ``mat``.
-
-    Genuine edges weigh +2 (blocking), -2 (both prefer their partners), or
-    0; a self-loop weighs 0 if it is in the matching and -1 otherwise.
-    """
-    u, v = e
-    if u == v:
-        if not 0 <= u < inst.n:
-            raise InstanceError(f"no vertex with id {u}")
-        return 0 if mat.partner[u] == u else -1
-    if not (inst.has_edge(u, v) or inst.has_edge(v, u)):
-        raise InstanceError(f"({u}, {v}) is not an edge")
-    su = 1 if inst.rank_of(u, v) < inst.rank_of(u, mat.partner[u]) else (
-        0 if mat.partner[u] == v else -1
-    )
-    sv = 1 if inst.rank_of(v, u) < inst.rank_of(v, mat.partner[v]) else (
-        0 if mat.partner[v] == u else -1
-    )
-    return su + sv
-
-
 def check_witness(inst: Instance, mat: Matching, alpha, vertices=None) -> bool:
     """Validate a popularity certificate against a matching.
 
@@ -71,7 +49,8 @@ def check_witness(inst: Instance, mat: Matching, alpha, vertices=None) -> bool:
     (raising first if a pair straddles it), the length and entries, their
     sum, the self-loops, then every edge with both ends in scope, its weight
     folded from the layout and the partner ranks as in
-    :func:`verify_popular`; each equals :func:`edge_weight`.
+    :func:`verify_popular`; each equals
+    :func:`~popmatch.oracle.edge_weight`.
     """
     n = inst.n
     partner = mat.partner_array
@@ -103,12 +82,13 @@ def _edge_votes(inst: Instance, own):
 
     The vote is each endpoint's +1, 0 or -1 for the other against its
     partner, whose rank is in the array ``own``; it equals
-    :func:`edge_weight`.
+    :func:`~popmatch.oracle.edge_weight`.
     """
-    _, agent_of, job_of, agent_rank, job_rank = inst.layout.arrays
-    jobs = inst.num_agents + job_of
-    votes = np.sign(own[agent_of] - agent_rank) + np.sign(own[jobs] - job_rank)
-    return agent_of, jobs, votes
+    lay = inst.layout
+    agents, jobs = lay.agent_of, inst.num_agents + lay.job_of
+    votes = np.sign(own[agents] - lay.agent_rank)
+    votes += np.sign(own[jobs] - lay.job_rank)
+    return agents, jobs, votes
 
 
 def check_a_popular(inst: Instance, posts: Posts, mat: Matching) -> bool:
@@ -118,10 +98,8 @@ def check_a_popular(inst: Instance, posts: Posts, mat: Matching) -> bool:
     agent (an agent may sit on its own self-loop only when its fallback is
     itself), and give every top-choice job to an agent that ranks it first.
     """
-    na = inst.num_agents
-    agents = np.arange(na)
-    partner = mat.partner_array
-    f, s = (np.fromiter(x, np.intp, na) for x in (posts.f, posts.s))
+    agents = np.arange(inst.num_agents)
+    partner, f, s = mat.partner_array, posts.f, posts.s
     p = partner[agents]
     alone = p == agents
     if (alone & (s != agents)).any() or (~alone & (p != f) & (p != s)).any():
@@ -151,6 +129,7 @@ def a_popular_obstruction(inst: Instance, posts: Posts) -> int | None:
     the first whose edge drives its component's slack below zero is
     returned.
     """
+    f, s = posts.f.tolist(), posts.s.tolist()
     parent = list(range(inst.n))
     size = [1] * inst.n
     slack = [1] * inst.n
@@ -162,9 +141,9 @@ def a_popular_obstruction(inst: Instance, posts: Posts) -> int | None:
         return u
 
     for a in inst.agent_ids():
-        if posts.s[a] == a:
+        if s[a] == a:
             continue
-        ru, rv = root(posts.f[a]), root(posts.s[a])
+        ru, rv = root(f[a]), root(s[a])
         if ru != rv:
             if size[ru] < size[rv]:
                 ru, rv = rv, ru
@@ -189,8 +168,8 @@ def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:
     {0, +-1}: they are the witness, checked by :func:`check_witness`
     before it is returned.  Otherwise the optimal assignment is the
     counterexample.  The weights come from the edge layout and the partner
-    ranks in one array pass; each equals :func:`edge_weight` less the two
-    loop weights.
+    ranks in one array pass; each equals
+    :func:`~popmatch.oracle.edge_weight` less the two loop weights.
     """
     p, q = inst.num_agents, inst.num_jobs
     matched = mat.partner_array != np.arange(inst.n)
@@ -227,8 +206,8 @@ def _assignment_max(
 ) -> tuple[int, list[int], list[int], list[int]]:
     """Max-weight assignment of agents (rows) to jobs (columns) with sinks.
 
-    Row a's options are its edges ``lay.starts[a] ..`` in layout order, edge
-    k going to column ``lay.job_of[k]`` at ``cost[k]`` (a negated weight, so
+    Row a's options are its edges ``starts[a] ..`` in layout order, edge
+    k going to column ``job_of[k]`` at ``cost[k]`` (a negated weight, so
     <= 0), then its private zero-cost sink, column ``q + a`` (q jobs) at
     option index ``degree``.  ``start[a]`` is a hinted option index of row
     a; the hints only speed the search up.  Every row ends assigned.
@@ -253,8 +232,8 @@ def _assignment_max(
     from ``job_edges``), are rechecked in Python.  The searches read their
     options from the same flat lists.
     """
-    starts, job_of = lay.starts, lay.job_of
-    job_starts, job_edges, agent_of = lay.job_starts, lay.job_edges, lay.agent_of
+    lists = lay.starts, lay.job_of, lay.job_starts, lay.job_edges, lay.agent_of
+    starts, job_of, job_starts, job_edges, agent_of = (x.tolist() for x in lists)
     p, q = len(starts) - 1, len(job_starts) - 1
     num_cols = q + p
     costs = cost.tolist()
@@ -292,12 +271,11 @@ def _assignment_max(
             match_row[a] = c
             mcost[a] = w
             v[c] = -(-w // 2)
-    arr_starts, _, arr_job_of, _, _ = lay.arrays
     prices = np.fromiter(v, np.intp, num_cols)
     rows = np.fromiter(match_row, np.intp, p)
     # The sink's reduced cost is 0; a row is tight when no option is below u.
     lowest = np.minimum(
-        np.minimum.reduceat(cost - prices[arr_job_of], arr_starts[:-1]), 0
+        np.minimum.reduceat(cost - prices[lay.job_of], lay.starts[:-1]), 0
     )
     u = np.fromiter(mcost, np.intp, p) - prices[rows]
     work = np.flatnonzero((lowest < u) & (rows != -1)).tolist()

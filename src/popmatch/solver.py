@@ -130,27 +130,28 @@ def _mark_components(state: SolverState, left, right) -> tuple[TraceRow, ...]:
     cid, components = classification.component_id, classification.components
     proposals = state.system.proposals
     twins = 4 * inst.m
-    straddles = (left < twins) & (right < twins) & (left & right & 1 == 1)
-    marks = state.marks = np.zeros(inst.n, bool)
-    # Legal edges per component, summed over its agents' edge ranges, none
-    # of which is empty.
-    legal = np.fromiter(classification.legal_flags, np.intp, inst.m)
-    per_agent = np.add.reduceat(legal, inst.layout.arrays[0][:-1])
-    plus = np.bincount(cid[:inst.num_agents], per_agent, len(components))
-    trace = []
-    for u in np.flatnonzero(straddles).tolist():
-        if marks[u]:
-            continue
-        component = components[cid[u]]
-        marks[list(component)] = True
-        trace.append(TraceRow(
-            len(trace) + 1, u, component, 2 * int(plus[cid[u]]), proposals
-        ))
+    genuine = (left < twins) & (right < twins)
+    straddles = np.flatnonzero(genuine & (left & right & 1 == 1))
+    # Each marked component's first straddling vertex triggers its row.
+    _, first = np.unique(cid[straddles], return_index=True)
+    triggers = straddles[np.sort(first)]
+    ids = cid[triggers]
+    marked = np.zeros(len(components), bool)
+    marked[ids] = True
+    marks = state.marks = marked[cid]
+    # Legal edges per component, each counted at its agent.
+    legal = inst.layout.agent_of[classification.legal_flags[:inst.m]]
+    plus = 2 * np.bincount(cid[legal], minlength=len(components))[ids]
+    rows = zip(triggers.tolist(), ids.tolist(), plus.tolist())
+    trace = tuple(
+        TraceRow(i, u, components[c], k, proposals)
+        for i, (u, c, k) in enumerate(rows, 1)
+    )
     plus_left = (left < twins) & (left & 1 == 0)
     plus_right = (right < twins) & (right & 1 == 0)
     if (marks & (plus_left | plus_right)).any():
         raise SolverDefect("a marked component holds a plus-tagged edge")
-    return tuple(trace)
+    return trace
 
 
 def extract_witness(state: SolverState) -> np.ndarray:
@@ -295,11 +296,12 @@ def _validate_signs(state: SolverState, posts: Posts, own_m) -> None:
 
     # Restricted stability on marked and twin-matched vertices.
     restricted = marks | (upper == 0)
-    _, agents, job_of, agent_rank, job_rank = inst.layout.arrays
-    jobs = na + job_of
+    lay = inst.layout
+    agents, jobs = lay.agent_of, na + lay.job_of
     inside = restricted[agents] & restricted[jobs]
     for own in (own_m, own_l):
-        blocked = inside & (agent_rank < own[agents]) & (job_rank < own[jobs])
+        blocked = (lay.agent_rank < own[agents]) & (lay.job_rank < own[jobs])
+        blocked &= inside
         ensure(not blocked.any(), "blocking edge inside the marked region")
 
     # Agents settled on their minus tags weakly prefer the upper projection.

@@ -36,7 +36,8 @@ from popmatch.instance import EdgeLayout
 from popmatch.generator import generate
 from popmatch.legality import legal_edge_set, two_level_systems
 from popmatch.mirror import MirrorMatching, build_mirror, mirror_system
-from popmatch.popularity import a_popular_obstruction, check_witness, edge_weight
+from popmatch.oracle import edge_weight
+from popmatch.popularity import a_popular_obstruction, check_witness
 from popmatch.solver import SolverDefect, TraceRow
 
 SIZE_GAP_TEXT = """\
@@ -168,8 +169,23 @@ def showcase():
     return parse_instance(SHOWCASE_TEXT)
 
 
+def id_of(inst, name: str) -> int:
+    """The vertex id of ``name``; ``InstanceError`` for an unknown name."""
+    try:
+        return inst.names.index(name)
+    except ValueError:
+        raise InstanceError(f"unknown vertex name {name!r}") from None
+
+
+def edge_id(inst, a: int, b: int) -> int:
+    """Layout id of the genuine edge joining agent a to job b, searched in
+    a's edge range; ``ValueError`` when a does not list b."""
+    s, e = inst.layout.starts[a:a + 2].tolist()
+    return s + inst.layout.job_of[s:e].tolist().index(b - inst.num_agents)
+
+
 def ids(inst, *names):
-    return tuple(inst.id_of(name) for name in names)
+    return tuple(id_of(inst, name) for name in names)
 
 
 def left_list(system, u: int) -> list[int]:
@@ -192,7 +208,7 @@ def pairs_by_name(inst, mat: Matching):
 
 def match_of(inst, *name_pairs) -> Matching:
     return Matching.from_pairs(
-        inst, [(inst.id_of(a), inst.id_of(b)) for a, b in name_pairs]
+        inst, [(id_of(inst, a), id_of(inst, b)) for a, b in name_pairs]
     )
 
 
@@ -431,12 +447,12 @@ def classification_reference(inst):
     popular key set.
     """
     posts = compute_posts(inst)
+    f, s = posts.f.tolist(), posts.s.tolist()
     valid = set()
     for a in inst.agent_ids():
-        valid.add((a, posts.f[a]))
-        valid.add((a, posts.s[a]) if posts.s[a] != a else (a, a))
-    f_image = posts.f_image()
-    valid = frozenset(valid).union((b, b) for b in inst.job_ids() if b not in f_image)
+        valid.add((a, f[a]))
+        valid.add((a, s[a]) if s[a] != a else (a, a))
+    valid = frozenset(valid).union((b, b) for b in inst.job_ids() if b not in f)
     stable, dominant = pair_families(inst)
     covered = set(chain.from_iterable(stable))
     loops = [(u, u) for u in range(inst.n) if u not in covered]
@@ -472,7 +488,7 @@ def classification_reference(inst):
 
 def forbidden_reference(inst, legal) -> frozenset[int]:
     """The mirror graph's forbidden ids for a legal key set, via ``rank_tbl``."""
-    m, starts = inst.m, inst.layout.starts
+    m, starts = inst.m, inst.layout.starts.tolist()
     keep = [False] * (m + inst.n)
     for a, b in legal:
         keep[m + a if a == b else starts[a] + inst.rank_tbl[a][b]] = True
@@ -517,21 +533,21 @@ def layout_reference(inst) -> EdgeLayout:
     job_starts = [0]
     for row in incoming:
         job_starts.append(job_starts[-1] + len(row))
-    flat = (starts, agent_of, job_of, agent_rank, job_rank)
-    return EdgeLayout(
-        *map(tuple, flat),
-        tuple(job_starts),
-        tuple(chain.from_iterable(incoming)),
-        tuple(np.array(x, np.intp) for x in flat),
-    )
+    job_edges = list(chain.from_iterable(incoming))
+    return EdgeLayout(*(
+        np.array(x, np.intp)
+        for x in (
+            starts, agent_of, job_of, agent_rank, job_rank, job_starts, job_edges
+        )
+    ))
 
 
 def partner_ranks_reference(inst, mat: Matching) -> list[int]:
     """``Matching.partner_ranks`` as a list: each matched agent's edge found
     by a search of its edge range."""
     lay, na, partner = inst.layout, inst.num_agents, mat.partner
-    starts, job_of, job_rank = lay.starts, lay.job_of, lay.job_rank
-    js = lay.job_starts
+    starts, job_of = lay.starts.tolist(), lay.job_of.tolist()
+    job_rank, js = lay.job_rank.tolist(), lay.job_starts.tolist()
     own = [*map(sub, starts[1:], starts), *map(sub, js[1:], js)]
     for a in range(na):
         b = partner[a]
@@ -545,8 +561,8 @@ def partner_ranks_reference(inst, mat: Matching) -> list[int]:
 
 def incoming_of(layout: EdgeLayout) -> tuple[tuple[int, ...], ...]:
     """Each job's edge ids as a tuple of its own: its run of ``job_edges``."""
-    edges, bounds = layout.job_edges, layout.job_starts
-    return tuple(edges[s:e] for s, e in zip(bounds, bounds[1:]))
+    edges, bounds = layout.job_edges.tolist(), layout.job_starts.tolist()
+    return tuple(tuple(edges[s:e]) for s, e in zip(bounds, bounds[1:]))
 
 
 def eager_views(text: str):
@@ -900,7 +916,7 @@ def partition_reference(mh):
 def realize_reference(mirror, mat: Matching, own, alpha) -> MirrorMatching:
     """``mirror.realize_witnessed``, one matched pair and one vertex at a time."""
     inst = mirror.inst
-    starts = inst.layout.starts
+    starts = inst.layout.starts.tolist()
     left = [-1] * inst.n
     right = [-1] * inst.n
     for a, b in mat.pairs(inst):
@@ -959,23 +975,31 @@ def prefix_blocking_reference(mh) -> tuple[int, ...]:
     return tuple(blockers)
 
 
+def is_forbidden(mirror, e: int) -> bool:
+    """Whether mirror edge e is forbidden: its genuine edge ``e >> 2``, or
+    for the twin ``4m + u`` the self-loop of u, is not legal."""
+    m = mirror.inst.m
+    return not mirror.legal_flags[e >> 2 if e < 4 * m else e - 3 * m]
+
+
 def uses_forbidden_reference(mh) -> bool:
     """``MirrorMatching.uses_forbidden`` edge by edge."""
-    return any(map(mh.mirror.is_forbidden, mh.left_edge))
+    return any(is_forbidden(mh.mirror, e) for e in mh.left_edge)
 
 
 def a_popular_reference(inst, posts, mat: Matching) -> bool:
     """``popularity.check_a_popular`` one agent and one top job at a time."""
+    f, s = posts.f.tolist(), posts.s.tolist()
     for a in inst.agent_ids():
         p = mat.partner[a]
         if p == a:
-            if posts.s[a] != a:
+            if s[a] != a:
                 return False
-        elif p != posts.f[a] and p != posts.s[a]:
+        elif p != f[a] and p != s[a]:
             return False
-    for b in posts.f_image():
+    for b in set(f):
         p = mat.partner[b]
-        if p == b or posts.f[p] != b:
+        if p == b or f[p] != b:
             return False
     return True
 
@@ -1132,7 +1156,7 @@ def iterated_forbid_reference(inst) -> dict:
             e for e in range(4 * inst.m)
             if mirror.left_tag(e) == 1
             and agents & {mirror.edge_left[e], mirror.edge_right[e]}
-            and not mirror.is_forbidden(e) and e not in forbidden
+            and not is_forbidden(mirror, e) and e not in forbidden
         }
         forbidden |= newly
         system = mirror_system(mirror)

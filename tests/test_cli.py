@@ -207,14 +207,13 @@ def test_oracle_cross_check_clean(files, capsys):
     assert payload["matchings"] == 5
 
 
-def test_oracle_over_cap_exit_one(files, capsys, monkeypatch):
-    monkeypatch.setenv("POPMATCH_ORACLE_CAP", "3")
-    path = files("gap.txt", SIZE_GAP_TEXT)
+def test_oracle_over_cap_exit_one(files, capsys):
+    path = files("big.txt", generate(9, 8, 0.2, seed=0))
     assert main(["oracle", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: instance has 4 vertices, enumeration cap is 3\n"
+        "error: instance has 17 vertices, enumeration cap is 16\n"
     )
 
 
@@ -264,9 +263,9 @@ def test_oracle_cross_check_lists_popular_edge_diff(files, capsys, monkeypatch):
 
     def one_popular_edge_short(inst):
         classification = real_classify(inst)
-        flags = list(classification.popular_flags)
-        flags[flags.index(True)] = False
-        return dataclasses.replace(classification, popular_flags=tuple(flags))
+        flags = classification.popular_flags.copy()
+        flags[flags.argmax()] = False
+        return dataclasses.replace(classification, popular_flags=flags)
 
     monkeypatch.setattr(cli, "legal_edge_set", one_popular_edge_short)
     path = files("gap.txt", SIZE_GAP_TEXT)

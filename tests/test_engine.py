@@ -13,8 +13,11 @@ from popmatch.oracle import enumerate_matchings
 
 from conftest import (
     blocking_edges,
+    edge_id,
     forbid,
+    id_of,
     ids,
+    is_forbidden,
     left_list,
     pair_families,
     pairs_by_name,
@@ -35,10 +38,10 @@ def reference_lists(inst, kind):
     """
     na, m = inst.num_agents, inst.m
     agent_rows = [
-        [inst.edge_id(a, b) for b in inst.pref[a]] for a in inst.agent_ids()
+        [edge_id(inst, a, b) for b in inst.pref[a]] for a in inst.agent_ids()
     ]
     job_rows = [
-        [inst.edge_id(a, b) for a in inst.pref[b]] for b in inst.job_ids()
+        [edge_id(inst, a, b) for a in inst.pref[b]] for b in inst.job_ids()
     ]
     if kind == "agents":
         return agent_rows
@@ -242,7 +245,7 @@ class TestResume:
             extra = [
                 e
                 for e in range(mirror.num_edges)
-                if not mirror.is_forbidden(e) and rng.random() < 0.15
+                if not is_forbidden(mirror, e) and rng.random() < 0.15
             ]
             system = mirror_system(mirror)
             forbid(system, extra)
@@ -254,14 +257,14 @@ class TestResume:
             )
             assert mirror_blocking_edges(mh) == (), seed
             assert not any(
-                mirror.is_forbidden(e) or e in extra for e in mh.left_edge
+                is_forbidden(mirror, e) or e in extra for e in mh.left_edge
             ), seed
         assert hits > 20
 
 
 class TestStableQueries:
     def test_size_gap_stable_vertices(self, size_gap):
-        want = {size_gap.id_of("a1"), size_gap.id_of("b1")}
+        want = {id_of(size_gap, "a1"), id_of(size_gap, "b1")}
         assert stable_vertices(size_gap) == frozenset(want)
 
     def test_single_pair_both_stable(self):

@@ -5,6 +5,7 @@ import random
 import re
 import time
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from popmatch import (
 from popmatch import instance as instance_module
 from popmatch.instance import serialize_instance
 from popmatch.generator import generate
+from popmatch.legality import legal_edge_set
 from popmatch.oracle import enumerate_matchings
 
 from conftest import (
@@ -316,22 +318,31 @@ class TestLayout:
                 "starts", "agent_of", "job_of", "agent_rank", "job_rank",
                 "job_starts", "job_edges",
             ):
-                assert getattr(got, field) == getattr(want, field), field
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+            assert got == want and hash(got) == hash(want)
             assert incoming_of(got) == incoming_of(want)
             assert inst.m == len(want.agent_of)
 
-    def test_held_arrays_equal_their_tuples(self, showcase):
-        # Equality leaves ``arrays`` out, so the test above cannot see them.
-        # Each is a read-only int array that owns its data, so none keeps a
-        # parse buffer alive.
-        names = ("starts", "agent_of", "job_of", "agent_rank", "job_rank")
+    def test_stored_quantities_are_read_only_owned_arrays(self, showcase):
+        # Every per-edge and per-vertex quantity of the layout, the posts and
+        # the classification is stored once, as a read-only array that owns
+        # its data, so none keeps a parse buffer alive.
         for inst in layout_cases(showcase):
-            lay = inst.layout
-            assert len(lay.arrays) == len(names)
-            for name, array in zip(names, lay.arrays):
-                assert array.dtype == np.intp and array.base is None, name
-                assert not array.flags.writeable, name
-                assert tuple(array.tolist()) == getattr(lay, name), name
+            lay, posts = inst.layout, compute_posts(inst)
+            cls = legal_edge_set(inst, posts)
+            held = {f.name: getattr(lay, f.name) for f in fields(lay)}
+            held.update(f=posts.f, s=posts.s, component_id=cls.component_id)
+            flags = ("valid_flags", "popular_flags", "legal_flags")
+            held.update((name, getattr(cls, name)) for name in flags)
+            assert len(held) == 13
+            for name, array in held.items():
+                assert isinstance(array, np.ndarray), name
+                assert array.flags.owndata and not array.flags.writeable, name
+                if name in flags:
+                    assert array.dtype == bool, name
+                    assert array.shape == (inst.m + inst.n,), name
+                else:
+                    assert array.dtype == np.intp, name
 
     def test_derived_tables_equal_constructions(self, showcase):
         for inst in layout_cases(showcase):
@@ -442,7 +453,7 @@ class TestPosts:
     def test_size_gap_posts(self, size_gap):
         posts = compute_posts(size_gap)
         a0, a1, b0, b1 = ids(size_gap, "a0", "a1", "b0", "b1")
-        assert posts.f == (b1, b1)
+        assert posts.f.tolist() == [b1, b1]
         assert posts.s[a0] == a0  # every neighbor of a0 is someone's top choice
         assert posts.s[a1] == b0
 
@@ -464,14 +475,29 @@ class TestPosts:
     def test_single_neighbor_agent(self):
         inst = parse_instance("agents: a\njobs: b\na > b\nb > a\n")
         posts = compute_posts(inst)
-        assert posts.s == (0,)  # the lone neighbor is a's own top choice
+        assert posts.s.tolist() == [0]  # the lone neighbor is a's own top choice
+
+    def test_posts_equal_reference(self, showcase):
+        # f(a) heads a's list; s(a) is the first job on it that is nobody's
+        # top choice, or a itself.
+        for inst in layout_cases(showcase):
+            posts = compute_posts(inst)
+            f = [inst.pref[a][0] for a in inst.agent_ids()]
+            tops = set(f)
+            s = [
+                next((b for b in inst.pref[a] if b not in tops), a)
+                for a in inst.agent_ids()
+            ]
+            assert posts.f.tolist() == f and posts.s.tolist() == s
 
     def test_f_always_a_job(self):
         for seed in range(40):
             inst = random_instance(seed)
             posts = compute_posts(inst)
-            assert all(not inst.is_agent(b) for b in posts.f)
-            assert compute_posts(inst) == posts  # deterministic
+            assert all(not inst.is_agent(b) for b in posts.f.tolist())
+            again = compute_posts(inst)  # deterministic
+            assert np.array_equal(again.f, posts.f)
+            assert np.array_equal(again.s, posts.s)
 
 
 class TestElections:

@@ -1,5 +1,7 @@
 """Valid/popular/legal classification and the popular subgraph."""
 
+import numpy as np
+
 from popmatch import Instance, compute_posts, legal_edge_set, parse_instance
 from popmatch.engine import build_system
 from popmatch.generator import generate
@@ -13,6 +15,7 @@ from conftest import (
     classification_reference,
     composed_text,
     forbidden_reference,
+    id_of,
     ids,
     left_list,
     pair_families,
@@ -41,7 +44,7 @@ class TestValidEdges:
         ]
 
     def test_top_choice_job_loop_excluded(self, size_gap):
-        b1 = size_gap.id_of("b1")
+        b1 = id_of(size_gap, "b1")
         assert (b1, b1) not in legal_edge_set(size_gap).valid
 
     def test_single_pair(self):
@@ -275,17 +278,18 @@ class TestLegalEdgeSet:
             assert got.valid == valid, inst.names
             assert got.popular == popular, inst.names
             assert got.legal == legal, inst.names
-            assert got.component_id == component_id, inst.names
+            assert got.component_id.tolist() == list(component_id), inst.names
             assert got.components == components, inst.names
             mirror = build_mirror(inst, got)
-            forbidden = {
-                e for e in range(mirror.num_edges) if mirror.is_forbidden(e)
-            }
+            forbidden = set(np.flatnonzero(mirror.forbidden_flags()).tolist())
             assert forbidden == forbidden_reference(inst, legal), inst.names
 
     def test_given_posts_are_read(self, size_gap):
         posts = compute_posts(size_gap)
-        assert legal_edge_set(size_gap, posts=posts) == legal_edge_set(size_gap)
-        alone = Posts(posts.f, tuple(size_gap.agent_ids()))
+        given, own = legal_edge_set(size_gap, posts=posts), legal_edge_set(size_gap)
+        for name in ("valid_flags", "popular_flags", "legal_flags", "component_id"):
+            assert np.array_equal(getattr(given, name), getattr(own, name)), name
+        assert given.components == own.components
+        alone = Posts(posts.f, np.arange(size_gap.num_agents))
         valid = legal_edge_set(size_gap, posts=alone).valid
         assert {(a, a) for a in size_gap.agent_ids()} <= valid

@@ -33,8 +33,11 @@ from conftest import (
     SIZE_GAP_TEXT,
     a_popular_reference,
     composed_text,
+    edge_id,
     forbidden_reference,
+    id_of,
     ids,
+    is_forbidden,
     left_list,
     mirror_edges,
     partition_reference,
@@ -117,26 +120,26 @@ class TestBuild:
     def test_stable_vertex_twins_forbidden(self, size_gap):
         mirror = make_mirror(size_gap)
         a0, a1, b0, b1 = ids(size_gap, "a0", "a1", "b0", "b1")
-        assert mirror.is_forbidden(twin(mirror, a1))
-        assert mirror.is_forbidden(twin(mirror, b1))
-        assert not mirror.is_forbidden(twin(mirror, a0))
-        assert not mirror.is_forbidden(twin(mirror, b0))
+        assert is_forbidden(mirror, twin(mirror, a1))
+        assert is_forbidden(mirror, twin(mirror, b1))
+        assert not is_forbidden(mirror, twin(mirror, a0))
+        assert not is_forbidden(mirror, twin(mirror, b0))
 
     def test_invalid_edge_copies_all_forbidden(self, identical_prefs):
         # b3 is neither a top choice nor any agent's fallback, so every
         # signed copy of every edge into it is forbidden.
         mirror = make_mirror(identical_prefs)
-        b3 = identical_prefs.id_of("b3")
+        b3 = id_of(identical_prefs, "b3")
         for k, (a, b) in enumerate(identical_prefs.edges):
             if b == b3:
                 for off in range(4):
-                    assert mirror.is_forbidden(4 * k + off)
+                    assert is_forbidden(mirror, 4 * k + off)
 
     def test_rank_orders(self, size_gap):
         # Left copies: partner-minus block, partner-plus block, twin last.
         # Right copies: partner-minus block, twin, partner-plus block.
         mirror = make_mirror(size_gap)
-        a1 = size_gap.id_of("a1")
+        a1 = id_of(size_gap, "a1")
         row = left_list(mirror, a1)
         assert [mirror.right_tag(e) for e in row] == [-1, -1, 1, 1, 1]
         assert mirror.is_twin(row[-1])
@@ -157,12 +160,13 @@ class TestBuild:
         # they must agree with explicit per-edge sequences.
         for inst in [showcase] + [random_instance(seed) for seed in range(60)]:
             mirror = make_mirror(inst)
+            forbidden = mirror.forbidden_flags().tolist()
             assert [
                 (
                     mirror.left_tag(e),
                     mirror.right_tag(e),
                     mirror.is_twin(e),
-                    mirror.is_forbidden(e),
+                    forbidden[e],
                 )
                 for e in range(mirror.num_edges)
             ] == per_edge_reference(inst)
@@ -294,7 +298,7 @@ class TestRealize:
         stable = stable_matching(size_gap)
         left, right = [-1] * size_gap.n, [-1] * size_gap.n
         for a, b in stable.pairs(size_gap):
-            k = size_gap.edge_id(a, b)
+            k = edge_id(size_gap, a, b)
             left[a] = right[b] = 4 * k + 1
             left[b] = right[a] = 4 * k + 3
         for u in range(size_gap.n):

@@ -16,6 +16,7 @@ from popmatch.oracle import (
 
 from conftest import (
     blocking_edges,
+    id_of,
     random_instance,
     showcase_full,
     showcase_max,
@@ -62,16 +63,13 @@ class TestEnumeration:
             seen = [m.partner for m in enumerate_matchings(inst)]
             assert len(seen) == len(set(seen))
 
-    def test_cap_enforced(self, showcase):
-        with pytest.raises(OracleCapError):
-            list(enumerate_matchings(showcase, cap=8))
-
-    def test_cap_env_override(self, showcase, monkeypatch):
-        monkeypatch.setenv("POPMATCH_ORACLE_CAP", "8")
-        with pytest.raises(OracleCapError):
-            list(enumerate_matchings(showcase))
-        monkeypatch.setenv("POPMATCH_ORACLE_CAP", "12")
-        assert sum(1 for _ in enumerate_matchings(showcase)) > 0
+    def test_cap_enforced(self):
+        # 17 vertices, one over the cap, and few edges: the vertex count
+        # alone refuses it.
+        inst = parse_instance(generate(9, 8, 0.2, seed=0))
+        assert oracle._matching_count(inst, MATCHING_CAP) <= MATCHING_CAP
+        with pytest.raises(OracleCapError, match="17 vertices, enumeration cap is 16"):
+            list(enumerate_matchings(inst))
 
 
 class TestGroundTruth:
@@ -151,13 +149,15 @@ class TestWitnessSearch:
 
     def test_unpopular_has_none(self, size_gap):
         bad = Matching.from_pairs(
-            size_gap, [(size_gap.id_of("a0"), size_gap.id_of("b1"))]
+            size_gap, [(id_of(size_gap, "a0"), id_of(size_gap, "b1"))]
         )
         assert witness_search(size_gap, bad) is None
 
-    def test_cap_enforced(self, showcase):
-        with pytest.raises(OracleCapError):
-            witness_search(showcase, showcase_full(showcase), cap=8)
+    def test_cap_enforced(self):
+        inst = parse_instance(generate(7, 6, 0.3, seed=0))
+        mat = Matching(tuple(range(inst.n)))
+        with pytest.raises(OracleCapError, match="13 vertices, witness search"):
+            witness_search(inst, mat)
 
     def test_existence_matches_elections(self):
         # A certificate exists exactly for the matchings that win or tie

@@ -18,12 +18,14 @@ from popmatch import (
     solve,
     verify_popular,
 )
+import popmatch.popularity as popularity
 from popmatch.cli import main
-from popmatch.oracle import enumerate_matchings, ground_truth
-from popmatch.popularity import a_popular_obstruction, edge_weight
+from popmatch.oracle import edge_weight, enumerate_matchings, ground_truth
+from popmatch.popularity import a_popular_obstruction
 
 from conftest import (
     composed_text,
+    id_of,
     ids,
     match_of,
     random_instance,
@@ -54,7 +56,7 @@ class TestEdgeWeight:
         assert edge_weight(size_gap, size_gap_max(size_gap), (a1, b1)) == 2
 
     def test_self_loops(self, size_gap):
-        a0 = size_gap.id_of("a0")
+        a0 = id_of(size_gap, "a0")
         stable = size_gap_stable(size_gap)
         assert edge_weight(size_gap, stable, (a0, a0)) == 0
         assert edge_weight(size_gap, size_gap_max(size_gap), (a0, a0)) == -1
@@ -89,6 +91,19 @@ class TestVerifyPopular:
         verdict = verify_popular(size_gap, size_gap_max(size_gap))
         assert verdict.popular
         assert check_witness(size_gap, size_gap_max(size_gap), verdict.witness)
+
+    def test_failed_certificate_is_a_defect(self, size_gap, monkeypatch):
+        # Duals that fail their own check mean the assignment is broken.
+        monkeypatch.setattr(popularity, "check_witness", lambda *args: False)
+        with pytest.raises(AssertionError, match="dual potentials fail"):
+            verify_popular(size_gap, size_gap_max(size_gap))
+
+    def test_exhausted_search_is_a_defect(self, size_gap, monkeypatch):
+        # Every search can reach its row's own sink, so a heap that runs
+        # dry means the search itself is broken.
+        monkeypatch.setattr(popularity, "heappush", lambda heap, item: None)
+        with pytest.raises(AssertionError, match="ran out of columns"):
+            verify_popular(size_gap, size_gap_max(size_gap))
 
     def test_stable_matchings_accept_zero_witness(self, size_gap):
         stable = size_gap_stable(size_gap)
@@ -286,10 +301,32 @@ class TestCheckWitness:
 
     def test_matching_must_stay_inside_scope(self, size_gap):
         mat = size_gap_max(size_gap)
-        b1 = size_gap.id_of("b1")
+        b1 = id_of(size_gap, "b1")
         scope = [u for u in range(size_gap.n) if u != b1]
-        with pytest.raises(ValueError, match="subgraph"):
+        message = "^matching leaves the induced subgraph$"
+        with pytest.raises(ValueError, match=message):
             check_witness(size_gap, mat, (0,) * size_gap.n, vertices=scope)
+        # Either end of a matched pair may be the one in scope, and the
+        # check raises before it reads the certificate.
+        for name in ("a0", "b1"):
+            with pytest.raises(ValueError, match=message):
+                check_witness(size_gap, mat, (), vertices=[id_of(size_gap, name)])
+
+    def test_every_rejection_returns_false(self, size_gap):
+        # One certificate per rejection, in the order check_witness tests
+        # them: length, entries, sum, a self-loop, then an edge.
+        stable, big = size_gap_stable(size_gap), size_gap_max(size_gap)
+        a0, b0 = ids(size_gap, "a0", "b0")
+        alone = [0] * size_gap.n
+        alone[a0], alone[b0] = -1, 1  # both alone in the stable matching
+        for mat, alpha in (
+            (stable, (0, 0, 0)),
+            (stable, (2, -2, 0, 0)),
+            (stable, (1, 0, 0, 0)),
+            (stable, tuple(alone)),
+            (big, (0,) * size_gap.n),
+        ):
+            assert not check_witness(size_gap, mat, alpha), alpha
 
     def test_matches_edge_weight_reference(self):
         # Random (instance, matching, alpha) triples: verify_popular's

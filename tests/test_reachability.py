@@ -1,14 +1,16 @@
-"""Every executable line of the solver, the mirror graph, the engine and
-the edge classification is reached or ledgered.
+"""Every executable line of the solver, the mirror graph, the engine, the
+edge classification and popularity verification is reached or ledgered.
 
-A fixed solve sweep, and on one input the mirror dump of ``popmatch edges
+A fixed solve sweep, ``verify_popular`` and ``check_a_popular`` on each
+found answer and on a greedy matching of each input, one pinned partial
+matching, and on one input the mirror dump of ``popmatch edges
 --dump-mirror`` and the key sets of ``popmatch edges --kind``, run under a
-``sys.settrace`` line tracer.  A
-line they do not reach must be in ``LEDGER``, which names the test that
-reaches it on purpose: an injected defect that the line raises, or a caller
-error that it rejects.  A ledger entry that the sweep does reach, or that
-names no test, fails too, so the ledger lists exactly the lines that a
-plain solve cannot reach.
+``sys.settrace`` line tracer.  A line they do not reach must be in
+``LEDGER``, which names the test that reaches it on purpose: an injected
+defect that the line raises, or a caller error that it rejects.  A ledger
+entry that the sweep does reach, or that names no test, fails too, so the
+ledger lists exactly the lines that a plain solve or verification cannot
+reach.
 """
 
 import inspect
@@ -19,8 +21,10 @@ from pathlib import Path
 import popmatch.engine
 import popmatch.legality
 import popmatch.mirror
+import popmatch.popularity
 import popmatch.solver
-from popmatch import generate, legal_edge_set, parse_instance, solve
+from popmatch import check_a_popular, compute_posts, generate, legal_edge_set
+from popmatch import parse_instance, parse_matching, solve, verify_popular
 from popmatch.mirror import build_mirror, format_mirror
 
 from conftest import (
@@ -32,12 +36,24 @@ from conftest import (
     random_text,
     ring_text,
 )
+from golden import greedy_matching_text
 
-MODULES = (popmatch.engine, popmatch.legality, popmatch.mirror, popmatch.solver)
+MODULES = (
+    popmatch.engine,
+    popmatch.legality,
+    popmatch.mirror,
+    popmatch.popularity,
+    popmatch.solver,
+)
 
 PINNED = "test_solver.py::TestValidation::test_every_defect_message_is_pinned"
 REALIZE = "test_cli.py::test_structural_failures_are_not_input_errors"
 NON_CANCELLING = "test_mirror.py::TestRealize::test_non_cancelling_pair_rejected"
+
+# A dense instance and a partial matching on which verify_popular's
+# assignment search pops a stale heap entry.
+STALE_TEXT = generate(12, 4, 1.0, seed=0)
+STALE_MATCHING = "a1 b1\na7 b3\na8 b2\na11 b0\n"
 
 # (module, function, source line) -> the test that reaches the line.
 LEDGER = {
@@ -58,6 +74,17 @@ LEDGER = {
     ("mirror", "classify_partition",
      'raise ValueError("mirror matching is not perfect")'):
         "test_mirror.py::TestPartition::test_not_perfect_rejected",
+    ("popularity", "check_witness",
+     'raise ValueError("matching leaves the induced subgraph")'):
+        "test_popularity.py::TestCheckWitness::test_matching_must_stay_inside_scope",
+    ("popularity", "check_witness", "return False"):
+        "test_popularity.py::TestCheckWitness::test_every_rejection_returns_false",
+    ("popularity", "verify_popular",
+     'raise AssertionError("dual potentials fail certificate validation")'):
+        "test_popularity.py::TestVerifyPopular::test_failed_certificate_is_a_defect",
+    ("popularity", "_assignment_max",
+     'raise AssertionError("assignment search ran out of columns")'):
+        "test_popularity.py::TestVerifyPopular::test_exhausted_search_is_a_defect",
     ("solver", "_mark_components",
      'raise SolverDefect("a marked component holds a plus-tagged edge")'):
         "test_solver.py::TestValidation::test_marked_plus_edge_is_a_defect",
@@ -124,8 +151,8 @@ def executable_lines(module) -> dict[int, str]:
 
 
 def reached_lines(texts) -> set[tuple[str, int]]:
-    """``(file, line)`` of every line the solves and the dump run in
-    ``MODULES``."""
+    """``(file, line)`` of every line the solves, the verifications and
+    the dump run in ``MODULES``."""
     files = {module.__file__ for module in MODULES}
     reached = set()
 
@@ -139,8 +166,17 @@ def reached_lines(texts) -> set[tuple[str, int]]:
     previous = sys.gettrace()
     sys.settrace(calls)
     try:
-        for text in texts:
-            solve(parse_instance(text), validate=True)
+        for i, text in enumerate(texts):
+            inst = parse_instance(text)
+            report = solve(inst, validate=True)
+            mats = [parse_matching(greedy_matching_text(text, str(i)), inst)]
+            if report.outcome == "found":
+                mats.append(report.matching)
+            for mat in mats:
+                verify_popular(inst, mat)
+                check_a_popular(inst, compute_posts(inst), mat)
+        inst = parse_instance(STALE_TEXT)
+        verify_popular(inst, parse_matching(STALE_MATCHING, inst))
         # The ``edges --dump-mirror`` and ``edges --kind`` paths, on the
         # first text.
         inst = parse_instance(texts[0])

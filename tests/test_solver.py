@@ -29,6 +29,8 @@ from popmatch.solver import SolverDefect, _validate
 from conftest import (
     SHOWCASE_TEXT,
     composed_text,
+    edge_id,
+    id_of,
     iterated_forbid_reference,
     pairs_by_name,
     planted_text,
@@ -254,7 +256,7 @@ class TestValidation:
         # a1 straddles and marks the whole one-round instance; a0's left
         # copy moved onto its first plus-tagged copy trips the guard.
         inst = parse_instance(ONE_ROUND_TEXT)
-        a0, a1 = inst.id_of("a0"), inst.id_of("a1")
+        a0, a1 = id_of(inst, "a0"), id_of(inst, "a1")
 
         def a0_on_plus(mirror):
             system = mirror_system(mirror)
@@ -363,8 +365,8 @@ class TestValidation:
                 if witness[a] != sign:
                     pair = changed(witness, (a, sign), (b, -sign))
                     yield state, pair, own
-            k = inst.edge_id(a, b)
-            flags = tuple(changed(state.mirror.legal_flags, (k, False)).tolist())
+            k = edge_id(inst, a, b)
+            flags = changed(state.mirror.legal_flags, (k, False))
             mirror = dataclasses.replace(state.mirror, legal_flags=flags)
             yield injected(mirror=mirror), witness, own
         pairs = state.lower.pairs(inst)
@@ -444,7 +446,7 @@ def relabel(inst, rotation: int):
     jobs = jobs[rotation % len(jobs):] + jobs[: rotation % len(jobs)] if jobs else jobs
     lines = ["agents: " + " ".join(agents), "jobs: " + " ".join(jobs)]
     for name in agents + jobs:
-        u = inst.id_of(name)
+        u = id_of(inst, name)
         lines.append(
             f"{name} > " + " ".join(inst.names[v] for v in inst.pref[u])
         )

@@ -172,7 +172,7 @@ def _popular_flags(inst: Instance) -> np.ndarray:
     stable pair covers.
     """
     lay, m, na = inst.layout, inst.m, inst.num_agents
-    stable = list(_stable_ids(inst))
+    stable = np.array(list(_stable_ids(inst)), np.intp)
     flags = np.ones(m + inst.n, bool)
     flags[:m] = False
     flags[stable] = True

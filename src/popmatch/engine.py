@@ -18,6 +18,10 @@ alone lays their lists out.  A mirror system is forbidden the copies of its
 non-legal edges, and its run finds no stable matching avoiding them
 exactly when some left copy exhausts its list.  A run's work is linear in
 the summed list lengths.
+
+A large system runs in two stages: whole-array numpy rounds while at least
+``BATCH_MIN`` left vertices are free, then the sequential loop, one
+proposal at a time (see :meth:`ProposalSystem.run`).
 """
 
 from __future__ import annotations
@@ -30,6 +34,16 @@ import numpy as np
 from .instance import Instance
 
 INFINITE_RANK = 1 << 60
+
+# Fewest left vertices that propose in one whole-array round.  A round
+# costs tens of microseconds of numpy calls and the loop about a third of
+# a microsecond per proposal, but a run that fails after its rounds is
+# replayed by the loop, so on a small failing system the rounds are waste.
+# Measured at 768, the five runs of a solve on 1,000 disjoint 6-vertex
+# blocks take 4.4 ms against 15.5 ms on the loop alone, and systems of 600
+# vertices stay on the loop: at 512 a 300-ring's runs took 18 % less time,
+# a failing 600-vertex planted instance's 22 % more.
+BATCH_MIN = 768
 
 
 def int64_view(values) -> memoryview:
@@ -71,14 +85,18 @@ class ProposalSystem:
     or beyond it.  With ``alone_ok`` a left vertex that runs out of its list
     stays alone; otherwise that makes the run infeasible and is recorded in
     ``exhausted_left``.  ``forbidden`` flags the edges forbidden in the run,
-    none when not given; the system keeps the list as its ``forbidden``
-    and reads it only while it runs.  Only systems without ``alone_ok`` are
-    forbidden anything in a solve.
+    one byte per edge, none when not given; the system keeps the bytearray
+    as its ``forbidden`` and reads it only while it runs.  Only systems
+    without ``alone_ok`` are forbidden anything in a solve.
 
     The lists are read, never written, so callers may share them.  After a
     run, ``left_match[u]`` / ``right_match[r]`` hold the matched edge id or
     -1, and ``next_i[u]`` is the position in ``list_edges`` of u's matched
-    edge (``list_starts[u + 1]`` when u is alone).
+    edge (``list_starts[u + 1]`` when u is alone).  ``proposals`` and
+    ``rejections`` count the run's work and ``rounds`` its whole-array
+    rounds, each of at least ``BATCH_MIN`` proposals, so ``rounds *
+    BATCH_MIN <= proposals <= total_list_length``; a replayed run counts
+    the replay alone.
     """
 
     def __init__(
@@ -90,7 +108,7 @@ class ProposalSystem:
         edge_right: Sequence[int],
         right_rank: Sequence[int],
         alone_ok: bool = False,
-        forbidden: list[bool] | None = None,
+        forbidden: bytearray | None = None,
     ):
         self.num_left = len(list_starts) - 1
         self.num_right = num_right
@@ -101,7 +119,7 @@ class ProposalSystem:
         self.right_rank = right_rank
         self.alone_ok = alone_ok
         if forbidden is None:
-            forbidden = [False] * len(edge_left)
+            forbidden = bytearray(len(edge_left))
         self.forbidden = forbidden
         self.total_list_length = len(list_edges)
         self.next_i = list(list_starts[:-1])
@@ -111,18 +129,110 @@ class ProposalSystem:
         self.queue: deque[int] = deque(range(self.num_left))
         self.proposals = 0
         self.rejections = 0
+        self.rounds = 0
         self.exhausted_left: int | None = None
 
     def run(self) -> bool:
-        """Drain the proposal queue; False when a left vertex exhausts its list.
+        """Run the proposals to the end; False when a left vertex exhausts
+        its list.
 
         That can only happen without ``alone_ok``, and the run then stops at
         once with the vertex in ``exhausted_left``.  In a mirror system, with
         as many right copies as left ones and no sinks, a run in which no
         left copy exhausts its list matches every right copy, so no stable
         matching avoiding the forbidden edges exists exactly when this
-        returns False.  The queue only ever holds unmatched left vertices,
-        each once.
+        returns False.
+
+        A system of at least ``BATCH_MIN`` left vertices that has not
+        proposed yet first runs whole-array rounds (:meth:`_rounds`) and
+        hands their state to the sequential loop (:meth:`_drain`).  The
+        outcome of deferred acceptance does not depend on the order of the
+        proposals (McVitie and Wilson, "The stable marriage problem", 1971),
+        and a rejection by a forbidden edge only lowers a cutoff as any
+        better proposal would, so a run that succeeds ends in the loop's own
+        state, counters included.  Which vertex exhausts its list first does
+        depend on the order, so a run that fails after rounds is replayed by
+        the loop alone from the initial state, and ``exhausted_left`` is
+        always the loop's.
+        """
+        if self.proposals or self.num_left < BATCH_MIN:
+            return self._drain()
+        # The rounds replace the state's containers rather than change them,
+        # so a shallow copy of the attributes keeps the initial state.
+        initial = vars(self).copy()
+        if self._rounds() and self._drain():
+            return True
+        vars(self).update(initial)
+        return self._drain()
+
+    def _rounds(self) -> bool:
+        """Whole-array proposal rounds from the initial state.
+
+        Every left vertex is free at first.  In a round every free left
+        vertex proposes along its next list position at once.  Each right
+        vertex takes the best-ranked of its proposals if that ranks below
+        its cutoff and lowers the cutoff to it; a forbidden winner leaves
+        the vertex empty.  Losers, forbidden winners and displaced holders
+        move one position on and are the next round's free vertices.
+        Rounds go on while at least ``BATCH_MIN`` vertices propose, so
+        there are at most ``total_list_length / BATCH_MIN`` of them, and the
+        free vertices left over become the loop's queue.  Returns False, with
+        only the counters written, when a vertex without ``alone_ok`` runs
+        out of its list: the run then fails in any order.
+        """
+        # The packed views read as numpy's longlong type, on which
+        # ``minimum.at`` takes a generic path 25 times slower; viewing them
+        # as int64 keeps its fast one.
+        list_edges, starts, edge_left, edge_right, right_rank = (
+            np.asarray(x, np.int64).view(np.int64)
+            for x in (
+                self.list_edges, self.list_starts, self.edge_left,
+                self.edge_right, self.right_rank,
+            )
+        )
+        forbidden = np.frombuffer(self.forbidden, np.bool_)
+        end = starts[1:]
+        next_i = starts[:-1].copy()
+        left_match = np.full(self.num_left, -1, np.int64)
+        right_match = np.full(self.num_right, -1, np.int64)
+        right_cut = np.full(self.num_right, INFINITE_RANK, np.int64)
+        best = right_cut.copy()
+        free = np.arange(self.num_left)
+        while True:
+            dry = next_i[free] >= end[free]
+            if not self.alone_ok and dry.any():
+                return False
+            free = free[~dry]
+            if len(free) < BATCH_MIN:
+                break
+            e = list_edges[next_i[free]]
+            r, rank = edge_right[e], right_rank[e]
+            np.minimum.at(best, r, rank)
+            won = (rank == best[r]) & (rank < right_cut[r])
+            best[r] = INFINITE_RANK
+            taken = r[won]
+            right_cut[taken] = rank[won]
+            held = right_match[taken]
+            displaced = edge_left[held[held != -1]]
+            left_match[displaced] = -1
+            right_match[taken] = -1
+            kept = won & ~forbidden[e]
+            right_match[r[kept]] = left_match[free[kept]] = e[kept]
+            self.rounds += 1
+            self.proposals += len(free)
+            free = np.concatenate((free[~kept], displaced))
+            self.rejections += len(free)
+            next_i[free] += 1
+        self.next_i, self.left_match = next_i.tolist(), left_match.tolist()
+        self.right_match = right_match.tolist()
+        self.right_cut = right_cut.tolist()
+        self.queue = deque(free.tolist())
+        return True
+
+    def _drain(self) -> bool:
+        """The sequential loop: drain the queue one proposal at a time.
+
+        The queue only ever holds unmatched left vertices, each once.
         """
         # The loop reads the state through locals; the counters are written
         # back on every exit.

@@ -148,7 +148,7 @@ def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
         edge_left=mirror.edge_left,
         edge_right=mirror.edge_right,
         right_rank=mirror.rrank,
-        forbidden=mirror.forbidden_flags().tolist(),
+        forbidden=bytearray(mirror.forbidden_flags()),
     )
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from popmatch import Matching, generate, legal_edge_set, parse_instance
+from popmatch import engine
 from popmatch.engine import ProposalSystem, build_system
 from popmatch.legality import two_level_systems
 from popmatch.mirror import build_mirror, mirror_system
@@ -13,6 +14,7 @@ from popmatch.oracle import enumerate_matchings
 
 from conftest import (
     blocking_edges,
+    composed_text,
     edge_id,
     forbid,
     id_of,
@@ -21,8 +23,10 @@ from conftest import (
     left_list,
     pair_families,
     pairs_by_name,
+    planted_text,
     random_instance,
     ring_instance,
+    ring_text,
     showcase_stable,
     stable_matching,
     stable_vertices,
@@ -110,33 +114,39 @@ def gale_shapley_reference(lists, system, forbidden):
     return not exhausted and not starved, left, right, pos, starved
 
 
+def system_kinds(inst):
+    """Each system kind's builder; every call gives a fresh system."""
+    mirror = build_mirror(inst, legal_edge_set(inst))
+    return [
+        ("agents", lambda: build_system(inst, "agents")),
+        ("jobs", lambda: build_system(inst, "jobs")),
+        ("two_level_agents", lambda: two_level_systems(inst)[0]),
+        ("two_level_jobs", lambda: two_level_systems(inst)[1]),
+        ("mirror", lambda: mirror_system(mirror)),
+    ]
+
+
+def sweep_instances():
+    """Small random instances of every shape, two sparse ones and a ring."""
+    insts = [random_instance(seed) for seed in range(150)]
+    insts += [random_instance(seed, max_side=7) for seed in range(40)]
+    insts += [
+        parse_instance(generate(n, n + 2, 3 / n, seed=n)) for n in (9, 16)
+    ]
+    insts.append(ring_instance(12))
+    return insts
+
+
 class TestReferenceEngine:
     """The engine on flat lists against Gale-Shapley on per-vertex lists."""
-
-    def systems(self, inst):
-        """Each kind's builder; every call gives a fresh system."""
-        mirror = build_mirror(inst, legal_edge_set(inst))
-        return [
-            ("agents", lambda: build_system(inst, "agents")),
-            ("jobs", lambda: build_system(inst, "jobs")),
-            ("two_level_agents", lambda: two_level_systems(inst)[0]),
-            ("two_level_jobs", lambda: two_level_systems(inst)[1]),
-            ("mirror", lambda: mirror_system(mirror)),
-        ]
 
     def test_forbid_resume_sequences_match_reference(self):
         # Growing forbidden sets, each forbidden in one batch on a fresh
         # system, until a run is infeasible.
         rng = random.Random(7)
-        insts = [random_instance(seed) for seed in range(150)]
-        insts += [random_instance(seed, max_side=7) for seed in range(40)]
-        insts += [
-            parse_instance(generate(n, n + 2, 3 / n, seed=n)) for n in (9, 16)
-        ]
-        insts.append(ring_instance(12))
         compared = infeasible = mirror_feasible = with_empty = 0
-        for inst in insts:
-            for kind, fresh in self.systems(inst):
+        for inst in sweep_instances():
+            for kind, fresh in system_kinds(inst):
                 system = fresh()
                 lists = reference_lists(inst, kind)
                 assert [
@@ -180,6 +190,53 @@ class TestReferenceEngine:
         assert with_empty >= 1
 
 
+RUN_FIELDS = (
+    "left_match", "right_match", "next_i", "proposals", "rejections",
+    "exhausted_left",
+)
+
+
+class TestBatchedRounds:
+    """Whole-array rounds, then the loop, end where the loop alone ends."""
+
+    def test_rounds_end_in_the_loop_state(self, monkeypatch):
+        # With rounds down to one free vertex, on every system kind of the
+        # reference sweep, of blocks, planted blocks and a ring, and of
+        # random instances whose mirror run fails after its rounds and is
+        # replayed; each with and without a few more edges forbidden.
+        rng = random.Random(5)
+        insts = sweep_instances() + [
+            parse_instance(text)
+            for text in (
+                composed_text(40, seed=1),
+                planted_text(40, 60, 2),
+                ring_text(50),
+                *(generate(2000, 3000, 5 / 3000, seed) for seed in range(1, 6)),
+            )
+        ]
+        compared = failed = rounds = 0
+        for inst in insts:
+            for kind, fresh in system_kinds(inst):
+                edges = range(fresh().total_list_length)
+                for extra in ([], rng.sample(edges, min(len(edges), 3))):
+                    runs = []
+                    for batch_min in (1 << 60, 1):
+                        monkeypatch.setattr(engine, "BATCH_MIN", batch_min)
+                        system = fresh()
+                        forbid(system, extra)
+                        runs.append((system.run(), system))
+                    (want, loop), (got, batched) = runs
+                    assert got == want, kind
+                    for field in RUN_FIELDS:
+                        assert getattr(batched, field) == getattr(
+                            loop, field
+                        ), (kind, field)
+                    compared += 1
+                    failed += not want
+                    rounds += batched.rounds
+        assert compared > 1900 and failed > 100 and rounds > 5000
+
+
 class TestProposeDispose:
     def test_size_gap_stable(self, size_gap):
         assert pairs_by_name(size_gap, stable_matching(size_gap)) == [
@@ -212,11 +269,32 @@ class TestProposeDispose:
             build_system(size_gap, "both")
 
     def test_proposals_bounded_by_total_list_length(self):
+        # Each list position is proposed along at most once, and each
+        # whole-array round makes at least BATCH_MIN proposals: on small
+        # instances, and on every system of blocks, planted blocks and a
+        # ring at benchmark size, which run rounds.
         for seed in range(40):
             inst = random_instance(seed)
             system = build_system(inst)
             system.run()
             assert system.proposals <= system.total_list_length
+        for text in (
+            composed_text(1000, seed=3),
+            planted_text(1000, 300, 0),
+            ring_text(5000),
+        ):
+            inst = parse_instance(text)
+            rounds = 0
+            for kind, fresh in system_kinds(inst):
+                system = fresh()
+                assert system.run(), kind
+                assert (
+                    system.rounds * engine.BATCH_MIN
+                    <= system.proposals
+                    <= system.total_list_length
+                ), kind
+                rounds += system.rounds
+            assert rounds > 0
 
 
 class TestResume:

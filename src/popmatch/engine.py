@@ -15,9 +15,9 @@ rotation walk between the two extreme stable matchings.  The derived
 systems, of the two-level instance and of the mirror graph, give each edge's
 left vertex and its position in that vertex's list, and :func:`flat_lists`
 alone lays their lists out.  A mirror system is forbidden the copies of its
-non-legal edges, and its run finds no stable matching avoiding them
-exactly when some left copy exhausts its list.  A run's work is linear in
-the summed list lengths.
+non-legal edges, and no stable matching avoiding them exists exactly when
+its run leaves some left copy alone.  A run's work is linear in the summed
+list lengths.
 
 A large system runs in two stages: whole-array numpy rounds while at least
 ``BATCH_MIN`` left vertices are free, then the sequential loop, one
@@ -37,12 +37,10 @@ INFINITE_RANK = 1 << 60
 
 # Fewest left vertices that propose in one whole-array round.  A round
 # costs tens of microseconds of numpy calls and the loop about a third of
-# a microsecond per proposal, but a run that fails after its rounds is
-# replayed by the loop, so on a small failing system the rounds are waste.
-# Measured at 768, the five runs of a solve on 1,000 disjoint 6-vertex
-# blocks take 4.4 ms against 15.5 ms on the loop alone, and systems of 600
-# vertices stay on the loop: at 512 a 300-ring's runs took 18 % less time,
-# a failing 600-vertex planted instance's 22 % more.
+# a microsecond per proposal.  Measured at 768, the five runs of a solve on
+# 1,000 disjoint 6-vertex blocks take 4.4 ms against 15.5 ms on the loop
+# alone, and systems of 600 vertices stay on the loop.  The value sets only
+# the time of a run: its end state is the same for any value.
 BATCH_MIN = 768
 
 
@@ -82,21 +80,19 @@ class ProposalSystem:
     ``edge_right[e]`` is the receiving right vertex and ``right_rank`` orders
     each right vertex's incident edges (lower is better).  A right vertex's
     cutoff is the best rank it has seen; it never accepts an edge ranked at
-    or beyond it.  With ``alone_ok`` a left vertex that runs out of its list
-    stays alone; otherwise that makes the run infeasible and is recorded in
-    ``exhausted_left``.  ``forbidden`` flags the edges forbidden in the run,
-    one byte per edge, none when not given; the system keeps the bytearray
-    as its ``forbidden`` and reads it only while it runs.  Only systems
-    without ``alone_ok`` are forbidden anything in a solve.
+    or beyond it.  A left vertex that runs out of its list stays alone.
+    ``forbidden`` flags the edges forbidden in the run, one byte per edge,
+    none when not given; the system keeps the bytearray as its
+    ``forbidden`` and reads it only while it runs.  Only mirror systems are
+    forbidden anything in a solve.
 
-    The lists are read, never written, so callers may share them.  After a
-    run, ``left_match[u]`` / ``right_match[r]`` hold the matched edge id or
-    -1, and ``next_i[u]`` is the position in ``list_edges`` of u's matched
-    edge (``list_starts[u + 1]`` when u is alone).  ``proposals`` and
-    ``rejections`` count the run's work and ``rounds`` its whole-array
-    rounds, each of at least ``BATCH_MIN`` proposals, so ``rounds *
-    BATCH_MIN <= proposals <= total_list_length``; a replayed run counts
-    the replay alone.
+    The lists are read, never written, so callers may share them.  A system
+    runs once.  After its run, ``left_match[u]`` / ``right_match[r]`` hold
+    the matched edge id or -1, and ``next_i[u]`` is the position in
+    ``list_edges`` of u's matched edge (``list_starts[u + 1]`` when u is
+    alone).  ``proposals`` and ``rejections`` count the run's work and
+    ``rounds`` its whole-array rounds, each of at least ``BATCH_MIN``
+    proposals, so ``rounds * BATCH_MIN <= proposals <= total_list_length``.
     """
 
     def __init__(
@@ -107,7 +103,6 @@ class ProposalSystem:
         edge_left: Sequence[int],
         edge_right: Sequence[int],
         right_rank: Sequence[int],
-        alone_ok: bool = False,
         forbidden: bytearray | None = None,
     ):
         self.num_left = len(list_starts) - 1
@@ -117,55 +112,41 @@ class ProposalSystem:
         self.edge_left = edge_left
         self.edge_right = edge_right
         self.right_rank = right_rank
-        self.alone_ok = alone_ok
         if forbidden is None:
             forbidden = bytearray(len(edge_left))
         self.forbidden = forbidden
         self.total_list_length = len(list_edges)
-        self.next_i = list(list_starts[:-1])
-        self.left_match = [-1] * self.num_left
-        self.right_match = [-1] * num_right
-        self.right_cut = [INFINITE_RANK] * num_right
-        self.queue: deque[int] = deque(range(self.num_left))
         self.proposals = 0
         self.rejections = 0
         self.rounds = 0
-        self.exhausted_left: int | None = None
 
-    def run(self) -> bool:
-        """Run the proposals to the end; False when a left vertex exhausts
-        its list.
+    def run(self) -> None:
+        """Run the proposals to the end.
 
-        That can only happen without ``alone_ok``, and the run then stops at
-        once with the vertex in ``exhausted_left``.  In a mirror system, with
-        as many right copies as left ones and no sinks, a run in which no
-        left copy exhausts its list matches every right copy, so no stable
-        matching avoiding the forbidden edges exists exactly when this
-        returns False.
-
-        A system of at least ``BATCH_MIN`` left vertices that has not
-        proposed yet first runs whole-array rounds (:meth:`_rounds`) and
-        hands their state to the sequential loop (:meth:`_drain`).  The
-        outcome of deferred acceptance does not depend on the order of the
-        proposals (McVitie and Wilson, "The stable marriage problem", 1971),
-        and a rejection by a forbidden edge only lowers a cutoff as any
-        better proposal would, so a run that succeeds ends in the loop's own
-        state, counters included.  Which vertex exhausts its list first does
-        depend on the order, so a run that fails after rounds is replayed by
-        the loop alone from the initial state, and ``exhausted_left`` is
-        always the loop's.
+        A system of at least ``BATCH_MIN`` left vertices first runs
+        whole-array rounds (:meth:`_rounds`); a smaller one starts with every
+        left vertex free.  The sequential loop (:meth:`_drain`) then ends the
+        run.  The end state of deferred acceptance does not depend on the
+        order of the proposals (McVitie and Wilson, "The stable marriage
+        problem", 1971), and a rejection by a forbidden edge only lowers a
+        cutoff as any better proposal would, so the run ends in the loop's
+        own state, counters and alone vertices included.  In a mirror
+        system, with as many right copies as left ones and no sinks, a run
+        that leaves no left copy alone matches every right copy, so no
+        stable matching avoiding the forbidden edges exists exactly when a
+        left copy ends alone.
         """
-        if self.proposals or self.num_left < BATCH_MIN:
-            return self._drain()
-        # The rounds replace the state's containers rather than change them,
-        # so a shallow copy of the attributes keeps the initial state.
-        initial = vars(self).copy()
-        if self._rounds() and self._drain():
-            return True
-        vars(self).update(initial)
-        return self._drain()
+        if self.num_left >= BATCH_MIN:
+            self._rounds()
+        else:
+            self.next_i = list(self.list_starts[:-1])
+            self.left_match = [-1] * self.num_left
+            self.right_match = [-1] * self.num_right
+            self.right_cut = [INFINITE_RANK] * self.num_right
+            self.queue = deque(range(self.num_left))
+        self._drain()
 
-    def _rounds(self) -> bool:
+    def _rounds(self) -> None:
         """Whole-array proposal rounds from the initial state.
 
         Every left vertex is free at first.  In a round every free left
@@ -175,10 +156,9 @@ class ProposalSystem:
         the vertex empty.  Losers, forbidden winners and displaced holders
         move one position on and are the next round's free vertices.
         Rounds go on while at least ``BATCH_MIN`` vertices propose, so
-        there are at most ``total_list_length / BATCH_MIN`` of them, and the
-        free vertices left over become the loop's queue.  Returns False, with
-        only the counters written, when a vertex without ``alone_ok`` runs
-        out of its list: the run then fails in any order.
+        there are at most ``total_list_length / BATCH_MIN`` of them.  A
+        vertex past the end of its list stays alone, and the free vertices
+        left over become the loop's queue.
         """
         # The packed views read as numpy's longlong type, on which
         # ``minimum.at`` takes a generic path 25 times slower; viewing them
@@ -199,10 +179,7 @@ class ProposalSystem:
         best = right_cut.copy()
         free = np.arange(self.num_left)
         while True:
-            dry = next_i[free] >= end[free]
-            if not self.alone_ok and dry.any():
-                return False
-            free = free[~dry]
+            free = free[next_i[free] < end[free]]
             if len(free) < BATCH_MIN:
                 break
             e = list_edges[next_i[free]]
@@ -227,15 +204,14 @@ class ProposalSystem:
         self.right_match = right_match.tolist()
         self.right_cut = right_cut.tolist()
         self.queue = deque(free.tolist())
-        return True
 
-    def _drain(self) -> bool:
+    def _drain(self) -> None:
         """The sequential loop: drain the queue one proposal at a time.
 
         The queue only ever holds unmatched left vertices, each once.
         """
         # The loop reads the state through locals; the counters are written
-        # back on every exit.
+        # back at the end.
         list_edges, list_starts = self.list_edges, self.list_starts
         edge_left, edge_right = self.edge_left, self.edge_right
         right_rank, forbidden = self.right_rank, self.forbidden
@@ -243,49 +219,43 @@ class ProposalSystem:
         right_match, right_cut = self.right_match, self.right_cut
         queue = self.queue
         proposals = rejections = 0
-        try:
-            while queue:
-                u = queue.popleft()
-                i, end = next_i[u], list_starts[u + 1]
-                while True:
-                    if i >= end:
-                        next_i[u] = i
-                        if self.alone_ok:
-                            break
-                        self.exhausted_left = u
-                        return False
-                    e = list_edges[i]
-                    proposals += 1
-                    r = edge_right[e]
-                    rank = right_rank[e]
-                    if rank >= right_cut[r]:
-                        i += 1
-                        rejections += 1
-                        continue
-                    # In range: the holder, if any, moves to its next edge.
-                    right_cut[r] = rank
-                    cur = right_match[r]
-                    if cur != -1:
-                        v = edge_left[cur]
-                        left_match[v] = -1
-                        next_i[v] += 1
-                        queue.append(v)
-                        rejections += 1
-                    if forbidden[e]:
-                        # A forbidden proposal deletes every worse edge here,
-                        # the held one included, and r stays unmatched.
-                        right_match[r] = -1
-                        i += 1
-                        rejections += 1
-                        continue
-                    right_match[r] = e
-                    left_match[u] = e
-                    next_i[u] = i
-                    break
-            return True
-        finally:
-            self.proposals += proposals
-            self.rejections += rejections
+        while queue:
+            u = queue.popleft()
+            i, end = next_i[u], list_starts[u + 1]
+            while i < end:
+                e = list_edges[i]
+                proposals += 1
+                r = edge_right[e]
+                rank = right_rank[e]
+                if rank >= right_cut[r]:
+                    i += 1
+                    rejections += 1
+                    continue
+                # In range: the holder, if any, moves to its next edge.
+                right_cut[r] = rank
+                cur = right_match[r]
+                if cur != -1:
+                    v = edge_left[cur]
+                    left_match[v] = -1
+                    next_i[v] += 1
+                    queue.append(v)
+                    rejections += 1
+                if forbidden[e]:
+                    # A forbidden proposal deletes every worse edge here,
+                    # the held one included, and r stays unmatched.
+                    right_match[r] = -1
+                    i += 1
+                    rejections += 1
+                    continue
+                right_match[r] = e
+                left_match[u] = e
+                next_i[u] = i
+                break
+            else:
+                # u ran out of its list and stays alone.
+                next_i[u] = i
+        self.proposals += proposals
+        self.rejections += rejections
 
 
 def build_system(inst: Instance, proposers: str = "agents") -> ProposalSystem:
@@ -296,7 +266,7 @@ def build_system(inst: Instance, proposers: str = "agents") -> ProposalSystem:
     both sides' systems share them, and every list and rank is one of the
     layout's arrays, as an :func:`int64_view`: agents propose along the
     edge ids ``0 .. m - 1`` cut at ``starts``, jobs along ``job_edges`` cut
-    at ``job_starts``.  A proposer that runs out of its list stays alone.
+    at ``job_starts``.
     """
     lay = inst.layout
     if proposers == "agents":
@@ -307,9 +277,7 @@ def build_system(inst: Instance, proposers: str = "agents") -> ProposalSystem:
         sides = lay.job_of, lay.agent_of, lay.agent_rank
     else:
         raise ValueError(f"unknown proposer side {proposers!r}")
-    return ProposalSystem(
-        num_right, *map(int64_view, lists + sides), alone_ok=True
-    )
+    return ProposalSystem(num_right, *map(int64_view, lists + sides))
 
 
 def rotation_walk(agents: ProposalSystem, jobs: ProposalSystem) -> set[int]:

@@ -139,18 +139,12 @@ def two_level_systems(inst: Instance) -> tuple[ProposalSystem, ProposalSystem]:
         return ProposalSystem(
             num_right, *flat_lists(num_left, left, left_rank),
             int64_view(left), int64_view(right), int64_view(right_rank),
-            alone_ok=True,
         )
 
     return (
         system(owner, post, owner_rank, post_rank, 2 * na, nj + na),
         system(post, owner, post_rank, owner_rank, nj + na, 2 * na),
     )
-
-
-def _stable_ids(inst: Instance) -> set[int]:
-    """Ids of all edges lying in some stable matching."""
-    return rotation_walk(build_system(inst, "agents"), build_system(inst, "jobs"))
 
 
 def _dominant_ids(inst: Instance) -> set[int]:
@@ -172,7 +166,8 @@ def _popular_flags(inst: Instance) -> np.ndarray:
     stable pair covers.
     """
     lay, m, na = inst.layout, inst.m, inst.num_agents
-    stable = np.array(list(_stable_ids(inst)), np.intp)
+    agents, jobs = build_system(inst, "agents"), build_system(inst, "jobs")
+    stable = np.array(list(rotation_walk(agents, jobs)), np.intp)
     flags = np.ones(m + inst.n, bool)
     flags[:m] = False
     flags[stable] = True

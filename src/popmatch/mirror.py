@@ -139,7 +139,7 @@ def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
     """Proposal system over the mirror graph: left copies propose, right dispose.
 
     Every signed copy of a non-legal edge, and the twin of every vertex
-    whose self-loop is not legal, is forbidden before the first run.
+    whose self-loop is not legal, is forbidden before the run.
     """
     return ProposalSystem(
         num_right=mirror.inst.n,

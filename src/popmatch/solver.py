@@ -4,12 +4,13 @@ A fully popular matching is agent-popular, so the solver first runs the
 linear post-graph test :func:`popmatch.popularity.a_popular_obstruction`
 and returns ``none`` at once when no agent-popular matching exists.
 Otherwise it computes a legal stable matching of the mirror graph (one that
-avoids every signed copy of a non-legal edge); if the engine runs dry, no
-fully popular matching exists.  A vertex whose left copy carries a minus
-tag while its right copy carries a plus tag *straddles*.  It has
-certificate entry zero in every fully popular matching, and that forces
-zero across its whole popular-subgraph component, so one pass marks the
-component of every straddling vertex, in id order.  The upper projection
+avoids every signed copy of a non-legal edge); if the engine's run leaves a
+left copy alone, no fully popular matching exists.  A vertex whose left
+copy carries a minus tag while its right copy carries a plus tag
+*straddles*.  It has certificate entry zero in every fully popular
+matching, and that forces zero across its whole popular-subgraph
+component, so one pass marks the component of every straddling vertex, in
+id order.  The upper projection
 is then a max-size fully popular matching, and the per-vertex signs with
 the marks assemble its popularity certificate.  The last step computes
 projections, signs, the certificate and any validation in whole-array
@@ -98,9 +99,11 @@ class SolveReport:
     deterministically.  When no agent-popular matching exists, the verdict
     comes before any engine work: ``infeasible_vertex`` is the first agent
     that overflows its component of the post graph, and ``state`` is
-    ``None``.  Otherwise the verdict comes when the first mirror run runs
-    dry, and ``infeasible_vertex`` is the vertex whose mirror copy ran out
-    of options.
+    ``None``.  Otherwise the verdict comes when the mirror run leaves some
+    left copies alone, each having exhausted its list, and
+    ``infeasible_vertex`` is the smallest of them.  The run's end state
+    does not depend on the order of its proposals, so neither does that
+    vertex.
     """
 
     outcome: str
@@ -186,14 +189,16 @@ def solve(inst: Instance, validate: bool = False) -> SolveReport:
     mirror = build_mirror(inst, classification)
     system = mirror_system(mirror)
     state = SolverState(inst, classification, mirror, system)
-    if not system.run():
-        return _none_report(system.exhausted_left, state)
-    # The rest reads the matching as two arrays; a structural failure in it
-    # is the solver's, not the input's.
+    system.run()
     mh = MirrorMatching(
         mirror, np.array(system.left_match, np.intp),
         np.array(system.right_match, np.intp),
     )
+    alone = np.flatnonzero(mh.left_edge == -1)
+    if alone.size:
+        return _none_report(int(alone[0]), state)
+    # The rest reads the matching as two arrays; a structural failure in it
+    # is the solver's, not the input's.
     trace = _mark_components(state, mh.left_edge, mh.right_edge)
     state.matching = project(mh, "upper")
     state.lower = project(mh, "lower")

@@ -1118,8 +1118,9 @@ def iterated_forbid_reference(inst) -> dict:
     sits on a minus tag and whose right copy on a plus tag, forbids the
     plus-tagged copies at its component's agents, and builds and runs a
     fresh mirror system with every edge forbidden so far; the component is
-    marked when that run succeeds.  A run that exhausts a left copy ends in
-    ``none``.  Returns the fields of the ``SolveReport`` but ``state``.
+    marked when that run succeeds.  A run that leaves a left copy alone ends
+    in ``none``, naming the smallest such copy.  Returns the fields of the
+    ``SolveReport`` but ``state``.
     """
     none = dict(
         outcome="none", matching=None, witness=None, size=None,
@@ -1132,8 +1133,9 @@ def iterated_forbid_reference(inst) -> dict:
     classification = legal_edge_set(inst, posts=posts)
     mirror = build_mirror(inst, classification)
     system = mirror_system(mirror)
-    if not system.run():
-        return {**none, "infeasible_vertex": system.exhausted_left}
+    system.run()
+    if -1 in system.left_match:
+        return {**none, "infeasible_vertex": system.left_match.index(-1)}
 
     def straddles(u: int) -> bool:
         le, re = system.left_match[u], system.right_match[u]
@@ -1161,15 +1163,15 @@ def iterated_forbid_reference(inst) -> dict:
         forbidden |= newly
         system = mirror_system(mirror)
         forbid(system, forbidden)
-        feasible = system.run()
+        system.run()
         trace.append(TraceRow(
             len(trace) + 1, trigger, component, len(newly), system.proposals
         ))
-        if not feasible:
+        if -1 in system.left_match:
             return {
                 **none, "iterations": len(trace), "trace": tuple(trace),
                 "fail_iteration": len(trace),
-                "infeasible_vertex": system.exhausted_left,
+                "infeasible_vertex": system.left_match.index(-1),
             }
         for u in component:
             marks[u] = True

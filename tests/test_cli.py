@@ -78,7 +78,8 @@ def test_solve_trace_rows(files, capsys):
 
 
 # random_instance(502): an agent-popular matching exists ({a0 b0, a1 b1},
-# with a2 alone), so the mirror engine decides, and it runs dry.
+# with a2 alone), so the mirror engine decides, and its run leaves a left
+# copy alone.
 ENGINE_NONE_TEXT = """\
 agents: a0 a1 a2
 jobs: b0 b1
@@ -92,7 +93,7 @@ b1 > a1 a0
 
 def test_solve_json_none(files, capsys):
     # a0's left copy runs out of options while right copies starve; the
-    # exhausted left copy is the one reported.
+    # smallest left copy left alone is the one reported.
     path = files("engine_none.txt", ENGINE_NONE_TEXT)
     assert main(["solve", path, "--json"]) == 2
     payload = json.loads(capsys.readouterr().out)
@@ -307,15 +308,18 @@ def _nonzero_single(state, witness):
     witness[u] = 1
 
 
-def _left_copy_dropped(mirror):
-    """``solver.mirror_system`` whose runs end with left copy 0 unmatched."""
+def _right_copy_dropped(mirror):
+    """``solver.mirror_system`` whose runs end with right copy 1 unmatched.
+
+    Every left copy stays matched, so the run is not a ``none`` verdict;
+    right copies 0 and 2 would trip the marking guard first.
+    """
     system = mirror_system(mirror)
     run = system.run
 
     def run_then_drop():
-        feasible = run()
-        system.left_match[0] = -1
-        return feasible
+        run()
+        system.right_match[1] = -1
 
     system.run = run_then_drop
     return system
@@ -332,7 +336,7 @@ def _left_copy_dropped(mirror):
             SHOWCASE_TEXT, "extract_witness",
             _witness_changed(_nonzero_single), "nonzero certificate entry",
         ),
-        (SIZE_GAP_TEXT, "mirror_system", _left_copy_dropped, "not perfect"),
+        (SIZE_GAP_TEXT, "mirror_system", _right_copy_dropped, "not perfect"),
     ],
     ids=["non-cancelling-pair", "nonzero-single", "not-perfect"],
 )

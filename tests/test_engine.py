@@ -5,12 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from popmatch import Matching, generate, legal_edge_set, parse_instance
-from popmatch import engine
+from popmatch import Matching, compute_posts, generate, legal_edge_set
+from popmatch import engine, parse_instance, solve
 from popmatch.engine import ProposalSystem, build_system
 from popmatch.legality import two_level_systems
 from popmatch.mirror import build_mirror, mirror_system
 from popmatch.oracle import enumerate_matchings
+from popmatch.popularity import a_popular_obstruction
 
 from conftest import (
     blocking_edges,
@@ -31,6 +32,7 @@ from conftest import (
     stable_matching,
     stable_vertices,
 )
+from golden import inputs as golden_inputs
 
 
 def reference_lists(inst, kind):
@@ -70,14 +72,15 @@ def reference_lists(inst, kind):
 
 
 def gale_shapley_reference(lists, system, forbidden):
-    """Deferred acceptance from scratch on per-vertex lists, last in first out.
+    """Deferred acceptance from scratch on per-vertex lists, last in first
+    out, run to the end.
 
-    Ranks, endpoints and ``alone_ok`` are read off ``system``.  A proposal
-    along a forbidden edge that its right vertex would take is rejected, and
-    that vertex then refuses every edge it ranks at or below it, dropping
-    its holder; it is starved while it holds nothing after that.  Returns
-    ``(feasible, left_match, right_match, positions, starved)``, positions
-    relative to each list's start.
+    Ranks and endpoints are read off ``system``.  A left vertex that runs
+    out of its list stays alone.  A proposal along a forbidden edge that its
+    right vertex would take is rejected, and that vertex then refuses every
+    edge it ranks at or below it, dropping its holder; it is starved while
+    it holds nothing after that.  Returns ``(left_match, right_match,
+    positions, starved)``, positions relative to each list's start.
     """
     edge_right, right_rank = system.edge_right, system.right_rank
     pos = [0] * len(lists)
@@ -86,7 +89,6 @@ def gale_shapley_reference(lists, system, forbidden):
     right = [-1] * system.num_right
     cut = [float("inf")] * system.num_right
     starved = set()
-    exhausted = False
     free = list(range(len(lists)))[::-1]
     while free:
         u = free.pop()
@@ -109,9 +111,7 @@ def gale_shapley_reference(lists, system, forbidden):
             right[r], holder[r], left[u] = e, u, e
             starved.discard(r)
             break
-        else:
-            exhausted = exhausted or not system.alone_ok
-    return not exhausted and not starved, left, right, pos, starved
+    return left, right, pos, starved
 
 
 def system_kinds(inst):
@@ -142,7 +142,7 @@ class TestReferenceEngine:
 
     def test_forbid_resume_sequences_match_reference(self):
         # Growing forbidden sets, each forbidden in one batch on a fresh
-        # system, until a run is infeasible.
+        # system, through infeasible runs too.
         rng = random.Random(7)
         compared = infeasible = mirror_feasible = with_empty = 0
         for inst in sweep_instances():
@@ -166,34 +166,28 @@ class TestReferenceEngine:
                     forbidden.update(batch)
                     system = fresh()
                     forbid(system, forbidden - built)
-                    feasible = system.run()
+                    system.run()
                     want = gale_shapley_reference(lists, system, forbidden)
-                    assert feasible == (system.exhausted_left is None), kind
-                    # An engine verdict of infeasible is the reference's too.
-                    assert feasible or not want[0], kind
-                    if kind == "mirror" and feasible:
-                        # No right copy starves unless a left copy exhausts.
-                        assert not want[4]
-                        mirror_feasible += 1
-                    if not feasible:
-                        # The engine stops at its first exhausted vertex.
-                        infeasible += 1
-                        break
                     starts = system.list_starts
                     assert (
                         system.left_match,
                         system.right_match,
                         [i - s for i, s in zip(system.next_i, starts)],
-                    ) == want[1:4], kind
+                    ) == want[:3], kind
                     compared += 1
+                    if kind != "mirror":
+                        continue
+                    if -1 in system.left_match:
+                        infeasible += 1
+                    else:
+                        # No right copy starves unless a left copy ends alone.
+                        assert not want[3]
+                        mirror_feasible += 1
         assert compared > 2000 and infeasible > 50 and mirror_feasible > 300
         assert with_empty >= 1
 
 
-RUN_FIELDS = (
-    "left_match", "right_match", "next_i", "proposals", "rejections",
-    "exhausted_left",
-)
+RUN_FIELDS = ("left_match", "right_match", "next_i", "proposals", "rejections")
 
 
 class TestBatchedRounds:
@@ -202,8 +196,8 @@ class TestBatchedRounds:
     def test_rounds_end_in_the_loop_state(self, monkeypatch):
         # With rounds down to one free vertex, on every system kind of the
         # reference sweep, of blocks, planted blocks and a ring, and of
-        # random instances whose mirror run fails after its rounds and is
-        # replayed; each with and without a few more edges forbidden.
+        # random instances whose mirror run leaves left copies alone after
+        # its rounds; each with and without a few more edges forbidden.
         rng = random.Random(5)
         insts = sweep_instances() + [
             parse_instance(text)
@@ -224,17 +218,49 @@ class TestBatchedRounds:
                         monkeypatch.setattr(engine, "BATCH_MIN", batch_min)
                         system = fresh()
                         forbid(system, extra)
-                        runs.append((system.run(), system))
-                    (want, loop), (got, batched) = runs
-                    assert got == want, kind
+                        system.run()
+                        runs.append(system)
+                    loop, batched = runs
                     for field in RUN_FIELDS:
                         assert getattr(batched, field) == getattr(
                             loop, field
                         ), (kind, field)
                     compared += 1
-                    failed += not want
+                    failed += kind == "mirror" and -1 in loop.left_match
                     rounds += batched.rounds
         assert compared > 1900 and failed > 100 and rounds > 5000
+
+
+class TestOrderFreeVerdict:
+    """An engine ``none`` names a vertex that no proposal order changes."""
+
+    def test_none_vertex_is_the_smallest_alone_copy(self, monkeypatch):
+        # The golden corpus's inputs whose mirror run leaves a left copy
+        # alone, and five large random ones whose mirror systems run rounds:
+        # the reported vertex is the smallest left copy that the reference
+        # leaves alone, whatever BATCH_MIN.
+        texts = [
+            *golden_inputs().values(),
+            *(generate(2000, 3000, 5 / 3000, seed) for seed in range(1, 6)),
+        ]
+        want = {}
+        for text in texts:
+            inst = parse_instance(text)
+            if a_popular_obstruction(inst, compute_posts(inst)) is not None:
+                continue
+            system = mirror_system(build_mirror(inst, legal_edge_set(inst)))
+            forbidden = {e for e, f in enumerate(system.forbidden) if f}
+            lists = reference_lists(inst, "mirror")
+            left = gale_shapley_reference(lists, system, forbidden)[0]
+            if -1 in left:
+                want[text] = left.index(-1)
+        assert len(want) == 32 + 5
+        for batch_min in (1, 768, 1 << 60):
+            monkeypatch.setattr(engine, "BATCH_MIN", batch_min)
+            for text, vertex in want.items():
+                report = solve(parse_instance(text))
+                assert report.outcome == "none", batch_min
+                assert report.infeasible_vertex == vertex, batch_min
 
 
 class TestProposeDispose:
@@ -245,8 +271,9 @@ class TestProposeDispose:
 
     def test_empty_left_side(self):
         system = ProposalSystem(0, [], [0], [], [], [])
-        assert system.run()
-        assert system.left_match == []
+        system.run()
+        assert system.left_match == system.right_match == []
+        assert system.proposals == 0
 
     def test_output_has_no_blocking_edge(self):
         for seed in range(60):
@@ -287,7 +314,9 @@ class TestProposeDispose:
             rounds = 0
             for kind, fresh in system_kinds(inst):
                 system = fresh()
-                assert system.run(), kind
+                system.run()
+                # These instances have found solves: no left copy ends alone.
+                assert kind != "mirror" or -1 not in system.left_match
                 assert (
                     system.rounds * engine.BATCH_MIN
                     <= system.proposals
@@ -299,14 +328,15 @@ class TestProposeDispose:
 
 class TestResume:
     def test_exhausting_a_left_vertex_without_sink(self, size_gap):
-        # A mirror system's left copies may not stay alone; forbidding one
-        # left copy's whole list leaves it nowhere to go.
+        # Forbidding one left copy's whole list leaves it nowhere to go: it
+        # ends alone, past the end of its list.
         classification = legal_edge_set(size_gap)
         mirror = build_mirror(size_gap, classification)
         system = mirror_system(mirror)
         forbid(system, left_list(mirror, 0))
-        assert not system.run()
-        assert system.exhausted_left == 0
+        system.run()
+        assert system.left_match[0] == -1
+        assert system.next_i[0] == system.list_starts[1]
 
     def test_feasible_forbidden_runs_are_fully_stable(self):
         # A feasible outcome avoids every forbidden edge and has no blocking
@@ -327,7 +357,8 @@ class TestResume:
             ]
             system = mirror_system(mirror)
             forbid(system, extra)
-            if not system.run():
+            system.run()
+            if -1 in system.left_match:
                 continue
             hits += 1
             mh = MirrorMatching(

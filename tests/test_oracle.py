@@ -171,23 +171,30 @@ class TestWitnessSearch:
 
 
 class TestMirrorStableSizeLaw:
-    def test_engine_matching_size_is_order_independent(self):
+    def test_engine_matching_size_is_order_independent(self, monkeypatch):
         # Shuffling which left copy proposes first never changes the
-        # resulting matching, hence never its size.
+        # resulting matching, hence never its size nor its alone copies.
         import random
+        from collections import deque
+
+        from popmatch import engine
 
         rng = random.Random(7)
+
+        def shuffled(items):
+            items = list(items)
+            return deque(rng.sample(items, len(items)))
+
         for seed in range(30):
             inst = random_instance(seed, max_side=3)
             mirror = build_mirror(inst, legal_edge_set(inst))
             base = mirror_system(mirror)
-            base_feasible = base.run()
+            base.run()
             for _ in range(3):
                 system = mirror_system(mirror)
-                order = list(system.queue)
-                rng.shuffle(order)
-                system.queue.clear()
-                system.queue.extend(order)
-                assert system.run() == base_feasible
-                if base_feasible:
-                    assert system.left_match == base.left_match
+                with monkeypatch.context() as patch:
+                    # The run's first queue, in a random order.
+                    patch.setattr(engine, "deque", shuffled)
+                    system.run()
+                assert system.left_match == base.left_match
+                assert system.right_match == base.right_match

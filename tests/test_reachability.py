@@ -143,8 +143,7 @@ def sweep_texts() -> list[str]:
         ring_text(5),
         planted_text(6, 6, 0),
         # The smallest found size whose proposal systems run whole-array
-        # rounds, one of which stops at a vertex that runs dry, and whose
-        # mirror run fails after its rounds and is replayed.
+        # rounds, and whose mirror run leaves left copies alone.
         generate(700, 1050, 5 / 1050, seed=0),
     ]
 

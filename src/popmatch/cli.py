@@ -59,16 +59,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             payload["witness"] = _witness_json(inst, report.witness)
             payload["size"] = report.size
         else:
-            payload["fail_iteration"] = report.fail_iteration
             payload["vertex"] = inst.names[report.infeasible_vertex]
         if args.trace:
             payload["trace"] = [
                 {
-                    "iteration": row.iteration,
                     "trigger": inst.names[row.trigger],
                     "component": [inst.names[u] for u in row.component],
                     "edges_forbidden": row.edges_forbidden,
-                    "proposals_total": row.proposals_total,
                 }
                 for row in report.trace
             ]
@@ -85,19 +82,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             )
         )
         if args.trace:
-            for row in report.trace:
+            for i, row in enumerate(report.trace, 1):
                 print(
-                    f"iteration {row.iteration}: trigger "
+                    f"iteration {i}: trigger "
                     f"{inst.names[row.trigger]}, marked "
                     f"{len(row.component)} vertices, forbade "
                     f"{row.edges_forbidden} edges"
                 )
     else:
         vertex = inst.names[report.infeasible_vertex]
-        print(
-            f"no fully popular matching (iteration {report.fail_iteration}, "
-            f"vertex {vertex} ran out of options)"
-        )
+        print(f"no fully popular matching (vertex {vertex} ran out of options)")
     return EXIT_OK if report.outcome == "found" else EXIT_NONE
 
 

@@ -43,10 +43,12 @@ class EdgeClassification:
     ``legal_flags[m + u]`` for the self-loop of u.  ``valid``, ``popular``
     and ``legal`` give the same sets as ``(agent, job)`` keys, self-loops as
     ``(u, u)``; they are derived on first use.  ``component_id``, a
-    read-only int array, holds at u the index into ``components`` of the
-    connected component of u in the graph of genuine popular edges
-    (self-loops connect nothing); every vertex belongs to exactly one
-    component.  Classifications compare by identity.
+    read-only int array, holds at u the number of the connected component
+    of u in the graph of genuine popular edges (self-loops connect nothing);
+    every vertex belongs to exactly one component, and components are
+    numbered in the order of their smallest vertex.  ``components`` lists
+    each component's vertices in id order, indexed by that number; it too
+    is derived on first use.  Classifications compare by identity.
     """
 
     inst: Instance = field(repr=False)
@@ -54,7 +56,6 @@ class EdgeClassification:
     popular_flags: np.ndarray
     legal_flags: np.ndarray
     component_id: np.ndarray
-    components: tuple[tuple[int, ...], ...]
 
     @cached_property
     def valid(self) -> frozenset[EdgeKey]:
@@ -67,6 +68,14 @@ class EdgeClassification:
     @cached_property
     def legal(self) -> frozenset[EdgeKey]:
         return _keys(self.inst, self.legal_flags)
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        members = np.argsort(self.component_id, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.component_id)).tolist()
+        return tuple(
+            tuple(members[start:end]) for start, end in zip([0, *ends], ends)
+        )
 
 
 def _keys(inst: Instance, flags: np.ndarray) -> frozenset[EdgeKey]:
@@ -147,31 +156,24 @@ def two_level_systems(inst: Instance) -> tuple[ProposalSystem, ProposalSystem]:
     )
 
 
-def _dominant_ids(inst: Instance) -> set[int]:
-    """Ids of all edges lying in some dominant matching.
-
-    These are the two-level instance's stable high and low edges, each
-    taken back to the instance's edge it copies.
-    """
-    m = inst.m
-    return {e % m for e in rotation_walk(*two_level_systems(inst)) if e < 2 * m}
-
-
 def _popular_flags(inst: Instance) -> np.ndarray:
     """Edges and self-loops that some popular matching uses, as flags.
 
     These are the stable pairs and dominant pairs, from the ids of both
-    rotation walks, plus the self-loops of unstable vertices.  Every stable
+    rotation walks, plus the self-loops of unstable vertices.  The dominant
+    pairs are the two-level instance's stable high and low edges (ids below
+    2m), each taken back to the instance's edge it copies.  Every stable
     matching covers the same vertices, so the unstable ones are those no
     stable pair covers.
     """
     lay, m, na = inst.layout, inst.m, inst.num_agents
     agents, jobs = build_system(inst, "agents"), build_system(inst, "jobs")
-    stable = np.array(list(rotation_walk(agents, jobs)), np.intp)
+    walks = rotation_walk(agents, jobs), rotation_walk(*two_level_systems(inst))
+    stable, dom = (np.fromiter(ids, np.intp, len(ids)) for ids in walks)
     flags = np.ones(m + inst.n, bool)
     flags[:m] = False
     flags[stable] = True
-    flags[list(_dominant_ids(inst))] = True
+    flags[dom[dom < 2 * m] % m] = True
     flags[m + lay.agent_of[stable]] = False
     flags[m + na + lay.job_of[stable]] = False
     return flags
@@ -180,10 +182,10 @@ def _popular_flags(inst: Instance) -> np.ndarray:
 def legal_edge_set(
     inst: Instance, posts: Posts | None = None
 ) -> EdgeClassification:
-    """Classify every edge and self-loop and build the popular-subgraph components.
+    """Classify every edge and self-loop and number the popular-subgraph components.
 
     ``posts`` are computed when not given.  Legal means valid and popular;
-    the components come from one union-find over the popular edges in
+    the component ids come from one union-find over the popular edges in
     layout order.
     """
     if posts is None:
@@ -208,19 +210,8 @@ def legal_edge_set(
             parent[ra] = rb
 
     roots: dict[int, int] = {}
-    component_id = []
-    members: list[list[int]] = []
-    for u in range(inst.n):
-        r = find(u)
-        if r not in roots:
-            roots[r] = len(members)
-            members.append([])
-        cid = roots[r]
-        component_id.append(cid)
-        members[cid].append(u)
+    component_id = [roots.setdefault(find(u), len(roots)) for u in range(inst.n)]
     arrays = valid, popular, legal, np.array(component_id, np.intp)
     for x in arrays:
         x.flags.writeable = False
-    return EdgeClassification(
-        inst, *arrays, tuple(tuple(ms) for ms in members)
-    )
+    return EdgeClassification(inst, *arrays)

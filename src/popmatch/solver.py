@@ -64,16 +64,14 @@ class SolverDefect(AssertionError):
 
 @dataclass(frozen=True)
 class TraceRow:
-    iteration: int
     trigger: int
     component: tuple[int, ...]
     edges_forbidden: int
-    proposals_total: int
 
 
 @dataclass
 class SolverState:
-    """Mutable working state of one solve run."""
+    """Mutable working record of one solve run; never handed to callers."""
 
     inst: Instance
     classification: EdgeClassification
@@ -94,27 +92,28 @@ class SolveReport:
 
     ``outcome`` is ``"found"`` or ``"none"``.  A found matching comes with
     its popularity certificate and is max-size among fully popular
-    matchings.  A nonexistence verdict is reached before any marking, so
-    its ``fail_iteration`` is always 0, and rerunning reproduces it
+    matchings; ``trace`` holds one row per marked component, in trigger
+    order, and ``iterations`` counts them.  A nonexistence verdict has no
+    matching and an empty trace, and rerunning reproduces it
     deterministically.  When no agent-popular matching exists, the verdict
     comes before any engine work: ``infeasible_vertex`` is the first agent
-    that overflows its component of the post graph, and ``state`` is
-    ``None``.  Otherwise the verdict comes when the mirror run leaves some
-    left copies alone, each having exhausted its list, and
-    ``infeasible_vertex`` is the smallest of them.  The run's end state
-    does not depend on the order of its proposals, so neither does that
-    vertex.
+    that overflows its component of the post graph.  Otherwise the verdict
+    comes when the mirror run leaves some left copies alone, each having
+    exhausted its list, and ``infeasible_vertex`` is the smallest of them.
+    The run's end state does not depend on the order of its proposals, so
+    neither does that vertex.
     """
 
     outcome: str
-    matching: Matching | None
-    witness: tuple[int, ...] | None
-    size: int | None
-    iterations: int
-    trace: tuple[TraceRow, ...]
-    fail_iteration: int | None
-    infeasible_vertex: int | None
-    state: SolverState | None
+    matching: Matching | None = None
+    witness: tuple[int, ...] | None = None
+    size: int | None = None
+    trace: tuple[TraceRow, ...] = ()
+    infeasible_vertex: int | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 def _mark_components(state: SolverState, left, right) -> tuple[TraceRow, ...]:
@@ -130,8 +129,7 @@ def _mark_components(state: SolverState, left, right) -> tuple[TraceRow, ...]:
     component must hold odd or twin copies only, or the solver is broken.
     """
     inst, classification = state.inst, state.classification
-    cid, components = classification.component_id, classification.components
-    proposals = state.system.proposals
+    cid = classification.component_id
     twins = 4 * inst.m
     genuine = (left < twins) & (right < twins)
     straddles = np.flatnonzero(genuine & (left & right & 1 == 1))
@@ -139,16 +137,15 @@ def _mark_components(state: SolverState, left, right) -> tuple[TraceRow, ...]:
     _, first = np.unique(cid[straddles], return_index=True)
     triggers = straddles[np.sort(first)]
     ids = cid[triggers]
-    marked = np.zeros(len(components), bool)
+    marked = np.zeros(inst.n, bool)
     marked[ids] = True
     marks = state.marks = marked[cid]
     # Legal edges per component, each counted at its agent.
     legal = inst.layout.agent_of[classification.legal_flags[:inst.m]]
-    plus = 2 * np.bincount(cid[legal], minlength=len(components))[ids]
+    plus = 2 * np.bincount(cid[legal], minlength=inst.n)[ids]
     rows = zip(triggers.tolist(), ids.tolist(), plus.tolist())
     trace = tuple(
-        TraceRow(i, u, components[c], k, proposals)
-        for i, (u, c, k) in enumerate(rows, 1)
+        TraceRow(u, classification.components[c], k) for u, c, k in rows
     )
     plus_left = (left < twins) & (left & 1 == 0)
     plus_right = (right < twins) & (right & 1 == 0)
@@ -181,10 +178,18 @@ def solve(inst: Instance, validate: bool = False) -> SolveReport:
     the mirror realization of the result); violations raise
     :class:`SolverDefect`.
     """
+    return _solve(inst, validate)[0]
+
+
+def _solve(
+    inst: Instance, validate: bool = False
+) -> tuple[SolveReport, SolverState | None]:
+    """:func:`solve`'s report, with the run's working state, or ``None``
+    when the post-graph test decides before any engine work."""
     posts = compute_posts(inst)
     blocker = a_popular_obstruction(inst, posts)
     if blocker is not None:
-        return _none_report(blocker, None)
+        return SolveReport("none", infeasible_vertex=blocker), None
     classification = legal_edge_set(inst, posts=posts)
     mirror = build_mirror(inst, classification)
     system = mirror_system(mirror)
@@ -196,7 +201,7 @@ def solve(inst: Instance, validate: bool = False) -> SolveReport:
     )
     alone = np.flatnonzero(mh.left_edge == -1)
     if alone.size:
-        return _none_report(int(alone[0]), state)
+        return SolveReport("none", infeasible_vertex=int(alone[0])), state
     # The rest reads the matching as two arrays; a structural failure in it
     # is the solver's, not the input's.
     trace = _mark_components(state, mh.left_edge, mh.right_edge)
@@ -209,31 +214,11 @@ def solve(inst: Instance, validate: bool = False) -> SolveReport:
     witness = extract_witness(state)
     if validate:
         _validate(state, witness, posts, state.matching.partner_ranks(inst))
-    return SolveReport(
-        outcome="found",
-        matching=state.matching,
-        witness=tuple(witness.tolist()),
-        size=state.matching.size(inst),
-        iterations=len(trace),
-        trace=trace,
-        fail_iteration=None,
-        infeasible_vertex=None,
-        state=state,
+    report = SolveReport(
+        "found", state.matching, tuple(witness.tolist()),
+        state.matching.size(inst), trace,
     )
-
-
-def _none_report(vertex: int, state: SolverState | None) -> SolveReport:
-    return SolveReport(
-        outcome="none",
-        matching=None,
-        witness=None,
-        size=None,
-        iterations=0,
-        trace=(),
-        fail_iteration=0,
-        infeasible_vertex=vertex,
-        state=state,
-    )
+    return report, state
 
 
 def _validate(state: SolverState, witness, posts: Posts, own_m) -> None:

@@ -1119,13 +1119,11 @@ def iterated_forbid_reference(inst) -> dict:
     plus-tagged copies at its component's agents, and builds and runs a
     fresh mirror system with every edge forbidden so far; the component is
     marked when that run succeeds.  A run that leaves a left copy alone ends
-    in ``none``, naming the smallest such copy.  Returns the fields of the
-    ``SolveReport`` but ``state``.
+    in ``none``, naming the smallest such copy.  Every rerun must make as
+    many proposals as the first run: its new forbids divorce nothing.
+    Returns the fields of the ``SolveReport``.
     """
-    none = dict(
-        outcome="none", matching=None, witness=None, size=None,
-        iterations=0, trace=(), fail_iteration=0,
-    )
+    none = dict(outcome="none", matching=None, witness=None, size=None, trace=())
     posts = compute_posts(inst)
     blocker = a_popular_obstruction(inst, posts)
     if blocker is not None:
@@ -1136,6 +1134,7 @@ def iterated_forbid_reference(inst) -> dict:
     system.run()
     if -1 in system.left_match:
         return {**none, "infeasible_vertex": system.left_match.index(-1)}
+    first_proposals = system.proposals
 
     def straddles(u: int) -> bool:
         le, re = system.left_match[u], system.right_match[u]
@@ -1164,13 +1163,11 @@ def iterated_forbid_reference(inst) -> dict:
         system = mirror_system(mirror)
         forbid(system, forbidden)
         system.run()
-        trace.append(TraceRow(
-            len(trace) + 1, trigger, component, len(newly), system.proposals
-        ))
+        assert system.proposals == first_proposals, (len(trace), trigger)
+        trace.append(TraceRow(trigger, component, len(newly)))
         if -1 in system.left_match:
             return {
-                **none, "iterations": len(trace), "trace": tuple(trace),
-                "fail_iteration": len(trace),
+                **none, "trace": tuple(trace),
                 "infeasible_vertex": system.left_match.index(-1),
             }
         for u in component:
@@ -1185,8 +1182,6 @@ def iterated_forbid_reference(inst) -> dict:
         matching=matching,
         witness=tuple(0 if marked else s for marked, s in zip(marks, upper)),
         size=matching.size(inst),
-        iterations=len(trace),
         trace=tuple(trace),
-        fail_iteration=None,
         infeasible_vertex=None,
     )

@@ -24,7 +24,7 @@ from popmatch import (
 )
 from popmatch.mirror import build_mirror, mirror_blocking_edges, realize_witnessed
 from popmatch.oracle import enumerate_matchings, ground_truth, witness_search
-from popmatch.solver import SolverDefect
+from popmatch.solver import SolverDefect, _solve
 
 from conftest import (
     blocking_edges,
@@ -282,11 +282,11 @@ def repeated(call, arg, count: int) -> None:
 
 def checked_solve(inst) -> None:
     """Solve and check the engine's work bound; keeps no solve state."""
-    solved = solve(inst)
-    if solved.state is None:
-        assert solved.outcome == "none" and solved.fail_iteration == 0
+    solved, state = _solve(inst)
+    if state is None:
+        assert solved.outcome == "none" and solved.trace == ()
     else:
-        system = solved.state.system
+        system = state.system
         assert system.proposals <= system.total_list_length
 
 

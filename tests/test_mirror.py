@@ -13,7 +13,6 @@ from popmatch import (
     compute_posts,
     legal_edge_set,
     parse_instance,
-    solve,
     verify_popular,
 )
 from popmatch.mirror import (
@@ -27,6 +26,7 @@ from popmatch.mirror import (
     realize_witnessed,
 )
 from popmatch.oracle import ground_truth, witness_search
+from popmatch.solver import _solve
 
 from conftest import (
     SHOWCASE_TEXT,
@@ -428,11 +428,8 @@ class TestPartition:
                 assert (upper[u] == 0) == (lower[u] == 0) == on_twin
 
     def test_final_solver_partition_containments(self, showcase):
-        from popmatch import solve
-
         for inst in (showcase, parse_instance(ASYMMETRIC_TEXT)):
-            report = solve(inst, validate=True)
-            state = report.state
+            _, state = _solve(inst, validate=True)
             upper, lower = state.signs
             for u in range(inst.n):
                 if state.marks[u]:
@@ -503,8 +500,7 @@ class TestListReference:
         # copy alone.
         counts = {"found": 0, "none": 0, "rounds": 0}
         for inst in self.instances():
-            report = solve(inst)
-            state = report.state
+            report, state = _solve(inst)
             if state is None:
                 continue
             counts[report.outcome] += 1

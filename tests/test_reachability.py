@@ -1,32 +1,35 @@
 """Every executable line of the solver, the mirror graph, the engine, the
-edge classification and popularity verification is reached or ledgered.
+edge classification, popularity verification and the command line is
+reached or ledgered.
 
 A fixed solve sweep, ``verify_popular`` and ``check_a_popular`` on each
 found answer and on a greedy matching of each input, one pinned partial
-matching, and on one input the mirror dump of ``popmatch edges
---dump-mirror`` and the key sets of ``popmatch edges --kind``, run under a
-``sys.settrace`` line tracer.  A line they do not reach must be in
+matching, and a sweep of ``popmatch`` commands on a few small inputs run
+under a ``sys.settrace`` line tracer.  A line they do not reach must be in
 ``LEDGER``, which names the test that reaches it on purpose: an injected
 defect that the line raises, or a caller error that it rejects.  A ledger
 entry that the sweep does reach, or that names no test, fails too, so the
-ledger lists exactly the lines that a plain solve or verification cannot
-reach.
+ledger lists exactly the lines that a plain solve, verification or command
+cannot reach.
 """
 
+import contextlib
 import inspect
+import io
 import re
 import sys
 from collections import Counter
 from pathlib import Path
 
+import popmatch.cli
 import popmatch.engine
 import popmatch.legality
 import popmatch.mirror
 import popmatch.popularity
 import popmatch.solver
-from popmatch import check_a_popular, compute_posts, generate, legal_edge_set
-from popmatch import parse_instance, parse_matching, solve, verify_popular
-from popmatch.mirror import build_mirror, format_mirror
+from popmatch import check_a_popular, compute_posts, generate
+from popmatch import format_matching, parse_instance, parse_matching
+from popmatch import solve, verify_popular
 
 from conftest import (
     IDENTICAL_PREFS_TEXT,
@@ -40,12 +43,16 @@ from conftest import (
 from golden import greedy_matching_text
 
 MODULES = (
+    popmatch.cli,
     popmatch.engine,
     popmatch.legality,
     popmatch.mirror,
     popmatch.popularity,
     popmatch.solver,
 )
+# Each module's source text, read at import time like the code the tracer
+# sees, so that a file edited during a test run cannot shift its lines.
+SOURCES = {module: Path(module.__file__).read_text() for module in MODULES}
 
 PINNED = "test_solver.py::TestValidation::test_every_defect_message_is_pinned"
 REALIZE = "test_cli.py::test_structural_failures_are_not_input_errors"
@@ -63,6 +70,21 @@ STALE_MATCHING = "a1 b1\na7 b3\na8 b2\na11 b0\n"
 # line.  The occurrence counts the function's earlier executable lines of the
 # same text, so identical lines in one function are separate entries.
 LEDGER = {
+    ("cli", "_cmd_oracle", 'diffs.append("existence verdict differs")', 0):
+        "test_cli.py::test_oracle_cross_check_lists_existence_diff",
+    ("cli", "_cmd_oracle", "diffs.append(", 0):
+        "test_cli.py::test_oracle_cross_check_lists_diff",
+    ("cli", "_cmd_oracle",
+     'f"solver size {solved.size} != oracle size {oracle_size}"', 0):
+        "test_cli.py::test_oracle_cross_check_lists_diff",
+    ("cli", "_cmd_oracle", 'diffs.append("popular edge sets differ")', 0):
+        "test_cli.py::test_oracle_cross_check_lists_popular_edge_diff",
+    ("cli", "main", "except (InstanceError, OSError, ValueError) as exc:", 0):
+        "test_cli.py::test_input_error_exit_one",
+    ("cli", "main", 'print(f"error: {exc}", file=sys.stderr)', 0):
+        "test_cli.py::test_input_error_exit_one",
+    ("cli", "main", "return EXIT_INPUT", 0):
+        "test_cli.py::test_input_error_exit_one",
     ("engine", "build_system",
      'raise ValueError(f"unknown proposer side {proposers!r}")', 0):
         "test_engine.py::TestProposeDispose::test_unknown_proposer_side",
@@ -101,8 +123,8 @@ LEDGER = {
     ("solver", "extract_witness",
      'raise SolverDefect("final signs produced an invalid certificate")', 0):
         "test_solver.py::TestValidation::test_invalid_final_signs_are_a_defect",
-    ("solver", "solve", "except ValueError as exc:", 0): REALIZE,
-    ("solver", "solve", "raise SolverDefect(str(exc)) from exc", 0): REALIZE,
+    ("solver", "_solve", "except ValueError as exc:", 0): REALIZE,
+    ("solver", "_solve", "raise SolverDefect(str(exc)) from exc", 0): REALIZE,
     ("solver", "_validate", "except ValueError as exc:", 0): REALIZE,
     ("solver", "_validate", "raise SolverDefect(str(exc)) from exc", 0): REALIZE,
     ("solver", "_validate", "raise SolverDefect(", 0): PINNED,
@@ -148,12 +170,51 @@ def sweep_texts() -> list[str]:
     ]
 
 
+def cli_runs(tmp: Path) -> list[list[str]]:
+    """``popmatch`` command lines: ``solve`` in every output mode on a found
+    input and on both kinds of none, ``verify`` in every mode, every
+    ``edges`` kind and the mirror dump, ``oracle --cross-check`` and
+    ``generate``, each in text and ``--json`` where it has both."""
+    def write(name: str, text: str) -> str:
+        path = tmp / name
+        path.write_text(text)
+        return str(path)
+
+    show = write("showcase.txt", SHOWCASE_TEXT)
+    gap = write("size_gap.txt", SIZE_GAP_TEXT)
+    engine_none = write("engine_none.txt", generate(40, 60, 5 / 60, seed=0))
+    precheck_none = write("precheck_none.txt", IDENTICAL_PREFS_TEXT)
+    inst = parse_instance(SHOWCASE_TEXT)
+    answer = write("answer.txt", format_matching(inst, solve(inst).matching))
+    outputs = ([], ["--json"])
+    runs = [
+        ["solve", path, *flags]
+        for path in (show, engine_none, precheck_none)
+        for flags in ([], ["--json"], ["--trace"], ["--json", "--trace"],
+                      ["--validate"])
+    ]
+    runs += [
+        ["verify", show, "--matching", answer, "--mode", mode, *out]
+        for mode in ("popular", "a-popular", "fully")
+        for out in outputs
+    ]
+    runs += [
+        ["edges", show, "--kind", kind, *out]
+        for kind in ("valid", "popular", "legal")
+        for out in outputs
+    ]
+    runs.append(["edges", show, "--dump-mirror"])
+    runs += [["oracle", gap, "--cross-check", *out] for out in outputs]
+    runs += [["generate", "--seed", "1"],
+             ["generate", "-o", str(tmp / "generated.txt")]]
+    return runs
+
+
 def ledger_keys(module) -> dict[int, tuple[str, str, str, int]]:
     """Each line that holds bytecode of a function, with its ledger key:
     the module, the function's qualname, the stripped line and how many of
     the function's executable lines above it have the same text."""
-    path = module.__file__
-    source = Path(path).read_text()
+    path, source = module.__file__, SOURCES[module]
     owner = {}
     stack = [compile(source, path, "exec")]
     while stack:
@@ -174,9 +235,9 @@ def ledger_keys(module) -> dict[int, tuple[str, str, str, int]]:
     return keys
 
 
-def reached_lines(texts) -> set[tuple[str, int]]:
+def reached_lines(texts, argvs) -> set[tuple[str, int]]:
     """``(file, line)`` of every line the solves, the verifications and
-    the dump run in ``MODULES``."""
+    the command lines ``argvs`` run in ``MODULES``."""
     files = {module.__file__ for module in MODULES}
     reached = set()
 
@@ -193,6 +254,7 @@ def reached_lines(texts) -> set[tuple[str, int]]:
         for i, text in enumerate(texts):
             inst = parse_instance(text)
             report = solve(inst, validate=True)
+            assert report.iterations == len(report.trace)
             mats = [parse_matching(greedy_matching_text(text, str(i)), inst)]
             if report.outcome == "found":
                 mats.append(report.matching)
@@ -201,19 +263,17 @@ def reached_lines(texts) -> set[tuple[str, int]]:
                 check_a_popular(inst, compute_posts(inst), mat)
         inst = parse_instance(STALE_TEXT)
         verify_popular(inst, parse_matching(STALE_MATCHING, inst))
-        # The ``edges --dump-mirror`` and ``edges --kind`` paths, on the
-        # first text.
-        inst = parse_instance(texts[0])
-        classification = legal_edge_set(inst)
-        format_mirror(build_mirror(inst, classification))
-        classification.valid, classification.popular, classification.legal
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            for argv in argvs:
+                assert popmatch.cli.main(argv) in (0, 2), argv
     finally:
         sys.settrace(previous)
     return reached
 
 
-def test_every_line_is_reached_or_ledgered():
-    reached = reached_lines(sweep_texts())
+def test_every_line_is_reached_or_ledgered(tmp_path):
+    reached = reached_lines(sweep_texts(), cli_runs(tmp_path))
     unreached = set()
     for module in MODULES:
         for line, key in ledger_keys(module).items():

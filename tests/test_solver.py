@@ -24,7 +24,7 @@ from popmatch import (
 )
 from popmatch.oracle import ground_truth
 from popmatch.mirror import classify_partition, mirror_system
-from popmatch.solver import SolverDefect, _validate
+from popmatch.solver import SolverDefect, _solve, _validate
 
 from conftest import (
     SHOWCASE_TEXT,
@@ -68,7 +68,7 @@ class TestVerdicts:
     def test_identical_prefs_none(self, identical_prefs):
         report = solve(identical_prefs, validate=True)
         assert report.outcome == "none"
-        assert report.fail_iteration == 0
+        assert report.trace == ()
         assert report.infeasible_vertex is not None
         # Deterministic on rerun.
         again = solve(identical_prefs)
@@ -162,10 +162,10 @@ class TestTraceAndMarks:
         # lower sign is the opposite lies in a traced component.
         for seed in range(40):
             inst = random_instance(seed)
-            report = solve(inst)
+            report, state = _solve(inst)
             if report.outcome != "found":
                 continue
-            upper, lower = report.state.signs
+            upper, lower = state.signs
             marked = {u for row in report.trace for u in row.component}
             for u in range(inst.n):
                 side = -1 if inst.is_agent(u) else 1
@@ -194,15 +194,14 @@ class TestAgainstIteratedLoop:
         rounds = engine_none = spanning = 0
         for text in texts:
             inst = parse_instance(text)
-            report = solve(inst, validate=True)
+            report, state = _solve(inst, validate=True)
             fields = {
                 f.name: getattr(report, f.name)
                 for f in dataclasses.fields(report)
-                if f.name != "state"
             }
             assert fields == iterated_forbid_reference(inst), text
             rounds += report.iterations
-            engine_none += report.outcome == "none" and report.state is not None
+            engine_none += report.outcome == "none" and state is not None
             spanning += any(len(row.component) > 6 for row in report.trace)
         assert rounds > 400 and engine_none > 100 and spanning > 20
 
@@ -241,8 +240,7 @@ class TestValidation:
         # Vertex 0 is an agent matched in the lower projection; a zero lower
         # sign drops it from the lower half's scope while its partner stays.
         inst = random_instance(0)
-        report = solve(inst)
-        state = report.state
+        report, state = _solve(inst)
         assert report.outcome == "found" and not state.lower.is_self(0)
         upper, lower = state.signs
         lower = lower.copy()
@@ -310,7 +308,7 @@ class TestValidation:
     )
 
     @staticmethod
-    def defects(inst, report):
+    def defects(inst, report, state):
         """Single injected defects of a found solve, as ``_validate`` inputs.
 
         Each flips one sign or the upper signs of an edge's two ends to
@@ -318,7 +316,7 @@ class TestValidation:
         lower partners, changes one certificate entry or one matched pair's
         two entries, or clears the legal flag of one matched edge.
         """
-        state, witness = report.state, report.witness
+        witness = report.witness
         own = report.matching.partner_ranks(inst)
 
         def injected(**fields):
@@ -386,11 +384,11 @@ class TestValidation:
         insts += [random_instance(seed) for seed in range(60)]
         seen: dict[str, int] = {}
         for inst in insts:
-            report = solve(inst, validate=True)
+            report, found = _solve(inst, validate=True)
             if report.outcome != "found":
                 continue
             posts = compute_posts(inst)
-            for state, witness, own in self.defects(inst, report):
+            for state, witness, own in self.defects(inst, report, found):
                 results = []
                 for check in (validate_reference, _validate):
                     try:
@@ -555,21 +553,21 @@ class TestHotPath:
         ]
         for text in texts:
             inst = parse_instance(text)
-            report = solve(inst, validate=True)
+            report, state = _solve(inst, validate=True)
             assert report.outcome == "found"
-            self.assert_lean(inst, report.state.classification)
+            self.assert_lean(inst, state.classification)
 
     def test_engine_verdict_builds_no_views(self):
         inst = parse_instance(generate(40, 60, 5 / 60, seed=0))
-        report = solve(inst)
-        assert report.outcome == "none" and report.state is not None
-        self.assert_lean(inst, report.state.classification)
+        report, state = _solve(inst)
+        assert report.outcome == "none" and state is not None
+        self.assert_lean(inst, state.classification)
 
     def test_precheck_verdict_builds_no_views(self):
         inst = parse_instance(generate(400, 400, 5 / 400, seed=0))
-        report = solve(inst)
-        assert report.outcome == "none" and report.fail_iteration == 0
-        assert report.state is None  # decided by the precheck
+        report, state = _solve(inst)
+        assert report.outcome == "none" and report.trace == ()
+        assert state is None  # decided by the precheck
         self.assert_lean(inst)
 
     def test_verify_builds_no_rank_dicts(self):

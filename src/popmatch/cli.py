@@ -22,7 +22,7 @@ from .instance import (
     parse_matching,
 )
 from .legality import legal_edge_set
-from .mirror import build_mirror, format_mirror
+from .mirror import MirrorGraph, format_mirror
 from .oracle import ground_truth
 from .popularity import check_a_popular, verify_popular
 from .solver import solve
@@ -118,7 +118,8 @@ def _cmd_edges(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     classification = legal_edge_set(inst)
     if args.dump_mirror:
-        print(format_mirror(build_mirror(inst, classification)), end="")
+        mirror = MirrorGraph(inst, classification.legal_flags)
+        print(format_mirror(mirror), end="")
         return EXIT_OK
     chosen = {
         "valid": classification.valid,

@@ -9,15 +9,15 @@ keep a threshold rank and never accept a proposal along an edge worse than
 one they have already seen.  A system is given its forbidden edges as flags
 when it is built.  A proposal along a forbidden edge is rejected, and that
 rejection also deletes every worse edge at the receiving vertex, including
-a currently held one.  Plain systems run on the instance's flat edge layout
-as it is, are forbidden nothing, and every stable edge comes from one
-rotation walk between the two extreme stable matchings.  The derived
-systems, of the two-level instance and of the mirror graph, give each edge's
-left vertex and its position in that vertex's list, and :func:`flat_lists`
-alone lays their lists out.  A mirror system is forbidden the copies of its
-non-legal edges, and no stable matching avoiding them exists exactly when
-its run leaves some left copy alone.  A run's work is linear in the summed
-list lengths.
+a currently held one.  Every system, of the instance, of its two-level form
+or of the mirror graph, is given as the same four int arrays over its edge
+ids: each edge's two ends and its rank in the lists of both.  Only
+:class:`ProposalSystem` lays those lists out and packs them.  Plain systems
+are forbidden nothing, and every stable edge comes from one rotation walk
+between the two extreme stable matchings.  A mirror system is forbidden the
+copies of its non-legal edges, and no stable matching avoiding them exists
+exactly when its run leaves some left copy alone.  A run's work is linear in
+the summed list lengths.
 
 A large system runs in two stages: whole-array numpy rounds while at least
 ``BATCH_MIN`` left vertices are free, then the sequential loop, one
@@ -27,11 +27,8 @@ proposal at a time (see :meth:`ProposalSystem.run`).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
 
 import numpy as np
-
-from .instance import Instance
 
 INFINITE_RANK = 1 << 60
 
@@ -44,10 +41,10 @@ INFINITE_RANK = 1 << 60
 BATCH_MIN = 768
 
 
-def int64_view(values) -> memoryview:
+def _packed(values) -> memoryview:
     """A numpy integer array's values, copied out as read-only 8-byte ints.
 
-    Builders hand the engine their flat lists and bounds this way.  The
+    A system keeps its lists, bounds and per-edge arrays this way.  The
     view keeps 8 bytes per entry, where a list or tuple would also keep an
     int object for every entry that is not a small cached int, and it
     holds no numpy object.
@@ -55,67 +52,63 @@ def int64_view(values) -> memoryview:
     return memoryview(values.astype("q", copy=False).tobytes()).cast("q")
 
 
-def flat_lists(num_left: int, left, position) -> tuple[memoryview, memoryview]:
-    """``(list_edges, list_starts)`` of a system whose edge e sits at
-    ``position[e]`` of left vertex ``left[e]``'s list.
-
-    ``left`` and ``position`` are int arrays indexed by edge id, and each
-    vertex's positions run over ``0 .. d - 1`` for its d edges, so one
-    scatter places every edge: the starts are the cumulated list lengths.
-    A left vertex with no edges gets an empty list.
-    """
-    starts = np.zeros(num_left + 1, np.intp)
-    np.cumsum(np.bincount(left, minlength=num_left), out=starts[1:])
-    edges = np.empty(len(left), np.intp)
-    edges[starts[left] + position] = np.arange(len(left))
-    return int64_view(edges), int64_view(starts)
-
-
 class ProposalSystem:
     """Ranked proposal lists on the left, threshold acceptance on the right.
 
-    Edges are dense ids.  The left lists are slices of one flat sequence:
-    u's list is ``list_edges[list_starts[u]:list_starts[u + 1]]``, ordered
-    from best to worst, so there are ``len(list_starts) - 1`` left vertices.
-    ``edge_right[e]`` is the receiving right vertex and ``right_rank`` orders
-    each right vertex's incident edges (lower is better).  A right vertex's
-    cutoff is the best rank it has seen; it never accepts an edge ranked at
-    or beyond it.  A left vertex that runs out of its list stays alone.
-    ``forbidden`` flags the edges forbidden in the run, one byte per edge,
-    none when not given; the system keeps the bytearray as its
-    ``forbidden`` and reads it only while it runs.  Only mirror systems are
-    forbidden anything in a solve.
+    Edges are dense ids, given as four int arrays over them: edge e joins
+    left vertex ``left[e]``, at position ``left_rank[e]`` of that vertex's
+    list (0 is best), to right vertex ``right[e]``, which ranks it
+    ``right_rank[e]`` (lower is better).  Each left vertex's positions run
+    over ``0 .. d - 1`` for its d edges.  The constructor lays the lists out
+    as one flat sequence: u's list is
+    ``list_edges[list_starts[u]:list_starts[u + 1]]``, best first, the
+    starts being the cumulated list lengths, so one scatter places every
+    edge and a vertex with no edges gets an empty list.  ``list_edges``,
+    ``list_starts``, ``edge_left``, ``edge_right`` and ``right_rank`` are
+    read-only views of packed 8-byte ints, copied from the arrays, which
+    the system does not keep.
 
-    The lists are read, never written, so callers may share them.  A system
-    runs once.  After its run, ``left_match[u]`` / ``right_match[r]`` hold
-    the matched edge id or -1, and ``next_i[u]`` is the position in
-    ``list_edges`` of u's matched edge (``list_starts[u + 1]`` when u is
-    alone).  ``proposals`` and ``rejections`` count the run's work and
-    ``rounds`` its whole-array rounds, each of at least ``BATCH_MIN``
-    proposals, so ``rounds * BATCH_MIN <= proposals <= total_list_length``.
+    A right vertex's cutoff is the best rank it has seen; it never accepts
+    an edge ranked at or beyond it.  A left vertex that runs out of its list
+    stays alone.  ``forbidden`` flags the edges forbidden in the run, one
+    byte per edge, none when not given; the system keeps the bytearray as
+    its ``forbidden`` and reads it only while it runs.  Only mirror systems
+    are forbidden anything in a solve.
+
+    A system runs once.  After its run, ``left_match[u]`` /
+    ``right_match[r]`` hold the matched edge id or -1, and ``next_i[u]`` is
+    the position in ``list_edges`` of u's matched edge
+    (``list_starts[u + 1]`` when u is alone).  ``proposals`` and
+    ``rejections`` count the run's work and ``rounds`` its whole-array
+    rounds, each of at least ``BATCH_MIN`` proposals, so
+    ``rounds * BATCH_MIN <= proposals <= total_list_length``.
     """
 
     def __init__(
         self,
+        num_left: int,
         num_right: int,
-        list_edges: Sequence[int],
-        list_starts: Sequence[int],
-        edge_left: Sequence[int],
-        edge_right: Sequence[int],
-        right_rank: Sequence[int],
+        left: np.ndarray,
+        right: np.ndarray,
+        left_rank: np.ndarray,
+        right_rank: np.ndarray,
         forbidden: bytearray | None = None,
     ):
-        self.num_left = len(list_starts) - 1
+        starts = np.zeros(num_left + 1, np.intp)
+        np.cumsum(np.bincount(left, minlength=num_left), out=starts[1:])
+        edges = np.empty(len(left), np.intp)
+        edges[starts[left] + left_rank] = np.arange(len(left))
+        self.num_left = num_left
         self.num_right = num_right
-        self.list_edges = list_edges
-        self.list_starts = list_starts
-        self.edge_left = edge_left
-        self.edge_right = edge_right
-        self.right_rank = right_rank
+        self.list_edges = _packed(edges)
+        self.list_starts = _packed(starts)
+        self.edge_left = _packed(left)
+        self.edge_right = _packed(right)
+        self.right_rank = _packed(right_rank)
         if forbidden is None:
-            forbidden = bytearray(len(edge_left))
+            forbidden = bytearray(len(left))
         self.forbidden = forbidden
-        self.total_list_length = len(list_edges)
+        self.total_list_length = len(left)
         self.proposals = 0
         self.rejections = 0
         self.rounds = 0
@@ -258,34 +251,16 @@ class ProposalSystem:
         self.rejections += rejections
 
 
-def build_system(inst: Instance, proposers: str = "agents") -> ProposalSystem:
-    """Plain one-sided proposal system over an instance's edge layout.
+def rotation_walk(
+    num_left: int, num_right: int, left, right, left_rank, right_rank
+) -> np.ndarray:
+    """Every stable edge of a plain instance, as read-only bool flags over
+    edge ids, in O(m) time.
 
-    Left vertex i is the i-th proposer and right vertex j the j-th vertex
-    of the other side.  Edge ids are the instance's own edge indexes, so
-    both sides' systems share them, and every list and rank is one of the
-    layout's arrays, as an :func:`int64_view`: agents propose along the
-    edge ids ``0 .. m - 1`` cut at ``starts``, jobs along ``job_edges`` cut
-    at ``job_starts``.
-    """
-    lay = inst.layout
-    if proposers == "agents":
-        num_right, lists = inst.num_jobs, (np.arange(inst.m), lay.starts)
-        sides = lay.agent_of, lay.job_of, lay.job_rank
-    elif proposers == "jobs":
-        num_right, lists = inst.num_agents, (lay.job_edges, lay.job_starts)
-        sides = lay.job_of, lay.agent_of, lay.agent_rank
-    else:
-        raise ValueError(f"unknown proposer side {proposers!r}")
-    return ProposalSystem(num_right, *map(int64_view, lists + sides))
-
-
-def rotation_walk(agents: ProposalSystem, jobs: ProposalSystem) -> set[int]:
-    """Every stable edge of a plain instance, in O(m) time.
-
-    ``agents`` and ``jobs`` are the instance's two fresh plain systems over
-    shared edge ids, agents proposing in the first and jobs in the second;
-    the walk runs both.
+    The arguments give the instance as :class:`ProposalSystem` takes it,
+    agents on the left.  The walk builds and runs the agent-proposing system
+    and the job-proposing one, the same arrays with the sides' roles
+    swapped.
 
     The walk goes from the agent-optimal to the job-optimal stable matching
     by eliminating exposed rotations (Gusfield, "Three fast algorithms for
@@ -302,20 +277,26 @@ def rotation_walk(agents: ProposalSystem, jobs: ProposalSystem) -> set[int]:
     forward and never passes its job-optimal edge, because a job it skips
     already holds an edge it ranks higher and its holders only improve.
     """
+    agents = ProposalSystem(
+        num_left, num_right, left, right, left_rank, right_rank
+    )
+    jobs = ProposalSystem(
+        num_right, num_left, right, left, right_rank, left_rank
+    )
     agents.run()
     jobs.run()
     flat, agent_of = agents.list_edges, agents.edge_left
     job_of, rank = agents.edge_right, agents.right_rank
     hold = list(agents.left_match)
     job_hold = list(agents.right_match)
-    last = [-1] * agents.num_left
+    last = [-1] * num_left
     for e in jobs.left_match:
         if e != -1:
             last[agent_of[e]] = e
     scan = [i + 1 for i in agents.next_i]
-    depth = [-1] * agents.num_left
-    stable = {e for e in hold if e != -1}
-    for start in range(agents.num_left):
+    depth = [-1] * num_left
+    stable = [e for e in hold if e != -1]
+    for start in range(num_left):
         while hold[start] != last[start]:
             stack = [start]
             depth[start] = 0
@@ -342,5 +323,8 @@ def rotation_walk(agents: ProposalSystem, jobs: ProposalSystem) -> set[int]:
                     job_hold[job_of[e]] = e
                     scan[x] += 1
                     depth[x] = -1
-                    stable.add(e)
-    return stable
+                    stable.append(e)
+    flags = np.zeros(len(left), bool)
+    flags[stable] = True
+    flags.flags.writeable = False
+    return flags

@@ -10,10 +10,11 @@ those that are both, and only they may appear in a fully popular matching.
 Dominant pairs are reduced to stable pairs of a two-level instance: each
 agent splits into a high and a low copy, jobs prefer any high copy to any
 low copy, and a private last-resort job arbitrates which copy is active.
-That instance is never built.  Its proposal systems run on virtual edge ids
-over the instance's own edge layout (see :func:`two_level_systems`), and the
-test suite checks the reduction exhaustively against the election oracle
-and against a materialized reference.  One rotation walk on the instance
+That instance is never built.  Its edges are given on virtual edge ids, as
+per-edge arrays of arithmetic on the instance's own edge layout (see
+:func:`two_level_edges`), and the test suite checks the reduction
+exhaustively against the election oracle and against a materialized
+reference.  One rotation walk on the instance
 and one on its two-level form yield all their stable edges, so
 classification takes time linear in the number of edges.  It works on edge
 ids throughout: ``(agent, job)`` keys are made only when a caller asks for
@@ -27,7 +28,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import ProposalSystem, build_system, flat_lists, int64_view
 from .engine import rotation_walk
 from .instance import Instance, Posts, compute_posts
 
@@ -108,8 +108,9 @@ def _valid_flags(inst: Instance, posts: Posts) -> np.ndarray:
     return flags
 
 
-def two_level_systems(inst: Instance) -> tuple[ProposalSystem, ProposalSystem]:
-    """Plain systems of the two-level instance, on virtual edge ids.
+def two_level_edges(inst: Instance) -> tuple:
+    """The two-level instance, as :func:`~popmatch.engine.rotation_walk`
+    takes it, on virtual edge ids.
 
     Agent a has a high copy (vertex a) and a low copy (vertex num_agents +
     a); jobs keep their index j, and a's private last-resort job is index
@@ -124,12 +125,10 @@ def two_level_systems(inst: Instance) -> tuple[ProposalSystem, ProposalSystem]:
     job or a is effectively alone, so projecting genuine edges back recovers
     a dominant matching.
 
-    The instance is given per edge, as four int arrays of arithmetic on the
-    layout's arrays: each edge's agent copy and its job or last resort, and
-    its rank in the lists of both.  The two systems read the same arrays
-    with the sides' roles swapped, and :func:`~popmatch.engine.flat_lists`
-    lays out their lists.  Returns the agent-proposing system and the
-    job-proposing one.
+    Returns the number of agent copies and that of jobs and last resorts,
+    then four int arrays of arithmetic on the layout's arrays: each edge's
+    agent copy and its job or last resort, and its rank in the lists of
+    both.
     """
     na, nj, lay = inst.num_agents, inst.num_jobs, inst.layout
     agent_of, job_of = lay.agent_of, lay.job_of
@@ -143,23 +142,13 @@ def two_level_systems(inst: Instance) -> tuple[ProposalSystem, ProposalSystem]:
     post_rank = np.concatenate(
         (lay.job_rank, degree[na + job_of] + lay.job_rank, rest + 1, rest)
     )
-
-    def system(left, right, left_rank, right_rank, num_left, num_right):
-        return ProposalSystem(
-            num_right, *flat_lists(num_left, left, left_rank),
-            int64_view(left), int64_view(right), int64_view(right_rank),
-        )
-
-    return (
-        system(owner, post, owner_rank, post_rank, 2 * na, nj + na),
-        system(post, owner, post_rank, owner_rank, nj + na, 2 * na),
-    )
+    return 2 * na, nj + na, owner, post, owner_rank, post_rank
 
 
 def _popular_flags(inst: Instance) -> np.ndarray:
     """Edges and self-loops that some popular matching uses, as flags.
 
-    These are the stable pairs and dominant pairs, from the ids of both
+    These are the stable pairs and dominant pairs, from the flags of both
     rotation walks, plus the self-loops of unstable vertices.  The dominant
     pairs are the two-level instance's stable high and low edges (ids below
     2m), each taken back to the instance's edge it copies.  Every stable
@@ -167,13 +156,13 @@ def _popular_flags(inst: Instance) -> np.ndarray:
     stable pair covers.
     """
     lay, m, na = inst.layout, inst.m, inst.num_agents
-    agents, jobs = build_system(inst, "agents"), build_system(inst, "jobs")
-    walks = rotation_walk(agents, jobs), rotation_walk(*two_level_systems(inst))
-    stable, dom = (np.fromiter(ids, np.intp, len(ids)) for ids in walks)
+    stable = rotation_walk(
+        na, inst.num_jobs, lay.agent_of, lay.job_of, lay.agent_rank,
+        lay.job_rank,
+    )
+    dom = rotation_walk(*two_level_edges(inst))
     flags = np.ones(m + inst.n, bool)
-    flags[:m] = False
-    flags[stable] = True
-    flags[dom[dom < 2 * m] % m] = True
+    flags[:m] = stable | dom[:m] | dom[m:2 * m]
     flags[m + lay.agent_of[stable]] = False
     flags[m + na + lay.job_of[stable]] = False
     return flags

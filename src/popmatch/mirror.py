@@ -12,9 +12,11 @@ between the two blocks.
 
 Stable matchings here encode "half-integral" popular structure; symmetric
 ones project to matchings of the original instance, and the per-vertex sign
-sums recover popularity certificates.  Mirror matchings are read in
-whole-array passes: copy ``e & 3`` of genuine edge ``e >> 2`` makes every
-projection, sign and position arithmetic on the layout.
+sums recover popularity certificates.  The graph stores only its instance
+and the legal flags: copy ``e & 3`` of genuine edge ``e >> 2`` makes every
+end, tag, projection, sign and position arithmetic on the layout, and
+:func:`mirror_system` lays out the ranked lists for the engine.  Mirror
+matchings are read in whole-array passes.
 """
 
 from __future__ import annotations
@@ -23,44 +25,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import ProposalSystem, flat_lists, int64_view
+from .engine import ProposalSystem
 from .instance import Instance, Matching
-from .legality import EdgeClassification
 
 
 @dataclass(frozen=True)
 class MirrorGraph:
-    """Signed two-copy graph with ranked edge lists and legal flags.
+    """Signed two-copy graph of an instance, with legal flags.
 
     For the k-th genuine edge (a, b) the four signed edges take ids
     ``4k .. 4k+3``: upper with a tagged plus, upper with a tagged minus,
     lower with b tagged plus, lower with b tagged minus.  Twin edges follow
-    at ``4m + u``.  So an edge's tags, whether it is a twin and whether it
-    is forbidden all follow from its id: a genuine copy's left tag is plus
-    when its id is even and its right tag is the opposite, a twin's left
-    tag is minus and its right tag plus, and a copy is forbidden when the
-    classification's ``legal_flags`` (shared, not copied) do not mark its
-    genuine edge, or for a twin its vertex's self-loop, as legal.
-
-    ``edge_left`` and ``edge_right`` give each edge's left and right copy,
-    and ``rrank`` its position in its right copy's preference order.  The
-    left copies' ranked lists are stored flat, as the engine reads them:
-    u's list is ``list_edges[list_starts[u]:list_starts[u + 1]]``, best
-    first.  All five are read-only views of packed ints.  They and the
-    flags are left out of equality and hashing (they follow from ``inst``).
+    at ``4m + u``.  So an edge's ends, its tags, whether it is a twin and
+    whether it is forbidden all follow from its id: an upper copy joins
+    a's left copy to b's right copy and a lower copy the other way round, a
+    genuine copy's left tag is plus when its id is even and its right tag
+    is the opposite, a twin's left tag is minus and its right tag plus, and
+    a copy is forbidden when the classification's ``legal_flags`` (shared,
+    not copied) do not mark its genuine edge, or for a twin its vertex's
+    self-loop, as legal.  The graph stores nothing else: its ranked lists
+    are laid out by :func:`mirror_system`.  The flags are left out of
+    equality and hashing (they follow from ``inst``).
     """
 
     inst: Instance
-    edge_left: memoryview = field(compare=False)
-    edge_right: memoryview = field(compare=False)
-    list_edges: memoryview = field(compare=False)
-    list_starts: memoryview = field(compare=False)
-    rrank: memoryview = field(compare=False)
     legal_flags: np.ndarray = field(compare=False)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_left)
+        return 4 * self.inst.m + self.inst.n
 
     def is_twin(self, e: int) -> bool:
         return e >= 4 * self.inst.m
@@ -77,13 +70,17 @@ class MirrorGraph:
         return ~np.concatenate((legal[:m].repeat(4), legal[m:]))
 
     def describe(self, e: int) -> str:
-        names = self.inst.names
+        inst = self.inst
+        if self.is_twin(e):
+            u = v = e - 4 * inst.m
+        else:
+            k, lay = e >> 2, inst.layout
+            u, v = lay.agent_of[k], inst.num_agents + lay.job_of[k]
+            if e & 2:
+                u, v = v, u
         lt = "+" if self.left_tag(e) > 0 else "-"
         rt = "+" if self.right_tag(e) > 0 else "-"
-        return (
-            f"({names[self.edge_left[e]]}_l^{lt}, "
-            f"{names[self.edge_right[e]]}_r^{rt})"
-        )
+        return f"({inst.names[u]}_l^{lt}, {inst.names[v]}_r^{rt})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,13 +100,14 @@ class MirrorMatching:
         return bool(self.mirror.forbidden_flags()[self.left_edge].any())
 
 
-def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGraph:
-    """Construct the mirror graph of an instance and its classification.
+def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
+    """Proposal system over the mirror graph: left copies propose, right dispose.
 
     The graph is given per edge, as four int arrays filled one copy class
     ``4k + t`` at a time and then the twins: each edge's left and right
     copy, its position in its left copy's list and its rank at its right
-    copy.  :func:`~popmatch.engine.flat_lists` lays out the lists.
+    copy.  Every signed copy of a non-legal edge, and the twin of every
+    vertex whose self-loop is not legal, is forbidden before the run.
     """
     # A copy with d neighbors ranks its edges in three blocks.  Its left
     # list holds the minus-tagged partners (reached along its own plus
@@ -117,6 +115,7 @@ def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGr
     # the minus-tagged partners, the twin, then the plus-tagged partners.
     # So an edge at rank r of u's list sits at r or d + r on the left and
     # at r or d + 1 + r on the right (see _offset), the twin at 2d and d.
+    inst = mirror.inst
     m, n = inst.m, inst.n
     degree = inst.layout.degrees()
     left, right, at, rrank = np.empty((4, 4 * m + n), np.intp)
@@ -126,29 +125,8 @@ def build_mirror(inst: Instance, classification: EdgeClassification) -> MirrorGr
         left[t:4 * m:4], right[t:4 * m:4] = u, v
         at[t:4 * m:4] = ru + _offset(t & 1, degree[u], True)
         rrank[t:4 * m:4] = rv + _offset(t & 1, degree[v], False)
-    return MirrorGraph(
-        inst,
-        *map(int64_view, (left, right)),
-        *flat_lists(n, left, at),
-        int64_view(rrank),
-        classification.legal_flags,
-    )
-
-
-def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
-    """Proposal system over the mirror graph: left copies propose, right dispose.
-
-    Every signed copy of a non-legal edge, and the twin of every vertex
-    whose self-loop is not legal, is forbidden before the run.
-    """
     return ProposalSystem(
-        num_right=mirror.inst.n,
-        list_edges=mirror.list_edges,
-        list_starts=mirror.list_starts,
-        edge_left=mirror.edge_left,
-        edge_right=mirror.edge_right,
-        right_rank=mirror.rrank,
-        forbidden=bytearray(mirror.forbidden_flags()),
+        n, n, left, right, at, rrank, bytearray(mirror.forbidden_flags())
     )
 
 
@@ -191,20 +169,21 @@ def realize_witnessed(
     return MirrorMatching(mirror, left, right)
 
 
-def project(mh: MirrorMatching, half: str) -> Matching:
-    """Matching induced in one half (the agents' left copies for the upper,
-    the jobs' for the lower); twin-matched vertices become self-matched."""
-    if half not in ("upper", "lower"):
-        raise ValueError(f"unknown half {half!r}")
+def project(mh: MirrorMatching) -> tuple[Matching, Matching]:
+    """Matchings induced in the two halves, ``(upper, lower)``: the agents'
+    left copies for the upper, the jobs' for the lower; twin-matched
+    vertices become self-matched."""
     inst = mh.mirror.inst
-    na = inst.num_agents
-    left = mh.left_edge[:na] if half == "upper" else mh.left_edge[na:]
-    k = left[(left >= 0) & (left < 4 * inst.m)] >> 2
-    agents, jobs = inst.layout.agent_of[k], na + inst.layout.job_of[k]
-    partner = np.arange(inst.n)
-    partner[agents] = jobs
-    partner[jobs] = agents
-    return Matching(tuple(partner.tolist()))
+    na, lay = inst.num_agents, inst.layout
+    halves = []
+    for left in (mh.left_edge[:na], mh.left_edge[na:]):
+        k = left[(left >= 0) & (left < 4 * inst.m)] >> 2
+        agents, jobs = lay.agent_of[k], na + lay.job_of[k]
+        partner = np.arange(inst.n)
+        partner[agents] = jobs
+        partner[jobs] = agents
+        halves.append(Matching(tuple(partner.tolist())))
+    return halves[0], halves[1]
 
 
 def classify_partition(mh: MirrorMatching) -> tuple[np.ndarray, np.ndarray]:
@@ -278,21 +257,22 @@ def _positions(inst: Instance, edges, deg, left: bool) -> np.ndarray:
 
 
 def format_mirror(mirror: MirrorGraph) -> str:
-    """Line-oriented debug dump: each copy's ranked edges with forbidden flags."""
-    inst = mirror.inst
+    """Line-oriented debug dump: each copy's ranked edges with forbidden
+    flags, read off a fresh :func:`mirror_system`."""
+    inst, system = mirror.inst, mirror_system(mirror)
     lines = [f"mirror graph: {inst.n * 2} vertices, {mirror.num_edges} edges"]
-    starts, forbidden = mirror.list_starts, mirror.forbidden_flags().tolist()
+    starts, forbidden = system.list_starts, system.forbidden
     for u in range(inst.n):
         row = " ".join(
             mirror.describe(e) + ("!" if forbidden[e] else "")
-            for e in mirror.list_edges[starts[u]:starts[u + 1]]
+            for e in system.list_edges[starts[u]:starts[u + 1]]
         )
         lines.append(f"{inst.names[u]}_l > {row}")
     incoming: list[list[int]] = [[] for _ in range(inst.n)]
     for e in range(mirror.num_edges):
-        incoming[mirror.edge_right[e]].append(e)
+        incoming[system.edge_right[e]].append(e)
     for u in range(inst.n):
-        order = sorted(incoming[u], key=mirror.rrank.__getitem__)
+        order = sorted(incoming[u], key=system.right_rank.__getitem__)
         row = " ".join(
             mirror.describe(e) + ("!" if forbidden[e] else "") for e in order
         )

@@ -52,7 +52,7 @@ import numpy as np
 from .engine import ProposalSystem
 from .instance import Instance, Matching, Posts, compute_posts
 from .legality import EdgeClassification, legal_edge_set
-from .mirror import MirrorGraph, MirrorMatching, build_mirror, mirror_system
+from .mirror import MirrorGraph, MirrorMatching, mirror_system
 from .mirror import classify_partition, mirror_blocking_edges, project
 from .mirror import realize_witnessed
 from .popularity import a_popular_obstruction, check_a_popular, check_witness
@@ -191,7 +191,7 @@ def _solve(
     if blocker is not None:
         return SolveReport("none", infeasible_vertex=blocker), None
     classification = legal_edge_set(inst, posts=posts)
-    mirror = build_mirror(inst, classification)
+    mirror = MirrorGraph(inst, classification.legal_flags)
     system = mirror_system(mirror)
     state = SolverState(inst, classification, mirror, system)
     system.run()
@@ -205,8 +205,7 @@ def _solve(
     # The rest reads the matching as two arrays; a structural failure in it
     # is the solver's, not the input's.
     trace = _mark_components(state, mh.left_edge, mh.right_edge)
-    state.matching = project(mh, "upper")
-    state.lower = project(mh, "lower")
+    state.matching, state.lower = project(mh)
     try:
         state.signs = classify_partition(mh)
     except ValueError as exc:

@@ -31,11 +31,11 @@ from popmatch import (
     compute_posts,
     parse_instance,
 )
-from popmatch.engine import build_system, rotation_walk
+from popmatch.engine import ProposalSystem, rotation_walk
 from popmatch.instance import EdgeLayout
 from popmatch.generator import generate
-from popmatch.legality import legal_edge_set, two_level_systems
-from popmatch.mirror import MirrorMatching, build_mirror, mirror_system
+from popmatch.legality import legal_edge_set, two_level_edges
+from popmatch.mirror import MirrorGraph, MirrorMatching, mirror_system
 from popmatch.oracle import edge_weight
 from popmatch.popularity import a_popular_obstruction, check_witness
 from popmatch.solver import SolverDefect, TraceRow
@@ -188,8 +188,27 @@ def ids(inst, *names):
     return tuple(id_of(inst, name) for name in names)
 
 
+def plain_edges(inst):
+    """The plain agent-proposing system's six arguments, from the layout."""
+    lay = inst.layout
+    return (
+        inst.num_agents, inst.num_jobs,
+        lay.agent_of, lay.job_of, lay.agent_rank, lay.job_rank,
+    )
+
+
+def swap_sides(num_left, num_right, left, right, left_rank, right_rank):
+    """A system's six arguments with the proposing side swapped."""
+    return num_right, num_left, right, left, right_rank, left_rank
+
+
+def make_mirror(inst) -> MirrorGraph:
+    """The mirror graph of ``inst`` with its legal flags."""
+    return MirrorGraph(inst, legal_edge_set(inst).legal_flags)
+
+
 def left_list(system, u: int) -> list[int]:
-    """Left vertex u's ranked edges in a proposal system or mirror graph."""
+    """Left vertex u's ranked edges in a proposal system."""
     starts = system.list_starts
     return list(system.list_edges[starts[u]:starts[u + 1]])
 
@@ -390,7 +409,7 @@ def two_level_reference(inst):
 
 def stable_matching(inst) -> Matching:
     """Agent-optimal stable matching: one run of the agent-proposing system."""
-    system = build_system(inst, "agents")
+    system = ProposalSystem(*plain_edges(inst))
     system.run()
     partner = list(range(inst.n))
     for a, e in enumerate(system.left_match):
@@ -426,15 +445,15 @@ def blocking_edges(inst, mat: Matching) -> frozenset[tuple[int, int]]:
 def pair_families(inst):
     """``(stable, dominant)``: the ``(agent, job)`` keys of the edges in some
     stable and in some dominant matching, from the two rotation walks."""
-    edges = inst.edges
-    walk = rotation_walk(build_system(inst, "agents"), build_system(inst, "jobs"))
-    stable = frozenset(map(edges.__getitem__, walk))
-    dominant = frozenset(
-        edges[e % inst.m]
-        for e in rotation_walk(*two_level_systems(inst))
-        if e < 2 * inst.m
+    edges, m = inst.edges, inst.m
+    stable = rotation_walk(*plain_edges(inst))
+    dom = rotation_walk(*two_level_edges(inst))
+    return (
+        frozenset(edges[k] for k in np.flatnonzero(stable).tolist()),
+        frozenset(
+            edges[k] for k in np.flatnonzero(dom[:m] | dom[m:2 * m]).tolist()
+        ),
     )
-    return stable, dominant
 
 
 def classification_reference(inst):
@@ -880,23 +899,22 @@ def assignment_reference(
 # references.
 
 
-def project_reference(mh, half: str) -> Matching:
-    """``mirror.project``: the half's left copies read one by one."""
-    if half not in ("upper", "lower"):
-        raise ValueError(f"unknown half {half!r}")
+def project_reference(mh) -> tuple[Matching, Matching]:
+    """``mirror.project``: each half's left copies read one by one, the
+    agents' for the upper half and the jobs' for the lower."""
     mirror = mh.mirror
     inst = mirror.inst
-    partner = list(range(inst.n))
+    edge_right = mirror_system(mirror).edge_right
+    upper, lower = list(range(inst.n)), list(range(inst.n))
     for u in range(inst.n):
         e = mh.left_edge[u]
         if e == -1 or mirror.is_twin(e):
             continue
-        is_upper = inst.is_agent(u)
-        if (half == "upper") == is_upper:
-            v = mirror.edge_right[e]
-            partner[u] = v
-            partner[v] = u
-    return Matching(tuple(partner))
+        partner = upper if inst.is_agent(u) else lower
+        v = edge_right[e]
+        partner[u] = v
+        partner[v] = u
+    return Matching(tuple(upper)), Matching(tuple(lower))
 
 
 def partition_reference(mh):
@@ -959,9 +977,9 @@ def mirror_edges(mh) -> tuple[list[int], list[int]]:
 def prefix_blocking_reference(mh) -> tuple[int, ...]:
     """``mirror.mirror_blocking_edges``: each left copy's list scanned up to
     its matched edge, each edge tested at its right end."""
-    mirror = mh.mirror
-    flat, starts = mirror.list_edges, mirror.list_starts
-    edge_right, rrank = mirror.edge_right, mirror.rrank
+    system = mirror_system(mh.mirror)
+    flat, starts = system.list_edges, system.list_starts
+    edge_right, rrank = system.edge_right, system.right_rank
     right_edge = mh.right_edge
     blockers = []
     for u, le in enumerate(mh.left_edge):
@@ -1129,8 +1147,9 @@ def iterated_forbid_reference(inst) -> dict:
     if blocker is not None:
         return {**none, "infeasible_vertex": blocker}
     classification = legal_edge_set(inst, posts=posts)
-    mirror = build_mirror(inst, classification)
+    mirror = MirrorGraph(inst, classification.legal_flags)
     system = mirror_system(mirror)
+    edge_left, edge_right = system.edge_left, system.edge_right
     system.run()
     if -1 in system.left_match:
         return {**none, "infeasible_vertex": system.left_match.index(-1)}
@@ -1156,7 +1175,7 @@ def iterated_forbid_reference(inst) -> dict:
         newly = {
             e for e in range(4 * inst.m)
             if mirror.left_tag(e) == 1
-            and agents & {mirror.edge_left[e], mirror.edge_right[e]}
+            and agents & {edge_left[e], edge_right[e]}
             and not is_forbidden(mirror, e) and e not in forbidden
         }
         forbidden |= newly
@@ -1175,7 +1194,7 @@ def iterated_forbid_reference(inst) -> dict:
     mh = MirrorMatching(
         mirror, np.array(system.left_match), np.array(system.right_match)
     )
-    matching = project_reference(mh, "upper")
+    matching, _ = project_reference(mh)
     upper, _ = partition_reference(mh)
     return dict(
         outcome="found",

@@ -22,7 +22,7 @@ from popmatch import (
     solve,
     verify_popular,
 )
-from popmatch.mirror import build_mirror, mirror_blocking_edges, realize_witnessed
+from popmatch.mirror import MirrorGraph, mirror_blocking_edges, realize_witnessed
 from popmatch.oracle import enumerate_matchings, ground_truth, witness_search
 from popmatch.solver import SolverDefect, _solve
 
@@ -141,7 +141,7 @@ def sweep():
 
         # Structural scan: the mirrored stable matching never has a blocker.
         stats["embed_scans"] += 1
-        mirror = build_mirror(inst, classification)
+        mirror = MirrorGraph(inst, classification.legal_flags)
         stable = stable_matching(inst)
         zero = (0,) * inst.n
         embedded = realize_witnessed(mirror, stable, stable.partner_ranks(inst), zero)

@@ -3,13 +3,12 @@
 import random
 
 import numpy as np
-import pytest
 
-from popmatch import Matching, compute_posts, generate, legal_edge_set
+from popmatch import Matching, compute_posts, generate
 from popmatch import engine, parse_instance, solve
-from popmatch.engine import ProposalSystem, build_system
-from popmatch.legality import two_level_systems
-from popmatch.mirror import build_mirror, mirror_system
+from popmatch.engine import ProposalSystem
+from popmatch.legality import two_level_edges
+from popmatch.mirror import mirror_system
 from popmatch.oracle import enumerate_matchings
 from popmatch.popularity import a_popular_obstruction
 
@@ -22,8 +21,10 @@ from conftest import (
     ids,
     is_forbidden,
     left_list,
+    make_mirror,
     pair_families,
     pairs_by_name,
+    plain_edges,
     planted_text,
     random_instance,
     ring_instance,
@@ -31,6 +32,7 @@ from conftest import (
     showcase_stable,
     stable_matching,
     stable_vertices,
+    swap_sides,
 )
 from golden import inputs as golden_inputs
 
@@ -116,12 +118,13 @@ def gale_shapley_reference(lists, system, forbidden):
 
 def system_kinds(inst):
     """Each system kind's builder; every call gives a fresh system."""
-    mirror = build_mirror(inst, legal_edge_set(inst))
+    mirror = make_mirror(inst)
+    plain, two_level = plain_edges(inst), two_level_edges(inst)
     return [
-        ("agents", lambda: build_system(inst, "agents")),
-        ("jobs", lambda: build_system(inst, "jobs")),
-        ("two_level_agents", lambda: two_level_systems(inst)[0]),
-        ("two_level_jobs", lambda: two_level_systems(inst)[1]),
+        ("agents", lambda: ProposalSystem(*plain)),
+        ("jobs", lambda: ProposalSystem(*swap_sides(*plain))),
+        ("two_level_agents", lambda: ProposalSystem(*two_level)),
+        ("two_level_jobs", lambda: ProposalSystem(*swap_sides(*two_level))),
         ("mirror", lambda: mirror_system(mirror)),
     ]
 
@@ -248,7 +251,7 @@ class TestOrderFreeVerdict:
             inst = parse_instance(text)
             if a_popular_obstruction(inst, compute_posts(inst)) is not None:
                 continue
-            system = mirror_system(build_mirror(inst, legal_edge_set(inst)))
+            system = mirror_system(make_mirror(inst))
             forbidden = {e for e, f in enumerate(system.forbidden) if f}
             lists = reference_lists(inst, "mirror")
             left = gale_shapley_reference(lists, system, forbidden)[0]
@@ -270,7 +273,7 @@ class TestProposeDispose:
         ]
 
     def test_empty_left_side(self):
-        system = ProposalSystem(0, [], [0], [], [], [])
+        system = ProposalSystem(0, 0, *np.empty((4, 0), np.intp))
         system.run()
         assert system.left_match == system.right_match == []
         assert system.proposals == 0
@@ -284,16 +287,12 @@ class TestProposeDispose:
     def test_determinism(self, showcase):
         runs = []
         for _ in range(3):
-            system = build_system(showcase)
+            system = ProposalSystem(*plain_edges(showcase))
             system.run()
             runs.append(
                 (system.left_match, system.proposals, system.rejections)
             )
         assert runs[0] == runs[1] == runs[2]
-
-    def test_unknown_proposer_side(self, size_gap):
-        with pytest.raises(ValueError, match="unknown proposer side 'both'"):
-            build_system(size_gap, "both")
 
     def test_proposals_bounded_by_total_list_length(self):
         # Each list position is proposed along at most once, and each
@@ -302,7 +301,7 @@ class TestProposeDispose:
         # ring at benchmark size, which run rounds.
         for seed in range(40):
             inst = random_instance(seed)
-            system = build_system(inst)
+            system = ProposalSystem(*plain_edges(inst))
             system.run()
             assert system.proposals <= system.total_list_length
         for text in (
@@ -330,10 +329,8 @@ class TestResume:
     def test_exhausting_a_left_vertex_without_sink(self, size_gap):
         # Forbidding one left copy's whole list leaves it nowhere to go: it
         # ends alone, past the end of its list.
-        classification = legal_edge_set(size_gap)
-        mirror = build_mirror(size_gap, classification)
-        system = mirror_system(mirror)
-        forbid(system, left_list(mirror, 0))
+        system = mirror_system(make_mirror(size_gap))
+        forbid(system, left_list(system, 0))
         system.run()
         assert system.left_match[0] == -1
         assert system.next_i[0] == system.list_starts[1]
@@ -349,7 +346,7 @@ class TestResume:
         hits = 0
         for seed in range(200):
             inst = random_instance(seed)
-            mirror = build_mirror(inst, legal_edge_set(inst))
+            mirror = make_mirror(inst)
             extra = [
                 e
                 for e in range(mirror.num_edges)

@@ -3,11 +3,11 @@
 import numpy as np
 
 from popmatch import Instance, compute_posts, legal_edge_set, parse_instance
-from popmatch.engine import build_system
+from popmatch.engine import ProposalSystem
 from popmatch.generator import generate
 from popmatch.instance import Posts
-from popmatch.legality import two_level_systems
-from popmatch.mirror import build_mirror
+from popmatch.legality import two_level_edges
+from popmatch.mirror import MirrorGraph
 from popmatch.oracle import enumerate_matchings, ground_truth
 
 from conftest import (
@@ -19,9 +19,11 @@ from conftest import (
     ids,
     left_list,
     pair_families,
+    plain_edges,
     project_two_level,
     random_instance,
     ring_instance,
+    swap_sides,
     two_level_reference,
 )
 
@@ -166,10 +168,19 @@ class TestPairFamilies:
         with_empty = 0
         for inst in [showcase] + [random_instance(seed) for seed in range(60)]:
             aux, _ = two_level_reference(inst)
-            for virtual, proposers in zip(
-                two_level_systems(inst), ("agents", "jobs")
+            virtual_args, ref_args = two_level_edges(inst), plain_edges(aux)
+            for proposers, virtual, ref in (
+                (
+                    "agents",
+                    ProposalSystem(*virtual_args),
+                    ProposalSystem(*ref_args),
+                ),
+                (
+                    "jobs",
+                    ProposalSystem(*swap_sides(*virtual_args)),
+                    ProposalSystem(*swap_sides(*ref_args)),
+                ),
             ):
-                ref = build_system(aux, proposers)
                 assert virtual.num_left == ref.num_left
                 assert virtual.num_right == ref.num_right
                 lists = [left_list(virtual, u) for u in range(ref.num_left)]
@@ -280,7 +291,7 @@ class TestLegalEdgeSet:
             assert got.legal == legal, inst.names
             assert got.component_id.tolist() == list(component_id), inst.names
             assert got.components == components, inst.names
-            mirror = build_mirror(inst, got)
+            mirror = MirrorGraph(inst, got.legal_flags)
             forbidden = set(np.flatnonzero(mirror.forbidden_flags()).tolist())
             assert forbidden == forbidden_reference(inst, legal), inst.names
 

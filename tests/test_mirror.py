@@ -16,8 +16,8 @@ from popmatch import (
     verify_popular,
 )
 from popmatch.mirror import (
+    MirrorGraph,
     MirrorMatching,
-    build_mirror,
     classify_partition,
     format_mirror,
     mirror_blocking_edges,
@@ -39,6 +39,7 @@ from conftest import (
     ids,
     is_forbidden,
     left_list,
+    make_mirror,
     mirror_edges,
     partition_reference,
     partner_ranks_reference,
@@ -80,10 +81,6 @@ a1_r > (b1_l^-, a1_r^+) (b0_l^-, a1_r^+) (a1_l^-, a1_r^+)! (b1_l^+, a1_r^-) (b0_
 b0_r > (a1_l^-, b0_r^+) (b0_l^-, b0_r^+) (a1_l^+, b0_r^-)
 b1_r > (a1_l^-, b1_r^+) (a0_l^-, b1_r^+) (b1_l^-, b1_r^+)! (a1_l^+, b1_r^-) (a0_l^+, b1_r^-)
 """
-
-
-def make_mirror(inst):
-    return build_mirror(inst, legal_edge_set(inst))
 
 
 def realize(mirror, mat, alpha=None):
@@ -139,18 +136,19 @@ class TestBuild:
         # Left copies: partner-minus block, partner-plus block, twin last.
         # Right copies: partner-minus block, twin, partner-plus block.
         mirror = make_mirror(size_gap)
+        system = mirror_system(mirror)
         a1 = id_of(size_gap, "a1")
-        row = left_list(mirror, a1)
+        row = left_list(system, a1)
         assert [mirror.right_tag(e) for e in row] == [-1, -1, 1, 1, 1]
         assert mirror.is_twin(row[-1])
         incident = sorted(
             (
                 e
                 for e in range(mirror.num_edges)
-                if mirror.edge_right[e] == a1
-                and (mirror.is_twin(e) or mirror.edge_left[e] != a1)
+                if system.edge_right[e] == a1
+                and (mirror.is_twin(e) or system.edge_left[e] != a1)
             ),
-            key=lambda e: mirror.rrank[e],
+            key=lambda e: system.right_rank[e],
         )
         assert [mirror.left_tag(e) for e in incident] == [-1, -1, -1, 1, 1]
         assert mirror.is_twin(incident[2])
@@ -170,11 +168,12 @@ class TestBuild:
                 )
                 for e in range(mirror.num_edges)
             ] == per_edge_reference(inst)
+            system = mirror_system(mirror)
             for u in range(inst.n):
-                row = left_list(mirror, u)
-                assert all(mirror.edge_left[e] == u for e in row)
+                row = left_list(system, u)
+                assert all(system.edge_left[e] == u for e in row)
             # Every edge sits in exactly one copy's list.
-            assert sorted(mirror.list_edges) == list(range(mirror.num_edges))
+            assert sorted(system.list_edges) == list(range(mirror.num_edges))
 
     def test_dump_lists_every_copy(self, size_gap):
         text = format_mirror(make_mirror(size_gap))
@@ -184,16 +183,17 @@ class TestBuild:
         assert text == SIZE_GAP_DUMP
 
     def test_retained_memory_per_edge(self):
-        # The graph keeps the endpoints, the right ranks and the flat lists
-        # as packed ints; its system adds the live state and one forbidden
-        # byte per edge, about 55 B per edge in all.  A forbidden flag
-        # list (8 B per edge) or per-edge tuples of ints would not fit.
+        # The system keeps the flat lists, the endpoints and the right ranks
+        # as packed 8-byte ints and one forbidden byte per edge, about 35 B
+        # per edge in all; the graph keeps only the shared legal flags.  A
+        # forbidden flag list (8 B per edge) or per-edge tuples of ints
+        # would not fit.
         inst = parse_instance(composed_text(1000, seed=3))
         classification = legal_edge_set(inst)
         gc.collect()
         tracemalloc.start()
         try:
-            mirror = build_mirror(inst, classification)
+            mirror = MirrorGraph(inst, classification.legal_flags)
             system = mirror_system(mirror)
             gc.collect()
             retained, _ = tracemalloc.get_traced_memory()
@@ -209,18 +209,20 @@ def blocking_reference(mh):
     A copy's left rank is its index in its left copy's list.
     """
     mirror = mh.mirror
+    system = mirror_system(mirror)
     lrank = [0] * mirror.num_edges
     for u in range(mirror.inst.n):
-        for i, e in enumerate(left_list(mirror, u)):
+        for i, e in enumerate(left_list(system, u)):
             lrank[e] = i
+    rrank = system.right_rank
     blockers = []
     for e in range(mirror.num_edges):
-        le = mh.left_edge[mirror.edge_left[e]]
-        re = mh.right_edge[mirror.edge_right[e]]
+        le = mh.left_edge[system.edge_left[e]]
+        re = mh.right_edge[system.edge_right[e]]
         if e in (le, re):
             continue
         if (le == -1 or lrank[e] < lrank[le]) and (
-            re == -1 or mirror.rrank[e] < mirror.rrank[re]
+            re == -1 or rrank[e] < rrank[re]
         ):
             blockers.append(e)
     return tuple(blockers)
@@ -232,14 +234,14 @@ def random_mirror_matchings(rng, mirror, count: int):
     Each edge, in random order, joins when both its copies are still free
     and a coin says so.
     """
-    inst = mirror.inst
+    inst, system = mirror.inst, mirror_system(mirror)
     for _ in range(count):
         left, right = [-1] * inst.n, [-1] * inst.n
         edges = list(range(mirror.num_edges))
         rng.shuffle(edges)
         keep = rng.random()
         for e in edges:
-            u, v = mirror.edge_left[e], mirror.edge_right[e]
+            u, v = system.edge_left[e], system.edge_right[e]
             if left[u] == right[v] == -1 and rng.random() < keep:
                 left[u] = right[v] = e
         yield MirrorMatching(mirror, np.array(left), np.array(right))
@@ -328,10 +330,11 @@ class TestRealize:
         mat = size_gap_max(size_gap)
         alpha = verify_popular(size_gap, mat).witness
         mh = realize(mirror, mat, alpha)
+        system = mirror_system(mirror)
         for u in range(size_gap.n):
             le, re = mh.left_edge[u], mh.right_edge[u]
-            ltag = mirror.left_tag(le) if mirror.edge_left[le] == u else mirror.right_tag(le)
-            rtag = mirror.right_tag(re) if mirror.edge_right[re] == u else mirror.left_tag(re)
+            ltag = mirror.left_tag(le) if system.edge_left[le] == u else mirror.right_tag(le)
+            rtag = mirror.right_tag(re) if system.edge_right[re] == u else mirror.left_tag(re)
             assert ltag + rtag == 2 * alpha[u]
 
     def test_non_cancelling_pair_rejected(self, size_gap):
@@ -363,16 +366,16 @@ class TestProject:
         mirror = make_mirror(size_gap)
         stable = stable_matching(size_gap)
         mh = realize(mirror, stable)
-        assert project(mh, "upper").partner == stable.partner
-        assert project(mh, "lower").partner == stable.partner
+        upper, lower = project(mh)
+        assert upper.partner == lower.partner == stable.partner
 
     def test_realizations_are_symmetric(self, showcase):
         mirror = make_mirror(showcase)
         mat = showcase_full(showcase)
         alpha = witness_search(showcase, mat)
         mh = realize(mirror, mat, alpha)
-        assert project(mh, "upper").partner == mat.partner
-        assert project(mh, "lower").partner == mat.partner
+        upper, lower = project(mh)
+        assert upper.partner == lower.partner == mat.partner
 
     def test_engine_matching_can_differ_between_halves(self):
         inst = parse_instance(ASYMMETRIC_TEXT)
@@ -382,13 +385,8 @@ class TestProject:
         mh = MirrorMatching(
             make_mirror(inst), np.array(system.left_match), np.array(system.right_match)
         )
-        assert project(mh, "upper").partner != project(mh, "lower").partner
-
-    def test_unknown_half_rejected(self, size_gap):
-        mirror = make_mirror(size_gap)
-        mh = realize(mirror, stable_matching(size_gap))
-        with pytest.raises(ValueError, match="half"):
-            project(mh, "middle")
+        upper, lower = project(mh)
+        assert upper.partner != lower.partner
 
 
 class TestPartition:
@@ -486,8 +484,7 @@ class TestListReference:
     @staticmethod
     def assert_same(mh):
         """Every epilogue function on ``mh`` equals its reference."""
-        for half in ("upper", "lower"):
-            assert project(mh, half) == project_reference(mh, half)
+        assert project(mh) == project_reference(mh)
         assert outcome(signs_of, mh) == outcome(partition_reference, mh)
         want = prefix_blocking_reference(mh)
         assert mirror_blocking_edges(mh) == want
@@ -516,8 +513,7 @@ class TestListReference:
                 continue
             upper, lower = partition_reference(mh)
             assert tuple(tuple(s.tolist()) for s in state.signs) == (upper, lower)
-            assert state.matching == project_reference(mh, "upper")
-            assert state.lower == project_reference(mh, "lower")
+            assert (state.matching, state.lower) == project_reference(mh)
             assert report.witness == tuple(
                 0 if marked else s for marked, s in zip(state.marks, upper)
             )

@@ -4,8 +4,7 @@ import pytest
 
 from popmatch import Matching, check_witness, generate, parse_instance
 from popmatch import oracle
-from popmatch.legality import legal_edge_set
-from popmatch.mirror import build_mirror, mirror_system
+from popmatch.mirror import mirror_system
 from popmatch.oracle import (
     MATCHING_CAP,
     OracleCapError,
@@ -17,6 +16,7 @@ from popmatch.oracle import (
 from conftest import (
     blocking_edges,
     id_of,
+    make_mirror,
     random_instance,
     showcase_full,
     showcase_max,
@@ -187,7 +187,7 @@ class TestMirrorStableSizeLaw:
 
         for seed in range(30):
             inst = random_instance(seed, max_side=3)
-            mirror = build_mirror(inst, legal_edge_set(inst))
+            mirror = make_mirror(inst)
             base = mirror_system(mirror)
             base.run()
             for _ in range(3):

@@ -85,9 +85,6 @@ LEDGER = {
         "test_cli.py::test_input_error_exit_one",
     ("cli", "main", "return EXIT_INPUT", 0):
         "test_cli.py::test_input_error_exit_one",
-    ("engine", "build_system",
-     'raise ValueError(f"unknown proposer side {proposers!r}")', 0):
-        "test_engine.py::TestProposeDispose::test_unknown_proposer_side",
     ("mirror", "realize_witnessed",
      "a, b = inst.names[agents[bad[0]]], inst.names[jobs[bad[0]]]", 0):
         NON_CANCELLING,
@@ -98,8 +95,6 @@ LEDGER = {
         NON_CANCELLING,
     ("mirror", "realize_witnessed",
      'f"self-matched vertex {inst.names[bad[0]]} has a nonzero "', 0): REALIZE,
-    ("mirror", "project", 'raise ValueError(f"unknown half {half!r}")', 0):
-        "test_mirror.py::TestProject::test_unknown_half_rejected",
     ("mirror", "classify_partition",
      'raise ValueError("mirror matching is not perfect")', 0):
         "test_mirror.py::TestPartition::test_not_perfect_rejected",

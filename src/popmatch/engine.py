@@ -1,4 +1,4 @@
-"""Generic proposer/disposer engine with forbidden edges.
+"""Routines over per-edge int arrays: proposals, rotation walk, components.
 
 The engine runs one-sided proposals over ranked edge lists.  The lists are
 stored as compressed sparse rows: one flat edge sequence ``list_edges``,
@@ -21,7 +21,8 @@ the summed list lengths.
 
 A large system runs in two stages: whole-array numpy rounds while at least
 ``BATCH_MIN`` left vertices are free, then the sequential loop, one
-proposal at a time (see :meth:`ProposalSystem.run`).
+proposal at a time (see :meth:`ProposalSystem.run`).  :func:`components`
+numbers the connected components of a graph given by its edges' two ends.
 """
 
 from __future__ import annotations
@@ -258,9 +259,10 @@ def rotation_walk(
     edge ids, in O(m) time.
 
     The arguments give the instance as :class:`ProposalSystem` takes it,
-    agents on the left.  The walk builds and runs the agent-proposing system
-    and the job-proposing one, the same arrays with the sides' roles
-    swapped.
+    agents on the left.  The walk first builds and runs the job-proposing
+    system, the same arrays with the sides' roles swapped, and keeps only
+    each agent's edge in it; then the agent-proposing one.  Only one system
+    is alive at a time.
 
     The walk goes from the agent-optimal to the job-optimal stable matching
     by eliminating exposed rotations (Gusfield, "Three fast algorithms for
@@ -277,22 +279,20 @@ def rotation_walk(
     forward and never passes its job-optimal edge, because a job it skips
     already holds an edge it ranks higher and its holders only improve.
     """
-    agents = ProposalSystem(
-        num_left, num_right, left, right, left_rank, right_rank
-    )
     jobs = ProposalSystem(
         num_right, num_left, right, left, right_rank, left_rank
     )
-    agents.run()
     jobs.run()
+    last = jobs.right_match
+    del jobs
+    agents = ProposalSystem(
+        num_left, num_right, left, right, left_rank, right_rank
+    )
+    agents.run()
     flat, agent_of = agents.list_edges, agents.edge_left
     job_of, rank = agents.edge_right, agents.right_rank
     hold = list(agents.left_match)
     job_hold = list(agents.right_match)
-    last = [-1] * num_left
-    for e in jobs.left_match:
-        if e != -1:
-            last[agent_of[e]] = e
     scan = [i + 1 for i in agents.next_i]
     depth = [-1] * num_left
     stable = [e for e in hold if e != -1]
@@ -328,3 +328,33 @@ def rotation_walk(
     flags[stable] = True
     flags.flags.writeable = False
     return flags
+
+
+def components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each vertex's connected component in the graph on ``0 .. n - 1``
+    with edges ``u[k]``-``v[k]``, as a read-only int array; components are
+    numbered in the order of their smallest vertex.
+
+    One union-find pass over the edges, with path halving, hooks the larger
+    root under the smaller, so every parent is at most its child and every
+    root is its component's smallest vertex.  Pointer jumping then takes
+    each vertex to its root, and a root's number counts the roots before it.
+    """
+    parent = list(range(n))
+    for a, b in zip(u.tolist(), v.tolist()):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    root = np.array(parent, np.intp)
+    while not np.array_equal(up := root[root], root):
+        root = up
+    component_id = (np.cumsum(root == np.arange(n)) - 1)[root]
+    component_id.flags.writeable = False
+    return component_id

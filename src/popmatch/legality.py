@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import rotation_walk
+from .engine import components, rotation_walk
 from .instance import Instance, Posts, compute_posts
 
 EdgeKey = tuple[int, int]
@@ -174,33 +174,18 @@ def legal_edge_set(
     """Classify every edge and self-loop and number the popular-subgraph components.
 
     ``posts`` are computed when not given.  Legal means valid and popular;
-    the component ids come from one union-find over the popular edges in
-    layout order.
+    the component ids come from :func:`~popmatch.engine.components` over
+    the genuine popular edges.
     """
     if posts is None:
         posts = compute_posts(inst)
     valid = _valid_flags(inst, posts)
     popular = _popular_flags(inst)
     legal = valid & popular
-
-    lay, m, na = inst.layout, inst.m, inst.num_agents
-    agent_of, job_of = lay.agent_of.tolist(), lay.job_of.tolist()
-    parent = list(range(inst.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in np.flatnonzero(popular[:m]).tolist():
-        ra, rb = find(agent_of[k]), find(na + job_of[k])
-        if ra != rb:
-            parent[ra] = rb
-
-    roots: dict[int, int] = {}
-    component_id = [roots.setdefault(find(u), len(roots)) for u in range(inst.n)]
-    arrays = valid, popular, legal, np.array(component_id, np.intp)
-    for x in arrays:
+    lay, edges = inst.layout, popular[:inst.m]
+    component_id = components(
+        inst.n, lay.agent_of[edges], inst.num_agents + lay.job_of[edges]
+    )
+    for x in (valid, popular, legal):
         x.flags.writeable = False
-    return EdgeClassification(inst, *arrays)
+    return EdgeClassification(inst, valid, popular, legal, component_id)

@@ -16,6 +16,7 @@ from operator import sub
 
 import numpy as np
 
+from .engine import components
 from .instance import EdgeLayout, Instance, Matching, Posts
 
 _INF = 1 << 60
@@ -110,7 +111,7 @@ def check_a_popular(inst: Instance, posts: Posts, mat: Matching) -> bool:
 
 
 def a_popular_obstruction(inst: Instance, posts: Posts) -> int | None:
-    """First agent that rules out every agent-popular matching, or ``None``.
+    """Smallest agent that rules out every agent-popular matching, or ``None``.
 
     Abraham, Irving, Kavitha and Mehlhorn ("Popular matchings", SIAM J.
     Comput. 2007) show, with every agent given its own last resort, that a
@@ -121,39 +122,22 @@ def a_popular_obstruction(inst: Instance, posts: Posts) -> int | None:
     with ``s(a) == a`` can always stay alone and takes no job.  Every other
     agent is one edge f(a)-s(a) between two jobs, and the agents can each
     take a distinct endpoint of their own edge exactly when no connected
-    component of this job graph has more edges than vertices.  A fully
-    popular matching is agent-popular, so an obstruction also rules it out.
+    component of this job graph has more edges than jobs.  A fully popular
+    matching is agent-popular, so an obstruction also rules it out.
 
-    One union-find over jobs (union by size, path halving) tracks each
-    component's slack (jobs minus agents); the agents join in id order, and
-    the first whose edge drives its component's slack below zero is
-    returned.
+    The job graph's components come from
+    :func:`~popmatch.engine.components`; the agent returned is the smallest
+    whose edge lies in a component that overflows, so it does not depend on
+    the order in which the edges are read.
     """
-    f, s = posts.f.tolist(), posts.s.tolist()
-    parent = list(range(inst.n))
-    size = [1] * inst.n
-    slack = [1] * inst.n
-
-    def root(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    for a in inst.agent_ids():
-        if s[a] == a:
-            continue
-        ru, rv = root(f[a]), root(s[a])
-        if ru != rv:
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-            slack[ru] += slack[rv]
-        slack[ru] -= 1
-        if slack[ru] < 0:
-            return a
-    return None
+    na = inst.num_agents
+    agents = np.flatnonzero(posts.s != np.arange(na))
+    f, s = posts.f[agents] - na, posts.s[agents] - na
+    cid = components(inst.num_jobs, f, s)
+    jobs = np.bincount(cid)
+    overflows = np.bincount(cid[f], minlength=len(jobs)) > jobs
+    blockers = agents[overflows[cid[f]]]
+    return int(blockers[0]) if blockers.size else None
 
 
 def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:

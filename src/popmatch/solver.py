@@ -49,7 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ProposalSystem
 from .instance import Instance, Matching, Posts, compute_posts
 from .legality import EdgeClassification, legal_edge_set
 from .mirror import MirrorGraph, MirrorMatching, mirror_system
@@ -76,7 +75,6 @@ class SolverState:
     inst: Instance
     classification: EdgeClassification
     mirror: MirrorGraph
-    system: ProposalSystem
     # Per-vertex flags of the marked components; see _mark_components.
     marks: np.ndarray | None = None
     # Populated when the solve finishes successfully.
@@ -96,8 +94,9 @@ class SolveReport:
     order, and ``iterations`` counts them.  A nonexistence verdict has no
     matching and an empty trace, and rerunning reproduces it
     deterministically.  When no agent-popular matching exists, the verdict
-    comes before any engine work: ``infeasible_vertex`` is the first agent
-    that overflows its component of the post graph.  Otherwise the verdict
+    comes before any engine work: ``infeasible_vertex`` is the smallest
+    agent whose post-graph edge f(a)-s(a) lies in a component with more
+    such edges than jobs.  Otherwise the verdict
     comes when the mirror run leaves some left copies alone, each having
     exhausted its list, and ``infeasible_vertex`` is the smallest of them.
     The run's end state does not depend on the order of its proposals, so
@@ -192,13 +191,14 @@ def _solve(
         return SolveReport("none", infeasible_vertex=blocker), None
     classification = legal_edge_set(inst, posts=posts)
     mirror = MirrorGraph(inst, classification.legal_flags)
+    state = SolverState(inst, classification, mirror)
     system = mirror_system(mirror)
-    state = SolverState(inst, classification, mirror, system)
     system.run()
     mh = MirrorMatching(
         mirror, np.array(system.left_match, np.intp),
         np.array(system.right_match, np.intp),
     )
+    del system  # its lists would otherwise outlive the epilogue
     alone = np.flatnonzero(mh.left_edge == -1)
     if alone.size:
         return SolveReport("none", infeasible_vertex=int(alone[0])), state

@@ -22,7 +22,8 @@ from popmatch import (
     solve,
     verify_popular,
 )
-from popmatch.mirror import MirrorGraph, mirror_blocking_edges, realize_witnessed
+from popmatch.mirror import MirrorGraph, mirror_blocking_edges, mirror_system
+from popmatch.mirror import realize_witnessed
 from popmatch.oracle import enumerate_matchings, ground_truth, witness_search
 from popmatch.solver import SolverDefect, _solve
 
@@ -286,7 +287,8 @@ def checked_solve(inst) -> None:
     if state is None:
         assert solved.outcome == "none" and solved.trace == ()
     else:
-        system = state.system
+        system = mirror_system(state.mirror)
+        system.run()
         assert system.proposals <= system.total_list_length
 
 

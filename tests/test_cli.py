@@ -103,12 +103,12 @@ def test_solve_json_none(files, capsys):
 
 
 def test_solve_json_none_precheck(files, capsys):
-    # Every agent's posts are b1 and b2: a1 and a2 fill them, and a3 is the
-    # agent that overflows them, before any engine work.
+    # Every agent's posts are b1 and b2: three agents overflow those two
+    # jobs, and a1 is the smallest of them, before any engine work.
     path = files("ident.txt", IDENTICAL_PREFS_TEXT)
     assert main(["solve", path, "--json"]) == 2
     payload = json.loads(capsys.readouterr().out)
-    assert payload == {"outcome": "none", "vertex": "a3"}
+    assert payload == {"outcome": "none", "vertex": "a1"}
 
 
 def test_verify_fully_popular_exit_zero(files, capsys):

@@ -3,9 +3,10 @@
 import random
 
 import numpy as np
+import pytest
 
 from popmatch import Matching, compute_posts, generate
-from popmatch import engine, parse_instance, solve
+from popmatch import engine, legal_edge_set, parse_instance, solve
 from popmatch.engine import ProposalSystem
 from popmatch.legality import two_level_edges
 from popmatch.mirror import mirror_system
@@ -264,6 +265,62 @@ class TestOrderFreeVerdict:
                 report = solve(parse_instance(text))
                 assert report.outcome == "none", batch_min
                 assert report.infeasible_vertex == vertex, batch_min
+
+
+def components_reference(nx, n, u, v) -> list[int]:
+    """networkx's connected components, numbered by their smallest vertex."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(zip(u.tolist(), v.tolist()))
+    cid = [0] * n
+    for i, part in enumerate(sorted(nx.connected_components(graph), key=min)):
+        for x in part:
+            cid[x] = i
+    return cid
+
+
+class TestComponents:
+    """``engine.components`` against networkx."""
+
+    def check(self, nx, n, u, v) -> None:
+        u, v = np.asarray(u, np.intp), np.asarray(v, np.intp)
+        got = engine.components(n, u, v)
+        assert got.dtype == np.intp and not got.flags.writeable
+        assert got.tolist() == components_reference(nx, n, u, v), n
+
+    def test_popular_and_post_graphs_of_the_golden_inputs(self):
+        # The popular graph's edges in layout order; the post graph joins
+        # each agent to f(a) and s(a), a self-loop when s(a) is a.
+        nx = pytest.importorskip("networkx")
+        for text in golden_inputs().values():
+            inst = parse_instance(text)
+            lay, na = inst.layout, inst.num_agents
+            popular = legal_edge_set(inst).popular_flags[:inst.m]
+            self.check(
+                nx, inst.n, lay.agent_of[popular], na + lay.job_of[popular]
+            )
+            posts = compute_posts(inst)
+            agents = np.arange(na)
+            self.check(
+                nx, inst.n, np.concatenate((agents, agents)),
+                np.concatenate((posts.f, posts.s)),
+            )
+
+    def test_hostile_shapes(self):
+        nx = pytest.importorskip("networkx")
+        n = 2001
+        # A path that jumps between the two ends: 0, n-1, 1, n-2, ...
+        order = [x for pair in zip(range(n), range(n - 1, -1, -1)) for x in pair]
+        path = list(dict.fromkeys(order))
+        self.check(nx, n, path[:-1], path[1:])
+        self.check(nx, n, path[1:], path[:-1])
+        # A star centred on the largest id, and isolated vertices beside it.
+        self.check(nx, n, [n - 1] * (n - 1), range(n - 1))
+        self.check(nx, n + 5, range(n - 1), [n - 1] * (n - 1))
+        # No vertex, no edge, and self-loops, which join nothing.
+        self.check(nx, 0, [], [])
+        self.check(nx, 7, [], [])
+        self.check(nx, 3, [1, 2, 2], [1, 2, 0])
 
 
 class TestProposeDispose:

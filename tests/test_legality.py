@@ -1,5 +1,8 @@
 """Valid/popular/legal classification and the popular subgraph."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 
 from popmatch import Instance, compute_posts, legal_edge_set, parse_instance
@@ -294,6 +297,21 @@ class TestLegalEdgeSet:
             mirror = MirrorGraph(inst, got.legal_flags)
             forbidden = set(np.flatnonzero(mirror.forbidden_flags()).tolist())
             assert forbidden == forbidden_reference(inst, legal), inst.names
+
+    def test_transient_memory_per_edge(self):
+        # Each rotation walk drops its job-proposing system before it
+        # builds the agent-proposing one.  The first call builds the
+        # layout arrays that the measured one reads.
+        inst = parse_instance(composed_text(1000))
+        legal_edge_set(inst)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            legal_edge_set(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 600 * inst.m, peak / inst.m
 
     def test_given_posts_are_read(self, size_gap):
         posts = compute_posts(size_gap)

@@ -502,7 +502,10 @@ class TestListReference:
                 continue
             counts[report.outcome] += 1
             counts["rounds"] += report.iterations > 0
-            system = state.system
+            # A rebuilt system's run ends in the solve's state, as the end
+            # state does not depend on the order of proposals.
+            system = mirror_system(state.mirror)
+            system.run()
             mh = MirrorMatching(
                 state.mirror,
                 np.array(system.left_match),

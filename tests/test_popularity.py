@@ -410,6 +410,27 @@ class TestAPopular:
                     fired += 1
         assert fired == 90
 
+    def test_obstruction_is_smallest_agent_of_an_overflowing_component(self):
+        # The seeds of the oracle test above, without its size cut, and five
+        # instances of the benchmark's random shape.
+        nx = pytest.importorskip("networkx")
+        insts = [
+            random_instance(seed, max_side)
+            for max_side, seeds in ((4, 2000), (6, 1000))
+            for seed in range(seeds)
+        ]
+        insts += [
+            parse_instance(generate(2000, 2000, 5 / 2000, seed))
+            for seed in range(1, 6)
+        ]
+        fired = 0
+        for inst in insts:
+            posts = compute_posts(inst)
+            want = obstruction_reference(nx, inst, posts)
+            assert a_popular_obstruction(inst, posts) == want
+            fired += want is not None
+        assert fired == 118 + 5
+
     def test_matches_election_definition_both_ways(self):
         for seed in range(80):
             inst = random_instance(seed)
@@ -420,6 +441,22 @@ class TestAPopular:
                 assert check_a_popular(inst, posts, mat) == (
                     mat.partner in truth
                 ), (seed, mat.partner)
+
+
+def obstruction_reference(nx, inst, posts):
+    """The smallest agent whose job-graph edge f(a)-s(a) lies in a
+    component with more such edges than jobs, or ``None``."""
+    graph = nx.MultiGraph()
+    graph.add_nodes_from(range(inst.num_agents, inst.n))
+    for a in inst.agent_ids():
+        if posts.s[a] != a:
+            graph.add_edge(int(posts.f[a]), int(posts.s[a]), key=a)
+    blockers = []
+    for part in nx.connected_components(graph):
+        edges = graph.subgraph(part).edges(keys=True)
+        if len(edges) > len(part):
+            blockers += [a for _, _, a in edges]
+    return min(blockers, default=None)
 
 
 def _drop_pair(rng, inst, mat) -> Matching:

@@ -21,25 +21,31 @@ the summed list lengths.
 
 A large system runs in two stages: whole-array numpy rounds while at least
 ``BATCH_MIN`` left vertices are free, then the sequential loop, one
-proposal at a time (see :meth:`ProposalSystem.run`).  :func:`components`
+proposal at a time (see :meth:`ProposalSystem.run`); the rotation walk has
+the same two stages (see :func:`rotation_walk`).  :func:`components`
 numbers the connected components of a graph given by its edges' two ends.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import ne
 
 import numpy as np
 
 INFINITE_RANK = 1 << 60
 
-# Fewest left vertices that propose in one whole-array round.  A round
-# costs tens of microseconds of numpy calls and the loop about a third of
-# a microsecond per proposal.  Measured at 768, the five runs of a solve on
-# 1,000 disjoint 6-vertex blocks take 4.4 ms against 15.5 ms on the loop
-# alone, and systems of 600 vertices stay on the loop.  The value sets only
-# the time of a run: its end state is the same for any value.
-BATCH_MIN = 768
+# Fewest left vertices proposing in a whole-array round, and fewest agents
+# short of their job-optimal edge in a rotation round; only speed depends on
+# it.  Solve CPU ms, median of 3 process runs of the best of 25, 2 cores:
+#   BATCH_MIN                         768    512    384    256    128
+#   ring, n = 300                    2.27   1.95   1.95   1.75   1.75
+#   1,000 blocks, validated         15.61  15.77  15.72  15.40  15.96
+#   latin, n = 200                   82.4   83.2   75.0   74.8   51.2
+#   planted, 1,000 + 300 cross      11.30  11.03  11.05  11.06  11.11
+#   generate(2000, 3000, 5/3000)    16.63  14.88  14.18  14.49  13.77
+# 256 is fastest on ring and blocks; 128 runs latin's stable walk in rounds.
+BATCH_MIN = 256
 
 
 def _packed(values) -> memoryview:
@@ -256,7 +262,7 @@ def rotation_walk(
     num_left: int, num_right: int, left, right, left_rank, right_rank
 ) -> np.ndarray:
     """Every stable edge of a plain instance, as read-only bool flags over
-    edge ids, in O(m) time.
+    edge ids, in O(m log n) time at most and O(m) in the loop alone.
 
     The arguments give the instance as :class:`ProposalSystem` takes it,
     agents on the left.  The walk first builds and runs the job-proposing
@@ -278,6 +284,13 @@ def rotation_walk(
     part in any rotation.  Every other agent's scan pointer only moves
     forward and never passes its job-optimal edge, because a job it skips
     already holds an edge it ranks higher and its holders only improve.
+
+    While at least ``BATCH_MIN`` agents are short of their job-optimal
+    edge, rounds (:func:`_rotation_round`) eliminate every exposed
+    rotation at once: these are vertex-disjoint, and the edges rotations
+    create do not depend on their order (Gusfield and Irving, 1989).  A
+    round costs its size times log n; rounds stop after one that moves under
+    a quarter of its agents, so their summed sizes are at most 4 * moves + n.
     """
     jobs = ProposalSystem(
         num_right, num_left, right, left, right_rank, left_rank
@@ -291,12 +304,29 @@ def rotation_walk(
     agents.run()
     flat, agent_of = agents.list_edges, agents.edge_left
     job_of, rank = agents.edge_right, agents.right_rank
-    hold = list(agents.left_match)
-    job_hold = list(agents.right_match)
+    hold, job_hold = agents.left_match, agents.right_match
     scan = [i + 1 for i in agents.next_i]
-    depth = [-1] * num_left
     stable = [e for e in hold if e != -1]
-    for start in range(num_left):
+    starts = range(num_left)
+    if sum(map(ne, hold, last)) >= BATCH_MIN:
+        hold, job_hold, scan, done = (
+            np.fromiter(x, int) for x in (hold, job_hold, scan, last)
+        )
+        lists = [
+            np.frombuffer(x, np.int64) for x in (flat, agent_of, job_of, rank)
+        ]
+        slot = np.full(num_left, -1)
+        active = np.flatnonzero(hold != done)
+        while len(active) >= BATCH_MIN:
+            made = _rotation_round(lists, hold, job_hold, scan, active, slot)
+            stable += made.tolist()
+            if 4 * len(made) < len(active):
+                break
+            active = active[hold[active] != done[active]]
+        hold, job_hold, scan = hold.tolist(), job_hold.tolist(), scan.tolist()
+        starts = active.tolist()
+    depth = [-1] * num_left
+    for start in starts:
         while hold[start] != last[start]:
             stack = [start]
             depth[start] = 0
@@ -328,6 +358,36 @@ def rotation_walk(
     flags[stable] = True
     flags.flags.writeable = False
     return flags
+
+
+def _rotation_round(lists, hold, job_hold, scan, active, slot):
+    """One rotation round on the walk's state, updated in place; returns the
+    edges its rotations create.  ``slot`` holds -1 for every agent, before
+    and after.  Every successor must be active: k pointer-doubling steps,
+    2^k > len(active), map the agents onto those on the successor map's
+    cycles, the exposed rotations.
+    """
+    flat, agent_of, job_of, rank = lists
+    scanning = active
+    while len(scanning):
+        e = flat[scan[scanning]]
+        scanning = scanning[rank[e] > rank[job_hold[job_of[e]]]]
+        scan[scanning] += 1
+    e = flat[scan[active]]
+    holder = agent_of[job_hold[job_of[e]]]
+    slot[active] = np.arange(len(active))
+    succ = slot[holder]
+    slot[active] = -1
+    if succ.min() < 0:
+        raise AssertionError("a rotation successor holds its job-optimal edge")
+    for _ in range(len(active).bit_length()):
+        succ = succ[succ]
+    on_cycle = np.zeros(len(active), bool)
+    on_cycle[succ] = True
+    moved, e = active[on_cycle], e[on_cycle]
+    hold[moved] = job_hold[job_of[e]] = e
+    scan[moved] += 1
+    return e
 
 
 def components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -14,11 +14,11 @@ That instance is never built.  Its edges are given on virtual edge ids, as
 per-edge arrays of arithmetic on the instance's own edge layout (see
 :func:`two_level_edges`), and the test suite checks the reduction
 exhaustively against the election oracle and against a materialized
-reference.  One rotation walk on the instance
-and one on its two-level form yield all their stable edges, so
-classification takes time linear in the number of edges.  It works on edge
-ids throughout: ``(agent, job)`` keys are made only when a caller asks for
-them.
+reference.  One rotation walk on the instance and one on its two-level form
+yield all their stable edges, in time linear in the number of edges in the
+walks' loops and at most a log n factor more in their whole-array rounds.
+It works on edge ids throughout: ``(agent, job)`` keys are made only when
+a caller asks for them.
 """
 
 from __future__ import annotations

@@ -312,15 +312,17 @@ BLOCK = [
 ]
 
 
-def composed_text(blocks: int, seed: int | None = None) -> str:
-    """Disjoint copies of a 6-vertex block; block i's names end in ``_i``.
+def composed_text(blocks: int, seed: int | None = None, block=BLOCK) -> str:
+    """Disjoint copies of a block, ``BLOCK`` unless another is given as
+    ``(name, list)`` pairs with agents named ``a...``; block i's names end in
+    ``_i``.
 
     With a ``seed`` the vertex declarations and list lines are shuffled, so
     ids and edge ids no longer follow the blocks.
     """
     agents, jobs, lines = [], [], []
     for i in range(blocks):
-        for name, row in BLOCK:
+        for name, row in block:
             tag = f"{name}_{i}"
             (agents if name.startswith("a") else jobs).append(tag)
             lines.append(f"{tag} > " + " ".join(f"{v}_{i}" for v in row))
@@ -363,6 +365,28 @@ def planted_text(blocks: int, cross: int, seed: int) -> str:
         "agents: " + " ".join(agents) + "\njobs: " + " ".join(jobs) + "\n"
         + "".join(f"{u} > {' '.join(row)}\n" for u, row in prefs.items())
     )
+
+
+def latin_text(n: int) -> str:
+    """Complete lists in cyclic order: agent ai ranks bi, b(i+1), ... and
+    job bj ranks a(j+1), a(j+2), ... (indices mod n).
+
+    Every agent walks its whole list from its first job to its last, so the
+    rotation walks make about n^2 moves, n at a time.
+    """
+    lines = [
+        "agents: " + " ".join(f"a{i}" for i in range(n)),
+        "jobs: " + " ".join(f"b{i}" for i in range(n)),
+    ]
+    lines += [
+        f"a{i} > " + " ".join(f"b{(i + k) % n}" for k in range(n))
+        for i in range(n)
+    ]
+    lines += [
+        f"b{j} > " + " ".join(f"a{(j + 1 + k) % n}" for k in range(n))
+        for j in range(n)
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def two_level_reference(inst):

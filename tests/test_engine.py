@@ -21,6 +21,7 @@ from conftest import (
     id_of,
     ids,
     is_forbidden,
+    latin_text,
     left_list,
     make_mirror,
     pair_families,
@@ -28,6 +29,7 @@ from conftest import (
     plain_edges,
     planted_text,
     random_instance,
+    random_text,
     ring_instance,
     ring_text,
     showcase_stable,
@@ -259,12 +261,96 @@ class TestOrderFreeVerdict:
             if -1 in left:
                 want[text] = left.index(-1)
         assert len(want) == 32 + 5
-        for batch_min in (1, 768, 1 << 60):
+        for batch_min in (1, 256, 1 << 60):
             monkeypatch.setattr(engine, "BATCH_MIN", batch_min)
             for text, vertex in want.items():
                 report = solve(parse_instance(text))
                 assert report.outcome == "none", batch_min
                 assert report.infeasible_vertex == vertex, batch_min
+
+
+class TestRotationRounds:
+    """Whole-array rotation rounds, then the walk's loop, flag what the loop
+    alone flags."""
+
+    @staticmethod
+    def walks(inst):
+        return plain_edges(inst), two_level_edges(inst)
+
+    @staticmethod
+    def count_rounds(monkeypatch) -> list[tuple[int, int]]:
+        """Each round's examined agents and moves, as the walk runs."""
+        rounds = []
+        step = engine._rotation_round
+
+        def counted(lists, hold, job_hold, scan, active, slot):
+            created = step(lists, hold, job_hold, scan, active, slot)
+            rounds.append((len(active), len(created)))
+            return created
+
+        monkeypatch.setattr(engine, "_rotation_round", counted)
+        return rounds
+
+    def test_rounds_equal_the_loop(self, monkeypatch):
+        # Rounds down to one agent short of its job-optimal edge, and down
+        # to two, against the loop alone, on both walks of every family.
+        rng = random.Random(11)
+        texts = [random_text(seed, max_side=6) for seed in range(400)]
+        texts += [ring_text(n) for n in (2, 3, 5, 50, 300, 1000)]
+        texts += [composed_text(b, seed=1) for b in (1, 10, 200, 1000)]
+        texts += [planted_text(1000, 100, seed) for seed in range(1, 6)]
+        for seed in range(40):
+            na, nb = rng.randint(1, 400), rng.randint(1, 400)
+            density = min(1.0, rng.choice((2, 4, 8, 30)) / nb)
+            texts.append(generate(na, nb, density, seed))
+        texts += [latin_text(n) for n in (10, 100, 200)]
+        rounds = self.count_rounds(monkeypatch)
+        for text in texts:
+            for walk in self.walks(parse_instance(text)):
+                flags = []
+                for batch_min in (1 << 60, 1, 2):
+                    monkeypatch.setattr(engine, "BATCH_MIN", batch_min)
+                    flags.append(engine.rotation_walk(*walk))
+                loop, *batched = flags
+                for got in batched:
+                    assert np.array_equal(got, loop), text[:60]
+        assert len(rounds) > 2000
+
+    def test_latin_work_is_pinned(self, monkeypatch):
+        # Every agent of the 200-latin instance walks its whole list, 200
+        # agents moving in each round; the two-level walk examines up to
+        # 400 copies a round.  Counts do not depend on the host.
+        monkeypatch.setattr(engine, "BATCH_MIN", 64)
+        rounds = self.count_rounds(monkeypatch)
+        inst = parse_instance(latin_text(200))
+        counts = []
+        for walk in self.walks(inst):
+            rounds.clear()
+            engine.rotation_walk(*walk)
+            counts.append(len(rounds))
+            examined = sum(size for size, _ in rounds)
+            moves = sum(moved for _, moved in rounds)
+            assert examined <= 4 * moves + walk[0]
+        assert counts == [199, 399]
+
+    def test_inactive_successor_is_a_defect(self, monkeypatch):
+        # The job-proposing run is made to end with a0 on its agent-optimal
+        # edge, so a0 looks done while the ring's one rotation runs through
+        # it; the round must not read a0's missing slot as another agent.
+        inst = ring_instance(5)
+        runs = []
+
+        class Tampered(ProposalSystem):
+            def run(self):
+                super().run()
+                if not runs:
+                    self.right_match[0] = edge_id(inst, *ids(inst, "a0", "b0"))
+                runs.append(self)
+
+        monkeypatch.setattr(engine, "ProposalSystem", Tampered)
+        monkeypatch.setattr(engine, "BATCH_MIN", 1)
+        with pytest.raises(AssertionError, match="rotation successor"):
+            engine.rotation_walk(*plain_edges(inst))
 
 
 def components_reference(nx, n, u, v) -> list[int]:

@@ -66,6 +66,15 @@ REJECTIONS = (
 STALE_TEXT = generate(12, 4, 1.0, seed=0)
 STALE_MATCHING = "a1 b1\na7 b3\na8 b2\na11 b0\n"
 
+# An instance whose two-level walk's first round examines 16 agents short
+# of their job-optimal edge and moves 2, as (name, list) pairs.
+STOP_BLOCK = [
+    (name, row.split())
+    for name, row in (
+        line.split(" > ") for line in random_text(127, 8).splitlines()[2:]
+    )
+]
+
 # (module, function, source line, occurrence) -> the test that reaches the
 # line.  The occurrence counts the function's earlier executable lines of the
 # same text, so identical lines in one function are separate entries.
@@ -85,6 +94,10 @@ LEDGER = {
         "test_cli.py::test_input_error_exit_one",
     ("cli", "main", "return EXIT_INPUT", 0):
         "test_cli.py::test_input_error_exit_one",
+    ("engine", "_rotation_round",
+     'raise AssertionError("a rotation successor holds its job-optimal edge")',
+     0):
+        "test_engine.py::TestRotationRounds::test_inactive_successor_is_a_defect",
     ("mirror", "realize_witnessed",
      "a, b = inst.names[agents[bad[0]]], inst.names[jobs[bad[0]]]", 0):
         NON_CANCELLING,
@@ -159,8 +172,13 @@ def sweep_texts() -> list[str]:
         composed_text(3, seed=1),
         ring_text(5),
         planted_text(6, 6, 0),
-        # The smallest found size whose proposal systems run whole-array
-        # rounds, and whose mirror run leaves left copies alone.
+        # The smallest ring whose proposal systems and rotation walks run
+        # whole-array rounds.
+        ring_text(popmatch.engine.BATCH_MIN),
+        # A rotation round that moves too few agents, so the loop takes over.
+        composed_text(popmatch.engine.BATCH_MIN // 16, block=STOP_BLOCK),
+        # A size whose mirror run leaves left copies alone after whole-array
+        # rounds.
         generate(700, 1050, 5 / 1050, seed=0),
     ]
 

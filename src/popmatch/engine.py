@@ -12,24 +12,27 @@ rejection also deletes every worse edge at the receiving vertex, including
 a currently held one.  Every system, of the instance, of its two-level form
 or of the mirror graph, is given as the same four int arrays over its edge
 ids: each edge's two ends and its rank in the lists of both.  Only
-:class:`ProposalSystem` lays those lists out and packs them.  Plain systems
-are forbidden nothing, and every stable edge comes from one rotation walk
-between the two extreme stable matchings.  A mirror system is forbidden the
-copies of its non-legal edges, and no stable matching avoiding them exists
-exactly when its run leaves some left copy alone.  A run's work is linear in
-the summed list lengths.
+:class:`ProposalSystem` lays those lists out; it keeps its caller's arrays
+by reference and never writes them.  Plain systems are forbidden nothing,
+and every stable edge comes from one rotation walk between the two extreme
+stable matchings.  A mirror system is forbidden the copies of its non-legal
+edges, and no stable matching avoiding them exists exactly when its run
+leaves some left copy alone.  A run's work is linear in the summed list
+lengths.
 
-A large system runs in two stages: whole-array numpy rounds while at least
-``BATCH_MIN`` left vertices are free, then the sequential loop, one
-proposal at a time (see :meth:`ProposalSystem.run`); the rotation walk has
-the same two stages (see :func:`rotation_walk`).  :func:`components`
-numbers the connected components of a graph given by its edges' two ends.
+Int64 numpy arrays are the one stored form of a system, its run state
+included.  A large system runs in two stages: whole-array numpy rounds while
+at least ``BATCH_MIN`` left vertices are free, then the sequential loop, one
+proposal at a time, which reads and writes the same arrays through zero-copy
+memoryviews (see :meth:`ProposalSystem.run`); the rotation walk has the same
+two stages on the agent-proposing system's arrays (see
+:func:`rotation_walk`).  :func:`components` numbers the connected
+components of a graph given by its edges' two ends.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from operator import ne
 
 import numpy as np
 
@@ -39,24 +42,14 @@ INFINITE_RANK = 1 << 60
 # short of their job-optimal edge in a rotation round; only speed depends on
 # it.  Solve CPU ms, median of 3 process runs of the best of 25, 2 cores:
 #   BATCH_MIN                         768    512    384    256    128
-#   ring, n = 300                    2.27   1.95   1.95   1.75   1.75
-#   1,000 blocks, validated         15.61  15.77  15.72  15.40  15.96
-#   latin, n = 200                   82.4   83.2   75.0   74.8   51.2
-#   planted, 1,000 + 300 cross      11.30  11.03  11.05  11.06  11.11
-#   generate(2000, 3000, 5/3000)    16.63  14.88  14.18  14.49  13.77
-# 256 is fastest on ring and blocks; 128 runs latin's stable walk in rounds.
+#   ring, n = 300                    2.71   1.73   1.70   1.15   1.24
+#   1,000 blocks, validated         12.63  12.70  12.05  12.05  12.78
+#   latin, n = 200                   85.4   85.2   70.9   73.5   42.6
+#   planted, 1,000 + 300 cross       9.97  10.13   9.34  10.11   9.86
+#   generate(2000, 3000, 5/3000)    14.76  12.72  11.60  11.15  10.58
+# 256 is fastest on ring and level with 384 on blocks, where every value is
+# within 6 %; 128 runs latin's stable walk in rounds.
 BATCH_MIN = 256
-
-
-def _packed(values) -> memoryview:
-    """A numpy integer array's values, copied out as read-only 8-byte ints.
-
-    A system keeps its lists, bounds and per-edge arrays this way.  The
-    view keeps 8 bytes per entry, where a list or tuple would also keep an
-    int object for every entry that is not a small cached int, and it
-    holds no numpy object.
-    """
-    return memoryview(values.astype("q", copy=False).tobytes()).cast("q")
 
 
 class ProposalSystem:
@@ -70,23 +63,23 @@ class ProposalSystem:
     as one flat sequence: u's list is
     ``list_edges[list_starts[u]:list_starts[u + 1]]``, best first, the
     starts being the cumulated list lengths, so one scatter places every
-    edge and a vertex with no edges gets an empty list.  ``list_edges``,
-    ``list_starts``, ``edge_left``, ``edge_right`` and ``right_rank`` are
-    read-only views of packed 8-byte ints, copied from the arrays, which
-    the system does not keep.
+    edge and a vertex with no edges gets an empty list.  Those two int64
+    arrays are the only ones it builds: it keeps the caller's ``left``,
+    ``right`` and ``right_rank`` as ``edge_left``, ``edge_right`` and
+    ``right_rank``, by reference, and never writes them.
 
     A right vertex's cutoff is the best rank it has seen; it never accepts
     an edge ranked at or beyond it.  A left vertex that runs out of its list
-    stays alone.  ``forbidden`` flags the edges forbidden in the run, one
-    byte per edge, none when not given; the system keeps the bytearray as
+    stays alone.  ``forbidden`` flags the edges forbidden in the run, as a
+    bool array over edge ids, none when not given; the system keeps it as
     its ``forbidden`` and reads it only while it runs.  Only mirror systems
     are forbidden anything in a solve.
 
-    A system runs once.  After its run, ``left_match[u]`` /
-    ``right_match[r]`` hold the matched edge id or -1, and ``next_i[u]`` is
-    the position in ``list_edges`` of u's matched edge
-    (``list_starts[u + 1]`` when u is alone).  ``proposals`` and
-    ``rejections`` count the run's work and ``rounds`` its whole-array
+    A system runs once.  Its run state is four int64 arrays: ``left_match[u]``
+    / ``right_match[r]`` hold the matched edge id or -1, ``right_cut[r]`` is
+    r's cutoff, and ``next_i[u]`` is the position in ``list_edges`` of u's
+    matched edge (``list_starts[u + 1]`` when u is alone).  ``proposals``
+    and ``rejections`` count the run's work and ``rounds`` its whole-array
     rounds, each of at least ``BATCH_MIN`` proposals, so
     ``rounds * BATCH_MIN <= proposals <= total_list_length``.
     """
@@ -99,21 +92,21 @@ class ProposalSystem:
         right: np.ndarray,
         left_rank: np.ndarray,
         right_rank: np.ndarray,
-        forbidden: bytearray | None = None,
+        forbidden: np.ndarray | None = None,
     ):
-        starts = np.zeros(num_left + 1, np.intp)
+        starts = np.zeros(num_left + 1, np.int64)
         np.cumsum(np.bincount(left, minlength=num_left), out=starts[1:])
-        edges = np.empty(len(left), np.intp)
+        edges = np.empty(len(left), np.int64)
         edges[starts[left] + left_rank] = np.arange(len(left))
         self.num_left = num_left
         self.num_right = num_right
-        self.list_edges = _packed(edges)
-        self.list_starts = _packed(starts)
-        self.edge_left = _packed(left)
-        self.edge_right = _packed(right)
-        self.right_rank = _packed(right_rank)
+        self.list_edges = edges
+        self.list_starts = starts
+        self.edge_left = left
+        self.edge_right = right
+        self.right_rank = right_rank
         if forbidden is None:
-            forbidden = bytearray(len(left))
+            forbidden = np.zeros(len(left), bool)
         self.forbidden = forbidden
         self.total_list_length = len(left)
         self.proposals = 0
@@ -123,31 +116,28 @@ class ProposalSystem:
     def run(self) -> None:
         """Run the proposals to the end.
 
-        A system of at least ``BATCH_MIN`` left vertices first runs
-        whole-array rounds (:meth:`_rounds`); a smaller one starts with every
-        left vertex free.  The sequential loop (:meth:`_drain`) then ends the
-        run.  The end state of deferred acceptance does not depend on the
-        order of the proposals (McVitie and Wilson, "The stable marriage
-        problem", 1971), and a rejection by a forbidden edge only lowers a
-        cutoff as any better proposal would, so the run ends in the loop's
-        own state, counters and alone vertices included.  In a mirror
-        system, with as many right copies as left ones and no sinks, a run
-        that leaves no left copy alone matches every right copy, so no
+        Whole-array rounds (:meth:`_rounds`) run while at least
+        ``BATCH_MIN`` left vertices are free, so a smaller system makes
+        none; the sequential loop (:meth:`_drain`) then ends the run from
+        the vertices still free.  The end state of deferred acceptance does
+        not depend on the order of the proposals (McVitie and Wilson, "The
+        stable marriage problem", 1971), and a rejection by a forbidden edge
+        only lowers a cutoff as any better proposal would, so the run ends
+        in the loop's own state, counters and alone vertices included.  In a
+        mirror system, with as many right copies as left ones and no sinks,
+        a run that leaves no left copy alone matches every right copy, so no
         stable matching avoiding the forbidden edges exists exactly when a
         left copy ends alone.
         """
-        if self.num_left >= BATCH_MIN:
-            self._rounds()
-        else:
-            self.next_i = list(self.list_starts[:-1])
-            self.left_match = [-1] * self.num_left
-            self.right_match = [-1] * self.num_right
-            self.right_cut = [INFINITE_RANK] * self.num_right
-            self.queue = deque(range(self.num_left))
-        self._drain()
+        self.next_i = self.list_starts[:-1].copy()
+        self.left_match = np.full(self.num_left, -1, np.int64)
+        self.right_match = np.full(self.num_right, -1, np.int64)
+        self.right_cut = np.full(self.num_right, INFINITE_RANK, np.int64)
+        self._drain(deque(self._rounds().tolist()))
 
-    def _rounds(self) -> None:
-        """Whole-array proposal rounds from the initial state.
+    def _rounds(self) -> np.ndarray:
+        """Whole-array proposal rounds on the initial state, updated in
+        place; returns the free left vertices that are left over.
 
         Every left vertex is free at first.  In a round every free left
         vertex proposes along its next list position at once.  Each right
@@ -157,31 +147,19 @@ class ProposalSystem:
         move one position on and are the next round's free vertices.
         Rounds go on while at least ``BATCH_MIN`` vertices propose, so
         there are at most ``total_list_length / BATCH_MIN`` of them.  A
-        vertex past the end of its list stays alone, and the free vertices
-        left over become the loop's queue.
+        vertex past the end of its list stays alone.
         """
-        # The packed views read as numpy's longlong type, on which
-        # ``minimum.at`` takes a generic path 25 times slower; viewing them
-        # as int64 keeps its fast one.
-        list_edges, starts, edge_left, edge_right, right_rank = (
-            np.asarray(x, np.int64).view(np.int64)
-            for x in (
-                self.list_edges, self.list_starts, self.edge_left,
-                self.edge_right, self.right_rank,
-            )
-        )
-        forbidden = np.frombuffer(self.forbidden, np.bool_)
-        end = starts[1:]
-        next_i = starts[:-1].copy()
-        left_match = np.full(self.num_left, -1, np.int64)
-        right_match = np.full(self.num_right, -1, np.int64)
-        right_cut = np.full(self.num_right, INFINITE_RANK, np.int64)
+        list_edges, edge_left = self.list_edges, self.edge_left
+        edge_right, right_rank = self.edge_right, self.right_rank
+        next_i, left_match = self.next_i, self.left_match
+        right_match, right_cut = self.right_match, self.right_cut
+        end = self.list_starts[1:]
         best = right_cut.copy()
         free = np.arange(self.num_left)
         while True:
             free = free[next_i[free] < end[free]]
             if len(free) < BATCH_MIN:
-                break
+                return free
             e = list_edges[next_i[free]]
             r, rank = edge_right[e], right_rank[e]
             np.minimum.at(best, r, rank)
@@ -193,31 +171,30 @@ class ProposalSystem:
             displaced = edge_left[held[held != -1]]
             left_match[displaced] = -1
             right_match[taken] = -1
-            kept = won & ~forbidden[e]
+            kept = won & ~self.forbidden[e]
             right_match[r[kept]] = left_match[free[kept]] = e[kept]
             self.rounds += 1
             self.proposals += len(free)
             free = np.concatenate((free[~kept], displaced))
             self.rejections += len(free)
             next_i[free] += 1
-        self.next_i, self.left_match = next_i.tolist(), left_match.tolist()
-        self.right_match = right_match.tolist()
-        self.right_cut = right_cut.tolist()
-        self.queue = deque(free.tolist())
 
-    def _drain(self) -> None:
+    def _drain(self, queue: deque) -> None:
         """The sequential loop: drain the queue one proposal at a time.
 
         The queue only ever holds unmatched left vertices, each once.
         """
-        # The loop reads the state through locals; the counters are written
+        # The loop reads and writes every array through a zero-copy
+        # memoryview, whose items are plain ints; the counters are written
         # back at the end.
-        list_edges, list_starts = self.list_edges, self.list_starts
-        edge_left, edge_right = self.edge_left, self.edge_right
-        right_rank, forbidden = self.right_rank, self.forbidden
-        next_i, left_match = self.next_i, self.left_match
-        right_match, right_cut = self.right_match, self.right_cut
-        queue = self.queue
+        (
+            list_edges, list_starts, edge_left, edge_right, right_rank,
+            forbidden, next_i, left_match, right_match, right_cut,
+        ) = map(memoryview, (
+            self.list_edges, self.list_starts, self.edge_left,
+            self.edge_right, self.right_rank, self.forbidden, self.next_i,
+            self.left_match, self.right_match, self.right_cut,
+        ))
         proposals = rejections = 0
         while queue:
             u = queue.popleft()
@@ -267,8 +244,8 @@ def rotation_walk(
     The arguments give the instance as :class:`ProposalSystem` takes it,
     agents on the left.  The walk first builds and runs the job-proposing
     system, the same arrays with the sides' roles swapped, and keeps only
-    each agent's edge in it; then the agent-proposing one.  Only one system
-    is alive at a time.
+    each agent's edge in it; then the agent-proposing one, whose arrays the
+    walk reads and updates.  Only one system is alive at a time.
 
     The walk goes from the agent-optimal to the job-optimal stable matching
     by eliminating exposed rotations (Gusfield, "Three fast algorithms for
@@ -291,43 +268,43 @@ def rotation_walk(
     create do not depend on their order (Gusfield and Irving, 1989).  A
     round costs its size times log n; rounds stop after one that moves under
     a quarter of its agents, so their summed sizes are at most 4 * moves + n.
+    The loop then reads the lists through memoryviews and the matching as
+    lists.
     """
     jobs = ProposalSystem(
         num_right, num_left, right, left, right_rank, left_rank
     )
     jobs.run()
-    last = jobs.right_match
+    done = jobs.right_match
     del jobs
     agents = ProposalSystem(
         num_left, num_right, left, right, left_rank, right_rank
     )
     agents.run()
-    flat, agent_of = agents.list_edges, agents.edge_left
-    job_of, rank = agents.edge_right, agents.right_rank
+    lists = (
+        agents.list_edges, agents.edge_left, agents.edge_right,
+        agents.right_rank,
+    )
     hold, job_hold = agents.left_match, agents.right_match
-    scan = [i + 1 for i in agents.next_i]
-    stable = [e for e in hold if e != -1]
-    starts = range(num_left)
-    if sum(map(ne, hold, last)) >= BATCH_MIN:
-        hold, job_hold, scan, done = (
-            np.fromiter(x, int) for x in (hold, job_hold, scan, last)
-        )
-        lists = [
-            np.frombuffer(x, np.int64) for x in (flat, agent_of, job_of, rank)
-        ]
-        slot = np.full(num_left, -1)
-        active = np.flatnonzero(hold != done)
-        while len(active) >= BATCH_MIN:
-            made = _rotation_round(lists, hold, job_hold, scan, active, slot)
-            stable += made.tolist()
-            if 4 * len(made) < len(active):
-                break
-            active = active[hold[active] != done[active]]
-        hold, job_hold, scan = hold.tolist(), job_hold.tolist(), scan.tolist()
-        starts = active.tolist()
+    scan = agents.next_i + 1
+    flags = np.zeros(len(left), bool)
+    flags[hold[hold != -1]] = True
+    slot = np.full(num_left, -1)
+    active = np.flatnonzero(hold != done)
+    while len(active) >= BATCH_MIN:
+        made = _rotation_round(lists, hold, job_hold, scan, active, slot)
+        flags[made] = True
+        if 4 * len(made) < len(active):
+            break
+        active = active[hold[active] != done[active]]
+    flat, agent_of, job_of, rank = map(memoryview, lists)
+    hold, job_hold, scan, done = (
+        x.tolist() for x in (hold, job_hold, scan, done)
+    )
     depth = [-1] * num_left
-    for start in starts:
-        while hold[start] != last[start]:
+    created = []
+    for start in active.tolist():
+        while hold[start] != done[start]:
             stack = [start]
             depth[start] = 0
             while stack:
@@ -353,9 +330,8 @@ def rotation_walk(
                     job_hold[job_of[e]] = e
                     scan[x] += 1
                     depth[x] = -1
-                    stable.append(e)
-    flags = np.zeros(len(left), bool)
-    flags[stable] = True
+                    created.append(e)
+    flags[created] = True
     flags.flags.writeable = False
     return flags
 

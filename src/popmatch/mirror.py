@@ -118,7 +118,7 @@ def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
     inst = mirror.inst
     m, n = inst.m, inst.n
     degree = inst.layout.degrees()
-    left, right, at, rrank = np.empty((4, 4 * m + n), np.intp)
+    left, right, at, rrank = (np.empty(4 * m + n, np.intp) for _ in range(4))
     left[4 * m:] = right[4 * m:] = np.arange(n)
     at[4 * m:], rrank[4 * m:] = 2 * degree, degree
     for t, (u, v, ru, rv) in enumerate(_copy_classes(inst)):
@@ -126,7 +126,7 @@ def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
         at[t:4 * m:4] = ru + _offset(t & 1, degree[u], True)
         rrank[t:4 * m:4] = rv + _offset(t & 1, degree[v], False)
     return ProposalSystem(
-        n, n, left, right, at, rrank, bytearray(mirror.forbidden_flags())
+        n, n, left, right, at, rrank, mirror.forbidden_flags()
     )
 
 

@@ -194,11 +194,8 @@ def _solve(
     state = SolverState(inst, classification, mirror)
     system = mirror_system(mirror)
     system.run()
-    mh = MirrorMatching(
-        mirror, np.array(system.left_match, np.intp),
-        np.array(system.right_match, np.intp),
-    )
-    del system  # its lists would otherwise outlive the epilogue
+    mh = MirrorMatching(mirror, system.left_match, system.right_match)
+    del system  # its other arrays would otherwise outlive the epilogue
     alone = np.flatnonzero(mh.left_edge == -1)
     if alone.size:
         return SolveReport("none", infeasible_vertex=int(alone[0])), state

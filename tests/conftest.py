@@ -1176,7 +1176,7 @@ def iterated_forbid_reference(inst) -> dict:
     edge_left, edge_right = system.edge_left, system.edge_right
     system.run()
     if -1 in system.left_match:
-        return {**none, "infeasible_vertex": system.left_match.index(-1)}
+        return {**none, "infeasible_vertex": system.left_match.tolist().index(-1)}
     first_proposals = system.proposals
 
     def straddles(u: int) -> bool:
@@ -1211,7 +1211,7 @@ def iterated_forbid_reference(inst) -> dict:
         if -1 in system.left_match:
             return {
                 **none, "trace": tuple(trace),
-                "infeasible_vertex": system.left_match.index(-1),
+                "infeasible_vertex": system.left_match.tolist().index(-1),
             }
         for u in component:
             marks[u] = True

@@ -176,8 +176,8 @@ class TestReferenceEngine:
                     want = gale_shapley_reference(lists, system, forbidden)
                     starts = system.list_starts
                     assert (
-                        system.left_match,
-                        system.right_match,
+                        system.left_match.tolist(),
+                        system.right_match.tolist(),
                         [i - s for i, s in zip(system.next_i, starts)],
                     ) == want[:3], kind
                     compared += 1
@@ -228,8 +228,8 @@ class TestBatchedRounds:
                         runs.append(system)
                     loop, batched = runs
                     for field in RUN_FIELDS:
-                        assert getattr(batched, field) == getattr(
-                            loop, field
+                        assert np.array_equal(
+                            getattr(batched, field), getattr(loop, field)
                         ), (kind, field)
                     compared += 1
                     failed += kind == "mirror" and -1 in loop.left_match
@@ -418,8 +418,27 @@ class TestProposeDispose:
     def test_empty_left_side(self):
         system = ProposalSystem(0, 0, *np.empty((4, 0), np.intp))
         system.run()
-        assert system.left_match == system.right_match == []
+        assert system.left_match.tolist() == system.right_match.tolist() == []
         assert system.proposals == 0
+
+    def test_state_is_int64_arrays(self):
+        # A plain system and a mirror system large enough to run rounds:
+        # after the run every state array is int64, and the system keeps
+        # the arrays it is given, unwritten.
+        inst = parse_instance(composed_text(300, seed=1))
+        args = plain_edges(inst)
+        given = [np.array(x) for x in args[2:]]
+        plain = ProposalSystem(*args)
+        for system in plain, mirror_system(make_mirror(inst)):
+            system.run()
+            for name in ("next_i", "left_match", "right_match", "right_cut"):
+                state = getattr(system, name)
+                assert isinstance(state, np.ndarray), name
+                assert state.dtype == np.int64, name
+        assert plain.edge_left is args[2] and plain.edge_right is args[3]
+        assert plain.right_rank is args[5]
+        for x, y in zip(args[2:], given):
+            assert np.array_equal(x, y)
 
     def test_output_has_no_blocking_edge(self):
         for seed in range(60):
@@ -433,7 +452,7 @@ class TestProposeDispose:
             system = ProposalSystem(*plain_edges(showcase))
             system.run()
             runs.append(
-                (system.left_match, system.proposals, system.rejections)
+                (system.left_match.tolist(), system.proposals, system.rejections)
             )
         assert runs[0] == runs[1] == runs[2]
 

@@ -183,11 +183,11 @@ class TestBuild:
         assert text == SIZE_GAP_DUMP
 
     def test_retained_memory_per_edge(self):
-        # The system keeps the flat lists, the endpoints and the right ranks
-        # as packed 8-byte ints and one forbidden byte per edge, about 35 B
-        # per edge in all; the graph keeps only the shared legal flags.  A
-        # forbidden flag list (8 B per edge) or per-edge tuples of ints
-        # would not fit.
+        # The system keeps the flat lists it builds and the endpoints and
+        # right ranks it is given, all int64 arrays, and one forbidden byte
+        # per edge, about 35 B per edge in all; the graph keeps only the
+        # shared legal flags.  A forbidden flag list (8 B per edge) or
+        # per-edge tuples of ints would not fit.
         inst = parse_instance(composed_text(1000, seed=3))
         classification = legal_edge_set(inst)
         gc.collect()

@@ -196,5 +196,5 @@ class TestMirrorStableSizeLaw:
                     # The run's first queue, in a random order.
                     patch.setattr(engine, "deque", shuffled)
                     system.run()
-                assert system.left_match == base.left_match
-                assert system.right_match == base.right_match
+                assert system.left_match.tolist() == base.left_match.tolist()
+                assert system.right_match.tolist() == base.right_match.tolist()

@@ -134,8 +134,20 @@ class Instance:
         return Instance(tuple(names), na, layout)
 
 
+class _ArrayFields:
+    """A record of arrays: equal when its arrays are, hashed by their bytes."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(x.tobytes() for x in vars(self).values()))
+
+
 @dataclass(frozen=True, eq=False)
-class EdgeLayout:
+class EdgeLayout(_ArrayFields):
     """An instance's edges as flat int arrays indexed by edge id.
 
     Built with the instance, from the same flat arrays that validate its
@@ -159,14 +171,6 @@ class EdgeLayout:
     job_rank: np.ndarray
     job_starts: np.ndarray
     job_edges: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EdgeLayout):
-            return NotImplemented
-        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
-
-    def __hash__(self) -> int:
-        return hash(tuple(x.tobytes() for x in vars(self).values()))
 
     def degrees(self) -> np.ndarray:
         """Every vertex's list length as an int array, agents then jobs."""
@@ -284,15 +288,21 @@ def _raise_list_error(
     raise AssertionError("bulk validation rejected lists that pass every rule")
 
 
-@dataclass(frozen=True)
-class Matching:
+@dataclass(frozen=True, eq=False)
+class Matching(_ArrayFields):
     """A perfect matching over the self-augmented vertex set.
 
     ``partner[u] == u`` means u is on its own; otherwise ``(u, partner[u])``
-    is a genuine edge.  The map is a total involution.
+    is a genuine edge.  The map is a total involution, kept as a read-only
+    int array built from any int sequence; matchings are equal when their
+    arrays are, and hash by the array's bytes.
     """
 
-    partner: tuple[int, ...]
+    partner: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "partner", np.array(self.partner, np.intp))
+        self.partner.flags.writeable = False
 
     @staticmethod
     def from_pairs(inst: Instance, pairs) -> "Matching":
@@ -300,14 +310,7 @@ class Matching:
         lists = inst.layout.starts.tolist(), inst.layout.job_of.tolist()
         for a, b in pairs:
             _match_pair(inst, partner, a, b, *lists)
-        return Matching(tuple(partner))
-
-    @cached_property
-    def partner_array(self) -> np.ndarray:
-        """``partner`` as a read-only int array, made on first use and kept."""
-        partner = np.fromiter(self.partner, np.intp, len(self.partner))
-        partner.flags.writeable = False
-        return partner
+        return Matching(partner)
 
     def partner_ranks(self, inst: Instance) -> np.ndarray:
         """Each vertex's rank of its partner as an int array; its list
@@ -319,24 +322,23 @@ class Matching:
         lay = inst.layout
         jobs = inst.num_agents + lay.job_of
         own = lay.degrees()
-        k = np.flatnonzero(self.partner_array[lay.agent_of] == jobs)
+        k = np.flatnonzero(self.partner[lay.agent_of] == jobs)
         own[lay.agent_of[k]] = lay.agent_rank[k]
         own[jobs[k]] = lay.job_rank[k]
         return own
 
     def pairs(self, inst: Instance) -> tuple[tuple[int, int], ...]:
-        """Genuine matched pairs as (agent, job), sorted by agent id."""
-        return tuple(
-            (a, self.partner[a])
-            for a in inst.agent_ids()
-            if self.partner[a] != a
-        )
+        """Genuine matched pairs as (agent, job) ints, sorted by agent id."""
+        na = inst.num_agents
+        agents = np.flatnonzero(self.partner[:na] != np.arange(na))
+        return tuple(zip(agents.tolist(), self.partner[agents].tolist()))
 
     def size(self, inst: Instance) -> int:
-        return len(self.pairs(inst))
+        na = inst.num_agents
+        return int(np.count_nonzero(self.partner[:na] != np.arange(na)))
 
     def is_self(self, u: int) -> bool:
-        return self.partner[u] == u
+        return bool(self.partner[u] == u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,13 +457,12 @@ def parse_matching(text: str, inst: Instance) -> Matching:
             _match_pair(inst, partner, a, b, *lists)
         except InstanceError as exc:
             raise InstanceError(f"line {line_no}: {exc}") from None
-    return Matching(tuple(partner))
+    return Matching(partner)
 
 
 def format_matching(inst: Instance, mat: Matching) -> str:
-    return "\n".join(
-        f"{inst.names[a]} {inst.names[b]}" for a, b in mat.pairs(inst)
-    ) + ("\n" if mat.pairs(inst) else "")
+    names = inst.names
+    return "".join(f"{names[a]} {names[b]}\n" for a, b in mat.pairs(inst))
 
 
 def compute_posts(inst: Instance) -> Posts:
@@ -494,8 +495,8 @@ def run_election(
     with the same partner in both matchings abstain.
     """
     phi_first = phi_second = phi_a_first = phi_a_second = 0
-    for u in range(inst.n):
-        pu, qu = first.partner[u], second.partner[u]
+    firsts, seconds = first.partner.tolist(), second.partner.tolist()
+    for u, (pu, qu) in enumerate(zip(firsts, seconds)):
         if pu == qu:
             continue
         ballot = 1 if inst.rank_of(u, pu) < inst.rank_of(u, qu) else -1

@@ -145,7 +145,7 @@ def realize_witnessed(
     single vertex on its twin.  The realization's two edge arrays are new.
     """
     inst = mirror.inst
-    partner, alpha = mat.partner_array, np.asarray(alpha)
+    partner, alpha = mat.partner, np.asarray(alpha)
     left = np.arange(inst.n)
     agents = np.flatnonzero(partner[:inst.num_agents] != left[:inst.num_agents])
     jobs, sign = partner[agents], alpha[agents]
@@ -182,7 +182,7 @@ def project(mh: MirrorMatching) -> tuple[Matching, Matching]:
         partner = np.arange(inst.n)
         partner[agents] = jobs
         partner[jobs] = agents
-        halves.append(Matching(tuple(partner.tolist())))
+        halves.append(Matching(partner))
     return halves[0], halves[1]
 
 

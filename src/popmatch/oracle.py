@@ -90,7 +90,7 @@ def enumerate_matchings(inst: Instance):
 
     def rec(a: int):
         if a == inst.num_agents:
-            yield Matching(tuple(partner))
+            yield Matching(partner)
             return
         yield from rec(a + 1)
         for b in inst.pref[a]:
@@ -120,7 +120,7 @@ def ground_truth(inst: Instance) -> OracleReport:
     # rank_of_partner[i][u]: how u ranks its partner in matching i.
     ranks = np.empty((k, n), dtype=np.int32)
     for i, mat in enumerate(mats):
-        ranks[i] = [inst.rank_of(u, mat.partner[u]) for u in range(n)]
+        ranks[i] = list(map(inst.rank_of, range(n), mat.partner.tolist()))
 
     agent_cols = np.arange(inst.num_agents)
     popular_mask = np.ones(k, dtype=bool)

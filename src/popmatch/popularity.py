@@ -53,8 +53,7 @@ def check_witness(inst: Instance, mat: Matching, alpha, vertices=None) -> bool:
     :func:`verify_popular`; each equals
     :func:`~popmatch.oracle.edge_weight`.
     """
-    n = inst.n
-    partner = mat.partner_array
+    n, partner = inst.n, mat.partner
     if vertices is None:
         in_scope = np.ones(n, bool)
     else:
@@ -100,7 +99,7 @@ def check_a_popular(inst: Instance, posts: Posts, mat: Matching) -> bool:
     itself), and give every top-choice job to an agent that ranks it first.
     """
     agents = np.arange(inst.num_agents)
-    partner, f, s = mat.partner_array, posts.f, posts.s
+    partner, f, s = mat.partner, posts.f, posts.s
     p = partner[agents]
     alone = p == agents
     if (alone & (s != agents)).any() or (~alone & (p != f) & (p != s)).any():
@@ -156,7 +155,7 @@ def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:
     :func:`~popmatch.oracle.edge_weight` less the two loop weights.
     """
     p, q = inst.num_agents, inst.num_jobs
-    matched = mat.partner_array != np.arange(inst.n)
+    matched = mat.partner != np.arange(inst.n)
     own = mat.partner_ranks(inst)
     const = -int(matched.sum())  # every matched vertex's loop weighs -1
 

@@ -252,7 +252,7 @@ def _validate_signs(state: SolverState, posts: Posts, own_m) -> None:
     n, na = inst.n, inst.num_agents
     (upper, lower), marks = state.signs, state.marks
     mat, low = state.matching, state.lower
-    partner_m, partner_l = mat.partner_array, low.partner_array
+    partner_m, partner_l = mat.partner, low.partner
     own_l = low.partner_ranks(inst)
 
     def ensure(cond, message: str) -> None:

@@ -455,13 +455,13 @@ def stable_vertices(inst) -> frozenset[int]:
 
 def blocking_edges(inst, mat: Matching) -> frozenset[tuple[int, int]]:
     """All edges whose endpoints both strictly prefer each other to their partners."""
-    blockers = []
+    blockers, partner = [], mat.partner.tolist()
     for a, b in inst.edges:
-        if mat.partner[a] == b:
+        if partner[a] == b:
             continue
-        if inst.rank_of(a, b) < inst.rank_of(a, mat.partner[a]) and inst.rank_of(
+        if inst.rank_of(a, b) < inst.rank_of(a, partner[a]) and inst.rank_of(
             b, a
-        ) < inst.rank_of(b, mat.partner[b]):
+        ) < inst.rank_of(b, partner[b]):
             blockers.append((a, b))
     return frozenset(blockers)
 
@@ -588,7 +588,7 @@ def layout_reference(inst) -> EdgeLayout:
 def partner_ranks_reference(inst, mat: Matching) -> list[int]:
     """``Matching.partner_ranks`` as a list: each matched agent's edge found
     by a search of its edge range."""
-    lay, na, partner = inst.layout, inst.num_agents, mat.partner
+    lay, na, partner = inst.layout, inst.num_agents, mat.partner.tolist()
     starts, job_of = lay.starts.tolist(), lay.job_of.tolist()
     job_rank, js = lay.job_rank.tolist(), lay.job_starts.tolist()
     own = [*map(sub, starts[1:], starts), *map(sub, js[1:], js)]
@@ -736,8 +736,7 @@ def wt_total(inst: Instance, mat: Matching, other: Matching) -> int:
     Equals the vote difference ``phi(other, mat) - phi(mat, other)``.
     """
     total = 0
-    for u in range(inst.n):
-        p = other.partner[u]
+    for u, p in enumerate(other.partner.tolist()):
         if p == u:
             total += edge_weight(inst, mat, (u, u))
         elif u < p:
@@ -759,7 +758,7 @@ def verify_reference(inst: Instance, mat: Matching):
     """
     p = inst.num_agents
     q = inst.num_jobs
-    partner, lay = mat.partner, inst.layout
+    partner, lay = mat.partner.tolist(), inst.layout
     starts, job_of, job_rank = lay.starts, lay.job_of, lay.job_rank
     loop_wt = [0 if partner[u] == u else -1 for u in range(inst.n)]
     own = partner_ranks_reference(inst, mat)
@@ -1031,16 +1030,16 @@ def uses_forbidden_reference(mh) -> bool:
 
 def a_popular_reference(inst, posts, mat: Matching) -> bool:
     """``popularity.check_a_popular`` one agent and one top job at a time."""
-    f, s = posts.f.tolist(), posts.s.tolist()
+    f, s, partner = posts.f.tolist(), posts.s.tolist(), mat.partner.tolist()
     for a in inst.agent_ids():
-        p = mat.partner[a]
+        p = partner[a]
         if p == a:
             if s[a] != a:
                 return False
         elif p != f[a] and p != s[a]:
             return False
     for b in set(f):
-        p = mat.partner[b]
+        p = partner[b]
         if p == b or f[p] != b:
             return False
     return True

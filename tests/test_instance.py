@@ -1,5 +1,6 @@
 """Parsing, posts, votes, and elections."""
 
+import json
 import pickle
 import random
 import re
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 from popmatch import (
     Instance,
     InstanceError,
+    Matching,
     compute_posts,
     format_matching,
     parse_instance,
     parse_matching,
     run_election,
+    solve,
 )
 from popmatch import instance as instance_module
 from popmatch.instance import serialize_instance
@@ -40,6 +43,7 @@ from conftest import (
     random_instance,
     random_text,
     ring_text,
+    showcase_full,
     size_gap_max,
     size_gap_stable,
     two_level_reference,
@@ -324,9 +328,10 @@ class TestLayout:
             assert inst.m == len(want.agent_of)
 
     def test_stored_quantities_are_read_only_owned_arrays(self, showcase):
-        # Every per-edge and per-vertex quantity of the layout, the posts and
-        # the classification is stored once, as a read-only array that owns
-        # its data, so none keeps a parse buffer alive.
+        # Every per-edge and per-vertex quantity of the layout, the posts,
+        # the classification and a matching is stored once, as a read-only
+        # array that owns its data, so none keeps a parse buffer alive.
+        found = 0
         for inst in layout_cases(showcase):
             lay, posts = inst.layout, compute_posts(inst)
             cls = legal_edge_set(inst, posts)
@@ -334,7 +339,12 @@ class TestLayout:
             held.update(f=posts.f, s=posts.s, component_id=cls.component_id)
             flags = ("valid_flags", "popular_flags", "legal_flags")
             held.update((name, getattr(cls, name)) for name in flags)
-            assert len(held) == 13
+            mat = solve(inst).matching
+            if mat is not None:
+                found += 1
+                parsed = parse_matching(format_matching(inst, mat), inst)
+                held.update(solved=mat.partner, parsed=parsed.partner)
+            assert len(held) == (13 if mat is None else 15)
             for name, array in held.items():
                 assert isinstance(array, np.ndarray), name
                 assert array.flags.owndata and not array.flags.writeable, name
@@ -343,6 +353,7 @@ class TestLayout:
                     assert array.shape == (inst.m + inst.n,), name
                 else:
                     assert array.dtype == np.intp, name
+        assert found >= 50
 
     def test_derived_tables_equal_constructions(self, showcase):
         for inst in layout_cases(showcase):
@@ -427,7 +438,7 @@ class TestMatchingIO:
     def test_round_trip(self, size_gap):
         mat = size_gap_max(size_gap)
         again = parse_matching(format_matching(size_gap, mat), size_gap)
-        assert again.partner == mat.partner
+        assert again == mat
 
     def test_omitted_vertices_self_matched(self, size_gap):
         mat = parse_matching("a1 b1\n", size_gap)
@@ -441,6 +452,35 @@ class TestMatchingIO:
     def test_double_match_rejected(self, size_gap):
         with pytest.raises(InstanceError, match="twice"):
             parse_matching("a0 b1\na1 b1\n", size_gap)
+
+    def test_one_array_form(self, showcase):
+        # Every way in yields the same read-only array, equal and hashed
+        # alike, and every way out yields Python ints.
+        pairs = showcase_full(showcase).pairs(showcase)
+        partner = list(range(showcase.n))
+        for a, b in pairs:
+            partner[a], partner[b] = b, a
+        names = showcase.names
+        text = "".join(f"{names[a]} {names[b]}\n" for a, b in pairs)
+        mats = [
+            Matching(tuple(partner)),
+            Matching(partner),
+            Matching.from_pairs(showcase, pairs),
+            parse_matching(text, showcase),
+        ]
+        partner[pairs[0][0]] = pairs[0][0]  # the matchings keep copies
+        for mat in mats:
+            assert mat == mats[0] and hash(mat) == hash(mats[0])
+            assert mat.partner.dtype == np.intp
+            assert not mat.partner.flags.writeable
+            got = mat.pairs(showcase)
+            assert got == pairs and len(got) == 5
+            assert all(type(x) is int for pair in got for x in pair)
+            assert type(mat.size(showcase)) is int and mat.size(showcase) == 5
+            assert type(mat.is_self(0)) is bool
+            assert json.loads(json.dumps(got)) == [list(pair) for pair in got]
+            assert format_matching(showcase, mat) == text
+        assert Matching(partner) != mats[0]
 
     def test_involution(self, size_gap):
         mat = size_gap_max(size_gap)

@@ -351,13 +351,13 @@ class TestRealize:
             inst = random_instance(seed, max_side=3)
             mirror = make_mirror(inst)
             report = ground_truth(inst)
-            fully = {m.partner for m in report.fully_popular}
+            fully = set(report.fully_popular)
             for mat in report.popular:
                 alpha = witness_search(inst, mat)
                 assert alpha is not None
                 mh = realize(mirror, mat, alpha)
                 assert mirror_blocking_edges(mh) == (), seed
-                if mat.partner in fully:
+                if mat in fully:
                     assert not mh.uses_forbidden(), seed
 
 
@@ -367,7 +367,7 @@ class TestProject:
         stable = stable_matching(size_gap)
         mh = realize(mirror, stable)
         upper, lower = project(mh)
-        assert upper.partner == lower.partner == stable.partner
+        assert upper == lower == stable
 
     def test_realizations_are_symmetric(self, showcase):
         mirror = make_mirror(showcase)
@@ -375,7 +375,7 @@ class TestProject:
         alpha = witness_search(showcase, mat)
         mh = realize(mirror, mat, alpha)
         upper, lower = project(mh)
-        assert upper.partner == lower.partner == mat.partner
+        assert upper == lower == mat
 
     def test_engine_matching_can_differ_between_halves(self):
         inst = parse_instance(ASYMMETRIC_TEXT)
@@ -386,7 +386,7 @@ class TestProject:
             make_mirror(inst), np.array(system.left_match), np.array(system.right_match)
         )
         upper, lower = project(mh)
-        assert upper.partner != lower.partner
+        assert upper != lower
 
 
 class TestPartition:

@@ -60,7 +60,7 @@ class TestEnumeration:
     def test_each_matching_once(self):
         for seed in range(30):
             inst = random_instance(seed, max_side=3)
-            seen = [m.partner for m in enumerate_matchings(inst)]
+            seen = list(enumerate_matchings(inst))
             assert len(seen) == len(set(seen))
 
     def test_cap_enforced(self):
@@ -75,11 +75,8 @@ class TestEnumeration:
 class TestGroundTruth:
     def test_size_gap_fully_popular_pair(self, size_gap):
         report = ground_truth(size_gap)
-        fully = {m.partner for m in report.fully_popular}
-        assert fully == {
-            size_gap_stable(size_gap).partner,
-            size_gap_max(size_gap).partner,
-        }
+        fully = set(report.fully_popular)
+        assert fully == {size_gap_stable(size_gap), size_gap_max(size_gap)}
         assert report.max_fully_popular_size == 2
 
     def test_identical_prefs_nothing_agent_popular(self, identical_prefs):
@@ -94,36 +91,34 @@ class TestGroundTruth:
         assert report.min_popular_size == 4
         assert report.max_popular_size == 6
         assert report.max_fully_popular_size == 5
-        popular = {m.partner for m in report.popular}
-        assert showcase_max(showcase).partner in popular
-        assert showcase_stable(showcase).partner in popular
-        a_pop = {m.partner for m in report.a_popular}
+        popular = set(report.popular)
+        assert showcase_max(showcase) in popular
+        assert showcase_stable(showcase) in popular
+        a_pop = set(report.a_popular)
         for mat in report.popular:
             if mat.size(showcase) in (4, 6):
-                assert mat.partner not in a_pop
-        assert showcase_full(showcase).partner in {
-            m.partner for m in report.fully_popular
-        }
+                assert mat not in a_pop
+        assert showcase_full(showcase) in set(report.fully_popular)
 
     def test_fully_is_intersection(self):
         for seed in range(60):
             inst = random_instance(seed)
             report = ground_truth(inst)
-            pop = {m.partner for m in report.popular}
-            apop = {m.partner for m in report.a_popular}
-            fully = {m.partner for m in report.fully_popular}
+            pop = set(report.popular)
+            apop = set(report.a_popular)
+            fully = set(report.fully_popular)
             assert fully == pop & apop
 
     def test_every_stable_matching_is_popular(self):
         for seed in range(80):
             inst = random_instance(seed)
             report = ground_truth(inst)
-            popular = {m.partner for m in report.popular}
-            assert stable_matching(inst).partner in popular
+            popular = set(report.popular)
+            assert stable_matching(inst) in popular
             # and stable matchings are exactly the blocking-free ones
             for mat in enumerate_matchings(inst):
                 if not blocking_edges(inst, mat):
-                    assert mat.partner in popular
+                    assert mat in popular
 
     def test_popular_loops_are_engine_unstable_vertices(self):
         # The oracle derives stable vertices from its own enumeration, so
@@ -164,10 +159,10 @@ class TestWitnessSearch:
         # every election, in both directions.
         for seed in range(60):
             inst = random_instance(seed, max_side=3)
-            popular = {m.partner for m in ground_truth(inst).popular}
+            popular = set(ground_truth(inst).popular)
             for mat in enumerate_matchings(inst):
                 flag = witness_search(inst, mat) is not None
-                assert flag == (mat.partner in popular), seed
+                assert flag == (mat in popular), seed
 
 
 class TestMirrorStableSizeLaw:

@@ -27,7 +27,7 @@ proposal at a time, which reads and writes the same arrays through zero-copy
 memoryviews (see :meth:`ProposalSystem.run`); the rotation walk has the same
 two stages on the agent-proposing system's arrays (see
 :func:`rotation_walk`).  :func:`components` numbers the connected
-components of a graph given by its edges' two ends.
+components of a graph given by its edges' two ends, by whole-array hooking.
 """
 
 from __future__ import annotations
@@ -371,26 +371,32 @@ def components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     with edges ``u[k]``-``v[k]``, as a read-only int array; components are
     numbered in the order of their smallest vertex.
 
-    One union-find pass over the edges, with path halving, hooks the larger
-    root under the smaller, so every parent is at most its child and every
-    root is its component's smallest vertex.  Pointer jumping then takes
-    each vertex to its root, and a root's number counts the roots before it.
+    Min-label hooking in whole-array rounds (Shiloach and Vishkin, "An
+    O(log n) parallel connectivity algorithm", J. Algorithms 1982); no
+    parent exceeds its child, so a root is its tree's smallest vertex.  At
+    most 2 floor(log2 n) + 1 rounds run, the last finding no edge between
+    two roots.  Proof: a root r that is not hooked and takes in no root in
+    a round is below its neighbour roots, which all hook under roots below
+    r, so r hooks next round if an edge still leaves its tree.  So each
+    root with such an edge after two rounds took in another in the first:
+    these roots at least halve every two rounds, and hooking needs two.
     """
-    parent = list(range(n))
-    for a, b in zip(u.tolist(), v.tolist()):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-    root = np.array(parent, np.intp)
-    while not np.array_equal(up := root[root], root):
-        root = up
+    root = np.arange(n)
+    while len(u):
+        root, u, v = _hook_round(root, u, v)
     component_id = (np.cumsum(root == np.arange(n)) - 1)[root]
     component_id.flags.writeable = False
     return component_id
+
+
+def _hook_round(root, u, v):
+    """One round of :func:`components`: drop the edges whose ends share a
+    root, hook each larger root under the smallest root an edge joins it
+    to, and jump pointers to a fixed point; returns them and the edges kept."""
+    a, b = root[u], root[v]
+    live = a != b
+    a, b = a[live], b[live]
+    np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+    while not np.array_equal(up := root[root], root):
+        root = up
+    return root, u[live], v[live]

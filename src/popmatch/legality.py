@@ -71,11 +71,14 @@ class EdgeClassification:
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        members = np.argsort(self.component_id, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(self.component_id)).tolist()
-        return tuple(
-            tuple(members[start:end]) for start, end in zip([0, *ends], ends)
-        )
+        return component_members(self.component_id)
+
+
+def component_members(component_id: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Each component's vertices in id order, indexed by its number."""
+    members = np.argsort(component_id, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(component_id)).tolist()
+    return tuple(tuple(members[i:j]) for i, j in zip([0, *ends], ends))
 
 
 def _keys(inst: Instance, flags: np.ndarray) -> frozenset[EdgeKey]:

@@ -45,14 +45,18 @@ def check_witness(inst: Instance, mat: Matching, alpha, vertices=None) -> bool:
     covered (``alpha_a + alpha_b >= wt``), and every vertex covering its
     own self-loop weight.  ``vertices``, a sequence or array of vertex ids,
     restricts the check to an induced subgraph; the matching must not pair
-    a vertex in scope with one outside.
-    One pass of whole-array tests, arrays read as they are: the scope
-    (raising first if a pair straddles it), the length and entries, their
-    sum, the self-loops, then every edge with both ends in scope, its weight
-    folded from the layout and the partner ranks as in
-    :func:`verify_popular`; each equals
+    a vertex in scope with one outside.  One pass of whole-array tests,
+    arrays read as they are: the scope (raising first if a pair straddles
+    it), the length and entries, their sum, the self-loops, then every edge
+    with both ends in scope, its weight folded from the layout and the
+    partner ranks as in :func:`verify_popular`; each equals
     :func:`~popmatch.oracle.edge_weight`.
     """
+    return _check_witness(inst, mat, mat.partner_ranks(inst), alpha, vertices)
+
+
+def _check_witness(inst, mat, own, alpha, vertices=None) -> bool:
+    """:func:`check_witness` given ``own``, the matching's partner ranks."""
     n, partner = inst.n, mat.partner
     if vertices is None:
         in_scope = np.ones(n, bool)
@@ -72,7 +76,7 @@ def check_witness(inst: Instance, mat: Matching, alpha, vertices=None) -> bool:
     # A self-loop weighs -1 unless its vertex is alone, then 0.
     if ((partner == np.arange(n)) & (alpha < 0)).any():
         return False
-    agents, jobs, votes = _edge_votes(inst, mat.partner_ranks(inst))
+    agents, jobs, votes = _edge_votes(inst, own)
     inside = in_scope[agents] & in_scope[jobs]
     return not (inside & (alpha[agents] + alpha[jobs] < votes)).any()
 
@@ -179,7 +183,7 @@ def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:
         return PopularityVerdict(False, margin, None, best)
 
     alpha = tuple(map(sub, y_row + y_col, matched.tolist()))
-    if not check_witness(inst, mat, alpha):
+    if not _check_witness(inst, mat, own, alpha):
         raise AssertionError("dual potentials fail certificate validation")
     return PopularityVerdict(True, 0, alpha, None)
 

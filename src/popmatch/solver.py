@@ -45,16 +45,17 @@ giving an answer that differs from the loop's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .instance import Instance, Matching, Posts, compute_posts
-from .legality import EdgeClassification, legal_edge_set
+from .legality import EdgeClassification, component_members, legal_edge_set
 from .mirror import MirrorGraph, MirrorMatching, mirror_system
 from .mirror import classify_partition, mirror_blocking_edges, project
 from .mirror import realize_witnessed
-from .popularity import a_popular_obstruction, check_a_popular, check_witness
+from .popularity import _check_witness, a_popular_obstruction, check_a_popular
 
 
 class SolverDefect(AssertionError):
@@ -90,49 +91,56 @@ class SolveReport:
 
     ``outcome`` is ``"found"`` or ``"none"``.  A found matching comes with
     its popularity certificate and is max-size among fully popular
-    matchings; ``trace`` holds one row per marked component, in trigger
-    order, and ``iterations`` counts them.  A nonexistence verdict has no
-    matching and an empty trace, and rerunning reproduces it
+    matchings.  ``triggers`` and ``edges_forbidden`` hold one entry per
+    marked component, in trigger order, ``iterations`` counts them, and
+    ``trace`` holds their rows, built when first read.  A nonexistence
+    verdict has no matching and an empty trace, and rerunning reproduces it
     deterministically.  When no agent-popular matching exists, the verdict
     comes before any engine work: ``infeasible_vertex`` is the smallest
     agent whose post-graph edge f(a)-s(a) lies in a component with more
-    such edges than jobs.  Otherwise the verdict
-    comes when the mirror run leaves some left copies alone, each having
-    exhausted its list, and ``infeasible_vertex`` is the smallest of them.
-    The run's end state does not depend on the order of its proposals, so
-    neither does that vertex.
+    such edges than jobs.  Otherwise the verdict comes when the mirror run
+    leaves some left copies alone, each having exhausted its list, and
+    ``infeasible_vertex`` is the smallest of them, which does not depend on
+    the order of the run's proposals.
     """
 
     outcome: str
     matching: Matching | None = None
     witness: tuple[int, ...] | None = None
     size: int | None = None
-    trace: tuple[TraceRow, ...] = ()
     infeasible_vertex: int | None = None
+    triggers: tuple[int, ...] = ()
+    edges_forbidden: tuple[int, ...] = ()
+    component_id: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def iterations(self) -> int:
-        return len(self.trace)
+        return len(self.triggers)
+
+    @cached_property
+    def trace(self) -> tuple[TraceRow, ...]:
+        members = component_members(self.component_id) if self.iterations else ()
+        rows = zip(self.triggers, self.edges_forbidden)
+        return tuple(TraceRow(u, members[self.component_id[u]], k) for u, k in rows)
 
 
-def _mark_components(state: SolverState, left, right) -> tuple[TraceRow, ...]:
+def _mark_components(state: SolverState, left, right) -> tuple[np.ndarray, ...]:
     """Mark the component of every straddling vertex, in id order.
 
     ``left`` and ``right`` hold the edge matched at each vertex's left and
     right copy.  A vertex straddles when its left copy sits on a minus tag
     and its right copy on a plus tag, that is, when both edges are genuine
-    copies with odd ids (see :class:`~popmatch.mirror.MirrorGraph`).  Each
-    newly marked component gives one trace row; its ``edges_forbidden``
-    counts the plus-tagged copies at the component's agents, two per legal
-    edge, that the paper's loop forbids.  Then every vertex of a marked
-    component must hold odd or twin copies only, or the solver is broken.
+    copies with odd ids (see :class:`~popmatch.mirror.MirrorGraph`).  Every
+    vertex of a marked component must hold odd or twin copies only, or the
+    solver is broken.  Returns each marked component's trigger, its first
+    straddling vertex, and its edges forbidden: the plus-tagged copies at
+    its agents, two per legal edge, that the paper's loop forbids.
     """
     inst, classification = state.inst, state.classification
     cid = classification.component_id
     twins = 4 * inst.m
     genuine = (left < twins) & (right < twins)
     straddles = np.flatnonzero(genuine & (left & right & 1 == 1))
-    # Each marked component's first straddling vertex triggers its row.
     _, first = np.unique(cid[straddles], return_index=True)
     triggers = straddles[np.sort(first)]
     ids = cid[triggers]
@@ -142,27 +150,23 @@ def _mark_components(state: SolverState, left, right) -> tuple[TraceRow, ...]:
     # Legal edges per component, each counted at its agent.
     legal = inst.layout.agent_of[classification.legal_flags[:inst.m]]
     plus = 2 * np.bincount(cid[legal], minlength=inst.n)[ids]
-    rows = zip(triggers.tolist(), ids.tolist(), plus.tolist())
-    trace = tuple(
-        TraceRow(u, classification.components[c], k) for u, c, k in rows
-    )
     plus_left = (left < twins) & (left & 1 == 0)
     plus_right = (right < twins) & (right & 1 == 0)
     if (marks & (plus_left | plus_right)).any():
         raise SolverDefect("a marked component holds a plus-tagged edge")
-    return trace
+    return triggers, plus
 
 
-def extract_witness(state: SolverState) -> np.ndarray:
+def extract_witness(state: SolverState, own_m) -> np.ndarray:
     """Popularity certificate of the returned matching from the final signs,
-    as an int array.
+    as an int array; ``own_m`` is the matching's partner rank array.
 
     Marked vertices and twin-matched vertices get zero; everything else
     takes the sign of its upper-half tag.  The result must validate; a
     failure here would mean the solver itself is broken.
     """
     witness = np.where(state.marks, 0, state.signs[0])
-    if not check_witness(state.inst, state.matching, witness):
+    if not _check_witness(state.inst, state.matching, own_m, witness):
         raise SolverDefect("final signs produced an invalid certificate")
     return witness
 
@@ -201,18 +205,20 @@ def _solve(
         return SolveReport("none", infeasible_vertex=int(alone[0])), state
     # The rest reads the matching as two arrays; a structural failure in it
     # is the solver's, not the input's.
-    trace = _mark_components(state, mh.left_edge, mh.right_edge)
+    marking = _mark_components(state, mh.left_edge, mh.right_edge)
     state.matching, state.lower = project(mh)
     try:
         state.signs = classify_partition(mh)
     except ValueError as exc:
         raise SolverDefect(str(exc)) from exc
-    witness = extract_witness(state)
+    own_m = state.matching.partner_ranks(inst)
+    witness = extract_witness(state, own_m)
     if validate:
-        _validate(state, witness, posts, state.matching.partner_ranks(inst))
+        _validate(state, witness, posts, own_m)
     report = SolveReport(
         "found", state.matching, tuple(witness.tolist()),
-        state.matching.size(inst), trace,
+        state.matching.size(inst), None, *(tuple(x.tolist()) for x in marking),
+        classification.component_id,
     )
     return report, state
 
@@ -307,11 +313,12 @@ def _validate_signs(state: SolverState, posts: Posts, own_m) -> None:
     # Per-half certificates: the signs themselves.  The check above leaves
     # no job the upper projection matches with a zero sign, so only the
     # lower half's scope needs checking for a pair with one end outside it.
-    ok = check_witness(inst, mat, upper, np.flatnonzero(is_agent | (upper != 0)))
+    scope = np.flatnonzero(is_agent | (upper != 0))
+    ok = _check_witness(inst, mat, own_m, upper, scope)
     ensure(ok, "upper-half certificate failed off the twin-matched jobs")
     in_l = ~is_agent | (lower != 0)
     a = np.flatnonzero(partner_l[:na] != np.arange(na))
     leaves = in_l[a] != in_l[partner_l[a]]
     ensure(not leaves.any(), "lower projection matches a twin-matched agent")
-    ok = check_witness(inst, low, lower, np.flatnonzero(in_l))
+    ok = _check_witness(inst, low, own_l, lower, np.flatnonzero(in_l))
     ensure(ok, "lower-half certificate failed off the twin-matched agents")

@@ -288,8 +288,8 @@ def _witness_changed(change):
     """``solver.extract_witness`` with ``change(state, witness)`` applied."""
     extract = solver.extract_witness
 
-    def changed(state):
-        witness = extract(state).copy()
+    def changed(state, own_m):
+        witness = extract(state, own_m).copy()
         change(state, witness)
         return witness
 

@@ -392,6 +392,62 @@ class TestComponents:
                 np.concatenate((posts.f, posts.s)),
             )
 
+    @staticmethod
+    def count_rounds(monkeypatch) -> list[int]:
+        """Each hooking round's edge count, as ``components`` runs."""
+        rounds = []
+        step = engine._hook_round
+
+        def counted(root, u, v):
+            rounds.append(len(u))
+            return step(root, u, v)
+
+        monkeypatch.setattr(engine, "_hook_round", counted)
+        return rounds
+
+    @staticmethod
+    def bound(n: int) -> int:
+        """The proven round bound, 2 floor(log2 n) + 1."""
+        return 2 * (n.bit_length() - 1) + 1
+
+    def test_random_path_within_the_round_bound(self, monkeypatch):
+        # Random labels make hooking take many more rounds than on any
+        # family input: 10 on this path, against a bound of 29.
+        nx = pytest.importorskip("networkx")
+        rounds = self.count_rounds(monkeypatch)
+        n = 20_001
+        path = np.random.default_rng(5).permutation(n)
+        self.check(nx, n, path[:-1], path[1:])
+        assert 8 <= len(rounds) <= self.bound(n)
+
+    def test_rounds_grow_by_at_most_two_per_doubling(self, monkeypatch):
+        # Counted work, so the gate does not depend on the host: the
+        # hooking rounds on each family's popular subgraph, from 10k to
+        # 80k edges, grow by at most two per doubling, as the bound does.
+        def text(family, m):
+            if family == "ring":
+                return ring_text(m // 2)
+            if family == "composed":
+                return composed_text(m // 6, seed=m)
+            if family == "planted":
+                return planted_text(m // 7, m // 7, seed=m)
+            if family == "latin":
+                return latin_text(round(m**0.5))
+            side = m // 5
+            return generate(side, side, m / (side * side), seed=m)
+
+        rounds = self.count_rounds(monkeypatch)
+        for family in ("ring", "composed", "planted", "latin", "generate"):
+            counts = []
+            for m in (10_000, 20_000, 40_000, 80_000):
+                inst = parse_instance(text(family, m))
+                rounds.clear()
+                legal_edge_set(inst)
+                counts.append(len(rounds))
+                assert len(rounds) <= self.bound(inst.n), family
+            steps = [b - a for a, b in zip(counts, counts[1:])]
+            assert max(steps) <= 2, (family, counts)
+
     def test_hostile_shapes(self):
         nx = pytest.importorskip("networkx")
         n = 2001

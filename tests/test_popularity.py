@@ -94,7 +94,7 @@ class TestVerifyPopular:
 
     def test_failed_certificate_is_a_defect(self, size_gap, monkeypatch):
         # Duals that fail their own check mean the assignment is broken.
-        monkeypatch.setattr(popularity, "check_witness", lambda *args: False)
+        monkeypatch.setattr(popularity, "_check_witness", lambda *args: False)
         with pytest.raises(AssertionError, match="dual potentials fail"):
             verify_popular(size_gap, size_gap_max(size_gap))
 

@@ -2,15 +2,15 @@
 edge classification, popularity verification and the command line is
 reached or ledgered.
 
-A fixed solve sweep, ``verify_popular`` and ``check_a_popular`` on each
-found answer and on a greedy matching of each input, one pinned partial
-matching, and a sweep of ``popmatch`` commands on a few small inputs run
-under a ``sys.settrace`` line tracer.  A line they do not reach must be in
-``LEDGER``, which names the test that reaches it on purpose: an injected
-defect that the line raises, or a caller error that it rejects.  A ledger
-entry that the sweep does reach, or that names no test, fails too, so the
-ledger lists exactly the lines that a plain solve, verification or command
-cannot reach.
+A fixed solve sweep, ``check_witness`` on each found answer's certificate,
+``verify_popular`` and ``check_a_popular`` on each found answer and on a
+greedy matching of each input, one pinned partial matching, and a sweep of
+``popmatch`` commands on a few small inputs run under a ``sys.settrace``
+line tracer.  A line they do not reach must be in ``LEDGER``, which names
+the test that reaches it on purpose: an injected defect that the line
+raises, or a caller error that it rejects.  A ledger entry that the sweep
+does reach, or that names no test, fails too, so the ledger lists exactly
+the lines that a plain solve, verification or command cannot reach.
 """
 
 import contextlib
@@ -27,7 +27,7 @@ import popmatch.legality
 import popmatch.mirror
 import popmatch.popularity
 import popmatch.solver
-from popmatch import check_a_popular, compute_posts, generate
+from popmatch import check_a_popular, check_witness, compute_posts, generate
 from popmatch import format_matching, parse_instance, parse_matching
 from popmatch import solve, verify_popular
 
@@ -111,13 +111,13 @@ LEDGER = {
     ("mirror", "classify_partition",
      'raise ValueError("mirror matching is not perfect")', 0):
         "test_mirror.py::TestPartition::test_not_perfect_rejected",
-    ("popularity", "check_witness",
+    ("popularity", "_check_witness",
      'raise ValueError("matching leaves the induced subgraph")', 0):
         "test_popularity.py::TestCheckWitness::test_matching_must_stay_inside_scope",
-    ("popularity", "check_witness", "return False", 0): REJECTIONS,
-    ("popularity", "check_witness", "return False", 1): REJECTIONS,
-    ("popularity", "check_witness", "return False", 2): REJECTIONS,
-    ("popularity", "check_witness", "return False", 3): REJECTIONS,
+    ("popularity", "_check_witness", "return False", 0): REJECTIONS,
+    ("popularity", "_check_witness", "return False", 1): REJECTIONS,
+    ("popularity", "_check_witness", "return False", 2): REJECTIONS,
+    ("popularity", "_check_witness", "return False", 3): REJECTIONS,
     ("popularity", "verify_popular",
      'raise AssertionError("dual potentials fail certificate validation")',
      0):
@@ -270,6 +270,7 @@ def reached_lines(texts, argvs) -> set[tuple[str, int]]:
             assert report.iterations == len(report.trace)
             mats = [parse_matching(greedy_matching_text(text, str(i)), inst)]
             if report.outcome == "found":
+                assert check_witness(inst, report.matching, report.witness)
                 mats.append(report.matching)
             for mat in mats:
                 verify_popular(inst, mat)

@@ -24,7 +24,7 @@ from popmatch import (
 )
 from popmatch.oracle import ground_truth
 from popmatch.mirror import classify_partition, mirror_system
-from popmatch.solver import SolverDefect, _solve, _validate
+from popmatch.solver import SolverDefect, TraceRow, _solve, _validate
 
 from conftest import (
     SHOWCASE_TEXT,
@@ -139,6 +139,28 @@ class TestTraceAndMarks:
         assert first.trigger < second.trigger
         assert set(first.component).isdisjoint(second.component)
 
+    def test_trace_is_built_only_when_read(self, monkeypatch):
+        # Block i of composed_text(300) is agents 3i..3i+2 and jobs
+        # 900+3i..902+3i, one component each, triggered by a1_i with 8
+        # edges forbidden; these are the rows the solver built eagerly
+        # before it kept the marking pass's arrays.
+        inst = parse_instance(composed_text(300))
+        rows = tuple(
+            TraceRow(a + 1, (a, a + 1, a + 2, 900 + a, 901 + a, 902 + a), 8)
+            for a in range(0, 900, 3)
+        )
+
+        def no_rows(*args):
+            raise AssertionError("a trace row was built")
+
+        monkeypatch.setattr("popmatch.solver.TraceRow", no_rows)
+        report = solve(inst, validate=True)
+        assert report.iterations == 300
+        with pytest.raises(AssertionError, match="a trace row was built"):
+            report.trace
+        monkeypatch.undo()
+        assert report.trace == rows
+
     def test_stable_trivial_case(self):
         inst = parse_instance("agents:\njobs: b0 b1\n")
         report = solve(inst, validate=True)
@@ -195,11 +217,10 @@ class TestAgainstIteratedLoop:
         for text in texts:
             inst = parse_instance(text)
             report, state = _solve(inst, validate=True)
-            fields = {
-                f.name: getattr(report, f.name)
-                for f in dataclasses.fields(report)
-            }
-            assert fields == iterated_forbid_reference(inst), text
+            # The reference gives the report's fields and its trace, which
+            # the report builds from its marking arrays.
+            want = iterated_forbid_reference(inst)
+            assert {name: getattr(report, name) for name in want} == want, text
             rounds += report.iterations
             engine_none += report.outcome == "none" and state is not None
             spanning += any(len(row.component) > 6 for row in report.trace)

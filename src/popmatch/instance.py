@@ -9,9 +9,11 @@ as a perfect matching once each uncovered vertex is paired with itself.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter, not_
 from typing import NoReturn
 
 import numpy as np
@@ -228,27 +230,6 @@ def _split(flat: np.ndarray, bounds: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple([flat[s:e] for s, e in zip(bounds, bounds[1:])])
 
 
-def _match_pair(inst: Instance, partner: list[int], a, b, starts, job_of) -> None:
-    """Pair a with b in ``partner``; raise unless they are a free edge.
-
-    Either may be the agent; the edge is looked up in the agent's range.
-    ``starts`` and ``job_of`` are the layout's arrays as lists, which the
-    caller takes once for all its pairs.
-    """
-    u, v = (a, b) if a < b else (b, a)
-    na = inst.num_agents
-    if not (
-        0 <= u < na <= v < inst.n and v - na in job_of[starts[u]:starts[u + 1]]
-    ):
-        raise InstanceError(f"({inst.names[a]}, {inst.names[b]}) is not an edge")
-    if partner[a] != a or partner[b] != b:
-        raise InstanceError(
-            f"vertex matched twice near ({inst.names[a]}, {inst.names[b]})"
-        )
-    partner[a] = b
-    partner[b] = a
-
-
 def _raise_list_error(
     names: list[str], num_agents: int, pref_by_name: dict[str, list[str]]
 ) -> NoReturn:
@@ -306,11 +287,23 @@ class Matching(_ArrayFields):
 
     @staticmethod
     def from_pairs(inst: Instance, pairs) -> "Matching":
-        partner = list(range(inst.n))
-        lists = inst.layout.starts.tolist(), inst.layout.job_of.tolist()
+        """The matching of an iterable of ``(u, v)`` vertex id pairs, either
+        end first.
+
+        The pairs are checked together by :func:`matching_from_ids`; only if
+        that fails are they re-read in order, and the first bad pair raises:
+        an id outside ``0 .. n-1``, a non-edge, or a vertex matched twice.
+        """
+        pairs = list(pairs)
+        ends = np.array(pairs, np.intp).reshape(len(pairs), 2)
+        ends.sort(axis=1)
+        with suppress(InstanceError):
+            return matching_from_ids(inst, ends[:, 0], ends[:, 1])
+        seen: set[int] = set()
         for a, b in pairs:
-            _match_pair(inst, partner, a, b, *lists)
-        return Matching(partner)
+            if error := _pair_error(inst, a, b, seen):
+                raise InstanceError(error)
+        raise AssertionError("whole-array check rejected valid pairs")
 
     def partner_ranks(self, inst: Instance) -> np.ndarray:
         """Each vertex's rank of its partner as an int array; its list
@@ -339,6 +332,48 @@ class Matching(_ArrayFields):
 
     def is_self(self, u: int) -> bool:
         return bool(self.partner[u] == u)
+
+
+def matching_from_ids(inst: Instance, agents, jobs) -> Matching:
+    """The matching that pairs ``agents[i]`` with ``jobs[i]``, from two int
+    arrays, in whole-array passes.
+
+    Every agent id must lie in ``0 .. num_agents-1`` and every job id in
+    ``num_agents .. n-1``, and no vertex may appear twice (one
+    ``bincount``).  Every pair is then an edge exactly when as many layout
+    edges have their job as their agent's partner as there are pairs, since
+    an agent has one partner and lists it at most once.  Raises
+    :class:`InstanceError`, naming no pair, if any rule fails; callers that
+    owe a message find the first bad pair themselves.
+    """
+    n, na, lay = inst.n, inst.num_agents, inst.layout
+    if (
+        ((agents < 0) | (agents >= na) | (jobs < na) | (jobs >= n)).any()
+        or (np.bincount(np.concatenate((agents, jobs)), minlength=n) > 1).any()
+    ):
+        raise InstanceError("pairs are not a matching of the instance")
+    partner = np.arange(n)
+    partner[agents] = jobs
+    partner[jobs] = agents
+    if np.count_nonzero(partner[lay.agent_of] == na + lay.job_of) != len(agents):
+        raise InstanceError("pairs are not a matching of the instance")
+    return Matching(partner)
+
+
+def _pair_error(inst: Instance, a, b, seen: set[int]) -> str | None:
+    """What is wrong with pairing vertex ids a and b (either may be the
+    agent) after the vertices in ``seen`` were matched, or ``None``, in
+    which case both join ``seen``."""
+    n, na, lay, names = inst.n, inst.num_agents, inst.layout, inst.names
+    if not (0 <= a < n and 0 <= b < n):
+        return f"({a}, {b}) names a vertex id outside 0..{n - 1}"
+    u, v = min(a, b), max(a, b)
+    if not (u < na <= v and v - na in lay.job_of[lay.starts[u]:lay.starts[u + 1]]):
+        return f"({names[a]}, {names[b]}) is not an edge"
+    if a in seen or b in seen:
+        return f"vertex matched twice near ({names[a]}, {names[b]})"
+    seen.update((a, b))
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,31 +468,40 @@ def serialize_instance(inst: Instance) -> str:
 def parse_matching(text: str, inst: Instance) -> Matching:
     """Parse an ``agent job`` pair-per-line file; omitted vertices are self-matched.
 
-    Each line is checked as it is read, on the edge layout, so every error
-    names its line.
+    Blank lines and lines starting with ``#`` are skipped.  Each line is
+    split once, every name maps to its id in one pass (an unknown name to
+    -1), and the pairs are checked together by :func:`matching_from_ids`.
+    Only if a line does not hold two names or that check fails are the
+    lines re-read in order, so that every error names its line.
     """
-    na = inst.num_agents
     ids = dict(zip(inst.names, range(inst.n)))
-    partner = list(range(inst.n))
-    lists = inst.layout.starts.tolist(), inst.layout.job_of.tolist()
+    rows = list(filter(None, map(str.split, text.splitlines())))
+    comments = list(map(str.startswith, map(itemgetter(0), rows), repeat("#")))
+    if True in comments:
+        rows = list(compress(rows, map(not_, comments)))
+    if set(map(len, rows)) <= {2}:
+        tokens = map(ids.get, chain.from_iterable(rows), repeat(-1))
+        pair_ids = np.fromiter(tokens, np.intp, 2 * len(rows))
+        with suppress(InstanceError):
+            return matching_from_ids(inst, pair_ids[0::2], pair_ids[1::2])
+    # Some line is bad.  Each line in order is tested for two names, then
+    # known names, then an agent before a job, then against the lines before.
+    na, seen = inst.num_agents, set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) != 2:
-            raise InstanceError(f"line {line_no}: expected 'agent job'")
-        for name in parts:
-            if name not in ids:
-                raise InstanceError(f"line {line_no}: unknown vertex name {name!r}")
-        a, b = ids[parts[0]], ids[parts[1]]
-        if a >= na or b < na:
-            raise InstanceError(f"line {line_no}: expected an agent then a job")
-        try:
-            _match_pair(inst, partner, a, b, *lists)
-        except InstanceError as exc:
-            raise InstanceError(f"line {line_no}: {exc}") from None
-    return Matching(partner)
+            error = "expected 'agent job'"
+        elif unknown := [name for name in parts if name not in ids]:
+            error = f"unknown vertex name {unknown[0]!r}"
+        elif ids[parts[0]] >= na or ids[parts[1]] < na:
+            error = "expected an agent then a job"
+        else:
+            error = _pair_error(inst, ids[parts[0]], ids[parts[1]], seen)
+        if error:
+            raise InstanceError(f"line {line_no}: {error}")
+    raise AssertionError("whole-array check rejected a valid matching file")
 
 
 def format_matching(inst: Instance, mat: Matching) -> str:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import sub
 
 import numpy as np
 
 from .engine import components
-from .instance import EdgeLayout, Instance, Matching, Posts
+from .instance import EdgeLayout, Instance, Matching, Posts, matching_from_ids
 
 _INF = 1 << 60
 
@@ -170,102 +169,110 @@ def verify_popular(inst: Instance, mat: Matching) -> PopularityVerdict:
 
     # The rank of an agent's partner is the index of that option in its row;
     # an unmatched agent's own rank is its list length, the index of its sink.
-    value, match_row, y_row, y_col = _assignment_max(
-        inst.layout, -wprime, own[:p].tolist()
-    )
+    value, match_row, y_row, y_col = _assignment_max(inst.layout, -wprime, own[:p])
     margin = value + const
 
     if margin > 0:
-        pairs = [
-            (a, c + p) for a, c in enumerate(match_row) if c < q
-        ]
-        best = Matching.from_pairs(inst, pairs)
+        rows = np.flatnonzero(match_row < q)
+        best = matching_from_ids(inst, rows, p + match_row[rows])
         return PopularityVerdict(False, margin, None, best)
 
-    alpha = tuple(map(sub, y_row + y_col, matched.tolist()))
+    alpha = np.concatenate((y_row, y_col)) - matched
     if not _check_witness(inst, mat, own, alpha):
         raise AssertionError("dual potentials fail certificate validation")
-    return PopularityVerdict(True, 0, alpha, None)
+    return PopularityVerdict(True, 0, tuple(alpha.tolist()), None)
 
 
 def _assignment_max(
-    lay: EdgeLayout, cost: np.ndarray, start: list[int]
-) -> tuple[int, list[int], list[int], list[int]]:
+    lay: EdgeLayout, cost: np.ndarray, start: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Max-weight assignment of agents (rows) to jobs (columns) with sinks.
 
     Row a's options are its edges ``starts[a] ..`` in layout order, edge
     k going to column ``job_of[k]`` at ``cost[k]`` (a negated weight, so
     <= 0), then its private zero-cost sink, column ``q + a`` (q jobs) at
-    option index ``degree``.  ``start[a]`` is a hinted option index of row
-    a; the hints only speed the search up.  Every row ends assigned.
-    Returns the total weight over shared columns, the row assignment, and
-    nonnegative integral dual potentials ``y_row``/``y_col`` satisfying
-    ``y_row[a] + y_col[c] >= weight(a, c)`` with equality on assigned pairs
-    and zero on unassigned shared columns.
+    option index ``degree``.  ``start[a]``, an int array, is a hinted
+    option index of row a; the hints only speed the search up.  Every row
+    ends assigned.  Returns the total weight over shared columns, the row
+    assignment, and nonnegative integral dual potentials ``y_row``/``y_col``
+    satisfying ``y_row[a] + y_col[c] >= weight(a, c)`` with equality on
+    assigned pairs and zero on unassigned shared columns, all as int arrays
+    but the total.
+
+    The warm start is whole-array passes: each row takes its hinted option,
+    the first row in id order to hint a column wins it, at the column half
+    of its weight as price, and one ``np.minimum.reduceat`` of reduced costs
+    over the layout's rows finds the rows whose option is not one of their
+    cheapest.  Only if some row fails or lost its column does
+    :func:`_augment` finish the assignment in Python; the total and the
+    duals are array passes over the final assignment and prices.
+    """
+    p, q = len(lay.starts) - 1, len(lay.job_starts) - 1
+    num_cols = q + p
+    on_edge = start < np.diff(lay.starts)
+    k = (lay.starts[:-1] + start)[on_edge]
+    hint = q + np.arange(p)
+    hint[on_edge] = lay.job_of[k]
+    hint_cost = np.zeros(p, np.intp)
+    hint_cost[on_edge] = cost[k]
+    cols, rows = np.unique(hint, return_index=True)
+    match_row = np.full(p, -1)
+    match_row[rows] = cols
+    match_col = np.full(num_cols, -1)
+    match_col[cols] = rows
+    mcost = np.zeros(p, np.intp)  # cost of each row's assigned option
+    mcost[rows] = hint_cost[rows]
+    v = np.zeros(num_cols, np.intp)  # column prices, -y_col
+    v[cols] = -(-hint_cost[rows] // 2)
+    # The sink's reduced cost is 0; a row is tight when no option is below u.
+    lowest = np.minimum(
+        np.minimum.reduceat(cost - v[lay.job_of], lay.starts[:-1]), 0
+    )
+    work = np.flatnonzero((lowest < mcost - v[match_row]) & (match_row != -1))
+    if work.size or len(rows) < p:
+        match_row, mcost, v = map(
+            np.array, _augment(lay, cost, match_row, match_col, mcost, v, work)
+        )
+    value = -int(mcost[match_row < q].sum())
+    # Row potential u satisfies u + v[col] == cost on the assigned edge;
+    # the dual we need is its negation.
+    return value, match_row, v[match_row] - mcost, -v[:q]
+
+
+def _augment(lay: EdgeLayout, cost, match_row, match_col, mcost, v, work):
+    """Finish :func:`_assignment_max` from its warm start, on Python lists.
+
+    ``match_row``, ``match_col``, ``mcost`` and ``v`` are the warm start's
+    assignment, costs and prices as arrays, and ``work`` holds the rows
+    found not tight.  A row whose option is not one of its cheapest drops
+    out; the column it frees goes back to price 0, which can make the
+    column cheapest for its other rows (read from ``job_edges``), so they
+    are rechecked.  Prices only rise, so the rows that drop are a monotone
+    fixed point and the order in which rows are checked does not change
+    them.  Returns the final ``match_row``, ``mcost`` and ``v`` as lists.
 
     Successive shortest paths over column potentials ``v = -y_col``: every
-    row left unassigned by the warm start runs Dijkstra on reduced costs
-    over the columns its alternating paths reach, popping a heap keyed
-    ``(distance, column is matched, column)`` with lazy deletion, and
-    augments along the path to the first free column it settles.  Its own
-    sink is free at reduced distance 0, so a search settles only columns at
-    negative distance and touches only their rows' options; at equal
-    distance a free column comes first and ends the search.  A sink stays
-    at price 0: only its own row reaches it.
-
-    The warm start tests every row's tightness at once, as one
-    ``np.minimum.reduceat`` of reduced costs over the layout's rows; only
-    the rows that fail, and the rows of a column whose price resets (read
-    from ``job_edges``), are rechecked in Python.  The searches read their
-    options from the same flat lists.
+    row then unassigned runs Dijkstra on reduced costs over the columns its
+    alternating paths reach, popping a heap keyed ``(distance, column is
+    matched, column)`` with lazy deletion, and augments along the path to
+    the first free column it settles.  Its own sink is free at reduced
+    distance 0, so a search settles only columns at negative distance and
+    touches only their rows' options; at equal distance a free column comes
+    first and ends the search.  A sink stays at price 0: only its own row
+    reaches it.
     """
-    lists = lay.starts, lay.job_of, lay.job_starts, lay.job_edges, lay.agent_of
-    starts, job_of, job_starts, job_edges, agent_of = (x.tolist() for x in lists)
-    p, q = len(starts) - 1, len(job_starts) - 1
-    num_cols = q + p
-    costs = cost.tolist()
-    v = [0] * num_cols
-    match_row = [-1] * p
-    match_col = [-1] * num_cols
-    mcost = [0] * p  # cost (negated weight) of each row's assigned edge
+    starts, job_of, costs = lay.starts.tolist(), lay.job_of.tolist(), cost.tolist()
+    match_row, match_col, mcost, v, work = (
+        x.tolist() for x in (match_row, match_col, mcost, v, work)
+    )
+    p, num_cols = len(match_row), len(v)
+    q = num_cols - p
 
     def options(a: int):
         """Row a's ``(column, cost)`` options, its sink last."""
         s, e = starts[a], starts[a + 1]
         return zip((*job_of[s:e], q + a), (*costs[s:e], 0))
 
-    # Per-search state over all columns; a search resets what it touched.
-    d = [_INF] * num_cols
-    reach_row = [-1] * num_cols
-    reach_cost = [0] * num_cols
-    prev_col = [-1] * num_cols
-    done_mark = [False] * num_cols
-
-    # Warm start: each row takes its hinted option and the column half of
-    # its weight as price.  A row whose option is then not one of its
-    # cheapest drops out; the column it frees goes back to price 0, which
-    # can make the column cheapest for its other rows, so they are rechecked.
-    # Prices only rise, so the rows that drop are a monotone fixed point
-    # and the order in which rows are checked does not change them.
-    for a, i in enumerate(start):
-        s = starts[a]
-        if s + i < starts[a + 1]:
-            c, w = job_of[s + i], costs[s + i]
-        else:
-            c, w = q + a, 0
-        if match_col[c] == -1:
-            match_col[c] = a
-            match_row[a] = c
-            mcost[a] = w
-            v[c] = -(-w // 2)
-    prices = np.fromiter(v, np.intp, num_cols)
-    rows = np.fromiter(match_row, np.intp, p)
-    # The sink's reduced cost is 0; a row is tight when no option is below u.
-    lowest = np.minimum(
-        np.minimum.reduceat(cost - prices[lay.job_of], lay.starts[:-1]), 0
-    )
-    u = np.fromiter(mcost, np.intp, p) - prices[rows]
-    work = np.flatnonzero((lowest < u) & (rows != -1)).tolist()
     while work:
         a = work.pop()
         c = match_row[a]
@@ -277,9 +284,15 @@ def _assignment_max(
         match_row[a] = match_col[c] = -1
         if v[c]:
             v[c] = 0
-            work.extend(
-                agent_of[k] for k in job_edges[job_starts[c]:job_starts[c + 1]]
-            )
+            edges = lay.job_edges[lay.job_starts[c]:lay.job_starts[c + 1]]
+            work.extend(lay.agent_of[edges].tolist())
+
+    # Per-search state over all columns; a search resets what it touched.
+    d = [_INF] * num_cols
+    reach_row = [-1] * num_cols
+    reach_cost = [0] * num_cols
+    prev_col = [-1] * num_cols
+    done_mark = [False] * num_cols
 
     for a0 in range(p):
         if match_row[a0] != -1:
@@ -334,9 +347,4 @@ def _assignment_max(
             d[c] = _INF
             done_mark[c] = False
 
-    value = -sum(mcost[a] for a in range(p) if match_row[a] < q)
-    y_col = [-v[c] for c in range(q)]
-    # Row potential u satisfies u + v[col] == cost on the assigned edge;
-    # the dual we need is its negation.
-    y_row = [v[match_row[a]] - mcost[a] for a in range(p)]
-    return value, match_row, y_row, y_col
+    return match_row, mcost, v

@@ -153,6 +153,23 @@ PARSE_ERRORS = [
     ),
 ]
 
+# ``popmatch verify`` input errors on size_gap's matching files, by test id:
+# each message once, then two errors in one file, where the first line wins.
+MATCHING_ERRORS = {
+    "unknown-name": ("a0 b1\na1 zz\n", "line 2: unknown vertex name 'zz'"),
+    "non-edge": ("a0 b0\n", "line 1: (a0, b0) is not an edge"),
+    "job-first": ("b1 a0\n", "line 1: expected an agent then a job"),
+    "matched-twice": (
+        "a0 b1\na1 b1\n",
+        "line 2: vertex matched twice near (a1, b1)",
+    ),
+    "one-name": ("# pairs\na0\n", "line 2: expected 'agent job'"),
+    "first-bad-line-wins": (
+        "a1 b1\na0 b0\nnonsense\n",
+        "line 2: (a0, b0) is not an edge",
+    ),
+}
+
 
 @pytest.fixture(scope="session")
 def size_gap():
@@ -728,6 +745,43 @@ def parse_reference(text: str):
                     f"{names[v]!r} but not conversely"
                 )
     return tuple(names), na, tuple(pref)
+
+
+def parse_matching_reference(text: str, inst: Instance) -> Matching:
+    """The line-by-line matching-file parser, as a reference.
+
+    Each line is checked as it is read, on the edge layout, and pairs its
+    agent and job at once, so every error names its line.  The whole-array
+    parser must agree with it, message for message.
+    """
+    na, names = inst.num_agents, inst.names
+    ids = dict(zip(names, range(inst.n)))
+    partner = list(range(inst.n))
+    starts, job_of = inst.layout.starts.tolist(), inst.layout.job_of.tolist()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise InstanceError(f"line {line_no}: expected 'agent job'")
+        for name in parts:
+            if name not in ids:
+                raise InstanceError(f"line {line_no}: unknown vertex name {name!r}")
+        a, b = ids[parts[0]], ids[parts[1]]
+        if a >= na or b < na:
+            raise InstanceError(f"line {line_no}: expected an agent then a job")
+        if b - na not in job_of[starts[a]:starts[a + 1]]:
+            raise InstanceError(
+                f"line {line_no}: ({names[a]}, {names[b]}) is not an edge"
+            )
+        if partner[a] != a or partner[b] != b:
+            raise InstanceError(
+                f"line {line_no}: vertex matched twice near "
+                f"({names[a]}, {names[b]})"
+            )
+        partner[a], partner[b] = b, a
+    return Matching(partner)
 
 
 def wt_total(inst: Instance, mat: Matching, other: Matching) -> int:

@@ -19,6 +19,7 @@ from popmatch.solver import SolverDefect
 
 from conftest import (
     IDENTICAL_PREFS_TEXT,
+    MATCHING_ERRORS,
     PARSE_ERRORS,
     SHOWCASE_TEXT,
     SIZE_GAP_TEXT,
@@ -140,23 +141,7 @@ def test_verify_json_payload(files, capsys):
 
 
 @pytest.mark.parametrize(
-    "matching, message",
-    [
-        ("a0 b1\na1 zz\n", "line 2: unknown vertex name 'zz'"),
-        ("a0 b0\n", "line 1: (a0, b0) is not an edge"),
-        ("b1 a0\n", "line 1: expected an agent then a job"),
-        ("a0 b1\na1 b1\n", "line 2: vertex matched twice near (a1, b1)"),
-        ("# pairs\na0\n", "line 2: expected 'agent job'"),
-        ("a1 b1\na0 b0\nnonsense\n", "line 2: (a0, b0) is not an edge"),
-    ],
-    ids=[
-        "unknown-name",
-        "non-edge",
-        "job-first",
-        "matched-twice",
-        "one-name",
-        "first-bad-line-wins",
-    ],
+    "matching, message", MATCHING_ERRORS.values(), ids=list(MATCHING_ERRORS)
 )
 def test_verify_bad_matching_exit_one(files, capsys, matching, message):
     inst_path = files("gap.txt", SIZE_GAP_TEXT)

@@ -31,6 +31,7 @@ from popmatch.legality import legal_edge_set
 from popmatch.oracle import enumerate_matchings
 
 from conftest import (
+    MATCHING_ERRORS,
     PARSE_ERRORS,
     SHOWCASE_TEXT,
     composed_text,
@@ -39,8 +40,10 @@ from conftest import (
     incoming_of,
     layout_reference,
     match_of,
+    parse_matching_reference,
     parse_reference,
     random_instance,
+    random_matching,
     random_text,
     ring_text,
     showcase_full,
@@ -208,6 +211,12 @@ def mutated_text(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def error_kind(message: str) -> str:
+    """A parse error's message with its line number and names blanked."""
+    message = re.sub(r"line \d+", "line N", message)
+    return re.sub(r"'[^']*'|\([^)]*\)", "X", message)
+
+
 def shuffled(text: str, rng: random.Random) -> str:
     """The same instance with its declarations and list lines shuffled."""
     lines = text.splitlines()
@@ -256,8 +265,7 @@ class TestParseErrors:
                 with pytest.raises(InstanceError) as got:
                     parse_instance(text)
                 assert str(got.value) == str(err), text
-                kind = re.sub(r"'[^']*'", "X", re.sub(r"line \d+", "line N", str(err)))
-                outcomes[kind] += 1
+                outcomes[error_kind(str(err))] += 1
                 continue
             inst = parse_instance(text)
             assert (inst.names, inst.num_agents, inst.pref) == want, text
@@ -434,6 +442,74 @@ class TestDerivedViews:
         assert swapped != inst and swapped.pref[:na] == inst.pref[:na]
 
 
+MATCHING_MUTATIONS = (
+    "unknown",
+    "tokens",
+    "job_first",
+    "non_edge",
+    "twice",
+    "filler",
+)
+FILLERS = ("", " ", "\t", "\xa0", "# pairs", "  # a0 b0", "#a0 b1", "#")
+BREAKS = ("\n", "\r\n", "\x0c", "\x85")
+
+
+def mutate_matching(kind: str, lines: list[str], inst, rng: random.Random) -> None:
+    """Apply one mutation of ``kind`` to the lines of a matching file."""
+    names = inst.names
+    spot = rng.randrange(len(lines) + 1)
+    if kind == "filler" or not lines:
+        lines.insert(spot, rng.choice(FILLERS))
+        return
+    if kind == "non_edge":
+        missing = [
+            (a, b) for a in inst.agent_ids() for b in inst.job_ids()
+            if not inst.has_edge(a, b)
+        ]
+        if missing:
+            a, b = rng.choice(missing)
+            lines.insert(spot, f"{names[a]} {names[b]}")
+        return
+    i = rng.randrange(len(lines))
+    parts = lines[i].split() or [rng.choice(names)]
+    if kind == "twice":
+        # The same line again, or its first name with another neighbor.
+        u = names.index(parts[0]) if parts[0] in names else 0
+        other = rng.choice(inst.pref[u]) if inst.pref[u] else u
+        again = rng.choice((lines[i], f"{parts[0]} {names[other]}"))
+        lines.insert(spot, again)
+        return
+    if kind == "unknown":
+        parts[rng.randrange(len(parts))] = "zz"
+    elif kind == "tokens":
+        parts = parts[:1] if rng.random() < 0.5 else parts + [rng.choice(names)]
+    elif kind == "job_first":
+        parts.reverse()
+    lines[i] = " ".join(parts)
+
+
+def mutated_matching_text(seed: int):
+    """A small instance and a matching file for it with zero to three
+    random mutations, its lines padded and ended by mixed line breaks."""
+    rng = random.Random(seed)
+    inst = random_instance(seed, max_side=5)
+    names = inst.names
+    pairs = random_matching(rng, inst).pairs(inst)
+    lines = [f"{names[a]} {names[b]}" for a, b in pairs]
+    rng.shuffle(lines)
+    for _ in range(rng.randrange(4)):
+        mutate_matching(rng.choice(MATCHING_MUTATIONS), lines, inst, rng)
+    pad = ("", " ", "\t")
+    text = "".join(
+        rng.choice(pad) + rng.choice((" ", "\t", "  ")).join(line.split())
+        + rng.choice(pad) + rng.choice(BREAKS)
+        if line.strip()
+        else line + rng.choice(BREAKS)
+        for line in lines
+    )
+    return inst, text
+
+
 class TestMatchingIO:
     def test_round_trip(self, size_gap):
         mat = size_gap_max(size_gap)
@@ -452,6 +528,64 @@ class TestMatchingIO:
     def test_double_match_rejected(self, size_gap):
         with pytest.raises(InstanceError, match="twice"):
             parse_matching("a0 b1\na1 b1\n", size_gap)
+
+    def test_whole_array_parse_equals_line_by_line(self):
+        outcomes = Counter()
+        for seed in range(1000):
+            inst, text = mutated_matching_text(seed)
+            try:
+                want = parse_matching_reference(text, inst)
+            except InstanceError as err:
+                with pytest.raises(InstanceError) as got:
+                    parse_matching(text, inst)
+                assert str(got.value) == str(err), text
+                outcomes[error_kind(str(err))] += 1
+                continue
+            assert parse_matching(text, inst) == want, text
+            outcomes["valid"] += 1
+        # Both outcomes are common, and every message of the command-line
+        # table occurs.
+        assert outcomes["valid"] >= 300, outcomes
+        assert sum(outcomes.values()) - outcomes["valid"] >= 300, outcomes
+        kinds = {error_kind(message) for _, message in MATCHING_ERRORS.values()}
+        assert len(kinds) == 5 and kinds <= outcomes.keys(), outcomes
+
+    def test_valid_input_never_scans(self, monkeypatch, showcase):
+        def scan(*args):
+            raise AssertionError("a pair-by-pair scan ran on valid input")
+
+        # Both scans for an error message test a valid pair here.
+        monkeypatch.setattr(instance_module, "_pair_error", scan)
+        rng = random.Random(7)
+        for seed in range(200):
+            inst = random_instance(seed, max_side=6)
+            mat = random_matching(rng, inst)
+            assert parse_matching(format_matching(inst, mat), inst) == mat
+            assert Matching.from_pairs(inst, mat.pairs(inst)) == mat
+        parse_matching(format_matching(showcase, showcase_full(showcase)), showcase)
+
+    def test_from_pairs_names_ids_out_of_range(self):
+        # Two vertices: 5 is past the last id, and -1 must not wrap to b0.
+        inst = parse_instance("agents: a0\njobs: b0\na0 > b0\nb0 > a0\n")
+        for pair in ((0, 5), (-1, 1)):
+            with pytest.raises(InstanceError) as err:
+                Matching.from_pairs(inst, [pair])
+            assert str(err.value) == f"{pair} names a vertex id outside 0..1"
+
+    def test_from_pairs_takes_any_iterable(self, showcase):
+        pairs = showcase_full(showcase).pairs(showcase)
+        want = Matching.from_pairs(showcase, pairs)
+        agents, jobs = zip(*pairs)
+        for given in (
+            iter(pairs),
+            zip(agents, jobs),
+            zip(jobs, agents),  # either end may come first
+            (pair for pair in pairs),
+        ):
+            assert Matching.from_pairs(showcase, given) == want
+        alone = Matching(range(showcase.n))
+        assert Matching.from_pairs(showcase, []) == alone
+        assert Matching.from_pairs(showcase, iter(())) == alone
 
     def test_one_array_form(self, showcase):
         # Every way in yields the same read-only array, equal and hashed

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from popmatch import (
@@ -24,6 +25,7 @@ from popmatch.oracle import edge_weight, enumerate_matchings, ground_truth
 from popmatch.popularity import a_popular_obstruction
 
 from conftest import (
+    assignment_reference,
     composed_text,
     id_of,
     ids,
@@ -202,6 +204,36 @@ class TestListReference:
         # Rows that were tight at the warm start but dropped after a column
         # price reset: the worklist's cascade path runs.
         assert cascading >= 100, cascading
+
+
+class TestAssignmentMax:
+    def test_arbitrary_hints_equal_reference(self):
+        # verify_popular hints each row with its partner's rank, and no two
+        # rows share a partner; here hints collide and point at sinks, so
+        # the first-come rule of the array warm start decides who keeps a
+        # column.
+        rng = random.Random(29)
+        collisions = sink_hints = 0
+        for seed in range(400):
+            inst = random_instance(seed, max_side=6)
+            lay, p, q = inst.layout, inst.num_agents, inst.num_jobs
+            weight = [rng.randrange(5) for _ in range(inst.m)]
+            starts = lay.starts.tolist()
+            hints = [rng.randrange(e - s + 1) for s, e in zip(starts, starts[1:])]
+            adj = [
+                [*zip(lay.job_of[s:e].tolist(), weight[s:e]), (q + a, 0)]
+                for a, (s, e) in enumerate(zip(starts, starts[1:]))
+            ]
+            want = assignment_reference(p, q, adj, hints)[:4]
+            value, match_row, y_row, y_col = popularity._assignment_max(
+                lay, -np.array(weight), np.array(hints)
+            )
+            got = value, match_row.tolist(), y_row.tolist(), y_col.tolist()
+            assert got == want, seed
+            hinted = [adj[a][i][0] for a, i in enumerate(hints)]
+            collisions += len(set(hinted)) < p
+            sink_hints += any(c >= q for c in hinted)
+        assert collisions >= 100 and sink_hints >= 100, (collisions, sink_hints)
 
 
 class TestIntTypes:

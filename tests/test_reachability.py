@@ -122,7 +122,7 @@ LEDGER = {
      'raise AssertionError("dual potentials fail certificate validation")',
      0):
         "test_popularity.py::TestVerifyPopular::test_failed_certificate_is_a_defect",
-    ("popularity", "_assignment_max",
+    ("popularity", "_augment",
      'raise AssertionError("assignment search ran out of columns")', 0):
         "test_popularity.py::TestVerifyPopular::test_exhausted_search_is_a_defect",
     ("solver", "_mark_components",

@@ -22,12 +22,15 @@ lengths.
 
 Int64 numpy arrays are the one stored form of a system, its run state
 included.  A large system runs in two stages: whole-array numpy rounds while
-at least ``BATCH_MIN`` left vertices are free, then the sequential loop, one
-proposal at a time, which reads and writes the same arrays through zero-copy
-memoryviews (see :meth:`ProposalSystem.run`); the rotation walk has the same
-two stages on the agent-proposing system's arrays (see
-:func:`rotation_walk`).  :func:`components` numbers the connected
-components of a graph given by its edges' two ends, by whole-array hooking.
+at least ``BATCH_MIN`` left vertices are free, then, only if a vertex is
+still free, the sequential loop, one proposal at a time, which reads and
+writes the same arrays through zero-copy memoryviews (see
+:meth:`ProposalSystem.run`).  The rotation walk has the same two stages on
+the agent-proposing system's arrays, its loop also entered only if an agent
+is still short of its job-optimal edge (see :func:`rotation_walk`).  On
+large inputs the rounds often finish the run, and then neither loop is set
+up.  :func:`components` numbers the connected components of a graph given
+by its edges' two ends, by whole-array hooking.
 """
 
 from __future__ import annotations
@@ -40,16 +43,17 @@ INFINITE_RANK = 1 << 60
 
 # Fewest left vertices proposing in a whole-array round, and fewest agents
 # short of their job-optimal edge in a rotation round; only speed depends on
-# it.  Solve CPU ms, median of 3 process runs of the best of 25, 2 cores:
+# it.  Solve CPU ms, best of 5 process runs of the best of 25, 2 cores shared
+# with other load (the best run reads the work; a median reads the load):
 #   BATCH_MIN                         768    512    384    256    128
-#   ring, n = 300                    2.71   1.73   1.70   1.15   1.24
-#   1,000 blocks, validated         12.63  12.70  12.05  12.05  12.78
-#   latin, n = 200                   85.4   85.2   70.9   73.5   42.6
-#   planted, 1,000 + 300 cross       9.97  10.13   9.34  10.11   9.86
-#   generate(2000, 3000, 5/3000)    14.76  12.72  11.60  11.15  10.58
-# 256 is fastest on ring and level with 384 on blocks, where every value is
-# within 6 %; 128 runs latin's stable walk in rounds.
-BATCH_MIN = 256
+#   ring, n = 300                    2.37   1.42   1.48   0.93   0.92
+#   1,000 blocks, validated          6.82   6.46   6.39   6.58   6.51
+#   latin, n = 200                   77.1   74.6   64.7   65.4   34.5
+#   planted, 1,000 + 300 cross       5.37   5.05   5.01   5.26   5.22
+#   generate(2000, 3000, 5/3000)    12.98  10.70   9.93   9.38   9.04
+# 128 is level with 256 on ring and blocks, whose rounds finish every run
+# at both, and runs latin's 200-agent stable walk in rounds.
+BATCH_MIN = 128
 
 
 class ProposalSystem:
@@ -75,13 +79,14 @@ class ProposalSystem:
     its ``forbidden`` and reads it only while it runs.  Only mirror systems
     are forbidden anything in a solve.
 
-    A system runs once.  Its run state is four int64 arrays: ``left_match[u]``
-    / ``right_match[r]`` hold the matched edge id or -1, ``right_cut[r]`` is
+    A system runs once.  Its run state is three int64 arrays:
+    ``right_match[r]`` holds r's matched edge id or -1, ``right_cut[r]`` is
     r's cutoff, and ``next_i[u]`` is the position in ``list_edges`` of u's
-    matched edge (``list_starts[u + 1]`` when u is alone).  ``proposals``
-    and ``rejections`` count the run's work and ``rounds`` its whole-array
-    rounds, each of at least ``BATCH_MIN`` proposals, so
-    ``rounds * BATCH_MIN <= proposals <= total_list_length``.
+    matched edge (``list_starts[u + 1]`` when u is alone).  The run ends by
+    deriving a fourth, ``left_match[u]``, u's matched edge id or -1, from
+    ``right_match``.  ``proposals`` and ``rejections`` count the run's work
+    and ``rounds`` its whole-array rounds, each of at least ``BATCH_MIN``
+    proposals, so ``rounds * BATCH_MIN <= proposals <= total_list_length``.
     """
 
     def __init__(
@@ -118,82 +123,90 @@ class ProposalSystem:
 
         Whole-array rounds (:meth:`_rounds`) run while at least
         ``BATCH_MIN`` left vertices are free, so a smaller system makes
-        none; the sequential loop (:meth:`_drain`) then ends the run from
-        the vertices still free.  The end state of deferred acceptance does
-        not depend on the order of the proposals (McVitie and Wilson, "The
-        stable marriage problem", 1971), and a rejection by a forbidden edge
-        only lowers a cutoff as any better proposal would, so the run ends
-        in the loop's own state, counters and alone vertices included.  In a
-        mirror system, with as many right copies as left ones and no sinks,
-        a run that leaves no left copy alone matches every right copy, so no
-        stable matching avoiding the forbidden edges exists exactly when a
-        left copy ends alone.
+        none; if any vertex is still free, the sequential loop
+        (:meth:`_drain`) then ends the run from those vertices.  Only then
+        is ``left_match`` filled in, from ``right_match``.  The end state of
+        deferred acceptance does not depend on the order of the proposals
+        (McVitie and Wilson, "The stable marriage problem", 1971), and a
+        rejection by a forbidden edge only lowers a cutoff as any better
+        proposal would, so the run ends in the loop's own state, cutoffs,
+        counters and alone vertices included.  In a mirror system, with as
+        many right copies as left ones and no sinks, a run that leaves no
+        left copy alone matches every right copy, so no stable matching
+        avoiding the forbidden edges exists exactly when a left copy ends
+        alone.
         """
         self.next_i = self.list_starts[:-1].copy()
-        self.left_match = np.full(self.num_left, -1, np.int64)
         self.right_match = np.full(self.num_right, -1, np.int64)
         self.right_cut = np.full(self.num_right, INFINITE_RANK, np.int64)
-        self._drain(deque(self._rounds().tolist()))
+        free = self._rounds()
+        if len(free):
+            self._drain(deque(free.tolist()))
+        held = self.right_match[self.right_match != -1]
+        self.left_match = np.full(self.num_left, -1, np.int64)
+        self.left_match[self.edge_left[held]] = held
 
     def _rounds(self) -> np.ndarray:
         """Whole-array proposal rounds on the initial state, updated in
         place; returns the free left vertices that are left over.
 
         Every left vertex is free at first.  In a round every free left
-        vertex proposes along its next list position at once.  Each right
-        vertex takes the best-ranked of its proposals if that ranks below
-        its cutoff and lowers the cutoff to it; a forbidden winner leaves
-        the vertex empty.  Losers, forbidden winners and displaced holders
-        move one position on and are the next round's free vertices.
-        Rounds go on while at least ``BATCH_MIN`` vertices propose, so
-        there are at most ``total_list_length / BATCH_MIN`` of them.  A
-        vertex past the end of its list stays alone.
+        vertex proposes along its next list position at once, and each
+        right vertex lowers its cutoff to the best rank proposed to it.  A
+        proposal wins exactly when its rank is the new cutoff: a right
+        vertex ranks its edges uniquely and no edge is proposed twice, so
+        no proposal ties the old cutoff or another proposal.  A won right
+        vertex holds the winner, or nothing if the winner is forbidden.
+        Losers, forbidden winners and displaced holders move one position
+        on and are the next round's free vertices.  Rounds go on while at
+        least ``BATCH_MIN`` vertices propose, so there are at most
+        ``total_list_length / BATCH_MIN`` of them.  A vertex past the end
+        of its list stays alone.  Rounds write no ``left_match``.
         """
         list_edges, edge_left = self.list_edges, self.edge_left
         edge_right, right_rank = self.edge_right, self.right_rank
-        next_i, left_match = self.next_i, self.left_match
+        next_i = self.next_i
         right_match, right_cut = self.right_match, self.right_cut
         end = self.list_starts[1:]
-        best = right_cut.copy()
         free = np.arange(self.num_left)
         while True:
-            free = free[next_i[free] < end[free]]
+            i = next_i[free]
+            live = i < end[free]
+            free, i = free[live], i[live]
             if len(free) < BATCH_MIN:
                 return free
-            e = list_edges[next_i[free]]
+            e = list_edges[i]
             r, rank = edge_right[e], right_rank[e]
-            np.minimum.at(best, r, rank)
-            won = (rank == best[r]) & (rank < right_cut[r])
-            best[r] = INFINITE_RANK
-            taken = r[won]
-            right_cut[taken] = rank[won]
+            np.minimum.at(right_cut, r, rank)
+            won = rank == right_cut[r]
+            taken, e_won = r[won], e[won]
             held = right_match[taken]
             displaced = edge_left[held[held != -1]]
-            left_match[displaced] = -1
-            right_match[taken] = -1
-            kept = won & ~self.forbidden[e]
-            right_match[r[kept]] = left_match[free[kept]] = e[kept]
+            banned = self.forbidden[e_won]
+            right_match[taken] = np.where(banned, -1, e_won)
+            won[won] = ~banned  # a forbidden winner proposes again
             self.rounds += 1
             self.proposals += len(free)
-            free = np.concatenate((free[~kept], displaced))
+            free = np.concatenate((free[~won], displaced))
             self.rejections += len(free)
             next_i[free] += 1
 
     def _drain(self, queue: deque) -> None:
         """The sequential loop: drain the queue one proposal at a time.
 
-        The queue only ever holds unmatched left vertices, each once.
+        The queue only ever holds unmatched left vertices, each once.  The
+        loop writes ``right_match``, ``right_cut`` and ``next_i``.
         """
         # The loop reads and writes every array through a zero-copy
         # memoryview, whose items are plain ints; the counters are written
         # back at the end.
         (
             list_edges, list_starts, edge_left, edge_right, right_rank,
-            forbidden, next_i, left_match, right_match, right_cut,
+            forbidden, next_i, right_match, right_cut,
         ) = map(memoryview, (
             self.list_edges, self.list_starts, self.edge_left,
             self.edge_right, self.right_rank, self.forbidden, self.next_i,
-            self.left_match, self.right_match, self.right_cut,
+            self.right_match, self.right_cut,
         ))
         proposals = rejections = 0
         while queue:
@@ -213,7 +226,6 @@ class ProposalSystem:
                 cur = right_match[r]
                 if cur != -1:
                     v = edge_left[cur]
-                    left_match[v] = -1
                     next_i[v] += 1
                     queue.append(v)
                     rejections += 1
@@ -225,7 +237,6 @@ class ProposalSystem:
                     rejections += 1
                     continue
                 right_match[r] = e
-                left_match[u] = e
                 next_i[u] = i
                 break
             else:
@@ -268,8 +279,8 @@ def rotation_walk(
     create do not depend on their order (Gusfield and Irving, 1989).  A
     round costs its size times log n; rounds stop after one that moves under
     a quarter of its agents, so their summed sizes are at most 4 * moves + n.
-    The loop then reads the lists through memoryviews and the matching as
-    lists.
+    The loop (:func:`_rotation_loop`) then finishes from the agents still
+    short, and is not entered, nor its lists built, when there are none.
     """
     jobs = ProposalSystem(
         num_right, num_left, right, left, right_rank, left_rank
@@ -294,14 +305,27 @@ def rotation_walk(
     while len(active) >= BATCH_MIN:
         made = _rotation_round(lists, hold, job_hold, scan, active, slot)
         flags[made] = True
-        if 4 * len(made) < len(active):
-            break
+        stop = 4 * len(made) < len(active)
         active = active[hold[active] != done[active]]
+        if stop:
+            break
+    if len(active):
+        flags[_rotation_loop(lists, hold, job_hold, scan, done, active)] = True
+    flags.flags.writeable = False
+    return flags
+
+
+def _rotation_loop(lists, hold, job_hold, scan, done, active) -> list:
+    """The walk's loop: from each agent of ``active`` still short of its
+    job-optimal edge, follow successors and eliminate the rotations they
+    close, one at a time; returns the edges those rotations create.  It
+    reads the lists through memoryviews and the walk's state as lists.
+    """
     flat, agent_of, job_of, rank = map(memoryview, lists)
     hold, job_hold, scan, done = (
         x.tolist() for x in (hold, job_hold, scan, done)
     )
-    depth = [-1] * num_left
+    depth = [-1] * len(hold)
     created = []
     for start in active.tolist():
         while hold[start] != done[start]:
@@ -331,9 +355,7 @@ def rotation_walk(
                     scan[x] += 1
                     depth[x] = -1
                     created.append(e)
-    flags[created] = True
-    flags.flags.writeable = False
-    return flags
+    return created
 
 
 def _rotation_round(lists, hold, job_hold, scan, active, slot):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter, not_
@@ -42,12 +42,15 @@ class Instance:
     ``pref[u]``) and ``edges`` serve the per-vertex and per-pair accessors
     (``rank_of``, ``has_edge``) of the oracle, elections and
     serialization; they are derived from the layout on first use and then
-    kept.  Equality and hashing read the fields alone.
+    kept.  ``ids`` maps each name to its id; it is the dict that
+    :meth:`build` interns the names with, kept for :func:`parse_matching`.
+    Equality, hashing and the repr read the other fields alone.
     """
 
     names: tuple[str, ...]
     num_agents: int
     layout: EdgeLayout
+    ids: dict[str, int] = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -133,7 +136,7 @@ class Instance:
         layout = _bulk_layout(src, dst, deg, na)
         if layout is None:
             _raise_list_error(names, na, pref_by_name)
-        return Instance(tuple(names), na, layout)
+        return Instance(tuple(names), na, layout, idx)
 
 
 class _ArrayFields:
@@ -474,7 +477,7 @@ def parse_matching(text: str, inst: Instance) -> Matching:
     Only if a line does not hold two names or that check fails are the
     lines re-read in order, so that every error names its line.
     """
-    ids = dict(zip(inst.names, range(inst.n)))
+    ids = inst.ids
     rows = list(filter(None, map(str.split, text.splitlines())))
     comments = list(map(str.startswith, map(itemgetter(0), rows), repeat("#")))
     if True in comments:

@@ -193,7 +193,9 @@ class TestReferenceEngine:
         assert with_empty >= 1
 
 
-RUN_FIELDS = ("left_match", "right_match", "next_i", "proposals", "rejections")
+RUN_FIELDS = (
+    "left_match", "right_match", "right_cut", "next_i", "proposals", "rejections"
+)
 
 
 class TestBatchedRounds:
@@ -235,6 +237,29 @@ class TestBatchedRounds:
                     failed += kind == "mirror" and -1 in loop.left_match
                     rounds += batched.rounds
         assert compared > 1900 and failed > 100 and rounds > 5000
+
+    def test_rounds_leave_no_sequential_stage(self, monkeypatch):
+        # On benchmark-sized blocks and a ring, every system's rounds and
+        # every walk's rounds finish the run, so a validated solve never
+        # enters the proposal loop or the rotation loop.
+        def entered(*args):
+            raise AssertionError("the sequential stage was entered")
+
+        runs = []
+        run = ProposalSystem.run
+
+        def counted(system):
+            run(system)
+            runs.append(system.rounds)
+
+        monkeypatch.setattr(ProposalSystem, "run", counted)
+        monkeypatch.setattr(ProposalSystem, "_drain", entered)
+        monkeypatch.setattr(engine, "_rotation_loop", entered)
+        for text in (composed_text(1000, seed=3), ring_text(300)):
+            runs.clear()
+            report = solve(parse_instance(text), validate=True)
+            assert report.outcome == "found"
+            assert len(runs) == 5 and min(runs) > 0
 
 
 class TestOrderFreeVerdict:

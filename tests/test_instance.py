@@ -6,7 +6,7 @@ import random
 import re
 import time
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -430,8 +430,13 @@ class TestDerivedViews:
         for x in (inst, again):
             back = pickle.loads(pickle.dumps(x))
             assert back == inst and hash(back) == hash(inst)
-            assert back.pref == inst.pref
+            assert back.pref == inst.pref and back.ids == inst.ids
             assert incoming_of(back.layout) == incoming_of(inst.layout)
+        # The name-to-id dict that parsing keeps is read by neither.
+        assert inst.ids == {name: u for u, name in enumerate(inst.names)}
+        stripped = replace(inst, ids={})
+        assert stripped == inst and hash(stripped) == hash(inst)
+        assert repr(stripped) == repr(inst) and "ids" not in repr(inst)
         relabelled = parse_instance(shuffled(text, random.Random(5)))
         assert relabelled != inst
         # Only job b0_3's order differs, so only the job side tells them apart.

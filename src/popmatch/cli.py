@@ -34,7 +34,7 @@ EXIT_FAILED = 3
 
 
 def _load_instance(path: str) -> Instance:
-    return parse_instance(Path(path).read_text())
+    return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
 def _edge_names(inst: Instance, key: tuple[int, int]) -> list[str]:
@@ -97,7 +97,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    mat = parse_matching(Path(args.matching).read_text(), inst)
+    mat = parse_matching(Path(args.matching).read_text(encoding="utf-8"), inst)
     results: dict[str, bool] = {}
     if args.mode in ("popular", "fully"):
         results["popular"] = verify_popular(inst, mat).popular

@@ -109,34 +109,63 @@ class Instance:
         """Intern names to ids, validate every structural invariant, lay out edges.
 
         Lists under undeclared names are ignored.  All list entries map to
-        ids in one pass and the rules are checked on flat arrays; only when
-        a rule fails does a name-by-name scan look for the message.
+        ids in one pass, one scatter puts the lists in id order, and the
+        rules are checked on flat arrays; only when a rule fails does a
+        name-by-name scan look for the message.
         """
-        names = list(agent_names) + list(job_names)
-        n, na = len(names), len(agent_names)
-        idx = dict(zip(names, range(n)))
-        if len(idx) != n:
-            counts = Counter(names)
-            dup = next(x for x in names if counts[x] > 1)
-            raise InstanceError(f"duplicate vertex name {dup!r}")
-        get = idx.get
-        owner = list(map(get, pref_by_name, repeat(-1)))
-        rows = list(pref_by_name.values())
-        if -1 in owner:
-            rows = [row for u, row in zip(owner, rows) if u >= 0]
-            owner = [u for u in owner if u >= 0]
-        lens = list(map(len, rows))
-        src = np.repeat(np.array(owner, np.intp), lens)
-        dst = np.fromiter(
-            map(get, chain.from_iterable(rows), repeat(-1)), np.intp, len(src)
-        )
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
-        deg = np.bincount(src, minlength=n)
-        layout = _bulk_layout(src, dst, deg, na)
-        if layout is None:
-            _raise_list_error(names, na, pref_by_name)
-        return Instance(tuple(names), na, layout, idx)
+        return _build(agent_names, job_names, pref_by_name, False)
+
+
+def _build(
+    agent_names: list[str],
+    job_names: list[str],
+    pref_by_name: dict[str, list[str]],
+    declared_only: bool,
+) -> Instance:
+    """:meth:`Instance.build`; with ``declared_only``, a list under an
+    undeclared name raises instead, before a repeated name does.
+
+    The owners' ids come from the dict that interns the names, with -1 (the
+    least, so ``argmin`` finds the first) for an undeclared name.  Owners are
+    distinct, so each vertex has at most one list: ``deg[owner] = lens``
+    gives every list's place in id order, and one shifted scatter moves the
+    flat entries there, with no sort.
+    """
+    names = list(agent_names) + list(job_names)
+    n, na = len(names), len(agent_names)
+    idx = dict(zip(names, range(n)))
+    get = idx.get
+    rows = pref_by_name.values()
+    own = np.fromiter(map(get, pref_by_name, repeat(-1)), np.intp, len(rows))
+    if (own < 0).any():
+        if declared_only:
+            name = list(pref_by_name)[np.argmin(own)]
+            raise InstanceError(f"preference line for undeclared vertex {name!r}")
+        rows = list(compress(rows, own >= 0))
+        own = own[own >= 0]
+    if len(idx) != n:
+        counts = Counter(names)
+        dup = next(x for x in names if counts[x] > 1)
+        raise InstanceError(f"duplicate vertex name {dup!r}")
+    lens = np.fromiter(map(len, rows), np.intp, len(rows))
+    deg = np.zeros(n, np.intp)
+    deg[own] = lens
+    bounds = np.zeros(n + 1, np.intp)
+    np.cumsum(deg, out=bounds[1:])
+    total = int(bounds[-1])
+    flat = np.fromiter(
+        map(get, chain.from_iterable(rows), repeat(-1)), np.intp, total
+    )
+    # Entry i of the flat lists moves by its list's shift: from where the
+    # list starts in dict order to where it starts in id order.
+    shift = np.repeat(bounds[own] + lens - np.cumsum(lens), lens)
+    dst = np.empty(total, np.intp)
+    dst[shift + np.arange(total)] = flat
+    src = np.repeat(np.arange(n), deg)
+    layout = _bulk_layout(src, dst, deg, na)
+    if layout is None:
+        _raise_list_error(names, na, pref_by_name)
+    return Instance(tuple(names), na, layout, idx)
 
 
 class _ArrayFields:
@@ -408,51 +437,67 @@ def parse_instance(text: str) -> Instance:
     ``#`` starts a comment line.  Preference lines run from most to least
     preferred.  A vertex without a preference line has an empty list, which
     is an error for agents.
+
+    One pass reads the lines: each list line goes straight into the
+    name-to-list dict, and the only other lines it takes are blank lines,
+    comments and the first ``agents:`` and ``jobs:`` lines.  A repeated list
+    shows after the pass, as a dict with fewer entries than there were list
+    lines; a list under an undeclared name shows when the dict that interns
+    the names looks up its owner.  Only if a line is irregular are the
+    lines re-read in order, so that the error names the first bad line.
     """
+    lines = text.splitlines()
     agent_names: list[str] | None = None
     job_names: list[str] | None = None
     pref_by_name: dict[str, list[str]] = {}
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        # The common line, ``name > ...``, first; any other line, and any
-        # error, goes through the full sequence of tests below.
+    others = 0
+    for raw in lines:
         head, sep, tail = raw.partition(">")
         name = head.strip()
-        if (
-            sep
-            and name
-            and name not in pref_by_name
-            and name[0] != "#"
-            and not name.startswith(_HEADERS)
-        ):
+        if sep and name and name[0] != "#" and not name.startswith(_HEADERS):
             pref_by_name[name] = tail.split()
             continue
+        others += 1
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        if agent_names is None and line.startswith("agents:"):
+            agent_names = line[len("agents:"):].split()
+        elif job_names is None and line.startswith("jobs:"):
+            job_names = line[len("jobs:"):].split()
+        else:
+            _raise_line_error(lines)
+    if len(pref_by_name) + others != len(lines):
+        _raise_line_error(lines)
+    if agent_names is None or job_names is None:
+        raise InstanceError("missing 'agents:' or 'jobs:' line")
+    return _build(agent_names, job_names, pref_by_name, True)
+
+
+def _raise_line_error(lines: list[str]) -> NoReturn:
+    """Raise the first malformed line's error, reading the lines in order:
+    a repeated header, a line that is neither a header nor ``name > ...``,
+    a list line without a name, or a second list for one name."""
+    headers: set[str] = set()
+    listed: set[str] = set()
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("agents:"):
-            if agent_names is not None:
-                raise InstanceError(f"line {line_no}: repeated agents line")
-            agent_names = line[len("agents:"):].split()
-            continue
-        if line.startswith("jobs:"):
-            if job_names is not None:
-                raise InstanceError(f"line {line_no}: repeated jobs line")
-            job_names = line[len("jobs:"):].split()
+        if header := next(filter(line.startswith, _HEADERS), None):
+            if header in headers:
+                raise InstanceError(f"line {line_no}: repeated {header[:-1]} line")
+            headers.add(header)
             continue
         if ">" not in line:
             raise InstanceError(f"line {line_no}: expected 'name > neighbors...'")
+        name = line.partition(">")[0].strip()
         if not name:
             raise InstanceError(f"line {line_no}: missing vertex name")
-        raise InstanceError(f"line {line_no}: repeated list for {name!r}")
-
-    if agent_names is None or job_names is None:
-        raise InstanceError("missing 'agents:' or 'jobs:' line")
-    known = set(agent_names).union(job_names)
-    if not known.issuperset(pref_by_name):
-        name = next(name for name in pref_by_name if name not in known)
-        raise InstanceError(f"preference line for undeclared vertex {name!r}")
-    return Instance.build(agent_names, job_names, pref_by_name)
+        if name in listed:
+            raise InstanceError(f"line {line_no}: repeated list for {name!r}")
+        listed.add(name)
+    raise AssertionError("the one-pass parse rejected lines that pass every rule")
 
 
 def serialize_instance(inst: Instance) -> str:

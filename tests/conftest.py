@@ -151,6 +151,18 @@ PARSE_ERRORS = [
         "agents: a c\njobs: b d\na > b d\nc > b\nb > a c\nd > c c\n",
         "'d' lists 'c' more than once",
     ),
+    # A repeated list shows only once all lines are read, yet it still
+    # wins over a later malformed line, a missing header and an undeclared
+    # or repeated name.
+    (
+        "agents: a\njobs: b\na > b\na > b\nnonsense\n",
+        "line 4: repeated list for 'a'",
+    ),
+    ("agents: a\na > b\na > b\n", "line 3: repeated list for 'a'"),
+    (
+        "agents: a a\njobs: b\nz > b\nz > b\n",
+        "line 4: repeated list for 'z'",
+    ),
 ]
 
 # ``popmatch verify`` input errors on size_gap's matching files, by test id:

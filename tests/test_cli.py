@@ -401,3 +401,31 @@ def test_directory_matching_exit_one(files, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
 
+
+def latin1_file(tmp_path, name: str, text: str) -> tuple[str, str]:
+    """A file holding text in Latin-1, and the error that decoding it as
+    UTF-8 raises."""
+    path = tmp_path / name
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(UnicodeDecodeError) as err:
+        path.read_bytes().decode("utf-8")
+    return str(path), str(err.value)
+
+
+def test_non_utf8_instance_exit_one(tmp_path, capsys):
+    path, error = latin1_file(tmp_path, "gap.txt", SIZE_GAP_TEXT.replace("a1", "\xe91"))
+    assert main(["solve", path]) == 1
+    captured = capsys.readouterr()
+    assert error.startswith("'utf-8' codec can't decode byte 0xe9")
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+
+
+def test_non_utf8_matching_exit_one(files, tmp_path, capsys):
+    inst_path = files("gap.txt", SIZE_GAP_TEXT)
+    mat_path, error = latin1_file(tmp_path, "bad.txt", "a0 b1\n# caf\xe9\n")
+    assert main(["verify", inst_path, "--matching", mat_path]) == 1
+    captured = capsys.readouterr()
+    assert error.startswith("'utf-8' codec can't decode byte 0xe9")
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""

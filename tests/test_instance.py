@@ -279,12 +279,30 @@ class TestParseErrors:
 
     def test_valid_input_never_scans(self, monkeypatch):
         def scan(*args):
-            raise AssertionError("the per-name scan ran on valid input")
+            raise AssertionError("a scan for an error message ran on valid input")
 
         monkeypatch.setattr(instance_module, "_raise_list_error", scan)
+        monkeypatch.setattr(instance_module, "_raise_line_error", scan)
         for seed in range(200):
             random_instance(seed, max_side=6)
         parse_instance(SHOWCASE_TEXT)
+        lines = SHOWCASE_TEXT.splitlines()
+        texts = [
+            "# lists\n\n  \n" + "\n# note > x\n\t\n".join(lines) + "\n\n",
+            "\r\n".join(lines) + "\r\n",
+            "\x85".join(lines),
+            "\n".join(lines[3:] + lines[:3]),
+            "agents: a\njobs: b\na> b\nb >a\n",
+            "agents: a\njobs: b\na>b\n  b  >  a  \n",
+            # A job named '>': the jobs line is a header, not a list.
+            "agents: a\njobs: b >\na > b\nb > a\n",
+        ]
+        for text in texts:
+            inst = parse_instance(text)
+            assert (inst.names, inst.num_agents, inst.pref) == parse_reference(
+                text
+            ), text
+        assert inst.names == ("a", "b", ">")
 
     def test_build_ignores_lists_of_undeclared_names(self):
         lists = {"a": ["b"], "b": ["a"]}
@@ -296,6 +314,11 @@ class TestParseErrors:
             instance_module._raise_list_error(
                 ["a", "b"], 1, {"a": ["b"], "b": ["a"]}
             )
+
+    def test_line_scan_that_finds_nothing_is_a_defect(self):
+        lines = ["agents: a", "# note", "", "jobs: b", "a > b", "b > a"]
+        with pytest.raises(AssertionError, match="one-pass parse"):
+            instance_module._raise_line_error(lines)
 
 
 def layout_cases(showcase):

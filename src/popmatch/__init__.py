@@ -8,7 +8,6 @@ from .instance import (
     format_matching,
     parse_instance,
     parse_matching,
-    run_election,
 )
 from .popularity import (
     PopularityVerdict,
@@ -18,7 +17,7 @@ from .popularity import (
 )
 from .legality import EdgeClassification, legal_edge_set
 from .solver import SolveReport, SolverDefect, solve
-from .oracle import OracleCapError, OracleReport, ground_truth
+from .oracle import OracleCapError, OracleReport, ground_truth, run_election
 from .generator import generate
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""Bipartite preference instances, matchings, posts, and pairwise elections.
+"""Bipartite preference instances, matchings, and posts.
 
 An instance is a bipartite graph whose two sides are called *agents* and
 *jobs*.  Every vertex ranks its genuine neighbors strictly and implicitly
@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter, not_
 from typing import NoReturn
@@ -31,20 +30,17 @@ class Instance:
     """A two-sided preference system with dense integer vertex ids.
 
     Agents occupy ids ``0 .. num_agents-1`` and jobs occupy
-    ``num_agents .. n-1``.  ``pref[u]`` lists u's genuine neighbors in
-    strictly decreasing preference; u itself always ranks
-    ``len(pref[u])``, one worse than every genuine neighbor.
+    ``num_agents .. n-1``.  Every vertex ranks its genuine neighbors
+    strictly, from 0, and itself at its list length, one worse than every
+    genuine neighbor.  ``layout`` holds every list as per-edge arrays; it
+    is the instance's one form of its lists, and solving, verification and
+    the oracle read only it.  ``ids`` maps each name to its id; it is the
+    dict that :meth:`build` interns the names with, kept for
+    :func:`parse_matching`.  Equality, hashing and the repr read the other
+    fields alone.
 
     Instances are immutable after construction and safe to share across
-    threads; all operations on them are pure.  ``layout`` is the only
-    per-edge data built with the instance, and solving and verification
-    read only it.  ``pref``, ``rank_tbl[u]`` (each neighbor's position in
-    ``pref[u]``) and ``edges`` serve the per-vertex and per-pair accessors
-    (``rank_of``, ``has_edge``) of the oracle, elections and
-    serialization; they are derived from the layout on first use and then
-    kept.  ``ids`` maps each name to its id; it is the dict that
-    :meth:`build` interns the names with, kept for :func:`parse_matching`.
-    Equality, hashing and the repr read the other fields alone.
+    threads; all operations on them are pure.
     """
 
     names: tuple[str, ...]
@@ -63,42 +59,6 @@ class Instance:
     @property
     def num_jobs(self) -> int:
         return self.n - self.num_agents
-
-    @cached_property
-    def pref(self) -> tuple[tuple[int, ...], ...]:
-        """Agents' rows from their edge ranges, jobs' from ``job_edges``."""
-        lay, na = self.layout, self.num_agents
-        agent_rows = _split(na + lay.job_of, lay.starts)
-        job_rows = _split(lay.agent_of[lay.job_edges], lay.job_starts)
-        return agent_rows + job_rows
-
-    @cached_property
-    def rank_tbl(self) -> tuple[dict[int, int], ...]:
-        return tuple(dict(zip(row, range(len(row)))) for row in self.pref)
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Every edge as ``(agent, job)``; edge k is ``edges[k]``."""
-        lay, na = self.layout, self.num_agents
-        return tuple(zip(lay.agent_of.tolist(), (na + lay.job_of).tolist()))
-
-    def is_agent(self, u: int) -> bool:
-        return u < self.num_agents
-
-    def agent_ids(self) -> range:
-        return range(self.num_agents)
-
-    def job_ids(self) -> range:
-        return range(self.num_agents, self.n)
-
-    def rank_of(self, u: int, v: int) -> int:
-        """Position of v in u's list; u's own (worst) slot if v == u."""
-        if v == u:
-            return len(self.pref[u])
-        return self.rank_tbl[u][v]
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return b in self.rank_tbl[a]
 
     @staticmethod
     def build(
@@ -186,16 +146,15 @@ class EdgeLayout(_ArrayFields):
 
     Built with the instance, from the same flat arrays that validate its
     lists; every field is a read-only array that owns its data.  Agent a's
-    edges run from ``starts[a]`` to ``starts[a + 1] - 1``
-    in a's preference order, so edge (a, b) has id
-    ``starts[a] + pref[a].index(b)``.  Jobs are numbered by
-    index, job j being vertex ``num_agents + j``.  ``agent_of[k]`` and
-    ``job_of[k]`` are the endpoints of edge k; ``agent_rank[k]`` is the
-    job's position in the agent's list and ``job_rank[k]`` the agent's
-    position in the job's list.  ``job_edges`` holds every edge id in job
-    order: job j's edges, in j's preference order, run from
-    ``job_starts[j]`` to ``job_starts[j + 1] - 1``.  Layouts are equal
-    when their arrays are, and hash by the arrays' bytes.
+    edges run from ``starts[a]`` to ``starts[a + 1] - 1`` in a's preference
+    order, so the edge to a's i-th choice has id ``starts[a] + i``.  Jobs
+    are numbered by index, job j being vertex ``num_agents + j``.
+    ``agent_of[k]`` and ``job_of[k]`` are the endpoints of edge k;
+    ``agent_rank[k]`` is the job's position in the agent's list and
+    ``job_rank[k]`` the agent's position in the job's list.  ``job_edges``
+    holds every edge id in job order: job j's edges, in j's preference
+    order, run from ``job_starts[j]`` to ``job_starts[j + 1] - 1``.
+    Layouts are equal when their arrays are, and hash by the arrays' bytes.
     """
 
     starts: np.ndarray
@@ -253,13 +212,6 @@ def _bulk_layout(src, dst, deg, na: int) -> EdgeLayout | None:
     for x in arrays:
         x.flags.writeable = False
     return EdgeLayout(*arrays)
-
-
-def _split(flat: np.ndarray, bounds: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """The int array ``flat`` cut into the runs between consecutive
-    ``bounds``, as tuples."""
-    flat, bounds = tuple(flat.tolist()), bounds.tolist()
-    return tuple([flat[s:e] for s, e in zip(bounds, bounds[1:])])
 
 
 def _raise_list_error(
@@ -500,19 +452,6 @@ def _raise_line_error(lines: list[str]) -> NoReturn:
     raise AssertionError("the one-pass parse rejected lines that pass every rule")
 
 
-def serialize_instance(inst: Instance) -> str:
-    """Render an instance back into the parseable text format."""
-    lines = [
-        "agents: " + " ".join(inst.names[: inst.num_agents]),
-        "jobs: " + " ".join(inst.names[inst.num_agents:]),
-    ]
-    for u in range(inst.n):
-        lines.append(
-            f"{inst.names[u]} > " + " ".join(inst.names[v] for v in inst.pref[u])
-        )
-    return "\n".join(lines) + "\n"
-
-
 def parse_matching(text: str, inst: Instance) -> Matching:
     """Parse an ``agent job`` pair-per-line file; omitted vertices are self-matched.
 
@@ -575,29 +514,3 @@ def compute_posts(inst: Instance) -> Posts:
     s[has] = na + lay.job_of[first[has]]
     f.flags.writeable = s.flags.writeable = False
     return Posts(f, s)
-
-
-def run_election(
-    inst: Instance, first: Matching, second: Matching
-) -> tuple[int, int, int, int]:
-    """Head-to-head election between two matchings.
-
-    Returns ``(phi_first, phi_second, phiA_first, phiA_second)``: total votes
-    for each matching over all vertices, then over agents only.  Vertices
-    with the same partner in both matchings abstain.
-    """
-    phi_first = phi_second = phi_a_first = phi_a_second = 0
-    firsts, seconds = first.partner.tolist(), second.partner.tolist()
-    for u, (pu, qu) in enumerate(zip(firsts, seconds)):
-        if pu == qu:
-            continue
-        ballot = 1 if inst.rank_of(u, pu) < inst.rank_of(u, qu) else -1
-        if ballot > 0:
-            phi_first += 1
-            if inst.is_agent(u):
-                phi_a_first += 1
-        else:
-            phi_second += 1
-            if inst.is_agent(u):
-                phi_a_second += 1
-    return phi_first, phi_second, phi_a_first, phi_a_second

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, compress
 from operator import sub
 
 import numpy as np
@@ -217,6 +217,38 @@ def ids(inst, *names):
     return tuple(id_of(inst, name) for name in names)
 
 
+def vertex_lists(inst) -> tuple[tuple[int, ...], ...]:
+    """Every vertex's list of neighbor ids in preference order, read off the
+    edge layout: each agent's edge range, then each job's run of
+    ``job_edges``."""
+    lay, na = inst.layout, inst.num_agents
+    jobs = (na + lay.job_of).tolist()
+    agents = lay.agent_of[lay.job_edges].tolist()
+    runs = [(jobs, lay.starts.tolist()), (agents, lay.job_starts.tolist())]
+    return tuple(
+        tuple(flat[s:e]) for flat, bounds in runs
+        for s, e in zip(bounds, bounds[1:])
+    )
+
+
+def edge_pairs(inst) -> list[tuple[int, int]]:
+    """Every edge as ``(agent, job)`` vertex ids, in edge-id order."""
+    lay = inst.layout
+    jobs = inst.num_agents + lay.job_of
+    return list(zip(lay.agent_of.tolist(), jobs.tolist()))
+
+
+def serialize_instance(inst) -> str:
+    """Render an instance back into the parseable text format."""
+    names, na = inst.names, inst.num_agents
+    lines = ["agents: " + " ".join(names[:na]), "jobs: " + " ".join(names[na:])]
+    lines += [
+        f"{names[u]} > " + " ".join(names[v] for v in row)
+        for u, row in enumerate(vertex_lists(inst))
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def plain_edges(inst):
     """The plain agent-proposing system's six arguments, from the layout."""
     lay = inst.layout
@@ -305,7 +337,7 @@ def random_instance(seed: int, max_side: int = 4):
 def random_matching(rng, inst) -> Matching:
     """A random matching: each edge, in shuffled order, joins with
     probability 0.7 while both its ends are free."""
-    edges = list(inst.edges)
+    edges = edge_pairs(inst)
     rng.shuffle(edges)
     taken: set[int] = set()
     pairs = []
@@ -433,17 +465,14 @@ def two_level_reference(inst):
     id n + num_agents + a.  Returns the instance and the number of original
     agents (which is also the id offset of the low copies).
     """
-    na, names = inst.num_agents, inst.names
-    agents = inst.agent_ids()
+    na, names, lists = inst.num_agents, inst.names, vertex_lists(inst)
+    agents = range(na)
     rest = inst.n + na
-    jobs_of = [tuple(b + na for b in inst.pref[a]) for a in agents]
+    jobs_of = [tuple(b + na for b in lists[a]) for a in agents]
     pref = (
         [(rest + a,) + jobs_of[a] for a in agents]
         + [jobs_of[a] + (rest + a,) for a in agents]
-        + [
-            inst.pref[b] + tuple(na + a for a in inst.pref[b])
-            for b in inst.job_ids()
-        ]
+        + [row + tuple(na + a for a in row) for row in lists[na:]]
         + [(na + a, a) for a in agents]
     )
     aux_names = (
@@ -482,23 +511,36 @@ def stable_vertices(inst) -> frozenset[int]:
     return frozenset(u for u in range(inst.n) if not mat.is_self(u))
 
 
+def blocking_mask(inst, partners: np.ndarray) -> np.ndarray:
+    """Which edges block each row of the k×n partner array ``partners``, as
+    a k×m bool array in edge-id order.
+
+    Whole-array passes over the layout: every vertex ranks its partner at
+    n, below its whole list, except at the two ends of a matched edge, and
+    an edge blocks when both ends rank it above their partners.
+    """
+    lay = inst.layout
+    jobs = inst.num_agents + lay.job_of
+    own = np.full(partners.shape, inst.n)
+    i, k = np.nonzero(partners[:, lay.agent_of] == jobs)
+    own[i, lay.agent_of[k]] = lay.agent_rank[k]
+    own[i, jobs[k]] = lay.job_rank[k]
+    return (lay.agent_rank < own[:, lay.agent_of]) & (
+        lay.job_rank < own[:, jobs]
+    )
+
+
 def blocking_edges(inst, mat: Matching) -> frozenset[tuple[int, int]]:
-    """All edges whose endpoints both strictly prefer each other to their partners."""
-    blockers, partner = [], mat.partner.tolist()
-    for a, b in inst.edges:
-        if partner[a] == b:
-            continue
-        if inst.rank_of(a, b) < inst.rank_of(a, partner[a]) and inst.rank_of(
-            b, a
-        ) < inst.rank_of(b, partner[b]):
-            blockers.append((a, b))
-    return frozenset(blockers)
+    """All edges whose endpoints both strictly prefer each other to their
+    partners, as ``(agent, job)`` pairs."""
+    hit = blocking_mask(inst, mat.partner[None])[0]
+    return frozenset(compress(edge_pairs(inst), hit.tolist()))
 
 
 def pair_families(inst):
     """``(stable, dominant)``: the ``(agent, job)`` keys of the edges in some
     stable and in some dominant matching, from the two rotation walks."""
-    edges, m = inst.edges, inst.m
+    edges, m = edge_pairs(inst), inst.m
     stable = rotation_walk(*plain_edges(inst))
     dom = rotation_walk(*two_level_edges(inst))
     return (
@@ -521,10 +563,11 @@ def classification_reference(inst):
     posts = compute_posts(inst)
     f, s = posts.f.tolist(), posts.s.tolist()
     valid = set()
-    for a in inst.agent_ids():
+    for a in range(inst.num_agents):
         valid.add((a, f[a]))
         valid.add((a, s[a]) if s[a] != a else (a, a))
-    valid = frozenset(valid).union((b, b) for b in inst.job_ids() if b not in f)
+    jobs = range(inst.num_agents, inst.n)
+    valid = frozenset(valid).union((b, b) for b in jobs if b not in f)
     stable, dominant = pair_families(inst)
     covered = set(chain.from_iterable(stable))
     loops = [(u, u) for u in range(inst.n) if u not in covered]
@@ -559,11 +602,11 @@ def classification_reference(inst):
 
 
 def forbidden_reference(inst, legal) -> frozenset[int]:
-    """The mirror graph's forbidden ids for a legal key set, via ``rank_tbl``."""
-    m, starts = inst.m, inst.layout.starts.tolist()
+    """The mirror graph's forbidden ids for a legal key set, via ``edge_id``."""
+    m = inst.m
     keep = [False] * (m + inst.n)
     for a, b in legal:
-        keep[m + a if a == b else starts[a] + inst.rank_tbl[a][b]] = True
+        keep[m + a if a == b else edge_id(inst, a, b)] = True
     forbidden = [e for k in range(m) if not keep[k] for e in range(4 * k, 4 * k + 4)]
     forbidden += [4 * m + u for u in range(inst.n) if not keep[m + u]]
     return frozenset(forbidden)
@@ -577,12 +620,13 @@ def project_two_level(inst, aux_pairs, na):
 
 
 def layout_reference(inst) -> EdgeLayout:
-    """The edge layout built edge by edge from ``pref``, in O(m).
+    """The edge layout built edge by edge from the per-vertex lists, in O(m).
 
-    ``pref`` is derived from the layout itself, so callers check it against
-    :func:`eager_views` (or the per-name parser) too.
+    The lists are read off the layout itself (:func:`vertex_lists`), so
+    callers check them against :func:`eager_views` (or the per-name parser)
+    too.
     """
-    na, pref = inst.num_agents, inst.pref
+    na, pref = inst.num_agents, vertex_lists(inst)
     rank_tbl = [{v: i for i, v in enumerate(row)} for row in pref]
     starts = [0]
     agent_of: list[int] = []
@@ -644,7 +688,7 @@ def eager_views(text: str):
     the flat arrays of the parse, sorted by owner and cut into per-vertex
     tuples, and job-side entries paired with edge ids through the argsorts
     of the ``(agent, job)`` keys of both sides.  It is the reference for
-    the views that are now derived from the edge layout on first use.
+    the lists and job runs read off the edge layout.
     """
     agent_names: list[str] = []
     job_names: list[str] = []
@@ -858,9 +902,9 @@ def verify_reference(inst: Instance, mat: Matching):
         return PopularityVerdict(False, margin, None, best), cascade
 
     witness = [0] * inst.n
-    for a in inst.agent_ids():
+    for a in range(p):
         witness[a] = y_row[a] + loop_wt[a]
-    for b in inst.job_ids():
+    for b in range(p, inst.n):
         witness[b] = y_col[b - p] + loop_wt[b]
     return PopularityVerdict(True, 0, tuple(witness), None), cascade
 
@@ -999,7 +1043,7 @@ def project_reference(mh) -> tuple[Matching, Matching]:
         e = mh.left_edge[u]
         if e == -1 or mirror.is_twin(e):
             continue
-        partner = upper if inst.is_agent(u) else lower
+        partner = upper if u < inst.num_agents else lower
         v = edge_right[e]
         partner[u] = v
         partner[v] = u
@@ -1097,7 +1141,7 @@ def uses_forbidden_reference(mh) -> bool:
 def a_popular_reference(inst, posts, mat: Matching) -> bool:
     """``popularity.check_a_popular`` one agent and one top job at a time."""
     f, s, partner = posts.f.tolist(), posts.s.tolist(), mat.partner.tolist()
-    for a in inst.agent_ids():
+    for a in range(inst.num_agents):
         p = partner[a]
         if p == a:
             if s[a] != a:
@@ -1260,7 +1304,7 @@ def iterated_forbid_reference(inst) -> dict:
         component = classification.components[
             classification.component_id[trigger]
         ]
-        agents = {u for u in component if inst.is_agent(u)}
+        agents = {u for u in component if u < inst.num_agents}
         newly = {
             e for e in range(4 * inst.m)
             if mirror.left_tag(e) == 1

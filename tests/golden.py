@@ -72,7 +72,9 @@ def greedy_matching_text(text: str, seed: str) -> str:
     """A maximal matching file: shuffled edges, each taken while both ends
     are free."""
     inst = parse_instance(text)
-    edges = list(inst.edges)
+    lay = inst.layout
+    jobs = inst.num_agents + lay.job_of
+    edges = list(zip(lay.agent_of.tolist(), jobs.tolist()))
     random.Random(seed).shuffle(edges)
     free = [True] * inst.n
     lines = []

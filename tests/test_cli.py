@@ -12,7 +12,7 @@ import popmatch.cli as cli
 import popmatch.solver as solver
 from popmatch.cli import build_parser, main
 from popmatch.generator import generate
-from popmatch.instance import parse_instance, serialize_instance
+from popmatch.instance import parse_instance
 from popmatch.mirror import mirror_system
 from popmatch.oracle import ground_truth
 from popmatch.solver import SolverDefect
@@ -23,6 +23,7 @@ from conftest import (
     PARSE_ERRORS,
     SHOWCASE_TEXT,
     SIZE_GAP_TEXT,
+    serialize_instance,
 )
 
 
@@ -369,7 +370,7 @@ def test_generate_round_trip(tmp_path):
     text = generate(4, 4, 0.5, seed=1)
     inst = parse_instance(text)
     again = parse_instance(serialize_instance(inst))
-    assert again.pref == inst.pref
+    assert again == inst
 
 
 def test_generate_rejects_bad_density():

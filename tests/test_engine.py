@@ -1,6 +1,7 @@
 """Engine behavior: stability, forbidden edges, pair queries."""
 
 import random
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from popmatch.popularity import a_popular_obstruction
 
 from conftest import (
     blocking_edges,
+    blocking_mask,
     composed_text,
     edge_id,
+    edge_pairs,
     forbid,
     id_of,
     ids,
@@ -36,23 +39,23 @@ from conftest import (
     stable_matching,
     stable_vertices,
     swap_sides,
+    vertex_lists,
 )
 from golden import inputs as golden_inputs
 
 
 def reference_lists(inst, kind):
-    """Each left vertex's ranked edge ids as a list of its own, from ``pref``.
+    """Each left vertex's ranked edge ids as a list of its own, from the
+    per-vertex lists.
 
     ``kind`` names the system: the plain ``agents`` or ``jobs`` one, the
     two-level ``two_level_agents`` or ``two_level_jobs`` one, or the
     ``mirror`` one.  Ids follow each system's numbering.
     """
-    na, m = inst.num_agents, inst.m
-    agent_rows = [
-        [edge_id(inst, a, b) for b in inst.pref[a]] for a in inst.agent_ids()
-    ]
+    na, m, lists = inst.num_agents, inst.m, vertex_lists(inst)
+    agent_rows = [[edge_id(inst, a, b) for b in lists[a]] for a in range(na)]
     job_rows = [
-        [edge_id(inst, a, b) for a in inst.pref[b]] for b in inst.job_ids()
+        [edge_id(inst, a, b) for a in lists[b]] for b in range(na, inst.n)
     ]
     if kind == "agents":
         return agent_rows
@@ -65,7 +68,7 @@ def reference_lists(inst, kind):
         ]
     if kind == "two_level_jobs":
         return [[*row, *(m + k for k in row)] for row in job_rows] + [
-            [2 * m + na + a, 2 * m + a] for a in inst.agent_ids()
+            [2 * m + na + a, 2 * m + a] for a in range(na)
         ]
     return [
         [*(4 * k for k in row), *(4 * k + 1 for k in row), 4 * m + a]
@@ -642,14 +645,15 @@ class TestStableQueries:
         # Exhaustive cross-check of the rotation walk on small instances.
         for seed in range(1000):
             inst = random_instance(seed)
+            mats = list(enumerate_matchings(inst))
+            blocked = blocking_mask(inst, np.array([m.partner for m in mats]))
             stable_sets = [
                 frozenset(m.pairs(inst))
-                for m in enumerate_matchings(inst)
-                if not blocking_edges(inst, m)
+                for m in compress(mats, ~blocked.any(axis=1))
             ]
             truth = frozenset().union(*stable_sets) if stable_sets else frozenset()
             pairs, _ = pair_families(inst)
-            for edge in inst.edges:
+            for edge in edge_pairs(inst):
                 assert (edge in pairs) == (edge in truth), (seed, edge)
 
     def test_ring_has_two_stable_pairs_per_agent(self):
@@ -658,7 +662,8 @@ class TestStableQueries:
         for n in range(2, 9):
             inst = ring_instance(n)
             pairs, _ = pair_families(inst)
-            assert len(pairs) == 2 * n and pairs == frozenset(inst.edges), n
+            assert len(pairs) == 2 * n, n
+            assert pairs == frozenset(edge_pairs(inst)), n
 
 
 class TestBlockingEdges:

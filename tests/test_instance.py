@@ -25,7 +25,6 @@ from popmatch import (
     solve,
 )
 from popmatch import instance as instance_module
-from popmatch.instance import serialize_instance
 from popmatch.generator import generate
 from popmatch.legality import legal_edge_set
 from popmatch.oracle import enumerate_matchings
@@ -46,10 +45,12 @@ from conftest import (
     random_matching,
     random_text,
     ring_text,
+    serialize_instance,
     showcase_full,
     size_gap_max,
     size_gap_stable,
     two_level_reference,
+    vertex_lists,
 )
 
 
@@ -65,7 +66,7 @@ class TestParsing:
 
     def test_preference_order_preserved(self, size_gap):
         a1, b0, b1 = ids(size_gap, "a1", "b0", "b1")
-        assert size_gap.pref[a1] == (b1, b0)
+        assert vertex_lists(size_gap)[a1] == (b1, b0)
 
     def test_asymmetric_adjacency_rejected(self):
         text = "agents: a\njobs: b c\na > b c\nb > a\nc >\n"
@@ -98,13 +99,13 @@ class TestParsing:
 
     def test_comments_and_blank_lines_ignored(self, size_gap):
         text = "# c\n\nagents: a0 a1\njobs: b0 b1\na0 > b1\na1 > b1 b0\nb0 > a1\nb1 > a1 a0\n"
-        assert parse_instance(text).pref == size_gap.pref
+        assert parse_instance(text) == size_gap
 
     def test_serialize_round_trip(self, size_gap, showcase):
         for inst in (size_gap, showcase):
             again = parse_instance(serialize_instance(inst))
             assert again.names == inst.names
-            assert again.pref == inst.pref
+            assert vertex_lists(again) == vertex_lists(inst)
 
     def test_jobs_only_instance_allowed(self):
         inst = parse_instance("agents:\njobs: b0 b1\n")
@@ -268,9 +269,10 @@ class TestParseErrors:
                 outcomes[error_kind(str(err))] += 1
                 continue
             inst = parse_instance(text)
-            assert (inst.names, inst.num_agents, inst.pref) == want, text
+            lists = vertex_lists(inst)
+            assert (inst.names, inst.num_agents, lists) == want, text
             assert inst.layout == layout_reference(inst), text
-            assert (inst.pref, incoming_of(inst.layout)) == eager_views(text), text
+            assert (lists, incoming_of(inst.layout)) == eager_views(text), text
             outcomes["valid"] += 1
         # Both outcomes are common, and every message of the table occurs.
         assert outcomes["valid"] >= 300
@@ -299,9 +301,8 @@ class TestParseErrors:
         ]
         for text in texts:
             inst = parse_instance(text)
-            assert (inst.names, inst.num_agents, inst.pref) == parse_reference(
-                text
-            ), text
+            got = (inst.names, inst.num_agents, vertex_lists(inst))
+            assert got == parse_reference(text), text
         assert inst.names == ("a", "b", ">")
 
     def test_build_ignores_lists_of_undeclared_names(self):
@@ -386,21 +387,13 @@ class TestLayout:
                     assert array.dtype == np.intp, name
         assert found >= 50
 
-    def test_derived_tables_equal_constructions(self, showcase):
-        for inst in layout_cases(showcase):
-            assert inst.rank_tbl == tuple(
-                {v: i for i, v in enumerate(row)} for row in inst.pref
-            )
-            assert inst.edges == tuple(
-                (a, b) for a in inst.agent_ids() for b in inst.pref[a]
-            )
-
     def test_shuffled_declarations_keep_lists(self):
         text = composed_text(5)
         inst = parse_instance(text)
         again = parse_instance(shuffled(text, random.Random(3)))
         named = lambda x: {
-            x.names[u]: [x.names[v] for v in x.pref[u]] for u in range(x.n)
+            x.names[u]: [x.names[v] for v in row]
+            for u, row in enumerate(vertex_lists(x))
         }
         assert named(again) == named(inst)
 
@@ -430,16 +423,15 @@ def view_texts():
 
 
 class TestDerivedViews:
-    """``pref`` comes from the flat layout on first use, and each job's
-    ``incoming`` edge run equals the eager reference."""
+    """The per-vertex lists and each job's ``incoming`` edge run, read off
+    the flat layout, equal the eager reference."""
 
     def test_equal_eager_reference(self):
         for text in view_texts():
             inst = parse_instance(text)
-            assert "pref" not in vars(inst), text
             pref, incoming = eager_views(text)
             assert incoming_of(inst.layout) == incoming, text
-            assert inst.pref == pref, text
+            assert vertex_lists(inst) == pref, text
             assert inst.layout == layout_reference(inst), text
 
     def test_equality_hash_and_pickle_read_fields_only(self):
@@ -448,12 +440,11 @@ class TestDerivedViews:
         random.Random(2).shuffle(rows)
         same_ids = "\n".join(head + rows) + "\n"
         inst, again = parse_instance(text), parse_instance(same_ids)
-        again.pref, again.rank_tbl  # derive on one only
         assert inst == again and hash(inst) == hash(again)
         for x in (inst, again):
             back = pickle.loads(pickle.dumps(x))
             assert back == inst and hash(back) == hash(inst)
-            assert back.pref == inst.pref and back.ids == inst.ids
+            assert vars(back) == vars(x) and back.ids == inst.ids
             assert incoming_of(back.layout) == incoming_of(inst.layout)
         # The name-to-id dict that parsing keeps is read by neither.
         assert inst.ids == {name: u for u, name in enumerate(inst.names)}
@@ -467,7 +458,8 @@ class TestDerivedViews:
             text.replace("b0_3 > a2_3 a0_3", "b0_3 > a0_3 a2_3")
         )
         na = inst.num_agents
-        assert swapped != inst and swapped.pref[:na] == inst.pref[:na]
+        assert swapped != inst
+        assert vertex_lists(swapped)[:na] == vertex_lists(inst)[:na]
 
 
 MATCHING_MUTATIONS = (
@@ -490,9 +482,10 @@ def mutate_matching(kind: str, lines: list[str], inst, rng: random.Random) -> No
         lines.insert(spot, rng.choice(FILLERS))
         return
     if kind == "non_edge":
+        lists, na = vertex_lists(inst), inst.num_agents
         missing = [
-            (a, b) for a in inst.agent_ids() for b in inst.job_ids()
-            if not inst.has_edge(a, b)
+            (a, b) for a in range(na) for b in range(na, inst.n)
+            if b not in lists[a]
         ]
         if missing:
             a, b = rng.choice(missing)
@@ -503,7 +496,8 @@ def mutate_matching(kind: str, lines: list[str], inst, rng: random.Random) -> No
     if kind == "twice":
         # The same line again, or its first name with another neighbor.
         u = names.index(parts[0]) if parts[0] in names else 0
-        other = rng.choice(inst.pref[u]) if inst.pref[u] else u
+        row = vertex_lists(inst)[u]
+        other = rng.choice(row) if row else u
         again = rng.choice((lines[i], f"{parts[0]} {names[other]}"))
         lines.insert(spot, again)
         return
@@ -662,8 +656,9 @@ class TestPosts:
     def test_showcase_posts(self, showcase):
         posts = compute_posts(showcase)
         name = showcase.names
-        f = {name[a]: name[posts.f[a]] for a in showcase.agent_ids()}
-        s = {name[a]: name[posts.s[a]] for a in showcase.agent_ids()}
+        agents = range(showcase.num_agents)
+        f = {name[a]: name[posts.f[a]] for a in agents}
+        s = {name[a]: name[posts.s[a]] for a in agents}
         assert f == {"a": "b", "ap": "b", "p": "q", "pp": "q", "x": "y", "xp": "y"}
         assert s == {
             "a": "qp",
@@ -684,11 +679,12 @@ class TestPosts:
         # top choice, or a itself.
         for inst in layout_cases(showcase):
             posts = compute_posts(inst)
-            f = [inst.pref[a][0] for a in inst.agent_ids()]
+            lists = vertex_lists(inst)[:inst.num_agents]
+            f = [row[0] for row in lists]
             tops = set(f)
             s = [
-                next((b for b in inst.pref[a] if b not in tops), a)
-                for a in inst.agent_ids()
+                next((b for b in row if b not in tops), a)
+                for a, row in enumerate(lists)
             ]
             assert posts.f.tolist() == f and posts.s.tolist() == s
 
@@ -696,7 +692,7 @@ class TestPosts:
         for seed in range(40):
             inst = random_instance(seed)
             posts = compute_posts(inst)
-            assert all(not inst.is_agent(b) for b in posts.f.tolist())
+            assert all(b >= inst.num_agents for b in posts.f.tolist())
             again = compute_posts(inst)  # deterministic
             assert np.array_equal(again.f, posts.f)
             assert np.array_equal(again.s, posts.s)
@@ -733,6 +729,32 @@ class TestElections:
         f1, s1, fa1, sa1 = run_election(inst, first, second)
         f2, s2, fa2, sa2 = run_election(inst, second, first)
         assert (f1, s1, fa1, sa1) == (s2, f2, sa2, fa2)
+
+    def test_equals_per_vertex_ballots(self):
+        # The whole-array count against the definition read vertex by
+        # vertex, on enumerated matchings of small instances and on random
+        # matchings of instances past the oracle's caps.
+        rng = random.Random(5)
+        cases = [
+            (inst, list(enumerate_matchings(inst)))
+            for inst in map(random_instance, range(100))
+        ]
+        for seed in range(5):
+            inst = parse_instance(generate(80, 60, 4 / 60, seed))
+            cases.append((inst, [random_matching(rng, inst) for _ in range(6)]))
+        for inst, mats in cases:
+            lists = vertex_lists(inst)
+            for _ in range(20):
+                first, second = rng.choice(mats), rng.choice(mats)
+                want = [0, 0, 0, 0]
+                pairs = zip(first.partner.tolist(), second.partner.tolist())
+                for u, (p, q) in enumerate(pairs):
+                    if p != q:
+                        row = lists[u] + (u,)  # alone ranks last
+                        vote = 0 if row.index(p) < row.index(q) else 1
+                        want[vote] += 1
+                        want[2 + vote] += u < inst.num_agents
+                assert run_election(inst, first, second) == tuple(want)
 
     def test_each_vertex_votes_at_most_once(self, size_gap):
         mats = list(enumerate_matchings(size_gap))

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from itertools import compress
 
 import numpy as np
 
@@ -14,9 +15,10 @@ from popmatch.mirror import MirrorGraph
 from popmatch.oracle import enumerate_matchings, ground_truth
 
 from conftest import (
-    blocking_edges,
+    blocking_mask,
     classification_reference,
     composed_text,
+    edge_pairs,
     forbidden_reference,
     id_of,
     ids,
@@ -28,6 +30,7 @@ from conftest import (
     ring_instance,
     swap_sides,
     two_level_reference,
+    vertex_lists,
 )
 
 
@@ -61,7 +64,7 @@ class TestValidEdges:
         for seed in range(60):
             inst = random_instance(seed)
             valid = legal_edge_set(inst).valid
-            for a in inst.agent_ids():
+            for a in range(inst.num_agents):
                 incident = [k for k in valid if k[0] == a]
                 assert len(incident) == 2
 
@@ -111,32 +114,32 @@ class TestPairFamilies:
         assert aux.num_agents == 2 * na
         assert aux.m == 2 * size_gap.m + 2 * na
         # High copies rank the last resort first; low copies rank it last.
-        hi0 = aux.pref[0]
-        lo0 = aux.pref[na]
+        hi0 = vertex_lists(aux)[0]
+        lo0 = vertex_lists(aux)[na]
         assert hi0[0] == lo0[-1]
 
     def test_two_level_instance_equals_named_build(self, showcase):
         # Reference: the two-level instance spelled out by name and passed
         # through the validating constructor.
         for inst in [showcase] + [random_instance(seed) for seed in range(60)]:
-            name = inst.names
+            name, lists, na = inst.names, vertex_lists(inst), inst.num_agents
+            agents, job_ids = range(na), range(na, inst.n)
             pref = {}
-            for a in inst.agent_ids():
-                jobs = [name[b] for b in inst.pref[a]]
+            for a in agents:
+                jobs = [name[b] for b in lists[a]]
                 rest = f"{name[a]}^rest"
                 pref[f"{name[a]}^hi"] = [rest] + jobs
                 pref[f"{name[a]}^lo"] = jobs + [rest]
                 pref[rest] = [f"{name[a]}^lo", f"{name[a]}^hi"]
-            for b in inst.job_ids():
-                order = [name[a] for a in inst.pref[b]]
+            for b in job_ids:
+                order = [name[a] for a in lists[b]]
                 pref[name[b]] = [f"{x}^hi" for x in order] + [
                     f"{x}^lo" for x in order
                 ]
-            agents = list(inst.agent_ids())
             want = Instance.build(
                 [f"{name[a]}^hi" for a in agents]
                 + [f"{name[a]}^lo" for a in agents],
-                [name[b] for b in inst.job_ids()]
+                [name[b] for b in job_ids]
                 + [f"{name[a]}^rest" for a in agents],
                 pref,
             )
@@ -144,9 +147,7 @@ class TestPairFamilies:
             assert na == inst.num_agents
             assert aux.names == want.names
             assert aux.num_agents == want.num_agents
-            assert aux.pref == want.pref
-            assert aux.rank_tbl == want.rank_tbl
-            assert aux.edges == want.edges
+            assert aux.layout == want.layout
 
     def test_dominant_pairs_are_two_level_stable_pairs(self):
         # Reference: the union of the two-level instance's stable matchings,
@@ -156,11 +157,12 @@ class TestPairFamilies:
             aux, na = two_level_reference(inst)
             assert aux.n <= 16
             truth = set()
-            for mat in enumerate_matchings(aux):
-                if not blocking_edges(aux, mat):
-                    truth |= project_two_level(inst, mat.pairs(aux), na)
+            mats = list(enumerate_matchings(aux))
+            blocked = blocking_mask(aux, np.array([m.partner for m in mats]))
+            for mat in compress(mats, ~blocked.any(axis=1)):
+                truth |= project_two_level(inst, mat.pairs(aux), na)
             _, dominant = pair_families(inst)
-            for edge in inst.edges:
+            for edge in edge_pairs(inst):
                 assert (edge in dominant) == (edge in truth), (seed, edge)
 
     def test_two_level_systems_equal_reference_systems(self, showcase):
@@ -322,4 +324,4 @@ class TestLegalEdgeSet:
         assert given.components == own.components
         alone = Posts(posts.f, np.arange(size_gap.num_agents))
         valid = legal_edge_set(size_gap, posts=alone).valid
-        assert {(a, a) for a in size_gap.agent_ids()} <= valid
+        assert {(a, a) for a in range(size_gap.num_agents)} <= valid

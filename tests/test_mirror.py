@@ -34,6 +34,7 @@ from conftest import (
     a_popular_reference,
     composed_text,
     edge_id,
+    edge_pairs,
     forbidden_reference,
     id_of,
     ids,
@@ -127,7 +128,7 @@ class TestBuild:
         # signed copy of every edge into it is forbidden.
         mirror = make_mirror(identical_prefs)
         b3 = id_of(identical_prefs, "b3")
-        for k, (a, b) in enumerate(identical_prefs.edges):
+        for k, (a, b) in enumerate(edge_pairs(identical_prefs)):
             if b == b3:
                 for off in range(4):
                     assert is_forbidden(mirror, 4 * k + off)
@@ -432,7 +433,7 @@ class TestPartition:
             for u in range(inst.n):
                 if state.marks[u]:
                     continue
-                if inst.is_agent(u):
+                if u < inst.num_agents:
                     assert upper[u] != -1 or lower[u] == -1
                     assert lower[u] != 1 or upper[u] == 1
                 else:

@@ -27,6 +27,7 @@ from popmatch.popularity import a_popular_obstruction
 from conftest import (
     assignment_reference,
     composed_text,
+    edge_pairs,
     id_of,
     ids,
     match_of,
@@ -67,6 +68,17 @@ class TestEdgeWeight:
         a0, b0 = ids(size_gap, "a0", "b0")
         with pytest.raises(InstanceError):
             edge_weight(size_gap, size_gap_stable(size_gap), (a0, b0))
+
+    def test_ids_out_of_range_rejected(self):
+        # Negative ids and ids past n - 1, at either end and as a loop.
+        inst = parse_instance(
+            "agents: a0 a1\njobs: b0 b1\n"
+            "a0 > b0 b1\na1 > b0\nb0 > a1 a0\nb1 > a0\n"
+        )
+        mat = match_of(inst, ("a0", "b1"), ("a1", "b0"))
+        for pair in ((-1, 0), (0, -1), (0, 9), (9, 0), (-5, -5)):
+            with pytest.raises(InstanceError, match=r"outside 0\.\.3$"):
+                edge_weight(inst, mat, pair)
 
 
 class TestWtTotal:
@@ -275,7 +287,7 @@ class TestAgainstNetworkx:
             side = 40 + seed
             text = generate(side, side + seed % 3, (2 + seed % 4) / side, seed)
             inst = parse_instance(text)
-            edges = list(inst.edges)
+            edges = edge_pairs(inst)
             rng.shuffle(edges)
             taken: set[int] = set()
             pairs = []
@@ -286,7 +298,7 @@ class TestAgainstNetworkx:
             for mat in (stable_matching(inst), Matching.from_pairs(inst, pairs)):
                 loop = [edge_weight(inst, mat, (u, u)) for u in range(inst.n)]
                 graph = nx.Graph()
-                for a, b in inst.edges:
+                for a, b in edge_pairs(inst):
                     w = edge_weight(inst, mat, (a, b)) - loop[a] - loop[b]
                     if w > 0:
                         graph.add_edge(a, b, weight=w)
@@ -438,7 +450,7 @@ class TestAPopular:
                 exists = bool(ground_truth(inst).a_popular)
                 assert (blocker is None) == exists, (max_side, seed)
                 if blocker is not None:
-                    assert inst.is_agent(blocker), (max_side, seed)
+                    assert blocker < inst.num_agents, (max_side, seed)
                     fired += 1
         assert fired == 90
 
@@ -480,7 +492,7 @@ def obstruction_reference(nx, inst, posts):
     component with more such edges than jobs, or ``None``."""
     graph = nx.MultiGraph()
     graph.add_nodes_from(range(inst.num_agents, inst.n))
-    for a in inst.agent_ids():
+    for a in range(inst.num_agents):
         if posts.s[a] != a:
             graph.add_edge(int(posts.f[a]), int(posts.s[a]), key=a)
     blockers = []
@@ -519,6 +531,6 @@ def _reference_check(inst, mat, alpha, scope) -> bool:
         return False
     return all(
         alpha[a] + alpha[b] >= edge_weight(inst, mat, (a, b))
-        for a, b in inst.edges
+        for a, b in edge_pairs(inst)
         if a in inside and b in inside
     )

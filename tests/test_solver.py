@@ -19,10 +19,11 @@ from popmatch import (
     generate,
     parse_instance,
     parse_matching,
+    run_election,
     solve,
     verify_popular,
 )
-from popmatch.oracle import ground_truth
+from popmatch.oracle import edge_weight, ground_truth
 from popmatch.mirror import classify_partition, mirror_system
 from popmatch.solver import SolverDefect, TraceRow, _solve, _validate
 
@@ -30,6 +31,7 @@ from conftest import (
     SHOWCASE_TEXT,
     composed_text,
     edge_id,
+    edge_pairs,
     id_of,
     iterated_forbid_reference,
     pairs_by_name,
@@ -38,6 +40,7 @@ from conftest import (
     random_text,
     ring_text,
     validate_reference,
+    vertex_lists,
 )
 
 # Solve needs one forbidding round here; frozen from the seeded sweep.
@@ -190,7 +193,7 @@ class TestTraceAndMarks:
             upper, lower = state.signs
             marked = {u for row in report.trace for u in row.component}
             for u in range(inst.n):
-                side = -1 if inst.is_agent(u) else 1
+                side = -1 if u < inst.num_agents else 1
                 if upper[u] == side and lower[u] == -side:
                     assert u in marked, seed
 
@@ -374,7 +377,8 @@ class TestValidation:
             yield marks, witness, own
             if not state.lower.is_self(u):
                 yield injected(lower=without(state.lower, u)), witness, own
-        for a, b in inst.edges:
+        edges = edge_pairs(inst)
+        for a, b in edges:
             signs = (changed(upper, (a, 0), (b, 0)), lower)
             yield injected(signs=signs), witness, own
         for a, b in report.matching.pairs(inst):
@@ -390,7 +394,7 @@ class TestValidation:
             yield injected(mirror=mirror), witness, own
         pairs = state.lower.pairs(inst)
         for (a1, b1), (a2, b2) in itertools.combinations(pairs, 2):
-            if inst.has_edge(a1, b2) and inst.has_edge(a2, b1):
+            if (a1, b2) in edges and (a2, b1) in edges:
                 swapped = [p for p in pairs if p[0] not in (a1, a2)]
                 swapped += [(a1, b2), (a2, b1)]
                 lower_mat = Matching.from_pairs(inst, swapped)
@@ -451,7 +455,7 @@ class TestAgainstOracle:
                 continue
             out = {
                 a
-                for a in inst.agent_ids()
+                for a in range(inst.num_agents)
                 if report.matching.is_self(a)
             }
             for mat in truth.fully_popular:
@@ -464,11 +468,10 @@ def relabel(inst, rotation: int):
     agents = agents[rotation % len(agents):] + agents[: rotation % len(agents)] if agents else agents
     jobs = jobs[rotation % len(jobs):] + jobs[: rotation % len(jobs)] if jobs else jobs
     lines = ["agents: " + " ".join(agents), "jobs: " + " ".join(jobs)]
+    lists = vertex_lists(inst)
     for name in agents + jobs:
-        u = id_of(inst, name)
-        lines.append(
-            f"{name} > " + " ".join(inst.names[v] for v in inst.pref[u])
-        )
+        row = lists[id_of(inst, name)]
+        lines.append(f"{name} > " + " ".join(inst.names[v] for v in row))
     return parse_instance("\n".join(lines) + "\n")
 
 
@@ -556,15 +559,30 @@ def test_validation_costs_less_than_a_solve():
 
 
 class TestHotPath:
-    """Solving and verifying read the edge layout, never the per-vertex views."""
+    """An instance keeps one form of its lists, the edge layout, and
+    solving builds no key sets."""
 
-    DERIVED = ("pref", "rank_tbl", "edges")
+    FIELDS = {"names", "num_agents", "layout", "ids"}
     KEY_SETS = ("valid", "popular", "legal")
 
     def assert_lean(self, inst, classification=None):
-        assert not set(self.DERIVED) & set(vars(inst))
+        assert set(vars(inst)) == self.FIELDS
         if classification is not None:
             assert not set(self.KEY_SETS) & set(vars(classification))
+
+    def test_every_entry_point_keeps_one_form(self):
+        # Every public entry point, the oracle's included, on one instance.
+        inst = parse_instance(SHOWCASE_TEXT)
+        answer = solve(inst, validate=True).matching
+        assert verify_popular(inst, answer).popular
+        truth = ground_truth(inst)
+        assert answer in truth.fully_popular
+        phi_answer, phi_other, _, _ = run_election(inst, answer, truth.popular[-1])
+        assert phi_answer >= phi_other
+        for a, b in edge_pairs(inst):
+            edge_weight(inst, answer, (a, b))
+        parse_matching(format_matching(inst, answer), inst)
+        self.assert_lean(inst)
 
     def test_solve_builds_no_rank_dicts(self):
         texts = [

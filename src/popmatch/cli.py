@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .generator import generate
 from .instance import (
     Instance,
@@ -21,7 +23,7 @@ from .instance import (
     parse_instance,
     parse_matching,
 )
-from .legality import legal_edge_set
+from .legality import component_members, legal_edge_set
 from .mirror import MirrorGraph, format_mirror
 from .oracle import ground_truth
 from .popularity import check_a_popular, verify_popular
@@ -37,8 +39,14 @@ def _load_instance(path: str) -> Instance:
     return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
-def _edge_names(inst: Instance, key: tuple[int, int]) -> list[str]:
-    return [inst.names[key[0]], inst.names[key[1]]]
+def _edge_keys(inst: Instance, flags: np.ndarray) -> list[tuple[int, int]]:
+    """The sorted ``(agent, job)`` keys of a classification's flagged edge
+    ids, ``(u, u)`` for the self-loop m + u."""
+    lay, m = inst.layout, inst.m
+    edges = np.flatnonzero(flags[:m])
+    loops = np.flatnonzero(flags[m:]).tolist()
+    jobs = (inst.num_agents + lay.job_of[edges]).tolist()
+    return sorted([*zip(lay.agent_of[edges].tolist(), jobs), *zip(loops, loops)])
 
 
 def _matching_json(inst: Instance, mat: Matching) -> list[list[str]]:
@@ -121,20 +129,15 @@ def _cmd_edges(args: argparse.Namespace) -> int:
         mirror = MirrorGraph(inst, classification.legal_flags)
         print(format_mirror(mirror), end="")
         return EXIT_OK
-    chosen = {
-        "valid": classification.valid,
-        "popular": classification.popular,
-        "legal": classification.legal,
-    }[args.kind]
-    keys = sorted(chosen)
+    keys = _edge_keys(inst, getattr(classification, f"{args.kind}_flags"))
     if args.as_json:
         print(
             json.dumps(
                 {
-                    args.kind: [_edge_names(inst, k) for k in keys],
+                    args.kind: [[inst.names[u], inst.names[v]] for u, v in keys],
                     "components": [
                         [inst.names[u] for u in comp]
-                        for comp in classification.components
+                        for comp in component_members(classification.component_id)
                     ],
                 }
             )
@@ -170,11 +173,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             diffs.append(
                 f"solver size {solved.size} != oracle size {oracle_size}"
             )
-        fast = legal_edge_set(inst).popular
+        fast = _edge_keys(inst, legal_edge_set(inst).popular_flags)
         exact = report.popular_edges | frozenset(
             (u, u) for u in report.popular_loops
         )
-        if fast != exact:
+        if set(fast) != exact:
             diffs.append("popular edge sets differ")
         payload["diffs"] = diffs
     if args.as_json:

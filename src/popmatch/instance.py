@@ -35,7 +35,7 @@ class Instance:
     genuine neighbor.  ``layout`` holds every list as per-edge arrays; it
     is the instance's one form of its lists, and solving, verification and
     the oracle read only it.  ``ids`` maps each name to its id; it is the
-    dict that :meth:`build` interns the names with, kept for
+    dict that :func:`_build` interns the names with, kept for
     :func:`parse_matching`.  Equality, hashing and the repr read the other
     fields alone.
 
@@ -60,36 +60,22 @@ class Instance:
     def num_jobs(self) -> int:
         return self.n - self.num_agents
 
-    @staticmethod
-    def build(
-        agent_names: list[str],
-        job_names: list[str],
-        pref_by_name: dict[str, list[str]],
-    ) -> "Instance":
-        """Intern names to ids, validate every structural invariant, lay out edges.
-
-        Lists under undeclared names are ignored.  All list entries map to
-        ids in one pass, one scatter puts the lists in id order, and the
-        rules are checked on flat arrays; only when a rule fails does a
-        name-by-name scan look for the message.
-        """
-        return _build(agent_names, job_names, pref_by_name, False)
-
 
 def _build(
     agent_names: list[str],
     job_names: list[str],
     pref_by_name: dict[str, list[str]],
-    declared_only: bool,
 ) -> Instance:
-    """:meth:`Instance.build`; with ``declared_only``, a list under an
-    undeclared name raises instead, before a repeated name does.
+    """Intern names to ids, validate every structural invariant, lay out edges.
 
+    A list under an undeclared name raises, before a repeated name does.
     The owners' ids come from the dict that interns the names, with -1 (the
     least, so ``argmin`` finds the first) for an undeclared name.  Owners are
     distinct, so each vertex has at most one list: ``deg[owner] = lens``
     gives every list's place in id order, and one shifted scatter moves the
-    flat entries there, with no sort.
+    flat entries there, with no sort.  All list entries map to ids in one
+    pass and the rules are checked on flat arrays; only when a rule fails
+    does a name-by-name scan look for the message.
     """
     names = list(agent_names) + list(job_names)
     n, na = len(names), len(agent_names)
@@ -98,11 +84,8 @@ def _build(
     rows = pref_by_name.values()
     own = np.fromiter(map(get, pref_by_name, repeat(-1)), np.intp, len(rows))
     if (own < 0).any():
-        if declared_only:
-            name = list(pref_by_name)[np.argmin(own)]
-            raise InstanceError(f"preference line for undeclared vertex {name!r}")
-        rows = list(compress(rows, own >= 0))
-        own = own[own >= 0]
+        name = list(pref_by_name)[np.argmin(own)]
+        raise InstanceError(f"preference line for undeclared vertex {name!r}")
     if len(idx) != n:
         counts = Counter(names)
         dup = next(x for x in names if counts[x] > 1)
@@ -269,26 +252,6 @@ class Matching(_ArrayFields):
         object.__setattr__(self, "partner", np.array(self.partner, np.intp))
         self.partner.flags.writeable = False
 
-    @staticmethod
-    def from_pairs(inst: Instance, pairs) -> "Matching":
-        """The matching of an iterable of ``(u, v)`` vertex id pairs, either
-        end first.
-
-        The pairs are checked together by :func:`matching_from_ids`; only if
-        that fails are they re-read in order, and the first bad pair raises:
-        an id outside ``0 .. n-1``, a non-edge, or a vertex matched twice.
-        """
-        pairs = list(pairs)
-        ends = np.array(pairs, np.intp).reshape(len(pairs), 2)
-        ends.sort(axis=1)
-        with suppress(InstanceError):
-            return matching_from_ids(inst, ends[:, 0], ends[:, 1])
-        seen: set[int] = set()
-        for a, b in pairs:
-            if error := _pair_error(inst, a, b, seen):
-                raise InstanceError(error)
-        raise AssertionError("whole-array check rejected valid pairs")
-
     def partner_ranks(self, inst: Instance) -> np.ndarray:
         """Each vertex's rank of its partner as an int array; its list
         length when alone.
@@ -313,9 +276,6 @@ class Matching(_ArrayFields):
     def size(self, inst: Instance) -> int:
         na = inst.num_agents
         return int(np.count_nonzero(self.partner[:na] != np.arange(na)))
-
-    def is_self(self, u: int) -> bool:
-        return bool(self.partner[u] == u)
 
 
 def matching_from_ids(inst: Instance, agents, jobs) -> Matching:
@@ -345,14 +305,10 @@ def matching_from_ids(inst: Instance, agents, jobs) -> Matching:
 
 
 def _pair_error(inst: Instance, a, b, seen: set[int]) -> str | None:
-    """What is wrong with pairing vertex ids a and b (either may be the
-    agent) after the vertices in ``seen`` were matched, or ``None``, in
-    which case both join ``seen``."""
-    n, na, lay, names = inst.n, inst.num_agents, inst.layout, inst.names
-    if not (0 <= a < n and 0 <= b < n):
-        return f"({a}, {b}) names a vertex id outside 0..{n - 1}"
-    u, v = min(a, b), max(a, b)
-    if not (u < na <= v and v - na in lay.job_of[lay.starts[u]:lay.starts[u + 1]]):
+    """What is wrong with pairing agent a with job b after the vertices in
+    ``seen`` were matched, or ``None``, in which case both join ``seen``."""
+    lay, names = inst.layout, inst.names
+    if b - inst.num_agents not in lay.job_of[lay.starts[a]:lay.starts[a + 1]]:
         return f"({names[a]}, {names[b]}) is not an edge"
     if a in seen or b in seen:
         return f"vertex matched twice near ({names[a]}, {names[b]})"
@@ -423,7 +379,7 @@ def parse_instance(text: str) -> Instance:
         _raise_line_error(lines)
     if agent_names is None or job_names is None:
         raise InstanceError("missing 'agents:' or 'jobs:' line")
-    return _build(agent_names, job_names, pref_by_name, True)
+    return _build(agent_names, job_names, pref_by_name)
 
 
 def _raise_line_error(lines: list[str]) -> NoReturn:

@@ -17,21 +17,17 @@ exhaustively against the election oracle and against a materialized
 reference.  One rotation walk on the instance and one on its two-level form
 yield all their stable edges, in time linear in the number of edges in the
 walks' loops and at most a log n factor more in their whole-array rounds.
-It works on edge ids throughout: ``(agent, job)`` keys are made only when
-a caller asks for them.
+It works on edge ids throughout and makes no ``(agent, job)`` keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import components, rotation_walk
 from .instance import Instance, Posts, compute_posts
-
-EdgeKey = tuple[int, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,38 +36,20 @@ class EdgeClassification:
 
     The flags are read-only bool arrays of length m + n, indexed like the
     edge layout: ``legal_flags[k]`` for genuine edge k, and
-    ``legal_flags[m + u]`` for the self-loop of u.  ``valid``, ``popular``
-    and ``legal`` give the same sets as ``(agent, job)`` keys, self-loops as
-    ``(u, u)``; they are derived on first use.  ``component_id``, a
+    ``legal_flags[m + u]`` for the self-loop of u.  ``component_id``, a
     read-only int array, holds at u the number of the connected component
     of u in the graph of genuine popular edges (self-loops connect nothing);
     every vertex belongs to exactly one component, and components are
-    numbered in the order of their smallest vertex.  ``components`` lists
-    each component's vertices in id order, indexed by that number; it too
-    is derived on first use.  Classifications compare by identity.
+    numbered in the order of their smallest vertex
+    (:func:`component_members` lists them).  Solving reads only
+    ``legal_flags`` and ``component_id``.  Classifications compare by
+    identity.
     """
 
-    inst: Instance = field(repr=False)
     valid_flags: np.ndarray
     popular_flags: np.ndarray
     legal_flags: np.ndarray
     component_id: np.ndarray
-
-    @cached_property
-    def valid(self) -> frozenset[EdgeKey]:
-        return _keys(self.inst, self.valid_flags)
-
-    @cached_property
-    def popular(self) -> frozenset[EdgeKey]:
-        return _keys(self.inst, self.popular_flags)
-
-    @cached_property
-    def legal(self) -> frozenset[EdgeKey]:
-        return _keys(self.inst, self.legal_flags)
-
-    @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return component_members(self.component_id)
 
 
 def component_members(component_id: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -79,17 +57,6 @@ def component_members(component_id: np.ndarray) -> tuple[tuple[int, ...], ...]:
     members = np.argsort(component_id, kind="stable").tolist()
     ends = np.cumsum(np.bincount(component_id)).tolist()
     return tuple(tuple(members[i:j]) for i, j in zip([0, *ends], ends))
-
-
-def _keys(inst: Instance, flags: np.ndarray) -> frozenset[EdgeKey]:
-    """The ``(agent, job)`` keys of flagged edge ids, ``(u, u)`` for m + u."""
-    lay, m = inst.layout, inst.m
-    edges = np.flatnonzero(flags[:m])
-    loops = np.flatnonzero(flags[m:]).tolist()
-    jobs = inst.num_agents + lay.job_of[edges]
-    return frozenset(zip(lay.agent_of[edges].tolist(), jobs.tolist())).union(
-        zip(loops, loops)
-    )
 
 
 def _valid_flags(inst: Instance, posts: Posts) -> np.ndarray:
@@ -191,4 +158,4 @@ def legal_edge_set(
     )
     for x in (valid, popular, legal):
         x.flags.writeable = False
-    return EdgeClassification(inst, valid, popular, legal, component_id)
+    return EdgeClassification(valid, popular, legal, component_id)

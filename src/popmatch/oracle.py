@@ -6,8 +6,9 @@ with the popular edge union.  Everything downstream is validated against
 these definitions, so this module deliberately trades speed for
 transparency: no pruning beyond a vertex cap and a matching cap, and no
 structural shortcuts except where explicitly cross-checked.  Every rank it
-compares comes from the edge layout through its own reader,
-:func:`_partner_ranks`, so the referee shares no code with the solver.
+compares comes from the edge layout through its own readers,
+:func:`_partner_ranks` and :func:`_list_of`, so the referee shares no code
+with the solver.
 """
 
 from __future__ import annotations
@@ -235,13 +236,12 @@ def witness_search(inst: Instance, mat: Matching) -> tuple[int, ...] | None:
         raise OracleCapError(
             f"instance has {inst.n} vertices, witness search cap is {WITNESS_CAP}"
         )
-    n, lay = inst.n, inst.layout
+    n, na, lay = inst.n, inst.num_agents, inst.layout
     loop_wt = [0 if p == u else -1 for u, p in enumerate(mat.partner.tolist())]
     # Each job's edges, as (agent, weight): a job's id is above its agents'.
     back_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    weights = _edge_weights(inst, mat).tolist()
-    for a, j, w in zip(lay.agent_of.tolist(), lay.job_of.tolist(), weights):
-        back_edges[inst.num_agents + j].append((a, w))
+    for a, b in zip(lay.agent_of.tolist(), (na + lay.job_of).tolist()):
+        back_edges[b].append((a, edge_weight(inst, mat, (a, b))))
 
     alpha = [0] * n
 
@@ -265,31 +265,35 @@ def witness_search(inst: Instance, mat: Matching) -> tuple[int, ...] | None:
     return next(rec(0, 0), None)
 
 
-def _edge_weights(inst: Instance, mat: Matching) -> np.ndarray:
-    """Every edge's :func:`edge_weight` against ``mat``, indexed by edge id."""
-    lay = inst.layout
-    own = _partner_ranks(inst, mat.partner[None])[0]
-    return np.sign(own[lay.agent_of] - lay.agent_rank) + np.sign(
-        own[inst.num_agents + lay.job_of] - lay.job_rank
-    )
-
-
 def edge_weight(inst: Instance, mat: Matching, e: tuple[int, int]) -> int:
     """Joint vote of an edge's endpoints against their partners in ``mat``.
 
     Genuine edges weigh +2 (blocking), -2 (both prefer their partners), or
     0; a self-loop weighs 0 if it is in the matching and -1 otherwise.  A
     pair that names an id outside ``0 .. n-1``, or that is no edge, raises
-    :class:`InstanceError`.
+    :class:`InstanceError`.  Reads only the two endpoints' lists, so it
+    takes time linear in their degrees.
     """
     u, v = e
-    n, lay = inst.n, inst.layout
+    n = inst.n
     if not (0 <= u < n and 0 <= v < n):
         raise InstanceError(f"({u}, {v}) names a vertex id outside 0..{n - 1}")
     if u == v:
         return 0 if mat.partner[u] == u else -1
-    a, j = min(u, v), max(u, v) - inst.num_agents
-    k = np.flatnonzero((lay.agent_of == a) & (lay.job_of == j))
-    if not len(k):
-        raise InstanceError(f"({u}, {v}) is not an edge")
-    return int(_edge_weights(inst, mat)[k[0]])
+    vote = 0
+    for x, y in ((u, v), (v, u)):
+        row = [*_list_of(inst, x), x]  # alone ranks last
+        if y not in row:
+            raise InstanceError(f"({u}, {v}) is not an edge")
+        vote += np.sign(row.index(mat.partner[x]) - row.index(y))
+    return int(vote)
+
+
+def _list_of(inst: Instance, x: int) -> list[int]:
+    """Vertex x's list as vertex ids in preference order, from its edge
+    range in the layout: an agent's own, a job's through ``job_edges``."""
+    lay, na = inst.layout, inst.num_agents
+    if x < na:
+        return (na + lay.job_of[lay.starts[x]:lay.starts[x + 1]]).tolist()
+    edges = lay.job_edges[lay.job_starts[x - na]:lay.job_starts[x - na + 1]]
+    return lay.agent_of[edges].tolist()

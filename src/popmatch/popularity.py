@@ -16,7 +16,8 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .engine import components
-from .instance import EdgeLayout, Instance, Matching, Posts, matching_from_ids
+from .instance import EdgeLayout, Instance, InstanceError, Matching, Posts
+from .instance import matching_from_ids
 
 _INF = 1 << 60
 
@@ -49,8 +50,14 @@ def check_witness(inst: Instance, mat: Matching, alpha, vertices=None) -> bool:
     it), the length and entries, their sum, the self-loops, then every edge
     with both ends in scope, its weight folded from the layout and the
     partner ranks as in :func:`verify_popular`; each equals
-    :func:`~popmatch.oracle.edge_weight`.
+    :func:`~popmatch.oracle.edge_weight`.  A scope id outside ``0 .. n-1``
+    raises :class:`InstanceError`.
     """
+    ids = np.asarray(() if vertices is None else vertices, np.intp)
+    if (bad := ids[(ids < 0) | (ids >= inst.n)]).size:
+        raise InstanceError(
+            f"scope entry {bad[0]} names a vertex id outside 0..{inst.n - 1}"
+        )
     return _check_witness(inst, mat, mat.partner_ranks(inst), alpha, vertices)
 
 

@@ -50,8 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .instance import Instance, Matching, Posts, compute_posts
-from .legality import EdgeClassification, component_members, legal_edge_set
+from .instance import Instance, Matching, compute_posts
+from .legality import component_members, legal_edge_set
 from .mirror import MirrorGraph, MirrorMatching, mirror_system
 from .mirror import classify_partition, mirror_blocking_edges, project
 from .mirror import realize_witnessed
@@ -67,22 +67,6 @@ class TraceRow:
     trigger: int
     component: tuple[int, ...]
     edges_forbidden: int
-
-
-@dataclass
-class SolverState:
-    """Mutable working record of one solve run; never handed to callers."""
-
-    inst: Instance
-    classification: EdgeClassification
-    mirror: MirrorGraph
-    # Per-vertex flags of the marked components; see _mark_components.
-    marks: np.ndarray | None = None
-    # Populated when the solve finishes successfully.
-    matching: Matching | None = None
-    lower: Matching | None = None
-    # Per-vertex (upper, lower) sign arrays; see classify_partition.
-    signs: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -124,7 +108,7 @@ class SolveReport:
         return tuple(TraceRow(u, members[self.component_id[u]], k) for u, k in rows)
 
 
-def _mark_components(state: SolverState, left, right) -> tuple[np.ndarray, ...]:
+def _mark_components(inst, classification, left, right) -> tuple[np.ndarray, ...]:
     """Mark the component of every straddling vertex, in id order.
 
     ``left`` and ``right`` hold the edge matched at each vertex's left and
@@ -132,11 +116,11 @@ def _mark_components(state: SolverState, left, right) -> tuple[np.ndarray, ...]:
     and its right copy on a plus tag, that is, when both edges are genuine
     copies with odd ids (see :class:`~popmatch.mirror.MirrorGraph`).  Every
     vertex of a marked component must hold odd or twin copies only, or the
-    solver is broken.  Returns each marked component's trigger, its first
-    straddling vertex, and its edges forbidden: the plus-tagged copies at
-    its agents, two per legal edge, that the paper's loop forbids.
+    solver is broken.  Returns the per-vertex marks as bool flags, then each
+    marked component's trigger, its first straddling vertex, and its edges
+    forbidden: the plus-tagged copies at its agents, two per legal edge,
+    that the paper's loop forbids.
     """
-    inst, classification = state.inst, state.classification
     cid = classification.component_id
     twins = 4 * inst.m
     genuine = (left < twins) & (right < twins)
@@ -146,7 +130,7 @@ def _mark_components(state: SolverState, left, right) -> tuple[np.ndarray, ...]:
     ids = cid[triggers]
     marked = np.zeros(inst.n, bool)
     marked[ids] = True
-    marks = state.marks = marked[cid]
+    marks = marked[cid]
     # Legal edges per component, each counted at its agent.
     legal = inst.layout.agent_of[classification.legal_flags[:inst.m]]
     plus = 2 * np.bincount(cid[legal], minlength=inst.n)[ids]
@@ -154,19 +138,19 @@ def _mark_components(state: SolverState, left, right) -> tuple[np.ndarray, ...]:
     plus_right = (right < twins) & (right & 1 == 0)
     if (marks & (plus_left | plus_right)).any():
         raise SolverDefect("a marked component holds a plus-tagged edge")
-    return triggers, plus
+    return marks, triggers, plus
 
 
-def extract_witness(state: SolverState, own_m) -> np.ndarray:
-    """Popularity certificate of the returned matching from the final signs,
+def extract_witness(inst: Instance, mat: Matching, own_m, marks, upper) -> np.ndarray:
+    """Popularity certificate of ``mat`` from the marks and the upper signs,
     as an int array; ``own_m`` is the matching's partner rank array.
 
     Marked vertices and twin-matched vertices get zero; everything else
     takes the sign of its upper-half tag.  The result must validate; a
     failure here would mean the solver itself is broken.
     """
-    witness = np.where(state.marks, 0, state.signs[0])
-    if not _check_witness(state.inst, state.matching, own_m, witness):
+    witness = np.where(marks, 0, upper)
+    if not _check_witness(inst, mat, own_m, witness):
         raise SolverDefect("final signs produced an invalid certificate")
     return witness
 
@@ -186,56 +170,57 @@ def solve(inst: Instance, validate: bool = False) -> SolveReport:
 
 def _solve(
     inst: Instance, validate: bool = False
-) -> tuple[SolveReport, SolverState | None]:
-    """:func:`solve`'s report, with the run's working state, or ``None``
-    when the post-graph test decides before any engine work."""
+) -> tuple[SolveReport, MirrorMatching | None]:
+    """:func:`solve`'s report, with the mirror run's matching, or ``None``
+    when the post-graph test decides before any engine work.  The halves,
+    signs and marks of a found solve follow from the matching and report."""
     posts = compute_posts(inst)
     blocker = a_popular_obstruction(inst, posts)
     if blocker is not None:
         return SolveReport("none", infeasible_vertex=blocker), None
     classification = legal_edge_set(inst, posts=posts)
     mirror = MirrorGraph(inst, classification.legal_flags)
-    state = SolverState(inst, classification, mirror)
     system = mirror_system(mirror)
     system.run()
     mh = MirrorMatching(mirror, system.left_match, system.right_match)
     del system  # its other arrays would otherwise outlive the epilogue
     alone = np.flatnonzero(mh.left_edge == -1)
     if alone.size:
-        return SolveReport("none", infeasible_vertex=int(alone[0])), state
+        return SolveReport("none", infeasible_vertex=int(alone[0])), mh
     # The rest reads the matching as two arrays; a structural failure in it
     # is the solver's, not the input's.
-    marking = _mark_components(state, mh.left_edge, mh.right_edge)
-    state.matching, state.lower = project(mh)
+    marks, *marking = _mark_components(
+        inst, classification, mh.left_edge, mh.right_edge
+    )
+    matching, lower = project(mh)
     try:
-        state.signs = classify_partition(mh)
+        signs = classify_partition(mh)
     except ValueError as exc:
         raise SolverDefect(str(exc)) from exc
-    own_m = state.matching.partner_ranks(inst)
-    witness = extract_witness(state, own_m)
+    own_m = matching.partner_ranks(inst)
+    witness = extract_witness(inst, matching, own_m, marks, signs[0])
     if validate:
-        _validate(state, witness, posts, own_m)
+        _validate(mirror, marks, matching, lower, signs, witness, posts, own_m)
     report = SolveReport(
-        "found", state.matching, tuple(witness.tolist()),
-        state.matching.size(inst), None, *(tuple(x.tolist()) for x in marking),
-        classification.component_id,
+        "found", matching, tuple(witness.tolist()), matching.size(inst), None,
+        *(tuple(x.tolist()) for x in marking), classification.component_id,
     )
-    return report, state
+    return report, mh
 
 
-def _validate(state: SolverState, witness, posts: Posts, own_m) -> None:
+def _validate(mirror, marks, matching, lower, signs, witness, posts, own_m) -> None:
     """Re-check every structural guarantee of a successful solve.
 
-    ``witness`` is the certificate array of :func:`extract_witness` and
-    ``own_m`` the upper projection's partner rank array.  Signs and
-    projections first, then the certificate's realization; a failure
-    raises :class:`SolverDefect`.
+    ``marks`` are the per-vertex flags of :func:`_mark_components`,
+    ``matching`` and ``lower`` the upper and lower projections, ``signs``
+    their per-vertex sign arrays, ``witness`` the certificate array of
+    :func:`extract_witness` and ``own_m`` the upper projection's partner
+    rank array.  Signs and projections first, then the certificate's
+    realization; a failure raises :class:`SolverDefect`.
     """
-    _validate_signs(state, posts, own_m)
+    _validate_signs(mirror.inst, marks, matching, lower, signs, posts, own_m)
     try:
-        realization = realize_witnessed(
-            state.mirror, state.matching, own_m, witness
-        )
+        realization = realize_witnessed(mirror, matching, own_m, witness)
     except ValueError as exc:
         raise SolverDefect(str(exc)) from exc
     if mirror_blocking_edges(realization):
@@ -246,18 +231,17 @@ def _validate(state: SolverState, witness, posts: Posts, own_m) -> None:
         raise SolverDefect("realization of the result uses a forbidden edge")
 
 
-def _validate_signs(state: SolverState, posts: Posts, own_m) -> None:
-    """:func:`_validate`'s checks of the final signs and projections.
+def _validate_signs(inst, marks, mat, low, signs, posts, own_m) -> None:
+    """:func:`_validate`'s checks of the final signs and projections, on its
+    arguments and the mirror graph's instance.
 
     A failing check names the first vertex's failure in id order.  A vertex
     is in *z* when it is marked and not twin-matched; it *straddles* when
     its upper sign is its side's minus tag (-1 for an agent, +1 for a job)
     and its lower sign the opposite.
     """
-    inst = state.inst
     n, na = inst.n, inst.num_agents
-    (upper, lower), marks = state.signs, state.marks
-    mat, low = state.matching, state.lower
+    upper, lower = signs
     partner_m, partner_l = mat.partner, low.partner
     own_l = low.partner_ranks(inst)
 

@@ -32,7 +32,7 @@ from popmatch import (
     parse_instance,
 )
 from popmatch.engine import ProposalSystem, rotation_walk
-from popmatch.instance import EdgeLayout
+from popmatch.instance import EdgeLayout, _build, matching_from_ids
 from popmatch.generator import generate
 from popmatch.legality import legal_edge_set, two_level_edges
 from popmatch.mirror import MirrorGraph, MirrorMatching, mirror_system
@@ -238,6 +238,16 @@ def edge_pairs(inst) -> list[tuple[int, int]]:
     return list(zip(lay.agent_of.tolist(), jobs.tolist()))
 
 
+def flag_keys(inst, flags) -> frozenset[tuple[int, int]]:
+    """The ``(agent, job)`` keys of a classification's flagged ids, read
+    edge by edge, with ``(u, u)`` for the self-loop m + u."""
+    edges, m = edge_pairs(inst), inst.m
+    return frozenset(
+        edges[k] if k < m else (k - m, k - m)
+        for k in np.flatnonzero(flags).tolist()
+    )
+
+
 def serialize_instance(inst) -> str:
     """Render an instance back into the parseable text format."""
     names, na = inst.names, inst.num_agents
@@ -286,8 +296,16 @@ def pairs_by_name(inst, mat: Matching):
     )
 
 
+def matching_of(inst, pairs) -> Matching:
+    """The matching of ``(u, v)`` vertex id pairs, either end first, built
+    by :func:`~popmatch.instance.matching_from_ids`."""
+    ends = np.array(list(pairs), np.intp).reshape(-1, 2)
+    ends.sort(axis=1)
+    return matching_from_ids(inst, ends[:, 0], ends[:, 1])
+
+
 def match_of(inst, *name_pairs) -> Matching:
-    return Matching.from_pairs(
+    return matching_of(
         inst, [(id_of(inst, a), id_of(inst, b)) for a, b in name_pairs]
     )
 
@@ -345,7 +363,7 @@ def random_matching(rng, inst) -> Matching:
         if a not in taken and b not in taken and rng.random() < 0.7:
             taken.update((a, b))
             pairs.append((a, b))
-    return Matching.from_pairs(inst, pairs)
+    return matching_of(inst, pairs)
 
 
 def ring_text(n: int) -> str:
@@ -481,7 +499,7 @@ def two_level_reference(inst):
         + names[na:]
         + tuple(f"{names[a]}^rest" for a in agents)
     )
-    aux = Instance.build(
+    aux = _build(
         list(aux_names[: 2 * na]),
         list(aux_names[2 * na:]),
         {aux_names[u]: [aux_names[v] for v in row] for u, row in enumerate(pref)},
@@ -508,7 +526,7 @@ def stable_vertices(inst) -> frozenset[int]:
     run settles membership.
     """
     mat = stable_matching(inst)
-    return frozenset(u for u in range(inst.n) if not mat.is_self(u))
+    return frozenset(u for u in range(inst.n) if mat.partner[u] != u)
 
 
 def blocking_mask(inst, partners: np.ndarray) -> np.ndarray:
@@ -898,7 +916,7 @@ def verify_reference(inst: Instance, mat: Matching):
         pairs = [
             (a, c + p) for a, c in enumerate(match_row) if c < q
         ]
-        best = Matching.from_pairs(inst, pairs)
+        best = matching_of(inst, pairs)
         return PopularityVerdict(False, margin, None, best), cascade
 
     witness = [0] * inst.n
@@ -1087,7 +1105,7 @@ def realize_reference(mirror, mat: Matching, own, alpha) -> MirrorMatching:
             left[a] = right[b] = 4 * k + 1
             left[b] = right[a] = 4 * k + 3
     for u in range(inst.n):
-        if mat.is_self(u):
+        if mat.partner[u] == u:
             if alpha[u] != 0:
                 raise ValueError(
                     f"self-matched vertex {inst.names[u]} has a nonzero "
@@ -1155,17 +1173,18 @@ def a_popular_reference(inst, posts, mat: Matching) -> bool:
     return True
 
 
-def validate_reference(state, witness, posts, own_m) -> None:
-    """``solver._validate`` as loops over the vertices, edges and pairs.
+def validate_reference(
+    mirror, marks, matching, lower, signs, witness, posts, own_m
+) -> None:
+    """``solver._validate`` as loops over the vertices, edges and pairs,
+    taking the same arguments.
 
     It keeps the upper-scope check that the array version drops as
     unreachable, and, like it, reports a failed realization as a
     :class:`SolverDefect`.
     """
-    inst = state.inst
-    upper, lower = state.signs
-    mat = state.matching
-    low = state.lower
+    inst, mat, low = mirror.inst, matching, lower
+    upper, lower = signs
     n, na = inst.n, inst.num_agents
 
     def ensure(cond: bool, message: str) -> None:
@@ -1177,7 +1196,7 @@ def validate_reference(state, witness, posts, own_m) -> None:
         "result is not one-sided popular",
     )
 
-    z = [marked and s != 0 for marked, s in zip(state.marks, upper)]
+    z = [marked and s != 0 for marked, s in zip(marks, upper)]
     for u in range(n):
         side = -1 if u < na else 1
         straddles = upper[u] == side and lower[u] == -side
@@ -1188,7 +1207,7 @@ def validate_reference(state, witness, posts, own_m) -> None:
             else "marked matched jobs escaped the plus/minus intersection",
         )
         ensure(
-            not straddles or state.marks[u],
+            not straddles or marks[u],
             "unmarked straddling vertex at termination",
         )
         ensure(
@@ -1198,7 +1217,7 @@ def validate_reference(state, witness, posts, own_m) -> None:
 
     lay = inst.layout
     own_l = partner_ranks_reference(inst, low)
-    restricted = [marked or s == 0 for marked, s in zip(state.marks, upper)]
+    restricted = [marked or s == 0 for marked, s in zip(marks, upper)]
     for a in range(na):
         if not restricted[a]:
             continue
@@ -1248,7 +1267,7 @@ def validate_reference(state, witness, posts, own_m) -> None:
     )
 
     try:
-        realization = realize_reference(state.mirror, mat, own_m, witness)
+        realization = realize_reference(mirror, mat, own_m, witness)
     except ValueError as exc:
         raise SolverDefect(str(exc)) from exc
     ensure(
@@ -1259,6 +1278,13 @@ def validate_reference(state, witness, posts, own_m) -> None:
         not uses_forbidden_reference(realization),
         "realization of the result uses a forbidden edge",
     )
+
+
+def marks_of(report) -> np.ndarray:
+    """A found solve's per-vertex marks, as bool flags: the vertices of its
+    triggers' components."""
+    cid = report.component_id
+    return np.isin(cid, cid[list(report.triggers)])
 
 
 def iterated_forbid_reference(inst) -> dict:
@@ -1301,9 +1327,8 @@ def iterated_forbid_reference(inst) -> dict:
     while (trigger := next(
         (u for u in range(inst.n) if not marks[u] and straddles(u)), None
     )) is not None:
-        component = classification.components[
-            classification.component_id[trigger]
-        ]
+        cid = classification.component_id
+        component = tuple(u for u in range(inst.n) if cid[u] == cid[trigger])
         agents = {u for u in component if u < inst.num_agents}
         newly = {
             e for e in range(4 * inst.m)

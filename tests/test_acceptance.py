@@ -30,6 +30,7 @@ from popmatch.solver import SolverDefect, _solve
 from conftest import (
     blocking_edges,
     composed_text,
+    flag_keys,
     random_instance,
     ring_text,
     showcase_full,
@@ -131,7 +132,7 @@ def sweep():
         stats["instances"] += 1
 
         classification = legal_edge_set(inst)
-        fast = classification.popular
+        fast = flag_keys(inst, classification.popular_flags)
         exact = truth.popular_edges | frozenset(
             (u, u) for u in truth.popular_loops
         )
@@ -281,11 +282,11 @@ def repeated(call, arg, count: int) -> None:
 
 def checked_solve(inst) -> None:
     """Solve and check the engine's work bound; keeps no solve state."""
-    solved, state = _solve(inst)
-    if state is None:
+    solved, mh = _solve(inst)
+    if mh is None:
         assert solved.outcome == "none" and solved.trace == ()
     else:
-        system = mirror_system(state.mirror)
+        system = mirror_system(mh.mirror)
         system.run()
         assert system.proposals <= system.total_list_length
 

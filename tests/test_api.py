@@ -1,10 +1,13 @@
 """The package's public names, and the names its benchmark and README use."""
 
+import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import popmatch
+import popmatch.solver
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -72,3 +75,32 @@ def test_names_used_by_perfbench_and_readme_resolve():
     assert {"solve", "ground_truth", "cli.main", "oracle.enumerate_matchings"} <= used
     for dotted in sorted(used):
         resolve(dotted)
+
+
+# Each record's public attributes: the fields the program reads and the
+# methods it calls, nothing kept only for tests.
+PUBLIC = {
+    "EdgeClassification": [
+        "component_id", "legal_flags", "popular_flags", "valid_flags",
+    ],
+    "Instance": ["ids", "layout", "m", "n", "names", "num_agents", "num_jobs"],
+    "Matching": ["pairs", "partner", "partner_ranks", "size"],
+}
+
+
+def test_records_hold_only_what_the_program_reads():
+    inst = popmatch.parse_instance("agents: a\njobs: b\na > b\nb > a\n")
+    records = {
+        "EdgeClassification": popmatch.legal_edge_set(inst),
+        "Instance": inst,
+        "Matching": popmatch.solve(inst).matching,
+    }
+    for name, record in records.items():
+        public = [x for x in dir(record) if not x.startswith("_")]
+        assert public == PUBLIC[name], name
+
+
+def test_solver_defines_no_mutable_dataclass():
+    for name, cls in inspect.getmembers(popmatch.solver, inspect.isclass):
+        if cls.__module__ == popmatch.solver.__name__ and dataclasses.is_dataclass(cls):
+            assert cls.__dataclass_params__.frozen, name

@@ -271,24 +271,24 @@ def readme_synopsis() -> dict[str, set[str]]:
 
 
 def _witness_changed(change):
-    """``solver.extract_witness`` with ``change(state, witness)`` applied."""
+    """``solver.extract_witness`` with ``change(inst, mat, witness)`` applied."""
     extract = solver.extract_witness
 
-    def changed(state, own_m):
-        witness = extract(state, own_m).copy()
-        change(state, witness)
+    def changed(inst, mat, *args):
+        witness = extract(inst, mat, *args).copy()
+        change(inst, mat, witness)
         return witness
 
     return changed
 
 
-def _non_cancelling(state, witness):
-    a, b = state.matching.pairs(state.inst)[0]
+def _non_cancelling(inst, mat, witness):
+    a, b = mat.pairs(inst)[0]
     witness[b] = witness[a]
 
 
-def _nonzero_single(state, witness):
-    u = next(u for u in range(state.inst.n) if state.matching.is_self(u))
+def _nonzero_single(inst, mat, witness):
+    u = next(u for u in range(inst.n) if mat.partner[u] == u)
     witness[u] = 1
 
 

@@ -6,7 +6,7 @@ from itertools import compress
 import numpy as np
 import pytest
 
-from popmatch import Matching, compute_posts, generate
+from popmatch import compute_posts, generate
 from popmatch import engine, legal_edge_set, parse_instance, solve
 from popmatch.engine import ProposalSystem
 from popmatch.legality import two_level_edges
@@ -27,6 +27,7 @@ from conftest import (
     latin_text,
     left_list,
     make_mirror,
+    matching_of,
     pair_families,
     pairs_by_name,
     plain_edges,
@@ -626,7 +627,7 @@ class TestStableQueries:
     def test_showcase_stable_vertices(self, showcase):
         stable = showcase_stable(showcase)
         want = frozenset(
-            u for u in range(showcase.n) if not stable.is_self(u)
+            u for u in range(showcase.n) if stable.partner[u] != u
         )
         assert stable_vertices(showcase) == want
 
@@ -685,5 +686,5 @@ class TestBlockingEdges:
             "agents: a0 a1\njobs: b0 b1\n"
             "a0 > b0 b1\na1 > b1 b0\nb0 > a0 a1\nb1 > a1 a0\n"
         )
-        mat = Matching.from_pairs(inst, [(0, 2), (1, 3)])
+        mat = matching_of(inst, [(0, 2), (1, 3)])
         assert blocking_edges(inst, mat) == frozenset()

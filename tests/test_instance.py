@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popmatch import (
-    Instance,
     InstanceError,
     Matching,
     compute_posts,
@@ -39,6 +38,7 @@ from conftest import (
     incoming_of,
     layout_reference,
     match_of,
+    matching_of,
     parse_matching_reference,
     parse_reference,
     random_instance,
@@ -305,11 +305,6 @@ class TestParseErrors:
             assert got == parse_reference(text), text
         assert inst.names == ("a", "b", ">")
 
-    def test_build_ignores_lists_of_undeclared_names(self):
-        lists = {"a": ["b"], "b": ["a"]}
-        want = Instance.build(["a"], ["b"], lists)
-        assert Instance.build(["a"], ["b"], {"zz": ["qq", "a"], **lists}) == want
-
     def test_scan_that_finds_nothing_is_a_defect(self):
         with pytest.raises(AssertionError, match="bulk validation"):
             instance_module._raise_list_error(
@@ -541,7 +536,7 @@ class TestMatchingIO:
     def test_omitted_vertices_self_matched(self, size_gap):
         mat = parse_matching("a1 b1\n", size_gap)
         a0, b0 = ids(size_gap, "a0", "b0")
-        assert mat.is_self(a0) and mat.is_self(b0)
+        assert mat.partner[a0] == a0 and mat.partner[b0] == b0
 
     def test_non_edge_rejected(self, size_gap):
         with pytest.raises(InstanceError, match="not an edge"):
@@ -576,38 +571,14 @@ class TestMatchingIO:
         def scan(*args):
             raise AssertionError("a pair-by-pair scan ran on valid input")
 
-        # Both scans for an error message test a valid pair here.
+        # The scan for an error message tests a valid pair here.
         monkeypatch.setattr(instance_module, "_pair_error", scan)
         rng = random.Random(7)
         for seed in range(200):
             inst = random_instance(seed, max_side=6)
             mat = random_matching(rng, inst)
             assert parse_matching(format_matching(inst, mat), inst) == mat
-            assert Matching.from_pairs(inst, mat.pairs(inst)) == mat
         parse_matching(format_matching(showcase, showcase_full(showcase)), showcase)
-
-    def test_from_pairs_names_ids_out_of_range(self):
-        # Two vertices: 5 is past the last id, and -1 must not wrap to b0.
-        inst = parse_instance("agents: a0\njobs: b0\na0 > b0\nb0 > a0\n")
-        for pair in ((0, 5), (-1, 1)):
-            with pytest.raises(InstanceError) as err:
-                Matching.from_pairs(inst, [pair])
-            assert str(err.value) == f"{pair} names a vertex id outside 0..1"
-
-    def test_from_pairs_takes_any_iterable(self, showcase):
-        pairs = showcase_full(showcase).pairs(showcase)
-        want = Matching.from_pairs(showcase, pairs)
-        agents, jobs = zip(*pairs)
-        for given in (
-            iter(pairs),
-            zip(agents, jobs),
-            zip(jobs, agents),  # either end may come first
-            (pair for pair in pairs),
-        ):
-            assert Matching.from_pairs(showcase, given) == want
-        alone = Matching(range(showcase.n))
-        assert Matching.from_pairs(showcase, []) == alone
-        assert Matching.from_pairs(showcase, iter(())) == alone
 
     def test_one_array_form(self, showcase):
         # Every way in yields the same read-only array, equal and hashed
@@ -621,7 +592,7 @@ class TestMatchingIO:
         mats = [
             Matching(tuple(partner)),
             Matching(partner),
-            Matching.from_pairs(showcase, pairs),
+            matching_of(showcase, pairs),
             parse_matching(text, showcase),
         ]
         partner[pairs[0][0]] = pairs[0][0]  # the matchings keep copies
@@ -633,7 +604,6 @@ class TestMatchingIO:
             assert got == pairs and len(got) == 5
             assert all(type(x) is int for pair in got for x in pair)
             assert type(mat.size(showcase)) is int and mat.size(showcase) == 5
-            assert type(mat.is_self(0)) is bool
             assert json.loads(json.dumps(got)) == [list(pair) for pair in got]
             assert format_matching(showcase, mat) == text
         assert Matching(partner) != mats[0]

@@ -6,11 +6,11 @@ from itertools import compress
 
 import numpy as np
 
-from popmatch import Instance, compute_posts, legal_edge_set, parse_instance
+from popmatch import compute_posts, legal_edge_set, parse_instance
 from popmatch.engine import ProposalSystem
 from popmatch.generator import generate
-from popmatch.instance import Posts
-from popmatch.legality import two_level_edges
+from popmatch.instance import Posts, _build
+from popmatch.legality import component_members, two_level_edges
 from popmatch.mirror import MirrorGraph
 from popmatch.oracle import enumerate_matchings, ground_truth
 
@@ -19,6 +19,7 @@ from conftest import (
     classification_reference,
     composed_text,
     edge_pairs,
+    flag_keys,
     forbidden_reference,
     id_of,
     ids,
@@ -34,6 +35,11 @@ from conftest import (
 )
 
 
+def classified(inst, kind, posts=None):
+    """``legal_edge_set``'s flags of one kind as ``(agent, job)`` keys."""
+    return flag_keys(inst, getattr(legal_edge_set(inst, posts), f"{kind}_flags"))
+
+
 def keyset(inst, classification_set):
     return sorted(
         (inst.names[u], inst.names[v]) for u, v in classification_set
@@ -42,7 +48,7 @@ def keyset(inst, classification_set):
 
 class TestValidEdges:
     def test_size_gap(self, size_gap):
-        got = keyset(size_gap, legal_edge_set(size_gap).valid)
+        got = keyset(size_gap, classified(size_gap, "valid"))
         assert got == [
             ("a0", "a0"),
             ("a0", "b1"),
@@ -53,17 +59,17 @@ class TestValidEdges:
 
     def test_top_choice_job_loop_excluded(self, size_gap):
         b1 = id_of(size_gap, "b1")
-        assert (b1, b1) not in legal_edge_set(size_gap).valid
+        assert (b1, b1) not in classified(size_gap, "valid")
 
     def test_single_pair(self):
         inst = parse_instance("agents: a\njobs: b\na > b\nb > a\n")
-        got = legal_edge_set(inst).valid
+        got = classified(inst, "valid")
         assert got == frozenset({(0, 1), (0, 0)})
 
     def test_every_agent_has_exactly_two_valid_slots(self):
         for seed in range(60):
             inst = random_instance(seed)
-            valid = legal_edge_set(inst).valid
+            valid = classified(inst, "valid")
             for a in range(inst.num_agents):
                 incident = [k for k in valid if k[0] == a]
                 assert len(incident) == 2
@@ -71,7 +77,7 @@ class TestValidEdges:
 
 class TestPopularEdges:
     def test_size_gap(self, size_gap):
-        got = keyset(size_gap, legal_edge_set(size_gap).popular)
+        got = keyset(size_gap, classified(size_gap, "popular"))
         assert got == [
             ("a0", "a0"),
             ("a0", "b1"),
@@ -82,19 +88,19 @@ class TestPopularEdges:
 
     def test_single_pair_no_loops(self):
         inst = parse_instance("agents: a\njobs: b\na > b\nb > a\n")
-        assert legal_edge_set(inst).popular == frozenset({(0, 1)})
+        assert classified(inst, "popular") == frozenset({(0, 1)})
 
     def test_showcase_contains_stable_and_max(self, showcase):
         from conftest import showcase_max, showcase_stable
 
-        popular = legal_edge_set(showcase).popular
+        popular = classified(showcase, "popular")
         for mat in (showcase_stable(showcase), showcase_max(showcase)):
             assert set(mat.pairs(showcase)) <= popular
 
     def test_fast_equals_oracle_union(self):
         for seed in range(150):
             inst = random_instance(seed)
-            fast = legal_edge_set(inst).popular
+            fast = classified(inst, "popular")
             report = ground_truth(inst)
             exact = report.popular_edges | frozenset(
                 (u, u) for u in report.popular_loops
@@ -106,7 +112,7 @@ class TestPairFamilies:
     def test_stable_pairs_subset_of_popular(self):
         for seed in range(40):
             inst = random_instance(seed)
-            assert pair_families(inst)[0] <= legal_edge_set(inst).popular
+            assert pair_families(inst)[0] <= classified(inst, "popular")
 
     def test_two_level_instance_shape(self, size_gap):
         aux, na = two_level_reference(size_gap)
@@ -136,7 +142,7 @@ class TestPairFamilies:
                 pref[name[b]] = [f"{x}^hi" for x in order] + [
                     f"{x}^lo" for x in order
                 ]
-            want = Instance.build(
+            want = _build(
                 [f"{name[a]}^hi" for a in agents]
                 + [f"{name[a]}^lo" for a in agents],
                 [name[b] for b in job_ids]
@@ -225,7 +231,7 @@ class TestPairFamilies:
 class TestLegalEdgeSet:
     def test_size_gap_legal(self, size_gap):
         classification = legal_edge_set(size_gap)
-        assert keyset(size_gap, classification.legal) == [
+        assert keyset(size_gap, flag_keys(size_gap, classification.legal_flags)) == [
             ("a0", "a0"),
             ("a0", "b1"),
             ("a1", "b0"),
@@ -237,42 +243,41 @@ class TestLegalEdgeSet:
         for seed in range(40):
             inst = random_instance(seed)
             classification = legal_edge_set(inst)
-            assert classification.legal == (
-                classification.valid & classification.popular
+            assert np.array_equal(
+                classification.legal_flags,
+                classification.valid_flags & classification.popular_flags,
             )
 
     def test_size_gap_single_component(self, size_gap):
-        classification = legal_edge_set(size_gap)
-        assert len(classification.components) == 1
-        assert set(classification.components[0]) == set(range(size_gap.n))
+        components = component_members(legal_edge_set(size_gap).component_id)
+        assert components == (tuple(range(size_gap.n)),)
 
     def test_disjoint_pairs_give_two_components(self):
         inst = parse_instance(
             "agents: a0 a1\njobs: b0 b1\na0 > b0\na1 > b1\nb0 > a0\nb1 > a1\n"
         )
-        classification = legal_edge_set(inst)
-        assert len(classification.components) == 2
+        assert len(component_members(legal_edge_set(inst).component_id)) == 2
 
     def test_components_partition_all_vertices(self):
         for seed in range(60):
             inst = random_instance(seed)
-            classification = legal_edge_set(inst)
-            seen = [u for comp in classification.components for u in comp]
+            component_id = legal_edge_set(inst).component_id
+            components = component_members(component_id)
+            seen = [u for comp in components for u in comp]
             assert sorted(seen) == list(range(inst.n))
             for u in range(inst.n):
-                cid = classification.component_id[u]
-                assert u in classification.components[cid]
+                assert u in components[component_id[u]]
 
     def test_fully_popular_matchings_use_only_legal_edges(self):
         for seed in range(100):
             inst = random_instance(seed)
             report = ground_truth(inst)
-            legal = legal_edge_set(inst).legal
+            legal = classified(inst, "legal")
             for mat in report.fully_popular:
                 for a, b in mat.pairs(inst):
                     assert (a, b) in legal, seed
                 for u in range(inst.n):
-                    if mat.is_self(u):
+                    if mat.partner[u] == u:
                         assert (u, u) in legal, seed
 
     def test_equals_key_set_reference(self):
@@ -291,11 +296,12 @@ class TestLegalEdgeSet:
             valid, popular, legal, component_id, components = (
                 classification_reference(inst)
             )
-            assert got.valid == valid, inst.names
-            assert got.popular == popular, inst.names
-            assert got.legal == legal, inst.names
+            assert flag_keys(inst, got.valid_flags) == valid, inst.names
+            assert flag_keys(inst, got.popular_flags) == popular, inst.names
+            assert flag_keys(inst, got.legal_flags) == legal, inst.names
             assert got.component_id.tolist() == list(component_id), inst.names
-            assert got.components == components, inst.names
+            got_components = component_members(got.component_id)
+            assert got_components == components, inst.names
             mirror = MirrorGraph(inst, got.legal_flags)
             forbidden = set(np.flatnonzero(mirror.forbidden_flags()).tolist())
             assert forbidden == forbidden_reference(inst, legal), inst.names
@@ -321,7 +327,6 @@ class TestLegalEdgeSet:
         given, own = legal_edge_set(size_gap, posts=posts), legal_edge_set(size_gap)
         for name in ("valid_flags", "popular_flags", "legal_flags", "component_id"):
             assert np.array_equal(getattr(given, name), getattr(own, name)), name
-        assert given.components == own.components
         alone = Posts(posts.f, np.arange(size_gap.num_agents))
-        valid = legal_edge_set(size_gap, posts=alone).valid
+        valid = classified(size_gap, "valid", posts=alone)
         assert {(a, a) for a in range(size_gap.num_agents)} <= valid

@@ -35,9 +35,11 @@ from conftest import (
     composed_text,
     edge_id,
     edge_pairs,
+    flag_keys,
     forbidden_reference,
     id_of,
     ids,
+    marks_of,
     is_forbidden,
     left_list,
     make_mirror,
@@ -103,7 +105,8 @@ def per_edge_reference(inst):
     left_tag = [1, -1, 1, -1] * m + [-1] * n
     right_tag = [-1, 1, -1, 1] * m + [1] * n
     g_edge = [k for k in range(m) for _ in range(4)] + [-1] * n
-    forbidden = forbidden_reference(inst, legal_edge_set(inst).legal)
+    legal = flag_keys(inst, legal_edge_set(inst).legal_flags)
+    forbidden = forbidden_reference(inst, legal)
     return [
         (left_tag[e], right_tag[e], g_edge[e] < 0, e in forbidden)
         for e in range(4 * m + n)
@@ -306,7 +309,7 @@ class TestRealize:
             left[a] = right[b] = 4 * k + 1
             left[b] = right[a] = 4 * k + 3
         for u in range(size_gap.n):
-            if stable.is_self(u):
+            if stable.partner[u] == u:
                 left[u] = right[u] = twin(mirror, u)
         assert mirror_edges(realize(mirror, stable)) == (left, right)
 
@@ -428,10 +431,11 @@ class TestPartition:
 
     def test_final_solver_partition_containments(self, showcase):
         for inst in (showcase, parse_instance(ASYMMETRIC_TEXT)):
-            _, state = _solve(inst, validate=True)
-            upper, lower = state.signs
+            report, mh = _solve(inst, validate=True)
+            upper, lower = classify_partition(mh)
+            marks = marks_of(report)
             for u in range(inst.n):
-                if state.marks[u]:
+                if marks[u]:
                     continue
                 if u < inst.num_agents:
                     assert upper[u] != -1 or lower[u] == -1
@@ -498,43 +502,45 @@ class TestListReference:
         # copy alone.
         counts = {"found": 0, "none": 0, "rounds": 0}
         for inst in self.instances():
-            report, state = _solve(inst)
-            if state is None:
+            report, solved = _solve(inst)
+            if solved is None:
                 continue
             counts[report.outcome] += 1
             counts["rounds"] += report.iterations > 0
             # A rebuilt system's run ends in the solve's state, as the end
             # state does not depend on the order of proposals.
-            system = mirror_system(state.mirror)
+            mirror = solved.mirror
+            system = mirror_system(mirror)
             system.run()
             mh = MirrorMatching(
-                state.mirror,
-                np.array(system.left_match),
-                np.array(system.right_match),
+                mirror, np.array(system.left_match), np.array(system.right_match)
             )
             self.assert_same(mh)
+            assert np.array_equal(solved.left_edge, mh.left_edge)
+            assert np.array_equal(solved.right_edge, mh.right_edge)
             if report.outcome != "found":
                 continue
             upper, lower = partition_reference(mh)
-            assert tuple(tuple(s.tolist()) for s in state.signs) == (upper, lower)
-            assert (state.matching, state.lower) == project_reference(mh)
+            signs = classify_partition(solved)
+            assert tuple(tuple(s.tolist()) for s in signs) == (upper, lower)
+            matching, low = project(solved)
+            assert (matching, low) == project_reference(mh)
+            assert report.matching == matching
             assert report.witness == tuple(
-                0 if marked else s for marked, s in zip(state.marks, upper)
+                0 if marked else s for marked, s in zip(marks_of(report), upper)
             )
-            for mat in (state.matching, state.lower):
+            for mat in (matching, low):
                 own = mat.partner_ranks(inst)
                 assert own.tolist() == partner_ranks_reference(inst, mat)
-            own = state.matching.partner_ranks(inst)
-            realized = realize_witnessed(
-                state.mirror, state.matching, own, report.witness
-            )
+            own = matching.partner_ranks(inst)
+            realized = realize_witnessed(mirror, matching, own, report.witness)
             assert mirror_edges(realized) == mirror_edges(realize_reference(
-                state.mirror, state.matching, own, report.witness
+                mirror, matching, own, report.witness
             ))
             assert not self.assert_same(realized)
             posts = compute_posts(inst)
-            assert check_a_popular(inst, posts, state.matching)
-            assert a_popular_reference(inst, posts, state.matching)
+            assert check_a_popular(inst, posts, matching)
+            assert a_popular_reference(inst, posts, matching)
         assert counts["found"] >= 300 and counts["none"] >= 30, counts
         assert counts["rounds"] >= 20, counts
 

@@ -17,6 +17,7 @@ from conftest import (
     blocking_edges,
     id_of,
     make_mirror,
+    matching_of,
     random_instance,
     showcase_full,
     showcase_max,
@@ -143,7 +144,7 @@ class TestWitnessSearch:
         assert check_witness(size_gap, mat, alpha)
 
     def test_unpopular_has_none(self, size_gap):
-        bad = Matching.from_pairs(
+        bad = matching_of(
             size_gap, [(id_of(size_gap, "a0"), id_of(size_gap, "b1"))]
         )
         assert witness_search(size_gap, bad) is None

@@ -31,6 +31,7 @@ from conftest import (
     id_of,
     ids,
     match_of,
+    matching_of,
     random_instance,
     random_matching,
     ring_instance,
@@ -163,7 +164,7 @@ class TestVerifyPopular:
                 for a, b in mat.pairs(inst):
                     assert alpha[a] + alpha[b] == 0
                 for u in range(inst.n):
-                    if mat.is_self(u):
+                    if mat.partner[u] == u:
                         assert alpha[u] == 0
 
 
@@ -295,7 +296,7 @@ class TestAgainstNetworkx:
                 if a not in taken and b not in taken and rng.random() < 0.7:
                     taken.update((a, b))
                     pairs.append((a, b))
-            for mat in (stable_matching(inst), Matching.from_pairs(inst, pairs)):
+            for mat in (stable_matching(inst), matching_of(inst, pairs)):
                 loop = [edge_weight(inst, mat, (u, u)) for u in range(inst.n)]
                 graph = nx.Graph()
                 for a, b in edge_pairs(inst):
@@ -356,6 +357,22 @@ class TestCheckWitness:
             with pytest.raises(ValueError, match=message):
                 check_witness(size_gap, mat, (), vertices=[id_of(size_gap, name)])
 
+    def test_scope_ids_out_of_range_rejected(self):
+        # A negative id must not alias a vertex from the end, and an id past
+        # n - 1 must not leak IndexError.
+        inst = parse_instance(
+            "agents: a0 a1\njobs: b0 b1\na0 > b0 b1\na1 > b0\n"
+            "b0 > a1 a0\nb1 > a0\n"
+        )
+        mat = match_of(inst, ("a0", "b1"), ("a1", "b0"))
+        alpha = (1, 1, -1, -1)
+        assert check_witness(inst, mat, alpha)
+        for scope in ([-2, 1], [-1, -2, -3, -4], [4], [-5]):
+            with pytest.raises(InstanceError) as err:
+                check_witness(inst, mat, alpha, vertices=scope)
+            message = f"scope entry {scope[0]} names a vertex id outside 0..3"
+            assert str(err.value) == message
+
     def test_every_rejection_returns_false(self, size_gap):
         # One certificate per rejection, in the order check_witness tests
         # them: length, entries, sum, a self-loop, then an edge.
@@ -413,7 +430,7 @@ class TestCheckWitness:
                 if trial < 4:
                     assert check_witness(inst, mat, alpha) == want, (seed, trial)
                 verdicts[want] += 1
-                loops_ok = all(alpha[u] >= 0 for u in scope if mat.is_self(u))
+                loops_ok = all(alpha[u] >= 0 for u in scope if mat.partner[u] == u)
                 edge_decided += loops_ok and not want
         assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts
         assert edge_decided >= 100, edge_decided
@@ -508,7 +525,7 @@ def _drop_pair(rng, inst, mat) -> Matching:
     pairs = list(mat.pairs(inst))
     if pairs:
         pairs.pop(rng.randrange(len(pairs)))
-    return Matching.from_pairs(inst, pairs)
+    return matching_of(inst, pairs)
 
 
 def _zero_sum(rng, alpha, scope) -> None:

@@ -57,6 +57,9 @@ SOURCES = {module: Path(module.__file__).read_text() for module in MODULES}
 PINNED = "test_solver.py::TestValidation::test_every_defect_message_is_pinned"
 REALIZE = "test_cli.py::test_structural_failures_are_not_input_errors"
 NON_CANCELLING = "test_mirror.py::TestRealize::test_non_cancelling_pair_rejected"
+SCOPE_IDS = (
+    "test_popularity.py::TestCheckWitness::test_scope_ids_out_of_range_rejected"
+)
 REJECTIONS = (
     "test_popularity.py::TestCheckWitness::test_every_rejection_returns_false"
 )
@@ -111,6 +114,10 @@ LEDGER = {
     ("mirror", "classify_partition",
      'raise ValueError("mirror matching is not perfect")', 0):
         "test_mirror.py::TestPartition::test_not_perfect_rejected",
+    ("popularity", "check_witness", "raise InstanceError(", 0): SCOPE_IDS,
+    ("popularity", "check_witness",
+     'f"scope entry {bad[0]} names a vertex id outside 0..{inst.n - 1}"', 0):
+        SCOPE_IDS,
     ("popularity", "_check_witness",
      'raise ValueError("matching leaves the induced subgraph")', 0):
         "test_popularity.py::TestCheckWitness::test_matching_must_stay_inside_scope",

@@ -1,6 +1,5 @@
 """The full solve pipeline: verdicts, certificates, traces, and invariants."""
 
-import copy
 import dataclasses
 import gc
 import itertools
@@ -24,7 +23,7 @@ from popmatch import (
     verify_popular,
 )
 from popmatch.oracle import edge_weight, ground_truth
-from popmatch.mirror import classify_partition, mirror_system
+from popmatch.mirror import classify_partition, mirror_system, project
 from popmatch.solver import SolverDefect, TraceRow, _solve, _validate
 
 from conftest import (
@@ -34,6 +33,8 @@ from conftest import (
     edge_pairs,
     id_of,
     iterated_forbid_reference,
+    marks_of,
+    matching_of,
     pairs_by_name,
     planted_text,
     random_instance,
@@ -187,10 +188,10 @@ class TestTraceAndMarks:
         # lower sign is the opposite lies in a traced component.
         for seed in range(40):
             inst = random_instance(seed)
-            report, state = _solve(inst)
+            report, mh = _solve(inst)
             if report.outcome != "found":
                 continue
-            upper, lower = state.signs
+            upper, lower = classify_partition(mh)
             marked = {u for row in report.trace for u in row.component}
             for u in range(inst.n):
                 side = -1 if u < inst.num_agents else 1
@@ -219,13 +220,13 @@ class TestAgainstIteratedLoop:
         rounds = engine_none = spanning = 0
         for text in texts:
             inst = parse_instance(text)
-            report, state = _solve(inst, validate=True)
+            report, mh = _solve(inst, validate=True)
             # The reference gives the report's fields and its trace, which
             # the report builds from its marking arrays.
             want = iterated_forbid_reference(inst)
             assert {name: getattr(report, name) for name in want} == want, text
             rounds += report.iterations
-            engine_none += report.outcome == "none" and state is not None
+            engine_none += report.outcome == "none" and mh is not None
             spanning += any(len(row.component) > 6 for row in report.trace)
         assert rounds > 400 and engine_none > 100 and spanning > 20
 
@@ -264,15 +265,17 @@ class TestValidation:
         # Vertex 0 is an agent matched in the lower projection; a zero lower
         # sign drops it from the lower half's scope while its partner stays.
         inst = random_instance(0)
-        report, state = _solve(inst)
-        assert report.outcome == "found" and not state.lower.is_self(0)
-        upper, lower = state.signs
-        lower = lower.copy()
+        report, mh = _solve(inst)
+        low = project(mh)[1]
+        assert report.outcome == "found" and low.partner[0] != 0
+        upper, lower = classify_partition(mh)
         lower[0] = 0
-        state.signs = (upper, lower)
-        own = report.matching.partner_ranks(inst)
+        mat = report.matching
         with pytest.raises(SolverDefect, match="lower projection"):
-            _validate(state, report.witness, compute_posts(inst), own)
+            _validate(
+                mh.mirror, marks_of(report), mat, low, (upper, lower),
+                report.witness, compute_posts(inst), mat.partner_ranks(inst),
+            )
 
     def test_marked_plus_edge_is_a_defect(self, monkeypatch):
         # a1 straddles and marks the whole one-round instance; a0's left
@@ -332,23 +335,25 @@ class TestValidation:
     )
 
     @staticmethod
-    def defects(inst, report, state):
-        """Single injected defects of a found solve, as ``_validate`` inputs.
+    def defects(inst, report, mh, posts):
+        """Single injected defects of a found solve, as ``_validate``
+        keyword arguments.
 
         Each flips one sign or the upper signs of an edge's two ends to
         zero, flips one mark, drops one pair from a projection, swaps two
         lower partners, changes one certificate entry or one matched pair's
         two entries, or clears the legal flag of one matched edge.
         """
-        witness = report.witness
-        own = report.matching.partner_ranks(inst)
+        witness, marks = report.witness, marks_of(report)
+        low, (upper, lower) = project(mh)[1], classify_partition(mh)
+        found = dict(
+            mirror=mh.mirror, marks=marks, matching=report.matching,
+            lower=low, signs=(upper, lower), witness=witness, posts=posts,
+            own_m=report.matching.partner_ranks(inst),
+        )
 
         def injected(**fields):
-            bad = copy.copy(state)
-            bad.marks = state.marks.copy()
-            for name, value in fields.items():
-                setattr(bad, name, value)
-            return bad
+            return {**found, **fields}
 
         def without(mat, u):
             partner = list(mat.partner)
@@ -361,44 +366,36 @@ class TestValidation:
                 out[u] = value
             return out
 
-        upper, lower = state.signs
         for u in range(inst.n):
             for sign in (-1, 0, 1):
                 if upper[u] != sign:
-                    signs = (changed(upper, (u, sign)), lower)
-                    yield injected(signs=signs), witness, own
+                    yield injected(signs=(changed(upper, (u, sign)), lower))
                 if lower[u] != sign:
-                    signs = (upper, changed(lower, (u, sign)))
-                    yield injected(signs=signs), witness, own
+                    yield injected(signs=(upper, changed(lower, (u, sign))))
                 if witness[u] != sign:
-                    yield state, changed(witness, (u, sign)), own
-            marks = injected()
-            marks.marks[u] = not marks.marks[u]
-            yield marks, witness, own
-            if not state.lower.is_self(u):
-                yield injected(lower=without(state.lower, u)), witness, own
+                    yield injected(witness=changed(witness, (u, sign)))
+            yield injected(marks=changed(marks, (u, not marks[u])))
+            if low.partner[u] != u:
+                yield injected(lower=without(low, u))
         edges = edge_pairs(inst)
         for a, b in edges:
-            signs = (changed(upper, (a, 0), (b, 0)), lower)
-            yield injected(signs=signs), witness, own
+            yield injected(signs=(changed(upper, (a, 0), (b, 0)), lower))
         for a, b in report.matching.pairs(inst):
             mat = without(report.matching, a)
-            yield injected(matching=mat), witness, mat.partner_ranks(inst)
+            yield injected(matching=mat, own_m=mat.partner_ranks(inst))
             for sign in (-1, 0, 1):
                 if witness[a] != sign:
-                    pair = changed(witness, (a, sign), (b, -sign))
-                    yield state, pair, own
+                    yield injected(witness=changed(witness, (a, sign), (b, -sign)))
             k = edge_id(inst, a, b)
-            flags = changed(state.mirror.legal_flags, (k, False))
-            mirror = dataclasses.replace(state.mirror, legal_flags=flags)
-            yield injected(mirror=mirror), witness, own
-        pairs = state.lower.pairs(inst)
+            flags = changed(mh.mirror.legal_flags, (k, False))
+            mirror = dataclasses.replace(mh.mirror, legal_flags=flags)
+            yield injected(mirror=mirror)
+        pairs = low.pairs(inst)
         for (a1, b1), (a2, b2) in itertools.combinations(pairs, 2):
             if (a1, b2) in edges and (a2, b1) in edges:
                 swapped = [p for p in pairs if p[0] not in (a1, a2)]
                 swapped += [(a1, b2), (a2, b1)]
-                lower_mat = Matching.from_pairs(inst, swapped)
-                yield injected(lower=lower_mat), witness, own
+                yield injected(lower=matching_of(inst, swapped))
 
     def test_every_defect_message_is_pinned(self):
         # Reference and array validation raise the same first message on
@@ -409,15 +406,14 @@ class TestValidation:
         insts += [random_instance(seed) for seed in range(60)]
         seen: dict[str, int] = {}
         for inst in insts:
-            report, found = _solve(inst, validate=True)
+            report, mh = _solve(inst, validate=True)
             if report.outcome != "found":
                 continue
-            posts = compute_posts(inst)
-            for state, witness, own in self.defects(inst, report, found):
+            for args in self.defects(inst, report, mh, compute_posts(inst)):
                 results = []
                 for check in (validate_reference, _validate):
                     try:
-                        check(state, witness, posts, own)
+                        check(**args)
                         results.append(None)
                     except SolverDefect as exc:
                         results.append(str(exc))
@@ -456,10 +452,10 @@ class TestAgainstOracle:
             out = {
                 a
                 for a in range(inst.num_agents)
-                if report.matching.is_self(a)
+                if report.matching.partner[a] == a
             }
             for mat in truth.fully_popular:
-                assert all(mat.is_self(a) for a in out), seed
+                assert all(mat.partner[a] == a for a in out), seed
 
 
 def relabel(inst, rotation: int):
@@ -559,16 +555,12 @@ def test_validation_costs_less_than_a_solve():
 
 
 class TestHotPath:
-    """An instance keeps one form of its lists, the edge layout, and
-    solving builds no key sets."""
+    """An instance keeps one form of its lists, the edge layout."""
 
     FIELDS = {"names", "num_agents", "layout", "ids"}
-    KEY_SETS = ("valid", "popular", "legal")
 
-    def assert_lean(self, inst, classification=None):
+    def assert_lean(self, inst):
         assert set(vars(inst)) == self.FIELDS
-        if classification is not None:
-            assert not set(self.KEY_SETS) & set(vars(classification))
 
     def test_every_entry_point_keeps_one_form(self):
         # Every public entry point, the oracle's included, on one instance.
@@ -592,21 +584,20 @@ class TestHotPath:
         ]
         for text in texts:
             inst = parse_instance(text)
-            report, state = _solve(inst, validate=True)
-            assert report.outcome == "found"
-            self.assert_lean(inst, state.classification)
+            assert solve(inst, validate=True).outcome == "found"
+            self.assert_lean(inst)
 
     def test_engine_verdict_builds_no_views(self):
         inst = parse_instance(generate(40, 60, 5 / 60, seed=0))
-        report, state = _solve(inst)
-        assert report.outcome == "none" and state is not None
-        self.assert_lean(inst, state.classification)
+        report, mh = _solve(inst)
+        assert report.outcome == "none" and mh is not None
+        self.assert_lean(inst)
 
     def test_precheck_verdict_builds_no_views(self):
         inst = parse_instance(generate(400, 400, 5 / 400, seed=0))
-        report, state = _solve(inst)
+        report, mh = _solve(inst)
         assert report.outcome == "none" and report.trace == ()
-        assert state is None  # decided by the precheck
+        assert mh is None  # decided by the precheck
         self.assert_lean(inst)
 
     def test_verify_builds_no_rank_dicts(self):

@@ -15,6 +15,7 @@ suite.
 
 from __future__ import annotations
 
+import math
 import random
 from heapq import heappop, heappush
 from itertools import chain, compress
@@ -350,6 +351,55 @@ def random_text(seed: int, max_side: int = 4) -> str:
 
 def random_instance(seed: int, max_side: int = 4):
     return parse_instance(random_text(seed, max_side))
+
+
+def generate_reference(agents: int, jobs: int, density: float, seed: int) -> str:
+    """``generate`` as it was written before its draws were inlined: one
+    ``rng.random()`` per geometric gap, ``rng.shuffle`` on each list and an
+    f-string per list entry.  A subnormal density overflows in ``int``."""
+    if agents < 1 or jobs < 1:
+        raise ValueError("need at least one agent and one job")
+    if not 0 < density <= 1:
+        raise ValueError("density must be in (0, 1]")
+    rng = random.Random(seed)
+    log_skip = math.log1p(-density) if density < 1.0 else None
+
+    def bernoulli_row() -> list[int]:
+        row = []
+        j = -1
+        while True:
+            j += 1 + int(math.log(1.0 - rng.random()) / log_skip)
+            if j >= jobs:
+                return row
+            row.append(j)
+
+    rows: list[list[int]] = []
+    for _ in range(agents):
+        for _attempt in range(1000):
+            row = list(range(jobs)) if log_skip is None else bernoulli_row()
+            if row:
+                break
+        else:
+            raise ValueError("density too low to give every agent a neighbor")
+        rows.append(row)
+
+    cols: list[list[int]] = [[] for _ in range(jobs)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].append(i)
+
+    lines = [
+        "agents: " + " ".join(f"a{i}" for i in range(agents)),
+        "jobs: " + " ".join(f"b{j}" for j in range(jobs)),
+    ]
+    for i, row in enumerate(rows):
+        order = row[:]
+        rng.shuffle(order)
+        lines.append(f"a{i} > " + " ".join(f"b{j}" for j in order))
+    for j, col in enumerate(cols):
+        rng.shuffle(col)
+        lines.append(f"b{j} > " + " ".join(f"a{i}" for i in col))
+    return "\n".join(lines) + "\n"
 
 
 def random_matching(rng, inst) -> Matching:

@@ -377,6 +377,41 @@ def test_generate_rejects_bad_density():
     assert main(["generate", "--density", "0", "--seed", "1"]) == 1
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--agents", "0"], "need at least one agent and one job"),
+        (["--jobs", "0"], "need at least one agent and one job"),
+        (["--density", "1e-20"], "density too low to give every agent a neighbor"),
+        (["--density", "1e-310"], "density too low to give every agent a neighbor"),
+        (["--density", "5e-324"], "density too low to give every agent a neighbor"),
+    ],
+)
+def test_generate_error_exit_one(capsys, flags, message):
+    assert main(["generate", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_generate_output_file_holds_stdout_bytes(tmp_path, capsys):
+    args = ["generate", "--agents", "9", "--jobs", "7", "--seed", "3"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "out.txt"
+    assert main([*args, "-o", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == printed.encode()
+
+
+def test_generate_output_in_missing_directory_exit_one(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.txt"
+    assert main(["generate", "-o", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not path.parent.exists()
+
+
 def test_input_error_exit_one(files, capsys):
     for i, (text, message) in enumerate(PARSE_ERRORS):
         path = files(f"broken{i}.txt", text)

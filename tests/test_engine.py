@@ -9,6 +9,7 @@ import pytest
 from popmatch import compute_posts, generate
 from popmatch import engine, legal_edge_set, parse_instance, solve
 from popmatch.engine import ProposalSystem
+from popmatch.generator import chain_text
 from popmatch.legality import two_level_edges
 from popmatch.mirror import mirror_system
 from popmatch.oracle import enumerate_matchings
@@ -570,6 +571,19 @@ class TestProposeDispose:
                 ), kind
                 rounds += system.rounds
             assert rounds > 0
+
+    @pytest.mark.parametrize("n", [2001, 4001, 8001])
+    def test_chain_cascade_runs_in_the_sequential_loop(self, n):
+        # One round of n first choices leaves only a1 free, below
+        # BATCH_MIN; its displacement cascade through every other agent
+        # then runs in _drain, one proposal per list position.
+        inst = parse_instance(chain_text(n))
+        system = ProposalSystem(*plain_edges(inst))
+        system.run()
+        assert system.rounds == 1
+        assert system.proposals == system.total_list_length == 2 * n - 1
+        assert system.rejections == n - 1
+        assert inst.layout.job_of[system.left_match].tolist() == list(range(n))
 
 
 class TestResume:

@@ -12,16 +12,19 @@ between the two blocks.
 
 Stable matchings here encode "half-integral" popular structure; symmetric
 ones project to matchings of the original instance, and the per-vertex sign
-sums recover popularity certificates.  The graph stores only its instance
-and the legal flags: copy ``e & 3`` of genuine edge ``e >> 2`` makes every
-end, tag, projection, sign and position arithmetic on the layout, and
-:func:`mirror_system` lays out the ranked lists for the engine.  Mirror
-matchings are read in whole-array passes.
+sums recover popularity certificates.  The graph stores its instance and
+the legal flags, and builds one per-edge table the first time it is read:
+each edge's two ends, its position in its left copy's list and its rank at
+its right copy.  The engine runs on that table, and the blocking test and
+the debug dump read it.  Tags, projections and signs stay arithmetic on
+the id, copy ``e & 3`` of genuine edge ``e >> 2``.  Mirror matchings are
+read in whole-array passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,16 +39,17 @@ class MirrorGraph:
     For the k-th genuine edge (a, b) the four signed edges take ids
     ``4k .. 4k+3``: upper with a tagged plus, upper with a tagged minus,
     lower with b tagged plus, lower with b tagged minus.  Twin edges follow
-    at ``4m + u``.  So an edge's ends, its tags, whether it is a twin and
-    whether it is forbidden all follow from its id: an upper copy joins
-    a's left copy to b's right copy and a lower copy the other way round, a
-    genuine copy's left tag is plus when its id is even and its right tag
-    is the opposite, a twin's left tag is minus and its right tag plus, and
-    a copy is forbidden when the classification's ``legal_flags`` (shared,
-    not copied) do not mark its genuine edge, or for a twin its vertex's
-    self-loop, as legal.  The graph stores nothing else: its ranked lists
-    are laid out by :func:`mirror_system`.  The flags are left out of
-    equality and hashing (they follow from ``inst``).
+    at ``4m + u``.  So an edge's tags, whether it is a twin and whether it
+    is forbidden follow from its id: a genuine copy's left tag is plus when
+    its id is even and its right tag is the opposite, a twin's left tag is
+    minus and its right tag plus, and a copy is forbidden when the
+    classification's ``legal_flags`` (shared, not copied) do not mark its
+    genuine edge, or for a twin its vertex's self-loop, as legal.  An upper
+    copy joins a's left copy to b's right copy and a lower copy the other
+    way round.  Each edge's two ends and where each ranks it are kept in
+    one per-edge table, the private ``_table``, built once, when first
+    read.  The flags are left out of equality and hashing (they follow
+    from ``inst``).
     """
 
     inst: Instance
@@ -61,26 +65,38 @@ class MirrorGraph:
     def left_tag(self, e: int) -> int:
         return -1 if self.is_twin(e) or e & 1 else 1
 
-    def right_tag(self, e: int) -> int:
-        return -self.left_tag(e)
-
     def forbidden_flags(self) -> np.ndarray:
         """Whether each edge is forbidden, as one bool array over edge ids."""
         legal, m = self.legal_flags, self.inst.m
         return ~np.concatenate((legal[:m].repeat(4), legal[m:]))
 
-    def describe(self, e: int) -> str:
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, ...]:
+        """Four int arrays over edge ids: each edge's left copy, right copy,
+        position in its left copy's list and rank at its right copy.
+
+        A copy with d neighbors ranks its edges in three blocks.  Its left
+        list holds the minus-tagged partners (reached along its own plus
+        tag), the plus-tagged partners, then the twin; its right order
+        holds the minus-tagged partners, the twin, then the plus-tagged
+        partners.  So an edge at rank r of u's list sits at r (even id) or
+        d + r (odd id) on the left and at d + 1 + r (even) or r (odd) on
+        the right, the twin at 2d and d.
+        """
         inst = self.inst
-        if self.is_twin(e):
-            u = v = e - 4 * inst.m
-        else:
-            k, lay = e >> 2, inst.layout
-            u, v = lay.agent_of[k], inst.num_agents + lay.job_of[k]
-            if e & 2:
-                u, v = v, u
-        lt = "+" if self.left_tag(e) > 0 else "-"
-        rt = "+" if self.right_tag(e) > 0 else "-"
-        return f"({inst.names[u]}_l^{lt}, {inst.names[v]}_r^{rt})"
+        m, n, lay = inst.m, inst.n, inst.layout
+        degree = lay.degrees()
+        left, right, at, rank = (np.empty(4 * m + n, np.intp) for _ in range(4))
+        left[4 * m:] = right[4 * m:] = np.arange(n)
+        at[4 * m:], rank[4 * m:] = 2 * degree, degree
+        agents, jobs = lay.agent_of, inst.num_agents + lay.job_of
+        upper = (agents, jobs, lay.agent_rank, lay.job_rank)
+        lower = (jobs, agents, lay.job_rank, lay.agent_rank)
+        for t, (u, v, ru, rv) in enumerate((upper, upper, lower, lower)):
+            left[t:4 * m:4], right[t:4 * m:4] = u, v
+            at[t:4 * m:4] = ru + (t & 1) * degree[u]
+            rank[t:4 * m:4] = rv + (1 - (t & 1)) * (degree[v] + 1)
+        return left, right, at, rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,31 +119,12 @@ class MirrorMatching:
 def mirror_system(mirror: MirrorGraph) -> ProposalSystem:
     """Proposal system over the mirror graph: left copies propose, right dispose.
 
-    The graph is given per edge, as four int arrays filled one copy class
-    ``4k + t`` at a time and then the twins: each edge's left and right
-    copy, its position in its left copy's list and its rank at its right
-    copy.  Every signed copy of a non-legal edge, and the twin of every
-    vertex whose self-loop is not legal, is forbidden before the run.
+    The system is given the graph's per-edge table, shared, not copied.
+    Every signed copy of a non-legal edge, and the twin of every vertex
+    whose self-loop is not legal, is forbidden before the run.
     """
-    # A copy with d neighbors ranks its edges in three blocks.  Its left
-    # list holds the minus-tagged partners (reached along its own plus
-    # tag), the plus-tagged partners, then the twin; its right order holds
-    # the minus-tagged partners, the twin, then the plus-tagged partners.
-    # So an edge at rank r of u's list sits at r or d + r on the left and
-    # at r or d + 1 + r on the right (see _offset), the twin at 2d and d.
-    inst = mirror.inst
-    m, n = inst.m, inst.n
-    degree = inst.layout.degrees()
-    left, right, at, rrank = (np.empty(4 * m + n, np.intp) for _ in range(4))
-    left[4 * m:] = right[4 * m:] = np.arange(n)
-    at[4 * m:], rrank[4 * m:] = 2 * degree, degree
-    for t, (u, v, ru, rv) in enumerate(_copy_classes(inst)):
-        left[t:4 * m:4], right[t:4 * m:4] = u, v
-        at[t:4 * m:4] = ru + _offset(t & 1, degree[u], True)
-        rrank[t:4 * m:4] = rv + _offset(t & 1, degree[v], False)
-    return ProposalSystem(
-        n, n, left, right, at, rrank, mirror.forbidden_flags()
-    )
+    n = mirror.inst.n
+    return ProposalSystem(n, n, *mirror._table, mirror.forbidden_flags())
 
 
 def realize_witnessed(
@@ -210,71 +207,33 @@ def classify_partition(mh: MirrorMatching) -> tuple[np.ndarray, np.ndarray]:
 def mirror_blocking_edges(mh: MirrorMatching) -> tuple[int, ...]:
     """Every mirror edge both of whose endpoints prefer it to their matches.
 
-    Positions are layout arithmetic (see :func:`_positions`).  The twins
-    are tested in one n-sized pass and each copy class t in one m-sized
-    pass, so no temporary spans all 4m + n edges.  Sorted by id.
+    Each edge's entries in the graph's table are compared with the
+    positions of its two copies' matched edges, a copy with no edge (-1)
+    preferring every edge.  Sorted by id.
     """
-    inst = mh.mirror.inst
-    deg = inst.layout.degrees()
-    left_at = _positions(inst, mh.left_edge, deg, True)
-    right_at = _positions(inst, mh.right_edge, deg, False)
-    found = [4 * inst.m + np.flatnonzero((2 * deg < left_at) & (deg < right_at))]
-    for t, (u, v, ru, rv) in enumerate(_copy_classes(inst)):
-        hit = (ru + _offset(t & 1, deg[u], True) < left_at[u]) & (
-            rv + _offset(t & 1, deg[v], False) < right_at[v]
-        )
-        found.append(4 * np.flatnonzero(hit) + t)
-    return tuple(np.sort(np.concatenate(found)).tolist())
-
-
-def _copy_classes(inst: Instance) -> tuple[tuple[np.ndarray, ...], ...]:
-    """``(left end, right end, their ranks)`` of the copies ``4k + t`` for
-    t = 0 .. 3, each four arrays over k: upper, upper, lower, lower."""
-    lay = inst.layout
-    agents, jobs = lay.agent_of, inst.num_agents + lay.job_of
-    upper = (agents, jobs, lay.agent_rank, lay.job_rank)
-    lower = (jobs, agents, lay.job_rank, lay.agent_rank)
-    return upper, upper, lower, lower
-
-
-def _offset(odd, d, left: bool):
-    """Where a copy of degree d starts its block of parity ``odd``."""
-    return odd * d if left else (1 - odd) * (d + 1)
-
-
-def _positions(inst: Instance, edges, deg, left: bool) -> np.ndarray:
-    """Where each copy's matched edge ``edges[u]`` sits in u's left (or
-    right) order.  Edge ``4k + t`` at rank r of u (of degree d) sits at r
-    on the left and d + 1 + r on the right when t is even, at d + r and r
-    when t is odd; a twin at 2d and d; no edge (-1) counts as 2d + 1."""
-    at = np.where(edges == -1, 2 * deg + 1, 2 * deg if left else deg)
-    u = np.flatnonzero((edges >= 0) & (edges < 4 * inst.m))
-    e = edges[u]
-    lay, k = inst.layout, e >> 2
-    rank = np.where(u < inst.num_agents, lay.agent_rank[k], lay.job_rank[k])
-    at[u] = rank + _offset(e & 1, deg[u], left)
-    return at
+    left, right, at, rank = mh.mirror._table
+    held_at = np.where(mh.left_edge == -1, len(at), at[mh.left_edge])
+    held_rank = np.where(mh.right_edge == -1, len(rank), rank[mh.right_edge])
+    hit = (at < held_at[left]) & (rank < held_rank[right])
+    return tuple(np.flatnonzero(hit).tolist())
 
 
 def format_mirror(mirror: MirrorGraph) -> str:
     """Line-oriented debug dump: each copy's ranked edges with forbidden
-    flags, read off a fresh :func:`mirror_system`."""
-    inst, system = mirror.inst, mirror_system(mirror)
-    lines = [f"mirror graph: {inst.n * 2} vertices, {mirror.num_edges} edges"]
-    starts, forbidden = system.list_starts, system.forbidden
-    for u in range(inst.n):
-        row = " ".join(
-            mirror.describe(e) + ("!" if forbidden[e] else "")
-            for e in system.list_edges[starts[u]:starts[u + 1]]
-        )
-        lines.append(f"{inst.names[u]}_l > {row}")
-    incoming: list[list[int]] = [[] for _ in range(inst.n)]
-    for e in range(mirror.num_edges):
-        incoming[system.edge_right[e]].append(e)
-    for u in range(inst.n):
-        order = sorted(incoming[u], key=system.right_rank.__getitem__)
-        row = " ".join(
-            mirror.describe(e) + ("!" if forbidden[e] else "") for e in order
-        )
-        lines.append(f"{inst.names[u]}_r > {row}")
+    flags, read off the graph's table."""
+    inst, (left, right, at, rank) = mirror.inst, mirror._table
+    names, n = inst.names, inst.n
+    flags = mirror.forbidden_flags().tolist()
+    labels = []
+    for e, (u, v) in enumerate(zip(left.tolist(), right.tolist())):
+        lt, rt = "+-" if mirror.left_tag(e) > 0 else "-+"
+        mark = "!" if flags[e] else ""
+        labels.append(f"({names[u]}_l^{lt}, {names[v]}_r^{rt}){mark}")
+    lines = [f"mirror graph: {n * 2} vertices, {mirror.num_edges} edges"]
+    for side, owner, key in (("l", left, at), ("r", right, rank)):
+        order = np.lexsort((key, owner)).tolist()
+        ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
+        for u, (start, end) in enumerate(zip([0] + ends, ends)):
+            row = " ".join(labels[e] for e in order[start:end])
+            lines.append(f"{names[u]}_{side} > {row}")
     return "\n".join(lines) + "\n"

@@ -108,23 +108,24 @@ class SolveReport:
         return tuple(TraceRow(u, members[self.component_id[u]], k) for u, k in rows)
 
 
-def _mark_components(inst, classification, left, right) -> tuple[np.ndarray, ...]:
+def _mark_components(inst, classification, signs) -> tuple[np.ndarray, ...]:
     """Mark the component of every straddling vertex, in id order.
 
-    ``left`` and ``right`` hold the edge matched at each vertex's left and
-    right copy.  A vertex straddles when its left copy sits on a minus tag
-    and its right copy on a plus tag, that is, when both edges are genuine
-    copies with odd ids (see :class:`~popmatch.mirror.MirrorGraph`).  Every
-    vertex of a marked component must hold odd or twin copies only, or the
-    solver is broken.  Returns the per-vertex marks as bool flags, then each
-    marked component's trigger, its first straddling vertex, and its edges
-    forbidden: the plus-tagged copies at its agents, two per legal edge,
-    that the paper's loop forbids.
+    ``signs`` are the per-vertex ``(upper, lower)`` tags of
+    :func:`~popmatch.mirror.classify_partition`.  With ``side`` -1 for an
+    agent and +1 for a job, a vertex straddles, its left copy on a minus
+    tag and its right copy on a plus tag, when ``upper == side`` and
+    ``lower == -side``.  Every vertex of a marked component must hold odd
+    or twin copies only, so ``upper == -side`` or ``lower == side`` there
+    means the solver is broken.  Returns the per-vertex marks as bool
+    flags, then each marked component's trigger, its first straddling
+    vertex, and its edges forbidden: the plus-tagged copies at its agents,
+    two per legal edge, that the paper's loop forbids.
     """
     cid = classification.component_id
-    twins = 4 * inst.m
-    genuine = (left < twins) & (right < twins)
-    straddles = np.flatnonzero(genuine & (left & right & 1 == 1))
+    upper, lower = signs
+    side = np.where(np.arange(inst.n) < inst.num_agents, -1, 1)
+    straddles = np.flatnonzero((upper == side) & (lower == -side))
     _, first = np.unique(cid[straddles], return_index=True)
     triggers = straddles[np.sort(first)]
     ids = cid[triggers]
@@ -134,9 +135,7 @@ def _mark_components(inst, classification, left, right) -> tuple[np.ndarray, ...
     # Legal edges per component, each counted at its agent.
     legal = inst.layout.agent_of[classification.legal_flags[:inst.m]]
     plus = 2 * np.bincount(cid[legal], minlength=inst.n)[ids]
-    plus_left = (left < twins) & (left & 1 == 0)
-    plus_right = (right < twins) & (right & 1 == 0)
-    if (marks & (plus_left | plus_right)).any():
+    if (marks & ((upper == -side) | (lower == side))).any():
         raise SolverDefect("a marked component holds a plus-tagged edge")
     return marks, triggers, plus
 
@@ -189,14 +188,12 @@ def _solve(
         return SolveReport("none", infeasible_vertex=int(alone[0])), mh
     # The rest reads the matching as two arrays; a structural failure in it
     # is the solver's, not the input's.
-    marks, *marking = _mark_components(
-        inst, classification, mh.left_edge, mh.right_edge
-    )
-    matching, lower = project(mh)
     try:
         signs = classify_partition(mh)
     except ValueError as exc:
         raise SolverDefect(str(exc)) from exc
+    marks, *marking = _mark_components(inst, classification, signs)
+    matching, lower = project(mh)
     own_m = matching.partner_ranks(inst)
     witness = extract_witness(inst, matching, own_m, marks, signs[0])
     if validate:

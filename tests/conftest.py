@@ -1368,7 +1368,7 @@ def iterated_forbid_reference(inst) -> dict:
         le, re = system.left_match[u], system.right_match[u]
         return (
             not mirror.is_twin(le) and mirror.left_tag(le) == -1
-            and not mirror.is_twin(re) and mirror.right_tag(re) == 1
+            and not mirror.is_twin(re) and -mirror.left_tag(re) == 1
         )
 
     marks = [False] * inst.n

@@ -2,9 +2,10 @@
 
 Each digest covers a command's exit code, stdout and stderr, as
 ``popmatch.cli.main`` produces them in-process.  The inputs are the
-showcase, ``SIZE_GAP``, 200 ``generate`` instances (sides 1-6, densities
-0.3, 0.5 and 0.8) and one ``blocks`` and one ``ring`` text of the
-benchmark.  The commands are ``solve --json --trace``, ``solve --validate``,
+showcase, ``SIZE_GAP``, two degenerate texts (the empty instance and one
+with two jobs and no agent), 200 ``generate`` instances (sides 1-6,
+densities 0.3, 0.5 and 0.8) and one ``blocks`` and one ``ring`` text of
+the benchmark.  The commands are ``solve --json --trace``, ``solve --validate``,
 ``edges --dump-mirror``, ``edges --kind <kind> --json`` for each kind and
 ``verify --json`` in all three modes, on the solver's answer and on a
 seeded greedy matching; inputs of at most ``ORACLE_MAX_N`` vertices add
@@ -57,7 +58,12 @@ def inputs() -> dict[str, str]:
     """Every corpus input text by name."""
     from conftest import SHOWCASE_TEXT, SIZE_GAP_TEXT
 
-    texts = {"showcase": SHOWCASE_TEXT, "size_gap": SIZE_GAP_TEXT}
+    texts = {
+        "showcase": SHOWCASE_TEXT,
+        "size_gap": SIZE_GAP_TEXT,
+        "empty": "agents:\njobs:\n",
+        "jobs_only": "agents:\njobs: b0 b1\n",
+    }
     for seed in range(SEEDS):
         na, nb = 1 + seed % 6, 1 + seed // 6 % 6
         density = DENSITIES[seed // 36 % 3]

@@ -85,15 +85,23 @@ PUBLIC = {
     ],
     "Instance": ["ids", "layout", "m", "n", "names", "num_agents", "num_jobs"],
     "Matching": ["pairs", "partner", "partner_ranks", "size"],
+    "MirrorGraph": [
+        "forbidden_flags", "inst", "is_twin", "left_tag", "legal_flags",
+        "num_edges",
+    ],
+    "MirrorMatching": ["left_edge", "mirror", "right_edge", "uses_forbidden"],
 }
 
 
 def test_records_hold_only_what_the_program_reads():
     inst = popmatch.parse_instance("agents: a\njobs: b\na > b\nb > a\n")
+    report, mh = popmatch.solver._solve(inst)
     records = {
         "EdgeClassification": popmatch.legal_edge_set(inst),
         "Instance": inst,
-        "Matching": popmatch.solve(inst).matching,
+        "Matching": report.matching,
+        "MirrorGraph": mh.mirror,
+        "MirrorMatching": mh,
     }
     for name, record in records.items():
         public = [x for x in dir(record) if not x.startswith("_")]

@@ -296,7 +296,7 @@ def _right_copy_dropped(mirror):
     """``solver.mirror_system`` whose runs end with right copy 1 unmatched.
 
     Every left copy stays matched, so the run is not a ``none`` verdict;
-    right copies 0 and 2 would trip the marking guard first.
+    the signs, read before the marking pass, find the matching imperfect.
     """
     system = mirror_system(mirror)
     run = system.run
@@ -412,17 +412,39 @@ def test_generate_output_in_missing_directory_exit_one(tmp_path, capsys):
     assert not path.parent.exists()
 
 
-def test_input_error_exit_one(files, capsys):
+@pytest.fixture(
+    params=[
+        ["solve"], ["verify", "--matching"], ["edges"],
+        ["edges", "--dump-mirror"], ["oracle"],
+    ],
+    ids=["solve", "verify", "edges", "dump-mirror", "oracle"],
+)
+def reads_instance(request, files):
+    """A command that reads an instance: its argv for an instance path.
+    ``verify`` is given an empty matching file."""
+    command, *options = request.param
+    if command == "verify":
+        options.append(files("matching.txt", ""))
+    return lambda path: [command, path, *options]
+
+
+def test_input_error_exit_one(files, capsys, reads_instance):
     for i, (text, message) in enumerate(PARSE_ERRORS):
         path = files(f"broken{i}.txt", text)
-        assert main(["solve", path]) == 1, message
+        assert main(reads_instance(path)) == 1, message
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
 
-def test_missing_file_exit_one():
-    assert main(["solve", "/nonexistent/instance.txt"]) == 1
+def test_missing_file_exit_one(capsys, reads_instance):
+    path = "/nonexistent/instance.txt"
+    with pytest.raises(OSError) as err:
+        Path(path).read_text()
+    assert main(reads_instance(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err.value}\n"
+    assert captured.out == ""
 
 
 def test_directory_instance_exit_one(tmp_path, capsys):

@@ -143,7 +143,7 @@ class TestBuild:
         system = mirror_system(mirror)
         a1 = id_of(size_gap, "a1")
         row = left_list(system, a1)
-        assert [mirror.right_tag(e) for e in row] == [-1, -1, 1, 1, 1]
+        assert [-mirror.left_tag(e) for e in row] == [-1, -1, 1, 1, 1]
         assert mirror.is_twin(row[-1])
         incident = sorted(
             (
@@ -166,7 +166,7 @@ class TestBuild:
             assert [
                 (
                     mirror.left_tag(e),
-                    mirror.right_tag(e),
+                    -mirror.left_tag(e),
                     mirror.is_twin(e),
                     forbidden[e],
                 )
@@ -187,11 +187,11 @@ class TestBuild:
         assert text == SIZE_GAP_DUMP
 
     def test_retained_memory_per_edge(self):
-        # The system keeps the flat lists it builds and the endpoints and
-        # right ranks it is given, all int64 arrays, and one forbidden byte
-        # per edge, about 35 B per edge in all; the graph keeps only the
-        # shared legal flags.  A forbidden flag list (8 B per edge) or
-        # per-edge tuples of ints would not fit.
+        # The graph keeps its per-edge table, four int64 arrays, and the
+        # shared legal flags; the system keeps three of the table's arrays
+        # by reference and adds the flat lists it builds and one forbidden
+        # byte per edge, about 43 B per edge in all.  A forbidden flag list
+        # (8 B per edge) or per-edge tuples of ints would not fit.
         inst = parse_instance(composed_text(1000, seed=3))
         classification = legal_edge_set(inst)
         gc.collect()
@@ -337,8 +337,8 @@ class TestRealize:
         system = mirror_system(mirror)
         for u in range(size_gap.n):
             le, re = mh.left_edge[u], mh.right_edge[u]
-            ltag = mirror.left_tag(le) if system.edge_left[le] == u else mirror.right_tag(le)
-            rtag = mirror.right_tag(re) if system.edge_right[re] == u else mirror.left_tag(re)
+            ltag = mirror.left_tag(le) if system.edge_left[le] == u else -mirror.left_tag(le)
+            rtag = -mirror.left_tag(re) if system.edge_right[re] == u else mirror.left_tag(re)
             assert ltag + rtag == 2 * alpha[u]
 
     def test_non_cancelling_pair_rejected(self, size_gap):

@@ -1,13 +1,15 @@
 """Command-line surface: solve, verify, classify edges, oracle checks, generation.
 
-Exit codes: 0 success, 1 input or I/O error, 2 no fully popular matching
-exists (``solve``), 3 verification failed (``verify``) or the oracle
-cross-check found a difference (``oracle --cross-check``).
+Exit codes: 0 success, 1 input, I/O or usage error, 2 no fully popular
+matching exists (``solve``), 3 verification failed (``verify``) or the
+oracle cross-check found a difference (``oracle --cross-check``).  The
+parser is built once per process and reused by every ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -197,7 +199,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process and shared by every call;
+    callers read it and must not change it."""
     parser = argparse.ArgumentParser(
         prog="popmatch",
         description="Fully popular matchings: solve, verify, classify, cross-check.",
@@ -245,7 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Parse ``argv`` and run its subcommand; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed help (code 0) or a usage error (code 2).
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.handler(args)
     except (InstanceError, OSError, ValueError) as exc:

@@ -356,6 +356,65 @@ def test_readme_cli_block_matches_parser():
             assert len(options & listed) == 1, (name, options)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["solve", "x", "--jsn"],
+        ["verify", "x"],
+        ["verify", "x", "--matching", "y", "--mode", "bogus"],
+        ["generate", "--agents", "two"],
+    ],
+    ids=["no-instance", "unknown-option", "no-matching", "bad-mode", "bad-int"],
+)
+def test_usage_error_exit_one(capsys, argv):
+    # A usage error is an input error, not solve's "none" (exit 2).
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: popmatch")
+    assert ": error: " in captured.err
+
+
+def test_help_exit_zero(capsys):
+    assert main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: popmatch")
+    assert captured.err == ""
+
+
+def test_one_parser_per_process_carries_no_state(files, capsys):
+    # Each call gives what the same argv gives on a freshly built parser,
+    # and the whole sequence builds the parser once.
+    gap = files("gap.txt", SIZE_GAP_TEXT)
+    show = files("show.txt", SHOWCASE_TEXT)
+    stable = files("s4.txt", "a b\np q\npp qp\nx y\n")
+    argvs = [
+        ["solve", gap, "--json"],
+        ["solve", gap],
+        ["verify", show, "--matching", stable, "--mode", "popular"],
+        ["verify", show, "--matching", stable],
+        ["solve", gap, "--jsn"],
+        ["edges", gap, "--kind", "popular"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _ in fresh] == [0, 0, 0, 3, 1, 0]
+    build_parser.cache_clear()
+    reused = [run(argvs[0])]
+    assert build_parser.cache_info().misses == 1
+    reused += [run(argv) for argv in argvs[1:]]
+    assert build_parser.cache_info().misses == 1
+    assert reused == fresh
+
+
 def test_generate_deterministic(capsys):
     args = ["generate", "--agents", "3", "--jobs", "3", "--density", "1.0", "--seed", "7"]
     assert main(args) == 0

@@ -91,6 +91,10 @@ LEDGER = {
         "test_cli.py::test_oracle_cross_check_lists_diff",
     ("cli", "_cmd_oracle", 'diffs.append("popular edge sets differ")', 0):
         "test_cli.py::test_oracle_cross_check_lists_popular_edge_diff",
+    ("cli", "main", "except SystemExit as exc:", 0):
+        "test_cli.py::test_usage_error_exit_one",
+    ("cli", "main", "return EXIT_INPUT if exc.code else EXIT_OK", 0):
+        "test_cli.py::test_usage_error_exit_one",
     ("cli", "main", "except (InstanceError, OSError, ValueError) as exc:", 0):
         "test_cli.py::test_input_error_exit_one",
     ("cli", "main", 'print(f"error: {exc}", file=sys.stderr)', 0):
@@ -285,6 +289,8 @@ def reached_lines(texts, argvs) -> set[tuple[str, int]]:
         inst = parse_instance(STALE_TEXT)
         verify_popular(inst, parse_matching(STALE_MATCHING, inst))
         out = io.StringIO()
+        # Earlier tests have built the cached parser; build it here again.
+        popmatch.cli.build_parser.cache_clear()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             for argv in argvs:
                 assert popmatch.cli.main(argv) in (0, 2), argv

@@ -68,24 +68,24 @@ def _build(
 ) -> Instance:
     """Intern names to ids, validate every structural invariant, lay out edges.
 
-    A list under an undeclared name raises, before a repeated name does.
-    The owners' ids come from the dict that interns the names, with -1 (the
-    least, so ``argmin`` finds the first) for an undeclared name.  Owners are
-    distinct, so each vertex has at most one list: ``deg[owner] = lens``
-    gives every list's place in id order, and one shifted scatter moves the
-    flat entries there, with no sort.  All list entries map to ids in one
-    pass and the rules are checked on flat arrays; only when a rule fails
-    does a name-by-name scan look for the message.
+    Names map to ids through the name dict's ``__getitem__``; a ``KeyError``
+    marks an undeclared name.  An undeclared owner raises before a repeated
+    name does, naming the first in dict order.  Owners are distinct, so
+    ``deg[owner] = lens`` gives every list's place in id order, and one
+    shifted scatter moves the flat entries there, with no sort.  The rules
+    are then checked on flat arrays; only on a ``KeyError`` among the
+    entries or a failed rule does a name-by-name scan look for the message.
     """
     names = list(agent_names) + list(job_names)
     n, na = len(names), len(agent_names)
     idx = dict(zip(names, range(n)))
-    get = idx.get
+    intern = idx.__getitem__
     rows = pref_by_name.values()
-    own = np.fromiter(map(get, pref_by_name, repeat(-1)), np.intp, len(rows))
-    if (own < 0).any():
-        name = list(pref_by_name)[np.argmin(own)]
-        raise InstanceError(f"preference line for undeclared vertex {name!r}")
+    try:
+        own = np.fromiter(map(intern, pref_by_name), np.intp, len(rows))
+    except KeyError:
+        name = next(x for x in pref_by_name if x not in idx)
+        raise InstanceError(f"preference line for undeclared vertex {name!r}") from None
     if len(idx) != n:
         counts = Counter(names)
         dup = next(x for x in names if counts[x] > 1)
@@ -96,9 +96,10 @@ def _build(
     bounds = np.zeros(n + 1, np.intp)
     np.cumsum(deg, out=bounds[1:])
     total = int(bounds[-1])
-    flat = np.fromiter(
-        map(get, chain.from_iterable(rows), repeat(-1)), np.intp, total
-    )
+    try:
+        flat = np.fromiter(map(intern, chain.from_iterable(rows)), np.intp, total)
+    except KeyError:
+        _raise_list_error(names, na, pref_by_name)
     # Entry i of the flat lists moves by its list's shift: from where the
     # list starts in dict order to where it starts in id order.
     shift = np.repeat(bounds[own] + lens - np.cumsum(lens), lens)
@@ -156,21 +157,19 @@ class EdgeLayout(_ArrayFields):
 def _bulk_layout(src, dst, deg, na: int) -> EdgeLayout | None:
     """The edge layout of valid lists, or ``None`` if any rule fails.
 
-    ``src[i]`` lists ``dst[i]``, grouped by ``src`` in id order with each
-    list in preference order; ``dst`` is -1 for an undeclared name, and
-    ``deg`` counts the entries per vertex.  Past the two checks for
-    undeclared names and empty agent lists, one test covers the rest: the
-    ``(agent, job)`` keys of the agents' lists, sorted, equal those of the
-    jobs' lists with no key twice.  That makes adjacency mutual and rules
-    out repeated entries.  It also rules out same-side entries: agent a
-    listing c gives the key (a, c), and every job-side key ends in a job,
-    so no key matches it when c is an agent; likewise for a job listing a
-    job, since every agent-side key starts with an agent.  The two
-    argsorts pair each job-side entry with its edge id.
+    ``src[i]`` lists ``dst[i]``, both declared ids, grouped by ``src`` in id
+    order with each list in preference order; ``deg`` counts the entries
+    per vertex.  Past the check for empty agent lists, one test covers the
+    rest: the ``(agent, job)`` keys of the agents' lists, sorted, equal
+    those of the jobs' lists with no key twice.  That makes adjacency mutual
+    and rules out repeated and same-side entries: an agent listing an agent
+    gives a key that ends in an agent, and a job listing a job a key that
+    starts with a job, which the other side never gives.  The two argsorts
+    pair each job-side entry with its edge id.
     """
     n = len(deg)
     m = int(deg[:na].sum())
-    if (dst < 0).any() or (deg[:na] == 0).any():
+    if (deg[:na] == 0).any():
         return None
     key_a = src[:m] * n + dst[:m]
     key_j = dst[m:] * n + src[m:]
@@ -346,13 +345,12 @@ def parse_instance(text: str) -> Instance:
     preferred.  A vertex without a preference line has an empty list, which
     is an error for agents.
 
-    One pass reads the lines: each list line goes straight into the
-    name-to-list dict, and the only other lines it takes are blank lines,
-    comments and the first ``agents:`` and ``jobs:`` lines.  A repeated list
-    shows after the pass, as a dict with fewer entries than there were list
-    lines; a list under an undeclared name shows when the dict that interns
-    the names looks up its owner.  Only if a line is irregular are the
-    lines re-read in order, so that the error names the first bad line.
+    One pass reads the lines.  A line with a name before a ``>`` goes
+    straight into the name-to-list dict unless the name starts with ``#``
+    or, holding a colon, with a header.  Besides these, the pass takes only
+    blank lines, comments and the first ``agents:`` and ``jobs:`` lines.  A
+    repeated list shows as fewer dict entries than list lines.  Only if a
+    line is irregular are the lines re-read in order, to name the first one.
     """
     lines = text.splitlines()
     agent_names: list[str] | None = None
@@ -362,7 +360,9 @@ def parse_instance(text: str) -> Instance:
     for raw in lines:
         head, sep, tail = raw.partition(">")
         name = head.strip()
-        if sep and name and name[0] != "#" and not name.startswith(_HEADERS):
+        if sep and name and name[0] != "#" and (
+            ":" not in name or not name.startswith(_HEADERS)
+        ):
             pref_by_name[name] = tail.split()
             continue
         others += 1
@@ -412,10 +412,10 @@ def parse_matching(text: str, inst: Instance) -> Matching:
     """Parse an ``agent job`` pair-per-line file; omitted vertices are self-matched.
 
     Blank lines and lines starting with ``#`` are skipped.  Each line is
-    split once, every name maps to its id in one pass (an unknown name to
-    -1), and the pairs are checked together by :func:`matching_from_ids`.
-    Only if a line does not hold two names or that check fails are the
-    lines re-read in order, so that every error names its line.
+    split once, every name maps to its id through ``inst.ids`` in one pass,
+    and :func:`matching_from_ids` checks the pairs together.  Only on a line
+    without two names, an unknown name or a failed check are the lines
+    re-read in order, so that every error names its line.
     """
     ids = inst.ids
     rows = list(filter(None, map(str.split, text.splitlines())))
@@ -423,9 +423,9 @@ def parse_matching(text: str, inst: Instance) -> Matching:
     if True in comments:
         rows = list(compress(rows, map(not_, comments)))
     if set(map(len, rows)) <= {2}:
-        tokens = map(ids.get, chain.from_iterable(rows), repeat(-1))
-        pair_ids = np.fromiter(tokens, np.intp, 2 * len(rows))
-        with suppress(InstanceError):
+        with suppress(InstanceError, KeyError):
+            tokens = map(ids.__getitem__, chain.from_iterable(rows))
+            pair_ids = np.fromiter(tokens, np.intp, 2 * len(rows))
             return matching_from_ids(inst, pair_ids[0::2], pair_ids[1::2])
     # Some line is bad.  Each line in order is tested for two names, then
     # known names, then an agent before a job, then against the lines before.

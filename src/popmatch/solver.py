@@ -126,8 +126,9 @@ def _mark_components(inst, classification, signs) -> tuple[np.ndarray, ...]:
     upper, lower = signs
     side = np.where(np.arange(inst.n) < inst.num_agents, -1, 1)
     straddles = np.flatnonzero((upper == side) & (lower == -side))
-    _, first = np.unique(cid[straddles], return_index=True)
-    triggers = straddles[np.sort(first)]
+    first = np.full(inst.n, inst.n)
+    np.minimum.at(first, cid[straddles], straddles)
+    triggers = np.sort(first[first < inst.n])
     ids = cid[triggers]
     marked = np.zeros(inst.n, bool)
     marked[ids] = True

@@ -126,10 +126,14 @@ PARSE_ERRORS = [
         "agents: a\njobs: b\na > b b\nb > a a\n",
         "'a' lists 'b' more than once",
     ),
-    # A header is a header even with a '>' in it.
+    # A header is a header even with a '>' in it, and so is a repeated one.
     (
         "agents: a >\njobs: b\na > b\nb > a\n",
         "agent '>' has an empty preference list",
+    ),
+    (
+        "agents: a\njobs: b\na > b\nb > a\njobs: c > a\n",
+        "line 5: repeated jobs line",
     ),
     # A bad list line, then a malformed line: lines are read first.
     (

@@ -296,6 +296,8 @@ class TestParseErrors:
             "\n".join(lines[3:] + lines[:3]),
             "agents: a\njobs: b\na> b\nb >a\n",
             "agents: a\njobs: b\na>b\n  b  >  a  \n",
+            # Names that hold a colon but start with no header: list lines.
+            "agents: a:1\njobs: b:1\na:1 > b:1\nb:1 > a:1\n",
             # A job named '>': the jobs line is a header, not a list.
             "agents: a\njobs: b >\na > b\nb > a\n",
         ]

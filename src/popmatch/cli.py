@@ -29,7 +29,7 @@ from .legality import component_members, legal_edge_set
 from .mirror import MirrorGraph, format_mirror
 from .oracle import ground_truth
 from .popularity import check_a_popular, verify_popular
-from .solver import solve
+from .solver import _solve, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -61,7 +61,7 @@ def _witness_json(inst: Instance, witness) -> dict[str, int]:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    report = solve(inst, validate=args.validate)
+    report, mh = _solve(inst, args.validate)
     if args.as_json:
         payload: dict = {"outcome": report.outcome}
         if report.outcome == "found":
@@ -101,7 +101,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 )
     else:
         vertex = inst.names[report.infeasible_vertex]
-        print(f"no fully popular matching (vertex {vertex} ran out of options)")
+        # No mirror run means the post-graph test decided.
+        reason = (
+            f"no agent-popular matching: agent {vertex}'s post component overflows"
+            if mh is None
+            else f"vertex {vertex} ran out of options"
+        )
+        print(f"no fully popular matching ({reason})")
     return EXIT_OK if report.outcome == "found" else EXIT_NONE
 
 

@@ -14,11 +14,11 @@ or of the mirror graph, is given as the same four int arrays over its edge
 ids: each edge's two ends and its rank in the lists of both.  Only
 :class:`ProposalSystem` lays those lists out; it keeps its caller's arrays
 by reference and never writes them.  Plain systems are forbidden nothing,
-and every stable edge comes from one rotation walk between the two extreme
-stable matchings.  A mirror system is forbidden the copies of its non-legal
-edges, and no stable matching avoiding them exists exactly when its run
-leaves some left copy alone.  A run's work is linear in the summed list
-lengths.
+so their whole-array rounds skip every forbidden-edge pass, and every
+stable edge comes from one rotation walk between the two extreme stable
+matchings.  A mirror system is forbidden the copies of its non-legal edges,
+and no stable matching avoiding them exists exactly when its run leaves
+some left copy alone.  A run's work is linear in the summed list lengths.
 
 Int64 numpy arrays are the one stored form of a system, its run state
 included.  A large system runs in two stages: whole-array numpy rounds while
@@ -76,8 +76,9 @@ class ProposalSystem:
     an edge ranked at or beyond it.  A left vertex that runs out of its list
     stays alone.  ``forbidden`` flags the edges forbidden in the run, as a
     bool array over edge ids, none when not given; the system keeps it as
-    its ``forbidden`` and reads it only while it runs.  Only mirror systems
-    are forbidden anything in a solve.
+    its ``forbidden``, so flags set before the run count, and its rounds
+    read it only when some flag is set.  Only mirror systems are forbidden
+    anything in a solve.
 
     A system runs once.  Its run state is three int64 arrays:
     ``right_match[r]`` holds r's matched edge id or -1, ``right_cut[r]`` is
@@ -156,7 +157,8 @@ class ProposalSystem:
         proposal wins exactly when its rank is the new cutoff: a right
         vertex ranks its edges uniquely and no edge is proposed twice, so
         no proposal ties the old cutoff or another proposal.  A won right
-        vertex holds the winner, or nothing if the winner is forbidden.
+        vertex holds the winner, or nothing if the winner is forbidden; a
+        run with no flag set stores its winners without reading a flag.
         Losers, forbidden winners and displaced holders move one position
         on and are the next round's free vertices.  Rounds go on while at
         least ``BATCH_MIN`` vertices propose, so there are at most
@@ -168,6 +170,7 @@ class ProposalSystem:
         next_i = self.next_i
         right_match, right_cut = self.right_match, self.right_cut
         end = self.list_starts[1:]
+        forbidden = self.forbidden if self.forbidden.any() else None
         free = np.arange(self.num_left)
         while True:
             i = next_i[free]
@@ -179,12 +182,16 @@ class ProposalSystem:
             r, rank = edge_right[e], right_rank[e]
             np.minimum.at(right_cut, r, rank)
             won = rank == right_cut[r]
-            taken, e_won = r[won], e[won]
+            wins = np.flatnonzero(won)
+            taken, e_won = r[wins], e[wins]
             held = right_match[taken]
             displaced = edge_left[held[held != -1]]
-            banned = self.forbidden[e_won]
-            right_match[taken] = np.where(banned, -1, e_won)
-            won[won] = ~banned  # a forbidden winner proposes again
+            if forbidden is None:
+                right_match[taken] = e_won
+            else:
+                banned = forbidden[e_won]
+                right_match[taken] = np.where(banned, -1, e_won)
+                won[wins[banned]] = False  # a forbidden winner proposes again
             self.rounds += 1
             self.proposals += len(free)
             free = np.concatenate((free[~won], displaced))
@@ -414,11 +421,12 @@ def components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _hook_round(root, u, v):
     """One round of :func:`components`: drop the edges whose ends share a
     root, hook each larger root under the smallest root an edge joins it
-    to, and jump pointers to a fixed point; returns them and the edges kept."""
+    to, and jump pointers until a jump moves none, one whole-array
+    comparison per jump; returns them and the edges kept."""
     a, b = root[u], root[v]
     live = a != b
     a, b = a[live], b[live]
     np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
-    while not np.array_equal(up := root[root], root):
+    while not ((up := root[root]) == root).all():
         root = up
     return root, u[live], v[live]

@@ -81,7 +81,9 @@ class MirrorGraph:
         holds the minus-tagged partners, the twin, then the plus-tagged
         partners.  So an edge at rank r of u's list sits at r (even id) or
         d + r (odd id) on the left and at d + 1 + r (even) or r (odd) on
-        the right, the twin at 2d and d.
+        the right, the twin at 2d and d.  The degree is gathered once at
+        the agents and once at the jobs, and each entry is then one of
+        four arrays: a rank, or a rank pushed past d or d + 1.
         """
         inst = self.inst
         m, n, lay = inst.m, inst.n, inst.layout
@@ -90,12 +92,15 @@ class MirrorGraph:
         left[4 * m:] = right[4 * m:] = np.arange(n)
         at[4 * m:], rank[4 * m:] = 2 * degree, degree
         agents, jobs = lay.agent_of, inst.num_agents + lay.job_of
-        upper = (agents, jobs, lay.agent_rank, lay.job_rank)
-        lower = (jobs, agents, lay.job_rank, lay.agent_rank)
-        for t, (u, v, ru, rv) in enumerate((upper, upper, lower, lower)):
+        ar, jr = lay.agent_rank, lay.job_rank
+        ad, jd = ar + degree[agents], jr + degree[jobs]
+        copies = (
+            (agents, jobs, ar, jd + 1), (agents, jobs, ad, jr),
+            (jobs, agents, jr, ad + 1), (jobs, agents, jd, ar),
+        )
+        for t, (u, v, pos, r) in enumerate(copies):
             left[t:4 * m:4], right[t:4 * m:4] = u, v
-            at[t:4 * m:4] = ru + (t & 1) * degree[u]
-            rank[t:4 * m:4] = rv + (1 - (t & 1)) * (degree[v] + 1)
+            at[t:4 * m:4], rank[t:4 * m:4] = pos, r
         return left, right, at, rank
 
 

@@ -111,6 +111,11 @@ def test_solve_json_none_precheck(files, capsys):
     assert main(["solve", path, "--json"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"outcome": "none", "vertex": "a1"}
+    assert main(["solve", path]) == 2
+    assert capsys.readouterr().out == (
+        "no fully popular matching (no agent-popular matching: "
+        "agent a1's post component overflows)\n"
+    )
 
 
 def test_verify_fully_popular_exit_zero(files, capsys):

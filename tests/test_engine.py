@@ -246,7 +246,10 @@ class TestBatchedRounds:
     def test_rounds_leave_no_sequential_stage(self, monkeypatch):
         # On benchmark-sized blocks and a ring, every system's rounds and
         # every walk's rounds finish the run, so a validated solve never
-        # enters the proposal loop or the rotation loop.
+        # enters the proposal loop or the rotation loop.  Each system's
+        # (rounds, proposals, rejections) is pinned, in the order plain
+        # job- and agent-proposing, two-level job- and agent-proposing,
+        # mirror: only the mirror system is forbidden anything.
         def entered(*args):
             raise AssertionError("the sequential stage was entered")
 
@@ -255,16 +258,26 @@ class TestBatchedRounds:
 
         def counted(system):
             run(system)
-            runs.append(system.rounds)
+            runs.append((system.rounds, system.proposals, system.rejections))
 
         monkeypatch.setattr(ProposalSystem, "run", counted)
         monkeypatch.setattr(ProposalSystem, "_drain", entered)
         monkeypatch.setattr(engine, "_rotation_loop", entered)
-        for text in (composed_text(1000, seed=3), ring_text(300)):
+        pinned = {
+            composed_text(1000, seed=3): [
+                (2, 4000, 2000), (2, 4000, 2000), (5, 10000, 4000),
+                (6, 11000, 5000), (8, 22000, 16000),
+            ],
+            ring_text(300): [
+                (1, 300, 0), (1, 300, 0), (1, 600, 0), (1, 600, 0),
+                (2, 900, 300),
+            ],
+        }
+        for text, want in pinned.items():
             runs.clear()
             report = solve(parse_instance(text), validate=True)
             assert report.outcome == "found"
-            assert len(runs) == 5 and min(runs) > 0
+            assert runs == want
 
 
 class TestOrderFreeVerdict:
